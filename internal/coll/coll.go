@@ -146,13 +146,10 @@ func gatherBinomial(c comm.Comm, root int, send, recv comm.Buffer, tag int) erro
 	if root == 0 {
 		return nil // gathered in place
 	}
-	// Rotate relative order back to absolute rank order.
-	for relIdx := 0; relIdx < n; relIdx++ {
-		abs := (relIdx + root) % n
-		if _, err := comm.CopyData(recv.Slice(abs*block, block), stage.Slice(relIdx*block, block)); err != nil {
-			return err
-		}
-	}
+	// Rotate relative order back to absolute rank order: relative index
+	// i is rank (i+root) mod n.
+	comm.CopyBlocks(recv, root, 1, stage, 0, 1, n-root, block)
+	comm.CopyBlocks(recv, 0, 1, stage, n-root, 1, root, block)
 	return c.ChargeCopy(n*block, n)
 }
 
@@ -237,12 +234,8 @@ func scatterBinomial(c comm.Comm, root int, send, recv comm.Buffer, tag int) err
 		} else {
 			// Rotate absolute order into relative order once at the root.
 			stage = allocLike(recv, n*block)
-			for relIdx := 0; relIdx < n; relIdx++ {
-				abs := (relIdx + root) % n
-				if _, err := comm.CopyData(stage.Slice(relIdx*block, block), send.Slice(abs*block, block)); err != nil {
-					return err
-				}
-			}
+			comm.CopyBlocks(stage, 0, 1, send, root, 1, n-root, block)
+			comm.CopyBlocks(stage, n-root, 1, send, 0, 1, root, block)
 			if err := c.ChargeCopy(n*block, n); err != nil {
 				return err
 			}

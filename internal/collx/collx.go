@@ -136,12 +136,8 @@ func AllgatherBruck(c comm.Comm, send, recv comm.Buffer, block int) error {
 		step++
 	}
 	// tmp[i] holds rank (r+i)%n's block; rotate into rank order.
-	for i := 0; i < n; i++ {
-		srcRank := (r + i) % n
-		if _, err := comm.CopyData(recv.Slice(srcRank*block, block), tmp.Slice(i*block, block)); err != nil {
-			return err
-		}
-	}
+	comm.CopyBlocks(recv, r, 1, tmp, 0, 1, n-r, block)
+	comm.CopyBlocks(recv, 0, 1, tmp, n-r, 1, r, block)
 	return c.ChargeCopy(n*block, n)
 }
 

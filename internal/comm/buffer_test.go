@@ -91,6 +91,173 @@ func TestCopyData(t *testing.T) {
 	}
 }
 
+// refCopyBlocks is CopyBlocks written block by block with Slice and
+// CopyData: the loop the primitive replaces.
+func refCopyBlocks(dst Buffer, dstStart, dstStride int, src Buffer, srcStart, srcStride, count, size int) {
+	for i := 0; i < count; i++ {
+		d := dst.Slice((dstStart+i*dstStride)*size, size)
+		s := src.Slice((srcStart+i*srcStride)*size, size)
+		if _, err := CopyData(d, s); err != nil {
+			panic(err)
+		}
+	}
+}
+
+func patterned(n int) Buffer {
+	b := Alloc(n)
+	for i := range b.Bytes() {
+		b.Bytes()[i] = byte(i*13 + 1)
+	}
+	return b
+}
+
+// TestCopyBlocksMatchesBlockLoop: for arbitrary in-range layouts with
+// positive, negative and zero strides on either side, CopyBlocks leaves
+// dst exactly as the block-by-block loop does and returns count*size.
+func TestCopyBlocksMatchesBlockLoop(t *testing.T) {
+	t.Parallel()
+	const nBlocks = 24
+	f := func(countRaw, sizeRaw uint8, dStride, sStride int8, dPick, sPick uint8) bool {
+		count := 1 + int(countRaw)%8
+		size := 1 + int(sizeRaw)%5
+		ds, ss := int(dStride)%4, int(sStride)%4
+		// Choose starts that keep the first and last block in range.
+		start := func(stride int, pick uint8) int {
+			lo, hi := 0, nBlocks-1-(count-1)*stride
+			if stride < 0 {
+				lo, hi = -(count-1)*stride, nBlocks-1
+			}
+			if hi < lo {
+				return -1
+			}
+			return lo + int(pick)%(hi-lo+1)
+		}
+		d0, s0 := start(ds, dPick), start(ss, sPick)
+		if d0 < 0 || s0 < 0 {
+			return true // layout does not fit; nothing to compare
+		}
+		src := patterned(nBlocks * size)
+		got, want := Alloc(nBlocks*size), Alloc(nBlocks*size)
+		if n := CopyBlocks(got, d0, ds, src, s0, ss, count, size); n != count*size {
+			return false
+		}
+		refCopyBlocks(want, d0, ds, src, s0, ss, count, size)
+		return string(got.Bytes()) == string(want.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCopyBlocksRuns pins the layouts the repacks use: a contiguous run, a
+// reversed run (negative source stride) and a transpose row.
+func TestCopyBlocksRuns(t *testing.T) {
+	t.Parallel()
+	src := Wrap([]byte("abcdefgh"))
+	for _, tc := range []struct {
+		name                         string
+		dStart, dStride              int
+		sStart, sStride, count, size int
+		want                         string
+	}{
+		{"contiguous", 1, 1, 1, 1, 3, 2, "..cdefgh"},
+		{"reversed", 0, 1, 3, -1, 4, 1, "dcba...."},
+		{"reversed dst", 3, -1, 0, 1, 4, 1, "dcba...."},
+		{"transpose row", 0, 2, 0, 1, 4, 1, "a.b.c.d."},
+		{"gather every other", 0, 1, 1, 2, 2, 2, "cdgh...."},
+	} {
+		dst := Wrap([]byte("........"))
+		n := CopyBlocks(dst, tc.dStart, tc.dStride, src, tc.sStart, tc.sStride, tc.count, tc.size)
+		if got := string(dst.Bytes()); got != tc.want || n != tc.count*tc.size {
+			t.Errorf("%s: dst %q, n %d; want %q, %d", tc.name, got, n, tc.want, tc.count*tc.size)
+		}
+	}
+}
+
+// TestCopyBlocksShortLastRun packs the blocks whose index has bit k set —
+// full runs of k blocks every 2k, then a short last run — the way the
+// Bruck exchange packs a step, and checks it against the block loop.
+func TestCopyBlocksShortLastRun(t *testing.T) {
+	t.Parallel()
+	const n, block = 13, 3
+	for k := 1; k < n; k <<= 1 {
+		full := n / (2 * k)
+		tail := max(0, n-full*2*k-k)
+		src := patterned(n * block)
+		got := Alloc(n * block)
+		moved := CopyBlocks(got, 0, 1, src, 1, 2, full, k*block)
+		moved += CopyBlocks(got, full*k, 1, src, (2*full+1)*k, 1, tail, block)
+		want := Alloc(n * block)
+		m := 0
+		for i := 0; i < n; i++ {
+			if i&k != 0 {
+				refCopyBlocks(want, m, 1, src, i, 1, 1, block)
+				m++
+			}
+		}
+		if moved != m*block || string(got.Bytes()) != string(want.Bytes()) {
+			t.Errorf("k=%d: moved %d of %d bytes, packed %v want %v", k, moved, m*block, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestCopyBlocksVirtual: a virtual side moves nothing, yet the call
+// returns the logical byte count; a zero count is a no-op that checks no
+// bounds at all.
+func TestCopyBlocksVirtual(t *testing.T) {
+	t.Parallel()
+	real := patterned(16)
+	before := string(real.Bytes())
+	if n := CopyBlocks(Virtual(16), 3, -1, Virtual(16), 0, 2, 4, 2); n != 8 {
+		t.Errorf("virtual to virtual: %d bytes, want 8", n)
+	}
+	if n := CopyBlocks(real, 0, 1, Virtual(16), 0, 1, 4, 4); n != 16 {
+		t.Errorf("virtual to real: %d bytes, want 16", n)
+	}
+	if got := string(real.Bytes()); got != before {
+		t.Errorf("virtual source changed a real destination: %v", real.Bytes())
+	}
+	if n := CopyBlocks(Virtual(16), 0, 1, real, 0, 1, 4, 4); n != 16 {
+		t.Errorf("real to virtual: %d bytes, want 16", n)
+	}
+	if n := CopyBlocks(Alloc(4), 100, 1, Virtual(4), -7, 3, 0, 4); n != 0 {
+		t.Errorf("zero count: %d bytes, want 0", n)
+	}
+}
+
+// TestCopyBlocksPanics: an out-of-range first or last block, on either
+// side, panics on real and virtual buffers alike, as Slice does.
+func TestCopyBlocksPanics(t *testing.T) {
+	t.Parallel()
+	for _, kind := range []struct {
+		name string
+		mk   func(int) Buffer
+	}{{"real", Alloc}, {"virtual", Virtual}} {
+		for _, tc := range []struct {
+			name                    string
+			dStart, dStride, sStart int
+			sStride, count, size    int
+		}{
+			{"first dst block negative", -1, 1, 0, 1, 2, 4},
+			{"last dst block past end", 2, 1, 0, 1, 3, 4},
+			{"reversed dst runs below zero", 1, -1, 0, 1, 3, 4},
+			{"first src block past end", 0, 1, 4, 1, 1, 4},
+			{"last src block past end", 0, 1, 0, 2, 3, 4},
+			{"negative count", 0, 1, 0, 1, -1, 4},
+			{"negative size", 0, 1, 0, 1, 1, -4},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s/%s: no panic", kind.name, tc.name)
+					}
+				}()
+				CopyBlocks(kind.mk(16), tc.dStart, tc.dStride, kind.mk(16), tc.sStart, tc.sStride, tc.count, tc.size)
+			}()
+		}
+	}
+}
+
 // TestSliceProperty: slicing preserves offsets — byte i of Slice(off, n)
 // is byte off+i of the parent, for arbitrary valid ranges.
 func TestSliceProperty(t *testing.T) {

@@ -109,9 +109,11 @@ type Comm interface {
 	Memcpy(dst, src Buffer) error
 
 	// ChargeCopy accounts for a batch repack of blocks copies totalling
-	// bytes that was performed directly with comm.CopyData (which moves
-	// data but charges nothing). The live runtime pays the real copy cost
-	// in wall time, so this is a no-op there; the simulator charges
+	// bytes that was performed directly with comm.CopyBlocks or
+	// comm.CopyData (which move data but charge nothing). bytes and blocks
+	// are the logical per-block counts of the repack, not the number of
+	// copy calls that performed it. The live runtime pays the real copy
+	// cost in wall time, so this is a no-op there; the simulator charges
 	// bytes/copy-bandwidth plus a per-block loop cost. The paper's
 	// "Repack Data" steps — thousands of tiny block moves at small message
 	// sizes — are modeled through this call.

@@ -52,18 +52,18 @@ func alltoallBruck(c comm.Comm, send, recv comm.Buffer, block int) error {
 // block with displacement i therefore reaches its destination after the
 // steps matching i's binary digits, at which point local block i holds the
 // data *from* rank r-i. Phase 3 inverts that rotation into recv order.
+//
+// Every repack is at most two strided block copies: a rotation is two
+// contiguous runs, the bit-k blocks are full runs of k blocks every 2k
+// plus a short last run, and the inversion is two reversed runs.
 func alltoallBruckBuf(c comm.Comm, send, recv comm.Buffer, block int, tmp, packS, packR comm.Buffer) error {
 	n, r := c.Size(), c.Rank()
 	if tmp.Len() < n*block {
 		return fmt.Errorf("core: bruck tmp buffer %d short of %d", tmp.Len(), n*block)
 	}
 	// Phase 1: rotation tmp[i] = send[(r+i) mod n].
-	for i := 0; i < n; i++ {
-		src := (r + i) % n
-		if _, err := comm.CopyData(tmp.Slice(i*block, block), send.Slice(src*block, block)); err != nil {
-			return err
-		}
-	}
+	comm.CopyBlocks(tmp, 0, 1, send, r, 1, n-r, block)
+	comm.CopyBlocks(tmp, n-r, 1, send, 0, 1, r, block)
 	if err := c.ChargeCopy(n*block, n); err != nil {
 		return err
 	}
@@ -71,16 +71,13 @@ func alltoallBruckBuf(c comm.Comm, send, recv comm.Buffer, block int, tmp, packS
 	for k := 1; k < n; k <<= 1 {
 		dst := (r + k) % n
 		src := (r - k + n) % n
-		m := 0
-		for i := 0; i < n; i++ {
-			if i&k == 0 {
-				continue
-			}
-			if _, err := comm.CopyData(packS.Slice(m*block, block), tmp.Slice(i*block, block)); err != nil {
-				return err
-			}
-			m++
-		}
+		// The blocks with bit k set: full runs of k blocks at k, 3k, ...,
+		// then a last run of tail < k blocks when n ends inside a run.
+		full := n / (2 * k)
+		tail := max(0, n-full*2*k-k)
+		m := full*k + tail
+		comm.CopyBlocks(packS, 0, 1, tmp, 1, 2, full, k*block)
+		comm.CopyBlocks(packS, full*k, 1, tmp, (2*full+1)*k, 1, tail, block)
 		if err := c.ChargeCopy(m*block, m); err != nil {
 			return err
 		}
@@ -89,26 +86,15 @@ func alltoallBruckBuf(c comm.Comm, send, recv comm.Buffer, block int, tmp, packS
 			packR.Slice(0, m*block), src, tagAlltoall+k); err != nil {
 			return fmt.Errorf("core: bruck step k=%d: %w", k, err)
 		}
-		m = 0
-		for i := 0; i < n; i++ {
-			if i&k == 0 {
-				continue
-			}
-			if _, err := comm.CopyData(tmp.Slice(i*block, block), packR.Slice(m*block, block)); err != nil {
-				return err
-			}
-			m++
-		}
+		comm.CopyBlocks(tmp, 1, 2, packR, 0, 1, full, k*block)
+		comm.CopyBlocks(tmp, (2*full+1)*k, 1, packR, full*k, 1, tail, block)
 		if err := c.ChargeCopy(m*block, m); err != nil {
 			return err
 		}
 	}
-	// Phase 3: tmp[i] now holds data from rank (r-i); invert into recv.
-	for i := 0; i < n; i++ {
-		src := (r - i + n) % n
-		if _, err := comm.CopyData(recv.Slice(src*block, block), tmp.Slice(i*block, block)); err != nil {
-			return err
-		}
-	}
+	// Phase 3: tmp[i] now holds data from rank (r-i); invert into recv:
+	// recv[j] = tmp[(r-j) mod n], a reversed run on each side of r.
+	comm.CopyBlocks(recv, 0, 1, tmp, r, -1, r+1, block)
+	comm.CopyBlocks(recv, r+1, 1, tmp, n-1, -1, n-r-1, block)
 	return c.ChargeCopy(n*block, n)
 }

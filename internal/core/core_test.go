@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -176,36 +177,68 @@ func indexByte(s string, b byte) int {
 	return -1
 }
 
-// TestAlltoallVirtualRuns checks that virtual (payload-free) buffers flow
-// through every algorithm in the simulator — the mode used for
-// paper-scale figures.
+// TestAlltoallVirtualRuns checks that virtual (payload-free) buffers —
+// the mode used for paper-scale figures — model exactly what real ones
+// do. Every loop-coded algorithm, and system-mpi, runs once on real and
+// once on virtual buffers with the same seed on a 12-rank world (not a
+// power of two, so Bruck packs a short last run). Both runs must give
+// every rank bit-identical modeled time and the simulator the same event
+// and message counts; the real run must deliver the right bytes.
 func TestAlltoallVirtualRuns(t *testing.T) {
 	t.Parallel()
 	model := netmodel.Dane()
 	model.Node = tinyNode()
+	opts := Options{PPL: 2, PPG: 2, Sys: model.Sys}
 	for _, name := range []string{
 		"pairwise", "nonblocking", "batched", "bruck",
 		"hierarchical", "multileader", "node-aware", "locality-aware", "multileader-node-aware",
+		"system-mpi",
 	} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const block = 64
-			cfg := sim.ClusterConfig{Model: model, Nodes: 2, PPN: 8, Seed: 7}
-			stats, err := sim.RunCluster(cfg, func(c comm.Comm) error {
-				a, err := New(name, c, block, Options{PPL: 2, PPG: 2})
+			cfg := sim.ClusterConfig{Model: model, Nodes: 3, PPN: 4, Seed: 7}
+			run := func(virtual bool) ([]float64, sim.Stats) {
+				ends := make([]float64, cfg.Nodes*cfg.PPN)
+				stats, err := sim.RunCluster(cfg, func(c comm.Comm) error {
+					a, err := New(name, c, block, opts)
+					if err != nil {
+						return err
+					}
+					p, rank := c.Size(), c.Rank()
+					send, recv := comm.Virtual(p*block), comm.Virtual(p*block)
+					if !virtual {
+						send, recv = comm.Alloc(p*block), comm.Alloc(p*block)
+						testutil.FillAlltoall(send, rank, p, block)
+					}
+					if err := a.Alltoall(send, recv, block); err != nil {
+						return err
+					}
+					ends[rank] = c.Now()
+					if virtual {
+						return nil
+					}
+					return testutil.CheckAlltoall(recv, rank, p, block)
+				})
 				if err != nil {
-					return err
+					t.Fatalf("virtual=%v: %v", virtual, err)
 				}
-				send := comm.Virtual(c.Size() * block)
-				recv := comm.Virtual(c.Size() * block)
-				return a.Alltoall(send, recv, block)
-			})
-			if err != nil {
-				t.Fatal(err)
+				return ends, stats
 			}
-			if stats.VirtualSeconds <= 0 {
-				t.Fatalf("virtual run advanced no time: %+v", stats)
+			realEnds, realStats := run(false)
+			virtEnds, virtStats := run(true)
+			if virtStats.VirtualSeconds <= 0 {
+				t.Fatalf("virtual run advanced no time: %+v", virtStats)
+			}
+			for r := range realEnds {
+				if math.Float64bits(realEnds[r]) != math.Float64bits(virtEnds[r]) {
+					t.Errorf("rank %d finished at %v with real buffers, %v with virtual", r, realEnds[r], virtEnds[r])
+				}
+			}
+			if realStats.Events != virtStats.Events || realStats.Messages != virtStats.Messages {
+				t.Errorf("real run: %d events, %d messages; virtual run: %d events, %d messages",
+					realStats.Events, realStats.Messages, virtStats.Events, virtStats.Messages)
 			}
 		})
 	}

@@ -136,14 +136,6 @@ func (h *hierarchical) Name() string { return h.name }
 
 func (h *hierarchical) Phases() map[trace.Phase]float64 { return h.rec.Snapshot() }
 
-// leaderWorld returns the world rank of member j of the leader-group with
-// global leader index d (= node*nGroups + group).
-func (h *hierarchical) leaderWorld(d, j int) int {
-	node := d / h.nGroups
-	g := d % h.nGroups
-	return node*h.info.ppn + g*h.q + j
-}
-
 func (h *hierarchical) Start(send, recv comm.Buffer, block int) (Handle, error) {
 	if err := checkArgs(h.c, send, recv, block, h.maxBlock); err != nil {
 		return nil, err
@@ -181,19 +173,12 @@ func (h *hierarchical) exchange(send, recv comm.Buffer, block int) error {
 
 	if h.isLeader {
 		// Repack member-major [m][dstWorld] into leader-destination-major
-		// [D][m][dj] blocks for the leader exchange.
+		// [D][m][dj] blocks for the leader exchange. Leader group D holds
+		// world ranks D*q .. D*q+q-1, so member m's row is nLead runs of
+		// q blocks, one per destination group, that land q runs apart.
 		stop = h.rec.Time(trace.PhaseRepack)
-		for d := 0; d < h.nLead; d++ {
-			for m := 0; m < q; m++ {
-				for dj := 0; dj < q; dj++ {
-					dw := h.leaderWorld(d, dj)
-					from := bufA.Slice(m*p*block+dw*block, block)
-					to := bufB.Slice((d*q*q+m*q+dj)*block, block)
-					if _, err := comm.CopyData(to, from); err != nil {
-						return err
-					}
-				}
-			}
+		for m := 0; m < q; m++ {
+			comm.CopyBlocks(bufB, m, q, bufA, m*h.nLead, 1, h.nLead, q*block)
 		}
 		err = h.c.ChargeCopy(p*q*block, p*q)
 		stop()
@@ -210,19 +195,11 @@ func (h *hierarchical) exchange(send, recv comm.Buffer, block int) error {
 		}
 
 		// Repack received [D][m][d] into member-major scatter layout
-		// [d][srcWorld].
+		// [d][srcWorld]. Source world rank D*q+m indexes the [D][m] pairs
+		// in order, so member d's row is every q-th block from d.
 		stop = h.rec.Time(trace.PhaseRepack)
 		for d := 0; d < q; d++ {
-			for dl := 0; dl < h.nLead; dl++ {
-				for m := 0; m < q; m++ {
-					sw := h.leaderWorld(dl, m)
-					from := bufA.Slice((dl*q*q+m*q+d)*block, block)
-					to := bufB.Slice(d*p*block+sw*block, block)
-					if _, err := comm.CopyData(to, from); err != nil {
-						return err
-					}
-				}
-			}
+			comm.CopyBlocks(bufB, d*p, 1, bufA, d, q, p, block)
 		}
 		err = h.c.ChargeCopy(p*q*block, p*q)
 		stop()

@@ -124,18 +124,11 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 
 	if m.isLeader {
 		// Repack for the inter-node exchange: bufB = [N'][j][l'] — all of
-		// my members' data for every rank of node N'.
+		// my members' data for every rank of node N'. Member j's row is nn
+		// node runs of ppn blocks, landing q runs apart.
 		stop = m.rec.Time(trace.PhaseRepack)
-		for n2 := 0; n2 < nn; n2++ {
-			for j := 0; j < q; j++ {
-				for l2 := 0; l2 < ppn; l2++ {
-					from := bufA.Slice(j*p*block+(n2*ppn+l2)*block, block)
-					to := bufB.Slice((n2*q*ppn+j*ppn+l2)*block, block)
-					if _, err := comm.CopyData(to, from); err != nil {
-						return err
-					}
-				}
-			}
+		for j := 0; j < q; j++ {
+			comm.CopyBlocks(bufB, j, q, bufA, j*nn, 1, nn, ppn*block)
 		}
 		err = m.c.ChargeCopy(p*q*block, p*q)
 		stop()
@@ -155,20 +148,12 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 		// bufA now holds [N'][j'][l']: data from member j' of the slot-k
 		// leader group on node N', destined to local rank l' of my node.
 		// Repack per destination leader: bufB = [k''][N'][j'][d] with
-		// l' = k''*q + d.
+		// l' = k''*q + d. Counted in runs of q blocks, the (N', j') pairs
+		// for leader k'' sit nL runs apart in bufA, from run k'', and back
+		// to back in bufB.
 		stop = m.rec.Time(trace.PhaseRepack)
 		for k2 := 0; k2 < nL; k2++ {
-			for n2 := 0; n2 < nn; n2++ {
-				for j2 := 0; j2 < q; j2++ {
-					for d := 0; d < q; d++ {
-						from := bufA.Slice((n2*q*ppn+j2*ppn+k2*q+d)*block, block)
-						to := bufB.Slice((k2*nn*q*q+n2*q*q+j2*q+d)*block, block)
-						if _, err := comm.CopyData(to, from); err != nil {
-							return err
-						}
-					}
-				}
-			}
+			comm.CopyBlocks(bufB, k2*nn*q, 1, bufA, k2, nL, nn*q, q*block)
 		}
 		err = m.c.ChargeCopy(p*q*block, p*q)
 		stop()
@@ -188,19 +173,13 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 
 		// bufA holds [k'''][N'][j'][d]: data from world rank
 		// (N', k''', j') for my member d. Repack into scatter layout
-		// [d][srcWorld].
+		// [d][srcWorld]: for each (d, k''', j'), one strided copy across
+		// the nodes — q*q blocks apart in bufA, ppn apart in bufB.
 		stop = m.rec.Time(trace.PhaseRepack)
-		for k3 := 0; k3 < nL; k3++ {
-			for n2 := 0; n2 < nn; n2++ {
+		for d := 0; d < q; d++ {
+			for k3 := 0; k3 < nL; k3++ {
 				for j2 := 0; j2 < q; j2++ {
-					sw := n2*ppn + k3*q + j2
-					for d := 0; d < q; d++ {
-						from := bufA.Slice((k3*nn*q*q+n2*q*q+j2*q+d)*block, block)
-						to := bufB.Slice(d*p*block+sw*block, block)
-						if _, err := comm.CopyData(to, from); err != nil {
-							return err
-						}
-					}
+					comm.CopyBlocks(bufB, d*p+k3*q+j2, ppn, bufA, (k3*nn*q+j2)*q+d, q*q, nn, block)
 				}
 			}
 		}

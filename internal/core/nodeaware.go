@@ -78,14 +78,6 @@ func (na *nodeAware) Name() string { return na.name }
 
 func (na *nodeAware) Phases() map[trace.Phase]float64 { return na.rec.Snapshot() }
 
-// groupWorld returns the world rank of member i of group t (t in
-// group-comm order: node-major, then group index).
-func (na *nodeAware) groupWorld(t, i int) int {
-	node := t / na.nG
-	k := t % na.nG
-	return node*na.info.ppn + k*na.g + i
-}
-
 func (na *nodeAware) Start(send, recv comm.Buffer, block int) (Handle, error) {
 	if err := checkArgs(na.c, send, recv, block, na.maxBlock); err != nil {
 		return nil, err
@@ -111,16 +103,11 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 	bufB := ensureStage(&na.bufB, send, p*block)
 
 	// Repack send blocks into group-destination order: block for group t,
-	// member i at position t*g+i.
+	// member i at position t*g+i. Groups tile the block-mapped world in
+	// rank order (group t holds world ranks t*g .. t*g+g-1), so this is
+	// world-rank order already and the repack is one contiguous copy.
 	stop := na.rec.Time(trace.PhaseRepack)
-	for t := 0; t < tg; t++ {
-		for i := 0; i < g; i++ {
-			dw := na.groupWorld(t, i)
-			if _, err := comm.CopyData(bufA.Slice((t*g+i)*block, block), send.Slice(dw*block, block)); err != nil {
-				return err
-			}
-		}
-	}
+	comm.CopyBlocks(bufA, 0, 1, send, 0, 1, p, block)
 	err := na.c.ChargeCopy(p*block, p)
 	stop()
 	if err != nil {
@@ -137,14 +124,11 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 		return fmt.Errorf("core: %s inter exchange: %w", na.name, err)
 	}
 
-	// Repack [t][i] into member-major [i][t] for the local redistribution.
+	// Repack [t][i] into member-major [i][t] for the local redistribution:
+	// a transpose, one strided copy per member row.
 	stop = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
-		for t := 0; t < tg; t++ {
-			if _, err := comm.CopyData(bufA.Slice((i*tg+t)*block, block), bufB.Slice((t*g+i)*block, block)); err != nil {
-				return err
-			}
-		}
+		comm.CopyBlocks(bufA, i*tg, 1, bufB, i, g, tg, block)
 	}
 	err = na.c.ChargeCopy(p*block, p)
 	stop()
@@ -162,15 +146,11 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 	}
 
 	// Final repack into recv's world-rank order: the block received from
-	// member i covering group t originated at world rank (t, i).
+	// member i covering group t originated at world rank t*g+i — the
+	// inverse transpose.
 	stop = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
-		for t := 0; t < tg; t++ {
-			sw := na.groupWorld(t, i)
-			if _, err := comm.CopyData(recv.Slice(sw*block, block), bufB.Slice((i*tg+t)*block, block)); err != nil {
-				return err
-			}
-		}
+		comm.CopyBlocks(recv, i, g, bufB, i*tg, 1, tg, block)
 	}
 	err = na.c.ChargeCopy(p*block, p)
 	stop()

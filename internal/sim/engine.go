@@ -1,9 +1,9 @@
 // Package sim is a deterministic discrete-event simulator used to model the
 // paper's clusters (Dane, Amber, Tuolomne) at full scale — up to 32 nodes x
-// 112 ranks — on a single development machine. Each simulated rank is a
-// goroutine ("process") with a virtual clock; processes run one at a time
-// under a central event loop, so all shared simulator state is mutated
-// race-free and every run is reproducible given a seed.
+// 112 ranks — on a single development machine. Each simulated rank is an
+// iter.Pull coroutine ("process") with a virtual clock; processes run one
+// at a time under a central event loop, so all shared simulator state is
+// mutated race-free and every run is reproducible given a seed.
 //
 // Causal ordering invariant: before touching any shared resource (NIC
 // ports, memory buses, mailboxes), a process synchronizes with the global
@@ -136,12 +136,22 @@ type Proc struct {
 	done       bool
 	err        error
 	waitReason string
+
+	// The wake record: at most one wake is pending per process, an event
+	// on wakeFn (p.wake, bound once) that resumes it at wakeT.
+	wakeFn      func()
+	wakeT       float64
+	wakePending bool
+	// w is the WaitAll bookkeeping, reused across parks for the same
+	// reason: a parked process waits on one set of requests at a time.
+	w waiter
 }
 
 // Spawn registers a process whose body starts at virtual time 0. Must be
 // called before Run.
 func (e *Engine) Spawn(id int, body func(p *Proc) error) *Proc {
 	p := &Proc{ID: id, e: e}
+	p.wakeFn = p.wake
 	e.procs = append(e.procs, p)
 	e.alive++
 	seq := func(yield func(struct{}) bool) {
@@ -161,7 +171,7 @@ func (e *Engine) Spawn(id int, body func(p *Proc) error) *Proc {
 		}
 	}
 	p.next, p.stop = iter.Pull(iter.Seq[struct{}](seq))
-	e.At(0, func() { e.transfer(p) })
+	e.WakeAt(p, 0)
 	return p
 }
 
@@ -267,16 +277,28 @@ func (p *Proc) park(reason string) {
 }
 
 // WakeAt schedules p to resume at virtual time t, advancing its clock to at
-// least t. The caller must ensure p is (or will be) parked; waking an
-// unparked process is a programming error caught by the engine's
-// single-runner design (transfer blocks until the previous park).
+// least t. The caller must ensure p is (or will be) parked, and a process
+// has at most one pending wake: each process owns a single wake record.
+// A second WakeAt before the first has fired would resume p from its next
+// park instead of this one, so it fails the run, naming the process.
 func (e *Engine) WakeAt(p *Proc, t float64) {
-	e.At(t, func() {
-		if p.now < t {
-			p.now = t
-		}
-		e.transfer(p)
-	})
+	if p.wakePending {
+		e.Fail(fmt.Errorf("sim: proc %d woken for t=%.9fs while its wake for t=%.9fs is pending", p.ID, t, p.wakeT))
+		return
+	}
+	p.wakePending = true
+	p.wakeT = t
+	e.At(t, p.wakeFn)
+}
+
+// wake is the event WakeAt schedules: it advances the clock to the wake
+// time and resumes the process.
+func (p *Proc) wake() {
+	p.wakePending = false
+	if p.now < p.wakeT {
+		p.now = p.wakeT
+	}
+	p.e.transfer(p)
 }
 
 // Sync parks until global virtual time catches up with the local clock, so

@@ -179,6 +179,33 @@ func TestWakeAtAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestWakeAtTwiceFails: a process owns one wake record, so a second wake
+// queued before the first fires must fail the run, naming the process,
+// instead of resuming it later from whatever park comes next.
+func TestWakeAtTwiceFails(t *testing.T) {
+	t.Parallel()
+	e := NewEngine()
+	resumed := 0
+	p := e.Spawn(3, func(p *Proc) error {
+		p.Park("first")
+		resumed++
+		p.Park("second")
+		resumed++
+		return nil
+	})
+	e.At(0.5, func() {
+		e.WakeAt(p, 1)
+		e.WakeAt(p, 2)
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "proc 3") || !strings.Contains(err.Error(), "pending") {
+		t.Fatalf("double wake: err = %v, want a failure naming proc 3's pending wake", err)
+	}
+	if resumed != 0 {
+		t.Errorf("process resumed %d times after the run failed", resumed)
+	}
+}
+
 func TestAtClampsPast(t *testing.T) {
 	t.Parallel()
 	e := NewEngine()

@@ -82,6 +82,8 @@ type Network struct {
 
 	rng      *rand.Rand
 	msgsSent uint64
+
+	free *flight // recycled flights (see newFlight)
 }
 
 // NewNetwork builds the fabric for a mapping under the given model. seed
@@ -173,10 +175,11 @@ func (n *Network) copyTime(bytes int) float64 {
 	return float64(bytes) / n.p.CopyBW * n.scale
 }
 
-// path returns the hop list from src to dst world ranks, plus the locality
-// level. Intra-node paths end at the destination core's copy engine
-// (shared-memory transfers are CPU-driven copies); inter-node paths use
-// NIC DMA and stop at the destination NUMA bus.
+// path fills hops (reusing its storage) with the hop list from src to dst
+// world ranks and returns it, plus the locality level. Intra-node paths
+// end at the destination core's copy engine (shared-memory transfers are
+// CPU-driven copies); inter-node paths use NIC DMA and stop at the
+// destination NUMA bus.
 func (n *Network) path(src, dst int, hops []hop) ([]hop, topo.Level) {
 	m := n.mapping
 	level := m.LevelBetween(src, dst)
@@ -224,67 +227,148 @@ func (n *Network) path(src, dst int, hops []hop) ([]hop, topo.Level) {
 	return hops, level
 }
 
-// transfer books a message of the given size from ready time, stage by
-// stage. The first stage is reserved immediately (ready is the caller's
-// current virtual time); every subsequent stage is reserved by an event
-// fired when the payload clears the previous stage. Booking stages at
-// their actual start times is essential: reserving future slots up front
-// would let one far-future booking push a scalar FIFO's nextFree forward
-// and leave the resource idle for every later (but earlier-in-time)
-// booking — a head-of-line artifact, not network physics.
-//
-// onSendDone, if non-nil, fires when the first (source-side) stage is
-// clear — the rendezvous sender's buffer lifetime. onArrival fires when
-// the payload has fully arrived (last stage plus wire latency). src
-// identifies the sender for the NIC interleaving penalty; tag attributes
-// fabric-link congestion to the message's round (sched executor tagging).
-func (n *Network) transfer(ready float64, bytes, src, tag int, hops []hop, level topo.Level,
-	onSendDone, onArrival func(t float64)) {
+// flight is one message on its way through the fabric: its route, the
+// stage it has reached and what its arrival completes. A message is a
+// single flight, recycled through the network's free list, and a pending
+// stage is an event on the flight's advance method (bound once), so
+// moving a message allocates nothing beyond its requests.
+type flight struct {
+	n       *Network
+	hops    []hop   // the route; inline's storage unless a fabric route outgrows it
+	inline  [4]hop  // the longest intra-node path
+	stage   int     // next hop to serve, or stageLaunch
+	t       float64 // time that stage starts from
+	srcNode int
+	lat     float64
+
+	// msg is the message. An eager one is delivered to its destination's
+	// mailbox on arrival; a rendezvous one has already matched post: its
+	// sender's request completes when the first stage clears, and the
+	// receive on arrival, once the bytes have landed in post.buf.
+	msg  simMsg
+	post simPosted
+
+	advanceFn func() // f.advance
+	next      *flight
+}
+
+// stageLaunch marks a flight whose transfer starts when its event fires
+// (a matched rendezvous waiting for its clear-to-send).
+const stageLaunch = -1
+
+// newFlight takes a flight from the free list, or makes one.
+func (n *Network) newFlight() *flight {
+	f := n.free
+	if f == nil {
+		f = &flight{n: n}
+		f.hops = f.inline[:0]
+		f.advanceFn = f.advance
+		return f
+	}
+	n.free = f.next
+	f.next = nil
+	return f
+}
+
+// transfer routes f's message and books its first stage at ready.
+func (n *Network) transfer(f *flight, ready float64) {
+	var level topo.Level
+	f.hops, level = n.path(f.msg.srcWorld, f.msg.dstWorld, f.hops)
 	n.msgsSent++
-	lat := n.p.Latency(level)
+	f.lat = n.p.Latency(level)
 	// The interleaving penalty tracks the source *node*: a port drained by
 	// long same-source runs (node-aware aggregation, aligned pairwise
 	// steps) streams at full rate, while fine-grained exchanges that mix
 	// flows from many nodes pay the congestion/reordering cost.
-	srcNode := n.mapping.NodeOf(src)
-	var step func(i int, t float64)
-	step = func(i int, t float64) {
-		h := hops[i]
+	f.srcNode = n.mapping.NodeOf(f.msg.srcWorld)
+	f.step(0, ready)
+}
+
+// resumeAt schedules the flight's stage i to start at time t.
+func (f *flight) resumeAt(i int, t float64) {
+	f.stage, f.t = i, t
+	f.n.e.At(t, f.advanceFn)
+}
+
+// advance is the flight's event: it starts a pending rendezvous transfer
+// or serves the next stage.
+func (f *flight) advance() {
+	if f.stage == stageLaunch {
+		f.n.transfer(f, f.t)
+		return
+	}
+	f.step(f.stage, f.t)
+}
+
+// step books the message stage by stage from hop i at time t: this stage
+// now, every later one by an event fired when the payload clears the
+// previous stage. Booking stages at their actual start times is
+// essential: reserving future slots up front would let one far-future
+// booking push a scalar FIFO's nextFree forward and leave the resource
+// idle for every later (but earlier-in-time) booking — a head-of-line
+// artifact, not network physics.
+//
+// A rendezvous sender's request completes when the first (source-side)
+// stage is clear — its buffer lifetime. The message arrives when the
+// last stage is clear plus the wire latency. The message's tag attributes
+// fabric-link congestion to its round (sched executor tagging).
+func (f *flight) step(i int, t float64) {
+	n := f.n
+	for {
+		h := &f.hops[i]
 		if h.link != nil {
 			// Cut-through fabric link: the head moves on the moment the
 			// link starts serving it (zero added time when uncontended —
 			// the NIC ports stay the serialization points), while the
 			// link stays occupied for the payload's full serialization,
 			// which is what queues and backpressures later flows.
-			start, blocked, queued := h.link.admit(t, bytes)
-			n.flow.note(tag, bytes, blocked, queued)
+			start, blocked, queued := h.link.admit(t, f.msg.bytes)
+			n.flow.note(f.msg.env.tag, f.msg.bytes, blocked, queued)
 			if start > t {
-				n.e.At(start, func() { step(i+1, start) })
-			} else {
-				step(i+1, t)
+				f.resumeAt(i+1, start)
+				return
 			}
-			return
+			i++
+			continue
 		}
 		dur := h.perMsg
-		if bytes > 0 {
-			d := float64(bytes) / h.rate
-			if h.interleave > 0 && h.res.lastUser != srcNode {
+		if f.msg.bytes > 0 {
+			d := float64(f.msg.bytes) / h.rate
+			if h.interleave > 0 && h.res.lastUser != f.srcNode {
 				d *= 1 + h.interleave
 			}
 			dur += d
 		}
-		h.res.lastUser = srcNode
+		h.res.lastUser = f.srcNode
 		finish := h.res.reserve(t, dur, n.debugReserve)
-		if i == 0 && onSendDone != nil {
-			onSendDone(finish)
+		if i == 0 && f.msg.rdv {
+			n.determine(f.msg.sendReq, finish, nil)
 		}
-		if i == len(hops)-1 {
-			onArrival(finish + lat)
+		if i == len(f.hops)-1 {
+			f.arrive(finish + f.lat)
 			return
 		}
-		n.e.At(finish, func() { step(i+1, finish) })
+		f.resumeAt(i+1, finish)
+		return
 	}
-	step(0, ready)
+}
+
+// arrive completes the message at its arrival time and returns the
+// flight to the free list, dropping its references to payloads, requests
+// and buffers.
+func (f *flight) arrive(t float64) {
+	n := f.n
+	msg := &f.msg
+	if !msg.rdv {
+		n.deliverEager(msg.dstWorld, msg.env, msg.bytes, msg.payload, t)
+	} else {
+		if !msg.sendBuf.IsVirtual() && !f.post.buf.IsVirtual() && msg.bytes > 0 {
+			copy(f.post.buf.Bytes(), msg.sendBuf.Bytes()[:msg.bytes])
+		}
+		n.determine(f.post.req, t, nil)
+	}
+	f.msg, f.post = simMsg{}, simPosted{}
+	f.next, n.free = n.free, f
 }
 
 // envelope identifies a message for matching.
@@ -391,13 +475,11 @@ func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 			payload = make([]byte, b.Len())
 			copy(payload, b.Bytes())
 		}
-		env := envelope{ctx: ctx, src: srcRank, tag: tag}
-		length := b.Len()
-		hops, level := n.path(srcW, dstW, nil)
-		n.determine(req, p.now+n.copyTime(length), nil)
-		n.transfer(p.now, length, srcW, tag, hops, level, nil, func(arrival float64) {
-			n.deliverEager(dstW, env, length, payload, arrival)
-		})
+		f := n.newFlight()
+		f.msg = simMsg{env: envelope{ctx: ctx, src: srcRank, tag: tag}, bytes: b.Len(),
+			payload: payload, srcWorld: srcW, dstWorld: dstW}
+		n.determine(req, p.now+n.copyTime(b.Len()), nil)
+		n.transfer(f, p.now)
 		return req
 	}
 	// Rendezvous: an RTS races ahead; the transfer is scheduled when the
@@ -511,17 +593,9 @@ func (n *Network) beginRendezvous(msg simMsg, post simPosted) {
 	if msg.senderReady > tStart {
 		tStart = msg.senderReady
 	}
-	n.e.At(tStart, func() {
-		hops, lvl := n.path(msg.srcWorld, msg.dstWorld, nil)
-		n.transfer(tStart, msg.bytes, msg.srcWorld, msg.env.tag, hops, lvl,
-			func(sendDone float64) { n.determine(msg.sendReq, sendDone, nil) },
-			func(arrival float64) {
-				if !msg.sendBuf.IsVirtual() && !post.buf.IsVirtual() && msg.bytes > 0 {
-					copy(post.buf.Bytes(), msg.sendBuf.Bytes()[:msg.bytes])
-				}
-				n.determine(post.req, arrival, nil)
-			})
-	})
+	f := n.newFlight()
+	f.msg, f.post = msg, post
+	f.resumeAt(stageLaunch, tStart)
 }
 
 // Sendrecv posts the receive and performs the send under a single global-
@@ -551,7 +625,8 @@ func (n *Network) WaitAll(p *Proc, reqs []*simReq) error {
 		}
 	}
 	if pending > 0 {
-		w := &waiter{p: p, remaining: pending, tMax: tMax}
+		w := &p.w
+		*w = waiter{p: p, remaining: pending, tMax: tMax}
 		for _, r := range reqs {
 			if r != nil && !r.determined {
 				r.w = w
