@@ -43,10 +43,8 @@
 //	NewReduceScatter(name, c, o)     -> ReduceScatterer
 //
 // Both all-to-all registries include a "tuned" meta-algorithm driven by a
-// persisted autotune table (cmd/a2atune -op alltoall|alltoallv); the
-// one-shot free functions (Alltoallv, AllgatherRing, ...) remain as
-// deprecated shims over the same implementations — see deprecated.go for
-// the full shim-to-replacement table. DisplsFromCounts is the packing
+// persisted autotune table (cmd/a2atune -op alltoall|alltoallv); one
+// dispatcher serves both operations. DisplsFromCounts is the packing
 // helper for variable-sized calls: it turns per-peer byte counts into
 // contiguous displacements plus the total buffer length.
 //

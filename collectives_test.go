@@ -19,26 +19,33 @@ func TestPublicAlltoallv(t *testing.T) {
 			sendCounts[i] = (r+i)%4 + 1
 			recvCounts[i] = (i+r)%4 + 1
 		}
-		sdispls, sTotal := alltoallx.AlltoallvCounts(sendCounts)
-		rdispls, rTotal := alltoallx.AlltoallvCounts(recvCounts)
+		sdispls, sTotal := alltoallx.DisplsFromCounts(sendCounts)
+		rdispls, rTotal := alltoallx.DisplsFromCounts(recvCounts)
 		send := alltoallx.Alloc(sTotal)
-		recv := alltoallx.Alloc(rTotal)
 		for i := 0; i < n; i++ {
 			for k := 0; k < sendCounts[i]; k++ {
 				send.Bytes()[sdispls[i]+k] = byte(r*16 + i)
 			}
 		}
-		if err := alltoallx.Alltoallv(c, send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			for k := 0; k < recvCounts[i]; k++ {
-				if got, want := recv.Bytes()[rdispls[i]+k], byte(i*16+r); got != want {
-					return fmt.Errorf("rank %d from %d byte %d: got %d want %d", r, i, k, got, want)
+		for _, name := range []string{"pairwise", "nonblocking"} {
+			// Every count is at most 4 bytes.
+			a, err := alltoallx.NewV(name, c, 4*n, alltoallx.Options{})
+			if err != nil {
+				return err
+			}
+			recv := alltoallx.Alloc(rTotal)
+			if err := a.Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			for i := 0; i < n; i++ {
+				for k := 0; k < recvCounts[i]; k++ {
+					if got, want := recv.Bytes()[rdispls[i]+k], byte(i*16+r); got != want {
+						return fmt.Errorf("%s: rank %d from %d byte %d: got %d want %d", name, r, i, k, got, want)
+					}
 				}
 			}
 		}
-		return alltoallx.AlltoallvNonblocking(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +118,20 @@ func TestPublicFlatCollectives(t *testing.T) {
 		const block = 8
 		send := alltoallx.Alloc(block)
 		binary.LittleEndian.PutUint64(send.Bytes(), uint64(int64(c.Rank()*10)))
+		ring, err := alltoallx.NewAllgather("ring", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
 		recv := alltoallx.Alloc(n * block)
-		if err := alltoallx.AllgatherRing(c, send, recv, block); err != nil {
+		if err := ring.Allgather(send, recv, block); err != nil {
+			return err
+		}
+		bruck, err := alltoallx.NewAllgather("bruck", c, alltoallx.Options{})
+		if err != nil {
 			return err
 		}
 		recv2 := alltoallx.Alloc(n * block)
-		if err := alltoallx.AllgatherBruck(c, send, recv2, block); err != nil {
+		if err := bruck.Allgather(send, recv2, block); err != nil {
 			return err
 		}
 		for r := 0; r < n; r++ {
@@ -131,8 +146,12 @@ func TestPublicFlatCollectives(t *testing.T) {
 		for d := 0; d < n; d++ {
 			binary.LittleEndian.PutUint64(rs.Bytes()[d*block:], uint64(int64(c.Rank()+d)))
 		}
+		pw, err := alltoallx.NewReduceScatter("pairwise", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
 		out := alltoallx.Alloc(block)
-		if err := alltoallx.ReduceScatterPairwise(c, rs, out, block, alltoallx.SumInt64); err != nil {
+		if err := pw.ReduceScatter(rs, out, block, alltoallx.SumInt64); err != nil {
 			return err
 		}
 		want := int64(0)
@@ -299,22 +318,5 @@ func TestPublicCollectiveRegistries(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDisplsFromCountsAlias: the renamed helper and its deprecated alias
-// agree.
-func TestDisplsFromCountsAlias(t *testing.T) {
-	t.Parallel()
-	counts := []int{3, 0, 5, 2}
-	d1, t1 := alltoallx.DisplsFromCounts(counts)
-	d2, t2 := alltoallx.AlltoallvCounts(counts)
-	if t1 != t2 || t1 != 10 {
-		t.Fatalf("totals differ: %d vs %d", t1, t2)
-	}
-	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("displs differ at %d: %v vs %v", i, d1, d2)
-		}
 	}
 }

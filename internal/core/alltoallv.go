@@ -132,47 +132,18 @@ func (b *basicV) Alltoallv(send comm.Buffer, sendCounts, sdispls []int,
 	return h.Wait()
 }
 
+func newBasicV(name string, c comm.Comm, maxTotal int,
+	run func(c comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
+		recv comm.Buffer, recvCounts, rdispls []int) error) *basicV {
+	return &basicV{name: name, c: c, maxTotal: maxTotal, rec: trace.NewRecorder(c.Now), run: run}
+}
+
 func newVPairwise(c comm.Comm, maxTotal int, _ Options) (Alltoallver, error) {
-	return &basicV{name: "pairwise", c: c, maxTotal: maxTotal,
-		rec: trace.NewRecorder(c.Now), run: alltoallvPairwise}, nil
+	return newBasicV("pairwise", c, maxTotal, alltoallvPairwise), nil
 }
 
 func newVNonblocking(c comm.Comm, maxTotal int, _ Options) (Alltoallver, error) {
-	return &basicV{name: "nonblocking", c: c, maxTotal: maxTotal,
-		rec: trace.NewRecorder(c.Now), run: alltoallvNonblocking}, nil
-}
-
-// Alltoallv performs a one-shot variable-sized all-to-all with pairwise
-// stepping.
-//
-// Deprecated: construct a persistent operation with NewV("pairwise", ...)
-// instead; the free function re-validates on every call and cannot take
-// part in tuned dispatch.
-func Alltoallv(c comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) error {
-	if err := checkVArgs(c, send, sendCounts, sdispls, "send"); err != nil {
-		return err
-	}
-	if err := checkVArgs(c, recv, recvCounts, rdispls, "recv"); err != nil {
-		return err
-	}
-	return alltoallvPairwise(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
-}
-
-// AlltoallvNonblocking performs a one-shot variable-sized all-to-all with
-// every exchange posted up front.
-//
-// Deprecated: construct a persistent operation with
-// NewV("nonblocking", ...) instead.
-func AlltoallvNonblocking(c comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) error {
-	if err := checkVArgs(c, send, sendCounts, sdispls, "send"); err != nil {
-		return err
-	}
-	if err := checkVArgs(c, recv, recvCounts, rdispls, "recv"); err != nil {
-		return err
-	}
-	return alltoallvNonblocking(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
+	return newBasicV("nonblocking", c, maxTotal, alltoallvNonblocking), nil
 }
 
 // alltoallvPairwise is the variable-sized analogue of Algorithm 1: rank r
@@ -269,15 +240,6 @@ func DisplsFromCounts(counts []int) (displs []int, total int) {
 		total += cnt
 	}
 	return displs, total
-}
-
-// CountsFromSizes builds contiguous displacements for per-peer byte
-// counts.
-//
-// Deprecated: renamed to DisplsFromCounts (the result is displacements,
-// not counts); this alias forwards to it.
-func CountsFromSizes(counts []int) (displs []int, total int) {
-	return DisplsFromCounts(counts)
 }
 
 // checkVCall validates both sides of a persistent Alltoallv invocation,

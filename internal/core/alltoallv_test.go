@@ -24,21 +24,24 @@ func runAlltoallvCase(t *testing.T, n int, nonblocking bool) {
 			sendCounts[i] = vCount(r, i)
 			recvCounts[i] = vCount(i, r)
 		}
-		sdispls, sTotal := CountsFromSizes(sendCounts)
-		rdispls, rTotal := CountsFromSizes(recvCounts)
+		sdispls, sTotal := DisplsFromCounts(sendCounts)
+		rdispls, rTotal := DisplsFromCounts(recvCounts)
 		send := comm.Alloc(sTotal)
 		recv := comm.Alloc(rTotal)
 		for i := 0; i < n; i++ {
 			seg := send.Slice(sdispls[i], sendCounts[i])
 			testutil.FillBlock(seg, r, i)
 		}
-		var err error
+		name := "pairwise"
 		if nonblocking {
-			err = AlltoallvNonblocking(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
-		} else {
-			err = Alltoallv(c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
+			name = "nonblocking"
 		}
+		// vCount is at most 8 bytes per peer.
+		a, err := NewV(name, c, 8*n, Options{})
 		if err != nil {
+			return err
+		}
+		if err := a.Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
 			return err
 		}
 		for i := 0; i < n; i++ {
@@ -81,11 +84,15 @@ func TestAlltoallvMatchesFixed(t *testing.T) {
 			for i := range counts {
 				counts[i] = block
 			}
-			displs, total := CountsFromSizes(counts)
+			displs, total := DisplsFromCounts(counts)
 			send := comm.Alloc(total)
 			recv := comm.Alloc(total)
 			testutil.FillAlltoall(send, r, n, block)
-			if err := Alltoallv(c, send, counts, displs, recv, counts, displs); err != nil {
+			a, err := NewV("pairwise", c, total, Options{})
+			if err != nil {
+				return err
+			}
+			if err := a.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
 				return err
 			}
 			if err := testutil.CheckAlltoall(recv, r, n, block); err != nil {
@@ -106,13 +113,17 @@ func TestAlltoallvErrors(t *testing.T) {
 		good := []int{1, 1}
 		displs := []int{0, 1}
 		buf := comm.Alloc(2)
-		if err := Alltoallv(c, buf, []int{1}, displs, buf, good, displs); err == nil {
+		a, err := NewV("pairwise", c, 4, Options{})
+		if err != nil {
+			return err
+		}
+		if err := a.Alltoallv(buf, []int{1}, displs, buf, good, displs); err == nil {
 			return fmt.Errorf("short counts accepted")
 		}
-		if err := Alltoallv(c, buf, []int{-1, 1}, displs, buf, good, displs); err == nil {
+		if err := a.Alltoallv(buf, []int{-1, 1}, displs, buf, good, displs); err == nil {
 			return fmt.Errorf("negative count accepted")
 		}
-		if err := Alltoallv(c, buf, []int{2, 2}, displs, buf, good, displs); err == nil {
+		if err := a.Alltoallv(buf, []int{2, 2}, displs, buf, good, displs); err == nil {
 			return fmt.Errorf("overflowing segment accepted")
 		}
 		return nil
@@ -122,9 +133,9 @@ func TestAlltoallvErrors(t *testing.T) {
 	}
 }
 
-func TestCountsFromSizes(t *testing.T) {
+func TestDisplsFromCounts(t *testing.T) {
 	t.Parallel()
-	displs, total := CountsFromSizes([]int{3, 0, 5, 2})
+	displs, total := DisplsFromCounts([]int{3, 0, 5, 2})
 	want := []int{0, 3, 3, 8}
 	if total != 10 {
 		t.Fatalf("total = %d", total)

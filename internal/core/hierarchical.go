@@ -68,8 +68,7 @@ func divisorsOf(n int) []int {
 // one leader per node (hier=true) this is the standard hierarchical
 // algorithm; with ppn/PPL leaders per node it is the multi-leader variant.
 type hierarchical struct {
-	name string
-	c    comm.Comm
+	*basic
 	info worldInfo
 
 	q       int // processes per leader (group size)
@@ -81,9 +80,6 @@ type hierarchical struct {
 
 	inner      Inner
 	gatherKind coll.Kind
-	maxBlock   int
-	rec        *trace.Recorder
-	st         OpState
 
 	myGroup  int // group index within my node
 	isLeader bool
@@ -106,11 +102,10 @@ func newHierarchical(c comm.Comm, maxBlock int, o Options, hier bool) (Alltoalle
 		return nil, err
 	}
 	h := &hierarchical{
-		name: name, c: c, info: info,
-		q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
-		inner: o.Inner, gatherKind: o.GatherKind, maxBlock: maxBlock,
-		rec: trace.NewRecorder(c.Now),
+		info: info, q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
+		inner: o.Inner, gatherKind: o.GatherKind,
 	}
+	h.basic = newBasic(name, c, maxBlock, h.run)
 	h.myGroup = info.myLocal / q
 	h.isLeader = info.myLocal%q == 0
 
@@ -132,30 +127,7 @@ func newHierarchical(c comm.Comm, maxBlock int, o Options, hier bool) (Alltoalle
 	return h, nil
 }
 
-func (h *hierarchical) Name() string { return h.name }
-
-func (h *hierarchical) Phases() map[trace.Phase]float64 { return h.rec.Snapshot() }
-
-func (h *hierarchical) Start(send, recv comm.Buffer, block int) (Handle, error) {
-	if err := checkArgs(h.c, send, recv, block, h.maxBlock); err != nil {
-		return nil, err
-	}
-	return h.st.Start(h.c, func() error { return h.exchange(send, recv, block) })
-}
-
-func (h *hierarchical) Alltoall(send, recv comm.Buffer, block int) error {
-	hd, err := h.Start(send, recv, block)
-	if err != nil {
-		return err
-	}
-	return hd.Wait()
-}
-
-func (h *hierarchical) exchange(send, recv comm.Buffer, block int) error {
-	h.rec.Reset()
-	stopTotal := h.rec.Time(trace.PhaseTotal)
-	defer stopTotal()
-
+func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	p, q := h.info.p, h.q
 	var bufA, bufB comm.Buffer
 	if h.isLeader {
@@ -180,7 +152,7 @@ func (h *hierarchical) exchange(send, recv comm.Buffer, block int) error {
 		for m := 0; m < q; m++ {
 			comm.CopyBlocks(bufB, m, q, bufA, m*h.nLead, 1, h.nLead, q*block)
 		}
-		err = h.c.ChargeCopy(p*q*block, p*q)
+		err = c.ChargeCopy(p*q*block, p*q)
 		stop()
 		if err != nil {
 			return err
@@ -201,7 +173,7 @@ func (h *hierarchical) exchange(send, recv comm.Buffer, block int) error {
 		for d := 0; d < q; d++ {
 			comm.CopyBlocks(bufB, d*p, 1, bufA, d, q, p, block)
 		}
-		err = h.c.ChargeCopy(p*q*block, p*q)
+		err = c.ChargeCopy(p*q*block, p*q)
 		stop()
 		if err != nil {
 			return err

@@ -17,7 +17,7 @@ import (
 // scatter costs shrink with more leaders while inter-node message counts
 // stay minimal: the small-message sweet spot the paper reports.
 type mlNodeAware struct {
-	c    comm.Comm
+	*basic
 	info worldInfo
 
 	q        int // processes per leader
@@ -30,9 +30,6 @@ type mlNodeAware struct {
 
 	inner      Inner
 	gatherKind coll.Kind
-	maxBlock   int
-	rec        *trace.Recorder
-	st         OpState
 	isLeader   bool
 
 	bufA, bufB comm.Buffer // leader staging: q*p*maxBlock each
@@ -47,11 +44,10 @@ func newMultileaderNodeAware(c comm.Comm, maxBlock int, o Options) (Alltoaller, 
 		return nil, err
 	}
 	m := &mlNodeAware{
-		c: c, info: info,
-		q: o.PPL, nL: info.ppn / o.PPL,
-		inner: o.Inner, gatherKind: o.GatherKind, maxBlock: maxBlock,
-		rec: trace.NewRecorder(c.Now),
+		info: info, q: o.PPL, nL: info.ppn / o.PPL,
+		inner: o.Inner, gatherKind: o.GatherKind,
 	}
+	m.basic = newBasic("multileader-node-aware", c, maxBlock, m.run)
 	m.myK = info.myLocal / m.q
 	m.myJ = info.myLocal % m.q
 	m.isLeader = m.myJ == 0
@@ -83,30 +79,7 @@ func newMultileaderNodeAware(c comm.Comm, maxBlock int, o Options) (Alltoaller, 
 	return m, nil
 }
 
-func (m *mlNodeAware) Name() string { return "multileader-node-aware" }
-
-func (m *mlNodeAware) Phases() map[trace.Phase]float64 { return m.rec.Snapshot() }
-
-func (m *mlNodeAware) Start(send, recv comm.Buffer, block int) (Handle, error) {
-	if err := checkArgs(m.c, send, recv, block, m.maxBlock); err != nil {
-		return nil, err
-	}
-	return m.st.Start(m.c, func() error { return m.exchange(send, recv, block) })
-}
-
-func (m *mlNodeAware) Alltoall(send, recv comm.Buffer, block int) error {
-	h, err := m.Start(send, recv, block)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
-	m.rec.Reset()
-	stopTotal := m.rec.Time(trace.PhaseTotal)
-	defer stopTotal()
-
+func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	p, q, ppn, nn, nL := m.info.p, m.q, m.info.ppn, m.info.nnodes, m.nL
 	var bufA, bufB comm.Buffer
 	if m.isLeader {
@@ -130,7 +103,7 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 		for j := 0; j < q; j++ {
 			comm.CopyBlocks(bufB, j, q, bufA, j*nn, 1, nn, ppn*block)
 		}
-		err = m.c.ChargeCopy(p*q*block, p*q)
+		err = c.ChargeCopy(p*q*block, p*q)
 		stop()
 		if err != nil {
 			return err
@@ -155,7 +128,7 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 		for k2 := 0; k2 < nL; k2++ {
 			comm.CopyBlocks(bufB, k2*nn*q, 1, bufA, k2, nL, nn*q, q*block)
 		}
-		err = m.c.ChargeCopy(p*q*block, p*q)
+		err = c.ChargeCopy(p*q*block, p*q)
 		stop()
 		if err != nil {
 			return err
@@ -183,7 +156,7 @@ func (m *mlNodeAware) exchange(send, recv comm.Buffer, block int) error {
 				}
 			}
 		}
-		err = m.c.ChargeCopy(p*q*block, p*q)
+		err = c.ChargeCopy(p*q*block, p*q)
 		stop()
 		if err != nil {
 			return err

@@ -16,8 +16,7 @@ import (
 // g nearby ranks instead of all ppn, trading slightly more inter-region
 // messages for much cheaper local traffic.
 type nodeAware struct {
-	name string
-	c    comm.Comm
+	*basic
 	info worldInfo
 
 	g   int // processes per group
@@ -29,10 +28,7 @@ type nodeAware struct {
 	local comm.Comm // my group (size g)
 	group comm.Comm // my j-counterparts in every group (size tg)
 
-	inner    Inner
-	maxBlock int
-	rec      *trace.Recorder
-	st       OpState
+	inner Inner
 
 	bufA, bufB comm.Buffer // staging: p*maxBlock each
 }
@@ -52,11 +48,10 @@ func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller,
 		return nil, err
 	}
 	na := &nodeAware{
-		name: name, c: c, info: info,
-		g: g, nG: info.ppn / g, tg: (info.ppn / g) * info.nnodes,
-		inner: o.Inner, maxBlock: maxBlock,
-		rec: trace.NewRecorder(c.Now),
+		info: info, g: g, nG: info.ppn / g, tg: (info.ppn / g) * info.nnodes,
+		inner: o.Inner,
 	}
+	na.basic = newBasic(name, c, maxBlock, na.run)
 	na.myG = info.myLocal / g
 	na.myJ = info.myLocal % g
 
@@ -74,30 +69,7 @@ func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller,
 	return na, nil
 }
 
-func (na *nodeAware) Name() string { return na.name }
-
-func (na *nodeAware) Phases() map[trace.Phase]float64 { return na.rec.Snapshot() }
-
-func (na *nodeAware) Start(send, recv comm.Buffer, block int) (Handle, error) {
-	if err := checkArgs(na.c, send, recv, block, na.maxBlock); err != nil {
-		return nil, err
-	}
-	return na.st.Start(na.c, func() error { return na.exchange(send, recv, block) })
-}
-
-func (na *nodeAware) Alltoall(send, recv comm.Buffer, block int) error {
-	h, err := na.Start(send, recv, block)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
-	na.rec.Reset()
-	stopTotal := na.rec.Time(trace.PhaseTotal)
-	defer stopTotal()
-
+func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	p, g, tg := na.info.p, na.g, na.tg
 	bufA := ensureStage(&na.bufA, send, p*block)
 	bufB := ensureStage(&na.bufB, send, p*block)
@@ -108,7 +80,7 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 	// world-rank order already and the repack is one contiguous copy.
 	stop := na.rec.Time(trace.PhaseRepack)
 	comm.CopyBlocks(bufA, 0, 1, send, 0, 1, p, block)
-	err := na.c.ChargeCopy(p*block, p)
+	err := c.ChargeCopy(p*block, p)
 	stop()
 	if err != nil {
 		return err
@@ -130,7 +102,7 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 	for i := 0; i < g; i++ {
 		comm.CopyBlocks(bufA, i*tg, 1, bufB, i, g, tg, block)
 	}
-	err = na.c.ChargeCopy(p*block, p)
+	err = c.ChargeCopy(p*block, p)
 	stop()
 	if err != nil {
 		return err
@@ -152,7 +124,7 @@ func (na *nodeAware) exchange(send, recv comm.Buffer, block int) error {
 	for i := 0; i < g; i++ {
 		comm.CopyBlocks(recv, i, g, bufB, i*tg, 1, tg, block)
 	}
-	err = na.c.ChargeCopy(p*block, p)
+	err = c.ChargeCopy(p*block, p)
 	stop()
 	return err
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"alltoallx/internal/comm"
-	"alltoallx/internal/trace"
 )
 
 // Online refinement keeps a tuned dispatch table honest after the offline
@@ -157,14 +155,8 @@ func (r *ring) mean() float64 {
 
 func (r *ring) reset() { r.n, r.next = 0, 0 }
 
-// phaser is the slice of Alltoaller/Alltoallver the refinement loop needs
-// from the instances it manages.
-type phaser interface {
-	Phases() map[trace.Phase]float64
-}
-
 // obucket is one bucket's refinement state.
-type obucket[T phaser] struct {
+type obucket struct {
 	calls, trials, promotions int
 	// rot rotates the challenger pool across failed trials.
 	rot int
@@ -174,14 +166,13 @@ type obucket[T phaser] struct {
 	// which must discard the stale window, identically on every rank).
 	inc, ch ring
 	chLabel string
-	// insts caches constructed instances by entry label, so a demoted
-	// incumbent re-trials without reconstruction.
-	insts map[string]T
 }
 
-// online is the refinement engine shared by the tuned and tunedV
-// dispatchers (T = Alltoaller or Alltoallver).
-type online[T phaser] struct {
+// online is the refinement loop of a dispatcher in refinement mode: it
+// picks who serves each call and decides promotions. The dispatcher owns
+// the instances, cached per (bucket, label), so a demoted incumbent
+// re-trials without reconstruction.
+type online struct {
 	c   comm.Comm
 	cfg OnlineConfig
 	op  Op
@@ -191,30 +182,18 @@ type online[T phaser] struct {
 	// and is never mutated.
 	entries []DispatchEntry
 	gen     int
-	b       []obucket[T]
-	// build constructs the instance for an entry (New or NewV closure).
-	build func(DispatchEntry) (T, error)
-	// lastLabel/lastInst describe the entry the previous call actually
-	// ran (a trial call reports the challenger).
-	lastLabel string
-	lastInst  T
-	hasLast   bool
-
-	abuf, bbuf comm.Buffer // 16-byte agreement staging (always real)
+	b       []obucket
 }
 
-func newOnline[T phaser](c comm.Comm, cfg OnlineConfig, op Op, spec *Dispatch, build func(DispatchEntry) (T, error)) (*online[T], error) {
+func newOnline(c comm.Comm, cfg OnlineConfig, op Op, spec *Dispatch) (*online, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	o := &online[T]{
+	o := &online{
 		c: c, cfg: cfg, op: op.Norm(),
 		entries: append([]DispatchEntry(nil), spec.Entries...),
-		b:       make([]obucket[T], len(spec.Entries)),
-		build:   build,
-		abuf:    comm.Alloc(16),
-		bbuf:    comm.Alloc(16),
+		b:       make([]obucket, len(spec.Entries)),
 	}
 	for i := range o.b {
 		o.b[i].inc = newRing(cfg.Window)
@@ -226,7 +205,7 @@ func newOnline[T phaser](c comm.Comm, cfg OnlineConfig, op Op, spec *Dispatch, b
 // challengers returns bucket i's candidate pool: the distinct entries of
 // the adjacent buckets. Derived from the (identical) entries on every
 // rank, so the pool — and therefore every trial — is SPMD-consistent.
-func (o *online[T]) challengers(i int) []DispatchEntry {
+func (o *online) challengers(i int) []DispatchEntry {
 	var out []DispatchEntry
 	seen := map[string]bool{o.entries[i].label(): true}
 	for _, j := range []int{i - 1, i + 1} {
@@ -241,7 +220,7 @@ func (o *online[T]) challengers(i int) []DispatchEntry {
 // pick chooses the entry serving this call in bucket i: the incumbent,
 // or — once the incumbent window is warm, on every TrialEvery-th call —
 // the current challenger.
-func (o *online[T]) pick(i int) (DispatchEntry, bool) {
+func (o *online) pick(i int) (DispatchEntry, bool) {
 	b := &o.b[i]
 	b.calls++
 	inc := o.entries[i]
@@ -256,45 +235,9 @@ func (o *online[T]) pick(i int) (DispatchEntry, bool) {
 	return pool[b.rot%len(pool)], true
 }
 
-// instFor returns the cached instance for an entry in bucket i,
-// constructing it (collectively — all ranks reach this on the same call)
-// on first use.
-func (o *online[T]) instFor(i int, e DispatchEntry) (T, error) {
-	b := &o.b[i]
-	if b.insts == nil {
-		b.insts = make(map[string]T)
-	}
-	if inst, ok := b.insts[e.label()]; ok {
-		return inst, nil
-	}
-	inst, err := o.build(e)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	b.insts[e.label()] = inst
-	return inst, nil
-}
-
-// run executes one dispatched call in bucket i under the refinement loop:
-// pick, construct, time, record, and possibly promote.
-func (o *online[T]) run(i int, call func(T) error) error {
-	e, trial := o.pick(i)
-	inst, err := o.instFor(i, e)
-	if err != nil {
-		return err
-	}
-	o.lastLabel, o.lastInst, o.hasLast = e.label(), inst, true
-	t0 := o.c.Now()
-	if err := call(inst); err != nil {
-		return err
-	}
-	return o.record(i, trial, e, o.c.Now()-t0)
-}
-
 // record adds one observation and, when both windows are full at a trial
 // call, runs the collective promotion decision.
-func (o *online[T]) record(i int, trial bool, e DispatchEntry, secs float64) error {
+func (o *online) record(i int, trial bool, e DispatchEntry, secs float64) error {
 	b := &o.b[i]
 	if !trial {
 		b.inc.add(secs)
@@ -309,13 +252,14 @@ func (o *online[T]) record(i int, trial bool, e DispatchEntry, secs float64) err
 		return nil
 	}
 	// Both windows full at a deterministic call: every rank decides now.
-	// Agree on worst-rank means — max is idempotent, so dissemination's
-	// overlapping coverage yields the exact global maximum — and compare
-	// once, identically, everywhere.
-	im, cm, err := o.agreeMax(b.inc.mean(), b.ch.mean())
-	if err != nil {
+	// Agree on worst-rank means and compare once, identically,
+	// everywhere. Non-negative IEEE floats order identically to their bit
+	// patterns, so the max-allreduce runs on bits.
+	means := []uint64{math.Float64bits(b.inc.mean()), math.Float64bits(b.ch.mean())}
+	if err := agreeMax(o.c, means, tagOnlineAgree, "online promotion agreement"); err != nil {
 		return err
 	}
+	im, cm := math.Float64frombits(means[0]), math.Float64frombits(means[1])
 	if cm < im*(1-o.cfg.MinImprove) {
 		old := o.entries[i]
 		o.entries[i] = DispatchEntry{MaxBlock: old.MaxBlock, Name: e.Name, Algo: e.Algo, Opts: e.Opts}
@@ -340,40 +284,18 @@ func (o *online[T]) record(i int, trial bool, e DispatchEntry, secs float64) err
 }
 
 // tagOnlineAgree is the tag base of the promotion-decision allreduce (one
-// tag per dissemination round), clear of tagVDispatch's round range.
+// tag per dissemination round). Its rounds are not clear of every other
+// control tag on the communicator. Above 1024 ranks, round 10 of the
+// alltoallv bucket agreement (tagVDispatch+10) is also 331; nothing
+// mismatches, because that round receives from rank r-1024 and round 0
+// here from rank r-1, which differ at every such size. The sched-backed
+// alltoallv's counts allgather (tagVSched) is 331 too and does share
+// sources with round 0; every rank posts the two in the same call
+// order, so per-source message ordering keeps them apart.
 const tagOnlineAgree = 331
 
-// agreeMax max-allreduces two non-negative float64s across the
-// communicator by dissemination: in round k every rank exchanges its
-// running maxima with ranks +/- 2^k away. Non-negative IEEE floats order
-// identically to their bit patterns, so the reduction runs on bits.
-//
-//a2alint:collective
-func (o *online[T]) agreeMax(a, b float64) (float64, float64, error) {
-	n, r := o.c.Size(), o.c.Rank()
-	am, bm := math.Float64bits(a), math.Float64bits(b)
-	round := 0
-	for k := 1; k < n; k <<= 1 {
-		binary.LittleEndian.PutUint64(o.abuf.Bytes()[0:8], am)
-		binary.LittleEndian.PutUint64(o.abuf.Bytes()[8:16], bm)
-		to := (r + k) % n
-		from := (r - k + n) % n
-		if err := o.c.Sendrecv(o.abuf, to, tagOnlineAgree+round, o.bbuf, from, tagOnlineAgree+round); err != nil {
-			return 0, 0, fmt.Errorf("core: online promotion agreement round %d: %w", round, err)
-		}
-		if v := binary.LittleEndian.Uint64(o.bbuf.Bytes()[0:8]); v > am {
-			am = v
-		}
-		if v := binary.LittleEndian.Uint64(o.bbuf.Bytes()[8:16]); v > bm {
-			bm = v
-		}
-		round++
-	}
-	return math.Float64frombits(am), math.Float64frombits(bm), nil
-}
-
 // stats snapshots the loop for OnlineStats.
-func (o *online[T]) stats() OnlineStats {
+func (o *online) stats() OnlineStats {
 	s := OnlineStats{Enabled: true, Generation: o.gen}
 	for i := range o.b {
 		b := &o.b[i]
@@ -388,12 +310,4 @@ func (o *online[T]) stats() OnlineStats {
 		})
 	}
 	return s
-}
-
-// phases reports the last-run instance's breakdown ("" label = no call).
-func (o *online[T]) phases() map[trace.Phase]float64 {
-	if !o.hasLast {
-		return nil
-	}
-	return o.lastInst.Phases()
 }

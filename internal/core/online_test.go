@@ -169,7 +169,10 @@ func TestOnlineKeepsGoodIncumbent(t *testing.T) {
 
 // TestOnlineVPromotes runs the same drift convergence through the
 // alltoallv dispatcher: at 4096 B/peer the node-aware aggregation loses
-// badly to flat nonblocking on the tiny machine.
+// badly to flat nonblocking on the tiny machine. The same calls run once
+// more without refinement, and both runs' simulator counters are pinned:
+// they fix the bytes, tags and order of the per-call bucket agreement and
+// of the promotion agreement, which no BENCH snapshot covers.
 func TestOnlineVPromotes(t *testing.T) {
 	t.Parallel()
 	const per = 4096
@@ -177,34 +180,50 @@ func TestOnlineVPromotes(t *testing.T) {
 		{MaxBlock: 8192, Name: "slow", Algo: "node-aware"},
 		{MaxBlock: 16384, Name: "fast", Algo: "nonblocking"},
 	}}
-	cfg := sim.ClusterConfig{Model: onlineModel(), Nodes: 2, PPN: 8, Seed: 1}
-	_, err := sim.RunCluster(cfg, func(c comm.Comm) error {
-		p := c.Size()
-		a, err := NewV("tuned", c, p*16384, Options{Table: spec, Online: &OnlineConfig{Window: 2, TrialEvery: 2}})
-		if err != nil {
-			return err
-		}
-		counts := make([]int, p)
-		for i := range counts {
-			counts[i] = per
-		}
-		displs, total := DisplsFromCounts(counts)
-		send := comm.Virtual(total)
-		recv := comm.Virtual(total)
-		for i := 0; i < 12; i++ {
-			if err := a.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
-				return fmt.Errorf("call %d: %w", i, err)
+	cases := []struct {
+		name   string
+		online *OnlineConfig
+		want   sim.Stats
+	}{
+		{"static", nil, sim.Stats{Events: 4232, Messages: 1296, VirtualSeconds: 0.0074544707910725967}},
+		{"online", &OnlineConfig{Window: 2, TrialEvery: 2}, sim.Stats{Events: 9932, Messages: 2928, VirtualSeconds: 0.0028521247733628127}},
+	}
+	for _, tc := range cases {
+		cfg := sim.ClusterConfig{Model: onlineModel(), Nodes: 2, PPN: 8, Seed: 1}
+		got, err := sim.RunCluster(cfg, func(c comm.Comm) error {
+			p := c.Size()
+			a, err := NewV("tuned", c, p*16384, Options{Table: spec, Online: tc.online})
+			if err != nil {
+				return err
 			}
+			counts := make([]int, p)
+			for i := range counts {
+				counts[i] = per
+			}
+			displs, total := DisplsFromCounts(counts)
+			send := comm.Virtual(total)
+			recv := comm.Virtual(total)
+			for i := 0; i < 12; i++ {
+				if err := a.Alltoallv(send, counts, displs, recv, counts, displs); err != nil {
+					return fmt.Errorf("call %d: %w", i, err)
+				}
+			}
+			if tc.online == nil {
+				return nil
+			}
+			st := a.(interface{ OnlineStats() OnlineStats }).OnlineStats()
+			if st.Generation != 1 || st.Buckets[0].Entry.Algo != "nonblocking" {
+				return fmt.Errorf("rank %d: generation %d, bucket 0 %q — v-dispatcher did not converge",
+					c.Rank(), st.Generation, st.Buckets[0].Entry.Algo)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		st := a.(interface{ OnlineStats() OnlineStats }).OnlineStats()
-		if st.Generation != 1 || st.Buckets[0].Entry.Algo != "nonblocking" {
-			return fmt.Errorf("rank %d: generation %d, bucket 0 %q — v-dispatcher did not converge",
-				c.Rank(), st.Generation, st.Buckets[0].Entry.Algo)
+		if got != tc.want {
+			t.Errorf("%s: sim stats %+v, want %+v", tc.name, got, tc.want)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -232,70 +251,121 @@ func TestOnlineStatsDisabled(t *testing.T) {
 // instance must serialize to exactly one outstanding exchange, and the
 // bucket's algorithm must be instantiated exactly once — the same
 // singleflight discipline the schedule cache pins for racing schedFor
-// callers. Run with -race: before the OpState mutex, two racers could
-// both pass the pending check and dispatch two bodies concurrently over
-// the same lazy instance slot.
+// callers. Both front ends run it. Run with -race: before the OpState
+// mutex, two racers could both pass the pending check and dispatch two
+// bodies concurrently over the same lazy instance slot.
 func TestTunedConcurrentStartExactlyOnce(t *testing.T) {
 	t.Parallel()
 	const racers, rounds, block = 8, 3, 10
-	err := runtime.Run(runtime.Config{Mapping: mapping(t, 2, 8)}, func(c comm.Comm) error {
-		p := c.Size()
-		a, err := New("tuned", c, 8192, Options{Table: testDispatch()})
-		if err != nil {
-			return err
-		}
-		tu := a.(*tuned)
-		var first Alltoaller
-		for round := 0; round < rounds; round++ {
-			handles := make([]Handle, racers)
-			errs := make([]error, racers)
-			var wg sync.WaitGroup
-			for i := 0; i < racers; i++ {
-				i := i
-				send := comm.Alloc(p * block)
-				recv := comm.Alloc(p * block)
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					handles[i], errs[i] = a.Start(send, recv, block)
-				}()
+	// frontEnd starts one exchange of block bytes per peer on fresh
+	// buffers and exposes the dispatcher state the test inspects.
+	type frontEnd struct {
+		start  func() (Handle, error)
+		picked func() string
+		// cache returns the instance-cache size and the "small" bucket's
+		// instance.
+		cache func() (int, any)
+	}
+	fronts := []struct {
+		name  string
+		build func(c comm.Comm) (frontEnd, error)
+	}{
+		{"New", func(c comm.Comm) (frontEnd, error) {
+			p := c.Size()
+			a, err := New("tuned", c, 8192, Options{Table: testDispatch()})
+			if err != nil {
+				return frontEnd{}, err
 			}
-			wg.Wait()
-			// Exactly one racer may win the slot; the rest must fail with
-			// ErrPending, not launch a second exchange.
-			wins := 0
-			for i := 0; i < racers; i++ {
-				switch {
-				case errs[i] == nil:
-					wins++
-					if err := handles[i].Wait(); err != nil {
-						return fmt.Errorf("round %d: winner failed: %w", round, err)
+			tu := a.(*tuned)
+			return frontEnd{
+				start:  func() (Handle, error) { return a.Start(comm.Alloc(p*block), comm.Alloc(p*block), block) },
+				picked: tu.Picked,
+				cache:  func() (int, any) { return len(tu.insts), tu.insts[instKey{0, "small"}] },
+			}, nil
+		}},
+		{"NewV", func(c comm.Comm) (frontEnd, error) {
+			p := c.Size()
+			spec := &Dispatch{Op: OpAlltoallv, Entries: []DispatchEntry{
+				{MaxBlock: 16, Name: "small", Algo: "pairwise"},
+				{MaxBlock: 256, Name: "mid", Algo: "nonblocking"},
+				{MaxBlock: 4096, Name: "large", Algo: "pairwise"},
+			}}
+			a, err := NewV("tuned", c, p*8192, Options{Table: spec})
+			if err != nil {
+				return frontEnd{}, err
+			}
+			tu := a.(*tunedV)
+			counts := make([]int, p)
+			for i := range counts {
+				counts[i] = block
+			}
+			displs, total := DisplsFromCounts(counts)
+			return frontEnd{
+				start: func() (Handle, error) {
+					return a.Start(comm.Alloc(total), counts, displs, comm.Alloc(total), counts, displs)
+				},
+				picked: tu.Picked,
+				cache:  func() (int, any) { return len(tu.insts), tu.insts[instKey{0, "small"}] },
+			}, nil
+		}},
+	}
+	for _, fe := range fronts {
+		err := runtime.Run(runtime.Config{Mapping: mapping(t, 2, 8)}, func(c comm.Comm) error {
+			op, err := fe.build(c)
+			if err != nil {
+				return err
+			}
+			var first any
+			for round := 0; round < rounds; round++ {
+				handles := make([]Handle, racers)
+				errs := make([]error, racers)
+				var wg sync.WaitGroup
+				for i := 0; i < racers; i++ {
+					i := i
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						handles[i], errs[i] = op.start()
+					}()
+				}
+				wg.Wait()
+				// Exactly one racer may win the slot; the rest must fail
+				// with ErrPending, not launch a second exchange.
+				wins := 0
+				for i := 0; i < racers; i++ {
+					switch {
+					case errs[i] == nil:
+						wins++
+						if err := handles[i].Wait(); err != nil {
+							return fmt.Errorf("round %d: winner failed: %w", round, err)
+						}
+					case !errors.Is(errs[i], ErrPending):
+						return fmt.Errorf("round %d racer %d: %v, want ErrPending", round, i, errs[i])
 					}
-				case !errors.Is(errs[i], ErrPending):
-					return fmt.Errorf("round %d racer %d: %v, want ErrPending", round, i, errs[i])
+				}
+				if wins != 1 {
+					return fmt.Errorf("round %d: %d Starts succeeded concurrently, want exactly 1", round, wins)
+				}
+				// Exactly-once lazy instantiation: the 10 B bucket exists,
+				// the others were never touched, and every round reuses the
+				// same instance.
+				n, small := op.cache()
+				if n != 1 || small == nil {
+					return fmt.Errorf("round %d: lazy instantiation broken: %d instances, small %v", round, n, small)
+				}
+				if first == nil {
+					first = small
+				} else if small != first {
+					return fmt.Errorf("round %d: bucket instance replaced across rounds", round)
 				}
 			}
-			if wins != 1 {
-				return fmt.Errorf("round %d: %d Starts succeeded concurrently, want exactly 1", round, wins)
+			if got := op.picked(); got != "small" {
+				return fmt.Errorf("picked %q, want small", got)
 			}
-			// Exactly-once lazy instantiation: the 10 B bucket exists, the
-			// others were never touched, and every round reuses the same
-			// instance.
-			if tu.insts[0] == nil || tu.insts[1] != nil || tu.insts[2] != nil {
-				return fmt.Errorf("round %d: lazy instantiation broken: %v", round, tu.insts)
-			}
-			if first == nil {
-				first = tu.insts[0]
-			} else if tu.insts[0] != first {
-				return fmt.Errorf("round %d: bucket instance replaced across rounds", round)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", fe.name, err)
 		}
-		if got := tu.Picked(); got != "small" {
-			return fmt.Errorf("picked %q, want small", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -128,70 +129,12 @@ const algoTuned = "tuned"
 // algorithms on every call.
 const tunedHysteresis = 0.25
 
-// tuned is the run-time dispatcher over a Dispatch spec. Winning
-// algorithms are instantiated lazily, on the first call that lands in
-// their bucket: instantiation is collective (it splits communicators), and
-// every rank of an SPMD program sees the same block sequence, so all ranks
-// construct the same instance on the same call.
-type tuned struct {
-	c        comm.Comm
-	maxBlock int
-	spec     *Dispatch
-	insts    []Alltoaller // lazily constructed, indexed like spec.Entries
-	st       OpState
-	last     int // bucket used by the previous call, -1 before any
-
-	// onl, when non-nil, runs the online refinement loop (Options.Online)
-	// over a private copy of the entries; the shared spec stays read-only.
-	onl *online[Alltoaller]
-}
-
-func newTuned(c comm.Comm, maxBlock int, o Options) (Alltoaller, error) {
-	if o.Table == nil {
-		return nil, fmt.Errorf("core: %q requires Options.Table (a dispatch spec; see internal/autotune)", algoTuned)
-	}
-	if err := o.Table.Validate(); err != nil {
-		return nil, err
-	}
-	if op := o.Table.Op.Norm(); op != OpAlltoall {
-		return nil, fmt.Errorf("core: dispatch spec tuned for %q cannot drive the fixed-size %q algorithm (use NewV)", op, algoTuned)
-	}
-	t := &tuned{
-		c:        c,
-		maxBlock: maxBlock,
-		spec:     o.Table,
-		insts:    make([]Alltoaller, len(o.Table.Entries)),
-		last:     -1,
-	}
-	if o.Online != nil {
-		onl, err := newOnline(c, *o.Online, OpAlltoall, o.Table, func(e DispatchEntry) (Alltoaller, error) {
-			a, err := New(e.Algo, c, maxBlock, e.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: tuned bucket <=%d B (%s): %w", e.MaxBlock, e.label(), err)
-			}
-			return a, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.onl = onl
-	}
-	return t, nil
-}
-
-func (t *tuned) Name() string { return algoTuned }
-
-// bucket returns the entry index that should serve a block.
-func (t *tuned) bucket(block int) int {
-	return dispatchBucket(t.spec.Entries, float64(block), t.last)
-}
-
 // dispatchBucket returns the entry index that should serve a size: the
 // nominal bucket (smallest MaxBlock >= size, or the last entry), adjusted
 // by hysteresis against the previously used bucket (last; -1 before any
-// call). It is shared by the fixed-size dispatcher (size = block bytes)
-// and the v-dispatcher (size = mean payload per peer, possibly
-// fractional — hence the float).
+// call). Both front ends use it: the fixed-size one with size = block
+// bytes, the alltoallv one with size = mean payload per peer, possibly
+// fractional — hence the float.
 func dispatchBucket(entries []DispatchEntry, size float64, last int) int {
 	nominal := len(entries) - 1
 	for i, e := range entries {
@@ -225,19 +168,193 @@ func dispatchBucket(entries []DispatchEntry, size float64, last int) int {
 	return nominal
 }
 
+// phaser is the slice of Alltoaller/Alltoallver the dispatcher needs
+// from the instances it manages.
+type phaser interface {
+	Phases() map[trace.Phase]float64
+}
+
+// instKey names a constructed instance by the bucket it serves and the
+// label of the entry it runs. Construction is collective and costs
+// virtual time, so two buckets naming the same algorithm still build one
+// instance each.
+type instKey struct {
+	bucket int
+	label  string
+}
+
+// dispatcher is the run-time algorithm selection over a Dispatch spec,
+// shared by the fixed-size tuned front end (T = Alltoaller) and the
+// alltoallv one (T = Alltoallver). A front end validates each call,
+// reduces it to a bucket index every rank agrees on, and hands it to run.
+// Instances are constructed lazily, on the first call that runs them:
+// construction is collective (it splits communicators), and since every
+// rank sees the same bucket sequence, all ranks construct the same
+// instance on the same call.
+type dispatcher[T phaser] struct {
+	c     comm.Comm
+	op    Op
+	spec  *Dispatch
+	build func(DispatchEntry) (T, error) // New or NewV for one entry
+	insts map[instKey]T
+	st    OpState
+	last  int // bucket of the previous call, -1 before any
+
+	// picked and inst describe the entry the previous call ran; inst is
+	// nil until it has been constructed.
+	picked string
+	inst   phaser
+
+	// onl, when non-nil, runs the online refinement loop (Options.Online)
+	// over a private copy of the entries; the shared spec stays read-only.
+	onl *online
+}
+
+func newDispatcher[T phaser](c comm.Comm, op Op, o Options, build func(DispatchEntry) (T, error)) (*dispatcher[T], error) {
+	if o.Table == nil {
+		return nil, fmt.Errorf("core: %q requires Options.Table (a dispatch spec; see internal/autotune)", algoTuned)
+	}
+	if err := o.Table.Validate(); err != nil {
+		return nil, err
+	}
+	if got := o.Table.Op.Norm(); got != op {
+		if op == OpAlltoall {
+			return nil, fmt.Errorf("core: dispatch spec tuned for %q cannot drive the fixed-size %q algorithm (use NewV)", got, algoTuned)
+		}
+		return nil, fmt.Errorf("core: dispatch spec tuned for %q cannot drive the %s %q algorithm (use New)", got, OpAlltoallv, algoTuned)
+	}
+	d := &dispatcher[T]{c: c, op: op, spec: o.Table, build: build, insts: make(map[instKey]T), last: -1}
+	if o.Online != nil {
+		onl, err := newOnline(c, *o.Online, op, o.Table)
+		if err != nil {
+			return nil, err
+		}
+		d.onl = onl
+	}
+	return d, nil
+}
+
+// run serves one call in bucket i: it picks the entry (in refinement mode
+// the loop picks incumbent or challenger), constructs it on first use and
+// runs call on it. The entry is recorded before construction, so after a
+// failed construction Picked names it and Phases is empty.
+func (d *dispatcher[T]) run(i int, call func(T) error) error {
+	d.last = i
+	e, trial := d.spec.Entries[i], false
+	if d.onl != nil {
+		e, trial = d.onl.pick(i)
+	}
+	d.picked, d.inst = e.label(), nil
+	key := instKey{i, d.picked}
+	inst, ok := d.insts[key]
+	if !ok {
+		var err error
+		if inst, err = d.build(e); err != nil {
+			unit := "B"
+			if d.op == OpAlltoallv {
+				unit = "B/peer"
+			}
+			return fmt.Errorf("core: tuned bucket <=%d %s (%s): %w", e.MaxBlock, unit, d.picked, err)
+		}
+		d.insts[key] = inst
+	}
+	d.inst = inst
+	if d.onl == nil {
+		return call(inst)
+	}
+	t0 := d.c.Now()
+	if err := call(inst); err != nil {
+		return err
+	}
+	return d.onl.record(i, trial, e, d.c.Now()-t0)
+}
+
+func (d *dispatcher[T]) Name() string { return algoTuned }
+
+// Phases reports the per-phase breakdown of the algorithm the last call
+// dispatched to.
+func (d *dispatcher[T]) Phases() map[trace.Phase]float64 {
+	if d.inst == nil {
+		return nil
+	}
+	return d.inst.Phases()
+}
+
+// Picked returns the label of the entry the last call dispatched to (""
+// before any call). In refinement mode a trial call reports the
+// challenger that actually ran. Tests and diagnostics use it to observe
+// dispatch decisions; it is available through a type assertion on the
+// Alltoaller or Alltoallver:
+//
+//	p := a.(interface{ Picked() string })
+func (d *dispatcher[T]) Picked() string { return d.picked }
+
+// OnlineStats snapshots the refinement loop (zero value when the
+// dispatcher was built without Options.Online), available through a type
+// assertion like Picked.
+func (d *dispatcher[T]) OnlineStats() OnlineStats {
+	if d.onl == nil {
+		return OnlineStats{}
+	}
+	return d.onl.stats()
+}
+
+// agreeMax max-allreduces words in place across c by dissemination: in
+// round j every rank exchanges its running maxima with the ranks 2^j
+// away on either side, on tag+j, in messages of 8 bytes per word. Max is
+// idempotent, so the overlapping coverage yields the exact global maximum
+// in ceil(log2 p) rounds for any rank count. what names the agreement in
+// errors.
+//
+//a2alint:collective
+func agreeMax(c comm.Comm, words []uint64, tag int, what string) error {
+	n, r := c.Size(), c.Rank()
+	out, in := comm.Alloc(8*len(words)), comm.Alloc(8*len(words))
+	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
+		for i, w := range words {
+			binary.LittleEndian.PutUint64(out.Bytes()[8*i:], w)
+		}
+		if err := c.Sendrecv(out, (r+k)%n, tag+round, in, (r-k+n)%n, tag+round); err != nil {
+			return fmt.Errorf("core: %s round %d: %w", what, round, err)
+		}
+		for i := range words {
+			words[i] = max(words[i], binary.LittleEndian.Uint64(in.Bytes()[8*i:]))
+		}
+	}
+	return nil
+}
+
+// tuned is the fixed-size front end of the dispatcher: it buckets each
+// call on its block size, which every rank shares.
+type tuned struct {
+	*dispatcher[Alltoaller]
+	maxBlock int
+}
+
+func newTuned(c comm.Comm, maxBlock int, o Options) (Alltoaller, error) {
+	d, err := newDispatcher(c, OpAlltoall, o, func(e DispatchEntry) (Alltoaller, error) {
+		return New(e.Algo, c, maxBlock, e.Opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &tuned{dispatcher: d, maxBlock: maxBlock}, nil
+}
+
 // Start dispatches and launches the winning algorithm's exchange off the
-// critical path. Bucket choice, lazy construction and the t.last update
+// critical path. Bucket choice, lazy construction and the bookkeeping
 // all run inside the started body (on the driver goroutine in the live
 // runtime), keeping Start itself nonblocking even on a first-in-bucket
-// call whose collective construction communicates; every rank sees the
-// same block sequence, so all ranks construct the same instance on the
-// same call regardless of which goroutine performs it. Picked and Phases
+// call whose collective construction communicates. Picked and Phases
 // reflect a started exchange only after its handle completes.
 func (t *tuned) Start(send, recv comm.Buffer, block int) (Handle, error) {
 	if err := checkArgs(t.c, send, recv, block, t.maxBlock); err != nil {
 		return nil, err
 	}
-	return t.st.Start(t.c, func() error { return t.dispatch(send, recv, block) })
+	return t.st.Start(t.c, func() error {
+		return t.run(dispatchBucket(t.spec.Entries, float64(block), t.last),
+			func(a Alltoaller) error { return a.Alltoall(send, recv, block) })
+	})
 }
 
 func (t *tuned) Alltoall(send, recv comm.Buffer, block int) error {
@@ -246,66 +363,6 @@ func (t *tuned) Alltoall(send, recv comm.Buffer, block int) error {
 		return err
 	}
 	return h.Wait()
-}
-
-func (t *tuned) dispatch(send, recv comm.Buffer, block int) error {
-	i := t.bucket(block)
-	t.last = i
-	if t.onl != nil {
-		// Refinement mode: the loop picks incumbent or challenger, times
-		// the exchange, and owns the per-bucket instance cache. Bucket
-		// boundaries never change under promotion, so t.bucket stays
-		// valid against the shared spec.
-		return t.onl.run(i, func(a Alltoaller) error { return a.Alltoall(send, recv, block) })
-	}
-	if t.insts[i] == nil {
-		e := t.spec.Entries[i]
-		a, err := New(e.Algo, t.c, t.maxBlock, e.Opts)
-		if err != nil {
-			return fmt.Errorf("core: tuned bucket <=%d B (%s): %w", e.MaxBlock, e.label(), err)
-		}
-		t.insts[i] = a
-	}
-	return t.insts[i].Alltoall(send, recv, block)
-}
-
-// Phases reports the per-phase breakdown of the algorithm the last call
-// dispatched to.
-func (t *tuned) Phases() map[trace.Phase]float64 {
-	if t.onl != nil {
-		return t.onl.phases()
-	}
-	if t.last < 0 || t.insts[t.last] == nil {
-		return nil
-	}
-	return t.insts[t.last].Phases()
-}
-
-// Picked returns the label of the entry the last Alltoall dispatched to
-// ("" before any call). In refinement mode a trial call reports the
-// challenger that actually ran. Tests and diagnostics use it to observe
-// dispatch decisions; it is available through a type assertion on the
-// Alltoaller:
-//
-//	p := a.(interface{ Picked() string })
-func (t *tuned) Picked() string {
-	if t.onl != nil {
-		return t.onl.lastLabel
-	}
-	if t.last < 0 {
-		return ""
-	}
-	return t.spec.Entries[t.last].label()
-}
-
-// OnlineStats snapshots the refinement loop (zero value when the
-// dispatcher was built without Options.Online), available through a type
-// assertion like Picked.
-func (t *tuned) OnlineStats() OnlineStats {
-	if t.onl == nil {
-		return OnlineStats{}
-	}
-	return t.onl.stats()
 }
 
 // init registers tuned separately: like system-mpi, its factory calls New

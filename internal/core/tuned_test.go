@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"alltoallx/internal/comm"
 	"alltoallx/internal/runtime"
 	"alltoallx/internal/testutil"
+	"alltoallx/internal/trace"
 )
 
 // testDispatch is a three-bucket spec over cheap algorithms, with
@@ -116,25 +118,24 @@ func TestTunedLiveCorrectness(t *testing.T) {
 	}
 }
 
-// TestTunedHysteresisAdjacentOnly pins the bucket() edge the band math
-// alone would get wrong: with boundaries close together, a block
+// TestTunedHysteresisAdjacentOnly pins the dispatchBucket edge the band
+// math alone would get wrong: with boundaries close together, a block
 // nominally two buckets below the current one must switch even though it
 // falls inside the hysteresis band of the intermediate boundary.
 func TestTunedHysteresisAdjacentOnly(t *testing.T) {
 	t.Parallel()
-	spec := &Dispatch{Entries: []DispatchEntry{
+	entries := []DispatchEntry{
 		{MaxBlock: 100, Algo: "bruck"},
 		{MaxBlock: 120, Algo: "nonblocking"},
 		{MaxBlock: 16384, Algo: "pairwise"},
-	}}
-	tu := &tuned{spec: spec, insts: make([]Alltoaller, 3), last: 2}
+	}
 	// 95 B: nominal bucket 0, two below the last; 95 > 0.75*120 would keep
 	// bucket 2 if hysteresis applied across the skipped boundary.
-	if got := tu.bucket(95); got != 0 {
+	if got := dispatchBucket(entries, 95, 2); got != 0 {
 		t.Errorf("bucket(95) from last=2 = %d, want 0", got)
 	}
 	// 110 B: nominal bucket 1, adjacent below; stays in 2 (110 > 0.75*120).
-	if got := tu.bucket(110); got != 2 {
+	if got := dispatchBucket(entries, 110, 2); got != 2 {
 		t.Errorf("bucket(110) from last=2 = %d, want 2", got)
 	}
 }
@@ -261,7 +262,7 @@ func TestTunedBucketSelection(t *testing.T) {
 		if tu.Picked() != "small" {
 			return fmt.Errorf("10 B picked %q, want small", tu.Picked())
 		}
-		if tu.insts[0] == nil || tu.insts[1] != nil || tu.insts[2] != nil {
+		if _, ok := tu.insts[instKey{0, "small"}]; !ok || len(tu.insts) != 1 {
 			return fmt.Errorf("lazy instantiation broken: %v", tu.insts)
 		}
 		// Hysteresis: 17 B nominally lands in "mid" but is within 25% of
@@ -325,5 +326,84 @@ func TestTunedBucketSelection(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTunedFailedBuildReportsEntry: when a bucket's instance cannot be
+// constructed, the call fails and Picked and Phases describe that entry —
+// Picked names it, Phases is empty — in static and refinement mode alike,
+// on both front ends, instead of the previous call's entry.
+func TestTunedFailedBuildReportsEntry(t *testing.T) {
+	t.Parallel()
+	spec := func(op Op, algo string, opts Options) *Dispatch {
+		return &Dispatch{Op: op, Entries: []DispatchEntry{
+			{MaxBlock: 16, Name: "ok", Algo: "pairwise"},
+			{MaxBlock: 1024, Name: "bad", Algo: algo, Opts: opts},
+		}}
+	}
+	// call runs one exchange of size bytes per peer.
+	type caller func(size int) error
+	type result interface {
+		Picked() string
+		Phases() map[trace.Phase]float64
+	}
+	fronts := []struct {
+		name    string
+		wantErr string
+		build   func(c comm.Comm, online *OnlineConfig) (result, caller, error)
+	}{
+		{"New", "core: tuned bucket <=1024 B (bad): core: Options.PPL=3 invalid",
+			func(c comm.Comm, online *OnlineConfig) (result, caller, error) {
+				a, err := New("tuned", c, 1024, Options{Table: spec(OpAlltoall, "multileader", Options{PPL: 3}), Online: online})
+				if err != nil {
+					return nil, nil, err
+				}
+				return a.(result), func(size int) error {
+					return a.Alltoall(comm.Alloc(c.Size()*size), comm.Alloc(c.Size()*size), size)
+				}, nil
+			}},
+		{"NewV", "core: tuned bucket <=1024 B/peer (bad): core: Options.PPG=3 invalid",
+			func(c comm.Comm, online *OnlineConfig) (result, caller, error) {
+				p := c.Size()
+				a, err := NewV("tuned", c, p*1024, Options{Table: spec(OpAlltoallv, "locality-aware", Options{PPG: 3}), Online: online})
+				if err != nil {
+					return nil, nil, err
+				}
+				return a.(result), func(size int) error {
+					counts := make([]int, p)
+					for i := range counts {
+						counts[i] = size
+					}
+					displs, total := DisplsFromCounts(counts)
+					return a.Alltoallv(comm.Alloc(total), counts, displs, comm.Alloc(total), counts, displs)
+				}, nil
+			}},
+	}
+	for _, fe := range fronts {
+		for _, online := range []*OnlineConfig{nil, {}} {
+			err := runtime.Run(runtime.Config{Mapping: mapping(t, 2, 4)}, func(c comm.Comm) error {
+				a, call, err := fe.build(c, online)
+				if err != nil {
+					return err
+				}
+				if err := call(8); err != nil {
+					return fmt.Errorf("8 B call: %w", err)
+				}
+				err = call(512)
+				if err == nil || !strings.Contains(err.Error(), fe.wantErr) {
+					return fmt.Errorf("512 B call error %v, want %q", err, fe.wantErr)
+				}
+				if got := a.Picked(); got != "bad" {
+					return fmt.Errorf("Picked after failed build = %q, want bad", got)
+				}
+				if ph := a.Phases(); ph != nil {
+					return fmt.Errorf("Phases after failed build = %v, want nil", ph)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%s online=%v: %v", fe.name, online != nil, err)
+			}
+		}
 	}
 }

@@ -1,16 +1,14 @@
 package core
 
 import (
-	"fmt"
-
 	"alltoallx/internal/comm"
-	"alltoallx/internal/trace"
 )
 
-// tunedV is the run-time alltoallv dispatcher over an OpAlltoallv
-// Dispatch spec. It buckets each call on its total payload: the sum of
-// sendCounts, compared against MaxBlock*p per entry (table boundaries are
-// stored as mean bytes per peer, so the same size grids serve both ops).
+// tunedV is the alltoallv front end of the dispatcher, over an
+// OpAlltoallv Dispatch spec. It buckets each call on its total payload:
+// the sum of sendCounts, compared against MaxBlock*p per entry (table
+// boundaries are stored as mean bytes per peer, so the same size grids
+// serve both ops).
 //
 // Unlike the fixed-size case, a rank's send total is a per-rank quantity:
 // valid MPI_Alltoallv count matrices can give different ranks different
@@ -21,99 +19,43 @@ import (
 // (8 bytes per message) before dispatching: the skew-heaviest rank's
 // bucket wins everywhere.
 type tunedV struct {
-	c        comm.Comm
+	*dispatcher[Alltoallver]
 	maxTotal int
-	spec     *Dispatch
-	insts    []Alltoallver // lazily constructed, indexed like spec.Entries
-	st       OpState
-	last     int // agreed bucket of the previous call, -1 before any
-
-	abuf, bbuf comm.Buffer // 8-byte agreement staging (always real)
-
-	// onl, when non-nil, runs the online refinement loop (Options.Online)
-	// over a private copy of the entries; the shared spec stays read-only.
-	onl *online[Alltoallver]
 }
 
 func newTunedV(c comm.Comm, maxTotal int, o Options) (Alltoallver, error) {
-	if o.Table == nil {
-		return nil, fmt.Errorf("core: %q requires Options.Table (a dispatch spec; see internal/autotune)", algoTuned)
-	}
-	if err := o.Table.Validate(); err != nil {
+	d, err := newDispatcher(c, OpAlltoallv, o, func(e DispatchEntry) (Alltoallver, error) {
+		return NewV(e.Algo, c, maxTotal, e.Opts)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if op := o.Table.Op.Norm(); op != OpAlltoallv {
-		return nil, fmt.Errorf("core: dispatch spec tuned for %q cannot drive the %s %q algorithm (use New)", op, OpAlltoallv, algoTuned)
-	}
-	t := &tunedV{
-		c:        c,
-		maxTotal: maxTotal,
-		spec:     o.Table,
-		insts:    make([]Alltoallver, len(o.Table.Entries)),
-		last:     -1,
-		abuf:     comm.Alloc(8),
-		bbuf:     comm.Alloc(8),
-	}
-	if o.Online != nil {
-		onl, err := newOnline(c, *o.Online, OpAlltoallv, o.Table, func(e DispatchEntry) (Alltoallver, error) {
-			a, err := NewV(e.Algo, c, maxTotal, e.Opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: tuned bucket <=%d B/peer (%s): %w", e.MaxBlock, e.label(), err)
-			}
-			return a, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.onl = onl
-	}
-	return t, nil
+	return &tunedV{dispatcher: d, maxTotal: maxTotal}, nil
 }
 
 // tagVDispatch is the tag base of the per-call bucket agreement (one tag
 // per dissemination round).
 const tagVDispatch = 321
 
-// agreeBucket max-allreduces the local bucket proposal across the
-// communicator by dissemination: in round k every rank exchanges its
-// running maximum with ranks +/- 2^k away. Max is idempotent, so the
-// overlapping coverage of dissemination yields the exact global maximum
-// in ceil(log2 p) rounds for any rank count.
-//
-//a2alint:collective
-func (t *tunedV) agreeBucket(proposal int) (int, error) {
-	n, r := t.c.Size(), t.c.Rank()
-	cur := int64(proposal)
-	round := 0
-	for k := 1; k < n; k <<= 1 {
-		putLeI64(t.abuf.Bytes(), cur)
-		to := (r + k) % n
-		from := (r - k%n + n) % n
-		if err := t.c.Sendrecv(t.abuf, to, tagVDispatch+round, t.bbuf, from, tagVDispatch+round); err != nil {
-			return 0, fmt.Errorf("core: tuned bucket agreement round %d: %w", round, err)
-		}
-		if v := leI64(t.bbuf.Bytes()); v > cur {
-			cur = v
-		}
-		round++
-	}
-	return int(cur), nil
-}
-
-func (t *tunedV) Name() string { return algoTuned }
-
 // Start launches dispatch and exchange off the critical path. The bucket
-// agreement allreduce, lazy construction and the t.last update all run
-// inside the started body (agreement is communication — exactly what a
-// nonblocking Start must not do on the caller), so Picked and Phases
-// reflect a started exchange only after its handle completes.
+// agreement, lazy construction and the bookkeeping all run inside the
+// started body (agreement is communication — exactly what a nonblocking
+// Start must not do on the caller), so Picked and Phases reflect a
+// started exchange only after its handle completes.
 func (t *tunedV) Start(send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int) (Handle, error) {
 	if err := checkVCall(t.c, t.maxTotal, send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
 		return nil, err
 	}
 	return t.st.Start(t.c, func() error {
-		return t.dispatch(send, sendCounts, sdispls, recv, recvCounts, rdispls)
+		mean := float64(sumCounts(sendCounts)) / float64(t.c.Size())
+		bucket := []uint64{uint64(dispatchBucket(t.spec.Entries, mean, t.last))}
+		if err := agreeMax(t.c, bucket, tagVDispatch, "tuned bucket agreement"); err != nil {
+			return err
+		}
+		return t.run(int(bucket[0]), func(a Alltoallver) error {
+			return a.Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls)
+		})
 	})
 }
 
@@ -124,66 +66,4 @@ func (t *tunedV) Alltoallv(send comm.Buffer, sendCounts, sdispls []int,
 		return err
 	}
 	return h.Wait()
-}
-
-func (t *tunedV) dispatch(send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) error {
-	mean := float64(sumCounts(sendCounts)) / float64(t.c.Size())
-	i, err := t.agreeBucket(dispatchBucket(t.spec.Entries, mean, t.last))
-	if err != nil {
-		return err
-	}
-	t.last = i
-	if t.onl != nil {
-		// Refinement mode: the bucket is already agreed collectively, so
-		// the loop's deterministic call counting holds on every rank.
-		return t.onl.run(i, func(a Alltoallver) error {
-			return a.Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-		})
-	}
-	if t.insts[i] == nil {
-		e := t.spec.Entries[i]
-		a, err := NewV(e.Algo, t.c, t.maxTotal, e.Opts)
-		if err != nil {
-			return fmt.Errorf("core: tuned bucket <=%d B/peer (%s): %w", e.MaxBlock, e.label(), err)
-		}
-		t.insts[i] = a
-	}
-	return t.insts[i].Alltoallv(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-}
-
-// Phases reports the per-phase breakdown of the algorithm the last call
-// dispatched to.
-func (t *tunedV) Phases() map[trace.Phase]float64 {
-	if t.onl != nil {
-		return t.onl.phases()
-	}
-	if t.last < 0 || t.insts[t.last] == nil {
-		return nil
-	}
-	return t.insts[t.last].Phases()
-}
-
-// Picked returns the label of the entry the last Alltoallv dispatched to
-// ("" before any call), observable through a type assertion like the
-// fixed-size dispatcher's. In refinement mode a trial call reports the
-// challenger that actually ran.
-func (t *tunedV) Picked() string {
-	if t.onl != nil {
-		return t.onl.lastLabel
-	}
-	if t.last < 0 {
-		return ""
-	}
-	return t.spec.Entries[t.last].label()
-}
-
-// OnlineStats snapshots the refinement loop (zero value when the
-// dispatcher was built without Options.Online), available through a type
-// assertion like Picked.
-func (t *tunedV) OnlineStats() OnlineStats {
-	if t.onl == nil {
-		return OnlineStats{}
-	}
-	return t.onl.stats()
 }

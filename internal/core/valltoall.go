@@ -20,8 +20,9 @@ const (
 // vLeadered applies the paper's aggregation strategy (Section 3, extended
 // to variable-sized exchanges per its Section 5 future work) to
 // MPI_Alltoallv. Ranks are partitioned into groups of q consecutive local
-// ranks; member 0 of each group is its leader. One exchange runs in three
-// stages:
+// ranks; member 0 of each group is its leader. Groups tile the rank space
+// in order, so member j of group d is world rank d*q + j. One exchange
+// runs in three stages:
 //
 //  1. Gather with per-peer count exchange: every member ships its
 //     sendCounts/recvCounts vectors and its packed payload to the leader,
@@ -40,8 +41,7 @@ const (
 // locality-aware variant: aggregation happens among nearby ranks, trading
 // more inter-group messages for cheaper local gathers.
 type vLeadered struct {
-	name string
-	c    comm.Comm
+	*basicV
 	info worldInfo
 
 	q       int // group size (processes per leader)
@@ -53,10 +53,7 @@ type vLeadered struct {
 	local   comm.Comm // my group, leader first
 	leaders comm.Comm // all leaders (nil on non-leaders)
 
-	inner    Inner
-	maxTotal int
-	rec      *trace.Recorder
-	st       OpState
+	inner Inner
 
 	cntSend comm.Buffer // my 2p counts, encoded (always real: control data)
 	cntRecv comm.Buffer // leader: q*2p gathered counts (always real)
@@ -83,11 +80,10 @@ func newVLeadered(c comm.Comm, maxTotal int, o Options, whole bool) (Alltoallver
 		return nil, err
 	}
 	v := &vLeadered{
-		name: name, c: c, info: info,
-		q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
-		inner: o.Inner, maxTotal: maxTotal,
-		rec: trace.NewRecorder(c.Now),
+		info: info, q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
+		inner: o.Inner,
 	}
+	v.basicV = newBasicV(name, c, maxTotal, v.run)
 	v.myGroup = info.myNode*v.nGroups + info.myLocal/q
 	v.myJ = info.myLocal % q
 
@@ -116,40 +112,8 @@ func newVLeadered(c comm.Comm, maxTotal int, o Options, whole bool) (Alltoallver
 	return v, nil
 }
 
-func (v *vLeadered) Name() string { return v.name }
-
-func (v *vLeadered) Phases() map[trace.Phase]float64 { return v.rec.Snapshot() }
-
-// groupWorld returns the world rank of member j of group d. Groups tile
-// the rank space contiguously (q consecutive local ranks each), so this
-// is simply d*q + j.
-func (v *vLeadered) groupWorld(d, j int) int { return d*v.q + j }
-
-func (v *vLeadered) Start(send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) (Handle, error) {
-	if err := checkVCall(v.c, v.maxTotal, send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
-		return nil, err
-	}
-	return v.st.Start(v.c, func() error {
-		return v.exchange(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-	})
-}
-
-func (v *vLeadered) Alltoallv(send comm.Buffer, sendCounts, sdispls []int,
+func (v *vLeadered) run(_ comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int) error {
-	h, err := v.Start(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
-}
-
-func (v *vLeadered) exchange(send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) error {
-	v.rec.Reset()
-	stopTotal := v.rec.Time(trace.PhaseTotal)
-	defer stopTotal()
-
 	p := v.info.p
 	// Stage 0: encode my count vectors and gather them to the leader — the
 	// per-peer count exchange that makes variable-block aggregation
@@ -256,7 +220,7 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 		start := woff
 		for m := 0; m < q; m++ {
 			for dj := 0; dj < q; dj++ {
-				n := scs[m][v.groupWorld(d, dj)]
+				n := scs[m][d*q+dj]
 				if _, err := comm.CopyData(bufB.Slice(woff, n), bufA.Slice(cursor[m], n)); err != nil {
 					return err
 				}
@@ -276,11 +240,11 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 
 	// Receive counts per source group, derived from members' recvCounts:
 	// bytes from group d = sum over its members i and my members m of
-	// rcs[m][world(d, i)].
+	// rcs[m][d*q+i].
 	lrc := make([]int, v.nLead)
 	for d := 0; d < v.nLead; d++ {
 		for i := 0; i < q; i++ {
-			s := v.groupWorld(d, i)
+			s := d*q + i
 			for m := 0; m < q; m++ {
 				lrc[d] += rcs[m][s]
 			}
@@ -308,7 +272,7 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 	blocks = 0
 	for d := 0; d < v.nLead; d++ {
 		for i := 0; i < q; i++ {
-			s := v.groupWorld(d, i)
+			s := d*q + i
 			for m := 0; m < q; m++ {
 				n := rcs[m][s]
 				if _, err := comm.CopyData(bufB.Slice(wcur[m], n), bufA.Slice(roff, n)); err != nil {

@@ -37,12 +37,8 @@ const tagVSched = 331
 const vSchedMaxRanks = schedSliceRanks
 
 type vSched struct {
-	name     string // registry name: "sched:<generator>"
-	gen      string // sched.GenerateV generator name
-	c        comm.Comm
-	maxTotal int
-	rec      *trace.Recorder
-	st       OpState
+	*basicV
+	gen string // sched.GenerateV generator name
 
 	rowBuf, matBuf     comm.Buffer // counts control data: always real
 	packSend, packRecv comm.Buffer // payload staging in canonical layout
@@ -60,40 +56,10 @@ func newVSched(gen string) vFactory {
 			return nil, fmt.Errorf("core: sched:%s compiles the assembled alltoallv schedule; worlds above %d ranks are not supported (have %d)",
 				gen, vSchedMaxRanks, p)
 		}
-		return &vSched{
-			name: SchedPrefix + gen, gen: gen, c: c, maxTotal: maxTotal,
-			rec:    trace.NewRecorder(c.Now),
-			rowBuf: comm.Alloc(p * 8),
-			matBuf: comm.Alloc(p * p * 8),
-		}, nil
+		v := &vSched{gen: gen, rowBuf: comm.Alloc(p * 8), matBuf: comm.Alloc(p * p * 8)}
+		v.basicV = newBasicV(SchedPrefix+gen, c, maxTotal, v.run)
+		return v, nil
 	}
-}
-
-func (v *vSched) Name() string { return v.name }
-
-func (v *vSched) Phases() map[trace.Phase]float64 { return v.rec.Snapshot() }
-
-func (v *vSched) Start(send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) (Handle, error) {
-	if err := checkVCall(v.c, v.maxTotal, send, sendCounts, sdispls, recv, recvCounts, rdispls); err != nil {
-		return nil, err
-	}
-	return v.st.Start(v.c, func() error {
-		v.rec.Reset()
-		stop := v.rec.Time(trace.PhaseTotal)
-		err := v.exchange(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-		stop()
-		return err
-	})
-}
-
-func (v *vSched) Alltoallv(send comm.Buffer, sendCounts, sdispls []int,
-	recv comm.Buffer, recvCounts, rdispls []int) error {
-	h, err := v.Start(send, sendCounts, sdispls, recv, recvCounts, rdispls)
-	if err != nil {
-		return err
-	}
-	return h.Wait()
 }
 
 // gatherCounts runs the direct allgather of every rank's sendCounts row
@@ -167,7 +133,7 @@ func (v *vSched) compile(recvCounts []int) (*sched.Exec, error) {
 	return v.ex, nil
 }
 
-func (v *vSched) exchange(send comm.Buffer, sendCounts, sdispls []int,
+func (v *vSched) run(c comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int) error {
 	if err := v.gatherCounts(sendCounts); err != nil {
 		return fmt.Errorf("core: %s alltoallv counts allgather: %w", v.name, err)
@@ -179,16 +145,16 @@ func (v *vSched) exchange(send comm.Buffer, sendCounts, sdispls []int,
 	packSend := ensureStage(&v.packSend, send, v.maxTotal)
 	packRecv := ensureStage(&v.packRecv, recv, v.maxTotal)
 	stop := v.rec.Time(trace.PhaseRepack)
-	_, err = packByCounts(v.c, packSend, send, sendCounts, sdispls)
+	_, err = packByCounts(c, packSend, send, sendCounts, sdispls)
 	stop()
 	if err != nil {
 		return err
 	}
-	if err := ex.Run(v.c, packSend, packRecv, 1, v.rec); err != nil {
+	if err := ex.Run(c, packSend, packRecv, 1, v.rec); err != nil {
 		return err
 	}
 	stop = v.rec.Time(trace.PhaseRepack)
-	err = unpackByCounts(v.c, recv, recvCounts, rdispls, packRecv)
+	err = unpackByCounts(c, recv, recvCounts, rdispls, packRecv)
 	stop()
 	return err
 }

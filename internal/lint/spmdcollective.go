@@ -8,11 +8,11 @@ import (
 
 // SPMDCollective proves collective call sites rank-uniform: a
 // collective (Barrier, Split, or any function marked
-// //a2alint:collective — the promotion allreduce, the tunedV bucket
-// agreement) deadlocks the world if any rank branches differently
-// before entering it, so a collective call must not sit under a
-// condition that varies by rank. Rank-varying means the condition
-// mentions comm.Rank(), a variable assigned from it, or a
+// //a2alint:collective — the tuned dispatcher's max-allreduce behind
+// its bucket and promotion agreements) deadlocks the world if any rank
+// branches differently before entering it, so a collective call must
+// not sit under a condition that varies by rank. Rank-varying means the
+// condition mentions comm.Rank(), a variable assigned from it, or a
 // conventionally named rank variable.
 var SPMDCollective = &Analyzer{
 	Name: "spmdcollective",
