@@ -23,14 +23,16 @@
 // past the slicing threshold. It is locally verified; -world additionally
 // streams every rank's slice through the incremental cross-rank verifier.
 //
-// fetch resolves a rank program through the schedule service instead of
-// compiling locally:
+// fetch resolves a rank program through the schedule service: it
+// compiles the rank locally and checks it against the world's proof
+// record (from a running daemon, or a registry directory, proving the
+// world there on a miss):
 //
 //	a2asched fetch -daemon 127.0.0.1:7643 -name torus -nodes 4 -ppn 8 -rank 3
 //	a2asched fetch -root /var/lib/a2asched -name ring -ranks 16 -rank 0 -o r0.json
 //
-// and list inspects the service: -root walks a registry directory,
-// -daemon queries a running a2aschedd's counters.
+// and list inspects the service: -root walks a registry directory's
+// proof records, -daemon queries a running a2aschedd's counters.
 package main
 
 import (
@@ -85,14 +87,16 @@ func usage() {
 
 commands:
   list                      list schedule generators
-         [-root DIR]        instead: list a registry directory's worlds + counters
+         [-root DIR]        instead: list a registry directory's proved worlds
+                            (ranks covered and record bytes) and rejections
          [-daemon ADDR]     instead: query a running a2aschedd's counters
   gen    -name G -ranks N   generate + verify a schedule (JSON to -o or stdout)
          [-nodes N -ppn P]  give the generator a topology (torus grid); implies -ranks
   slice  -name G -ranks N   compile + verify ONE rank's program (rank-sliced, O(slice)
          -rank R [-world]   memory; -world also streams the cross-rank verification)
-  fetch  -name G -ranks N   resolve one rank's program through the schedule service
-         -rank R            (-daemon ADDR or -root DIR), re-verify locally, emit JSON
+  fetch  -name G -ranks N   compile one rank's program and match it against its
+         -rank R            world's proof record (-daemon ADDR or -root DIR),
+                            re-verify locally, emit JSON
   verify <file>             statically verify a schedule artifact
   print  [-linkload [-fabric K]] <file>
                             stats and per-round message matrices; -linkload
@@ -154,9 +158,9 @@ func runList(args []string) error {
 
 // runFetch resolves one rank's program through the schedule service —
 // a running daemon (-daemon) or a registry directory opened in-process
-// (-root) — and re-verifies it locally before emitting, exactly as the
-// runtime's fetcher hook does. This is the CI smoke path: daemon up,
-// fetch, verify, shut down.
+// (-root) — and runs VerifyRank on it before emitting: the emitted file
+// is an artifact that may travel, so it carries its own local check.
+// This is the CI smoke path: daemon up, fetch, verify, shut down.
 func runFetch(args []string) error {
 	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
 	var (

@@ -1,20 +1,19 @@
 // Command a2aschedd is the schedule-service daemon: an HTTP front-end
-// over a disk-backed registry of compiled-and-verified rank programs
-// (internal/schedreg). Jobs point core at it (a2asim/alltoallbench
-// -schedd, or core.SetSchedFetcher in embedding code) and every
-// (generator, world, rank) in the fleet is compiled exactly once —
-// subsequent requests are served from the content-addressed store.
+// over a disk-backed registry of world proofs (internal/schedreg). Jobs
+// point core at it (a2asim/alltoallbench -schedd, or core.SetSchedFetcher
+// in embedding code) and every (generator, world) in the fleet is proved
+// exactly once; each job then compiles its own ranks and matches them
+// against the world's record, fetched once per world.
 //
 // Endpoints:
 //
-//	GET  /healthz                 liveness probe
-//	GET  /v1/stats                registry counters + admission state
-//	GET  /v1/program?gen=&ranks=&rank=[&nodes=&ppn=]   one rank program
-//	POST /v1/batch                several ranks of one world per request
+//	GET  /healthz                              liveness probe
+//	GET  /v1/stats                             registry counters + admission state
+//	GET  /v1/proof?gen=&ranks=[&nodes=&ppn=]   the world's PROOF record
 //
-// Cold compilations are admission-controlled (-maxcompile slots); a
-// saturated daemon answers 503 + Retry-After and clients fall back to
-// local compilation. Registry hits never queue.
+// Cold proofs are admission-controlled (-maxcompile slots); a saturated
+// daemon answers 503 + Retry-After and clients fall back to local
+// compilation. Records already on disk never queue.
 //
 // Usage:
 //
@@ -41,7 +40,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7643", "listen address")
 		root       = flag.String("root", "", "registry directory (required; created if absent)")
-		maxCompile = flag.Int("maxcompile", 4, "concurrent cold compilations admitted before answering 503")
+		maxCompile = flag.Int("maxcompile", 4, "concurrent cold world proofs admitted before answering 503")
 	)
 	flag.Parse()
 	if *root == "" {

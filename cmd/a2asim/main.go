@@ -37,13 +37,15 @@ func main() {
 		runs      = flag.Int("runs", 3, "seeded runs (minimum reported)")
 		seed      = flag.Int64("seed", 0, "base noise seed")
 		tablePath = flag.String("table", "", "autotune dispatch table (JSON); runs the tuned dispatcher at the table's world")
-		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (compile-once across processes)")
+		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
 		schedd    = flag.String("schedd", "", "a2aschedd address: resolve sched:* programs through the daemon")
 	)
 	flag.Parse()
-	if err := installSchedFetcher(*schedRoot, *schedd); err != nil {
+	fetch, err := schedreg.FetcherFor(*schedRoot, *schedd)
+	if err != nil {
 		fatal(err)
 	}
+	core.SetSchedFetcher(fetch)
 
 	op := core.Op(*opName).Norm()
 	if op != core.OpAlltoall && op != core.OpAlltoallv {
@@ -117,26 +119,6 @@ func main() {
 		fmt.Printf("  phase %-8s %.6e s\n", ph, pt.Phases[ph])
 	}
 	fmt.Printf("  simulated %d messages, %d events\n", pt.Stats.Messages, pt.Stats.Events)
-}
-
-// installSchedFetcher points core's sched:* construction at the
-// schedule service: a registry directory opened in-process, or a
-// running a2aschedd. Rejections negative-cache; outages fall back to
-// local compilation.
-func installSchedFetcher(root, daemon string) error {
-	switch {
-	case root != "" && daemon != "":
-		return fmt.Errorf("-schedreg and -schedd are mutually exclusive")
-	case root != "":
-		reg, err := schedreg.Open(root)
-		if err != nil {
-			return err
-		}
-		core.SetSchedFetcher(schedreg.RegistryFetcher(reg))
-	case daemon != "":
-		core.SetSchedFetcher(schedreg.ClientFetcher(schedreg.NewClient(daemon)))
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -59,13 +59,15 @@ func main() {
 			"with -experiment regress, scale, contention, repair or drift: write the machine-readable output (BENCH_regress.json / BENCH_scale.json / BENCH_contention.json / BENCH_repair.json / BENCH_drift.json) to this path")
 		maxRanks = flag.Int("maxranks", 0,
 			"with -experiment scale, contention, repair or drift: cap the swept world size (0 = the experiment's full sweep; CI smoke uses 256)")
-		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (compile-once across processes)")
+		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
 		schedd    = flag.String("schedd", "", "a2aschedd address: resolve sched:* programs through the daemon")
 	)
 	flag.Parse()
-	if err := installSchedFetcher(*schedRoot, *schedd); err != nil {
+	fetch, err := schedreg.FetcherFor(*schedRoot, *schedd)
+	if err != nil {
 		fatal(err)
 	}
+	core.SetSchedFetcher(fetch)
 
 	scale, err := scaleByName(*scaleName)
 	if err != nil {
@@ -438,26 +440,6 @@ func runRepair(maxRanks int, jsonPath string, progress func(string)) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
-}
-
-// installSchedFetcher points core's sched:* construction at the
-// schedule service: a registry directory opened in-process, or a
-// running a2aschedd. Rejections negative-cache; outages fall back to
-// local compilation.
-func installSchedFetcher(root, daemon string) error {
-	switch {
-	case root != "" && daemon != "":
-		return fmt.Errorf("-schedreg and -schedd are mutually exclusive")
-	case root != "":
-		reg, err := schedreg.Open(root)
-		if err != nil {
-			return err
-		}
-		core.SetSchedFetcher(schedreg.RegistryFetcher(reg))
-	case daemon != "":
-		core.SetSchedFetcher(schedreg.ClientFetcher(schedreg.NewClient(daemon)))
-	}
 	return nil
 }
 

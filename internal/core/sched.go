@@ -57,13 +57,14 @@ var (
 )
 
 // SchedFetcher is the schedule-service hook: it resolves a
-// (generator, world, rank) to a compiled rank program from a shared
-// source — the a2aschedd daemon or a disk registry. The contract is
+// (generator, world, rank) to a rank program against a shared world
+// proof — the a2aschedd daemon's or a disk registry's. The contract is
 // three-valued:
 //
-//	(rp, nil)   hit — core verifies the slice locally and uses it,
-//	            skipping world verification (the service verified the
-//	            world before serving anything)
+//	(rp, nil)   hit — rp is a program the fetcher compiled in this
+//	            process and matched against a verified world proof;
+//	            core runs it as is, with no VerifyRank and no world
+//	            verification of its own
 //	(nil, err)  definitive rejection — the world cannot be compiled;
 //	            core negative-caches the error
 //	(nil, nil)  service unavailable — fall through to local compilation
@@ -77,7 +78,7 @@ var schedFetcherHook struct {
 // SetSchedFetcher installs (or, with nil, removes) the schedule-service
 // fetcher. While a fetcher is installed, schedule-backed algorithms
 // construct through the rank-sliced path at every world size, since the
-// service serves rank programs. Install once at process startup (cmd
+// service resolves rank programs. Install once at process startup (cmd
 // wiring), before constructions begin.
 func SetSchedFetcher(f SchedFetcher) {
 	schedFetcherHook.Lock()
@@ -384,7 +385,7 @@ func schedFor(gen string, p int, m *topo.Mapping) (*sched.Schedule, error) {
 // schedule-service fetcher is installed): in order, the in-process
 // cache, the schedule service, then direct compilation — O(slice)
 // memory — with the cross-rank properties proved once per world by the
-// streaming verifier (or by the service before it serves anything). Any
+// streaming verifier (or by the service's world proof). Any
 // whole-world entry for the same world is evicted: once a world is
 // sliced, the assembled schedule must not linger in the cache.
 func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
@@ -411,12 +412,8 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 				schedCache.putNeg(nkey, ferr)
 				return nil, ferr
 			case rp != nil:
-				// The service verified the world before serving anything;
-				// the local re-check covers only this slice's integrity
-				// after the network hop.
-				if err := sched.VerifyRank(rp); err != nil {
-					return nil, fmt.Errorf("core: %s%s: fetched program failed verification: %w", SchedPrefix, gen, err)
-				}
+				// Compiled here and matched against the service's world
+				// proof: the slice that proof verified, byte for byte.
 				schedCache.delete("w|" + wk)
 				schedCache.put(&schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp})
 				return rp, nil
@@ -506,7 +503,7 @@ func NewSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
 
 // newSchedState builds the persistent operation; sliced selects the
 // rank-sliced construction path (forced above schedSliceRanks, and
-// whenever a schedule-service fetcher is installed — the service serves
+// whenever a schedule-service fetcher is installed — the service resolves
 // rank programs).
 func newSchedState(gen string, c comm.Comm, maxBlock int, sliced bool) (Alltoaller, error) {
 	st := &schedState{}

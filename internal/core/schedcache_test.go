@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +16,7 @@ import (
 	"alltoallx/internal/comm"
 	"alltoallx/internal/runtime"
 	"alltoallx/internal/sched"
+	"alltoallx/internal/schedreg"
 	"alltoallx/internal/topo"
 )
 
@@ -303,6 +308,68 @@ func TestSchedFetcherFallback(t *testing.T) {
 	}
 	if rejects.Load() != 1 {
 		t.Fatalf("rejection consulted the fetcher %d times, want 1", rejects.Load())
+	}
+}
+
+// TestSchedFetcherStaleProof: a daemon whose proof record holds a wrong
+// digest for one rank never gets that rank's program run unverified —
+// ClientFetcher answers (nil, nil), and core's construction of the rank
+// compiles it and runs its own streamed world verification.
+func TestSchedFetcherStaleProof(t *testing.T) {
+	c := countSchedSeams(t)
+	const gen, p = "torus", 9
+	dropWorld(t, gen, p, nil)
+	t.Cleanup(func() { SetSchedFetcher(nil) })
+	root := t.TempDir()
+	reg, err := schedreg.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.GetOrCompile(schedreg.KeyFor(gen, p, nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "keys", gen, "p9-flat", "PROOF")
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf struct {
+		Gen     string   `json:"gen"`
+		World   string   `json:"world"`
+		Digests []string `json:"digests"`
+	}
+	if err := json.Unmarshal(b, &pf); err != nil {
+		t.Fatal(err)
+	}
+	pf.Digests[2] = pf.Digests[1]
+	if b, err = json.Marshal(pf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(schedreg.NewServer(reg, 1))
+	t.Cleanup(srv.Close)
+	fetch := schedreg.ClientFetcher(schedreg.NewClient(srv.URL))
+
+	if rp, err := fetch(gen, p, nil, 2); rp != nil || err != nil {
+		t.Fatalf("stale entry: fetcher = (%v, %v), want (nil, nil)", rp != nil, err)
+	}
+	SetSchedFetcher(fetch)
+	rp, err := rankProgFor(gen, p, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sched.GenerateRank(gen, p, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.Digest() != want.Digest() {
+		t.Fatal("constructed program differs from local compilation")
+	}
+	if c.worldVerifies.Load() != 1 || c.rankGenerates.Load() != 1 {
+		t.Fatalf("stale rank: %d streamed verifications and %d rank compiles, want 1 and 1",
+			c.worldVerifies.Load(), c.rankGenerates.Load())
 	}
 }
 

@@ -16,6 +16,8 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -196,6 +198,54 @@ func (rp *RankProgram) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(rp)
+}
+
+// Digest returns the SHA-256 of the program's canonical binary encoding:
+// every header field, then every step field, in declaration order, with
+// integers as varints and strings and lists length-prefixed (so a nil
+// and an empty list digest alike, as they encode alike). Programs with
+// equal digests are byte-identical, which is what lets a world proof's
+// recorded digests stand for the slices it verified.
+func (rp *RankProgram) Digest() [sha256.Size]byte {
+	h, b := sha256.New(), make([]byte, 0, 4096)
+	num := func(v int) {
+		if len(b) > cap(b)-binary.MaxVarintLen64 {
+			h.Write(b)
+			b = b[:0]
+		}
+		b = binary.AppendVarint(b, int64(v))
+	}
+	str := func(s string) {
+		num(len(s))
+		b = append(b, s...)
+	}
+	num(rp.Format)
+	str(rp.Name)
+	num(rp.Ranks)
+	num(rp.Rank)
+	str(string(rp.Coll))
+	str(rp.Op)
+	for _, l := range [][]int{rp.VSend, rp.VRecv, rp.Scratch} {
+		num(len(l))
+		for _, v := range l {
+			num(v)
+		}
+	}
+	num(len(rp.Rounds))
+	for _, steps := range rp.Rounds {
+		num(len(steps))
+		for _, s := range steps {
+			str(string(s.Kind))
+			for _, v := range [...]int{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N} {
+				num(v)
+			}
+			str(s.Op)
+		}
+	}
+	h.Write(b)
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // DecodeRank reads one rank program from r, checking the format version

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -608,20 +609,52 @@ func (sv *StreamVerifier) Finish() error {
 	return nil
 }
 
-// VerifyWorldSliced streams every rank's GenerateRank slice of the named
-// generator through a StreamVerifier: the large-world verification mode.
-// Memory stays O(p + one slice); time is O(total schedule size) — the
-// same steps the world will execute, never the assembled schedule.
-func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
+// ProveWorld streams every rank's GenerateRank slice of the named
+// generator through a StreamVerifier and returns the Digest of every
+// accepted slice, indexed by rank: the large-world proof. Memory stays
+// O(p + one slice); time is O(total schedule size) — the same steps the
+// world will execute, never the assembled schedule. A program whose
+// digest equals its rank's entry is byte-identical to a slice that
+// passed every check VerifyRank would repeat.
+func ProveWorld(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
+	return proveSlices(p, func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) })
+}
+
+// ProveSchedule is the whole-world proof for worlds small enough to
+// assemble: Verify's full symbolic check of s, then ProveWorld's
+// streamed pass over its slices, returning their digests.
+func ProveSchedule(s *Schedule) ([][sha256.Size]byte, error) {
+	if err := Verify(s); err != nil {
+		return nil, err
+	}
+	return proveSlices(s.Ranks, func(r int) (*RankProgram, error) { return Slice(s, r) })
+}
+
+func proveSlices(p int, slice func(r int) (*RankProgram, error)) ([][sha256.Size]byte, error) {
+	if err := checkRanks(p); err != nil {
+		return nil, err
+	}
 	sv := NewStreamVerifier(p)
-	for r := 0; r < p; r++ {
-		rp, err := GenerateRank(name, p, r, m)
+	digests := make([][sha256.Size]byte, p)
+	for r := range digests {
+		rp, err := slice(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := sv.Add(rp); err != nil {
-			return err
+			return nil, err
 		}
+		digests[r] = rp.Digest()
 	}
-	return sv.Finish()
+	if err := sv.Finish(); err != nil {
+		return nil, err
+	}
+	return digests, nil
+}
+
+// VerifyWorldSliced is ProveWorld without the digests: the large-world
+// verification mode.
+func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
+	_, err := ProveWorld(name, p, m)
+	return err
 }

@@ -1,24 +1,25 @@
-// Package schedreg is the schedule service: a disk-backed,
-// content-addressed registry of compiled-and-verified rank programs,
-// shared across processes, plus the HTTP daemon (cmd/a2aschedd) and
-// client that serve it over the network. It layers *under* the
-// in-process schedule cache of internal/core: the cache bounds what one
-// process retains, the registry makes compilation happen once per
-// machine (or once per cluster, through the daemon) instead of once per
-// process.
+// Package schedreg is the schedule service: a disk-backed registry of
+// world proofs, shared across processes, plus the HTTP daemon
+// (cmd/a2aschedd) and client that serve it over the network. It layers
+// *under* the in-process schedule cache of internal/core: the cache
+// bounds what one process retains, the registry makes the expensive
+// part of compilation — proving a world — happen once per machine (or
+// once per cluster, through the daemon) instead of once per process.
 //
 // Layout under the registry root:
 //
-//	objects/<sha256[:2]>/<sha256>.json   content-addressed rank programs
-//	keys/<gen>/<world>/rank-<r>.json     ref: {"sha256": "..."}
-//	keys/<gen>/<world>/VERIFIED          world passed schedule verification
-//	keys/<gen>/<world>/REJECTED          generator rejected the world (negative cache)
+//	keys/<gen>/<world>/PROOF      {"gen","world","digests":[...]}: the world passed
+//	                              verification; digests[r] is rank r's program digest
+//	keys/<gen>/<world>/REJECTED   generator rejected the world (negative cache)
 //
-// where <world> is "p<ranks>-<nodes>x<ppn>" or "p<ranks>-flat". Every
-// write goes through the shared artifact discipline (temp file +
-// rename), so concurrent registries over the same root — including
-// different processes — never observe torn state, and content
-// addressing makes duplicate writes idempotent.
+// where <world> is "p<ranks>-<nodes>x<ppn>" or "p<ranks>-flat". No
+// program is stored: a rank resolves by compiling its own slice
+// (sched.GenerateRank, O(slice)) and comparing the slice's Digest with
+// its entry. Every write goes through the shared
+// artifact discipline (temp file + rename), so concurrent registries over
+// the same root — including different processes — never observe torn
+// state, and proofs are deterministic, so duplicate writes are
+// idempotent.
 package schedreg
 
 import (
@@ -73,10 +74,14 @@ func (k Key) World() string {
 	return fmt.Sprintf("p%d-flat", k.Ranks)
 }
 
+// genWorld renders the world half of the key for error attribution:
+// "torus@p32-4x8".
+func (k Key) genWorld() string { return k.Gen + "@" + k.World() }
+
 // String renders the full key for error attribution:
 // "torus@p32-4x8 rank 3".
 func (k Key) String() string {
-	return fmt.Sprintf("%s@%s rank %d", k.Gen, k.World(), k.Rank)
+	return fmt.Sprintf("%s rank %d", k.genWorld(), k.Rank)
 }
 
 // Mapping reconstructs a topology mapping carrying the key's grid. The
@@ -113,6 +118,9 @@ func (k Key) validate() error {
 	}
 	if k.Nodes < 0 || k.PPN < 0 || (k.Nodes > 0) != (k.PPN > 0) {
 		return fmt.Errorf("schedreg: %s: nodes/ppn must both be set or both be zero", k)
+	}
+	if k.Nodes > 0 && (k.Ranks%k.PPN != 0 || k.Ranks/k.PPN != k.Nodes) {
+		return fmt.Errorf("schedreg: %s: %d nodes x %d ppn is not %d ranks", k, k.Nodes, k.PPN, k.Ranks)
 	}
 	return nil
 }

@@ -1,16 +1,18 @@
 package schedreg
 
 import (
-	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -19,44 +21,46 @@ import (
 	"alltoallx/internal/singleflight"
 )
 
-// SliceRanks is the whole-world compilation ceiling, mirroring the
-// in-process threshold of internal/core (schedSliceRanks): at or below
-// it a registry miss compiles and verifies the assembled schedule and
-// persists every rank's slice in one pass; above it, the world is
-// verified once by the streaming verifier and rank programs are
-// compiled individually on demand — O(slice), never O(p^2).
+// SliceRanks is the whole-world proof ceiling, mirroring the in-process
+// threshold of internal/core (schedSliceRanks): at or below it a world
+// proof compiles the assembled schedule, verifies it in full and then
+// streams its slices; above it, the proof streams GenerateRank slices
+// and never assembles the world — O(slice) memory, never O(p^2).
 const SliceRanks = 128
 
 // Test seams: the compilation entry points, swappable so tests can
-// count generator invocations and prove the exactly-once guarantee
-// (a second process serving from disk must never reach these).
+// count generator invocations and prove the prove-once guarantee (a
+// second process resolving against a stored record reaches only
+// generateRank, once per rank).
 var (
-	generate          = sched.Generate
-	generateRank      = sched.GenerateRank
-	verifyWorldSliced = sched.VerifyWorldSliced
+	generate     = sched.Generate
+	generateRank = sched.GenerateRank
+	proveWorld   = sched.ProveWorld
 )
 
 // Stats are the registry's lifetime counters (per Registry instance,
 // not per root — a fresh process starts from zero even over a warm
 // root).
 type Stats struct {
-	// Hits counts lookups served from disk without compiling.
+	// Hits counts lookups answered by a stored proof record: a rank
+	// program that matched its digest, or a record the daemon served.
 	Hits int64 `json:"hits"`
-	// Misses counts lookups that found nothing on disk and went to the
-	// compile path.
+	// Misses counts lookups that found no record, or a record the rank's
+	// program did not match, and went to the proof path.
 	Misses int64 `json:"misses"`
 	// NegativeHits counts lookups answered by a REJECTED marker.
 	NegativeHits int64 `json:"negative_hits"`
-	// Compiles counts generator invocations (whole worlds and single
-	// rank slices alike).
+	// Compiles counts world proofs: the whole-world generator runs the
+	// registry exists to perform once.
 	Compiles int64 `json:"compiles"`
 }
 
-// Registry is a disk-backed store of compiled-and-verified rank
-// programs. It is safe for concurrent use; concurrent use of several
-// Registry instances (or processes) over the same root is safe too —
-// all writes are atomic and content-addressed — though the
-// compile-once guarantee is then per instance, not global.
+// Registry is a disk-backed store of world proofs. It keeps no programs:
+// a rank resolves by compiling its own slice and matching the digest
+// its world's PROOF record holds for it. It is safe for concurrent use;
+// concurrent use of several Registry instances (or processes) over the
+// same root is safe too — every write is atomic and deterministic —
+// though the prove-once guarantee is then per instance, not global.
 type Registry struct {
 	root string
 	fl   singleflight.Group
@@ -66,10 +70,8 @@ type Registry struct {
 
 // Open creates (if needed) and opens a registry rooted at dir.
 func Open(dir string) (*Registry, error) {
-	for _, d := range []string{dir, filepath.Join(dir, "objects"), filepath.Join(dir, "keys")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("schedreg: opening registry at %s: %w", dir, err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "keys"), 0o755); err != nil {
+		return nil, fmt.Errorf("schedreg: opening registry at %s: %w", dir, err)
 	}
 	return &Registry{root: dir}, nil
 }
@@ -90,18 +92,54 @@ func (r *Registry) Stats() Stats {
 func (r *Registry) worldDir(k Key) string {
 	return filepath.Join(r.root, "keys", k.Gen, k.World())
 }
-func (r *Registry) refPath(k Key) string {
-	return filepath.Join(r.worldDir(k), fmt.Sprintf("rank-%d.json", k.Rank))
-}
-func (r *Registry) verifiedPath(k Key) string { return filepath.Join(r.worldDir(k), "VERIFIED") }
+func (r *Registry) proofPath(k Key) string    { return filepath.Join(r.worldDir(k), "PROOF") }
 func (r *Registry) rejectedPath(k Key) string { return filepath.Join(r.worldDir(k), "REJECTED") }
-func (r *Registry) objectPath(sha string) string {
-	return filepath.Join(r.root, "objects", sha[:2], sha+".json")
+
+// proof is the content of a PROOF record, and the daemon's /v1/proof
+// answer: the world it proves and the hex Digest of every rank's proved
+// program, indexed by rank.
+type proof struct {
+	Gen     string   `json:"gen"`
+	World   string   `json:"world"`
+	Digests []string `json:"digests"`
 }
 
-// ref is the content of a rank-<r>.json file.
-type ref struct {
-	SHA256 string `json:"sha256"`
+// decodeProof parses a PROOF record and checks that it is whole and
+// names k's world; every error names the generator and the world.
+func decodeProof(k Key, b []byte) (*proof, error) {
+	var pf proof
+	if err := json.Unmarshal(b, &pf); err != nil {
+		return nil, fmt.Errorf("schedreg: %s: undecodable PROOF record: %w", k.genWorld(), err)
+	}
+	if pf.Gen != k.Gen || pf.World != k.World() {
+		return nil, fmt.Errorf("schedreg: %s: PROOF record is for %s@%s", k.genWorld(), pf.Gen, pf.World)
+	}
+	if len(pf.Digests) != k.Ranks {
+		return nil, fmt.Errorf("schedreg: %s: PROOF record holds %d digests for %d ranks", k.genWorld(), len(pf.Digests), k.Ranks)
+	}
+	for rank, d := range pf.Digests {
+		if _, err := hex.DecodeString(d); err != nil || len(d) != 2*sha256.Size {
+			return nil, fmt.Errorf("schedreg: %s: PROOF record entry for rank %d is not a hex SHA-256: %q", k.genWorld(), rank, d)
+		}
+	}
+	return &pf, nil
+}
+
+// resolve compiles k's rank program (O(slice)) and returns it if its
+// digest is pf's entry for the rank, or nil if it is not.
+func (pf *proof) resolve(k Key) (*sched.RankProgram, error) {
+	m, err := k.Mapping()
+	if err != nil {
+		return nil, err
+	}
+	rp, err := generateRank(k.Gen, k.Ranks, k.Rank, m)
+	if err != nil {
+		return nil, fmt.Errorf("schedreg: %s: compiling a rank of a proved world: %w", k, err)
+	}
+	if d := rp.Digest(); hex.EncodeToString(d[:]) != pf.Digests[k.Rank] {
+		return nil, nil
+	}
+	return rp, nil
 }
 
 // rejection is the content of a REJECTED marker.
@@ -112,255 +150,133 @@ type rejection struct {
 // rejErr renders the uniform negative verdict, identical whether the
 // rejection was just produced or read back from the marker.
 func rejErr(k Key, cause string) error {
-	return fmt.Errorf("schedreg: %s@%s: %w: %s", k.Gen, k.World(), ErrRejected, cause)
+	return fmt.Errorf("schedreg: %s: %w: %s", k.genWorld(), ErrRejected, cause)
 }
 
-// Lookup serves k from disk state only — negative marker, then
-// ref + verified marker + integrity-checked object — never compiling.
-// ok reports whether the registry had a verdict (a program or a
-// rejection); !ok means the caller may compile.
+// Lookup resolves k against its world's stored proof, never proving:
+// it compiles the rank's program and serves it only if its digest
+// equals the record's entry for the rank — so a served program is
+// byte-identical to a slice the world proof verified, and needs no
+// VerifyRank. ok reports whether the registry had a verdict (a program,
+// a rejection, or an unreadable record); !ok — no record, or a record
+// the program does not match — means the caller may prove the world.
 func (r *Registry) Lookup(k Key) (*sched.RankProgram, error, bool) {
 	if err := k.validate(); err != nil {
 		return nil, err, true
 	}
-	rp, err, ok := r.lookup(k)
-	if ok {
-		if err == nil {
-			r.hits.Add(1)
-		} else if errors.Is(err, ErrRejected) {
-			r.negHits.Add(1)
-		}
-	}
-	return rp, err, ok
+	rp, _, err := r.lookup(k)
+	r.count(rp != nil, err)
+	return rp, err, rp != nil || err != nil
 }
 
-// lookup is Lookup without counter updates (the compile path re-reads
-// its own writes through it).
-func (r *Registry) lookup(k Key) (*sched.RankProgram, error, bool) {
+// count records one lookup's verdict in the counters.
+func (r *Registry) count(hit bool, err error) {
+	if hit {
+		r.hits.Add(1)
+	} else if errors.Is(err, ErrRejected) {
+		r.negHits.Add(1)
+	}
+}
+
+// lookup is Lookup without validation or counting. A nil program with a
+// nil error is a miss; pf is then the record the program did not match,
+// or nil when the world has none.
+func (r *Registry) lookup(k Key) (rp *sched.RankProgram, pf *proof, err error) {
+	pf, err, ok := r.record(k)
+	if ok && err == nil {
+		rp, err = pf.resolve(k)
+	}
+	return rp, pf, err
+}
+
+// record reads k's world verdict from disk: the REJECTED marker, else
+// the decoded PROOF record. ok is false when the world has neither.
+func (r *Registry) record(k Key) (*proof, error, bool) {
 	if b, err := os.ReadFile(r.rejectedPath(k)); err == nil {
 		var rej rejection
 		if jerr := json.Unmarshal(b, &rej); jerr != nil {
-			return nil, fmt.Errorf("schedreg: %s: corrupt REJECTED marker: %w", k, jerr), true
+			return nil, fmt.Errorf("schedreg: %s: corrupt REJECTED marker: %w", k.genWorld(), jerr), true
 		}
 		return nil, rejErr(k, rej.Error), true
 	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("schedreg: %s: reading REJECTED marker: %w", k, err), true
+		return nil, fmt.Errorf("schedreg: %s: reading REJECTED marker: %w", k.genWorld(), err), true
 	}
-	if _, err := os.Stat(r.verifiedPath(k)); err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, false
-		}
-		return nil, fmt.Errorf("schedreg: %s: reading VERIFIED marker: %w", k, err), true
+	b, err := os.ReadFile(r.proofPath(k))
+	if os.IsNotExist(err) {
+		return nil, nil, false
 	}
-	b, err := os.ReadFile(r.refPath(k))
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, false
-		}
-		return nil, fmt.Errorf("schedreg: %s: reading ref: %w", k, err), true
+		return nil, fmt.Errorf("schedreg: %s: reading PROOF record: %w", k.genWorld(), err), true
 	}
-	var rf ref
-	if err := json.Unmarshal(b, &rf); err != nil {
-		return nil, fmt.Errorf("schedreg: %s: corrupt ref: %w", k, err), true
-	}
-	rp, err := r.loadObject(k, rf.SHA256)
-	if err != nil {
-		return nil, err, true
-	}
-	return rp, nil, true
+	pf, err := decodeProof(k, b)
+	return pf, err, true
 }
 
-// loadObject reads, integrity-checks, decodes and locally re-verifies
-// the content-addressed program sha. The registry never serves an
-// unverified program: the hash proves the bytes are the ones written,
-// VerifyRank proves those bytes still encode a well-formed slice.
-func (r *Registry) loadObject(k Key, sha string) (*sched.RankProgram, error) {
-	if len(sha) != 64 {
-		return nil, fmt.Errorf("schedreg: %s: ref holds malformed object hash %q", k, sha)
-	}
-	b, err := os.ReadFile(r.objectPath(sha))
-	if err != nil {
-		return nil, fmt.Errorf("schedreg: %s: reading object %s: %w", k, sha[:12], err)
-	}
-	if got := hexSum(b); got != sha {
-		return nil, fmt.Errorf("schedreg: %s: object %s is corrupt (content hashes to %s)", k, sha[:12], got[:12])
-	}
-	rp, err := sched.DecodeRank(bytes.NewReader(b))
-	if err != nil {
-		return nil, fmt.Errorf("schedreg: %s: object %s: %w", k, sha[:12], err)
-	}
-	// Generators name schedules with a shape suffix ("torus3x4"), so the
-	// generator match is a prefix check.
-	if !strings.HasPrefix(rp.Name, k.Gen) || rp.Ranks != k.Ranks || rp.Rank != k.Rank {
-		return nil, fmt.Errorf("schedreg: %s: object %s holds %s@p%d rank %d — ref points at the wrong program",
-			k, sha[:12], rp.Name, rp.Ranks, rp.Rank)
-	}
-	if err := sched.VerifyRank(rp); err != nil {
-		return nil, fmt.Errorf("schedreg: %s: object %s failed verification: %w", k, sha[:12], err)
-	}
-	return rp, nil
-}
-
-func hexSum(b []byte) string {
-	s := sha256.Sum256(b)
-	return hex.EncodeToString(s[:])
-}
-
-// GetOrCompile serves k, compiling on a registry miss. Concurrent
-// callers for the same world (small path) or the same rank (large
-// path) coalesce into one compilation; a generator rejection is
-// persisted as a REJECTED marker so no process ever re-runs a
-// generator against a world it cannot handle.
+// GetOrCompile serves k, proving its world on a miss. Concurrent
+// callers for one world coalesce into one proof; a generator rejection
+// is persisted as a REJECTED marker so no process ever re-runs a
+// generator against a world it cannot handle. A program that does not
+// match the record its world's proof just wrote is an error naming the
+// rank, never a run of an unproven program.
 func (r *Registry) GetOrCompile(k Key) (*sched.RankProgram, error) {
 	if err := k.validate(); err != nil {
 		return nil, err
 	}
-	if rp, err, ok := r.Lookup(k); ok {
+	rp, stale, err := r.lookup(k)
+	r.count(rp != nil, err)
+	if rp != nil || err != nil {
 		return rp, err
 	}
 	r.misses.Add(1)
-	if k.Ranks <= SliceRanks {
-		if _, err, _ := r.fl.Do("world|"+r.worldDir(k), func() (any, error) {
-			return nil, r.compileWorld(k)
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		if _, err, _ := r.fl.Do("verify|"+r.worldDir(k), func() (any, error) {
-			return nil, r.verifyWorld(k)
-		}); err != nil {
-			return nil, err
-		}
-		v, err, _ := r.fl.Do("rank|"+r.refPath(k), func() (any, error) {
-			return r.compileRank(k)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rp, ok := v.(*sched.RankProgram); ok && rp != nil {
-			return rp, nil
-		}
+	if err := r.proveOnce(k, stale != nil); err != nil {
+		return nil, err
 	}
-	rp, err, ok := r.lookup(k)
-	if !ok {
-		return nil, fmt.Errorf("schedreg: %s: compiled but absent from the registry", k)
+	if rp, _, err = r.lookup(k); rp == nil && err == nil {
+		return nil, fmt.Errorf("schedreg: %s: program differs from the slice its world proof just recorded (GenerateRank and the proved schedule disagree)", k)
 	}
 	return rp, err
 }
 
-// compileWorld is the at-or-below-threshold miss path: compile the
-// assembled schedule, verify it, persist every rank's slice, then mark
-// the world VERIFIED. Joiners (and restarted processes) re-read from
-// disk. Idempotent: a concurrent or earlier writer leaves identical
-// content-addressed state.
-func (r *Registry) compileWorld(k Key) error {
-	if _, err := os.Stat(r.verifiedPath(k)); err == nil {
-		return nil // another instance finished the world while we queued
-	}
+// proveOnce proves k's world, coalescing concurrent callers into one
+// proof. A caller that found no record proves nothing if another flight
+// recorded a verdict since; one whose record was stale always re-proves.
+func (r *Registry) proveOnce(k Key, stale bool) error {
+	_, err, _ := r.fl.Do(r.worldDir(k), func() (any, error) {
+		if _, _, ok := r.record(k); ok && !stale {
+			return nil, nil
+		}
+		return nil, r.prove(k)
+	})
+	return err
+}
+
+// prove runs k's world proof and records the verdict: every rank's
+// digest in PROOF, or the generator's or verifier's refusal in
+// REJECTED.
+func (r *Registry) prove(k Key) error {
 	m, err := k.Mapping()
 	if err != nil {
 		return err
 	}
 	r.compiles.Add(1)
-	s, err := generate(k.Gen, k.Ranks, m)
-	if err != nil {
-		return r.reject(k, err)
+	var digests [][sha256.Size]byte
+	if k.Ranks <= SliceRanks {
+		s, gerr := generate(k.Gen, k.Ranks, m)
+		if gerr != nil {
+			return r.reject(k, gerr)
+		}
+		digests, err = sched.ProveSchedule(s)
+	} else {
+		digests, err = proveWorld(k.Gen, k.Ranks, m)
 	}
-	if err := sched.Verify(s); err != nil {
+	if err != nil {
 		return r.reject(k, fmt.Errorf("failed verification: %w", err))
 	}
-	for rank := 0; rank < k.Ranks; rank++ {
-		rp, err := sched.Slice(s, rank)
-		if err != nil {
-			return fmt.Errorf("schedreg: %s@%s rank %d: %w", k.Gen, k.World(), rank, err)
-		}
-		rk := k
-		rk.Rank = rank
-		if err := r.putProgram(rk, rp); err != nil {
-			return err
-		}
+	pf := proof{Gen: k.Gen, World: k.World(), Digests: make([]string, len(digests))}
+	for rank, d := range digests {
+		pf.Digests[rank] = hex.EncodeToString(d[:])
 	}
-	return r.markVerified(k)
-}
-
-// verifyWorld is the above-threshold world gate: one streaming
-// cross-rank verification per world, persisted as the VERIFIED marker
-// so later processes skip it entirely.
-func (r *Registry) verifyWorld(k Key) error {
-	if _, err := os.Stat(r.verifiedPath(k)); err == nil {
-		return nil
-	}
-	m, err := k.Mapping()
-	if err != nil {
-		return err
-	}
-	if err := verifyWorldSliced(k.Gen, k.Ranks, m); err != nil {
-		return r.reject(k, fmt.Errorf("failed streamed verification: %w", err))
-	}
-	return r.markVerified(k)
-}
-
-// compileRank is the above-threshold per-rank miss path. The world is
-// already VERIFIED (verifyWorld ran the identical local checks on every
-// slice, and generation is deterministic), so no per-slice re-check.
-func (r *Registry) compileRank(k Key) (*sched.RankProgram, error) {
-	m, err := k.Mapping()
-	if err != nil {
-		return nil, err
-	}
-	r.compiles.Add(1)
-	rp, err := generateRank(k.Gen, k.Ranks, k.Rank, m)
-	if err != nil {
-		// Key validation screened rank-range errors, so whatever the
-		// generator objects to here is a property of the world.
-		return nil, r.reject(k, err)
-	}
-	if err := r.putProgram(k, rp); err != nil {
-		return nil, err
-	}
-	return rp, nil
-}
-
-// putProgram persists rp as a content-addressed object plus the ref
-// that names it. Writing an object that already exists is skipped —
-// generation is deterministic, so the bytes would be identical.
-func (r *Registry) putProgram(k Key, rp *sched.RankProgram) error {
-	var buf bytes.Buffer
-	if err := rp.Encode(&buf); err != nil {
-		return fmt.Errorf("schedreg: %s: encoding program: %w", k, err)
-	}
-	b := buf.Bytes()
-	sha := hexSum(b)
-	op := r.objectPath(sha)
-	if _, err := os.Stat(op); err != nil {
-		if err := os.MkdirAll(filepath.Dir(op), 0o755); err != nil {
-			return fmt.Errorf("schedreg: %s: creating object dir: %w", k, err)
-		}
-		if err := artifact.Save(op, fmt.Sprintf("schedreg: %s: saving object", k), func(w io.Writer) error {
-			_, err := w.Write(b)
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	if err := os.MkdirAll(r.worldDir(k), 0o755); err != nil {
-		return fmt.Errorf("schedreg: %s: creating world dir: %w", k, err)
-	}
-	return artifact.Save(r.refPath(k), fmt.Sprintf("schedreg: %s: saving ref", k), func(w io.Writer) error {
-		return json.NewEncoder(w).Encode(ref{SHA256: sha})
-	})
-}
-
-// markVerified persists the world's verification verdict.
-func (r *Registry) markVerified(k Key) error {
-	if err := os.MkdirAll(r.worldDir(k), 0o755); err != nil {
-		return fmt.Errorf("schedreg: %s@%s: creating world dir: %w", k.Gen, k.World(), err)
-	}
-	return artifact.Save(r.verifiedPath(k), fmt.Sprintf("schedreg: %s@%s: saving VERIFIED marker", k.Gen, k.World()),
-		func(w io.Writer) error {
-			_, err := fmt.Fprintf(w, "verified\n")
-			return err
-		})
+	return r.save(k, "PROOF record", r.proofPath(k), pf)
 }
 
 // reject persists the negative verdict and returns it in the uniform
@@ -368,16 +284,20 @@ func (r *Registry) markVerified(k Key) error {
 // cross-process: a restarted registry answers from it without touching
 // the generator.
 func (r *Registry) reject(k Key, cause error) error {
-	if err := os.MkdirAll(r.worldDir(k), 0o755); err != nil {
-		return fmt.Errorf("schedreg: %s@%s: creating world dir: %w", k.Gen, k.World(), err)
-	}
-	if err := artifact.Save(r.rejectedPath(k), fmt.Sprintf("schedreg: %s@%s: saving REJECTED marker", k.Gen, k.World()),
-		func(w io.Writer) error {
-			return json.NewEncoder(w).Encode(rejection{Error: cause.Error()})
-		}); err != nil {
+	if err := r.save(k, "REJECTED marker", r.rejectedPath(k), rejection{Error: cause.Error()}); err != nil {
 		return err
 	}
 	return rejErr(k, cause.Error())
+}
+
+// save writes v as one JSON line to file, in k's world directory.
+func (r *Registry) save(k Key, what, file string, v any) error {
+	if err := os.MkdirAll(r.worldDir(k), 0o755); err != nil {
+		return fmt.Errorf("schedreg: %s: creating world dir: %w", k.genWorld(), err)
+	}
+	return artifact.Save(file, fmt.Sprintf("schedreg: %s: saving %s", k.genWorld(), what), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(v)
+	})
 }
 
 // Entry summarizes one (generator, world) directory for List.
@@ -386,63 +306,38 @@ type Entry struct {
 	World    string `json:"world"`
 	Verified bool   `json:"verified"`
 	Rejected bool   `json:"rejected"`
-	Programs int    `json:"programs"`
-	Bytes    int64  `json:"bytes"`
+	// Programs counts the ranks the world's PROOF record proves.
+	Programs int `json:"programs"`
+	// Bytes is the record's size on disk: the world's whole footprint.
+	Bytes int64 `json:"bytes"`
 }
 
-// List walks the registry and summarizes every (generator, world) it
-// holds, sorted by generator then world. Bytes sums the referenced
-// objects' on-disk sizes (shared objects are counted once per ref that
-// names them — the number a consumer of that world would download).
+// List summarizes every (generator, world) directory of the registry
+// that holds a PROOF record or a REJECTED marker, sorted by generator
+// then world. Directories holding neither (a registry layout this build
+// does not read) are skipped.
 func (r *Registry) List() ([]Entry, error) {
-	keysDir := filepath.Join(r.root, "keys")
-	gens, err := os.ReadDir(keysDir)
+	keys := filepath.Join(r.root, "keys")
+	worlds, err := fs.Glob(os.DirFS(keys), "*/*")
 	if err != nil {
 		return nil, fmt.Errorf("schedreg: listing registry at %s: %w", r.root, err)
 	}
 	var out []Entry
-	for _, g := range gens {
-		if !g.IsDir() {
-			continue
+	for _, gw := range worlds {
+		e := Entry{Gen: path.Dir(gw), World: path.Base(gw)}
+		dir := filepath.Join(keys, gw)
+		if b, err := os.ReadFile(filepath.Join(dir, "PROOF")); err == nil {
+			var pf proof
+			e.Verified = json.Unmarshal(b, &pf) == nil
+			e.Programs, e.Bytes = len(pf.Digests), int64(len(b))
 		}
-		worlds, err := os.ReadDir(filepath.Join(keysDir, g.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("schedreg: listing generator %s: %w", g.Name(), err)
-		}
-		for _, w := range worlds {
-			if !w.IsDir() {
-				continue
-			}
-			e := Entry{Gen: g.Name(), World: w.Name()}
-			dir := filepath.Join(keysDir, g.Name(), w.Name())
-			files, err := os.ReadDir(dir)
-			if err != nil {
-				return nil, fmt.Errorf("schedreg: listing %s@%s: %w", e.Gen, e.World, err)
-			}
-			for _, f := range files {
-				switch {
-				case f.Name() == "VERIFIED":
-					e.Verified = true
-				case f.Name() == "REJECTED":
-					e.Rejected = true
-				case strings.HasPrefix(f.Name(), "rank-"):
-					e.Programs++
-					var rf ref
-					if b, err := os.ReadFile(filepath.Join(dir, f.Name())); err == nil && json.Unmarshal(b, &rf) == nil && len(rf.SHA256) == 64 {
-						if st, err := os.Stat(r.objectPath(rf.SHA256)); err == nil {
-							e.Bytes += st.Size()
-						}
-					}
-				}
-			}
+		_, err := os.Stat(filepath.Join(dir, "REJECTED"))
+		if e.Rejected = err == nil; e.Verified || e.Rejected {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Gen != out[j].Gen {
-			return out[i].Gen < out[j].Gen
-		}
-		return out[i].World < out[j].World
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(strings.Compare(a.Gen, b.Gen), strings.Compare(a.World, b.World))
 	})
 	return out, nil
 }

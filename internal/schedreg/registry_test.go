@@ -2,9 +2,10 @@ package schedreg
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,13 +22,13 @@ import (
 // install counters must not run in parallel (the seams are package
 // globals).
 type seamCounters struct {
-	generates, rankGenerates, worldVerifies atomic.Int64
+	generates, rankGenerates, worldProofs atomic.Int64
 }
 
 func countSeams(t *testing.T) *seamCounters {
 	t.Helper()
 	var c seamCounters
-	og, ogr, ovw := generate, generateRank, verifyWorldSliced
+	og, ogr, opw := generate, generateRank, proveWorld
 	generate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
 		c.generates.Add(1)
 		return og(name, p, m)
@@ -36,11 +37,11 @@ func countSeams(t *testing.T) *seamCounters {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	verifyWorldSliced = func(name string, p int, m *topo.Mapping) error {
-		c.worldVerifies.Add(1)
-		return ovw(name, p, m)
+	proveWorld = func(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
+		c.worldProofs.Add(1)
+		return opw(name, p, m)
 	}
-	t.Cleanup(func() { generate, generateRank, verifyWorldSliced = og, ogr, ovw })
+	t.Cleanup(func() { generate, generateRank, proveWorld = og, ogr, opw })
 	return &c
 }
 
@@ -62,9 +63,9 @@ func encodeRP(t *testing.T, rp *sched.RankProgram) []byte {
 	return buf.Bytes()
 }
 
-// TestGetOrCompileRoundTrip: a miss compiles and persists; the result
-// is byte-identical to direct generation; a second call is a pure disk
-// hit.
+// TestGetOrCompileRoundTrip: a miss proves and records the world; the
+// result is byte-identical to direct generation; a second call resolves
+// against the record without proving.
 func TestGetOrCompileRoundTrip(t *testing.T) {
 	c := countSeams(t)
 	reg, err := Open(t.TempDir())
@@ -105,11 +106,12 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompileOnceAcrossRegistryInstances is the acceptance criterion:
+// TestProveOnceAcrossRegistryInstances is the acceptance criterion:
 // two registry instances over one root (two processes, or one
-// restarted) compile a key exactly once — the second serves from disk
-// with zero generator invocations, byte-identically.
-func TestCompileOnceAcrossRegistryInstances(t *testing.T) {
+// restarted) prove a world exactly once — the second runs no whole-world
+// generator and no streamed pass, only one GenerateRank per rank it
+// resolves, and serves byte-identical programs.
+func TestProveOnceAcrossRegistryInstances(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
 	m := mustMapping(t, 2, 4)
@@ -123,36 +125,35 @@ func TestCompileOnceAcrossRegistryInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("first instance invoked generators %d times, want 1", got)
+	if got := c.generates.Load(); got != 1 {
+		t.Fatalf("first instance ran the whole-world generator %d times, want 1", got)
 	}
 
 	reg2, err := Open(root) // a second process: fresh instance, same root
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := reg2.GetOrCompile(k)
-	if err != nil {
-		t.Fatal(err)
+	ranks0 := c.rankGenerates.Load()
+	for i, rank := range []int{3, 6} {
+		kr := k
+		kr.Rank = rank
+		rp, err := reg2.GetOrCompile(kr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rank == 3 && !bytes.Equal(encodeRP(t, first), encodeRP(t, rp)) {
+			t.Fatal("instances disagree on program bytes")
+		}
+		if c.generates.Load() != 1 || c.worldProofs.Load() != 0 {
+			t.Fatalf("rank %d: second instance re-proved the world (%d generates, %d streamed passes)",
+				rank, c.generates.Load(), c.worldProofs.Load())
+		}
+		if got := c.rankGenerates.Load() - ranks0; got != int64(i+1) {
+			t.Fatalf("after resolving %d ranks the second instance ran GenerateRank %d times", i+1, got)
+		}
 	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("second instance invoked generators (total %d runs, want 1)", got)
-	}
-	if !bytes.Equal(encodeRP(t, first), encodeRP(t, second)) {
-		t.Fatal("instances disagree on program bytes")
-	}
-	if st := reg2.Stats(); st.Hits != 1 || st.Misses != 0 || st.Compiles != 0 {
-		t.Fatalf("second instance stats = %+v, want a pure hit", st)
-	}
-	// Every sibling rank was persisted by the world compilation: rank 6
-	// is a hit too, still with no generator run.
-	k6 := k
-	k6.Rank = 6
-	if _, err := reg2.GetOrCompile(k6); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.generates.Load() + c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("sibling rank fetch invoked generators (total %d runs)", got)
+	if st := reg2.Stats(); st.Hits != 2 || st.Misses != 0 || st.Compiles != 0 {
+		t.Fatalf("second instance stats = %+v, want two pure hits", st)
 	}
 }
 
@@ -196,9 +197,10 @@ func TestNegativeCache(t *testing.T) {
 	}
 }
 
-// TestLargeWorldSlicedPath: above SliceRanks the registry verifies the
-// world once (streamed) and compiles only the requested rank's slice —
-// and a restarted instance reuses both the marker and the slice.
+// TestLargeWorldSlicedPath: above SliceRanks the registry proves the
+// world by one streamed pass and never assembles it; the world's whole
+// footprint is its PROOF record, and a restarted instance resolves any
+// rank against that record with one GenerateRank each.
 func TestLargeWorldSlicedPath(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
@@ -223,43 +225,34 @@ func TestLargeWorldSlicedPath(t *testing.T) {
 	if c.generates.Load() != 0 {
 		t.Fatal("sliced path materialized the whole world")
 	}
-	if got := c.worldVerifies.Load(); got != 1 {
-		t.Fatalf("streamed verification ran %d times, want 1", got)
+	if got := c.worldProofs.Load(); got != 1 {
+		t.Fatalf("streamed proof ran %d times, want 1", got)
 	}
-	if got := c.rankGenerates.Load(); got != 1 {
-		t.Fatalf("rank generator ran %d times, want 1", got)
-	}
-	// Only the requested rank was persisted.
-	refs, err := filepath.Glob(filepath.Join(root, "keys", "direct", k.World(), "rank-*.json"))
+	files, err := os.ReadDir(filepath.Join(root, "keys", "direct", k.World()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(refs) != 1 {
-		t.Fatalf("found %d rank refs, want 1 (on-demand slicing)", len(refs))
+	if len(files) != 1 || files[0].Name() != "PROOF" {
+		t.Fatalf("world directory holds %v, want only PROOF", files)
 	}
 
 	reg2, err := Open(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg2.GetOrCompile(k); err != nil {
-		t.Fatal(err)
+	ranks0 := c.rankGenerates.Load()
+	for _, rank := range []int{7, 9} {
+		kr := k
+		kr.Rank = rank
+		if _, err := reg2.GetOrCompile(kr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if c.worldVerifies.Load() != 1 || c.rankGenerates.Load() != 1 {
-		t.Fatalf("restart re-did work: %d verifies, %d rank compiles",
-			c.worldVerifies.Load(), c.rankGenerates.Load())
+	if c.worldProofs.Load() != 1 {
+		t.Fatal("restarted instance re-proved the world")
 	}
-	// A sibling rank reuses the VERIFIED marker but compiles its own slice.
-	k9 := k
-	k9.Rank = 9
-	if _, err := reg2.GetOrCompile(k9); err != nil {
-		t.Fatal(err)
-	}
-	if c.worldVerifies.Load() != 1 {
-		t.Fatal("sibling rank re-verified the world")
-	}
-	if got := c.rankGenerates.Load(); got != 2 {
-		t.Fatalf("rank generator ran %d times, want 2", got)
+	if got := c.rankGenerates.Load() - ranks0; got != 2 {
+		t.Fatalf("resolving 2 ranks ran GenerateRank %d times, want 2", got)
 	}
 }
 
@@ -312,53 +305,165 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 	}
 }
 
-// TestErrorAttribution pins satellite requirement: registry I/O errors
-// carry the (generator, world, rank) that produced them.
-func TestErrorAttribution(t *testing.T) {
-	reg, err := Open(t.TempDir())
+// TestStaleRecord: a record whose entry does not match the rank's
+// program is no verdict — Lookup serves nothing — and GetOrCompile
+// re-proves the world once, rewrites the record and serves the same
+// bytes as before.
+func TestStaleRecord(t *testing.T) {
+	c := countSeams(t)
+	root := t.TempDir()
+	k := KeyFor("ring", 8, mustMapping(t, 2, 4), 3)
+	first, err := Open2(t, root).GetOrCompile(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustMapping(t, 2, 4)
-	k := KeyFor("ring", 8, m, 3)
+	path := filepath.Join(root, "keys", "ring", k.World(), "PROOF")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	editRecord(t, path, func(pf *proof) { pf.Digests[3] = pf.Digests[4] })
+
+	reg := Open2(t, root)
+	if rp, err, ok := reg.Lookup(k); ok || rp != nil || err != nil {
+		t.Fatalf("stale record: Lookup = (%v, %v, %v), want no verdict", rp != nil, err, ok)
+	}
+	rp, err := reg.GetOrCompile(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, first)) {
+		t.Fatal("re-proved program differs from the first")
+	}
+	if got := c.generates.Load(); got != 2 {
+		t.Fatalf("whole-world generator ran %d times, want 2 (the first proof and one re-proof)", got)
+	}
+	if st := reg.Stats(); st.Compiles != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and 1 proof", st)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, good) {
+		t.Fatalf("record not rewritten to the proved digests (err %v)", err)
+	}
+}
+
+// TestUnprovenProgramIsAnError: when a rank's compiled program differs
+// from the slice a fresh proof just recorded — GenerateRank and the
+// proved schedule disagree — GetOrCompile fails with the generator,
+// world and rank, and serves nothing.
+func TestUnprovenProgramIsAnError(t *testing.T) {
+	countSeams(t) // restores the seams on cleanup
+	ogr := generateRank
+	generateRank = func(name string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
+		rp, err := ogr(name, p, rank, m)
+		if err == nil {
+			rp.Rounds = append(rp.Rounds, nil)
+		}
+		return rp, err
+	}
+	rp, err := Open2(t, t.TempDir()).GetOrCompile(KeyFor("ring", 8, mustMapping(t, 2, 4), 3))
+	if rp != nil || err == nil || !strings.Contains(err.Error(), "ring@p8-2x4 rank 3") {
+		t.Fatalf("GetOrCompile = (%v, %v), want an error naming ring@p8-2x4 rank 3", rp != nil, err)
+	}
+}
+
+// editRecord rewrites the PROOF record at path through edit.
+func editRecord(t *testing.T, path string, edit func(pf *proof)) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf proof
+	if err := json.Unmarshal(b, &pf); err != nil {
+		t.Fatal(err)
+	}
+	edit(&pf)
+	if b, err = json.Marshal(pf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestErrorAttribution: a malformed record — undecodable, for another
+// generator or world, with the wrong digest count, or with a non-hex
+// entry — is an error naming the generator and the world, from Lookup
+// and GetOrCompile alike.
+func TestErrorAttribution(t *testing.T) {
+	root := t.TempDir()
+	k := KeyFor("ring", 8, mustMapping(t, 2, 4), 3)
+	if _, err := Open2(t, root).GetOrCompile(k); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "keys", "ring", k.World(), "PROOF")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, frag string
+		edit       func(pf *proof)
+	}{
+		{"undecodable", "undecodable", nil},
+		{"wrong generator", "torus", func(pf *proof) { pf.Gen = "torus" }},
+		{"wrong world", "p8-flat", func(pf *proof) { pf.World = "p8-flat" }},
+		{"wrong count", "7 digests", func(pf *proof) { pf.Digests = pf.Digests[:7] }},
+		{"non-hex entry", "rank 5", func(pf *proof) { pf.Digests[5] = strings.Repeat("z", 64) }},
+	} {
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.edit == nil {
+			if err := os.WriteFile(path, good[:len(good)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			editRecord(t, path, tc.edit)
+		}
+		reg := Open2(t, root)
+		_, lerr, ok := reg.Lookup(k)
+		_, gerr := reg.GetOrCompile(k)
+		for _, err := range []error{lerr, gerr} {
+			if !ok || err == nil {
+				t.Fatalf("%s: malformed record went unnoticed", tc.name)
+			}
+			for _, frag := range []string{"ring@p8-2x4", tc.frag} {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("%s: error %q does not mention %q", tc.name, err, frag)
+				}
+			}
+		}
+	}
+}
+
+// TestParentLayoutReadsEmpty: a world directory holding only the old
+// layout's VERIFIED marker and rank refs is no verdict; its world is
+// proved on first use.
+func TestParentLayoutReadsEmpty(t *testing.T) {
+	root := t.TempDir()
+	k := KeyFor("ring", 8, nil, 3)
+	dir := filepath.Join(root, "keys", "ring", k.World())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"VERIFIED": "verified\n", "rank-3.json": `{"sha256":"` + strings.Repeat("0", 64) + `"}`} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := Open2(t, root)
+	if entries, err := reg.List(); err != nil || len(entries) != 0 {
+		t.Fatalf("List = %+v, %v; want empty", entries, err)
+	}
+	if _, err, ok := reg.Lookup(k); ok {
+		t.Fatalf("old layout gave a verdict: %v", err)
+	}
 	if _, err := reg.GetOrCompile(k); err != nil {
 		t.Fatal(err)
 	}
-
-	// Corrupt the object rank 3's ref points at.
-	var rf ref
-	b, err := os.ReadFile(reg.refPath(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &rf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(reg.objectPath(rf.SHA256), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err, ok := Open2(t, reg.Root()).Lookup(k)
-	if !ok || err == nil {
-		t.Fatal("corrupt object went unnoticed")
-	}
-	for _, frag := range []string{"ring", "p8-2x4", "rank 3", "corrupt"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("error %q does not mention %q", err, frag)
-		}
-	}
-
-	// A missing object is equally attributable.
-	if err := os.Remove(reg.objectPath(rf.SHA256)); err != nil {
-		t.Fatal(err)
-	}
-	_, err, _ = Open2(t, reg.Root()).Lookup(k)
-	if err == nil {
-		t.Fatal("missing object went unnoticed")
-	}
-	for _, frag := range []string{"ring", "p8-2x4", "rank 3"} {
-		if !strings.Contains(err.Error(), frag) {
-			t.Errorf("error %q does not mention %q", err, frag)
-		}
+	if st := reg.Stats(); st.Compiles != 1 {
+		t.Fatalf("stats = %+v, want the world proved once", st)
 	}
 }
 
@@ -386,6 +491,7 @@ func TestKeyValidation(t *testing.T) {
 		{Gen: "ring", Ranks: 8, Rank: 8},
 		{Gen: "ring", Ranks: 8, Rank: -1},
 		{Gen: "ring", Ranks: 8, Rank: 0, Nodes: 2},
+		{Gen: "torus", Ranks: 12, Rank: 11, Nodes: 2, PPN: 4}, // 2 x 4 is not 12 ranks
 	}
 	for _, k := range bad {
 		if _, err := reg.GetOrCompile(k); err == nil {
@@ -421,8 +527,77 @@ func TestList(t *testing.T) {
 	if ring.Gen != "ring" || ring.World != "p8-2x4" || !ring.Verified || ring.Rejected {
 		t.Fatalf("ring entry = %+v", ring)
 	}
-	if ring.Programs != 8 || ring.Bytes <= 0 {
-		t.Fatalf("ring entry = %+v, want 8 programs with bytes", ring)
+	b, err := os.ReadFile(filepath.Join(reg.Root(), "keys", "ring", "p8-2x4", "PROOF"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_ = fmt.Sprint(entries)
+	if ring.Programs != 8 || ring.Bytes != int64(len(b)) {
+		t.Fatalf("ring entry = %+v, want 8 programs in a %d-byte record", ring, len(b))
+	}
+}
+
+// FuzzProofRecord feeds arbitrary bytes as ring@p8-flat's PROOF record.
+// Lookup must never panic, and must answer with one of: an error naming
+// the generator and the world; no verdict; or GenerateRank's program,
+// whose digest is the record's entry for the rank.
+func FuzzProofRecord(f *testing.F) {
+	k := KeyFor("ring", 8, nil, 3)
+	digests, err := sched.ProveWorld(k.Gen, k.Ranks, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := proof{Gen: k.Gen, World: k.World()}
+	for _, d := range digests {
+		valid.Digests = append(valid.Digests, hex.EncodeToString(d[:]))
+	}
+	seed := func(pf proof) []byte {
+		b, err := json.Marshal(pf)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	good := seed(valid)
+	short, nonHex := valid, valid
+	short.Digests = valid.Digests[:7]
+	nonHex.Digests = append([]string(nil), valid.Digests...)
+	nonHex.Digests[3] = strings.Repeat("g", 64)
+	for _, b := range [][]byte{good, good[:len(good)/2], seed(short), seed(nonHex)} {
+		f.Add(b)
+	}
+	want, err := sched.GenerateRank(k.Gen, k.Ranks, k.Rank, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Inputs run one at a time per process, so they share one root.
+	root := f.TempDir()
+	dir := filepath.Join(root, "keys", k.Gen, k.World())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, record []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "PROOF"), record, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rp, err, ok := Open2(t, root).Lookup(k)
+		switch {
+		case err != nil:
+			if !ok || rp != nil || !strings.Contains(err.Error(), "ring@p8-flat") {
+				t.Fatalf("Lookup = (%v, %q, %v), want an error naming ring@p8-flat", rp != nil, err, ok)
+			}
+		case rp == nil:
+			if ok {
+				t.Fatal("Lookup reported a verdict without a program or an error")
+			}
+		default:
+			var pf proof
+			if jerr := json.Unmarshal(record, &pf); jerr != nil || !ok {
+				t.Fatalf("served a program from an undecodable record (%v)", jerr)
+			}
+			d := rp.Digest()
+			if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) || hex.EncodeToString(d[:]) != pf.Digests[k.Rank] {
+				t.Fatal("served a program that is not GenerateRank's or not the record's entry")
+			}
+		}
+	})
 }

@@ -8,27 +8,28 @@ import (
 	"strconv"
 )
 
-// Server serves a Registry over HTTP/JSON — the handler behind
-// cmd/a2aschedd. Endpoints:
+// Server serves a Registry's world proofs over HTTP/JSON — the handler
+// behind cmd/a2aschedd. Endpoints:
 //
-//	GET  /healthz                     liveness probe
-//	GET  /v1/stats                    registry counters + admission state
-//	GET  /v1/program?gen=&ranks=&nodes=&ppn=&rank=
-//	POST /v1/batch                    {"gen","ranks","nodes","ppn","want":[...]}
+//	GET  /healthz                              liveness probe
+//	GET  /v1/stats                             registry counters + admission state
+//	GET  /v1/proof?gen=&ranks=[&nodes=&ppn=]   the world's PROOF record
 //
-// Requests served from disk never queue; requests that would compile
-// pass admission control first — a bounded in-flight-compilation
-// semaphore — and are refused with 503 + Retry-After when the daemon is
-// saturated, so a thundering herd of cold worlds degrades into polite
-// retries instead of a compilation pile-up. Duplicate in-flight keys
-// coalesce inside the registry regardless.
+// The daemon serves proofs, never programs: a client compiles its own
+// rank's slice and matches it against the record (Client.Fetch).
+// Records already on disk never queue; requests that would prove a world
+// pass admission control first — a bounded in-flight-proof semaphore —
+// and are refused with 503 + Retry-After when the daemon is saturated,
+// so a thundering herd of cold worlds degrades into polite retries
+// instead of a proof pile-up. Duplicate in-flight worlds coalesce inside
+// the registry regardless.
 type Server struct {
 	reg *Registry
 	sem chan struct{}
 }
 
 // NewServer wraps reg with admission control allowing at most
-// maxCompile concurrent compile-path requests (minimum 1).
+// maxCompile concurrent world proofs (minimum 1).
 func NewServer(reg *Registry, maxCompile int) *Server {
 	if maxCompile < 1 {
 		maxCompile = 1
@@ -43,10 +44,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
 	case req.URL.Path == "/v1/stats" && req.Method == http.MethodGet:
 		s.handleStats(w)
-	case req.URL.Path == "/v1/program" && req.Method == http.MethodGet:
-		s.handleProgram(w, req)
-	case req.URL.Path == "/v1/batch" && req.Method == http.MethodPost:
-		s.handleBatch(w, req)
+	case req.URL.Path == "/v1/proof" && req.Method == http.MethodGet:
+		s.handleProof(w, req)
 	default:
 		http.Error(w, "schedreg: unknown endpoint", http.StatusNotFound)
 	}
@@ -67,21 +66,27 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 	})
 }
 
-func (s *Server) handleProgram(w http.ResponseWriter, req *http.Request) {
+func (s *Server) handleProof(w http.ResponseWriter, req *http.Request) {
 	k, err := keyFromQuery(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	rp, err, ok := s.reg.Lookup(k)
+	pf, err, ok := s.reg.record(k)
+	s.reg.count(ok && err == nil, err)
 	if !ok {
 		select {
 		case s.sem <- struct{}{}:
-			rp, err = s.reg.GetOrCompile(k)
+			s.reg.misses.Add(1)
+			if err = s.reg.proveOnce(k, false); err == nil {
+				if pf, err, ok = s.reg.record(k); !ok {
+					err = fmt.Errorf("schedreg: %s: proved, but no record was found", k.genWorld())
+				}
+			}
 			<-s.sem
 		default:
 			w.Header().Set("Retry-After", "1")
-			http.Error(w, fmt.Sprintf("schedreg: %s: all %d compile slots busy", k, cap(s.sem)), http.StatusServiceUnavailable)
+			http.Error(w, fmt.Sprintf("schedreg: %s: all %d compile slots busy", k.genWorld(), cap(s.sem)), http.StatusServiceUnavailable)
 			return
 		}
 	}
@@ -89,73 +94,7 @@ func (s *Server) handleProgram(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, err.Error(), statusFor(err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := rp.Encode(w); err != nil {
-		// Headers are gone; all we can do is drop the connection mid-body.
-		return
-	}
-}
-
-// batchRequest asks for several ranks of one world in one round trip —
-// the shape an SPMD job's ranks-per-node prefetch produces.
-type batchRequest struct {
-	Gen   string `json:"gen"`
-	Ranks int    `json:"ranks"`
-	Nodes int    `json:"nodes"`
-	PPN   int    `json:"ppn"`
-	Want  []int  `json:"want"`
-}
-
-// batchResponse aligns with Want: Programs[i] is nil iff Errors[i] is
-// non-empty.
-type batchResponse struct {
-	Programs []json.RawMessage `json:"programs"`
-	Errors   []string          `json:"errors"`
-}
-
-// batchMax bounds one batch request; a full exascale node's worth of
-// ranks fits comfortably.
-const batchMax = 1024
-
-func (s *Server) handleBatch(w http.ResponseWriter, req *http.Request) {
-	var br batchRequest
-	if err := json.NewDecoder(req.Body).Decode(&br); err != nil {
-		http.Error(w, fmt.Sprintf("schedreg: decoding batch request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(br.Want) == 0 || len(br.Want) > batchMax {
-		http.Error(w, fmt.Sprintf("schedreg: batch wants %d ranks, allowed 1..%d", len(br.Want), batchMax), http.StatusBadRequest)
-		return
-	}
-	// One admission slot covers the whole batch: its compilations are for
-	// one world and coalesce inside the registry.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	default:
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, fmt.Sprintf("schedreg: batch for %s: all %d compile slots busy", br.Gen, cap(s.sem)), http.StatusServiceUnavailable)
-		return
-	}
-	resp := batchResponse{
-		Programs: make([]json.RawMessage, len(br.Want)),
-		Errors:   make([]string, len(br.Want)),
-	}
-	for i, rank := range br.Want {
-		k := Key{Gen: br.Gen, Ranks: br.Ranks, Nodes: br.Nodes, PPN: br.PPN, Rank: rank}
-		rp, err := s.reg.GetOrCompile(k)
-		if err != nil {
-			resp.Errors[i] = err.Error()
-			continue
-		}
-		b, err := json.Marshal(rp)
-		if err != nil {
-			resp.Errors[i] = fmt.Sprintf("schedreg: %s: encoding program: %v", k, err)
-			continue
-		}
-		resp.Programs[i] = b
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, pf)
 }
 
 // statusFor maps registry errors to HTTP: a rejection is a definitive
@@ -167,32 +106,19 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
+// keyFromQuery reads a world from the query; an absent parameter is
+// zero, which validation refuses for ranks.
 func keyFromQuery(req *http.Request) (Key, error) {
 	q := req.URL.Query()
-	var k Key
-	k.Gen = q.Get("gen")
-	for _, f := range []struct {
-		name string
-		dst  *int
-		req  bool
-	}{
-		{"ranks", &k.Ranks, true},
-		{"rank", &k.Rank, true},
-		{"nodes", &k.Nodes, false},
-		{"ppn", &k.PPN, false},
-	} {
-		v := q.Get(f.name)
-		if v == "" {
-			if f.req {
-				return Key{}, fmt.Errorf("schedreg: missing query parameter %q", f.name)
+	k := Key{Gen: q.Get("gen")} // rank 0: a record covers every rank of its world
+	for name, dst := range map[string]*int{"ranks": &k.Ranks, "nodes": &k.Nodes, "ppn": &k.PPN} {
+		if v := q.Get(name); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				return Key{}, fmt.Errorf("schedreg: query parameter %s=%q is not an integer", name, v)
 			}
-			continue
+			*dst = n
 		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return Key{}, fmt.Errorf("schedreg: query parameter %s=%q is not an integer", f.name, v)
-		}
-		*f.dst = n
 	}
 	return k, k.validate()
 }
@@ -200,7 +126,5 @@ func keyFromQuery(req *http.Request) (Key, error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }

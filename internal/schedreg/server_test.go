@@ -2,7 +2,6 @@ package schedreg
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -24,8 +23,10 @@ func newTestDaemon(t *testing.T, maxCompile int) (*Registry, *Client) {
 	return reg, NewClient(srv.URL)
 }
 
-// TestServerFetchRoundTrip: the daemon serves a program byte-identical
-// to direct generation, and a repeat fetch is a registry hit.
+// TestServerFetchRoundTrip: the client's program is byte-identical to
+// direct generation; one client fetches a world's record once however
+// many of its ranks it resolves, and a second client's fetch is a
+// daemon hit.
 func TestServerFetchRoundTrip(t *testing.T) {
 	c := countSeams(t)
 	reg, cl := newTestDaemon(t, 2)
@@ -40,12 +41,20 @@ func TestServerFetchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
-		t.Fatal("daemon program differs from direct generation")
+		t.Fatal("fetched program differs from direct generation")
 	}
 	if err := sched.VerifyRank(rp); err != nil {
 		t.Fatalf("fetched program fails verification: %v", err)
 	}
-	if _, err := cl.Fetch("torus", 12, m, 5); err != nil {
+	for rank := 0; rank < 12; rank++ {
+		if _, err := cl.Fetch("torus", 12, m, rank); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reg.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want the record fetched once (1 miss, no hits)", st)
+	}
+	if _, err := NewClient(cl.base).Fetch("torus", 12, m, 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.generates.Load(); got != 1 {
@@ -53,6 +62,28 @@ func TestServerFetchRoundTrip(t *testing.T) {
 	}
 	if st := reg.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss", st)
+	}
+}
+
+// TestClientStaleRecord: a daemon record whose entry for a rank does not
+// match the program compiled here is unavailable, never run: Fetch wraps
+// ErrUnavailable, and ClientFetcher answers (nil, nil) so the caller
+// compiles and verifies locally. The other ranks still resolve.
+func TestClientStaleRecord(t *testing.T) {
+	reg, cl := newTestDaemon(t, 1)
+	k := KeyFor("ring", 8, nil, 2)
+	if _, err := reg.GetOrCompile(k); err != nil {
+		t.Fatal(err)
+	}
+	editRecord(t, reg.proofPath(k), func(pf *proof) { pf.Digests[2] = pf.Digests[1] })
+	if _, err := cl.Fetch("ring", 8, nil, 2); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("stale entry: want ErrUnavailable, got %v", err)
+	}
+	if rp, err := ClientFetcher(cl)("ring", 8, nil, 2); rp != nil || err != nil {
+		t.Fatalf("stale entry: ClientFetcher = (%v, %v), want (nil, nil)", rp != nil, err)
+	}
+	if rp, err := ClientFetcher(cl)("ring", 8, nil, 3); rp == nil || err != nil {
+		t.Fatalf("rank 3: ClientFetcher = (%v, %v), want its program", rp != nil, err)
 	}
 }
 
@@ -135,49 +166,6 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServerBatch: one request fetches several ranks; errors are
-// per-rank.
-func TestServerBatch(t *testing.T) {
-	reg, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(reg, 2))
-	t.Cleanup(srv.Close)
-
-	body, _ := json.Marshal(batchRequest{Gen: "ring", Ranks: 8, Want: []int{0, 3, 8}})
-	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch answered %s", resp.Status)
-	}
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Programs) != 3 || len(br.Errors) != 3 {
-		t.Fatalf("batch shape: %d programs, %d errors", len(br.Programs), len(br.Errors))
-	}
-	for i, rank := range []int{0, 3} {
-		if br.Errors[i] != "" {
-			t.Fatalf("rank %d: %s", rank, br.Errors[i])
-		}
-		rp, err := sched.DecodeRank(bytes.NewReader(br.Programs[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.Rank != rank {
-			t.Fatalf("slot %d holds rank %d", i, rp.Rank)
-		}
-	}
-	if br.Errors[2] == "" || !strings.Contains(br.Errors[2], "rank out of range") {
-		t.Fatalf("rank 8 error = %q, want out-of-range", br.Errors[2])
-	}
-}
-
 // TestServerBadRequests: malformed queries are 400s, unknown paths 404.
 func TestServerBadRequests(t *testing.T) {
 	reg, err := Open(t.TempDir())
@@ -190,10 +178,12 @@ func TestServerBadRequests(t *testing.T) {
 		url  string
 		code int
 	}{
-		{"/v1/program?gen=ring&rank=0", http.StatusBadRequest},                 // missing ranks
-		{"/v1/program?gen=ring&ranks=zoo&rank=0", http.StatusBadRequest},       // non-integer
-		{"/v1/program?gen=..%2Fup&ranks=8&rank=0", http.StatusBadRequest},      // path-unsafe gen
-		{"/v1/program?gen=ring&ranks=8&rank=0&nodes=2", http.StatusBadRequest}, // nodes without ppn
+		{"/v1/proof?gen=ring", http.StatusBadRequest},                         // missing ranks
+		{"/v1/proof?gen=ring&ranks=zoo", http.StatusBadRequest},               // non-integer
+		{"/v1/proof?gen=..%2Fup&ranks=8", http.StatusBadRequest},              // path-unsafe gen
+		{"/v1/proof?gen=ring&ranks=8&nodes=2", http.StatusBadRequest},         // nodes without ppn
+		{"/v1/proof?gen=torus&ranks=12&nodes=2&ppn=4", http.StatusBadRequest}, // 2 x 4 is not 12 ranks
+		{"/v1/program?gen=ring&ranks=8&rank=0", http.StatusNotFound},          // programs are not served
 		{"/v1/nope", http.StatusNotFound},
 	} {
 		resp, err := http.Get(srv.URL + tc.url)
