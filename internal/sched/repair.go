@@ -380,6 +380,16 @@ func (s *repairSlicer) traffic(x, t int, arrivals bool) []rmsg {
 	return groupMsgs(byPeer)
 }
 
+// groupMsgs converts a peer->blocks map into the canonical message order.
+func groupMsgs(byPeer map[int][]int32) []rmsg {
+	msgs := make([]rmsg, 0, len(byPeer))
+	//a2alint:ignore simdet sortMsgs canonicalizes the order before msgs escapes
+	for peer, blocks := range byPeer {
+		msgs = append(msgs, rmsg{peer: peer, blocks: sortBlocks(blocks)})
+	}
+	return sortMsgs(msgs)
+}
+
 func (s *repairSlicer) outs(x, t int) []rmsg { return s.traffic(x, t, false) }
 func (s *repairSlicer) ins(x, t int) []rmsg  { return s.traffic(x, t, true) }
 

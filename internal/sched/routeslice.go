@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 
 	"alltoallx/internal/topo"
@@ -61,14 +62,14 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 	rp := &RankProgram{
 		Format: FormatVersion, Name: name, Ranks: p, Rank: r,
 		Scratch: []int{p * p, mp, mp, mp},
+		Rounds:  make([][]Step, 0, maxHops+1),
 	}
 
-	// unpackOf restores round t's arrivals from its pack-recv buffer: home
-	// blocks land in the recv buffer, in-transit blocks in transit slot
-	// s*p+d.
-	unpackOf := func(t int, ins []rmsg) []Step {
+	// unpack appends the steps restoring round t's arrivals from its
+	// pack-recv buffer: home blocks land in the recv buffer, in-transit
+	// blocks in transit slot s*p+d.
+	unpack := func(steps []Step, t int, ins []rmsg) []Step {
 		buf := routePackA + t%2
-		var steps []Step
 		off := 0
 		for _, m := range ins {
 			for _, b := range m.blocks {
@@ -88,16 +89,18 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 
 	var prevIns []rmsg
 	for t := 0; t < maxHops; t++ {
+		outs, ins := sl.outs(r, t), sl.ins(r, t)
+		// Room for one pack per departing block, the receives and the
+		// sends, after the self copy or one unpack per arrival.
+		n := blockCount(outs) + len(ins) + len(outs)
 		var steps []Step
 		if t == 0 {
-			steps = append(steps, selfCopy(r))
+			steps = append(make([]Step, 0, 1+n), selfCopy(r))
 		} else {
-			steps = append(steps, unpackOf(t-1, prevIns)...)
+			steps = unpack(make([]Step, 0, blockCount(prevIns)+n), t-1, prevIns)
 		}
 		off := 0
-		var sends []Step
-		for _, m := range sl.outs(r, t) {
-			start := off
+		for _, m := range outs {
 			for _, b := range m.blocks {
 				src, dst := int(b)/p, int(b)%p
 				var from Ref
@@ -109,32 +112,43 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 				steps = append(steps, Step{Kind: Copy, Src: from, Dst: scratchRef(routePackS, off, 1)})
 				off++
 			}
-			sends = append(sends, Step{Kind: Send, To: m.peer, Src: scratchRef(routePackS, start, off-start)})
 		}
-		ins := sl.ins(r, t)
 		off = 0
 		for _, m := range ins {
 			steps = append(steps, Step{Kind: Recv, From: m.peer, Dst: scratchRef(routePackA+t%2, off, len(m.blocks))})
 			off += len(m.blocks)
 		}
-		steps = append(steps, sends...)
+		off = 0
+		for _, m := range outs {
+			steps = append(steps, Step{Kind: Send, To: m.peer, Src: scratchRef(routePackS, off, len(m.blocks))})
+			off += len(m.blocks)
+		}
 		rp.Rounds = append(rp.Rounds, steps)
 		prevIns = ins
 	}
-	rp.Rounds = append(rp.Rounds, unpackOf(maxHops-1, prevIns))
+	rp.Rounds = append(rp.Rounds, unpack(make([]Step, 0, blockCount(prevIns)), maxHops-1, prevIns))
 	return rp
+}
+
+// blockCount totals the blocks a round's messages carry.
+func blockCount(ms []rmsg) int {
+	n := 0
+	for _, m := range ms {
+		n += len(m.blocks)
+	}
+	return n
 }
 
 // sortBlocks orders block ids ascending (the in-message order
 // compileRoutes produces).
 func sortBlocks(b []int32) []int32 {
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+	slices.Sort(b)
 	return b
 }
 
 // sortMsgs orders messages by peer ascending.
 func sortMsgs(ms []rmsg) []rmsg {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].peer < ms[j].peer })
+	slices.SortFunc(ms, func(a, b rmsg) int { return cmp.Compare(a.peer, b.peer) })
 	return ms
 }
 
@@ -244,13 +258,7 @@ func (s torusSlicer) packMax() int {
 		mp := 1
 		for t := 0; t < s.rounds(); t++ {
 			for _, dir := range [2][]rmsg{s.outs(0, t), s.ins(0, t)} {
-				n := 0
-				for _, m := range dir {
-					n += len(m.blocks)
-				}
-				if n > mp {
-					mp = n
-				}
+				mp = max(mp, blockCount(dir))
 			}
 		}
 		return mp
@@ -429,39 +437,36 @@ func (s hcubeSlicer) packMax() int {
 }
 
 func (s hcubeSlicer) outs(x, t int) []rmsg {
-	byPeer := make(map[int][]int32)
+	byDim := make([][]int32, s.k)
 	for src := 0; src < s.p; src++ {
 		e := src ^ x
 		if bits.OnesCount(uint(e)) != t {
 			continue
 		}
+		// Free dimensions in scan order start at scan index tau; the first
+		// differing one is the next hop.
 		tau := s.scanTau(src, e)
-		// Free dimensions in scan order; the first differing one is the
-		// next hop.
-		freeBits := make([]int, 0, s.k-tau)
-		for j := tau; j < s.k; j++ {
-			freeBits = append(freeBits, (src+j)%s.k)
-		}
-		for mask := 1; mask < 1<<len(freeBits); mask++ {
+		free := s.k - tau
+		for mask := 1; mask < 1<<free; mask++ {
 			d := x
 			first := -1
-			for idx, b := range freeBits {
+			for idx := 0; idx < free; idx++ {
 				if mask>>idx&1 == 1 {
+					b := (src + tau + idx) % s.k
 					d ^= 1 << b
 					if first < 0 {
 						first = b
 					}
 				}
 			}
-			peer := x ^ 1<<first
-			byPeer[peer] = append(byPeer[peer], int32(src*s.p+d))
+			byDim[first] = append(byDim[first], int32(src*s.p+d))
 		}
 	}
-	return groupMsgs(byPeer)
+	return dimMsgs(x, byDim)
 }
 
 func (s hcubeSlicer) ins(x, t int) []rmsg {
-	byPeer := make(map[int][]int32)
+	byDim := make([][]int32, s.k)
 	for src := 0; src < s.p; src++ {
 		e := src ^ x
 		if bits.OnesCount(uint(e)) != t+1 {
@@ -478,7 +483,6 @@ func (s hcubeSlicer) ins(x, t int) []rmsg {
 				}
 			}
 		}
-		from := x ^ 1<<last
 		for mask := 0; mask < 1<<(s.k-tau); mask++ {
 			d := x
 			for idx := 0; idx < s.k-tau; idx++ {
@@ -486,18 +490,20 @@ func (s hcubeSlicer) ins(x, t int) []rmsg {
 					d ^= 1 << ((src + tau + idx) % s.k)
 				}
 			}
-			byPeer[from] = append(byPeer[from], int32(src*s.p+d))
+			byDim[last] = append(byDim[last], int32(src*s.p+d))
 		}
 	}
-	return groupMsgs(byPeer)
+	return dimMsgs(x, byDim)
 }
 
-// groupMsgs converts a peer->blocks map into the canonical message order.
-func groupMsgs(byPeer map[int][]int32) []rmsg {
-	msgs := make([]rmsg, 0, len(byPeer))
-	//a2alint:ignore simdet sortMsgs canonicalizes the order before msgs escapes
-	for peer, blocks := range byPeer {
-		msgs = append(msgs, rmsg{peer: peer, blocks: sortBlocks(blocks)})
+// dimMsgs converts rank x's per-dimension block lists into the canonical
+// message order: dimension b's blocks travel to or from peer x^(1<<b).
+func dimMsgs(x int, byDim [][]int32) []rmsg {
+	msgs := make([]rmsg, 0, len(byDim))
+	for b, blocks := range byDim {
+		if len(blocks) > 0 {
+			msgs = append(msgs, rmsg{peer: x ^ 1<<b, blocks: sortBlocks(blocks)})
+		}
 	}
 	return sortMsgs(msgs)
 }

@@ -389,8 +389,8 @@ func Decode(r io.Reader) (*Schedule, error) {
 	if !formatReadable(s.Format) {
 		return nil, fmt.Errorf("sched: schedule format %d, this build reads formats 1-%d — regenerate with a2asched gen", s.Format, FormatVersion)
 	}
-	if s.Ranks <= 0 {
-		return nil, fmt.Errorf("sched: schedule has invalid rank count %d", s.Ranks)
+	if err := checkRanks(s.Ranks); err != nil {
+		return nil, err
 	}
 	return &s, nil
 }

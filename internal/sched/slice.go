@@ -259,8 +259,8 @@ func DecodeRank(r io.Reader) (*RankProgram, error) {
 	if !formatReadable(rp.Format) {
 		return nil, fmt.Errorf("sched: rank program format %d, this build reads formats 1-%d — regenerate with a2asched slice", rp.Format, FormatVersion)
 	}
-	if rp.Ranks <= 0 {
-		return nil, fmt.Errorf("sched: rank program has invalid rank count %d", rp.Ranks)
+	if err := checkRanks(rp.Ranks); err != nil {
+		return nil, err
 	}
 	if rp.Rank < 0 || rp.Rank >= rp.Ranks {
 		return nil, fmt.Errorf("sched: rank program rank %d out of range 0..%d", rp.Rank, rp.Ranks-1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"alltoallx/internal/comm"
@@ -304,6 +305,72 @@ func TestGenerateRankArgErrors(t *testing.T) {
 	}
 }
 
+// TestImpossibleWorldsRejected: a world past MaxRanks is refused by both
+// decoders and both verifiers before anything is sized by its rank
+// count. At 4e9 ranks VerifyRank would otherwise exhaust memory.
+func TestImpossibleWorldsRejected(t *testing.T) {
+	t.Parallel()
+	const want = "exceeds the schedule id width"
+	for _, p := range []int{MaxRanks + 1, 4_000_000_000} {
+		rp, err := GenerateRank("direct", 2, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Ranks = p
+		var buf bytes.Buffer
+		if err := rp.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRank(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeRank of a %d-rank program: %v, want %q", p, err, want)
+		}
+		if err := VerifyRank(rp); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("VerifyRank of a %d-rank program: %v, want %q", p, err, want)
+		}
+
+		s := mustGen(t, "direct", 2)
+		s.Ranks = p
+		buf.Reset()
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Decode of a %d-rank schedule: %v, want %q", p, err, want)
+		}
+		if err := Verify(s); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Verify of a %d-rank schedule: %v, want %q", p, err, want)
+		}
+	}
+}
+
+// TestVerifyRankAllocs: a passing check allocates per slice, not per
+// step — under one allocation per eight steps on rank 5 of each family
+// at 1024 ranks. Not parallel: AllocsPerRun counts every goroutine's
+// allocations.
+func TestVerifyRankAllocs(t *testing.T) {
+	const p, r = 1024, 5
+	for _, name := range []string{"pairwise", "direct", "bruck", "torus", "hypercube"} {
+		rp, err := GenerateRank(name, p, r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := 0
+		for _, st := range rp.Rounds {
+			steps += len(st)
+		}
+		var verr error
+		allocs := testing.AllocsPerRun(2, func() { verr = VerifyRank(rp) })
+		if verr != nil {
+			t.Fatalf("%s rank %d: %v", name, r, verr)
+		}
+		t.Logf("%s rank %d of %d: %.0f allocations for %d steps", name, r, p, allocs, steps)
+		if allocs*8 >= float64(steps) {
+			t.Errorf("%s rank %d of %d: VerifyRank made %.0f allocations for %d steps, want fewer than %d",
+				name, r, p, allocs, steps, steps/8)
+		}
+	}
+}
+
 // TestRankProgramJSONRoundTrip: the sliced artifact encodes and decodes
 // losslessly and rejects foreign format versions.
 func TestRankProgramJSONRoundTrip(t *testing.T) {
@@ -401,10 +468,11 @@ func TestGenerateRankAt4096(t *testing.T) {
 
 // TestStreamVerifyLargeWorld streams a full 4096-rank world through the
 // incremental verifier — O(p) memory where the full verifier would need
-// O(p^2) state per rank. ~15 s of work, so -short skips it.
+// O(p^2) state per rank. About 15 s alone and 40 s inside the full suite
+// on 2 vCPUs, so -short skips it.
 func TestStreamVerifyLargeWorld(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4096-rank streamed verification (~15 s) skipped in -short mode")
+		t.Skip("4096-rank streamed verification (~15 s alone, ~40 s in the full suite on 2 vCPUs) skipped in -short mode")
 	}
 	t.Parallel()
 	if err := VerifyWorldSliced("pairwise", 4096, nil); err != nil {

@@ -45,8 +45,8 @@ func Verify(s *Schedule) error {
 		return errors.New("sched: nil schedule")
 	}
 	p := s.Ranks
-	if p <= 0 {
-		return fmt.Errorf("sched: invalid rank count %d", p)
+	if err := checkRanks(p); err != nil {
+		return err
 	}
 	if len(s.Rounds) == 0 {
 		return errors.New("sched: schedule has no rounds (even the trivial schedule needs the self-block copy)")
@@ -104,6 +104,62 @@ func checkHeader(coll Coll, op string, counts [][]int, p int) error {
 		}
 	}
 	return nil
+}
+
+// stepLoc names the step a verifier check concerns, for its error
+// message. Both verifiers build one for every step they check, so it is
+// a few words and is formatted only when a check fails.
+type stepLoc struct {
+	kind              Kind
+	round, rank, step int32
+	part              locPart
+}
+
+// locPart selects the form a stepLoc prints.
+type locPart uint8
+
+const (
+	locStep     locPart = iota // sched: round R rank X step S (kind)
+	locSrc                     // sched: round R rank X step S (kind) src
+	locDst                     // sched: round R rank X step S (kind) dst
+	locDelivery                // sched: round R rank X delivery
+	locMessage                 // sched: round R message S->X (step holds the sender)
+)
+
+// stepAt locates step si of rank r in round ri.
+func stepAt(ri, r, si int, kind Kind) stepLoc {
+	return stepLoc{kind: kind, round: int32(ri), rank: int32(r), step: int32(si)}
+}
+
+// deliveryAt locates round ri's wire deliveries into rank r.
+func deliveryAt(ri, r int) stepLoc {
+	return stepLoc{round: int32(ri), rank: int32(r), part: locDelivery}
+}
+
+// messageAt locates round ri's message from -> to.
+func messageAt(ri, from, to int) stepLoc {
+	return stepLoc{round: int32(ri), rank: int32(to), step: int32(from), part: locMessage}
+}
+
+// src and dst narrow a step's location to one of its buffer operands.
+func (l stepLoc) src() stepLoc { l.part = locSrc; return l }
+func (l stepLoc) dst() stepLoc { l.part = locDst; return l }
+
+func (l stepLoc) String() string {
+	switch l.part {
+	case locDelivery:
+		return fmt.Sprintf("sched: round %d rank %d delivery", l.round, l.rank)
+	case locMessage:
+		return fmt.Sprintf("sched: round %d message %d->%d", l.round, l.step, l.rank)
+	}
+	s := fmt.Sprintf("sched: round %d rank %d step %d (%s)", l.round, l.rank, l.step, l.kind)
+	switch l.part {
+	case locSrc:
+		s += " src"
+	case locDst:
+		s += " dst"
+	}
+	return s
 }
 
 // undef marks a slot holding no value.
@@ -219,7 +275,7 @@ func newVerifier(s *Schedule) *verifier {
 
 // checkRef validates a buffer reference against rank's space layout and
 // returns its first slot index.
-func (v *verifier) checkRef(rank int, ref Ref, where string) (int, error) {
+func (v *verifier) checkRef(rank int, ref Ref, where stepLoc) (int, error) {
 	var size, base int
 	switch {
 	case ref.Buf == SpaceSend:
@@ -271,7 +327,7 @@ func (v *verifier) round(ri int) error {
 			if step.Kind != Recv && step.Kind != SendRecv {
 				continue
 			}
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s) dst", ri, r, si, step.Kind)
+			where := stepAt(ri, r, si, step.Kind).dst()
 			slot, err := v.checkRef(r, step.Dst, where)
 			if err != nil {
 				return err
@@ -301,14 +357,14 @@ func (v *verifier) round(ri int) error {
 	// position.
 	for r := 0; r < v.p; r++ {
 		for si, step := range rd.Steps[r] {
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s)", ri, r, si, step.Kind)
+			where := stepAt(ri, r, si, step.Kind)
 			switch step.Kind {
 			case Copy, Reduce:
-				src, err := v.checkRef(r, step.Src, where+" src")
+				src, err := v.checkRef(r, step.Src, where.src())
 				if err != nil {
 					return err
 				}
-				dst, err := v.checkRef(r, step.Dst, where+" dst")
+				dst, err := v.checkRef(r, step.Dst, where.dst())
 				if err != nil {
 					return err
 				}
@@ -359,7 +415,7 @@ func (v *verifier) round(ri int) error {
 					}
 				}
 			case Send, SendRecv:
-				src, err := v.checkRef(r, step.Src, where+" src")
+				src, err := v.checkRef(r, step.Src, where.src())
 				if err != nil {
 					return err
 				}
@@ -410,7 +466,7 @@ func (v *verifier) round(ri int) error {
 	// Deliver: receive payloads land at the round's wait.
 	for key, rv := range recvs {
 		payload := sends[key]
-		where := fmt.Sprintf("sched: round %d message %d->%d", ri, key.from, key.to)
+		where := messageAt(ri, key.from, key.to)
 		for k, val := range payload {
 			if err := v.write(rv.rank, rv.slot+k, val, where); err != nil {
 				return err
@@ -423,7 +479,7 @@ func (v *verifier) round(ri int) error {
 // combine forms the partial a Reduce step leaves at the destination slot:
 // both operands must be partials of the same result block with disjoint
 // contributor sets (a shared contributor would enter the sum twice).
-func (v *verifier) combine(rank, dstSlot int, srcVal int64, where string) (int64, error) {
+func (v *verifier) combine(rank, dstSlot int, srcVal int64, where stepLoc) (int64, error) {
 	dstVal := v.state[rank][dstSlot]
 	if dstVal == undef {
 		return 0, fmt.Errorf("%s: reduces into undefined data at slot %d", where, dstSlot)
@@ -446,7 +502,7 @@ func (v *verifier) combine(rank, dstSlot int, srcVal int64, where string) (int64
 
 // write updates a slot, enforcing the exactly-once discipline and the
 // final-content contract on the recv space.
-func (v *verifier) write(rank, slot int, val int64, where string) error {
+func (v *verifier) write(rank, slot int, val int64, where stepLoc) error {
 	if rb := v.recvSlotBase(rank); slot >= rb && slot < rb+v.recvSize[rank] {
 		d := slot - rb
 		v.recvWritten[rank][d]++

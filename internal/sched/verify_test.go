@@ -284,3 +284,71 @@ func TestVerifyRejectsSameRoundRaces(t *testing.T) {
 		}
 	})
 }
+
+// TestVerifierErrorText pins the full text of one rejection per context
+// form of both verifiers: the same edit to rank 1's program, checked by
+// Verify on the assembled schedule and by VerifyRank on the slice. An
+// empty stream means VerifyRank reports the same text as Verify.
+func TestVerifierErrorText(t *testing.T) {
+	t.Parallel()
+	const p, rank = 4, 1
+	cases := []struct {
+		name, gen    string
+		round, step  int
+		edit         func(st *Step)
+		full, stream string
+	}{
+		{
+			name: "recv dst", gen: "direct", round: 0, step: 1,
+			edit: func(st *Step) { st.Dst.Off = p },
+			full: "sched: round 0 rank 1 step 1 (recv) dst: range 4+1 out of space 1 (4 blocks)",
+		},
+		{
+			name: "copy src", gen: "direct", round: 0, step: 0,
+			edit: func(st *Step) { st.Src.Off = p },
+			full: "sched: round 0 rank 1 step 0 (copy) src: range 4+1 out of space 0 (4 blocks)",
+		},
+		{
+			name: "copy dst", gen: "direct", round: 0, step: 0,
+			edit: func(st *Step) { st.Dst.Off = 9 },
+			full: "sched: round 0 rank 1 step 0 (copy) dst: range 9+1 out of space 1 (4 blocks)",
+		},
+		{
+			name: "copy", gen: "direct", round: 0, step: 0,
+			edit: func(st *Step) { st.Src.N = 2 },
+			full: "sched: round 0 rank 1 step 0 (copy): length mismatch src 2, dst 1",
+		},
+		{
+			name: "sendrecv src", gen: "pairwise", round: 1, step: 0,
+			edit: func(st *Step) { st.Src.Off = p },
+			full: "sched: round 1 rank 1 step 0 (sendrecv) src: range 4+1 out of space 0 (4 blocks)",
+		},
+		{
+			// Round 2's message 3->1 lands on the self block round 0
+			// already delivered.
+			name: "delivery", gen: "pairwise", round: 2, step: 0,
+			edit:   func(st *Step) { st.Dst.Off = rank },
+			full:   "sched: round 2 message 3->1: recv block 1 of rank 1 written more than once (block delivered twice)",
+			stream: "sched: round 2 rank 1 delivery: recv block 1 of rank 1 written more than once (block delivered twice)",
+		},
+	}
+	for _, tc := range cases {
+		s := mustGen(t, tc.gen, p)
+		tc.edit(&s.Rounds[tc.round].Steps[rank][tc.step])
+		if err := Verify(s); err == nil || err.Error() != tc.full {
+			t.Errorf("%s: Verify = %v\n want %s", tc.name, err, tc.full)
+		}
+		rp, err := GenerateRank(tc.gen, p, rank, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&rp.Rounds[tc.round][tc.step])
+		want := tc.stream
+		if want == "" {
+			want = tc.full
+		}
+		if err := VerifyRank(rp); err == nil || err.Error() != want {
+			t.Errorf("%s: VerifyRank = %v\n want %s", tc.name, err, want)
+		}
+	}
+}

@@ -48,6 +48,9 @@ func VerifyRank(rp *RankProgram) error {
 	if rp == nil {
 		return errors.New("sched: nil rank program")
 	}
+	if err := checkRanks(rp.Ranks); err != nil {
+		return err
+	}
 	sv := NewStreamVerifier(rp.Ranks)
 	return sv.Add(rp)
 }
@@ -290,7 +293,7 @@ type sliceState struct {
 func slotKey(buf, off int) int64 { return int64(buf)<<40 | int64(off) }
 
 // checkRef validates a buffer reference against the program's spaces.
-func (st *sliceState) checkRef(ref Ref, where string) error {
+func (st *sliceState) checkRef(ref Ref, where stepLoc) error {
 	size := st.rp.SpaceSize(ref.Buf)
 	if size < 0 {
 		return fmt.Errorf("%s: unknown buffer space %d", where, ref.Buf)
@@ -328,7 +331,7 @@ func (st *sliceState) read(buf, off int) int64 {
 
 // write stores a symbolic value, enforcing the exactly-once and
 // known-content disciplines on the recv space.
-func (st *sliceState) write(buf, off int, val int64, where string) error {
+func (st *sliceState) write(buf, off int, val int64, where stepLoc) error {
 	if buf == SpaceRecv {
 		st.recvCount[off]++
 		if st.recvCount[off] > 1 {
@@ -406,7 +409,7 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 			if step.Kind != Recv && step.Kind != SendRecv {
 				continue
 			}
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s) dst", ri, r, si, step.Kind)
+			where := stepAt(ri, r, si, step.Kind).dst()
 			if err := st.checkRef(step.Dst, where); err != nil {
 				return err
 			}
@@ -438,13 +441,13 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 
 		// Pass 2: copies, reduces and sends in step order.
 		for si, step := range steps {
-			where := fmt.Sprintf("sched: round %d rank %d step %d (%s)", ri, r, si, step.Kind)
+			where := stepAt(ri, r, si, step.Kind)
 			switch step.Kind {
 			case Copy, Reduce:
-				if err := st.checkRef(step.Src, where+" src"); err != nil {
+				if err := st.checkRef(step.Src, where.src()); err != nil {
 					return err
 				}
-				if err := st.checkRef(step.Dst, where+" dst"); err != nil {
+				if err := st.checkRef(step.Dst, where.dst()); err != nil {
 					return err
 				}
 				if step.Src.N != step.Dst.N {
@@ -506,7 +509,7 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 					}
 				}
 			case Send, SendRecv:
-				if err := st.checkRef(step.Src, where+" src"); err != nil {
+				if err := st.checkRef(step.Src, where.src()); err != nil {
 					return err
 				}
 				if step.To < 0 || step.To >= p || step.To == r {
@@ -541,8 +544,8 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 
 		// Deliver: received data lands at the round's wait, with contents
 		// not locally derivable.
+		where := deliveryAt(ri, r)
 		for _, d := range delivers {
-			where := fmt.Sprintf("sched: round %d rank %d delivery", ri, r)
 			for k := 0; k < d.n; k++ {
 				if err := st.write(d.buf, d.off+k, slotUnknown, where); err != nil {
 					return err
