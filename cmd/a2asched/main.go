@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -321,13 +322,19 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, serr := sched.Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	s, serr := sched.Decode(bytes.NewReader(data))
 	if serr != nil {
 		// Not a whole-world schedule; rank-program artifacts (slice -o,
-		// fetch -o) get the local single-rank check instead.
-		rp, rerr := sched.LoadRank(path)
+		// fetch -o) get the local single-rank check instead. A file that
+		// is neither reports both decoders' reasons: which one applies
+		// depends on what the file was meant to be.
+		rp, rerr := sched.DecodeRank(bytes.NewReader(data))
 		if rerr != nil {
-			return serr
+			return fmt.Errorf("%s: not a valid schedule (%w) or rank program (%w)", path, serr, rerr)
 		}
 		if err := sched.VerifyRank(rp); err != nil {
 			return fmt.Errorf("%s: FAIL: %w", path, err)

@@ -23,8 +23,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"alltoallx/internal/autotune"
@@ -36,7 +38,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment ID (fig7..fig18, table1, headline, overlap, regress, scale, contention, repair, drift) or 'all'")
+		experiment = flag.String("experiment", "all", "experiment ID (fig7..fig18, table1, headline, overlap, regress, scale, contention, drift) or 'all'")
 		scaleName  = flag.String("scale", "quick", "reproduction scale: quick or full")
 		nodes      = flag.Int("nodes", 0, "override node count (0 = experiment default)")
 		ppn        = flag.Int("ppn", 0, "override ranks per node (0 = scale default)")
@@ -56,9 +58,9 @@ func main() {
 		blockSize = flag.Int("block", 4096,
 			"with -experiment overlap: block bytes per rank pair")
 		jsonPath = flag.String("json", "",
-			"with -experiment regress, scale, contention, repair or drift: write the machine-readable output (BENCH_regress.json / BENCH_scale.json / BENCH_contention.json / BENCH_repair.json / BENCH_drift.json) to this path")
+			"with -experiment regress, scale, contention or drift: write the machine-readable output (BENCH_regress.json / BENCH_scale.json / BENCH_contention.json / BENCH_drift.json) to this path")
 		maxRanks = flag.Int("maxranks", 0,
-			"with -experiment scale, contention, repair or drift: cap the swept world size (0 = the experiment's full sweep; CI smoke uses 256)")
+			"with -experiment scale, contention or drift: cap the swept world size (0 = the experiment's full sweep; CI smoke uses 256)")
 		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
 		schedd    = flag.String("schedd", "", "a2aschedd address: resolve sched:* programs through the daemon")
 	)
@@ -84,77 +86,16 @@ func main() {
 		progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
 	}
 
-	if *experiment == "regress" {
+	if snap, ok := snapshots[*experiment]; ok {
 		if *tablePath != "" {
-			fatal(fmt.Errorf("-experiment regress and -table are mutually exclusive"))
+			fatal(fmt.Errorf("-experiment %s and -table are mutually exclusive", *experiment))
 		}
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block", "maxranks":
-				fatal(fmt.Errorf("-%s does not apply to -experiment regress (the baseline world, machines, algorithms and runs are fixed so snapshots stay comparable)", f.Name))
+			if slices.Contains(snap.rejects, f.Name) {
+				fatal(fmt.Errorf("-%s does not apply to -experiment %s (%s are fixed so snapshots stay comparable)", f.Name, *experiment, snap.fixed))
 			}
 		})
-		if err := runRegress(*jsonPath, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *experiment == "scale" {
-		if *tablePath != "" {
-			fatal(fmt.Errorf("-experiment scale and -table are mutually exclusive"))
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block":
-				fatal(fmt.Errorf("-%s does not apply to -experiment scale (the sweep's world shapes, block size, algorithms and caps are fixed so snapshots stay comparable)", f.Name))
-			}
-		})
-		if err := runScale(*maxRanks, *jsonPath, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *experiment == "repair" {
-		if *tablePath != "" {
-			fatal(fmt.Errorf("-experiment repair and -table are mutually exclusive"))
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block":
-				fatal(fmt.Errorf("-%s does not apply to -experiment repair (the repaired worlds and dead ranks are fixed so runs stay comparable)", f.Name))
-			}
-		})
-		if err := runRepair(*maxRanks, *jsonPath, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *experiment == "drift" {
-		if *tablePath != "" {
-			fatal(fmt.Errorf("-experiment drift and -table are mutually exclusive"))
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block":
-				fatal(fmt.Errorf("-%s does not apply to -experiment drift (the world, table, block size and machine shift are fixed so snapshots stay comparable)", f.Name))
-			}
-		})
-		if err := runDrift(*maxRanks, *jsonPath, progress); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *experiment == "contention" {
-		if *tablePath != "" {
-			fatal(fmt.Errorf("-experiment contention and -table are mutually exclusive"))
-		}
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block":
-				fatal(fmt.Errorf("-%s does not apply to -experiment contention (the world shape, block sizes and algorithm family are fixed so snapshots stay comparable)", f.Name))
-			}
-		})
-		if err := runContention(*maxRanks, *jsonPath, progress); err != nil {
+		if err := runSnapshot(snap, *maxRanks, *jsonPath, progress); err != nil {
 			fatal(err)
 		}
 		return
@@ -162,9 +103,9 @@ func main() {
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "json":
-			fatal(fmt.Errorf("-json only applies with -experiment regress, scale, contention, repair or drift"))
+			fatal(fmt.Errorf("-json only applies with -experiment regress, scale, contention or drift"))
 		case "maxranks":
-			fatal(fmt.Errorf("-maxranks only applies with -experiment scale, contention, repair or drift"))
+			fatal(fmt.Errorf("-maxranks only applies with -experiment scale, contention or drift"))
 		}
 	})
 
@@ -338,31 +279,68 @@ func runTable(path string, op core.Op, algoList string, scale bench.Scale, csvDi
 	return emit(t, csvDir, plot)
 }
 
-// runRegress executes the fixed regression sweep and optionally persists
-// the machine-readable baseline for trajectory tracking.
-func runRegress(jsonPath string, progress func(string)) error {
-	r, err := bench.RunRegress(progress)
-	if err != nil {
-		return err
-	}
-	if err := r.Format(os.Stdout); err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	if err := r.Save(jsonPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
+// snapshot is the output of an experiment with a committed BENCH_*.json
+// snapshot: a fixed sweep that prints a report and can persist itself.
+type snapshot interface {
+	Format(w io.Writer) error
+	Save(path string) error
 }
 
-// runScale executes the rank-scaling sweep (256..maxRanks ranks of every
-// Table 1 machine, rank-sliced schedules vs loop-coded baselines) and
-// optionally persists the machine-readable snapshot.
-func runScale(maxRanks int, jsonPath string, progress func(string)) error {
-	s, err := bench.RunScale(maxRanks, progress)
+// snapshotExperiment runs one snapshot experiment. Its sweep is fixed so
+// snapshots stay comparable: rejects lists the flags that do not apply
+// and fixed says what they would have changed.
+type snapshotExperiment struct {
+	run     func(maxRanks int, progress func(string)) (snapshot, error)
+	rejects []string
+	fixed   string
+}
+
+// figureFlags shape a figure or table run; no snapshot experiment takes
+// them.
+var figureFlags = []string{"op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block"}
+
+var snapshots = map[string]snapshotExperiment{
+	// The fixed regression sweep; it has no -maxranks cap.
+	"regress": {
+		run: func(_ int, progress func(string)) (snapshot, error) {
+			return bench.RunRegress(progress)
+		},
+		rejects: append(slices.Clip(figureFlags), "maxranks"),
+		fixed:   "the baseline world, machines, algorithms and runs",
+	},
+	// The rank-scaling sweep: 256..maxRanks ranks of every Table 1
+	// machine, rank-sliced schedules vs loop-coded baselines.
+	"scale": {
+		run: func(maxRanks int, progress func(string)) (snapshot, error) {
+			return bench.RunScale(maxRanks, progress)
+		},
+		rejects: figureFlags,
+		fixed:   "the sweep's world shapes, block size, algorithms and caps",
+	},
+	// The flow-level contention comparison: every Table 1 machine x
+	// fabric kind x block size, analytic vs flow model.
+	"contention": {
+		run: func(maxRanks int, progress func(string)) (snapshot, error) {
+			return bench.RunContention(maxRanks, progress)
+		},
+		rejects: figureFlags,
+		fixed:   "the world shape, block sizes and algorithm family",
+	},
+	// The machine-drift re-convergence experiment: the tuned dispatcher
+	// in online refinement mode, before and after a NIC parameter shift.
+	"drift": {
+		run: func(maxRanks int, progress func(string)) (snapshot, error) {
+			return bench.RunDrift(maxRanks, progress)
+		},
+		rejects: figureFlags,
+		fixed:   "the world, table, block size and machine shift",
+	},
+}
+
+// runSnapshot runs a snapshot experiment, prints its report and, with a
+// non-empty jsonPath, persists the machine-readable snapshot there.
+func runSnapshot(e snapshotExperiment, maxRanks int, jsonPath string, progress func(string)) error {
+	s, err := e.run(maxRanks, progress)
 	if err != nil {
 		return err
 	}
@@ -373,70 +351,6 @@ func runScale(maxRanks int, jsonPath string, progress func(string)) error {
 		return nil
 	}
 	if err := s.Save(jsonPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
-}
-
-// runDrift executes the machine-drift re-convergence experiment (the
-// tuned dispatcher in online refinement mode, before and after a NIC
-// parameter shift) and optionally persists the machine-readable snapshot.
-func runDrift(maxRanks int, jsonPath string, progress func(string)) error {
-	d, err := bench.RunDrift(maxRanks, progress)
-	if err != nil {
-		return err
-	}
-	if err := d.Format(os.Stdout); err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	if err := d.Save(jsonPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
-}
-
-// runContention executes the flow-level contention comparison (every
-// Table 1 machine x fabric kind x block size, analytic vs flow model)
-// and optionally persists the machine-readable snapshot.
-func runContention(maxRanks int, jsonPath string, progress func(string)) error {
-	c, err := bench.RunContention(maxRanks, progress)
-	if err != nil {
-		return err
-	}
-	if err := c.Format(os.Stdout); err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	if err := c.Save(jsonPath); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)
-	return nil
-}
-
-// runRepair executes the failure-repair comparison (repair + re-verify
-// versus recompiling the full world after one injected rank failure)
-// and optionally persists the machine-readable output. No snapshot is
-// committed: the point measurements are wall-clock.
-func runRepair(maxRanks int, jsonPath string, progress func(string)) error {
-	r, err := bench.RunRepair(maxRanks, progress)
-	if err != nil {
-		return err
-	}
-	if err := r.Format(os.Stdout); err != nil {
-		return err
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	if err := r.Save(jsonPath); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", jsonPath)

@@ -448,28 +448,6 @@ func TestStreamVerifierRejectsReductionCorruption(t *testing.T) {
 	}
 }
 
-// TestStreamVerifierRejectsDeadReduction: repaired (dead-rank) worlds are
-// an all-to-all facility; reduction slices must be rejected under
-// SetDead.
-func TestStreamVerifierRejectsDeadReduction(t *testing.T) {
-	t.Parallel()
-	s, err := Generate("rs-ring", 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv := NewStreamVerifier(4)
-	if err := sv.SetDead(2); err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Slice(s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.Add(rp); err == nil || !strings.Contains(err.Error(), "dead-rank") {
-		t.Fatalf("reduction slice accepted under SetDead: %v", err)
-	}
-}
-
 // TestReductionScheduleRoundTrip: the reduction IR fields survive the
 // JSON round trip at format version 2, for whole-world schedules and
 // rank slices.

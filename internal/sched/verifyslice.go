@@ -105,7 +105,6 @@ type StreamVerifier struct {
 	seen    []bool
 	nseen   int
 	acc     []roundAcc
-	dead    []bool
 	// Alltoallv count-declaration fingerprints: every slice's VSend row
 	// and VRecv column must describe the same matrix.
 	vSendHash, vRecvHash     uint64
@@ -117,35 +116,6 @@ type StreamVerifier struct {
 func NewStreamVerifier(p int) *StreamVerifier {
 	return &StreamVerifier{p: p, seen: make([]bool, p)}
 }
-
-// SetDead marks ranks as failed before streaming begins: their slices are
-// neither expected nor accepted, surviving slices must not address them,
-// and the delivery accounting expects their blocks to stay undelivered.
-// This is how a repaired world (Repair) is proved — the surviving slices
-// must be a complete, consistent schedule among themselves. Repair is an
-// all-to-all facility; dead ranks in other collectives are rejected.
-func (sv *StreamVerifier) SetDead(dead ...int) error {
-	if sv.started {
-		return errors.New("sched: SetDead must precede the first Add")
-	}
-	if sv.dead == nil {
-		sv.dead = make([]bool, sv.p)
-	}
-	for _, d := range dead {
-		if d < 0 || d >= sv.p {
-			return fmt.Errorf("sched: dead rank %d out of range 0..%d", d, sv.p-1)
-		}
-		if !sv.dead[d] {
-			sv.dead[d] = true
-			sv.seen[d] = true
-			sv.nseen++
-		}
-	}
-	return nil
-}
-
-// isDead reports whether rank r was marked dead via SetDead.
-func (sv *StreamVerifier) isDead(r int) bool { return sv.dead != nil && sv.dead[r] }
 
 // checkSliceHeader validates one slice's collective-describing fields.
 func checkSliceHeader(rp *RankProgram) error {
@@ -197,9 +167,6 @@ func (sv *StreamVerifier) Add(rp *RankProgram) error {
 	if rp.Rank < 0 || rp.Rank >= p {
 		return fmt.Errorf("sched: rank program rank %d out of range 0..%d", rp.Rank, p-1)
 	}
-	if sv.isDead(rp.Rank) {
-		return fmt.Errorf("sched: rank %d is marked dead but streamed a slice", rp.Rank)
-	}
 	if sv.seen[rp.Rank] {
 		return fmt.Errorf("sched: rank %d streamed twice", rp.Rank)
 	}
@@ -213,9 +180,6 @@ func (sv *StreamVerifier) Add(rp *RankProgram) error {
 	}
 	if err := checkSliceHeader(rp); err != nil {
 		return err
-	}
-	if sv.dead != nil && rp.Collective() != CollAlltoall {
-		return fmt.Errorf("sched: dead-rank verification applies to all-to-all schedules, not %s", rp.Collective())
 	}
 	if !sv.started {
 		sv.started = true
@@ -419,9 +383,6 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 			if step.From < 0 || step.From >= p || step.From == r {
 				return fmt.Errorf("sched: round %d rank %d step %d: receive source %d out of range", ri, r, si, step.From)
 			}
-			if sv.isDead(step.From) {
-				return fmt.Errorf("sched: round %d rank %d step %d: receives from dead rank %d", ri, r, si, step.From)
-			}
 			if st.fromSeen[step.From] == int32(stamp) {
 				return fmt.Errorf("sched: round %d: two receives from %d at %d (per-round tags would be ambiguous)", ri, step.From, r)
 			}
@@ -515,9 +476,6 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 				if step.To < 0 || step.To >= p || step.To == r {
 					return fmt.Errorf("%s: send destination %d out of range", where, step.To)
 				}
-				if sv.isDead(step.To) {
-					return fmt.Errorf("%s: sends to dead rank %d", where, step.To)
-				}
 				if st.toSeen[step.To] == int32(stamp) {
 					return fmt.Errorf("sched: round %d: two sends from %d to %d (per-round tags would be ambiguous)", ri, r, step.To)
 				}
@@ -555,16 +513,8 @@ func (sv *StreamVerifier) walk(rp *RankProgram) error {
 	}
 
 	// Delivery accounting: every recv slot of this rank written exactly
-	// once (content was checked at write time whenever locally known) —
-	// except, for repaired all-to-all worlds, slots of dead sources,
-	// which must stay empty.
+	// once (content was checked at write time whenever locally known).
 	for d := 0; d < recvSize; d++ {
-		if st.coll == CollAlltoall && sv.isDead(d) {
-			if st.recvCount[d] != 0 {
-				return fmt.Errorf("sched: rank %d delivers block (%d->%d) of dead rank %d", r, d, r, d)
-			}
-			continue
-		}
 		if st.recvCount[d] != 1 {
 			switch {
 			case st.reduction:

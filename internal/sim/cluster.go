@@ -27,8 +27,6 @@ type ClusterConfig struct {
 	// fabric over the job's nodes. Requires the model's FabricLinkBW /
 	// FabricQueueBytes; empty runs the analytic model alone.
 	Fabric string
-	// Fail, when non-nil, injects a single rank failure mid-run.
-	Fail *FailSpec
 
 	// debugReserve, when non-nil, observes every resource reservation
 	// (tests and calibration diagnostics; per-run so parallel tests don't
@@ -52,32 +50,6 @@ type Stats struct {
 	MaxLinkQueueBytes int
 }
 
-// FailSpec describes an injected rank failure: world rank Rank dies
-// immediately before its first point-to-point operation tagged AtTag or
-// higher, and every operation from then on returns ErrRankFailed. The
-// schedule executor tags round r's traffic sched.TagBase+r, so AtTag =
-// sched.TagBase+r kills the rank as it enters round r; AtTag <= 0 kills
-// it at its very first operation. The failed rank's proc decides what
-// its death means: returning nil models a silently vanished rank (the
-// survivors then either hang — the deadlock detector names the waiters —
-// or complete, if they run a repaired schedule that avoids it).
-type FailSpec struct {
-	Rank  int
-	AtTag int
-}
-
-// ErrRankFailed is returned (wrapped, with rank and tag context) by every
-// communication operation a failed rank attempts.
-var ErrRankFailed = fmt.Errorf("sim: rank failed")
-
-// failState tracks an injected failure; the event loop is single-threaded
-// so no locking is needed.
-type failState struct {
-	rank  int // world rank
-	atTag int
-	dead  bool
-}
-
 // cluster is the shared state of one simulated job.
 type cluster struct {
 	e       *Engine
@@ -86,7 +58,6 @@ type cluster struct {
 	procs   []*Proc
 	nextCtx int64
 	splits  map[splitKey]*splitGather
-	fail    *failState
 }
 
 // RunCluster simulates an SPMD program: body runs once per rank against
@@ -127,12 +98,6 @@ func RunClusterDebug(cfg ClusterConfig, body func(c comm.Comm) error, report fun
 		nextCtx: 1,
 	}
 	n := mapping.Size()
-	if cfg.Fail != nil {
-		if cfg.Fail.Rank < 0 || cfg.Fail.Rank >= n {
-			return Stats{}, fmt.Errorf("sim: fail rank %d out of range 0..%d", cfg.Fail.Rank, n-1)
-		}
-		cl.fail = &failState{rank: cfg.Fail.Rank, atTag: cfg.Fail.AtTag}
-	}
 	worldRanks := make([]int, n)
 	for i := range worldRanks {
 		worldRanks[i] = i

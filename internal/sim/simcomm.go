@@ -161,35 +161,12 @@ func (c *SimComm) Recv(b comm.Buffer, src, tag int) error {
 	return c.Wait(req)
 }
 
-// tagUntagged is the failure-check threshold for operations that carry
-// no application tag (the barrier's internal-context exchanges): at tag
-// 0 the rank dies only if its death trigger already fired.
-const tagUntagged = 0
-
-// checkFail enforces an injected failure (ClusterConfig.Fail): once this
-// world rank's death trigger fires — an operation tagged atTag or higher
-// — every operation it attempts returns ErrRankFailed.
-func (c *SimComm) checkFail(tag int) error {
-	f := c.cl.fail
-	if f == nil || c.ranks[c.rank] != f.rank {
-		return nil
-	}
-	if f.dead || tag >= f.atTag {
-		f.dead = true
-		return fmt.Errorf("%w: rank %d is down (died at tag %d)", ErrRankFailed, f.rank, f.atTag)
-	}
-	return nil
-}
-
 // Isend starts a nonblocking send.
 func (c *SimComm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
 	if err := comm.CheckPeer(dst, c.Size()); err != nil {
 		return nil, err
 	}
 	if err := comm.CheckTag(tag); err != nil {
-		return nil, err
-	}
-	if err := c.checkFail(tag); err != nil {
 		return nil, err
 	}
 	return c.cl.net.Isend(c.p, c.ranks[c.rank], c.ranks[dst], c.id, c.rank, tag, b), nil
@@ -201,9 +178,6 @@ func (c *SimComm) Irecv(b comm.Buffer, src, tag int) (comm.Request, error) {
 		return nil, err
 	}
 	if err := comm.CheckTag(tag); err != nil {
-		return nil, err
-	}
-	if err := c.checkFail(tag); err != nil {
 		return nil, err
 	}
 	return c.cl.net.Irecv(c.p, c.ranks[c.rank], c.id, src, tag, b), nil
@@ -252,9 +226,6 @@ func (c *SimComm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, r
 	if err := comm.CheckTag(rtag); err != nil {
 		return err
 	}
-	if err := c.checkFail(stag); err != nil {
-		return err
-	}
 	me := c.ranks[c.rank]
 	return c.cl.net.Sendrecv(c.p, me, c.ranks[dst], c.id, c.rank, stag, sb, src, rtag, rb)
 }
@@ -266,9 +237,6 @@ func (c *SimComm) Barrier() error {
 	n := c.Size()
 	if n == 1 {
 		return nil
-	}
-	if err := c.checkFail(tagUntagged); err != nil {
-		return err
 	}
 	me := c.ranks[c.rank]
 	ictx := -(c.id + 1)
