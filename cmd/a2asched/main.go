@@ -19,9 +19,9 @@
 //	a2asched slice -name torus -nodes 64 -ppn 32 -rank 0 -world
 //
 // slice compiles a single rank's program (sched.GenerateRank) without
-// materializing the whole world — the large-world form the runtime uses
-// past the slicing threshold. It is locally verified; -world additionally
-// streams every rank's slice through the incremental cross-rank verifier.
+// materializing the whole world — the form every rank runs. It is
+// locally verified; -world additionally streams every rank's slice
+// through the incremental cross-rank verifier.
 //
 // fetch resolves a rank program through the schedule service: it
 // compiles the rank locally and checks it against the world's proof

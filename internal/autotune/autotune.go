@@ -19,6 +19,7 @@ import (
 	"alltoallx/internal/bench"
 	"alltoallx/internal/core"
 	"alltoallx/internal/netmodel"
+	"alltoallx/internal/sched"
 )
 
 // Candidate is one algorithm configuration under consideration.
@@ -47,14 +48,13 @@ type Choice struct {
 }
 
 // schedMaxRanks caps the world size at which schedule-backed candidates
-// join the default pool. Rank-sliced compilation (sched.GenerateRank via
-// core's sliced construction path) builds each rank's program in
-// O(slice), so the old 128-rank ceiling — a relic of compiling and
-// verifying the assembled O(p^2) schedule on every rank — is gone; the
-// remaining bound is the simulator's cost of actually *executing* a
-// candidate during the sweep. Torus and hypercube stay affordable to
-// 1024 ranks and beyond; beyond the cap they remain constructible by
-// name.
+// join the default pool. Every rank builds only its own program
+// (sched.GenerateRank, O(slice)), and worlds past the full-proof ceiling
+// are proved by the streamed verifier, so that ceiling does not cap the
+// pool; the remaining bound is the simulator's cost of actually
+// *executing* a candidate during the sweep. Torus and hypercube stay
+// affordable to 1024 ranks and beyond; beyond the cap they remain
+// constructible by name.
 const schedMaxRanks = 1024
 
 // ringMaxRanks separately caps the ring schedule: every block rides
@@ -63,10 +63,11 @@ const schedMaxRanks = 1024
 // would dwarf the rest of the sweep combined.
 const ringMaxRanks = 256
 
-// vSchedMaxRanks mirrors core's ceiling for the schedule-backed
-// alltoallv, which compiles the assembled O(p^2) schedule per count
-// matrix and is rejected at construction above it.
-const vSchedMaxRanks = 128
+// vSchedMaxRanks is the schedule-backed alltoallv's ceiling: it
+// compiles and fully verifies the assembled O(p^2) schedule per count
+// matrix, so core rejects it at construction above the full-proof
+// ceiling.
+const vSchedMaxRanks = sched.FullProofRanks
 
 // DefaultCandidates returns the tuning pool for an operation at a
 // nodes x ppn world, restricted to divisors of ppn. For OpAlltoall it is
@@ -96,7 +97,7 @@ func DefaultCandidates(op core.Op, nodes, ppn int) []Candidate {
 		}
 		// The schedule-backed alltoallv compiles and verifies the
 		// assembled schedule per count matrix, so it joins the pool only
-		// up to its own whole-world ceiling (vSchedMaxRanks in core).
+		// up to its ceiling.
 		if p := nodes * ppn; p > 1 && p <= vSchedMaxRanks {
 			cands = append(cands, Candidate{Name: "sched:pairwise", Algo: "sched:pairwise"})
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"container/list"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -13,47 +14,36 @@ import (
 )
 
 // This file registers every schedule generator of internal/sched as a
-// first-class algorithm named "sched:<generator>". Construction compiles
-// the schedule for the communicator's world, statically verifies it — an
-// unverifiable schedule never runs — and wraps the executor in the same
-// persistent-operation shell as every other algorithm, so
-// Start/Test/Wait handles, tuned dispatch, autotune sweeps, the bench
-// harness and the trace phase breakdown all work on schedules with zero
-// special-casing.
+// first-class algorithm named "sched:<generator>". Construction resolves
+// the calling rank's program — proved before it ever runs — and wraps
+// its executor in the same persistent-operation shell as every other
+// algorithm, so Start/Test/Wait handles, tuned dispatch, autotune
+// sweeps, the bench harness and the trace phase breakdown all work on
+// schedules with zero special-casing.
 //
-// Worlds of at most schedSliceRanks ranks compile and verify the
-// assembled schedule (the authoritative full symbolic proof). Larger
-// worlds use rank-sliced compilation: each rank builds only its own
-// sched.RankProgram — O(slice), never O(p^2) — verified locally per
-// slice plus once per world by the streaming cross-rank verifier.
-//
+// Every rank runs its own sched.RankProgram, at every world size.
 // Construction consults, in order: the in-process LRU cache, the
 // schedule service (when a fetcher is installed via SetSchedFetcher),
-// and local compilation. The service's "daemon → disk" ordering
-// describes the system end-to-end — the daemon fronts the disk
-// registry — but within a process the LRU is consulted first: it is the
-// cheapest tier, and programs are immutable once verified, so a cached
-// copy can never be stale relative to the service.
+// and the world's proof, sched.ProveRanks, which runs once per world per
+// process. At or below sched.FullProofRanks the proof returns every
+// rank's program after the full verifier has checked them, and they go
+// into the LRU, so ranks of a small world compile nothing more; a rank
+// whose program is not cached compiles it with sched.GenerateRank, the
+// deterministic function the proof checked. The service's "daemon →
+// disk" ordering describes the system end-to-end — the daemon fronts the
+// disk registry — but within a process the LRU is consulted first: it
+// is the cheapest tier, and programs are immutable once proved, so a
+// cached copy can never be stale relative to the service.
 
 // SchedPrefix is the registry namespace of schedule-backed algorithms.
 const SchedPrefix = "sched:"
 
-// schedSliceRanks is the whole-world ceiling: above it, construction
-// switches to rank-sliced compilation and streaming verification. Two
-// costs pin it at the old 128-rank candidate cap: the full verifier's
-// symbolic state is O(p · slots) — O(p^3) slots for the route schedules —
-// and the assembled schedule must fit the bounded cache below, or every
-// rank's construction would miss and recompile the whole world (the ring
-// schedule at 256 ranks is already ~800 MB of steps).
-const schedSliceRanks = 128
-
-// Test seams for the compilation entry points, so tests can count
-// generator invocations (proving the negative cache and singleflight
+// Test seams for the world proof and the rank compiler, so tests can
+// count how often each runs (proving the verdicts and singleflight
 // actually prevent runs) without touching the generators themselves.
 var (
-	schedGenerate          = sched.Generate
-	schedGenerateRank      = sched.GenerateRank
-	schedVerifyWorldSliced = sched.VerifyWorldSliced
+	schedProveRanks   = sched.ProveRanks
+	schedGenerateRank = sched.GenerateRank
 )
 
 // SchedFetcher is the schedule-service hook: it resolves a
@@ -63,11 +53,10 @@ var (
 //
 //	(rp, nil)   hit — rp is a program the fetcher compiled in this
 //	            process and matched against a verified world proof;
-//	            core runs it as is, with no VerifyRank and no world
-//	            verification of its own
+//	            core runs it as is, with no proof of its own
 //	(nil, err)  definitive rejection — the world cannot be compiled;
-//	            core negative-caches the error
-//	(nil, nil)  service unavailable — fall through to local compilation
+//	            core records the error as the world's verdict
+//	(nil, nil)  service unavailable — fall through to the local proof
 type SchedFetcher func(gen string, p int, m *topo.Mapping, rank int) (*sched.RankProgram, error)
 
 var schedFetcherHook struct {
@@ -76,10 +65,9 @@ var schedFetcherHook struct {
 }
 
 // SetSchedFetcher installs (or, with nil, removes) the schedule-service
-// fetcher. While a fetcher is installed, schedule-backed algorithms
-// construct through the rank-sliced path at every world size, since the
-// service resolves rank programs. Install once at process startup (cmd
-// wiring), before constructions begin.
+// fetcher, which schedule-backed algorithms consult before proving a
+// world locally. Install once at process startup (cmd wiring), before
+// constructions begin.
 func SetSchedFetcher(f SchedFetcher) {
 	schedFetcherHook.Lock()
 	schedFetcherHook.f = f
@@ -92,9 +80,8 @@ func schedFetcher() SchedFetcher {
 	return schedFetcherHook.f
 }
 
-// schedState is the persistent form of a schedule-backed algorithm: the
-// verified schedule (or this rank's slice of it) plus its executor's
-// cached scratch buffers.
+// schedState is the persistent form of a schedule-backed algorithm: this
+// rank's proved program plus its executor's cached scratch buffers.
 type schedState struct {
 	*basic
 	ex *sched.Exec
@@ -104,43 +91,34 @@ func (st *schedState) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 	return st.ex.Run(c, send, recv, block, st.basic.rec)
 }
 
-// Schedule exposes the compiled whole-world schedule for inspection
-// (cmd/a2asched and tests); it is reachable through a type assertion:
+// Program exposes the rank program this rank runs, for inspection; it
+// is reachable through a type assertion:
 //
-//	s := a.(interface{ Schedule() *sched.Schedule }).Schedule()
-//
-// Above the slicing threshold no assembled schedule exists and Schedule
-// returns nil; Program always reflects what this rank runs.
-func (st *schedState) Schedule() *sched.Schedule { return st.ex.Schedule() }
-
-// Program exposes this rank's compiled program (the slice executed on the
-// large-world path, or the lazy slice of the whole-world schedule).
+//	rp := a.(interface{ Program() *sched.RankProgram }).Program()
 func (st *schedState) Program() *sched.RankProgram { return st.ex.Program() }
 
-// schedCache shares compiled-and-verified schedule artifacts across the
-// ranks and operations of a process: whole-world schedules below the
-// slicing threshold (generators are deterministic and schedules immutable
-// after verification, so sharing is safe — without it every rank of an
-// SPMD program would compile its own copy, turning an O(p^2) construction
-// into O(p^3) across ranks) and per-rank programs above it. Retained
-// bytes are capped: entries are evicted least-recently-used, so an
-// autotune sweep over many world shapes no longer accretes every
-// schedule it ever compiled. Eviction only bounds reuse, not
-// correctness — live executors keep their own references.
+// schedCache shares proved rank programs across the ranks and operations
+// of a process (generators are deterministic and programs immutable
+// after their world's proof, so sharing is safe). Retained bytes are
+// capped: entries are evicted least-recently-used, so an autotune sweep
+// over many world shapes no longer accretes every program it ever
+// compiled. Eviction only bounds reuse, not correctness — live
+// executors keep their own references, and an evicted rank of a proved
+// world recompiles its program.
 //
-// Alongside the positive entries it keeps a negative cache: worlds a
-// generator rejected (hypercube at a non-power-of-2 world, say) are
-// remembered as their error, so repeated construction attempts — every
-// rank of an SPMD program, or an autotune sweep probing all generators —
-// run the failing generator once, not once per attempt. Negative
-// entries are O(error string) and uncounted against the byte limit.
+// Alongside the programs it keeps one proof verdict per (generator,
+// world): nil once the world is proved, or the error that rejected it
+// (hypercube at a non-power-of-2 world, say). Every rank of an SPMD
+// program, or an autotune sweep probing all generators, then runs a
+// world's proof once, not once per attempt. Verdicts are O(error
+// string) and uncounted against the byte limit.
 type schedCacheT struct {
-	mu    sync.Mutex
-	limit int64                    // guarded by mu
-	used  int64                    // guarded by mu
-	ll    *list.List               // front = most recently used; values are *schedCacheEntry; guarded by mu
-	m     map[string]*list.Element // guarded by mu
-	neg   map[string]error         // guarded by mu
+	mu       sync.Mutex
+	limit    int64                    // guarded by mu
+	used     int64                    // guarded by mu
+	ll       *list.List               // front = most recently used; values are *schedCacheEntry; guarded by mu
+	m        map[string]*list.Element // guarded by mu
+	verdicts map[string]error         // keyed by worldKey; guarded by mu
 
 	hits, misses, evictions, negHits int64 // guarded by mu
 }
@@ -148,29 +126,25 @@ type schedCacheT struct {
 type schedCacheEntry struct {
 	key   string
 	bytes int64
-	s     *sched.Schedule
 	rp    *sched.RankProgram
 }
 
-// schedCacheDefaultLimit bounds retained schedule bytes per process.
-// Rank slices are small (O(blocks through the rank)), so this holds
-// thousands of them, and schedSliceRanks is chosen so the largest
-// whole-world schedule the full path can compile (ring at the threshold,
-// ~100 MB) fits with room to spare — an entry that exceeded the limit
-// would be evicted immediately and every rank of the world would
-// recompile it.
+// schedCacheDefaultLimit bounds retained program bytes per process. It
+// holds every program of the largest world sched.ProveRanks returns
+// (ring at the full-proof ceiling, ~100 MB) with room to spare; a world
+// that overflowed it would see its ranks recompile their programs.
 const schedCacheDefaultLimit = 256 << 20
 
 var schedCache = &schedCacheT{
-	limit: schedCacheDefaultLimit,
-	ll:    list.New(),
-	m:     make(map[string]*list.Element),
-	neg:   make(map[string]error),
+	limit:    schedCacheDefaultLimit,
+	ll:       list.New(),
+	m:        make(map[string]*list.Element),
+	verdicts: make(map[string]error),
 }
 
-// schedFlight coalesces concurrent constructions of the same cache key:
-// N racing goroutines run the generator once and share the result (the
-// cache then serves everyone after the flight lands).
+// schedFlight coalesces concurrent constructions of one rank program,
+// and concurrent proofs of one world: N racing goroutines do the work
+// once and share the result.
 var schedFlight singleflight.Group
 
 // get is the counted lookup: a construction's first probe. Misses are
@@ -204,49 +178,44 @@ func (c *schedCacheT) peek(key string) (*schedCacheEntry, bool) {
 	return el.Value.(*schedCacheEntry), true
 }
 
-func (c *schedCacheT) put(e *schedCacheEntry) {
+func (c *schedCacheT) put(key string, rp *sched.RankProgram) {
+	e := &schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[e.key]; ok {
+	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[e.key] = c.ll.PushFront(e)
+	c.m[key] = c.ll.PushFront(e)
 	c.used += e.bytes
 	c.evictLocked()
 }
 
-// getNeg answers from the negative cache (counted).
-func (c *schedCacheT) getNeg(key string) (error, bool) {
+// rejection returns the world's recorded rejection (nil when it has none
+// or was proved), counting the negative hit.
+func (c *schedCacheT) rejection(wk string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err, ok := c.neg[key]
-	if ok {
+	err := c.verdicts[wk]
+	if err != nil {
 		c.negHits++
 	}
+	return err
+}
+
+// verdict returns the world's recorded verdict, if any (uncounted).
+func (c *schedCacheT) verdict(wk string) (error, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err, ok := c.verdicts[wk]
 	return err, ok
 }
 
-// peekNeg is getNeg without counters (flight-internal re-check).
-func (c *schedCacheT) peekNeg(key string) (error, bool) {
+// setVerdict records a world's verdict: nil for proved.
+func (c *schedCacheT) setVerdict(wk string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	err, ok := c.neg[key]
-	return err, ok
-}
-
-// putNeg records a definitive construction failure.
-func (c *schedCacheT) putNeg(key string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.neg[key] = err
-}
-
-// deleteNeg forgets a negative verdict (tests).
-func (c *schedCacheT) deleteNeg(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.neg, key)
+	c.verdicts[wk] = err
 }
 
 // evictLocked drops least-recently-used entries until the retained bytes
@@ -259,17 +228,6 @@ func (c *schedCacheT) evictLocked() {
 		delete(c.m, ev.key)
 		c.used -= ev.bytes
 		c.evictions++
-	}
-}
-
-func (c *schedCacheT) delete(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		ev := el.Value.(*schedCacheEntry)
-		c.ll.Remove(el)
-		delete(c.m, key)
-		c.used -= ev.bytes
 	}
 }
 
@@ -293,8 +251,7 @@ func schedCacheStats() (entries int, bytes int64) {
 }
 
 // CacheStats is the schedule cache's observable state: what it holds and
-// the lifetime counters of how it got there. Surfaced by `a2asched
-// list`.
+// the lifetime counters of how it got there. perfbench reports it.
 type CacheStats struct {
 	// Entries and Bytes describe what the cache currently retains.
 	Entries int   `json:"entries"`
@@ -314,145 +271,102 @@ type CacheStats struct {
 func SchedCacheStats() CacheStats {
 	schedCache.mu.Lock()
 	defer schedCache.mu.Unlock()
-	return CacheStats{
-		Entries:         schedCache.ll.Len(),
-		Bytes:           schedCache.used,
-		NegativeEntries: len(schedCache.neg),
-		Hits:            schedCache.hits,
-		Misses:          schedCache.misses,
-		Evictions:       schedCache.evictions,
-		NegativeHits:    schedCache.negHits,
+	st := CacheStats{
+		Entries:      schedCache.ll.Len(),
+		Bytes:        schedCache.used,
+		Hits:         schedCache.hits,
+		Misses:       schedCache.misses,
+		Evictions:    schedCache.evictions,
+		NegativeHits: schedCache.negHits,
 	}
+	for _, err := range schedCache.verdicts {
+		if err != nil {
+			st.NegativeEntries++
+		}
+	}
+	return st
 }
 
-// verifiedWorlds records the streaming cross-rank verification verdict
-// per (generator, world shape): the check walks every rank's slice, so
-// one pass per world per process is enough. Entries are a string and an
-// error — O(worlds touched), not O(schedule).
-var verifiedWorlds = struct {
-	sync.Mutex
-	m map[string]error // guarded by Mutex
-}{m: make(map[string]error)}
-
+// worldKey names a (generator, world shape); rankKey one rank of it.
 func worldKey(gen string, p int, m *topo.Mapping) string {
 	return fmt.Sprintf("%s|%d|%s", gen, p, topoKey(m))
 }
 
-// schedFor returns the verified whole-world schedule for a generator at
-// a p-rank world mapped by m, compiling it on first use (the
-// at-or-below-threshold path). Concurrent callers for one world
-// coalesce into a single compilation; rejections are negative-cached so
-// the failing generator runs once per world, not once per construction
-// attempt.
-func schedFor(gen string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-	wk := worldKey(gen, p, m)
-	key, nkey := "w|"+wk, "n|"+wk
-	if e, ok := schedCache.get(key); ok {
-		return e.s, nil
-	}
-	if err, ok := schedCache.getNeg(nkey); ok {
-		return nil, err
-	}
-	v, err, _ := schedFlight.Do(key, func() (any, error) {
-		if e, ok := schedCache.peek(key); ok {
-			return e.s, nil
-		}
-		if err, ok := schedCache.peekNeg(nkey); ok {
-			return nil, err
-		}
-		s, err := schedGenerate(gen, p, m)
-		if err != nil {
-			err = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
-			schedCache.putNeg(nkey, err)
-			return nil, err
-		}
-		if err := sched.Verify(s); err != nil {
-			err = fmt.Errorf("core: %s%s failed static verification: %w", SchedPrefix, gen, err)
-			schedCache.putNeg(nkey, err)
-			return nil, err
-		}
-		schedCache.put(&schedCacheEntry{key: key, bytes: s.MemBytes(), s: s})
-		return s, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*sched.Schedule), nil
-}
+func rankKey(wk string, rank int) string { return wk + "|" + strconv.Itoa(rank) }
 
-// rankProgFor returns rank's verified program for a generator at a
-// p-rank world (the above-threshold path, and the only path while a
-// schedule-service fetcher is installed): in order, the in-process
-// cache, the schedule service, then direct compilation — O(slice)
-// memory — with the cross-rank properties proved once per world by the
-// streaming verifier (or by the service's world proof). Any
-// whole-world entry for the same world is evicted: once a world is
-// sliced, the assembled schedule must not linger in the cache.
+// rankProgFor returns rank's proved program for a generator at a p-rank
+// world: in order, the in-process cache, the schedule service, then the
+// world's proof — which caches every program it returns — and, for a
+// rank the cache no longer holds, GenerateRank.
 func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 	wk := worldKey(gen, p, m)
-	key, nkey := fmt.Sprintf("r|%s|%d", wk, rank), "n|"+wk
+	key := rankKey(wk, rank)
 	if e, ok := schedCache.get(key); ok {
 		return e.rp, nil
 	}
-	if err, ok := schedCache.getNeg(nkey); ok {
+	if err := schedCache.rejection(wk); err != nil {
 		return nil, err
 	}
 	v, err, _ := schedFlight.Do(key, func() (any, error) {
 		if e, ok := schedCache.peek(key); ok {
 			return e.rp, nil
 		}
-		if err, ok := schedCache.peekNeg(nkey); ok {
-			return nil, err
-		}
 		if f := schedFetcher(); f != nil {
 			rp, ferr := f(gen, p, m, rank)
 			switch {
 			case ferr != nil:
 				ferr = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, ferr)
-				schedCache.putNeg(nkey, ferr)
+				schedCache.setVerdict(wk, ferr)
 				return nil, ferr
 			case rp != nil:
 				// Compiled here and matched against the service's world
 				// proof: the slice that proof verified, byte for byte.
-				schedCache.delete("w|" + wk)
-				schedCache.put(&schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp})
+				schedCache.put(key, rp)
 				return rp, nil
 			}
-			// (nil, nil): service unavailable — compile locally.
+			// (nil, nil): service unavailable — prove locally.
 		}
-		verifiedWorlds.Lock()
-		werr, checked := verifiedWorlds.m[wk]
-		if !checked {
-			werr = schedVerifyWorldSliced(gen, p, m)
-			verifiedWorlds.m[wk] = werr
-		}
-		verifiedWorlds.Unlock()
-		if werr != nil {
-			werr = fmt.Errorf("core: %s%s failed streamed verification: %w", SchedPrefix, gen, werr)
-			schedCache.putNeg(nkey, werr)
-			return nil, werr
-		}
-		schedCache.delete("w|" + wk)
-		rp, err := schedGenerateRank(gen, p, rank, m)
-		if err != nil {
-			// Rank-range errors cannot reach here (rank comes from a live
-			// communicator), so a generator refusal is a world property.
-			err = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
-			schedCache.putNeg(nkey, err)
+		if err := proveOnce(gen, p, m, wk); err != nil {
 			return nil, err
 		}
-		// No per-slice VerifyRank here: the streamed world pass above already
-		// ran the identical local checks on every rank's slice, and
-		// generation is deterministic, so this regeneration is byte-identical
-		// to what it proved — re-walking it would double the construction
-		// cost of every above-threshold world.
-		schedCache.put(&schedCacheEntry{key: key, bytes: rp.MemBytes(), rp: rp})
+		if e, ok := schedCache.peek(key); ok {
+			return e.rp, nil
+		}
+		// No VerifyRank here: the world's proof already checked this
+		// rank's program, and generation is deterministic, so this
+		// compile is byte-identical to what it proved.
+		rp, err := schedGenerateRank(gen, p, rank, m)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
+		}
+		schedCache.put(key, rp)
 		return rp, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*sched.RankProgram), nil
+}
+
+// proveOnce runs a world's proof once per process, coalescing
+// concurrent callers, caches the programs it returns and records its
+// verdict.
+func proveOnce(gen string, p int, m *topo.Mapping, wk string) error {
+	_, err, _ := schedFlight.Do(wk, func() (any, error) {
+		if err, ok := schedCache.verdict(wk); ok {
+			return nil, err
+		}
+		rps, err := schedProveRanks(gen, p, m)
+		if err != nil {
+			err = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
+		}
+		for r, rp := range rps {
+			schedCache.put(rankKey(wk, r), rp)
+		}
+		schedCache.setVerdict(wk, err)
+		return nil, err
+	})
+	return err
 }
 
 // topoKey fingerprints the part of the topology generators consume (the
@@ -464,62 +378,33 @@ func topoKey(m *topo.Mapping) string {
 	return fmt.Sprintf("%dx%d", m.Nodes(), m.PPN())
 }
 
-// newSchedExec compiles and verifies gen's schedule for c's world and
-// wraps it in a fresh executor; sliced selects the rank-sliced
-// construction path.
-func newSchedExec(gen string, c comm.Comm, sliced bool) (*sched.Exec, error) {
-	if sliced {
-		rp, err := rankProgFor(gen, c.Size(), c.Rank(), c.Topo())
-		if err != nil {
-			return nil, err
-		}
-		return sched.NewRankExec(rp), nil
-	}
-	s, err := schedFor(gen, c.Size(), c.Topo())
-	if err != nil {
-		return nil, err
-	}
-	return sched.NewExec(s), nil
-}
-
-// NewSchedExec compiles, statically verifies, caches and wraps the named
-// generator's schedule for c's world, choosing the whole-world or
-// rank-sliced construction path exactly as the sched:* algorithm
-// registry does (sliced above schedSliceRanks ranks and whenever a
-// schedule-service fetcher is installed). It is the building block for
-// running schedules outside the Alltoaller shell — collx's
-// schedule-backed reductions and the sched-backed alltoallv dispatcher
-// construct through it, sharing the LRU cache, the negative cache, the
-// singleflight coalescing and the schedule service with every other
-// consumer. Callers running reduction schedules must install an operator
-// via Exec.SetOp before Run.
+// NewSchedExec resolves, caches and wraps the named generator's program
+// for c's rank exactly as the sched:* algorithm registry does. It is the
+// building block for running schedules outside the Alltoaller shell —
+// collx's schedule-backed reductions construct through it, sharing the
+// LRU cache, the world verdicts, the singleflight coalescing and the
+// schedule service with every other consumer. Callers running reduction
+// schedules must install an operator via Exec.SetOp before Run.
 func NewSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
 	if c == nil {
 		return nil, errNilComm
 	}
-	sliced := c.Size() > schedSliceRanks || schedFetcher() != nil
-	return newSchedExec(gen, c, sliced)
-}
-
-// newSchedState builds the persistent operation; sliced selects the
-// rank-sliced construction path (forced above schedSliceRanks, and
-// whenever a schedule-service fetcher is installed — the service resolves
-// rank programs).
-func newSchedState(gen string, c comm.Comm, maxBlock int, sliced bool) (Alltoaller, error) {
-	st := &schedState{}
-	ex, err := newSchedExec(gen, c, sliced)
+	rp, err := rankProgFor(gen, c.Size(), c.Rank(), c.Topo())
 	if err != nil {
 		return nil, err
 	}
-	st.ex = ex
-	st.basic = newBasic(SchedPrefix+gen, c, maxBlock, st.run)
-	return st, nil
+	return sched.NewRankExec(rp), nil
 }
 
 func newSchedFactory(gen string) factory {
 	return func(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-		sliced := c.Size() > schedSliceRanks || schedFetcher() != nil
-		return newSchedState(gen, c, maxBlock, sliced)
+		ex, err := NewSchedExec(gen, c)
+		if err != nil {
+			return nil, err
+		}
+		st := &schedState{ex: ex}
+		st.basic = newBasic(SchedPrefix+gen, c, maxBlock, st.run)
+		return st, nil
 	}
 }
 

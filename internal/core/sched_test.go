@@ -257,9 +257,10 @@ func TestSchedVirtualRuns(t *testing.T) {
 	}
 }
 
-// TestSchedExposesSchedule: the compiled schedule is inspectable through
-// the Schedule() assertion and reports coherent stats.
-func TestSchedExposesSchedule(t *testing.T) {
+// TestSchedExposesProgram: the rank program each rank runs is
+// inspectable through the Program() assertion, belongs to that rank and
+// reports coherent stats.
+func TestSchedExposesProgram(t *testing.T) {
 	t.Parallel()
 	m := mapping(t, 2, 4)
 	err := runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
@@ -267,16 +268,16 @@ func TestSchedExposesSchedule(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		s := a.(interface{ Schedule() *sched.Schedule }).Schedule()
-		if s.Ranks != c.Size() {
-			return fmt.Errorf("schedule ranks %d, world %d", s.Ranks, c.Size())
+		rp := a.(interface{ Program() *sched.RankProgram }).Program()
+		if rp.Rank != c.Rank() || rp.Ranks != c.Size() {
+			return fmt.Errorf("program is rank %d of %d, want rank %d of %d", rp.Rank, rp.Ranks, c.Rank(), c.Size())
 		}
 		// The topology is 2 nodes x 4 ppn: the torus generator must have
 		// picked that grid up from the communicator.
-		if s.Name != "torus2x4" {
-			return fmt.Errorf("schedule name %q, want torus2x4 (from the world topology)", s.Name)
+		if rp.Name != "torus2x4" {
+			return fmt.Errorf("program name %q, want torus2x4 (from the world topology)", rp.Name)
 		}
-		if st := s.Stats(); st.Messages == 0 || st.Rounds == 0 {
+		if st := rp.Stats(); st.Messages == 0 || st.Rounds == 0 {
 			return fmt.Errorf("empty stats %+v", st)
 		}
 		return nil

@@ -20,31 +20,38 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// schedSeams instruments the compilation seams for one test. Tests that
-// install it must not be parallel: the seams and the cache are package
-// globals.
+// schedSeams instruments the world proof and the rank compiler for one
+// test. Tests that install it must not be parallel: the seams and the
+// cache are package globals.
 type schedSeams struct {
-	generates, rankGenerates, worldVerifies atomic.Int64
+	proofs, rankGenerates atomic.Int64
 }
 
 func countSchedSeams(t *testing.T) *schedSeams {
 	t.Helper()
 	var c schedSeams
-	og, ogr, ovw := schedGenerate, schedGenerateRank, schedVerifyWorldSliced
-	schedGenerate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-		c.generates.Add(1)
-		return og(name, p, m)
+	opr, ogr := schedProveRanks, schedGenerateRank
+	schedProveRanks = func(name string, p int, m *topo.Mapping) ([]*sched.RankProgram, error) {
+		c.proofs.Add(1)
+		return opr(name, p, m)
 	}
 	schedGenerateRank = func(name string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	schedVerifyWorldSliced = func(name string, p int, m *topo.Mapping) error {
-		c.worldVerifies.Add(1)
-		return ovw(name, p, m)
-	}
-	t.Cleanup(func() { schedGenerate, schedGenerateRank, schedVerifyWorldSliced = og, ogr, ovw })
+	t.Cleanup(func() { schedProveRanks, schedGenerateRank = opr, ogr })
 	return &c
+}
+
+// delete drops one program from the cache, uncounted.
+func (c *schedCacheT) delete(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[key]; ok {
+		c.ll.Remove(el)
+		delete(c.m, key)
+		c.used -= el.Value.(*schedCacheEntry).bytes
+	}
 }
 
 // dropWorld removes every cache trace of one (gen, p, topo) world so a
@@ -53,14 +60,12 @@ func dropWorld(t *testing.T, gen string, p int, m *topo.Mapping) {
 	t.Helper()
 	clean := func() {
 		wk := worldKey(gen, p, m)
-		schedCache.delete("w|" + wk)
-		schedCache.deleteNeg("n|" + wk)
 		for r := 0; r < p; r++ {
-			schedCache.delete(fmt.Sprintf("r|%s|%d", wk, r))
+			schedCache.delete(rankKey(wk, r))
 		}
-		verifiedWorlds.Lock()
-		delete(verifiedWorlds.m, wk)
-		verifiedWorlds.Unlock()
+		schedCache.mu.Lock()
+		delete(schedCache.verdicts, wk)
+		schedCache.mu.Unlock()
 	}
 	clean()
 	t.Cleanup(clean)
@@ -68,8 +73,9 @@ func dropWorld(t *testing.T, gen string, p int, m *topo.Mapping) {
 
 // TestSchedNegativeCacheRunsGeneratorOnce is the regression test for
 // repeated doomed constructions: constructing sched:hypercube at a
-// 6-rank world twice runs the generator exactly once — the second
-// construction (all six ranks of it) is answered by the negative cache.
+// 6-rank world twice runs the world's proof, and so the generator,
+// exactly once — the second construction (all six ranks of it) is
+// answered by the recorded rejection.
 func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 	c := countSchedSeams(t)
 	dropWorld(t, "hypercube", 6, nil)
@@ -96,14 +102,14 @@ func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Fatalf("first construction: %v", err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("first construction ran the generator %d times, want 1 (six ranks raced)", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("first construction ran the proof %d times, want 1 (six ranks raced)", got)
 	}
 	if err := construct(); err == nil {
 		t.Fatal("second construction succeeded")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second construction re-ran the generator (%d total runs)", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("second construction re-ran the proof (%d total runs)", got)
 	}
 	st := SchedCacheStats()
 	if st.NegativeEntries == 0 || st.NegativeHits == 0 {
@@ -112,15 +118,16 @@ func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 }
 
 // TestSchedCacheStatsTransitions pins the counter transitions across the
-// miss → hit → eviction → miss lifecycle of one world. Delta-based: the
-// counters are process-lifetime.
+// miss → hit → eviction → miss lifecycle of one rank. Delta-based: the
+// counters are process-lifetime. An evicted rank of a proved world
+// recompiles its own program without re-proving the world.
 func TestSchedCacheStatsTransitions(t *testing.T) {
-	countSchedSeams(t)
+	c := countSchedSeams(t)
 	const gen, p = "pairwise", 11
 	dropWorld(t, gen, p, nil)
 
 	base := SchedCacheStats()
-	if _, err := schedFor(gen, p, nil); err != nil {
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := SchedCacheStats()
@@ -131,7 +138,7 @@ func TestSchedCacheStatsTransitions(t *testing.T) {
 		t.Fatalf("cold construction: %d hits, want 0", d)
 	}
 
-	if _, err := schedFor(gen, p, nil); err != nil {
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st2 := SchedCacheStats()
@@ -154,35 +161,41 @@ func TestSchedCacheStatsTransitions(t *testing.T) {
 	}
 	setSchedCacheLimit(old)
 
-	// Evicted world misses again and recompiles.
-	if _, err := schedFor(gen, p, nil); err != nil {
+	// The evicted rank misses again and compiles its own program; the
+	// world stays proved.
+	if _, err := rankProgFor(gen, p, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	st4 := SchedCacheStats()
 	if d := st4.Misses - st3.Misses; d != 1 {
 		t.Fatalf("post-eviction construction: %d misses, want 1", d)
 	}
+	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 1 {
+		t.Fatalf("post-eviction construction: %d proofs and %d rank compiles in all, want 1 and 1",
+			c.proofs.Load(), c.rankGenerates.Load())
+	}
 }
 
 // TestSchedConstructionSingleflight: goroutines racing to construct the
-// same and different keys compile each key exactly once and observe
-// byte-identical programs. Run with -race.
+// same and different ranks of one world prove it exactly once, share
+// one program instance per rank and observe byte-identical programs.
+// Run with -race.
 func TestSchedConstructionSingleflight(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "ring", 13
 	dropWorld(t, gen, p, nil)
 
-	// Same whole-world key: one generator run shared by all.
+	// Same rank key: one proof shared by all.
 	const racers = 24
 	var wg sync.WaitGroup
-	scheds := make([]*sched.Schedule, racers)
+	same := make([]*sched.RankProgram, racers)
 	errs := make([]error, racers)
 	for i := 0; i < racers; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scheds[i], errs[i] = schedFor(gen, p, nil)
+			same[i], errs[i] = rankProgFor(gen, p, 0, nil)
 		}()
 	}
 	wg.Wait()
@@ -191,18 +204,17 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 			t.Fatalf("racer %d: %v", i, err)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("whole-world generator ran %d times under contention, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("world proof ran %d times under contention, want 1", got)
 	}
 	for i := 1; i < racers; i++ {
-		if scheds[i] != scheds[0] {
-			t.Fatal("racers hold different schedule instances")
+		if same[i] != same[0] {
+			t.Fatal("racers hold different program instances")
 		}
 	}
 
-	// Different rank keys of one world through the sliced path: one
-	// world verification, one rank compile per rank, byte-identical
-	// across repeat constructions.
+	// Different rank keys of a cold world: one proof, which hands every
+	// rank its program, byte-identical across repeat constructions.
 	dropWorld(t, gen, p, nil)
 	rps := make([]*sched.RankProgram, 2*p)
 	perrs := make([]error, 2*p)
@@ -230,11 +242,11 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 		}
 		progs[i] = buf.Bytes()
 	}
-	if got := c.worldVerifies.Load(); got != 1 {
-		t.Fatalf("streamed verification ran %d times, want 1", got)
+	if got := c.proofs.Load(); got != 2 {
+		t.Fatalf("world proof ran %d times in all, want 2 (once per cold world)", got)
 	}
-	if got := c.rankGenerates.Load(); got != int64(p) {
-		t.Fatalf("rank generator ran %d times, want %d (once per rank)", got, p)
+	if got := c.rankGenerates.Load(); got != 0 {
+		t.Fatalf("rank generator ran %d times after the proof, want 0", got)
 	}
 	for i := 0; i < p; i++ {
 		if !bytes.Equal(progs[i], progs[i+p]) {
@@ -244,17 +256,16 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 }
 
 // TestSchedFetcherFallback pins the SchedFetcher contract: a hit skips
-// all local compilation and verification, (nil, nil) falls through to
-// local compilation, and an error is a negative-cached definitive
-// rejection.
+// all local compilation and proof, (nil, nil) falls through to the
+// world's local proof, and an error is a recorded definitive rejection.
 func TestSchedFetcherFallback(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "torus", 9
 	dropWorld(t, gen, p, nil)
 	t.Cleanup(func() { SetSchedFetcher(nil) })
 
-	// Hit: the service's program is used verbatim; no local generator or
-	// world verification runs.
+	// Hit: the service's program is used verbatim; no local compile or
+	// world proof runs.
 	var fetches atomic.Int64
 	SetSchedFetcher(func(g string, ranks int, m *topo.Mapping, rank int) (*sched.RankProgram, error) {
 		fetches.Add(1)
@@ -267,9 +278,9 @@ func TestSchedFetcherFallback(t *testing.T) {
 	if rp.Rank != 2 || rp.Ranks != p {
 		t.Fatalf("fetched program is rank %d of %d", rp.Rank, rp.Ranks)
 	}
-	if fetches.Load() != 1 || c.rankGenerates.Load() != 0 || c.worldVerifies.Load() != 0 {
-		t.Fatalf("fetch hit ran local work: %d fetches, %d rank compiles, %d verifies",
-			fetches.Load(), c.rankGenerates.Load(), c.worldVerifies.Load())
+	if fetches.Load() != 1 || c.rankGenerates.Load() != 0 || c.proofs.Load() != 0 {
+		t.Fatalf("fetch hit ran local work: %d fetches, %d rank compiles, %d proofs",
+			fetches.Load(), c.rankGenerates.Load(), c.proofs.Load())
 	}
 	// Cached: the second construction does not even reach the fetcher.
 	if _, err := rankProgFor(gen, p, 2, nil); err != nil {
@@ -279,7 +290,8 @@ func TestSchedFetcherFallback(t *testing.T) {
 		t.Fatalf("warm construction re-fetched (%d fetches)", fetches.Load())
 	}
 
-	// Unavailable: (nil, nil) falls through to local compilation.
+	// Unavailable: (nil, nil) falls through to the local proof, which
+	// hands the rank its program.
 	dropWorld(t, gen, p, nil)
 	SetSchedFetcher(func(string, int, *topo.Mapping, int) (*sched.RankProgram, error) {
 		return nil, nil
@@ -287,12 +299,12 @@ func TestSchedFetcherFallback(t *testing.T) {
 	if _, err := rankProgFor(gen, p, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.rankGenerates.Load() != 1 || c.worldVerifies.Load() != 1 {
-		t.Fatalf("fallback did not compile locally: %d rank compiles, %d verifies",
-			c.rankGenerates.Load(), c.worldVerifies.Load())
+	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 0 {
+		t.Fatalf("fallback did not prove locally: %d proofs, %d rank compiles",
+			c.proofs.Load(), c.rankGenerates.Load())
 	}
 
-	// Definitive rejection: negative-cached, fetcher consulted once.
+	// Definitive rejection: recorded, fetcher consulted once.
 	dropWorld(t, gen, p, nil)
 	rejected := errors.New("service says no")
 	var rejects atomic.Int64
@@ -314,7 +326,7 @@ func TestSchedFetcherFallback(t *testing.T) {
 // TestSchedFetcherStaleProof: a daemon whose proof record holds a wrong
 // digest for one rank never gets that rank's program run unverified —
 // ClientFetcher answers (nil, nil), and core's construction of the rank
-// compiles it and runs its own streamed world verification.
+// runs its own world proof, which hands the rank its program.
 func TestSchedFetcherStaleProof(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "torus", 9
@@ -367,21 +379,23 @@ func TestSchedFetcherStaleProof(t *testing.T) {
 	if rp.Digest() != want.Digest() {
 		t.Fatal("constructed program differs from local compilation")
 	}
-	if c.worldVerifies.Load() != 1 || c.rankGenerates.Load() != 1 {
-		t.Fatalf("stale rank: %d streamed verifications and %d rank compiles, want 1 and 1",
-			c.worldVerifies.Load(), c.rankGenerates.Load())
+	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 0 {
+		t.Fatalf("stale rank: %d proofs and %d rank compiles, want 1 and 0",
+			c.proofs.Load(), c.rankGenerates.Load())
 	}
 }
 
 // TestSchedFetcherForcesSlicedPath: with a fetcher installed, even a
-// small world constructs through the rank-sliced path (the service
-// serves rank programs, not assembled schedules).
+// small world's ranks take their programs from the service, and no local
+// proof runs.
 func TestSchedFetcherForcesSlicedPath(t *testing.T) {
-	countSchedSeams(t)
+	c := countSchedSeams(t)
 	const gen, p = "direct", 7
 	dropWorld(t, gen, p, nil)
 	t.Cleanup(func() { SetSchedFetcher(nil) })
+	var fetches atomic.Int64
 	SetSchedFetcher(func(g string, ranks int, m *topo.Mapping, rank int) (*sched.RankProgram, error) {
+		fetches.Add(1)
 		return sched.GenerateRank(g, ranks, rank, m)
 	})
 	err := runtime.Run(runtime.Config{Ranks: p}, func(cm comm.Comm) error {
@@ -389,16 +403,15 @@ func TestSchedFetcherForcesSlicedPath(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		st := a.(*schedState)
-		if st.Schedule() != nil {
-			return fmt.Errorf("fetcher-backed construction materialized a whole-world schedule")
-		}
-		if rp := st.Program(); rp == nil || rp.Rank != cm.Rank() {
+		if rp := a.(*schedState).Program(); rp == nil || rp.Rank != cm.Rank() {
 			return fmt.Errorf("fetcher-backed construction program = %+v", rp)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fetches.Load() != p || c.proofs.Load() != 0 {
+		t.Fatalf("%d fetches and %d local proofs, want %d and 0", fetches.Load(), c.proofs.Load(), p)
 	}
 }

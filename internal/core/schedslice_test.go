@@ -8,99 +8,17 @@ import (
 	"alltoallx/internal/comm"
 	"alltoallx/internal/runtime"
 	"alltoallx/internal/sched"
-	"alltoallx/internal/testutil"
 )
-
-// slicedBody is liveBody through the forced rank-sliced construction
-// path: each rank compiles only its own program, exactly as a
-// larger-than-threshold world would.
-func slicedBody(gen string, block int) func(c comm.Comm) error {
-	return func(c comm.Comm) error {
-		p, rank := c.Size(), c.Rank()
-		a, err := newSchedState(gen, c, block, true)
-		if err != nil {
-			return err
-		}
-		st := a.(*schedState)
-		if st.Schedule() != nil {
-			return fmt.Errorf("sliced construction materialized a whole-world schedule")
-		}
-		if rp := st.Program(); rp == nil || rp.Rank != rank || rp.Ranks != p {
-			return fmt.Errorf("sliced construction program = %+v, want rank %d of %d", rp, rank, p)
-		}
-		send := comm.Alloc(p * block)
-		recv := comm.Alloc(p * block)
-		testutil.FillAlltoall(send, rank, p, block)
-		for iter := 0; iter < 2; iter++ {
-			for i := range recv.Bytes() {
-				recv.Bytes()[i] = 0xEE
-			}
-			if err := a.Alltoall(send, recv, block); err != nil {
-				return fmt.Errorf("iter %d: %w", iter, err)
-			}
-			if err := testutil.CheckAlltoall(recv, rank, p, block); err != nil {
-				return fmt.Errorf("iter %d: %w", iter, err)
-			}
-		}
-		return nil
-	}
-}
-
-// TestSchedSlicedPathCorrectness drives every generator through the
-// rank-sliced construction path (forced below the threshold so it stays
-// cheap) on the live runtime and checks every byte: the large-world path
-// is byte-equivalent to the whole-world one.
-func TestSchedSlicedPathCorrectness(t *testing.T) {
-	t.Parallel()
-	for _, gen := range sched.Generators() {
-		shape := struct{ nodes, ppn int }{3, 4}
-		if gen == "hypercube" {
-			shape = struct{ nodes, ppn int }{2, 8}
-		}
-		gen := gen
-		t.Run(gen, func(t *testing.T) {
-			t.Parallel()
-			m := mapping(t, shape.nodes, shape.ppn)
-			if err := runtime.Run(runtime.Config{Mapping: m}, slicedBody(gen, 9)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestSchedThresholdSelectsPath: at small worlds New takes the
-// whole-world path (inspectable Schedule), and the threshold constant is
-// in the range the issue demands.
-func TestSchedThresholdSelectsPath(t *testing.T) {
-	t.Parallel()
-	if schedSliceRanks < 128 {
-		t.Fatalf("schedSliceRanks = %d: whole-world verification should remain authoritative at least to the old 128-rank cap", schedSliceRanks)
-	}
-	m := mapping(t, 2, 4)
-	err := runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
-		a, err := New("sched:pairwise", c, 4, Options{})
-		if err != nil {
-			return err
-		}
-		if a.(*schedState).Schedule() == nil {
-			return fmt.Errorf("small world did not keep the assembled (fully verified) schedule")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestSchedCacheBounded is the regression test for the unbounded
 // schedCache: retained bytes must never exceed the configured limit, no
 // matter how many (generator, world shape) pairs a sweep compiles.
 // Not parallel: it narrows the global cache limit.
 func TestSchedCacheBounded(t *testing.T) {
-	const limit = 1 << 20 // 1 MiB: a handful of small-world schedules
+	const limit = 64 << 10 // 64 KiB: the rank programs of a few small worlds
 	old := setSchedCacheLimit(limit)
 	defer setSchedCacheLimit(old)
-	inserted := 0
+	inserted := 0 // rank programs built
 	for _, p := range []int{4, 6, 8, 10, 12, 14, 16} {
 		for _, gen := range []string{"sched:pairwise", "sched:ring", "sched:torus"} {
 			gen := gen
@@ -111,7 +29,7 @@ func TestSchedCacheBounded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", gen, p, err)
 			}
-			inserted++
+			inserted += p
 			if n, bytes := schedCacheStats(); bytes > limit {
 				t.Fatalf("after %s p=%d: cache holds %d B in %d entries, limit %d", gen, p, bytes, n, limit)
 			}
@@ -122,7 +40,7 @@ func TestSchedCacheBounded(t *testing.T) {
 		t.Fatalf("cache empty: eviction should leave recent entries resident")
 	}
 	if n >= inserted {
-		t.Fatalf("cache holds all %d compiled worlds under a %d B limit: nothing was evicted", n, limit)
+		t.Fatalf("cache holds all %d rank programs under a %d B limit: nothing was evicted", n, limit)
 	}
 	// Shrinking the limit evicts immediately.
 	setSchedCacheLimit(0)
@@ -131,49 +49,12 @@ func TestSchedCacheBounded(t *testing.T) {
 	}
 }
 
-// TestSchedWholeWorldEvictedOnceSliced: when a world switches to the
-// sliced path, its cached assembled schedule is dropped — the per-process
-// footprint of a sliced world is its slices, not O(p^2).
-// Not parallel: it inspects global cache keys.
-func TestSchedWholeWorldEvictedOnceSliced(t *testing.T) {
-	const p = 6
-	err := runtime.Run(runtime.Config{Ranks: p}, func(c comm.Comm) error {
-		if _, err := New("sched:bruck", c, 8, Options{}); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wkey := "w|" + worldKey("bruck", p, nil)
-	if _, ok := schedCache.get(wkey); !ok {
-		t.Fatalf("whole-world entry %q missing after full-path construction", wkey)
-	}
-	err = runtime.Run(runtime.Config{Ranks: p}, func(c comm.Comm) error {
-		_, err := newSchedState("bruck", c, 8, true)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := schedCache.get(wkey); ok {
-		t.Fatalf("whole-world entry %q retained after the world went sliced", wkey)
-	}
-	for r := 0; r < p; r++ {
-		if _, ok := schedCache.get(fmt.Sprintf("r|%s|%d", worldKey("bruck", p, nil), r)); !ok {
-			t.Errorf("rank %d program not cached after sliced construction", r)
-		}
-	}
-}
-
-// TestSchedSlicedRejectsBadWorld: the streaming world verification gates
-// sliced construction the same way full verification gates the assembled
-// path (hypercube at a non-power-of-two world must fail cleanly).
+// TestSchedSlicedRejectsBadWorld: the world proof gates construction
+// (hypercube at a non-power-of-two world must fail cleanly).
 func TestSchedSlicedRejectsBadWorld(t *testing.T) {
 	t.Parallel()
 	err := runtime.Run(runtime.Config{Ranks: 6}, func(c comm.Comm) error {
-		if _, err := newSchedState("hypercube", c, 8, true); err == nil {
+		if _, err := New("sched:hypercube", c, 8, Options{}); err == nil {
 			return fmt.Errorf("hypercube constructed at 6 ranks")
 		} else if !strings.Contains(err.Error(), "power-of-two") {
 			return fmt.Errorf("unexpected error: %v", err)

@@ -30,12 +30,6 @@ import (
 // alltoallv (distinct from the other v-algorithm control tags).
 const tagVSched = 331
 
-// vSchedMaxRanks caps the worlds the sched-backed alltoallv accepts:
-// the count matrix is inherently O(p^2) state, the assembled schedule is
-// compiled and verified whole, and the per-call allgather is O(p)
-// messages — the same ceiling as the fixed-count whole-world path.
-const vSchedMaxRanks = schedSliceRanks
-
 type vSched struct {
 	*basicV
 	gen string // sched.GenerateV generator name
@@ -51,10 +45,13 @@ type vSched struct {
 
 func newVSched(gen string) vFactory {
 	return func(c comm.Comm, maxTotal int, _ Options) (Alltoallver, error) {
+		// The count matrix is inherently O(p^2) state, the assembled
+		// schedule is compiled and fully verified per matrix, and the
+		// per-call allgather is O(p) messages: the full-proof ceiling.
 		p := c.Size()
-		if p > vSchedMaxRanks {
+		if p > sched.FullProofRanks {
 			return nil, fmt.Errorf("core: sched:%s compiles the assembled alltoallv schedule; worlds above %d ranks are not supported (have %d)",
-				gen, vSchedMaxRanks, p)
+				gen, sched.FullProofRanks, p)
 		}
 		v := &vSched{gen: gen, rowBuf: comm.Alloc(p * 8), matBuf: comm.Alloc(p * p * 8)}
 		v.basicV = newBasicV(SchedPrefix+gen, c, maxTotal, v.run)
@@ -128,8 +125,12 @@ func (v *vSched) compile(recvCounts []int) (*sched.Exec, error) {
 	if err := sched.Verify(s); err != nil {
 		return nil, fmt.Errorf("core: %s failed static verification: %w", v.name, err)
 	}
+	rp, err := sched.Slice(s, r)
+	if err != nil {
+		return nil, err
+	}
 	v.lastCounts = append(v.lastCounts[:0], enc...)
-	v.ex = sched.NewExec(s)
+	v.ex = sched.NewRankExec(rp)
 	return v.ex, nil
 }
 

@@ -9,8 +9,9 @@ import (
 
 // TestDigestMatchesSlice: for every generator, the digest of a rank
 // compiled alone equals the digest of the same rank cut from the
-// assembled schedule — the equality a world proof's record relies on —
-// and both world proofs return exactly those digests.
+// assembled reference schedule (Slice of Generate) — the equality a
+// world proof's record relies on — and both world proofs, Prove and
+// ProveWorld, return exactly those digests.
 func TestDigestMatchesSlice(t *testing.T) {
 	t.Parallel()
 	for _, w := range []struct{ nodes, ppn int }{{0, 2}, {0, 5}, {0, 16}, {4, 8}, {8, 16}} {
@@ -30,9 +31,9 @@ func TestDigestMatchesSlice(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
-			whole, err := ProveSchedule(s)
+			proved, err := Prove(name, p, m)
 			if err != nil {
-				t.Fatalf("%s p=%d: ProveSchedule: %v", name, p, err)
+				t.Fatalf("%s p=%d: Prove: %v", name, p, err)
 			}
 			streamed, err := ProveWorld(name, p, m)
 			if err != nil {
@@ -47,11 +48,70 @@ func TestDigestMatchesSlice(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s p=%d rank %d: %v", name, p, r, err)
 				}
-				if d := rp.Digest(); d != sl.Digest() || d != whole[r] || d != streamed[r] {
-					t.Fatalf("%s p=%d (%dx%d) rank %d: GenerateRank, Slice, ProveSchedule and ProveWorld disagree on the digest", name, p, w.nodes, w.ppn, r)
+				if d := sl.Digest(); d != rp.Digest() || d != proved[r] || d != streamed[r] {
+					t.Fatalf("%s p=%d (%dx%d) rank %d: Slice, GenerateRank, Prove and ProveWorld disagree on the digest", name, p, w.nodes, w.ppn, r)
 				}
 			}
 		}
+	}
+}
+
+// TestProveRanksCeiling: at or below FullProofRanks, ProveRanks returns
+// GenerateRank's program for every rank — the programs the full
+// verifier checked are the ones ranks run; above the ceiling it proves
+// the world by the streamed pass and returns none. A generator's
+// refusal comes back as the generator's own error.
+func TestProveRanksCeiling(t *testing.T) {
+	t.Parallel()
+	rps, err := ProveRanks("direct", FullProofRanks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rps) != FullProofRanks {
+		t.Fatalf("ProveRanks at the ceiling returned %d programs, want %d", len(rps), FullProofRanks)
+	}
+	for r, rp := range rps {
+		want, err := GenerateRank("direct", FullProofRanks, r, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.Digest() != want.Digest() {
+			t.Fatalf("rank %d: ProveRanks' program differs from GenerateRank's", r)
+		}
+	}
+	if rps, err := ProveRanks("direct", FullProofRanks+1, nil); err != nil || rps != nil {
+		t.Fatalf("ProveRanks above the ceiling = (%d programs, %v), want (none, nil)", len(rps), err)
+	}
+	if _, err := ProveRanks("hypercube", 6, nil); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+		t.Fatalf("hypercube at 6 ranks: %v, want the generator's power-of-two refusal", err)
+	}
+}
+
+// TestProveRanksSeesContent: a generator whose rank 1 sends rank 0 the
+// block at the wrong send offset passes the streamed verifier — every
+// message still has the right endpoints and length, and the receiver
+// cannot name what arrives — but not ProveRanks, whose full verifier
+// tracks every block's identity. Not parallel: it registers a
+// test-only generator in the package-global registry.
+func TestProveRanksSeesContent(t *testing.T) {
+	const name = "direct-wrong-offset"
+	genRegistry[name] = genEntry{coll: CollAlltoall, rank: func(p, r int, m *topo.Mapping) (*RankProgram, error) {
+		rp, err := directRank(p, r, m)
+		if err == nil && r == 1 {
+			for i, st := range rp.Rounds[0] {
+				if st.Kind == Send && st.To == 0 {
+					rp.Rounds[0][i].Src.Off = 2
+				}
+			}
+		}
+		return rp, err
+	}}
+	t.Cleanup(func() { delete(genRegistry, name) })
+	if err := VerifyWorldSliced(name, 4, nil); err != nil {
+		t.Fatalf("streamed verifier rejected the wrong offset (%v); this test needs a content-only error", err)
+	}
+	if _, err := ProveRanks(name, 4, nil); err == nil || !strings.Contains(err.Error(), "failed static verification") {
+		t.Fatalf("ProveRanks = %v, want a failed static verification", err)
 	}
 }
 

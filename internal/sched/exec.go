@@ -18,19 +18,16 @@ const TagBase = 401
 // reused across calls (resized only when the block size or buffer
 // virtualness changes), mirroring how every core algorithm stages.
 //
-// An Exec holds either a whole-world Schedule (NewExec) — sliced lazily
-// for whichever rank runs it — or a single rank's pre-sliced RankProgram
-// (NewRankExec), the large-world form that never needs the assembled
-// schedule in memory.
+// An Exec runs one rank's RankProgram (NewRankExec); a whole-world
+// Schedule reaches a rank as its Slice.
 //
-// Exec does not verify: callers must Verify the schedule (or VerifyRank
-// plus the streamed world check for rank programs) once before
-// constructing an executor (core does this at algorithm construction).
+// Exec does not verify: callers must prove the program's world once
+// before constructing an executor (ProveRanks; core does this at
+// algorithm construction).
 // Like the operations built on it, an Exec is driven by one rank's
 // goroutine and is not safe for concurrent use.
 type Exec struct {
-	s       *Schedule    // whole-world form (nil for rank executors)
-	rp      *RankProgram // pre-sliced form, or the lazy slice of s
+	rp      *RankProgram
 	scratch []comm.Buffer
 	load    *LoadRecord // optional per-round traffic recording
 	op      ReduceOp    // operator applied by Reduce steps (SetOp)
@@ -50,24 +47,12 @@ func (e *Exec) SetOp(op ReduceOp) { e.op = op }
 // executor issues is then recorded per round. Pass nil to stop recording.
 func (e *Exec) SetLoadRecord(l *LoadRecord) { e.load = l }
 
-// NewExec returns an executor for a verified whole-world schedule; the
-// running rank's slice is taken at Run time.
-func NewExec(s *Schedule) *Exec {
-	return &Exec{s: s, scratch: make([]comm.Buffer, len(s.Scratch))}
-}
-
 // NewRankExec returns an executor for one rank's verified program.
 func NewRankExec(rp *RankProgram) *Exec {
 	return &Exec{rp: rp, scratch: make([]comm.Buffer, len(rp.Scratch))}
 }
 
-// Schedule returns the executed whole-world schedule (nil for executors
-// built from a rank program).
-func (e *Exec) Schedule() *Schedule { return e.s }
-
-// Program returns the rank program the executor runs: the pre-sliced one,
-// or the last slice taken from the whole-world schedule (nil before the
-// first Run).
+// Program returns the rank program the executor runs.
 func (e *Exec) Program() *RankProgram { return e.rp }
 
 // ensure (re)allocates *buf to n bytes matching ref's virtualness, the
@@ -89,17 +74,6 @@ func ensure(buf *comm.Buffer, ref comm.Buffer, n int) {
 // compute costs in the phase breakdown); it may be nil.
 func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Recorder) error {
 	rp := e.rp
-	if e.s != nil && (rp == nil || rp.Rank != c.Rank()) {
-		if c.Size() != e.s.Ranks {
-			return fmt.Errorf("sched: schedule %q compiled for %d ranks, communicator has %d", e.s.Name, e.s.Ranks, c.Size())
-		}
-		var err error
-		rp, err = Slice(e.s, c.Rank())
-		if err != nil {
-			return err
-		}
-		e.rp = rp
-	}
 	if rp == nil {
 		return errors.New("sched: executor has no schedule")
 	}

@@ -85,12 +85,25 @@ func TestTorusUsesTopology(t *testing.T) {
 	}
 }
 
+// rankExec wraps rank's slice of s in an executor, the form in which
+// every schedule reaches a running rank.
+func rankExec(s *Schedule, rank int) (*Exec, error) {
+	rp, err := Slice(s, rank)
+	if err != nil {
+		return nil, err
+	}
+	return NewRankExec(rp), nil
+}
+
 // execBody runs an Exec via the live pattern check: fill, run twice
 // (persistence), verify every byte.
 func execBody(s *Schedule, block int) func(c comm.Comm) error {
 	return func(c comm.Comm) error {
-		ex := NewExec(s) // one executor per rank: scratch is per-rank state
 		p, rank := c.Size(), c.Rank()
+		ex, err := rankExec(s, rank) // one executor per rank: scratch is per-rank state
+		if err != nil {
+			return err
+		}
 		send := comm.Alloc(p * block)
 		recv := comm.Alloc(p * block)
 		testutil.FillAlltoall(send, rank, p, block)
@@ -165,7 +178,10 @@ func TestExecArgErrors(t *testing.T) {
 	t.Parallel()
 	s := mustGen(t, "pairwise", 4)
 	err := runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
-		e := NewExec(s)
+		e, err := rankExec(s, c.Rank())
+		if err != nil {
+			return err
+		}
 		send, recv := comm.Alloc(2*4), comm.Alloc(2*4)
 		if err := e.Run(c, send, recv, 4, nil); err == nil {
 			return fmt.Errorf("4-rank schedule ran on a 2-rank communicator")
@@ -189,7 +205,10 @@ func TestExecRejectsReserved(t *testing.T) {
 		Rounds: []Round{{Steps: [][]Step{{{Kind: Reduce, Src: sendRef(0, 1), Dst: recvRef(0, 1)}}}}},
 	}
 	err := runtime.Run(runtime.Config{Ranks: 1}, func(c comm.Comm) error {
-		e := NewExec(s)
+		e, err := rankExec(s, 0)
+		if err != nil {
+			return err
+		}
 		if err := e.Run(c, comm.Alloc(4), comm.Alloc(4), 4, nil); err == nil {
 			return fmt.Errorf("reduce step executed")
 		}

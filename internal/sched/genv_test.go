@@ -190,7 +190,10 @@ func TestGenerateVExecLive(t *testing.T) {
 			}
 			err = runtime.Run(runtime.Config{Ranks: p}, func(c comm.Comm) error {
 				r := c.Rank()
-				ex := NewExec(s)
+				ex, err := rankExec(s, r)
+				if err != nil {
+					return err
+				}
 				send := comm.Alloc(maxInt(1, sumCounts(counts[r])))
 				col := 0
 				for src := 0; src < p; src++ {

@@ -120,7 +120,10 @@ func TestLoadRecordMatchesStatic(t *testing.T) {
 		}
 		lr := NewLoadRecord(ranks)
 		err = runtime.Run(runtime.Config{Ranks: ranks}, func(c comm.Comm) error {
-			ex := NewExec(s)
+			ex, err := rankExec(s, c.Rank())
+			if err != nil {
+				return err
+			}
 			ex.SetLoadRecord(lr)
 			send := comm.Alloc(ranks * block)
 			recv := comm.Alloc(ranks * block)
@@ -217,7 +220,10 @@ func TestLinkLoadsMatchSimulatedFlows(t *testing.T) {
 		var rep *sim.FlowReport
 		cfg := sim.ClusterConfig{Model: model, Nodes: nodes, PPN: ppn, Seed: 2, Fabric: c.fabric}
 		_, err = sim.RunClusterDebug(cfg, func(cm comm.Comm) error {
-			ex := NewExec(s)
+			ex, err := rankExec(s, cm.Rank())
+			if err != nil {
+				return err
+			}
 			send := comm.Virtual(ranks * block)
 			recv := comm.Virtual(ranks * block)
 			return ex.Run(cm, send, recv, block, nil)

@@ -38,7 +38,7 @@ func reductionGenerators() []string {
 // TestReductionGeneratorsVerify proves every reduction generator's
 // output at many shapes through the full symbolic verifier, the streamed
 // cross-rank verifier, and the GenerateRank ≡ Slice(Generate) identity
-// that transfers the content proof to the sliced path.
+// that carries the content proof to the streamed-only large worlds.
 func TestReductionGeneratorsVerify(t *testing.T) {
 	t.Parallel()
 	for _, name := range reductionGenerators() {
@@ -119,7 +119,10 @@ func reduceExecBody(s *Schedule, elems int, op ReduceOp, fold func(a, b int64) i
 	return func(c comm.Comm) error {
 		block := elems * 8
 		p, rank := c.Size(), c.Rank()
-		ex := NewExec(s)
+		ex, err := rankExec(s, rank)
+		if err != nil {
+			return err
+		}
 		ex.SetOp(op)
 		send := comm.Alloc(p * block)
 		recvBlocks := 1
@@ -236,7 +239,11 @@ func TestExecReduceNeedsOp(t *testing.T) {
 	}
 	err = runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
 		block := 8
-		return NewExec(s).Run(c, comm.Alloc(2*block), comm.Alloc(block), block, nil)
+		ex, err := rankExec(s, c.Rank())
+		if err != nil {
+			return err
+		}
+		return ex.Run(c, comm.Alloc(2*block), comm.Alloc(block), block, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "SetOp") {
 		t.Fatalf("missing-operator run: %v", err)

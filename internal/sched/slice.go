@@ -170,27 +170,6 @@ func (rp *RankProgram) MemBytes() int64 {
 		int64(len(rp.Scratch)+len(rp.VSend)+len(rp.VRecv))*8 + 128
 }
 
-// Steps returns the total step count of the schedule across all ranks.
-func (s *Schedule) Steps() int {
-	n := 0
-	for _, rd := range s.Rounds {
-		for _, steps := range rd.Steps {
-			n += len(steps)
-		}
-	}
-	return n
-}
-
-// MemBytes estimates the schedule's in-memory footprint, for cache byte
-// accounting.
-func (s *Schedule) MemBytes() int64 {
-	rows := 0
-	for _, rd := range s.Rounds {
-		rows += len(rd.Steps)
-	}
-	return int64(s.Steps())*stepBytes + int64(rows)*24 + int64(len(s.Scratch))*8 + 128
-}
-
 // Encode writes the rank program as versioned JSON (the Format field is
 // forced to FormatVersion).
 func (rp *RankProgram) Encode(w io.Writer) error {

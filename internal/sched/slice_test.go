@@ -409,7 +409,6 @@ func TestRankProgramStats(t *testing.T) {
 	}
 	whole := s.Stats()
 	var msgs, copies, wire int
-	var mem int64
 	for r := 0; r < 10; r++ {
 		rp, err := Slice(s, r)
 		if err != nil {
@@ -425,14 +424,10 @@ func TestRankProgramStats(t *testing.T) {
 		if st.ScratchBlocks != whole.ScratchBlocks {
 			t.Errorf("rank %d scratch %d, schedule %d", r, st.ScratchBlocks, whole.ScratchBlocks)
 		}
-		mem += rp.MemBytes()
 	}
 	if msgs != whole.Messages || copies != whole.Copies || wire != whole.WireBlocks {
 		t.Errorf("slice sums (msgs %d, copies %d, wire %d) != schedule stats (%d, %d, %d)",
 			msgs, copies, wire, whole.Messages, whole.Copies, whole.WireBlocks)
-	}
-	if mem <= s.MemBytes()/2 || s.MemBytes() <= 0 {
-		t.Errorf("memory estimates inconsistent: slices %d B, schedule %d B", mem, s.MemBytes())
 	}
 }
 

@@ -59,6 +59,14 @@ func Verify(s *Schedule) error {
 	if err := checkHeader(s.Collective(), s.Op, s.Counts, p); err != nil {
 		return err
 	}
+	// Check the shape before newVerifier sizes its state by the declared
+	// rank count, so a file declaring a large world it does not contain
+	// costs nothing.
+	for ri, rd := range s.Rounds {
+		if len(rd.Steps) != p {
+			return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), p)
+		}
+	}
 
 	v := newVerifier(s)
 	for ri := range s.Rounds {
@@ -313,9 +321,6 @@ type pendingRecv struct {
 // round verifies and symbolically executes round ri.
 func (v *verifier) round(ri int) error {
 	rd := v.s.Rounds[ri]
-	if len(rd.Steps) != v.p {
-		return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), v.p)
-	}
 	stamp := int32(ri + 1)
 	sends := make(map[pairKey][]int64)
 	recvs := make(map[pairKey]pendingRecv)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -350,5 +351,26 @@ func TestVerifierErrorText(t *testing.T) {
 		if err := VerifyRank(rp); err == nil || err.Error() != want {
 			t.Errorf("%s: VerifyRank = %v\n want %s", tc.name, err, want)
 		}
+	}
+}
+
+// TestVerifyChecksShapeBeforeSizing: a 62-byte file declaring 4,000
+// ranks but holding an empty round is rejected for its step-list count
+// before the verifier sizes any per-rank state. Not parallel: it reads
+// the process-wide allocation counter.
+func TestVerifyChecksShapeBeforeSizing(t *testing.T) {
+	const file = `{"format":2,"name":"x","ranks":4000,"rounds":[{"steps":[]}]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := Decode(strings.NewReader(file))
+	if err == nil {
+		err = Verify(s)
+	}
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "round 0 has 0 step lists") {
+		t.Fatalf("Verify = %v, want the round 0 step-list count error", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("rejecting the file allocated %d bytes, want under 1 MB", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"alltoallx/internal/topo"
 )
@@ -36,10 +37,13 @@ import (
 //
 // What streaming cannot prove is that a multi-hop block arrives with the
 // right *content*, or that a wire-carried partial is complete (both need
-// cross-rank dataflow). Below core's slicing threshold the full verifier
-// remains authoritative, and property tests pin GenerateRank
-// byte-identical to Generate at randomized shapes — so the content proof
-// transfers to the sliced path by construction.
+// cross-rank dataflow). So the proof policy at the end of this file runs
+// the full verifier wherever it is affordable: at or below
+// FullProofRanks, ProveRanks assembles the very programs the ranks run
+// and Verify proves their content. Above the ceiling only the streamed
+// pass runs; the content argument there rests on property tests that pin
+// GenerateRank byte-identical to Slice(Generate) at randomized shapes,
+// whose assembled schedules the full verifier proves.
 
 // VerifyRank runs every local check on one rank's program. It does not
 // prove cross-rank properties; stream all slices through a StreamVerifier
@@ -562,6 +566,92 @@ func (sv *StreamVerifier) Finish() error {
 	return nil
 }
 
+// FullProofRanks is the full-proof ceiling. Worlds of at most this many
+// ranks are proved by Verify over the assembled rank programs; larger
+// worlds are proved one slice at a time by the streamed verifier. Two
+// costs pin it: Verify's symbolic state is O(p · slots), O(p^3) slots
+// for the route schedules, and ProveRanks keeps every program of the
+// world, which the caller caches (ring at 128 ranks is ~100 MB of steps).
+const FullProofRanks = 128
+
+// ProveRanks compiles every rank of the named world with GenerateRank
+// and proves the world. At or below FullProofRanks it assembles the
+// programs into one Schedule, runs Verify on it and returns the
+// programs, indexed by rank, so the full verifier has checked exactly
+// what the ranks run; a generator's refusal is returned as is. Above the
+// ceiling it runs VerifyWorldSliced and returns no programs.
+func ProveRanks(name string, p int, m *topo.Mapping) ([]*RankProgram, error) {
+	if err := checkRanks(p); err != nil {
+		return nil, err
+	}
+	if p > FullProofRanks {
+		if err := VerifyWorldSliced(name, p, m); err != nil {
+			return nil, fmt.Errorf("failed streamed verification: %w", err)
+		}
+		return nil, nil
+	}
+	rps := make([]*RankProgram, p)
+	for r := range rps {
+		rp, err := GenerateRank(name, p, r, m)
+		if err != nil {
+			return nil, err
+		}
+		rps[r] = rp
+	}
+	s, err := assemble(rps)
+	if err == nil {
+		err = Verify(s)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("failed static verification: %w", err)
+	}
+	return rps, nil
+}
+
+// assemble is the inverse of Slice: it joins one program per rank, in
+// rank order, into the schedule whose Slice(s, r) is rps[r]. The step
+// lists are shared, not copied. GenerateRank compiles no alltoallv
+// programs, so count rows are refused rather than rebuilt into Counts.
+func assemble(rps []*RankProgram) (*Schedule, error) {
+	h := rps[0]
+	s := &Schedule{Format: h.Format, Name: h.Name, Ranks: len(rps), Coll: h.Coll, Op: h.Op,
+		Scratch: h.Scratch, Rounds: make([]Round, len(h.Rounds))}
+	for ri := range s.Rounds {
+		s.Rounds[ri].Steps = make([][]Step, len(rps))
+	}
+	for r, rp := range rps {
+		if rp.Rank != r || rp.Ranks != len(rps) || rp.Format != h.Format || rp.Name != h.Name ||
+			rp.Coll != h.Coll || rp.Op != h.Op || !slices.Equal(rp.Scratch, h.Scratch) ||
+			rp.VSend != nil || rp.VRecv != nil || len(rp.Rounds) != len(h.Rounds) {
+			return nil, fmt.Errorf("sched: rank %d's program does not share rank 0's header and round count", r)
+		}
+		for ri, steps := range rp.Rounds {
+			s.Rounds[ri].Steps[r] = steps
+		}
+	}
+	return s, nil
+}
+
+// Prove is the registry's world proof: the Digest of every rank's proved
+// program, indexed by rank. At or below FullProofRanks it is ProveRanks
+// plus ProveWorld's streamed pass over the same programs; above it, it
+// is ProveWorld.
+func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
+	slice := func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) }
+	if p <= FullProofRanks {
+		rps, err := ProveRanks(name, p, m)
+		if err != nil {
+			return nil, err
+		}
+		slice = func(r int) (*RankProgram, error) { return rps[r], nil }
+	}
+	digests, err := proveSlices(p, slice)
+	if err != nil {
+		return nil, fmt.Errorf("failed streamed verification: %w", err)
+	}
+	return digests, nil
+}
+
 // ProveWorld streams every rank's GenerateRank slice of the named
 // generator through a StreamVerifier and returns the Digest of every
 // accepted slice, indexed by rank: the large-world proof. Memory stays
@@ -571,16 +661,6 @@ func (sv *StreamVerifier) Finish() error {
 // passed every check VerifyRank would repeat.
 func ProveWorld(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
 	return proveSlices(p, func(r int) (*RankProgram, error) { return GenerateRank(name, p, r, m) })
-}
-
-// ProveSchedule is the whole-world proof for worlds small enough to
-// assemble: Verify's full symbolic check of s, then ProveWorld's
-// streamed pass over its slices, returning their digests.
-func ProveSchedule(s *Schedule) ([][sha256.Size]byte, error) {
-	if err := Verify(s); err != nil {
-		return nil, err
-	}
-	return proveSlices(s.Ranks, func(r int) (*RankProgram, error) { return Slice(s, r) })
 }
 
 func proveSlices(p int, slice func(r int) (*RankProgram, error)) ([][sha256.Size]byte, error) {

@@ -25,8 +25,8 @@ package schedreg
 import (
 	"errors"
 	"fmt"
-	"regexp"
 
+	"alltoallx/internal/sched"
 	"alltoallx/internal/topo"
 )
 
@@ -99,19 +99,16 @@ func (k Key) Mapping() (*topo.Mapping, error) {
 	return m, nil
 }
 
-// genName restricts generator names to path-safe tokens: the generator
-// is a directory component under keys/, so nothing resembling a path
-// may pass.
-var genName = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]*$`)
-
 // validate rejects keys that could not name a real compilation before
-// any disk or generator work happens.
+// any disk or generator work happens, so no verdict is ever written for
+// a world no generator can have. Only a known generator's name passes,
+// which also keeps the directory component under keys/ path-safe.
 func (k Key) validate() error {
-	if !genName.MatchString(k.Gen) {
-		return fmt.Errorf("schedreg: invalid generator name %q", k.Gen)
+	if _, ok := sched.GeneratorColl(k.Gen); !ok {
+		return fmt.Errorf("schedreg: unknown generator %q", k.Gen)
 	}
-	if k.Ranks < 2 {
-		return fmt.Errorf("schedreg: %s: world needs at least 2 ranks", k)
+	if k.Ranks < 2 || k.Ranks > sched.MaxRanks {
+		return fmt.Errorf("schedreg: %s: world needs 2 to %d ranks", k, sched.MaxRanks)
 	}
 	if k.Rank < 0 || k.Rank >= k.Ranks {
 		return fmt.Errorf("schedreg: %s: rank out of range 0..%d", k, k.Ranks-1)

@@ -21,21 +21,13 @@ import (
 	"alltoallx/internal/singleflight"
 )
 
-// SliceRanks is the whole-world proof ceiling, mirroring the in-process
-// threshold of internal/core (schedSliceRanks): at or below it a world
-// proof compiles the assembled schedule, verifies it in full and then
-// streams its slices; above it, the proof streams GenerateRank slices
-// and never assembles the world — O(slice) memory, never O(p^2).
-const SliceRanks = 128
-
-// Test seams: the compilation entry points, swappable so tests can
-// count generator invocations and prove the prove-once guarantee (a
-// second process resolving against a stored record reaches only
-// generateRank, once per rank).
+// Test seams: the world proof and the rank compiler, swappable so tests
+// can count their runs and prove the prove-once guarantee (a second
+// process resolving against a stored record reaches only generateRank,
+// once per rank).
 var (
-	generate     = sched.Generate
+	prove        = sched.Prove
 	generateRank = sched.GenerateRank
-	proveWorld   = sched.ProveWorld
 )
 
 // Stats are the registry's lifetime counters (per Registry instance,
@@ -50,8 +42,8 @@ type Stats struct {
 	Misses int64 `json:"misses"`
 	// NegativeHits counts lookups answered by a REJECTED marker.
 	NegativeHits int64 `json:"negative_hits"`
-	// Compiles counts world proofs: the whole-world generator runs the
-	// registry exists to perform once.
+	// Compiles counts world proofs: the work the registry exists to
+	// perform once.
 	Compiles int64 `json:"compiles"`
 }
 
@@ -250,27 +242,19 @@ func (r *Registry) proveOnce(k Key, stale bool) error {
 	return err
 }
 
-// prove runs k's world proof and records the verdict: every rank's
-// digest in PROOF, or the generator's or verifier's refusal in
-// REJECTED.
+// prove runs k's world proof, sched.Prove (the full verifier at or below
+// sched.FullProofRanks, the streamed pass above), and records the
+// verdict: every rank's digest in PROOF, or the generator's or
+// verifier's refusal in REJECTED.
 func (r *Registry) prove(k Key) error {
 	m, err := k.Mapping()
 	if err != nil {
 		return err
 	}
 	r.compiles.Add(1)
-	var digests [][sha256.Size]byte
-	if k.Ranks <= SliceRanks {
-		s, gerr := generate(k.Gen, k.Ranks, m)
-		if gerr != nil {
-			return r.reject(k, gerr)
-		}
-		digests, err = sched.ProveSchedule(s)
-	} else {
-		digests, err = proveWorld(k.Gen, k.Ranks, m)
-	}
+	digests, err := prove(k.Gen, k.Ranks, m)
 	if err != nil {
-		return r.reject(k, fmt.Errorf("failed verification: %w", err))
+		return r.reject(k, err)
 	}
 	pf := proof{Gen: k.Gen, World: k.World(), Digests: make([]string, len(digests))}
 	for rank, d := range digests {

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,31 +20,27 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// seamCounters instruments the compilation seams for the duration of a
-// test, so tests can prove the generator did or did not run. Tests that
-// install counters must not run in parallel (the seams are package
-// globals).
+// seamCounters instruments the world proof and the rank compiler for
+// the duration of a test, so tests can prove the proof did or did not
+// run. Tests that install counters must not run in parallel (the seams
+// are package globals).
 type seamCounters struct {
-	generates, rankGenerates, worldProofs atomic.Int64
+	proofs, rankGenerates atomic.Int64
 }
 
 func countSeams(t *testing.T) *seamCounters {
 	t.Helper()
 	var c seamCounters
-	og, ogr, opw := generate, generateRank, proveWorld
-	generate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
-		c.generates.Add(1)
-		return og(name, p, m)
+	opr, ogr := prove, generateRank
+	prove = func(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
+		c.proofs.Add(1)
+		return opr(name, p, m)
 	}
 	generateRank = func(name string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	proveWorld = func(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
-		c.worldProofs.Add(1)
-		return opw(name, p, m)
-	}
-	t.Cleanup(func() { generate, generateRank, proveWorld = og, ogr, opw })
+	t.Cleanup(func() { prove, generateRank = opr, ogr })
 	return &c
 }
 
@@ -86,8 +85,8 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
 		t.Fatal("registry program differs from direct generation")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("whole-world generator ran %d times, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("world proof ran %d times, want 1", got)
 	}
 
 	rp2, err := reg.GetOrCompile(k)
@@ -97,8 +96,8 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp2), encodeRP(t, want)) {
 		t.Fatal("second fetch differs")
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second fetch re-ran the generator (%d runs)", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("second fetch re-ran the proof (%d runs)", got)
 	}
 	st := reg.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Compiles != 1 {
@@ -108,9 +107,9 @@ func TestGetOrCompileRoundTrip(t *testing.T) {
 
 // TestProveOnceAcrossRegistryInstances is the acceptance criterion:
 // two registry instances over one root (two processes, or one
-// restarted) prove a world exactly once — the second runs no whole-world
-// generator and no streamed pass, only one GenerateRank per rank it
-// resolves, and serves byte-identical programs.
+// restarted) prove a world exactly once — the second runs no proof,
+// only one GenerateRank per rank it resolves, and serves byte-identical
+// programs.
 func TestProveOnceAcrossRegistryInstances(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
@@ -125,8 +124,8 @@ func TestProveOnceAcrossRegistryInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("first instance ran the whole-world generator %d times, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("first instance ran the world proof %d times, want 1", got)
 	}
 
 	reg2, err := Open(root) // a second process: fresh instance, same root
@@ -144,9 +143,8 @@ func TestProveOnceAcrossRegistryInstances(t *testing.T) {
 		if rank == 3 && !bytes.Equal(encodeRP(t, first), encodeRP(t, rp)) {
 			t.Fatal("instances disagree on program bytes")
 		}
-		if c.generates.Load() != 1 || c.worldProofs.Load() != 0 {
-			t.Fatalf("rank %d: second instance re-proved the world (%d generates, %d streamed passes)",
-				rank, c.generates.Load(), c.worldProofs.Load())
+		if got := c.proofs.Load(); got != 1 {
+			t.Fatalf("rank %d: second instance re-proved the world (%d proofs in all)", rank, got)
 		}
 		if got := c.rankGenerates.Load() - ranks0; got != int64(i+1) {
 			t.Fatalf("after resolving %d ranks the second instance ran GenerateRank %d times", i+1, got)
@@ -172,8 +170,8 @@ func TestNegativeCache(t *testing.T) {
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("want ErrRejected, got %v", err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("proof ran %d times, want 1", got)
 	}
 
 	reg2, err := Open(root)
@@ -189,22 +187,22 @@ func TestNegativeCache(t *testing.T) {
 			t.Errorf("rejection %q does not mention %q", err, frag)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("second instance re-ran the generator (%d runs)", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("second instance re-ran the proof (%d runs)", got)
 	}
 	if st := reg2.Stats(); st.NegativeHits != 1 || st.Compiles != 0 {
 		t.Fatalf("second instance stats = %+v, want 1 negative hit, 0 compiles", st)
 	}
 }
 
-// TestLargeWorldSlicedPath: above SliceRanks the registry proves the
-// world by one streamed pass and never assembles it; the world's whole
-// footprint is its PROOF record, and a restarted instance resolves any
-// rank against that record with one GenerateRank each.
+// TestLargeWorldSlicedPath: above sched.FullProofRanks the registry
+// proves the world once; the world's whole footprint is its PROOF
+// record, and a restarted instance resolves any rank against that
+// record with one GenerateRank each.
 func TestLargeWorldSlicedPath(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
-	p := SliceRanks + 2
+	p := sched.FullProofRanks + 2
 	k := KeyFor("direct", p, nil, 7)
 
 	reg1, err := Open(root)
@@ -222,11 +220,8 @@ func TestLargeWorldSlicedPath(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
 		t.Fatal("sliced-path program differs from direct generation")
 	}
-	if c.generates.Load() != 0 {
-		t.Fatal("sliced path materialized the whole world")
-	}
-	if got := c.worldProofs.Load(); got != 1 {
-		t.Fatalf("streamed proof ran %d times, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("world proof ran %d times, want 1", got)
 	}
 	files, err := os.ReadDir(filepath.Join(root, "keys", "direct", k.World()))
 	if err != nil {
@@ -248,7 +243,7 @@ func TestLargeWorldSlicedPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.worldProofs.Load() != 1 {
+	if c.proofs.Load() != 1 {
 		t.Fatal("restarted instance re-proved the world")
 	}
 	if got := c.rankGenerates.Load() - ranks0; got != 2 {
@@ -294,8 +289,8 @@ func TestConcurrentGetOrCompile(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", i, err)
 		}
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times under contention, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("world proof ran %d times under contention, want 1", got)
 	}
 	for i := 0; i < goroutines; i++ {
 		j := (i + 16) % goroutines // same rank, different goroutine
@@ -335,8 +330,8 @@ func TestStaleRecord(t *testing.T) {
 	if !bytes.Equal(encodeRP(t, rp), encodeRP(t, first)) {
 		t.Fatal("re-proved program differs from the first")
 	}
-	if got := c.generates.Load(); got != 2 {
-		t.Fatalf("whole-world generator ran %d times, want 2 (the first proof and one re-proof)", got)
+	if got := c.proofs.Load(); got != 2 {
+		t.Fatalf("world proof ran %d times, want 2 (the first proof and one re-proof)", got)
 	}
 	if st := reg.Stats(); st.Compiles != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 miss and 1 proof", st)
@@ -492,11 +487,42 @@ func TestKeyValidation(t *testing.T) {
 		{Gen: "ring", Ranks: 8, Rank: -1},
 		{Gen: "ring", Ranks: 8, Rank: 0, Nodes: 2},
 		{Gen: "torus", Ranks: 12, Rank: 11, Nodes: 2, PPN: 4}, // 2 x 4 is not 12 ranks
+		{Gen: "nosuch", Ranks: 8, Rank: 0},                    // no such generator
+		{Gen: "ring", Ranks: sched.MaxRanks + 1, Rank: 0},     // past the schedule id width
 	}
 	for _, k := range bad {
 		if _, err := reg.GetOrCompile(k); err == nil {
 			t.Errorf("key %+v accepted", k)
 		}
+	}
+}
+
+// TestNoVerdictForImpossibleWorlds: worlds no generator can have — an
+// unknown generator, or more ranks than a schedule can address — leave
+// nothing on disk, whether asked through GetOrCompile, Lookup or the
+// daemon.
+func TestNoVerdictForImpossibleWorlds(t *testing.T) {
+	reg := Open2(t, t.TempDir())
+	srv := httptest.NewServer(NewServer(reg, 1))
+	t.Cleanup(srv.Close)
+	for _, k := range []Key{{Gen: "nosuch", Ranks: 8}, {Gen: "ring", Ranks: 50000}} {
+		if _, err := reg.GetOrCompile(k); err == nil {
+			t.Errorf("GetOrCompile(%+v) succeeded", k)
+		}
+		if _, err, _ := reg.Lookup(k); err == nil {
+			t.Errorf("Lookup(%+v) succeeded", k)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v1/proof?gen=%s&ranks=%d", srv.URL, k.Gen, k.Ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s@%d: daemon answered %d, want 400", k.Gen, k.Ranks, resp.StatusCode)
+		}
+	}
+	if files, err := os.ReadDir(filepath.Join(reg.Root(), "keys")); err != nil || len(files) != 0 {
+		t.Fatalf("keys/ holds %v (err %v), want nothing", files, err)
 	}
 }
 
@@ -542,7 +568,7 @@ func TestList(t *testing.T) {
 // whose digest is the record's entry for the rank.
 func FuzzProofRecord(f *testing.F) {
 	k := KeyFor("ring", 8, nil, 3)
-	digests, err := sched.ProveWorld(k.Gen, k.Ranks, nil)
+	digests, err := sched.Prove(k.Gen, k.Ranks, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package schedreg
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -57,8 +58,8 @@ func TestServerFetchRoundTrip(t *testing.T) {
 	if _, err := NewClient(cl.base).Fetch("torus", 12, m, 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.generates.Load(); got != 1 {
-		t.Fatalf("generator ran %d times, want 1", got)
+	if got := c.proofs.Load(); got != 1 {
+		t.Fatalf("world proof ran %d times, want 1", got)
 	}
 	if st := reg.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss", st)
@@ -127,16 +128,16 @@ func TestServerAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm one world, then wedge the generator.
+	// Warm one world, then wedge the proof.
 	if _, err := reg.GetOrCompile(KeyFor("ring", 8, nil, 1)); err != nil {
 		t.Fatal(err)
 	}
 	enter, release := make(chan struct{}, 1), make(chan struct{})
-	og := generate
-	generate = func(name string, p int, m *topo.Mapping) (*sched.Schedule, error) {
+	op := prove
+	prove = func(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
 		enter <- struct{}{}
 		<-release
-		return og(name, p, m)
+		return op(name, p, m)
 	}
 	srv := httptest.NewServer(NewServer(reg, 1))
 	t.Cleanup(srv.Close)
@@ -160,7 +161,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("wedged compile finished with %v", err)
 	}
-	generate = og // un-wedge so the next cold compile runs through
+	prove = op // un-wedge so the next cold proof runs through
 	if _, err := cl.Fetch("direct", 8, nil, 0); err != nil {
 		t.Fatalf("slot not released: %v", err)
 	}
@@ -183,6 +184,8 @@ func TestServerBadRequests(t *testing.T) {
 		{"/v1/proof?gen=..%2Fup&ranks=8", http.StatusBadRequest},              // path-unsafe gen
 		{"/v1/proof?gen=ring&ranks=8&nodes=2", http.StatusBadRequest},         // nodes without ppn
 		{"/v1/proof?gen=torus&ranks=12&nodes=2&ppn=4", http.StatusBadRequest}, // 2 x 4 is not 12 ranks
+		{"/v1/proof?gen=nosuch&ranks=8", http.StatusBadRequest},               // unknown generator
+		{"/v1/proof?gen=ring&ranks=50000", http.StatusBadRequest},             // past sched.MaxRanks
 		{"/v1/program?gen=ring&ranks=8&rank=0", http.StatusNotFound},          // programs are not served
 		{"/v1/nope", http.StatusNotFound},
 	} {

@@ -213,7 +213,11 @@ func TestFlowConservationFuzz(t *testing.T) {
 		cfg := ClusterConfig{Model: m, Nodes: tr.nodes, PPN: tr.ppn, Seed: int64(ti + 1), Fabric: tr.fabric}
 		var rep *FlowReport
 		st, err := RunClusterDebug(cfg, func(c comm.Comm) error {
-			ex := sched.NewExec(s)
+			rp, err := sched.Slice(s, c.Rank())
+			if err != nil {
+				return err
+			}
+			ex := sched.NewRankExec(rp)
 			send := comm.Virtual(p * tr.block)
 			recv := comm.Virtual(p * tr.block)
 			return ex.Run(c, send, recv, tr.block, nil)
