@@ -26,7 +26,7 @@ import (
 // schedule service (when a fetcher is installed via SetSchedFetcher),
 // and the world's proof, sched.ProveRanks, which runs once per world per
 // process. At or below sched.FullProofRanks the proof returns every
-// rank's program after the full verifier has checked them, and they go
+// rank's program after the world driver has proved them, and they go
 // into the LRU, so ranks of a small world compile nothing more; a rank
 // whose program is not cached compiles it with sched.GenerateRank, the
 // deterministic function the proof checked. The service's "daemon →

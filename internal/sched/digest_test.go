@@ -90,7 +90,7 @@ func TestProveRanksCeiling(t *testing.T) {
 // TestProveRanksSeesContent: a generator whose rank 1 sends rank 0 the
 // block at the wrong send offset passes the streamed verifier — every
 // message still has the right endpoints and length, and the receiver
-// cannot name what arrives — but not ProveRanks, whose full verifier
+// cannot name what arrives — but not ProveRanks, whose world driver
 // tracks every block's identity. Not parallel: it registers a
 // test-only generator in the package-global registry.
 func TestProveRanksSeesContent(t *testing.T) {

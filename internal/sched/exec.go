@@ -21,9 +21,10 @@ const TagBase = 401
 // An Exec runs one rank's RankProgram (NewRankExec); a whole-world
 // Schedule reaches a rank as its Slice.
 //
-// Exec does not verify: callers must prove the program's world once
-// before constructing an executor (ProveRanks; core does this at
-// algorithm construction).
+// Exec does not verify: callers prove the program's world once before
+// constructing an executor (ProveRanks, whose world driver proves
+// content at or below FullProofRanks and whose streamed driver proves
+// the rest above it; core does this at algorithm construction).
 // Like the operations built on it, an Exec is driven by one rank's
 // goroutine and is not safe for concurrent use.
 type Exec struct {

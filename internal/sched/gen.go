@@ -119,10 +119,32 @@ func selfCopy(r int) Step {
 	return Step{Kind: Copy, Src: sendRef(r, 1), Dst: recvRef(r, 1)}
 }
 
+// withRounds fills s.Rounds from every rank's rounds, giving a rank with
+// fewer rounds than the longest an empty step list in the rest, and
+// returns s.
+func withRounds(s *Schedule, rounds func(r int) [][]Step) *Schedule {
+	perRank := make([][][]Step, s.Ranks)
+	for r := range perRank {
+		perRank[r] = rounds(r)
+		for len(s.Rounds) < len(perRank[r]) {
+			s.Rounds = append(s.Rounds, Round{Steps: make([][]Step, s.Ranks)})
+		}
+	}
+	for ri := range s.Rounds {
+		for r, rs := range perRank {
+			if ri < len(rs) {
+				s.Rounds[ri].Steps[r] = rs[ri]
+			}
+		}
+	}
+	return s
+}
+
 // The classic generators are built from per-rank step builders: Generate
-// assembles all p ranks into a Schedule, GenerateRank emits exactly one
-// rank's rounds as a RankProgram (O(p) work for direct/pairwise,
-// O(p log p) for bruck) without ever materializing the whole world.
+// assembles all p ranks' rounds into a Schedule, GenerateRank emits
+// exactly one rank's rounds as a RankProgram (O(p) work for
+// direct/pairwise, O(p log p) for bruck) without ever materializing the
+// whole world.
 
 // directSteps is rank r's single round of the spread direct exchange: all
 // p-1 receives posted first, then all p-1 sends, in spread order (peer
@@ -144,11 +166,8 @@ func directSteps(p, r int) []Step {
 // a single round in which every rank posts all p-1 receives, then all p-1
 // sends.
 func Direct(p int, _ *topo.Mapping) (*Schedule, error) {
-	s := &Schedule{Format: FormatVersion, Name: "direct", Ranks: p, Rounds: []Round{{Steps: make([][]Step, p)}}}
-	for r := 0; r < p; r++ {
-		s.Rounds[0].Steps[r] = directSteps(p, r)
-	}
-	return s, nil
+	return withRounds(&Schedule{Format: FormatVersion, Name: "direct", Ranks: p},
+		func(r int) [][]Step { return [][]Step{directSteps(p, r)} }), nil
 }
 
 func directRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
@@ -167,29 +186,21 @@ func pairwiseSteps(p, r, i int) []Step {
 // Pairwise compiles Algorithm 1: a self-copy round followed by p-1
 // rounds, each one SendRecv per rank with disjoint partners.
 func Pairwise(p int, _ *topo.Mapping) (*Schedule, error) {
-	s := &Schedule{Format: FormatVersion, Name: "pairwise", Ranks: p}
-	r0 := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		r0.Steps[r] = []Step{selfCopy(r)}
-	}
-	s.Rounds = append(s.Rounds, r0)
+	return withRounds(&Schedule{Format: FormatVersion, Name: "pairwise", Ranks: p},
+		func(r int) [][]Step { return pairwiseRounds(p, r) }), nil
+}
+
+// pairwiseRounds is rank r's self-copy round and p-1 exchange rounds.
+func pairwiseRounds(p, r int) [][]Step {
+	rounds := [][]Step{{selfCopy(r)}}
 	for i := 1; i < p; i++ {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			rd.Steps[r] = pairwiseSteps(p, r, i)
-		}
-		s.Rounds = append(s.Rounds, rd)
+		rounds = append(rounds, pairwiseSteps(p, r, i))
 	}
-	return s, nil
+	return rounds
 }
 
 func pairwiseRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	rp := &RankProgram{Format: FormatVersion, Name: "pairwise", Ranks: p, Rank: r,
-		Rounds: [][]Step{{selfCopy(r)}}}
-	for i := 1; i < p; i++ {
-		rp.Rounds = append(rp.Rounds, pairwiseSteps(p, r, i))
-	}
-	return rp, nil
+	return &RankProgram{Format: FormatVersion, Name: "pairwise", Ranks: p, Rank: r, Rounds: pairwiseRounds(p, r)}, nil
 }
 
 // bruckPlan computes the exchange rounds ks (k = 1, 2, 4, ...) and the
@@ -229,13 +240,12 @@ func bruckRotateSteps(p, r int) []Step {
 	return steps
 }
 
-// bruckUnpackSteps emits the copies restoring round ki's received blocks
-// from its pack-recv buffer into the rotation buffer (identical on every
-// rank).
-func bruckUnpackSteps(p int, ks []int, ki int) []Step {
+// bruckUnpackSteps appends the copies restoring round ki's received
+// blocks from its pack-recv buffer into the rotation buffer (identical on
+// every rank).
+func bruckUnpackSteps(steps []Step, p int, ks []int, ki int) []Step {
 	k := ks[ki]
 	buf := bruckPackA + ki%2
-	var steps []Step
 	m := 0
 	for i := 0; i < p; i++ {
 		if i&k != 0 {
@@ -251,9 +261,9 @@ func bruckUnpackSteps(p int, ks []int, ki int) []Step {
 // set, and exchange with the partners ±ks[ki].
 func bruckExchangeSteps(p int, ks []int, ki, r int) []Step {
 	k := ks[ki]
-	var steps []Step
+	steps := make([]Step, 0, p+1) // at most p/2 unpacks, p/2 packs and the exchange
 	if ki > 0 {
-		steps = append(steps, bruckUnpackSteps(p, ks, ki-1)...)
+		steps = bruckUnpackSteps(steps, p, ks, ki-1)
 	}
 	m := 0
 	for i := 0; i < p; i++ {
@@ -275,7 +285,7 @@ func bruckExchangeSteps(p int, ks []int, ki, r int) []Step {
 // bruckFinalSteps is rank r's final round: unpack the last exchange, then
 // invert the rotation — local block i holds the data from rank r-i.
 func bruckFinalSteps(p int, ks []int, r int) []Step {
-	steps := bruckUnpackSteps(p, ks, len(ks)-1)
+	steps := bruckUnpackSteps(make([]Step, 0, p+(p+1)/2), p, ks, len(ks)-1)
 	for i := 0; i < p; i++ {
 		src := (r - i + p) % p
 		steps = append(steps, Step{Kind: Copy, Src: scratchRef(bruckTmp, i, 1), Dst: recvRef(src, 1)})
@@ -292,41 +302,27 @@ func Bruck(p int, _ *topo.Mapping) (*Schedule, error) {
 	if p == 1 {
 		return Pairwise(p, nil)
 	}
-	ks, h := bruckPlan(p)
-	s := &Schedule{Format: FormatVersion, Name: "bruck", Ranks: p, Scratch: []int{p, h, h, h}}
+	_, h := bruckPlan(p)
+	return withRounds(&Schedule{Format: FormatVersion, Name: "bruck", Ranks: p, Scratch: []int{p, h, h, h}},
+		func(r int) [][]Step { return bruckRounds(p, r) }), nil
+}
 
-	r0 := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		r0.Steps[r] = bruckRotateSteps(p, r)
-	}
-	s.Rounds = append(s.Rounds, r0)
-
+// bruckRounds is rank r's rotation round, exchange rounds and final
+// round.
+func bruckRounds(p, r int) [][]Step {
+	ks, _ := bruckPlan(p)
+	rounds := [][]Step{bruckRotateSteps(p, r)}
 	for ki := range ks {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			rd.Steps[r] = bruckExchangeSteps(p, ks, ki, r)
-		}
-		s.Rounds = append(s.Rounds, rd)
+		rounds = append(rounds, bruckExchangeSteps(p, ks, ki, r))
 	}
-
-	fin := Round{Steps: make([][]Step, p)}
-	for r := 0; r < p; r++ {
-		fin.Steps[r] = bruckFinalSteps(p, ks, r)
-	}
-	s.Rounds = append(s.Rounds, fin)
-	return s, nil
+	return append(rounds, bruckFinalSteps(p, ks, r))
 }
 
 func bruckRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
 	if p == 1 {
 		return pairwiseRank(p, r, m)
 	}
-	ks, h := bruckPlan(p)
-	rp := &RankProgram{Format: FormatVersion, Name: "bruck", Ranks: p, Rank: r, Scratch: []int{p, h, h, h}}
-	rp.Rounds = append(rp.Rounds, bruckRotateSteps(p, r))
-	for ki := range ks {
-		rp.Rounds = append(rp.Rounds, bruckExchangeSteps(p, ks, ki, r))
-	}
-	rp.Rounds = append(rp.Rounds, bruckFinalSteps(p, ks, r))
-	return rp, nil
+	_, h := bruckPlan(p)
+	return &RankProgram{Format: FormatVersion, Name: "bruck", Ranks: p, Rank: r, Scratch: []int{p, h, h, h},
+		Rounds: bruckRounds(p, r)}, nil
 }

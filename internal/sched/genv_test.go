@@ -32,7 +32,7 @@ func vTestCounts(p int) [][]int {
 }
 
 // TestGenerateVVerify proves both alltoallv generators at several shapes
-// through the full verifier and the streamed per-slice verifier, with
+// through the world driver and the streamed per-slice driver, with
 // non-uniform counts including zero pairs, rows and columns.
 func TestGenerateVVerify(t *testing.T) {
 	t.Parallel()
@@ -188,48 +188,55 @@ func TestGenerateVExecLive(t *testing.T) {
 			if err := Verify(s); err != nil {
 				t.Fatal(err)
 			}
-			err = runtime.Run(runtime.Config{Ranks: p}, func(c comm.Comm) error {
-				r := c.Rank()
-				ex, err := rankExec(s, r)
-				if err != nil {
-					return err
-				}
-				send := comm.Alloc(maxInt(1, sumCounts(counts[r])))
-				col := 0
-				for src := 0; src < p; src++ {
-					col += counts[src][r]
-				}
-				recv := comm.Alloc(maxInt(1, col))
-				off := 0
-				for d := 0; d < p; d++ {
-					for k := 0; k < counts[r][d]; k++ {
-						send.Bytes()[off] = vMark(r, d, k)
-						off++
-					}
-				}
-				for iter := 0; iter < 2; iter++ {
-					for i := range recv.Bytes() {
-						recv.Bytes()[i] = 0xEE
-					}
-					if err := ex.Run(c, send, recv, 1, nil); err != nil {
-						return fmt.Errorf("iter %d: %w", iter, err)
-					}
-					off := 0
-					for src := 0; src < p; src++ {
-						for k := 0; k < counts[src][r]; k++ {
-							if got, want := recv.Bytes()[off], vMark(src, r, k); got != want {
-								return fmt.Errorf("iter %d: block %d of %d->%d: got %#x, want %#x", iter, k, src, r, got, want)
-							}
-							off++
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := runtime.Run(runtime.Config{Ranks: p}, vExecBody(s, counts)); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// vExecBody runs an alltoallv schedule at block=1 with vMark payloads
+// packed in the canonical layout and checks every delivered byte,
+// twice through one executor.
+func vExecBody(s *Schedule, counts [][]int) func(c comm.Comm) error {
+	return func(c comm.Comm) error {
+		p := len(counts)
+		r := c.Rank()
+		ex, err := rankExec(s, r)
+		if err != nil {
+			return err
+		}
+		send := comm.Alloc(maxInt(1, sumCounts(counts[r])))
+		col := 0
+		for src := 0; src < p; src++ {
+			col += counts[src][r]
+		}
+		recv := comm.Alloc(maxInt(1, col))
+		off := 0
+		for d := 0; d < p; d++ {
+			for k := 0; k < counts[r][d]; k++ {
+				send.Bytes()[off] = vMark(r, d, k)
+				off++
+			}
+		}
+		for iter := 0; iter < 2; iter++ {
+			for i := range recv.Bytes() {
+				recv.Bytes()[i] = 0xEE
+			}
+			if err := ex.Run(c, send, recv, 1, nil); err != nil {
+				return fmt.Errorf("iter %d: %w", iter, err)
+			}
+			off := 0
+			for src := 0; src < p; src++ {
+				for k := 0; k < counts[src][r]; k++ {
+					if got, want := recv.Bytes()[off], vMark(src, r, k); got != want {
+						return fmt.Errorf("iter %d: block %d of %d->%d: got %#x, want %#x", iter, k, src, r, got, want)
+					}
+					off++
+				}
+			}
+		}
+		return nil
 	}
 }
 

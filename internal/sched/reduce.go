@@ -33,27 +33,9 @@ import (
 )
 
 // assembleReduce builds a whole-world reduction schedule from a per-rank
-// rounds builder with a uniform round count across ranks.
+// rounds builder.
 func assembleReduce(name string, coll Coll, p int, scratch []int, rounds func(r int) [][]Step) *Schedule {
-	s := &Schedule{Format: FormatVersion, Name: name, Ranks: p, Coll: coll, Op: OpAny, Scratch: scratch}
-	perRank := make([][][]Step, p)
-	nr := 0
-	for r := 0; r < p; r++ {
-		perRank[r] = rounds(r)
-		if len(perRank[r]) > nr {
-			nr = len(perRank[r])
-		}
-	}
-	for ri := 0; ri < nr; ri++ {
-		rd := Round{Steps: make([][]Step, p)}
-		for r := 0; r < p; r++ {
-			if ri < len(perRank[r]) {
-				rd.Steps[r] = perRank[r][ri]
-			}
-		}
-		s.Rounds = append(s.Rounds, rd)
-	}
-	return s
+	return withRounds(&Schedule{Format: FormatVersion, Name: name, Ranks: p, Coll: coll, Op: OpAny, Scratch: scratch}, rounds)
 }
 
 // reduceRank wraps one rank's rounds as a RankProgram with the same

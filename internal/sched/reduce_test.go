@@ -267,8 +267,8 @@ func findReduce(t *testing.T, s *Schedule, scratchDst bool) (int, int, int) {
 	return 0, 0, 0
 }
 
-// TestVerifyRejectsReductionCorruption: the generalized full verifier
-// catches every reduction-specific corruption class.
+// TestVerifyRejectsReductionCorruption: Verify's world driver catches
+// every reduction-specific corruption class.
 func TestVerifyRejectsReductionCorruption(t *testing.T) {
 	t.Parallel()
 	cases := []struct {

@@ -19,9 +19,9 @@ import (
 // through x), not O(p^2 · diameter).
 //
 // The two implementations are deliberately independent: compileRoutes
-// stays the authoritative path-materializing construction (proved by the
-// full verifier), and property tests pin compileRank byte-identical to
-// its slices at randomized shapes.
+// stays the authoritative path-materializing construction (proved by
+// Verify's world driver), and property tests pin compileRank
+// byte-identical to its slices at randomized shapes.
 
 // rmsg is one packed message of a round: the peer and the identities
 // (s*p+d) of the blocks it carries, ascending.

@@ -119,7 +119,7 @@ func TestGenerateRankMatchesGenerate(t *testing.T) {
 
 // TestStreamVerifierAcceptsGenerators: the large-world mode accepts every
 // generator's sliced output at randomized shapes — the same worlds the
-// full verifier proves.
+// world driver proves.
 func TestStreamVerifierAcceptsGenerators(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
@@ -465,12 +465,13 @@ func TestGenerateRankAt4096(t *testing.T) {
 }
 
 // TestStreamVerifyLargeWorld streams a full 4096-rank world through the
-// incremental verifier — O(p) memory where the full verifier would need
-// O(p^2) state per rank. About 15 s alone and 40 s inside the full suite
-// on 2 vCPUs, so -short skips it.
+// streamed driver — O(p) persistent memory plus one slice's walker state,
+// where the world driver would hold every rank's programs and touched
+// slots at once. About 8 s alone and 17 s inside the full suite on 2
+// vCPUs, so -short skips it.
 func TestStreamVerifyLargeWorld(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4096-rank streamed verification (~15 s alone, ~40 s in the full suite on 2 vCPUs) skipped in -short mode")
+		t.Skip("4096-rank streamed verification (~8 s alone, ~17 s in the full suite on 2 vCPUs) skipped in -short mode")
 	}
 	t.Parallel()
 	if err := VerifyWorldSliced("pairwise", 4096, nil); err != nil {

@@ -287,9 +287,10 @@ func TestVerifyRejectsSameRoundRaces(t *testing.T) {
 }
 
 // TestVerifierErrorText pins the full text of one rejection per context
-// form of both verifiers: the same edit to rank 1's program, checked by
-// Verify on the assembled schedule and by VerifyRank on the slice. An
-// empty stream means VerifyRank reports the same text as Verify.
+// form of both drivers: the same edit to rank 1's program, checked by
+// Verify's world driver on the schedule and by VerifyRank's streamed
+// driver on the slice. An empty stream means VerifyRank reports the same
+// text as Verify.
 func TestVerifierErrorText(t *testing.T) {
 	t.Parallel()
 	const p, rank = 4, 1
@@ -372,5 +373,85 @@ func TestVerifyChecksShapeBeforeSizing(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Fatalf("rejecting the file allocated %d bytes, want under 1 MB", n)
+	}
+}
+
+// allocatedBy returns the bytes f allocates. Callers must not run in
+// parallel: it reads the process-wide allocation counter.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestVerifyStateFollowsSteps: files declaring a billion-block scratch
+// space or 8,000 ranks, but holding no steps, are rejected as never
+// delivering a block, without sizing any state by the declarations. Not
+// parallel: it reads the process-wide allocation counter.
+func TestVerifyStateFollowsSteps(t *testing.T) {
+	files := map[string]string{"declared scratch": hugeScratchFile, "declared ranks": manyRanksFile}
+	for name, file := range files {
+		var err error
+		n := allocatedBy(func() {
+			var s *Schedule
+			if s, err = Decode(strings.NewReader(file)); err == nil {
+				err = Verify(s)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "never delivered") {
+			t.Errorf("%s (%d bytes): Verify = %v, want a never-delivered block", name, len(file), err)
+		}
+		if n >= 8<<20 {
+			t.Errorf("%s (%d bytes): rejecting it allocated %d bytes, want under 8 MB", name, len(file), n)
+		}
+	}
+}
+
+// aliasingProgram is rank 0 of the 2-rank direct schedule with scratch
+// spaces of size and 1 blocks and a prepended round that writes slot
+// size-1 of space 0, then reads slot 0 of space 1, which nothing wrote.
+// At size 2^40+1 the two slots share a key packed as buf<<40|off.
+func aliasingProgram(t testing.TB, size int) *RankProgram {
+	rp, err := GenerateRank("direct", 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Scratch = []int{size, 1}
+	rp.Rounds = append([][]Step{{
+		{Kind: Copy, Src: sendRef(1, 1), Dst: scratchRef(0, size-1, 1)},
+		{Kind: Copy, Src: scratchRef(1, 0, 1), Dst: scratchRef(0, 0, 1)},
+	}}, rp.Rounds...)
+	return rp
+}
+
+// TestVerifyRankScratchAliasing: scratch slot 2^40 of space 0 and slot 0
+// of space 1 are distinct slots, however the walker keys them, so
+// reading the second before anything wrote it is an undefined read.
+func TestVerifyRankScratchAliasing(t *testing.T) {
+	t.Parallel()
+	for _, size := range []int{1<<40 + 1, 1} {
+		rp := aliasingProgram(t, size)
+		if err := VerifyRank(rp); err == nil || !strings.Contains(err.Error(), "reads undefined data") {
+			t.Errorf("scratch %v: VerifyRank = %v, want an undefined read", rp.Scratch, err)
+		}
+	}
+}
+
+// TestVerifyTorusAllocs: Verify of the 128-rank torus, whose route
+// schedule declares 128^2 transit slots per rank and touches about a
+// thousand, allocates by the slots its steps touch. Not parallel: it
+// reads the process-wide allocation counter.
+func TestVerifyTorusAllocs(t *testing.T) {
+	s := mustGen(t, "torus", 128)
+	var err error
+	n := allocatedBy(func() { err = Verify(s) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("Verify of torus@128 allocated %d bytes", n)
+	if n >= 16<<20 {
+		t.Errorf("Verify of torus@128 allocated %d bytes, want under 16 MB", n)
 	}
 }
