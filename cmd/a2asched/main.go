@@ -23,16 +23,14 @@
 // locally verified; -world additionally streams every rank's slice
 // through the incremental cross-rank verifier.
 //
-// fetch resolves a rank program through the schedule service: it
-// compiles the rank locally and checks it against the world's proof
-// record (from a running daemon, or a registry directory, proving the
-// world there on a miss):
+// fetch resolves a rank program through the schedule service, a
+// registry directory: it compiles the rank locally and checks it against
+// the world's proof record, proving the world there on a miss:
 //
-//	a2asched fetch -daemon 127.0.0.1:7643 -name torus -nodes 4 -ppn 8 -rank 3
+//	a2asched fetch -root /var/lib/a2asched -name torus -nodes 4 -ppn 8 -rank 3
 //	a2asched fetch -root /var/lib/a2asched -name ring -ranks 16 -rank 0 -o r0.json
 //
-// and list inspects the service: -root walks a registry directory's
-// proof records, -daemon queries a running a2aschedd's counters.
+// and list -root walks a registry directory's proof records.
 package main
 
 import (
@@ -90,14 +88,14 @@ commands:
   list                      list schedule generators
          [-root DIR]        instead: list a registry directory's proved worlds
                             (ranks covered and record bytes) and rejections
-         [-daemon ADDR]     instead: query a running a2aschedd's counters
   gen    -name G -ranks N   generate + verify a schedule (JSON to -o or stdout)
          [-nodes N -ppn P]  give the generator a topology (torus grid); implies -ranks
   slice  -name G -ranks N   compile + verify ONE rank's program (rank-sliced, O(slice)
          -rank R [-world]   memory; -world also streams the cross-rank verification)
-  fetch  -name G -ranks N   compile one rank's program and match it against its
-         -rank R            world's proof record (-daemon ADDR or -root DIR),
-                            re-verify locally, emit JSON
+  fetch  -root DIR          compile one rank's program and match it against its
+         -name G -ranks N   world's proof record in the registry directory
+         -rank R            (proving the world there on a miss), re-verify
+                            locally, emit JSON
   verify <file>             statically verify a schedule artifact
   print  [-linkload [-fabric K]] <file>
                             stats and per-round message matrices; -linkload
@@ -109,16 +107,9 @@ commands:
 
 func runList(args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
-	var (
-		root   = fs.String("root", "", "list the worlds of this registry directory instead of the generators")
-		daemon = fs.String("daemon", "", "query this a2aschedd's registry counters instead of the generators")
-	)
+	root := fs.String("root", "", "list the worlds of this registry directory instead of the generators")
 	fs.Parse(args)
-	if *root != "" && *daemon != "" {
-		return errors.New("-root and -daemon are mutually exclusive")
-	}
-	switch {
-	case *root != "":
+	if *root != "" {
 		reg, err := schedreg.Open(*root)
 		if err != nil {
 			return err
@@ -140,15 +131,6 @@ func runList(args []string) error {
 			fmt.Printf("%-12s %-16s %-9s %9d %12d\n", e.Gen, e.World, state, e.Programs, e.Bytes)
 		}
 		return nil
-	case *daemon != "":
-		cl := schedreg.NewClient(*daemon)
-		st, err := cl.Stats()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("daemon %s: %d hits, %d misses, %d negative hits, %d compiles\n",
-			*daemon, st.Hits, st.Misses, st.NegativeHits, st.Compiles)
-		return nil
 	}
 	for _, g := range sched.AllGenerators() {
 		coll, _ := sched.GeneratorColl(g)
@@ -157,40 +139,34 @@ func runList(args []string) error {
 	return nil
 }
 
-// runFetch resolves one rank's program through the schedule service —
-// a running daemon (-daemon) or a registry directory opened in-process
-// (-root) — and runs VerifyRank on it before emitting: the emitted file
-// is an artifact that may travel, so it carries its own local check.
-// This is the CI smoke path: daemon up, fetch, verify, shut down.
+// runFetch resolves one rank's program through a registry directory
+// opened in-process (-root) and runs VerifyRank on it before emitting:
+// the emitted file is an artifact that may travel, so it carries its own
+// local check. This is the CI smoke path: fetch cold, verify, fetch warm.
 func runFetch(args []string) error {
 	fs := flag.NewFlagSet("fetch", flag.ExitOnError)
 	var (
-		name   = fs.String("name", "ring", "generator name (see a2asched list)")
-		ranks  = fs.Int("ranks", 0, "world size in ranks (or use -nodes and -ppn)")
-		nodes  = fs.Int("nodes", 0, "node count (with -ppn: shapes topology-aware generators)")
-		ppn    = fs.Int("ppn", 0, "ranks per node")
-		rank   = fs.Int("rank", 0, "the rank whose program to fetch")
-		daemon = fs.String("daemon", "", "a2aschedd address (e.g. 127.0.0.1:7643)")
-		root   = fs.String("root", "", "registry directory to resolve from without a daemon")
-		out    = fs.String("o", "", "write the rank program JSON to this path (default stdout)")
+		name  = fs.String("name", "ring", "generator name (see a2asched list)")
+		ranks = fs.Int("ranks", 0, "world size in ranks (or use -nodes and -ppn)")
+		nodes = fs.Int("nodes", 0, "node count (with -ppn: shapes topology-aware generators)")
+		ppn   = fs.Int("ppn", 0, "ranks per node")
+		rank  = fs.Int("rank", 0, "the rank whose program to fetch")
+		root  = fs.String("root", "", "registry directory to resolve from (required; created if absent)")
+		out   = fs.String("o", "", "write the rank program JSON to this path (default stdout)")
 	)
 	fs.Parse(args)
-	if (*daemon == "") == (*root == "") {
-		return errors.New("fetch needs exactly one of -daemon or -root")
+	if *root == "" {
+		return errors.New("fetch needs -root")
 	}
 	p, m, err := parseWorld(*ranks, *nodes, *ppn)
 	if err != nil {
 		return err
 	}
-	var rp *sched.RankProgram
-	if *daemon != "" {
-		rp, err = schedreg.NewClient(*daemon).Fetch(*name, p, m, *rank)
-	} else {
-		var reg *schedreg.Registry
-		if reg, err = schedreg.Open(*root); err == nil {
-			rp, err = reg.GetOrCompile(schedreg.KeyFor(*name, p, m, *rank))
-		}
+	reg, err := schedreg.Open(*root)
+	if err != nil {
+		return err
 	}
+	rp, err := reg.GetOrCompile(schedreg.KeyFor(*name, p, m, *rank))
 	if err != nil {
 		return err
 	}

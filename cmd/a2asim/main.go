@@ -38,10 +38,9 @@ func main() {
 		seed      = flag.Int64("seed", 0, "base noise seed")
 		tablePath = flag.String("table", "", "autotune dispatch table (JSON); runs the tuned dispatcher at the table's world")
 		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
-		schedd    = flag.String("schedd", "", "a2aschedd address: resolve sched:* programs through the daemon")
 	)
 	flag.Parse()
-	fetch, err := schedreg.FetcherFor(*schedRoot, *schedd)
+	fetch, err := schedreg.FetcherFor(*schedRoot)
 	if err != nil {
 		fatal(err)
 	}

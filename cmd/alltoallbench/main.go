@@ -62,10 +62,9 @@ func main() {
 		maxRanks = flag.Int("maxranks", 0,
 			"with -experiment scale, contention or drift: cap the swept world size (0 = the experiment's full sweep; CI smoke uses 256)")
 		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
-		schedd    = flag.String("schedd", "", "a2aschedd address: resolve sched:* programs through the daemon")
 	)
 	flag.Parse()
-	fetch, err := schedreg.FetcherFor(*schedRoot, *schedd)
+	fetch, err := schedreg.FetcherFor(*schedRoot)
 	if err != nil {
 		fatal(err)
 	}

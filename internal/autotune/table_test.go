@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -348,4 +349,54 @@ func TestRefreshRejectsBadBucket(t *testing.T) {
 	if err := tbl.Refresh(core.PromoteEvent{Bucket: 1}); err == nil {
 		t.Fatal("Refresh accepted an out-of-range bucket")
 	}
+}
+
+// FuzzDecodeTable feeds arbitrary bytes to Decode, seeded with a
+// version-1 table and a version-2 alltoallv table with provenance. It
+// must never panic, and a table it accepts must survive encode → decode
+// → encode with identical bytes.
+func FuzzDecodeTable(f *testing.F) {
+	v1 := &Table{Version: 1, Machine: "Dane", Nodes: 4, PPN: 8, Entries: []Entry{
+		{Size: 16, Name: "node-aware", Algo: "node-aware", Seconds: 1.5e-5},
+		{Size: 1024, Name: "multileader/2ppl", Algo: "multileader-node-aware", Opts: core.Options{PPL: 2}, Seconds: 3e-4},
+	}}
+	v2 := &Table{Version: TableVersion, Machine: "Dane", Nodes: 2, PPN: 8, Op: core.OpAlltoallv,
+		Entries: []Entry{
+			{Size: 16, Name: "pairwise", Algo: "pairwise", Seconds: 2e-5},
+			{Size: 256, Name: "node-aware", Algo: "node-aware", Opts: core.Options{Inner: core.InnerBruck}, Seconds: 1e-4},
+		},
+		Provenance: &Provenance{Source: "Dane", Mode: "online", ProbeSizes: []int{16, 256}, ModelHash: "0123456789abcdef", Generation: 3},
+	}
+	for _, tbl := range []*Table{v1, v2} {
+		var b bytes.Buffer
+		if err := tbl.Encode(&b); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(b.Bytes())); err != nil {
+			f.Fatalf("seed table rejected: %v", err)
+		}
+		f.Add(b.Bytes())
+		f.Add(b.Bytes()[:b.Len()/2])
+	}
+	f.Add([]byte(`{"version":3}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tbl, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tbl.Encode(&first); err != nil {
+			t.Fatalf("encoding an accepted table: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted table does not decode after encoding: %v", err)
+		}
+		if err := again.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encode → decode → encode changed the table:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -23,17 +23,16 @@ import (
 //
 // Every rank runs its own sched.RankProgram, at every world size.
 // Construction consults, in order: the in-process LRU cache, the
-// schedule service (when a fetcher is installed via SetSchedFetcher),
-// and the world's proof, sched.ProveRanks, which runs once per world per
-// process. At or below sched.FullProofRanks the proof returns every
-// rank's program after the world driver has proved them, and they go
-// into the LRU, so ranks of a small world compile nothing more; a rank
-// whose program is not cached compiles it with sched.GenerateRank, the
-// deterministic function the proof checked. The service's "daemon →
-// disk" ordering describes the system end-to-end — the daemon fronts the
-// disk registry — but within a process the LRU is consulted first: it
-// is the cheapest tier, and programs are immutable once proved, so a
-// cached copy can never be stale relative to the service.
+// schedule service (a registry directory shared between processes, when
+// a fetcher is installed via SetSchedFetcher), and the world's proof,
+// sched.ProveRanks, which runs once per world per process. At or below
+// sched.FullProofRanks the proof returns every rank's program after the
+// world driver has proved them, and they go into the LRU, so ranks of a
+// small world compile nothing more; a rank whose program is not cached
+// compiles it with sched.GenerateRank, the deterministic function the
+// proof checked. The LRU comes first because it is the cheapest tier,
+// and programs are immutable once proved, so a cached copy can never be
+// stale relative to the service.
 
 // SchedPrefix is the registry namespace of schedule-backed algorithms.
 const SchedPrefix = "sched:"
@@ -48,8 +47,8 @@ var (
 
 // SchedFetcher is the schedule-service hook: it resolves a
 // (generator, world, rank) to a rank program against a shared world
-// proof — the a2aschedd daemon's or a disk registry's. The contract is
-// three-valued:
+// proof, such as a disk registry's (schedreg.RegistryFetcher). The
+// contract is three-valued:
 //
 //	(rp, nil)   hit — rp is a program the fetcher compiled in this
 //	            process and matched against a verified world proof;

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -323,10 +322,11 @@ func TestSchedFetcherFallback(t *testing.T) {
 	}
 }
 
-// TestSchedFetcherStaleProof: a daemon whose proof record holds a wrong
-// digest for one rank never gets that rank's program run unverified —
-// ClientFetcher answers (nil, nil), and core's construction of the rank
-// runs its own world proof, which hands the rank its program.
+// TestSchedFetcherStaleProof: a registry whose proof record holds a
+// wrong digest for one rank never gets that rank's program run
+// unproven — RegistryFetcher's lookup misses the stale entry, the
+// registry re-proves the world and hands the rank its program, and core
+// runs no proof of its own.
 func TestSchedFetcherStaleProof(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "torus", 9
@@ -360,14 +360,15 @@ func TestSchedFetcherStaleProof(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(schedreg.NewServer(reg, 1))
-	t.Cleanup(srv.Close)
-	fetch := schedreg.ClientFetcher(schedreg.NewClient(srv.URL))
-
-	if rp, err := fetch(gen, p, nil, 2); rp != nil || err != nil {
-		t.Fatalf("stale entry: fetcher = (%v, %v), want (nil, nil)", rp != nil, err)
+	stale, err := schedreg.Open(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	SetSchedFetcher(fetch)
+	if _, err, ok := stale.Lookup(schedreg.KeyFor(gen, p, nil, 2)); ok {
+		t.Fatalf("stale entry: Lookup gave a verdict (%v)", err)
+	}
+
+	SetSchedFetcher(schedreg.RegistryFetcher(stale))
 	rp, err := rankProgFor(gen, p, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -379,8 +380,11 @@ func TestSchedFetcherStaleProof(t *testing.T) {
 	if rp.Digest() != want.Digest() {
 		t.Fatal("constructed program differs from local compilation")
 	}
-	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 0 {
-		t.Fatalf("stale rank: %d proofs and %d rank compiles, want 1 and 0",
+	if st := stale.Stats(); st.Misses != 1 || st.Compiles != 1 || st.Hits != 0 {
+		t.Fatalf("registry stats = %+v, want the stale rank to miss and re-prove the world once", st)
+	}
+	if c.proofs.Load() != 0 || c.rankGenerates.Load() != 0 {
+		t.Fatalf("stale rank: core ran %d proofs and %d rank compiles, want 0 and 0",
 			c.proofs.Load(), c.rankGenerates.Load())
 	}
 }

@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -228,4 +229,40 @@ func TestLoadMissing(t *testing.T) {
 	if _, err := Load(path); err == nil {
 		t.Error("invalid JSON loaded")
 	}
+}
+
+// FuzzDecodeSet feeds arbitrary bytes to Decode. It must never panic,
+// and a set it accepts must survive encode → decode → encode with
+// identical bytes.
+func FuzzDecodeSet(f *testing.F) {
+	var good bytes.Buffer
+	if err := testSet().Encode(&good); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(good.Bytes())); err != nil {
+		f.Fatalf("seed set rejected: %v", err)
+	}
+	for _, b := range [][]byte{good.Bytes(), good.Bytes()[:good.Len()/2], []byte(`{"version":1}`), []byte(`null`)} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Decode(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.Encode(&first); err != nil {
+			t.Fatalf("encoding an accepted set: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted set does not decode after encoding: %v", err)
+		}
+		if err := again.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encode → decode → encode changed the set:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

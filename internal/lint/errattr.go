@@ -9,23 +9,22 @@ import (
 
 // errattrScope is the attributable-error surface: the schedule
 // compiler, the registry, the dispatch layer that stitches them into
-// operations, and the daemon that serves them. At SuperMUC scale an
+// operations, and the command that inspects them. At SuperMUC scale an
 // error that cannot be pinned to a (generator, world, rank) is an
 // operational incident, not a log line; these packages' errors cross
 // package boundaries into operator-facing paths, so they must keep the
 // cause chain (%w) and carry identifying context.
 var errattrScope = []string{
-	"internal/sched", "internal/schedreg", "internal/core",
-	"cmd/a2aschedd", "cmd/a2asched",
+	"internal/sched", "internal/schedreg", "internal/core", "cmd/a2asched",
 }
 
-// ErrAttr proves errors on the schedule/registry/daemon paths
+// ErrAttr proves errors on the schedule/registry/dispatch paths
 // attributable: a wrapped cause survives errors.Is/As across package
 // boundaries, and a constant-only message can never say which world
 // failed.
 var ErrAttr = &Analyzer{
 	Name: "errattr",
-	Doc: `errors crossing package boundaries on schedule/registry/daemon paths
+	Doc: `errors crossing package boundaries on schedule/registry/dispatch paths
 must stay attributable: fmt.Errorf must wrap a cause with %w (never
 flatten it through %v/%s — errors.Is and the negative caches depend on
 the chain), a bare "%w" wrap adds no context and should name the

@@ -41,7 +41,7 @@ func TestErrAttr(t *testing.T) {
 }
 
 // TestErrAttrOutOfScope: the same unwrapped errors in a package off
-// the schedule/registry/daemon paths are not findings.
+// the schedule/registry/dispatch paths are not findings.
 func TestErrAttrOutOfScope(t *testing.T) {
 	pkg, err := lint.LoadDir("testdata/errattr", "fix/internal/model")
 	if err != nil {

@@ -24,7 +24,7 @@
 // Steps reference three kinds of buffer space: the user send buffer
 // (SpaceSend), the user recv buffer (SpaceRecv), and per-rank scratch
 // spaces declared by Schedule.Scratch. User-space sizes depend on the
-// collective (Schedule.SpaceSizeRank): Ranks blocks each for all-to-all,
+// collective (RankProgram.SpaceSize): Ranks blocks each for all-to-all,
 // a single recv block for reduce-scatter, per-pair count prefix sums for
 // alltoallv.
 //
@@ -229,41 +229,6 @@ func (s *Schedule) Collective() Coll {
 		return CollAlltoall
 	}
 	return s.Coll
-}
-
-// SpaceSize returns the size in blocks of a buffer space id for rank 0,
-// or -1 for an unknown space. For collectives whose user-space sizes are
-// uniform across ranks (everything but alltoallv) this is the per-rank
-// size; use SpaceSizeRank when counts vary.
-func (s *Schedule) SpaceSize(buf int) int {
-	return s.SpaceSizeRank(0, buf)
-}
-
-// SpaceSizeRank returns the size in blocks of a buffer space id as seen
-// by one rank, or -1 for an unknown space. Send and recv sizes depend on
-// the collective: alltoall uses Ranks blocks on both sides,
-// reduce-scatter receives a single block, allreduce uses Ranks blocks on
-// both sides, and alltoallv packs Counts row/column sums.
-func (s *Schedule) SpaceSizeRank(rank, buf int) int {
-	switch buf {
-	case SpaceSend:
-		if s.Collective() == CollAlltoallv {
-			return sumCounts(countsRow(s.Counts, rank))
-		}
-		return s.Ranks
-	case SpaceRecv:
-		switch s.Collective() {
-		case CollReduceScatter:
-			return 1
-		case CollAlltoallv:
-			return sumCounts(countsCol(s.Counts, rank))
-		}
-		return s.Ranks
-	}
-	if i := buf - SpaceScratch; i >= 0 && i < len(s.Scratch) {
-		return s.Scratch[i]
-	}
-	return -1
 }
 
 func sumCounts(row []int) int {

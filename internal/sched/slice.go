@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"alltoallx/internal/artifact"
 	"alltoallx/internal/topo"
@@ -94,8 +93,9 @@ func Slice(s *Schedule, rank int) (*RankProgram, error) {
 }
 
 // SpaceSize returns the size in blocks of a buffer space id, or -1 for an
-// unknown space (the same layout the whole-world schedule reports for
-// this rank via SpaceSizeRank).
+// unknown space. Send and recv sizes depend on the collective: alltoall
+// and allreduce use Ranks blocks on both sides, reduce-scatter receives a
+// single block, and alltoallv packs the rank's count row and column sums.
 func (rp *RankProgram) SpaceSize(buf int) int {
 	switch buf {
 	case SpaceSend:
@@ -273,19 +273,4 @@ func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, erro
 		return nil, fmt.Errorf("sched: rank %d out of range 0..%d", rank, p-1)
 	}
 	return e.rank(p, rank, m)
-}
-
-// LoadRank reads the rank program at path (DecodeRank semantics:
-// format-checked, not verified).
-func LoadRank(path string) (*RankProgram, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sched: loading rank program: %w", err)
-	}
-	defer f.Close()
-	rp, err := DecodeRank(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rp, nil
 }

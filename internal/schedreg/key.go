@@ -1,10 +1,11 @@
 // Package schedreg is the schedule service: a disk-backed registry of
-// world proofs, shared across processes, plus the HTTP daemon
-// (cmd/a2aschedd) and client that serve it over the network. It layers
-// *under* the in-process schedule cache of internal/core: the cache
-// bounds what one process retains, the registry makes the expensive
-// part of compilation — proving a world — happen once per machine (or
-// once per cluster, through the daemon) instead of once per process.
+// world proofs that every process pointed at the same directory shares.
+// It layers *under* the in-process schedule cache of internal/core: the
+// cache bounds what one process retains, the registry makes the
+// expensive part of compilation — proving a world — happen once per
+// registry directory instead of once per process. Commands reach it
+// through -schedreg (FetcherFor, RegistryFetcher); a2asched list and
+// fetch -root inspect it.
 //
 // Layout under the registry root:
 //
@@ -15,11 +16,11 @@
 // where <world> is "p<ranks>-<nodes>x<ppn>" or "p<ranks>-flat". No
 // program is stored: a rank resolves by compiling its own slice
 // (sched.GenerateRank, O(slice)) and comparing the slice's Digest with
-// its entry. Every write goes through the shared
-// artifact discipline (temp file + rename), so concurrent registries over
-// the same root — including different processes — never observe torn
-// state, and proofs are deterministic, so duplicate writes are
-// idempotent.
+// its entry. Every write goes through the shared artifact discipline
+// (synced temp file + rename), so concurrent registries over the same
+// root — including different processes — never observe torn state, a
+// crash never leaves a torn record, and proofs are deterministic, so
+// duplicate writes are idempotent.
 package schedreg
 
 import (
@@ -35,11 +36,6 @@ import (
 // non-power-of-2 rank count — and will keep rejecting it. Callers
 // should cache the rejection rather than retry.
 var ErrRejected = errors.New("generator rejected this world")
-
-// ErrUnavailable marks a transient service failure — daemon down,
-// at capacity, or a malformed response. Callers should fall back to
-// local compilation, not treat the world as rejected.
-var ErrUnavailable = errors.New("schedule service unavailable")
 
 // Key identifies one compiled rank program: the generator, the world
 // shape it was compiled for, and the rank whose slice it is. Nodes and

@@ -21,13 +21,14 @@ import (
 	"alltoallx/internal/singleflight"
 )
 
-// Test seams: the world proof and the rank compiler, swappable so tests
-// can count their runs and prove the prove-once guarantee (a second
-// process resolving against a stored record reaches only generateRank,
-// once per rank).
+// Test seams: the world proof, the rank compiler and the record writer,
+// swappable so tests can count the first two's runs and prove the
+// prove-once guarantee (a second process resolving against a stored
+// record reaches only generateRank, once per rank), and fail a write.
 var (
 	prove        = sched.Prove
 	generateRank = sched.GenerateRank
+	saveArtifact = artifact.Save
 )
 
 // Stats are the registry's lifetime counters (per Registry instance,
@@ -35,7 +36,7 @@ var (
 // root).
 type Stats struct {
 	// Hits counts lookups answered by a stored proof record: a rank
-	// program that matched its digest, or a record the daemon served.
+	// program that matched its digest.
 	Hits int64 `json:"hits"`
 	// Misses counts lookups that found no record, or a record the rank's
 	// program did not match, and went to the proof path.
@@ -87,9 +88,8 @@ func (r *Registry) worldDir(k Key) string {
 func (r *Registry) proofPath(k Key) string    { return filepath.Join(r.worldDir(k), "PROOF") }
 func (r *Registry) rejectedPath(k Key) string { return filepath.Join(r.worldDir(k), "REJECTED") }
 
-// proof is the content of a PROOF record, and the daemon's /v1/proof
-// answer: the world it proves and the hex Digest of every rank's proved
-// program, indexed by rank.
+// proof is the content of a PROOF record: the world it proves and the
+// hex Digest of every rank's proved program, indexed by rank.
 type proof struct {
 	Gen     string   `json:"gen"`
 	World   string   `json:"world"`
@@ -279,7 +279,7 @@ func (r *Registry) save(k Key, what, file string, v any) error {
 	if err := os.MkdirAll(r.worldDir(k), 0o755); err != nil {
 		return fmt.Errorf("schedreg: %s: creating world dir: %w", k.genWorld(), err)
 	}
-	return artifact.Save(file, fmt.Sprintf("schedreg: %s: saving %s", k.genWorld(), what), func(w io.Writer) error {
+	return saveArtifact(file, fmt.Sprintf("schedreg: %s: saving %s", k.genWorld(), what), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(v)
 	})
 }

@@ -6,9 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"alltoallx/internal/artifact"
 	"alltoallx/internal/sched"
 	"alltoallx/internal/topo"
 )
@@ -28,7 +27,7 @@ type seamCounters struct {
 	proofs, rankGenerates atomic.Int64
 }
 
-func countSeams(t *testing.T) *seamCounters {
+func countSeams(t testing.TB) *seamCounters {
 	t.Helper()
 	var c seamCounters
 	opr, ogr := prove, generateRank
@@ -499,12 +498,9 @@ func TestKeyValidation(t *testing.T) {
 
 // TestNoVerdictForImpossibleWorlds: worlds no generator can have — an
 // unknown generator, or more ranks than a schedule can address — leave
-// nothing on disk, whether asked through GetOrCompile, Lookup or the
-// daemon.
+// nothing on disk, whether asked through GetOrCompile or Lookup.
 func TestNoVerdictForImpossibleWorlds(t *testing.T) {
 	reg := Open2(t, t.TempDir())
-	srv := httptest.NewServer(NewServer(reg, 1))
-	t.Cleanup(srv.Close)
 	for _, k := range []Key{{Gen: "nosuch", Ranks: 8}, {Gen: "ring", Ranks: 50000}} {
 		if _, err := reg.GetOrCompile(k); err == nil {
 			t.Errorf("GetOrCompile(%+v) succeeded", k)
@@ -512,17 +508,91 @@ func TestNoVerdictForImpossibleWorlds(t *testing.T) {
 		if _, err, _ := reg.Lookup(k); err == nil {
 			t.Errorf("Lookup(%+v) succeeded", k)
 		}
-		resp, err := http.Get(fmt.Sprintf("%s/v1/proof?gen=%s&ranks=%d", srv.URL, k.Gen, k.Ranks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s@%d: daemon answered %d, want 400", k.Gen, k.Ranks, resp.StatusCode)
-		}
 	}
 	if files, err := os.ReadDir(filepath.Join(reg.Root(), "keys")); err != nil || len(files) != 0 {
 		t.Fatalf("keys/ holds %v (err %v), want nothing", files, err)
+	}
+}
+
+var errTornWrite = errors.New("injected torn write")
+
+// failSaves makes every record write fail part-way until restore is
+// called (or the test ends): the real artifact.Save runs, but its
+// encoder writes half the record and fails.
+func failSaves(t *testing.T) (restore func()) {
+	t.Helper()
+	osv := saveArtifact
+	saveArtifact = func(path, what string, encode func(io.Writer) error) error {
+		return artifact.Save(path, what, func(w io.Writer) error {
+			var b bytes.Buffer
+			if err := encode(&b); err != nil {
+				return err
+			}
+			w.Write(b.Bytes()[:b.Len()/2])
+			return errTornWrite
+		})
+	}
+	restore = func() { saveArtifact = osv }
+	t.Cleanup(restore)
+	return restore
+}
+
+// TestFailedWriteLeavesNoVerdict: when a world's PROOF record or
+// REJECTED marker write fails, GetOrCompile serves nothing and names
+// the world and the record, and the world directory is left empty. A
+// reopened registry whose writes work finds no verdict, proves the
+// world once and serves the program, or records the rejection.
+func TestFailedWriteLeavesNoVerdict(t *testing.T) {
+	c := countSeams(t)
+	root := t.TempDir()
+	for _, tc := range []struct {
+		what string
+		k    Key
+	}{
+		{"PROOF record", KeyFor("ring", 8, mustMapping(t, 2, 4), 3)},
+		{"REJECTED marker", KeyFor("hypercube", 6, nil, 0)}, // hypercube needs a power of 2
+	} {
+		restore := failSaves(t)
+		rp, err := Open2(t, root).GetOrCompile(tc.k)
+		if rp != nil || !errors.Is(err, errTornWrite) {
+			t.Fatalf("%s write failed: GetOrCompile = (%v, %v), want the write's error", tc.what, rp != nil, err)
+		}
+		for _, frag := range []string{tc.k.genWorld(), tc.what} {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("error %q does not mention %q", err, frag)
+			}
+		}
+		dir := filepath.Join(root, "keys", tc.k.Gen, tc.k.World())
+		if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+			t.Fatalf("%s write failed, but %s holds %v (err %v)", tc.what, dir, files, err)
+		}
+		restore()
+
+		reg := Open2(t, root)
+		if _, err, ok := reg.Lookup(tc.k); ok {
+			t.Fatalf("%s write failed, but a reopened registry found a verdict: %v", tc.what, err)
+		}
+		proofs := c.proofs.Load()
+		rp, err = reg.GetOrCompile(tc.k)
+		if got := c.proofs.Load() - proofs; got != 1 {
+			t.Fatalf("%s: reopened registry ran the world proof %d times, want 1", tc.what, got)
+		}
+		if tc.k.Gen == "hypercube" {
+			if rp != nil || !errors.Is(err, ErrRejected) {
+				t.Fatalf("reopened registry: GetOrCompile = (%v, %v), want the rejection", rp != nil, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sched.GenerateRank(tc.k.Gen, tc.k.Ranks, tc.k.Rank, mustMapping(t, 2, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) {
+			t.Fatal("reopened registry served a program that is not GenerateRank's")
+		}
 	}
 }
 
@@ -624,6 +694,48 @@ func FuzzProofRecord(f *testing.F) {
 			if !bytes.Equal(encodeRP(t, rp), encodeRP(t, want)) || hex.EncodeToString(d[:]) != pf.Digests[k.Rank] {
 				t.Fatal("served a program that is not GenerateRank's or not the record's entry")
 			}
+		}
+	})
+}
+
+// FuzzRejectedMarker feeds arbitrary bytes as ring@p8-flat's REJECTED
+// marker. Lookup and GetOrCompile must never panic or prove the world:
+// each answers an error naming the generator and the world, and a
+// marker that decodes is the world's rejection (ErrRejected), one that
+// does not is not.
+func FuzzRejectedMarker(f *testing.F) {
+	c := countSeams(f)
+	k := KeyFor("ring", 8, nil, 3)
+	for _, b := range []string{`{"error":"sched: ring: no such world"}`, `{"error":""}`, `null`, `{"error":`, `[]`, ``} {
+		f.Add([]byte(b))
+	}
+	// Inputs run one at a time per process, so they share one root.
+	root := f.TempDir()
+	dir := filepath.Join(root, "keys", k.Gen, k.World())
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, marker []byte) {
+		if err := os.WriteFile(filepath.Join(dir, "REJECTED"), marker, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := Open2(t, root)
+		_, lerr, ok := reg.Lookup(k)
+		rp, gerr := reg.GetOrCompile(k)
+		if !ok || rp != nil {
+			t.Fatalf("Lookup verdict %v, GetOrCompile served %v: want an error from both", ok, rp != nil)
+		}
+		decodes := json.Unmarshal(marker, new(rejection)) == nil
+		for _, err := range []error{lerr, gerr} {
+			if err == nil || !strings.Contains(err.Error(), "ring@p8-flat") {
+				t.Fatalf("error %v does not name ring@p8-flat", err)
+			}
+			if errors.Is(err, ErrRejected) != decodes {
+				t.Fatalf("marker decodes: %v, but error %q is ErrRejected: %v", decodes, err, !decodes)
+			}
+		}
+		if n := c.proofs.Load(); n != 0 {
+			t.Fatalf("a REJECTED marker let the world proof run (%d runs)", n)
 		}
 	})
 }

@@ -13,12 +13,10 @@ import (
 // resource is a FIFO-served shared resource (a NUMA memory bus, an
 // inter-socket link, a NIC port, a core's copy engine). nextFree is the
 // virtual time the resource becomes idle; lastUser tracks the previous
-// peer for the NIC interleaving penalty; busy accumulates service time for
-// utilization diagnostics.
+// peer for the NIC interleaving penalty.
 type resource struct {
 	nextFree float64
 	lastUser int
-	busy     float64
 }
 
 // reserveHook observes every reservation (testing and model-calibration
@@ -37,7 +35,6 @@ func (r *resource) reserve(ready, dur float64, hook reserveHook) float64 {
 		hook(r, ready, start, dur)
 	}
 	r.nextFree = start + dur
-	r.busy += dur
 	return r.nextFree
 }
 
@@ -125,25 +122,6 @@ func NewNetwork(e *Engine, p netmodel.Params, mapping *topo.Mapping, seed int64,
 
 // MessagesSent returns the count of point-to-point messages simulated.
 func (n *Network) MessagesSent() uint64 { return n.msgsSent }
-
-// PortReport summarizes NIC port usage for diagnostics: busy is total
-// service time, span the time of the last booking's completion.
-type PortReport struct {
-	OutBusy, OutSpan float64
-	InBusy, InSpan   float64
-}
-
-// Ports returns the per-node NIC port report.
-func (n *Network) Ports() []PortReport {
-	out := make([]PortReport, len(n.nicOut))
-	for i := range out {
-		out[i] = PortReport{
-			OutBusy: n.nicOut[i].busy, OutSpan: n.nicOut[i].nextFree,
-			InBusy: n.nicIn[i].busy, InSpan: n.nicIn[i].nextFree,
-		}
-	}
-	return out
-}
 
 // noise returns a multiplicative lognormal factor (mean ~1) for overheads.
 func (n *Network) noise() float64 {
