@@ -20,8 +20,9 @@
 //
 // slice compiles a single rank's program (sched.GenerateRank) without
 // materializing the whole world — the form every rank runs. It is
-// locally verified; -world additionally streams every rank's slice
-// through the incremental cross-rank verifier.
+// locally verified; -world additionally proves the whole world
+// (sched.Prove), every rank's rounds walked in step one round at a time,
+// so the proof covers which block lands where at any world size.
 //
 // fetch resolves a rank program through the schedule service, a
 // registry directory: it compiles the rank locally and checks it against
@@ -91,7 +92,7 @@ commands:
   gen    -name G -ranks N   generate + verify a schedule (JSON to -o or stdout)
          [-nodes N -ppn P]  give the generator a topology (torus grid); implies -ranks
   slice  -name G -ranks N   compile + verify ONE rank's program (rank-sliced, O(slice)
-         -rank R [-world]   memory; -world also streams the cross-rank verification)
+         -rank R [-world]   memory; -world also proves the whole world, content included)
   fetch  -root DIR          compile one rank's program and match it against its
          -name G -ranks N   world's proof record in the registry directory
          -rank R            (proving the world there on a miss), re-verify
@@ -253,7 +254,7 @@ func runSlice(args []string) error {
 		nodes = fs.Int("nodes", 0, "node count (with -ppn: shapes topology-aware generators)")
 		ppn   = fs.Int("ppn", 0, "ranks per node")
 		rank  = fs.Int("rank", 0, "the rank whose program to compile")
-		world = fs.Bool("world", false, "also stream every rank's slice through the cross-rank verifier (O(p) memory, O(schedule) time)")
+		world = fs.Bool("world", false, "also prove the whole world: every rank's rounds walked in step, one round of the world at a time")
 		out   = fs.String("o", "", "write the rank program JSON to this path (default stdout)")
 	)
 	fs.Parse(args)
@@ -269,10 +270,10 @@ func runSlice(args []string) error {
 		return fmt.Errorf("generated slice fails local verification (a generator bug): %w", err)
 	}
 	if *world {
-		if err := sched.VerifyWorldSliced(*name, p, m); err != nil {
-			return fmt.Errorf("streamed world verification FAILED: %w", err)
+		if _, err := sched.Prove(*name, p, m); err != nil {
+			return fmt.Errorf("world proof FAILED: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "world OK — %q at %d ranks: per-round send/recv multisets match, every rank's blocks delivered exactly once\n", rp.Name, p)
+		fmt.Fprintf(os.Stderr, "world OK — %q at %d ranks: every message matched in its round, every rank's recv space holds exactly its blocks\n", rp.Name, p)
 	}
 	if *out == "" {
 		return rp.Encode(os.Stdout)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -41,5 +42,28 @@ func TestVerifyNamesRankProgramError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("verify error %q does not mention %q", err, want)
 		}
+	}
+}
+
+// TestVerifyBudgetsCells: a 2-rank rank program whose one receive lands
+// a billion blocks in its declared billion-block scratch space is
+// rejected by a2asched verify for exceeding the verifier's cell budget,
+// while allocating under 8 MB. Not parallel: it reads the process-wide
+// allocation counter.
+func TestVerifyBudgetsCells(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge-recv.json")
+	file := `{"format":2,"name":"x","ranks":2,"rank":0,"scratch":[1000000000],"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]},{"k":"recv","f":1,"s":[0,0,0],"d":[2,0,1000000000]}]]}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := runVerify([]string{path})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "rank 0 step 1 (recv) dst: slot 24 of space 2 would take the walker past its budget of 28 cells") {
+		t.Fatalf("verify = %v, want the cell budget rejection", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 8<<20 {
+		t.Fatalf("verify allocated %d bytes rejecting the file, want under 8 MB", n)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"alltoallx/internal/bench"
 	"alltoallx/internal/core"
 	"alltoallx/internal/netmodel"
-	"alltoallx/internal/sched"
 )
 
 // Candidate is one algorithm configuration under consideration.
@@ -49,10 +48,10 @@ type Choice struct {
 
 // schedMaxRanks caps the world size at which schedule-backed candidates
 // join the default pool. Every rank builds only its own program
-// (sched.GenerateRank, O(slice)), and worlds past the full-proof ceiling
-// are proved by the streamed verifier, so that ceiling does not cap the
-// pool; the remaining bound is the simulator's cost of actually
-// *executing* a candidate during the sweep. Torus and hypercube stay
+// (sched.GenerateRank, O(slice)), and the world proof walks one round of
+// the world at a time, so neither caps the pool; the bound is the
+// simulator's cost of actually *executing* a candidate during the
+// sweep. Torus and hypercube stay
 // affordable to 1024 ranks and beyond; beyond the cap they remain
 // constructible by name.
 const schedMaxRanks = 1024
@@ -63,11 +62,10 @@ const schedMaxRanks = 1024
 // would dwarf the rest of the sweep combined.
 const ringMaxRanks = 256
 
-// vSchedMaxRanks is the schedule-backed alltoallv's ceiling: it
-// compiles and fully verifies the assembled O(p^2) schedule per count
-// matrix, so core rejects it at construction above the full-proof
-// ceiling.
-const vSchedMaxRanks = sched.FullProofRanks
+// vSchedMaxRanks is the schedule-backed alltoallv's ceiling: it proves
+// a world per count matrix, so core rejects it at construction above
+// core.MatrixProofMaxRanks.
+const vSchedMaxRanks = core.MatrixProofMaxRanks
 
 // DefaultCandidates returns the tuning pool for an operation at a
 // nodes x ppn world, restricted to divisors of ppn. For OpAlltoall it is

@@ -61,7 +61,7 @@ func TestDefaultCandidates(t *testing.T) {
 			t.Errorf("alltoallv pool contains fixed-shape schedule candidate %s", c.Name)
 		}
 	}
-	// Above the full-proof ceiling the v-schedule drops out.
+	// Above core.MatrixProofMaxRanks the v-schedule drops out.
 	if big := DefaultCandidates(core.OpAlltoallv, 8, 32); has(big, "sched:pairwise") {
 		t.Errorf("256-rank alltoallv pool contains sched:pairwise beyond vSchedMaxRanks")
 	}

@@ -98,7 +98,7 @@ func TestScaleRejectsTinyMaxRanks(t *testing.T) {
 }
 
 // TestSchedScale4096 is the acceptance run: a schedule-backed algorithm
-// constructs (rank-sliced), verifies (streamed) and runs at 4096 ranks
+// proves its world, constructs (rank-sliced) and runs at 4096 ranks
 // under the simulator — 32x the old schedMaxRanks ceiling. ~1 minute of
 // wall time (16.8M simulated messages), so -short skips it.
 func TestSchedScale4096(t *testing.T) {

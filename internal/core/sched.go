@@ -25,14 +25,12 @@ import (
 // Construction consults, in order: the in-process LRU cache, the
 // schedule service (a registry directory shared between processes, when
 // a fetcher is installed via SetSchedFetcher), and the world's proof,
-// sched.ProveRanks, which runs once per world per process. At or below
-// sched.FullProofRanks the proof returns every rank's program after the
-// world driver has proved them, and they go into the LRU, so ranks of a
-// small world compile nothing more; a rank whose program is not cached
-// compiles it with sched.GenerateRank, the deterministic function the
-// proof checked. The LRU comes first because it is the cheapest tier,
-// and programs are immutable once proved, so a cached copy can never be
-// stale relative to the service.
+// sched.Prove, which runs once per world per process and leaves only its
+// verdict. A rank of a proved world then compiles its own program with
+// sched.GenerateRank, the deterministic function the proof walked. The
+// LRU comes first because it is the cheapest tier, and programs are
+// immutable once proved, so a cached copy can never be stale relative
+// to the service.
 
 // SchedPrefix is the registry namespace of schedule-backed algorithms.
 const SchedPrefix = "sched:"
@@ -41,7 +39,7 @@ const SchedPrefix = "sched:"
 // count how often each runs (proving the verdicts and singleflight
 // actually prevent runs) without touching the generators themselves.
 var (
-	schedProveRanks   = sched.ProveRanks
+	schedProve        = sched.Prove
 	schedGenerateRank = sched.GenerateRank
 )
 
@@ -128,10 +126,10 @@ type schedCacheEntry struct {
 	rp    *sched.RankProgram
 }
 
-// schedCacheDefaultLimit bounds retained program bytes per process. It
-// holds every program of the largest world sched.ProveRanks returns
-// (ring at the full-proof ceiling, ~100 MB) with room to spare; a world
-// that overflowed it would see its ranks recompile their programs.
+// schedCacheDefaultLimit bounds retained program bytes per process. The
+// cache holds the programs the process's ranks compiled: every rank of
+// a 128-rank ring world, ~100 MB, fits with room to spare, and a rank
+// evicted from a larger world recompiles its own program.
 const schedCacheDefaultLimit = 256 << 20
 
 var schedCache = &schedCacheT{
@@ -295,8 +293,7 @@ func rankKey(wk string, rank int) string { return wk + "|" + strconv.Itoa(rank) 
 
 // rankProgFor returns rank's proved program for a generator at a p-rank
 // world: in order, the in-process cache, the schedule service, then the
-// world's proof — which caches every program it returns — and, for a
-// rank the cache no longer holds, GenerateRank.
+// world's proof and GenerateRank.
 func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, error) {
 	wk := worldKey(gen, p, m)
 	key := rankKey(wk, rank)
@@ -328,9 +325,6 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 		if err := proveOnce(gen, p, m, wk); err != nil {
 			return nil, err
 		}
-		if e, ok := schedCache.peek(key); ok {
-			return e.rp, nil
-		}
 		// No VerifyRank here: the world's proof already checked this
 		// rank's program, and generation is deterministic, so this
 		// compile is byte-identical to what it proved.
@@ -348,19 +342,15 @@ func rankProgFor(gen string, p, rank int, m *topo.Mapping) (*sched.RankProgram, 
 }
 
 // proveOnce runs a world's proof once per process, coalescing
-// concurrent callers, caches the programs it returns and records its
-// verdict.
+// concurrent callers, and records its verdict.
 func proveOnce(gen string, p int, m *topo.Mapping, wk string) error {
 	_, err, _ := schedFlight.Do(wk, func() (any, error) {
 		if err, ok := schedCache.verdict(wk); ok {
 			return nil, err
 		}
-		rps, err := schedProveRanks(gen, p, m)
+		_, err := schedProve(gen, p, m)
 		if err != nil {
 			err = fmt.Errorf("core: %s%s: %w", SchedPrefix, gen, err)
-		}
-		for r, rp := range rps {
-			schedCache.put(rankKey(wk, r), rp)
 		}
 		schedCache.setVerdict(wk, err)
 		return nil, err

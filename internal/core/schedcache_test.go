@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,8 +30,8 @@ type schedSeams struct {
 func countSchedSeams(t *testing.T) *schedSeams {
 	t.Helper()
 	var c schedSeams
-	opr, ogr := schedProveRanks, schedGenerateRank
-	schedProveRanks = func(name string, p int, m *topo.Mapping) ([]*sched.RankProgram, error) {
+	opr, ogr := schedProve, schedGenerateRank
+	schedProve = func(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
 		c.proofs.Add(1)
 		return opr(name, p, m)
 	}
@@ -38,7 +39,7 @@ func countSchedSeams(t *testing.T) *schedSeams {
 		c.rankGenerates.Add(1)
 		return ogr(name, p, rank, m)
 	}
-	t.Cleanup(func() { schedProveRanks, schedGenerateRank = opr, ogr })
+	t.Cleanup(func() { schedProve, schedGenerateRank = opr, ogr })
 	return &c
 }
 
@@ -118,8 +119,9 @@ func TestSchedNegativeCacheRunsGeneratorOnce(t *testing.T) {
 
 // TestSchedCacheStatsTransitions pins the counter transitions across the
 // miss → hit → eviction → miss lifecycle of one rank. Delta-based: the
-// counters are process-lifetime. An evicted rank of a proved world
-// recompiles its own program without re-proving the world.
+// counters are process-lifetime. The rank compiles its own program
+// after the world's proof, and again, without re-proving the world, once
+// evicted.
 func TestSchedCacheStatsTransitions(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "pairwise", 11
@@ -169,16 +171,16 @@ func TestSchedCacheStatsTransitions(t *testing.T) {
 	if d := st4.Misses - st3.Misses; d != 1 {
 		t.Fatalf("post-eviction construction: %d misses, want 1", d)
 	}
-	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 1 {
-		t.Fatalf("post-eviction construction: %d proofs and %d rank compiles in all, want 1 and 1",
+	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 2 {
+		t.Fatalf("post-eviction construction: %d proofs and %d rank compiles in all, want 1 and 2",
 			c.proofs.Load(), c.rankGenerates.Load())
 	}
 }
 
 // TestSchedConstructionSingleflight: goroutines racing to construct the
-// same and different ranks of one world prove it exactly once, share
-// one program instance per rank and observe byte-identical programs.
-// Run with -race.
+// same and different ranks of one world prove it exactly once, compile
+// each rank once, share one program instance per rank and observe
+// byte-identical programs. Run with -race.
 func TestSchedConstructionSingleflight(t *testing.T) {
 	c := countSchedSeams(t)
 	const gen, p = "ring", 13
@@ -212,8 +214,8 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 		}
 	}
 
-	// Different rank keys of a cold world: one proof, which hands every
-	// rank its program, byte-identical across repeat constructions.
+	// Different rank keys of a cold world: one proof, then one compile
+	// per rank, byte-identical across repeat constructions.
 	dropWorld(t, gen, p, nil)
 	rps := make([]*sched.RankProgram, 2*p)
 	perrs := make([]error, 2*p)
@@ -244,8 +246,8 @@ func TestSchedConstructionSingleflight(t *testing.T) {
 	if got := c.proofs.Load(); got != 2 {
 		t.Fatalf("world proof ran %d times in all, want 2 (once per cold world)", got)
 	}
-	if got := c.rankGenerates.Load(); got != 0 {
-		t.Fatalf("rank generator ran %d times after the proof, want 0", got)
+	if got := c.rankGenerates.Load(); got != 1+p {
+		t.Fatalf("rank generator ran %d times, want %d (once per constructed rank of each world)", got, 1+p)
 	}
 	for i := 0; i < p; i++ {
 		if !bytes.Equal(progs[i], progs[i+p]) {
@@ -289,8 +291,8 @@ func TestSchedFetcherFallback(t *testing.T) {
 		t.Fatalf("warm construction re-fetched (%d fetches)", fetches.Load())
 	}
 
-	// Unavailable: (nil, nil) falls through to the local proof, which
-	// hands the rank its program.
+	// Unavailable: (nil, nil) falls through to the local proof, after
+	// which the rank compiles its program.
 	dropWorld(t, gen, p, nil)
 	SetSchedFetcher(func(string, int, *topo.Mapping, int) (*sched.RankProgram, error) {
 		return nil, nil
@@ -298,8 +300,8 @@ func TestSchedFetcherFallback(t *testing.T) {
 	if _, err := rankProgFor(gen, p, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 0 {
-		t.Fatalf("fallback did not prove locally: %d proofs, %d rank compiles",
+	if c.proofs.Load() != 1 || c.rankGenerates.Load() != 1 {
+		t.Fatalf("fallback did not prove locally and compile the rank: %d proofs, %d rank compiles",
 			c.proofs.Load(), c.rankGenerates.Load())
 	}
 

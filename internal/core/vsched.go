@@ -19,7 +19,8 @@ import (
 // (control data, tagVSched), cross-checks the gathered matrix against
 // this rank's recvCounts (the exchange deadlocks or corrupts under
 // asymmetric declarations, so they are rejected up front), then compiles
-// and statically verifies the schedule for that matrix. Compilation is
+// and statically verifies the schedule for that matrix: a world proof
+// per count matrix, which MatrixProofMaxRanks bounds. Compilation is
 // memoized per instance: ML workloads re-issue the same count pattern
 // for many steps, so the common case is one compile amortized over the
 // epoch, with only the O(p) allgather per call. Payloads are packed into
@@ -29,6 +30,13 @@ import (
 // tagVSched tags the per-call counts allgather of the sched-backed
 // alltoallv (distinct from the other v-algorithm control tags).
 const tagVSched = 331
+
+// MatrixProofMaxRanks is the largest world the schedule-backed
+// alltoallv constructs at. Every new count matrix costs an O(p^2)
+// allgather, the assembled O(p^2) schedule and a world proof of it, on
+// every rank, so the per-matrix proof, not the verifier, sets the
+// limit.
+const MatrixProofMaxRanks = 128
 
 type vSched struct {
 	*basicV
@@ -45,13 +53,10 @@ type vSched struct {
 
 func newVSched(gen string) vFactory {
 	return func(c comm.Comm, maxTotal int, _ Options) (Alltoallver, error) {
-		// The count matrix is inherently O(p^2) state, the assembled
-		// schedule is compiled and fully verified per matrix, and the
-		// per-call allgather is O(p) messages: the full-proof ceiling.
 		p := c.Size()
-		if p > sched.FullProofRanks {
-			return nil, fmt.Errorf("core: sched:%s compiles the assembled alltoallv schedule; worlds above %d ranks are not supported (have %d)",
-				gen, sched.FullProofRanks, p)
+		if p > MatrixProofMaxRanks {
+			return nil, fmt.Errorf("core: sched:%s proves a world per count matrix; worlds above %d ranks are not supported (have %d)",
+				gen, MatrixProofMaxRanks, p)
 		}
 		v := &vSched{gen: gen, rowBuf: comm.Alloc(p * 8), matBuf: comm.Alloc(p * p * 8)}
 		v.basicV = newBasicV(SchedPrefix+gen, c, maxTotal, v.run)

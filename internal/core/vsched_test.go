@@ -8,7 +8,6 @@ import (
 	"alltoallx/internal/comm"
 	"alltoallx/internal/netmodel"
 	"alltoallx/internal/runtime"
-	"alltoallx/internal/sched"
 	"alltoallx/internal/sim"
 	"alltoallx/internal/trace"
 )
@@ -136,11 +135,12 @@ func TestVSchedAsymmetricCountsDetected(t *testing.T) {
 	}
 }
 
-// TestVSchedWorldCap: construction is rejected above the full-proof
-// ceiling — the assembled O(p^2) compile does not scale past it.
+// TestVSchedWorldCap: construction is rejected above
+// MatrixProofMaxRanks — a world proof per count matrix does not scale
+// past it.
 func TestVSchedWorldCap(t *testing.T) {
 	t.Parallel()
-	err := runtime.Run(runtime.Config{Ranks: sched.FullProofRanks + 2}, func(c comm.Comm) error {
+	err := runtime.Run(runtime.Config{Ranks: MatrixProofMaxRanks + 2}, func(c comm.Comm) error {
 		_, err := NewV("sched:pairwise", c, 8, Options{})
 		if err == nil {
 			return fmt.Errorf("sched:pairwise accepted %d ranks", c.Size())

@@ -22,9 +22,10 @@ const TagBase = 401
 // Schedule reaches a rank as its Slice.
 //
 // Exec does not verify: callers prove the program's world once before
-// constructing an executor (ProveRanks, whose world driver proves
-// content at or below FullProofRanks and whose streamed driver proves
-// the rest above it; core does this at algorithm construction).
+// constructing an executor (Prove, whose world driver proves every
+// rank's content at every world size; core and the schedule registry do
+// this at algorithm construction) and run the GenerateRank program whose
+// digest the proof returned.
 // Like the operations built on it, an Exec is driven by one rank's
 // goroutine and is not safe for concurrent use.
 type Exec struct {

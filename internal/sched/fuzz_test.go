@@ -7,15 +7,19 @@ import (
 )
 
 // The adversarial files of TestVerifyStateFollowsSteps: a billion-block
-// scratch declaration and an 8,000-rank declaration, neither with a step.
+// scratch declaration and an 8,000-rank declaration, neither with a
+// step; and of TestVerifyBudgetsCells: rank 0 of a 2-rank world, whose
+// second step receives a billion blocks into its billion-block scratch
+// space.
 var (
 	hugeScratchFile = `{"format":2,"name":"x","ranks":1,"scratch":[1000000000],"rounds":[{"steps":[[]]}]}`
 	manyRanksFile   = `{"format":2,"name":"x","ranks":8000,"rounds":[{"steps":[[]` + strings.Repeat(`,[]`, 7999) + `]}]}`
+	hugeRecvFile    = `{"format":2,"name":"x","ranks":2,"rank":0,"scratch":[1000000000],"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]},{"k":"recv","f":1,"s":[0,0,0],"d":[2,0,1000000000]}]]}`
 )
 
 // FuzzVerify decodes arbitrary bytes as a schedule and verifies it with
 // the world driver. Neither may panic, and whenever Verify accepts, every
-// slice must pass the streamed driver.
+// slice must pass VerifyRank.
 func FuzzVerify(f *testing.F) {
 	for _, name := range AllGenerators() {
 		for p := 2; p <= 6; p++ {
@@ -40,14 +44,14 @@ func FuzzVerify(f *testing.F) {
 		if err != nil || Verify(s) != nil {
 			return
 		}
-		if err := streamSchedule(s); err != nil {
-			t.Fatalf("Verify accepts the schedule, the streamed verifier rejects it: %v", err)
+		if err := slicesPassVerifyRank(s); err != nil {
+			t.Fatalf("Verify accepts the schedule, VerifyRank rejects a slice: %v", err)
 		}
 	})
 }
 
 // FuzzVerifyRank decodes arbitrary bytes as a rank program and verifies
-// it with the streamed driver. Neither may panic, and a program
+// it with the lone driver. Neither may panic, and a program
 // VerifyRank accepts must survive an encode and decode round trip.
 func FuzzVerifyRank(f *testing.F) {
 	add := func(rp *RankProgram) {
@@ -67,6 +71,7 @@ func FuzzVerifyRank(f *testing.F) {
 		}
 	}
 	add(aliasingProgram(f, 1<<40+1))
+	f.Add([]byte(hugeRecvFile))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rp, err := DecodeRank(bytes.NewReader(data))
 		if err != nil || VerifyRank(rp) != nil {

@@ -7,40 +7,34 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// Generator compiles an all-to-all schedule for p ranks. The mapping is
-// the world topology when known (nil otherwise); topology-aware
-// generators (torus) shape themselves from it.
-type Generator func(p int, m *topo.Mapping) (*Schedule, error)
-
-// genEntry couples a generator's collective kind with its whole-world
-// and rank-sliced compilers (one sliced implementation per generator; a
-// test pins every entry complete).
+// genEntry couples a generator's collective kind with its rank
+// compiler, which writes one rank's program as a source.
 type genEntry struct {
-	coll  Coll
-	whole Generator
-	rank  rankGenerator
+	coll Coll
+	rank rankSource
 }
 
 // genRegistry is the registry of schedule generators. The classic
 // all-to-all algorithms (direct, pairwise, bruck) are compiled straight
 // into the IR; the direct-connect families (ring, torus, hypercube) are
-// compiled from per-block routes — schedules the loop-coded core
-// algorithms cannot express. The rs-*/ar-* families compile
-// reduce-scatter and allreduce onto the same topologies (reduce.go).
+// compiled from per-block routes (routeslice.go) — schedules the
+// loop-coded core algorithms cannot express. The rs-*/ar-* families
+// compile reduce-scatter and allreduce onto the same topologies
+// (reduce.go).
 var genRegistry = map[string]genEntry{
-	"direct":    {CollAlltoall, Direct, directRank},
-	"pairwise":  {CollAlltoall, Pairwise, pairwiseRank},
-	"bruck":     {CollAlltoall, Bruck, bruckRank},
-	"ring":      {CollAlltoall, Ring, ringRank},
-	"torus":     {CollAlltoall, Torus, torusRank},
-	"hypercube": {CollAlltoall, Hypercube, hypercubeRank},
+	"direct":    {CollAlltoall, directSource},
+	"pairwise":  {CollAlltoall, pairwiseSource},
+	"bruck":     {CollAlltoall, bruckSource},
+	"ring":      {CollAlltoall, ringSource},
+	"torus":     {CollAlltoall, torusSource},
+	"hypercube": {CollAlltoall, hypercubeSource},
 
-	"rs-ring":      {CollReduceScatter, RingReduceScatter, ringReduceScatterRank},
-	"rs-torus":     {CollReduceScatter, TorusReduceScatter, torusReduceScatterRank},
-	"rs-hypercube": {CollReduceScatter, HypercubeReduceScatter, hypercubeReduceScatterRank},
-	"ar-ring":      {CollAllreduce, RingAllreduce, ringAllreduceRank},
-	"ar-torus":     {CollAllreduce, TorusAllreduce, torusAllreduceRank},
-	"ar-hypercube": {CollAllreduce, HypercubeAllreduce, hypercubeAllreduceRank},
+	"rs-ring":      {CollReduceScatter, ringReduceScatterSource},
+	"rs-torus":     {CollReduceScatter, torusReduceScatterSource},
+	"rs-hypercube": {CollReduceScatter, hypercubeReduceScatterSource},
+	"ar-ring":      {CollAllreduce, ringAllreduceSource},
+	"ar-torus":     {CollAllreduce, torusAllreduceSource},
+	"ar-hypercube": {CollAllreduce, hypercubeAllreduceSource},
 }
 
 // Generators returns the all-to-all generator names, sorted — the set
@@ -96,16 +90,31 @@ func checkRanks(p int) error {
 	return nil
 }
 
-// Generate compiles the named schedule for p ranks (m may be nil).
-func Generate(name string, p int, m *topo.Mapping) (*Schedule, error) {
+// generator looks up the named generator for a p-rank world.
+func generator(name string, p int) (genEntry, error) {
 	e, ok := genRegistry[name]
 	if !ok {
-		return nil, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
+		return e, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
 	}
-	if err := checkRanks(p); err != nil {
+	return e, checkRanks(p)
+}
+
+// Generate compiles the named schedule for p ranks (m may be nil): every
+// rank's GenerateRank program, assembled into one world.
+func Generate(name string, p int, m *topo.Mapping) (*Schedule, error) {
+	if _, err := generator(name, p); err != nil {
 		return nil, err
 	}
-	return e.whole(p, m)
+	rps := make([]*RankProgram, p)
+	for r := range rps {
+		var err error
+		if rps[r], err = GenerateRank(name, p, r, m); err != nil {
+			return nil, err
+		}
+	}
+	h := rps[0]
+	return withRounds(&Schedule{Format: FormatVersion, Name: h.Name, Ranks: p, Coll: h.Coll, Op: h.Op, Scratch: h.Scratch},
+		func(r int) [][]Step { return rps[r].Rounds }), nil
 }
 
 // sendRef/recvRef/scratchRef are small constructors for readable
@@ -140,67 +149,42 @@ func withRounds(s *Schedule, rounds func(r int) [][]Step) *Schedule {
 	return s
 }
 
-// The classic generators are built from per-rank step builders: Generate
-// assembles all p ranks' rounds into a Schedule, GenerateRank emits
-// exactly one rank's rounds as a RankProgram (O(p) work for
-// direct/pairwise, O(p log p) for bruck) without ever materializing the
-// whole world.
-
-// directSteps is rank r's single round of the spread direct exchange: all
-// p-1 receives posted first, then all p-1 sends, in spread order (peer
-// r±i) to avoid hotspots.
-func directSteps(p, r int) []Step {
-	steps := []Step{selfCopy(r)}
-	for i := 1; i < p; i++ {
-		from := (r - i + p) % p
-		steps = append(steps, Step{Kind: Recv, From: from, Dst: recvRef(from, 1)})
-	}
-	for i := 1; i < p; i++ {
-		to := (r + i) % p
-		steps = append(steps, Step{Kind: Send, To: to, Src: sendRef(to, 1)})
-	}
-	return steps
+// alltoall is rank r's source of an all-to-all program.
+func alltoall(name string, p, r int, scratch []int, phases ...phase) *source {
+	return &source{hdr: RankProgram{Format: FormatVersion, Name: name, Ranks: p, Rank: r, Scratch: scratch}, phases: phases}
 }
 
-// Direct compiles the spread direct exchange (the nonblocking algorithm):
-// a single round in which every rank posts all p-1 receives, then all p-1
-// sends.
-func Direct(p int, _ *topo.Mapping) (*Schedule, error) {
-	return withRounds(&Schedule{Format: FormatVersion, Name: "direct", Ranks: p},
-		func(r int) [][]Step { return [][]Step{directSteps(p, r)} }), nil
+// directSource is rank r's single round of the spread direct exchange
+// (the nonblocking algorithm): all p-1 receives posted first, then all
+// p-1 sends, in spread order (peer r±i) to avoid hotspots.
+func directSource(p, r int, _ *topo.Mapping) (*source, error) {
+	return alltoall("direct", p, r, nil, phase{1, func(_ int, steps []Step) []Step {
+		steps = append(steps, selfCopy(r))
+		for i := 1; i < p; i++ {
+			from := (r - i + p) % p
+			steps = append(steps, Step{Kind: Recv, From: from, Dst: recvRef(from, 1)})
+		}
+		for i := 1; i < p; i++ {
+			to := (r + i) % p
+			steps = append(steps, Step{Kind: Send, To: to, Src: sendRef(to, 1)})
+		}
+		return steps
+	}}), nil
 }
 
-func directRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	return &RankProgram{Format: FormatVersion, Name: "direct", Ranks: p, Rank: r,
-		Rounds: [][]Step{directSteps(p, r)}}, nil
+// pairwiseSource is rank r's program of Algorithm 1: a self-copy round
+// followed by p-1 rounds, each one SendRecv with disjoint partners (send
+// to r+i, receive from r-i).
+func pairwiseSource(p, r int, _ *topo.Mapping) (*source, error) {
+	return alltoall("pairwise", p, r, nil, selfPhase(r), phase{p - 1, func(t int, steps []Step) []Step {
+		to, from := (r+t+1)%p, (r-t-1+p)%p
+		return append(steps, Step{Kind: SendRecv, To: to, Src: sendRef(to, 1), From: from, Dst: recvRef(from, 1)})
+	}}), nil
 }
 
-// pairwiseSteps is rank r's single step of pairwise round i (1 <= i < p):
-// one SendRecv with disjoint partners (send to r+i, receive from r-i).
-func pairwiseSteps(p, r, i int) []Step {
-	to := (r + i) % p
-	from := (r - i + p) % p
-	return []Step{{Kind: SendRecv, To: to, Src: sendRef(to, 1), From: from, Dst: recvRef(from, 1)}}
-}
-
-// Pairwise compiles Algorithm 1: a self-copy round followed by p-1
-// rounds, each one SendRecv per rank with disjoint partners.
-func Pairwise(p int, _ *topo.Mapping) (*Schedule, error) {
-	return withRounds(&Schedule{Format: FormatVersion, Name: "pairwise", Ranks: p},
-		func(r int) [][]Step { return pairwiseRounds(p, r) }), nil
-}
-
-// pairwiseRounds is rank r's self-copy round and p-1 exchange rounds.
-func pairwiseRounds(p, r int) [][]Step {
-	rounds := [][]Step{{selfCopy(r)}}
-	for i := 1; i < p; i++ {
-		rounds = append(rounds, pairwiseSteps(p, r, i))
-	}
-	return rounds
-}
-
-func pairwiseRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	return &RankProgram{Format: FormatVersion, Name: "pairwise", Ranks: p, Rank: r, Rounds: pairwiseRounds(p, r)}, nil
+// selfPhase is rank r's round delivering its own block.
+func selfPhase(r int) phase {
+	return phase{1, func(_ int, steps []Step) []Step { return append(steps, selfCopy(r)) }}
 }
 
 // bruckPlan computes the exchange rounds ks (k = 1, 2, 4, ...) and the
@@ -230,21 +214,10 @@ const (
 	bruckPackA = 2
 )
 
-// bruckRotateSteps is rank r's round 0: rotate so local block i is the
-// data destined to rank r+i (two contiguous copies per rank).
-func bruckRotateSteps(p, r int) []Step {
-	steps := []Step{{Kind: Copy, Src: sendRef(r, p-r), Dst: scratchRef(bruckTmp, 0, p-r)}}
-	if r > 0 {
-		steps = append(steps, Step{Kind: Copy, Src: sendRef(0, r), Dst: scratchRef(bruckTmp, p-r, r)})
-	}
-	return steps
-}
-
-// bruckUnpackSteps appends the copies restoring round ki's received
-// blocks from its pack-recv buffer into the rotation buffer (identical on
-// every rank).
-func bruckUnpackSteps(steps []Step, p int, ks []int, ki int) []Step {
-	k := ks[ki]
+// bruckUnpack appends the copies restoring round ki's received blocks
+// from its pack-recv buffer into the rotation buffer (identical on every
+// rank).
+func bruckUnpack(steps []Step, p, k, ki int) []Step {
 	buf := bruckPackA + ki%2
 	m := 0
 	for i := 0; i < p; i++ {
@@ -256,73 +229,49 @@ func bruckUnpackSteps(steps []Step, p int, ks []int, ki int) []Step {
 	return steps
 }
 
-// bruckExchangeSteps is rank r's steps of exchange round ki: unpack the
-// previous round (ki > 0), pack the blocks whose index has bit ks[ki]
-// set, and exchange with the partners ±ks[ki].
-func bruckExchangeSteps(p int, ks []int, ki, r int) []Step {
-	k := ks[ki]
-	steps := make([]Step, 0, p+1) // at most p/2 unpacks, p/2 packs and the exchange
-	if ki > 0 {
-		steps = bruckUnpackSteps(steps, p, ks, ki-1)
+// bruckSource is rank r's program of the Bruck algorithm: a rotation
+// round (local block i becomes the data destined to rank r+i), ceil(log2
+// p) exchange rounds each packing the blocks whose index has bit k set,
+// and a final unpack + inverse-rotation round (local block i holds the
+// data from rank r-i). Receive staging is double-buffered so an exchange
+// round never receives into the buffer its unpack copies are still
+// reading — the race the verifier rejects.
+func bruckSource(p, r int, m *topo.Mapping) (*source, error) {
+	if p == 1 {
+		return pairwiseSource(p, r, m)
 	}
-	m := 0
-	for i := 0; i < p; i++ {
-		if i&k != 0 {
-			steps = append(steps, Step{Kind: Copy, Src: scratchRef(bruckTmp, i, 1), Dst: scratchRef(bruckPackS, m, 1)})
-			m++
+	ks, h := bruckPlan(p)
+	rotate := phase{1, func(_ int, steps []Step) []Step {
+		steps = append(steps, Step{Kind: Copy, Src: sendRef(r, p-r), Dst: scratchRef(bruckTmp, 0, p-r)})
+		if r > 0 {
+			steps = append(steps, Step{Kind: Copy, Src: sendRef(0, r), Dst: scratchRef(bruckTmp, p-r, r)})
 		}
-	}
-	to := (r + k) % p
-	from := (r - k + p) % p
-	steps = append(steps, Step{
-		Kind: SendRecv,
-		To:   to, Src: scratchRef(bruckPackS, 0, m),
-		From: from, Dst: scratchRef(bruckPackA+ki%2, 0, m),
-	})
-	return steps
-}
-
-// bruckFinalSteps is rank r's final round: unpack the last exchange, then
-// invert the rotation — local block i holds the data from rank r-i.
-func bruckFinalSteps(p int, ks []int, r int) []Step {
-	steps := bruckUnpackSteps(make([]Step, 0, p+(p+1)/2), p, ks, len(ks)-1)
-	for i := 0; i < p; i++ {
-		src := (r - i + p) % p
-		steps = append(steps, Step{Kind: Copy, Src: scratchRef(bruckTmp, i, 1), Dst: recvRef(src, 1)})
-	}
-	return steps
-}
-
-// Bruck compiles the Bruck algorithm: a rotation round, ceil(log2 p)
-// exchange rounds each packing the blocks whose index has bit k set, and
-// a final unpack + inverse-rotation round. Receive staging is
-// double-buffered so an exchange round never receives into the buffer its
-// unpack copies are still reading — the race the verifier rejects.
-func Bruck(p int, _ *topo.Mapping) (*Schedule, error) {
-	if p == 1 {
-		return Pairwise(p, nil)
-	}
-	_, h := bruckPlan(p)
-	return withRounds(&Schedule{Format: FormatVersion, Name: "bruck", Ranks: p, Scratch: []int{p, h, h, h}},
-		func(r int) [][]Step { return bruckRounds(p, r) }), nil
-}
-
-// bruckRounds is rank r's rotation round, exchange rounds and final
-// round.
-func bruckRounds(p, r int) [][]Step {
-	ks, _ := bruckPlan(p)
-	rounds := [][]Step{bruckRotateSteps(p, r)}
-	for ki := range ks {
-		rounds = append(rounds, bruckExchangeSteps(p, ks, ki, r))
-	}
-	return append(rounds, bruckFinalSteps(p, ks, r))
-}
-
-func bruckRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
-	if p == 1 {
-		return pairwiseRank(p, r, m)
-	}
-	_, h := bruckPlan(p)
-	return &RankProgram{Format: FormatVersion, Name: "bruck", Ranks: p, Rank: r, Scratch: []int{p, h, h, h},
-		Rounds: bruckRounds(p, r)}, nil
+		return steps
+	}}
+	exchange := phase{len(ks), func(ki int, steps []Step) []Step {
+		k := ks[ki]
+		if ki > 0 {
+			steps = bruckUnpack(steps, p, ks[ki-1], ki-1)
+		}
+		m := 0
+		for i := 0; i < p; i++ {
+			if i&k != 0 {
+				steps = append(steps, Step{Kind: Copy, Src: scratchRef(bruckTmp, i, 1), Dst: scratchRef(bruckPackS, m, 1)})
+				m++
+			}
+		}
+		return append(steps, Step{
+			Kind: SendRecv,
+			To:   (r + k) % p, Src: scratchRef(bruckPackS, 0, m),
+			From: (r - k + p) % p, Dst: scratchRef(bruckPackA+ki%2, 0, m),
+		})
+	}}
+	final := phase{1, func(_ int, steps []Step) []Step {
+		steps = bruckUnpack(steps, p, ks[len(ks)-1], len(ks)-1)
+		for i := 0; i < p; i++ {
+			steps = append(steps, Step{Kind: Copy, Src: scratchRef(bruckTmp, i, 1), Dst: recvRef((r-i+p)%p, 1)})
+		}
+		return steps
+	}}
+	return alltoall("bruck", p, r, []int{p, h, h, h}, rotate, exchange, final), nil
 }

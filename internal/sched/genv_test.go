@@ -32,7 +32,7 @@ func vTestCounts(p int) [][]int {
 }
 
 // TestGenerateVVerify proves both alltoallv generators at several shapes
-// through the world driver and the streamed per-slice driver, with
+// through the world driver and checks every slice with VerifyRank, with
 // non-uniform counts including zero pairs, rows and columns.
 func TestGenerateVVerify(t *testing.T) {
 	t.Parallel()
@@ -52,18 +52,14 @@ func TestGenerateVVerify(t *testing.T) {
 				if err := Verify(s); err != nil {
 					t.Fatalf("p=%d: Verify: %v", p, err)
 				}
-				sv := NewStreamVerifier(p)
 				for r := 0; r < p; r++ {
 					rp, err := Slice(s, r)
 					if err != nil {
 						t.Fatalf("p=%d: Slice(%d): %v", p, r, err)
 					}
-					if err := sv.Add(rp); err != nil {
-						t.Fatalf("p=%d: Add(%d): %v", p, r, err)
+					if err := VerifyRank(rp); err != nil {
+						t.Fatalf("p=%d: VerifyRank(%d): %v", p, r, err)
 					}
-				}
-				if err := sv.Finish(); err != nil {
-					t.Fatalf("p=%d: Finish: %v", p, err)
 				}
 			}
 		})
@@ -89,7 +85,8 @@ func TestGenerateVRejectsBadCounts(t *testing.T) {
 }
 
 // TestStreamVerifierRejectsVCorruption: cross-slice alltoallv corruption
-// classes caught by the streamed verifier.
+// classes caught when the slices are streamed through VerifyRank and the
+// world driver.
 func TestStreamVerifierRejectsVCorruption(t *testing.T) {
 	t.Parallel()
 	const p = 4
@@ -119,7 +116,8 @@ func TestStreamVerifierRejectsVCorruption(t *testing.T) {
 			mutate: func(t *testing.T, rps []*RankProgram) {
 				// Rank 0 declares one more block for pair 0->1 than rank 1
 				// expects. The steps still agree (so every per-round check
-				// passes); only the declaration fingerprints can catch it.
+				// passes); only the comparison of the declarations can
+				// catch it.
 				rps[0].VSend[1]++
 			},
 			wantErr: "count declarations disagree",
@@ -155,7 +153,7 @@ func TestStreamVerifierRejectsVCorruption(t *testing.T) {
 			tc.mutate(t, rps)
 			err := streamAll(rps)
 			if err == nil {
-				t.Fatalf("corruption %q passed streamed verification", tc.name)
+				t.Fatalf("corruption %q passed verification", tc.name)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)

@@ -218,27 +218,28 @@ func cloneSchedule(s *Schedule) *Schedule {
 	return &c
 }
 
-// streamSchedule runs every rank's slice of s through a StreamVerifier.
-func streamSchedule(s *Schedule) error {
-	sv := NewStreamVerifier(s.Ranks)
+// slicesPassVerifyRank runs VerifyRank on every rank's slice of s.
+func slicesPassVerifyRank(s *Schedule) error {
 	for r := 0; r < s.Ranks; r++ {
 		rp, err := Slice(s, r)
 		if err != nil {
 			return err
 		}
-		if err := sv.Add(rp); err != nil {
+		if err := VerifyRank(rp); err != nil {
 			return err
 		}
 	}
-	return sv.Finish()
+	return nil
 }
 
 // TestVerifierMutants is the differential soundness check of the
 // verifier's two drivers: seeded single-edit mutants of every
 // generator's schedule. Every mutant Verify (the world driver) accepts
-// must pass the streamed driver and move the right bytes on the
-// simulator (a deadlock fails too), and the verdict of every mutant must
-// match testdata/mutants.golden: a change that makes either driver
+// must have every slice pass VerifyRank (the lone driver) and move the
+// right bytes on the simulator (a deadlock fails too), and the verdict
+// of every mutant must match testdata/mutants.golden: "rejected by
+// both" when some slice fails VerifyRank too, "rejected by Verify only"
+// when only the world sees the defect. A change that makes either driver
 // accept or reject a different set of mutants shows up as a diff.
 // Regenerate with -update.
 func TestVerifierMutants(t *testing.T) {
@@ -258,14 +259,14 @@ func TestVerifierMutants(t *testing.T) {
 			for !edit.apply(m, rng) {
 				edit = mutantEdits[rng.Intn(len(mutantEdits))]
 			}
-			verr, serr := Verify(m), streamSchedule(m)
+			verr, serr := Verify(m), slicesPassVerifyRank(m)
 			verdict := "rejected by both"
 			switch {
 			case verr == nil:
 				verdict = "accepted"
 				accepted++
 				if serr != nil {
-					t.Errorf("%s mutant %d (%s): Verify accepts, the streamed verifier rejects: %v", b.name, i, edit.name, serr)
+					t.Errorf("%s mutant %d (%s): Verify accepts, VerifyRank rejects a slice: %v", b.name, i, edit.name, serr)
 				}
 				cfg := sim.ClusterConfig{Model: model, Nodes: 2, PPN: b.s.Ranks / 2, Seed: 1}
 				if _, err := sim.RunCluster(cfg, b.body(m)); err != nil {

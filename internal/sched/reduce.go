@@ -1,9 +1,8 @@
 // Reduction-schedule generators: reduce-scatter and allreduce compiled
 // onto the same direct-connect topologies as the all-to-all families
-// (ring, 2D torus, hypercube). Every generator is built from a per-rank
-// rounds builder shared between the whole-world compiler and the
-// rank-sliced compiler, so GenerateRank is byte-identical to
-// Slice(Generate(...)) by construction.
+// (ring, 2D torus, hypercube). Every generator writes one rank's program
+// as a source whose phases are the algorithm's stages: a ring
+// reduce-scatter, a ring allgather, a pack or unpack round.
 //
 // The schedules are operator-generic: a reduce-scatter or allreduce
 // schedule is valid for any associative, commutative operator, so the
@@ -32,17 +31,10 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// assembleReduce builds a whole-world reduction schedule from a per-rank
-// rounds builder.
-func assembleReduce(name string, coll Coll, p int, scratch []int, rounds func(r int) [][]Step) *Schedule {
-	return withRounds(&Schedule{Format: FormatVersion, Name: name, Ranks: p, Coll: coll, Op: OpAny, Scratch: scratch}, rounds)
-}
-
-// reduceRank wraps one rank's rounds as a RankProgram with the same
-// header fields assembleReduce emits, keeping the Slice identity exact.
-func reduceRank(name string, coll Coll, p, r int, scratch []int, rounds [][]Step) *RankProgram {
-	return &RankProgram{Format: FormatVersion, Name: name, Ranks: p, Rank: r,
-		Coll: coll, Op: OpAny, Scratch: scratch, Rounds: rounds}
+// reduction is rank r's source of a reduction program, labeled OpAny.
+func reduction(name string, coll Coll, p, r int, scratch []int, phases ...phase) *source {
+	return &source{hdr: RankProgram{Format: FormatVersion, Name: name, Ranks: p, Rank: r,
+		Coll: coll, Op: OpAny, Scratch: scratch}, phases: phases}
 }
 
 // reduceStep builds the Dst = Dst op Src combine step with the bundled
@@ -51,11 +43,14 @@ func reduceStep(dst, src Ref) Step {
 	return Step{Kind: Reduce, Src: src, Dst: dst, Op: OpAny}
 }
 
-// ringRSRounds emits the rounds of a ring reduce-scatter among q ring
-// members for the member at index idx. Member c's chunk is chunk(c)
-// (blocks blocks); next/prev are the world ranks of the ring neighbors;
-// stageA/stageB are two scratch spaces of blocks blocks used as
-// alternating accumulators; the fully reduced own chunk lands at dst.
+// mod is x mod q in [0, q).
+func mod(x, q int) int { return (x%q + q) % q }
+
+// ringRS is the phase of a ring reduce-scatter among q ring members for
+// the member at index idx. Member c's chunk is chunk(c) (blocks blocks);
+// next/prev are the world ranks of the ring neighbors; stageA/stageB are
+// two scratch spaces of blocks blocks used as alternating accumulators;
+// the fully reduced own chunk lands at dst.
 //
 // Round 0 sends chunk idx-1 onward; round t reduces the local
 // contribution of chunk idx-1-t into the partial received last round and
@@ -63,9 +58,11 @@ func reduceStep(dst, src Ref) Step {
 // visited every member, and a final round folds in the local
 // contribution and copies the result to dst. q == 1 degenerates to a
 // single local copy.
-func ringRSRounds(q, idx, next, prev, blocks, stageA, stageB int, chunk func(c int) Ref, dst Ref) [][]Step {
+func ringRS(q, idx, next, prev, blocks, stageA, stageB int, chunk func(c int) Ref, dst Ref) phase {
 	if q == 1 {
-		return [][]Step{{{Kind: Copy, Src: chunk(idx), Dst: dst}}}
+		return phase{1, func(_ int, steps []Step) []Step {
+			return append(steps, Step{Kind: Copy, Src: chunk(idx), Dst: dst})
+		}}
 	}
 	stage := func(t int) Ref {
 		if t%2 == 0 {
@@ -73,82 +70,57 @@ func ringRSRounds(q, idx, next, prev, blocks, stageA, stageB int, chunk func(c i
 		}
 		return scratchRef(stageB, 0, blocks)
 	}
-	rounds := [][]Step{{
-		{Kind: Recv, From: prev, Dst: stage(0)},
-		{Kind: Send, To: next, Src: chunk(((idx-1)%q + q) % q)},
+	return phase{q, func(t int, steps []Step) []Step {
+		switch {
+		case t == 0:
+			return append(steps,
+				Step{Kind: Recv, From: prev, Dst: stage(0)},
+				Step{Kind: Send, To: next, Src: chunk(mod(idx-1, q))})
+		case t < q-1:
+			acc := stage(t - 1)
+			return append(steps,
+				Step{Kind: Recv, From: prev, Dst: stage(t)},
+				reduceStep(acc, chunk(mod(idx-1-t, q))),
+				Step{Kind: Send, To: next, Src: acc})
+		}
+		acc := stage(q - 2)
+		return append(steps, reduceStep(acc, chunk(idx)), Step{Kind: Copy, Src: acc, Dst: dst})
 	}}
-	for t := 1; t <= q-2; t++ {
-		acc := stage(t - 1)
-		rounds = append(rounds, []Step{
-			{Kind: Recv, From: prev, Dst: stage(t)},
-			reduceStep(acc, chunk(((idx-1-t)%q+q)%q)),
-			{Kind: Send, To: next, Src: acc},
-		})
-	}
-	acc := stage(q - 2)
-	rounds = append(rounds, []Step{
-		reduceStep(acc, chunk(idx)),
-		{Kind: Copy, Src: acc, Dst: dst},
-	})
-	return rounds
 }
 
-// ringAGRounds emits the q-1 ring allgather rounds: member idx owns
+// ringAG is the phase of the q-1 ring allgather rounds: member idx owns
 // chunk(idx) going in, and after the rounds every member holds all q
 // chunks (chunk c must already hold valid data at member c).
-func ringAGRounds(q, idx, next, prev int, chunk func(c int) Ref) [][]Step {
-	var rounds [][]Step
-	for t := 0; t <= q-2; t++ {
-		rounds = append(rounds, []Step{
-			{Kind: Recv, From: prev, Dst: chunk(((idx-1-t)%q + q) % q)},
-			{Kind: Send, To: next, Src: chunk(((idx-t)%q + q) % q)},
-		})
-	}
-	return rounds
+func ringAG(q, idx, next, prev int, chunk func(c int) Ref) phase {
+	return phase{q - 1, func(t int, steps []Step) []Step {
+		return append(steps,
+			Step{Kind: Recv, From: prev, Dst: chunk(mod(idx-1-t, q))},
+			Step{Kind: Send, To: next, Src: chunk(mod(idx-t, q))})
+	}}
 }
 
-// ringReduceScatterRounds is rank r's program of the ring bucket
-// reduce-scatter: chunks are the send-space blocks, the result is the
-// single recv block.
-func ringReduceScatterRounds(p, r int) [][]Step {
-	return ringRSRounds(p, r, (r+1)%p, (r-1+p)%p, 1, 0, 1,
-		func(c int) Ref { return sendRef(c, 1) }, recvRef(0, 1))
+// sendChunk and recvChunk are the one-block chunks of the user buffers.
+func sendChunk(c int) Ref { return sendRef(c, 1) }
+func recvChunk(c int) Ref { return recvRef(c, 1) }
+
+// ringReduceScatterSource is rank r's program of the ring bucket
+// reduce-scatter: p-1 rounds of one-block reduce-and-forward, every link
+// carrying exactly one block per round. The chunks are the send-space
+// blocks, the result is the single recv block.
+func ringReduceScatterSource(p, r int, _ *topo.Mapping) (*source, error) {
+	return reduction("rs-ring", CollReduceScatter, p, r, []int{1, 1},
+		ringRS(p, r, (r+1)%p, (r-1+p)%p, 1, 0, 1, sendChunk, recvRef(0, 1))), nil
 }
 
-// RingReduceScatter compiles the ring bucket reduce-scatter: p-1 rounds
-// of one-block reduce-and-forward, every link carrying exactly one block
-// per round.
-func RingReduceScatter(p int, _ *topo.Mapping) (*Schedule, error) {
-	return assembleReduce("rs-ring", CollReduceScatter, p, []int{1, 1}, func(r int) [][]Step {
-		return ringReduceScatterRounds(p, r)
-	}), nil
-}
-
-func ringReduceScatterRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	return reduceRank("rs-ring", CollReduceScatter, p, r, []int{1, 1}, ringReduceScatterRounds(p, r)), nil
-}
-
-// ringAllreduceRounds is rank r's program of the ring allreduce: the
-// bucket reduce-scatter landing chunk r in recv slot r, then a p-1-round
-// ring allgather of the recv space.
-func ringAllreduceRounds(p, r int) [][]Step {
+// ringAllreduceSource is rank r's program of the ring allreduce (bucket
+// reduce-scatter + ring allgather): the reduce-scatter lands chunk r in
+// recv slot r, then a p-1-round ring allgather fills the recv space —
+// 2(p-1) rounds, bandwidth-optimal wire volume.
+func ringAllreduceSource(p, r int, _ *topo.Mapping) (*source, error) {
 	next, prev := (r+1)%p, (r-1+p)%p
-	recvChunk := func(c int) Ref { return recvRef(c, 1) }
-	rounds := ringRSRounds(p, r, next, prev, 1, 0, 1,
-		func(c int) Ref { return sendRef(c, 1) }, recvRef(r, 1))
-	return append(rounds, ringAGRounds(p, r, next, prev, recvChunk)...)
-}
-
-// RingAllreduce compiles the ring allreduce (bucket reduce-scatter +
-// ring allgather): 2(p-1) rounds, bandwidth-optimal wire volume.
-func RingAllreduce(p int, _ *topo.Mapping) (*Schedule, error) {
-	return assembleReduce("ar-ring", CollAllreduce, p, []int{1, 1}, func(r int) [][]Step {
-		return ringAllreduceRounds(p, r)
-	}), nil
-}
-
-func ringAllreduceRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	return reduceRank("ar-ring", CollAllreduce, p, r, []int{1, 1}, ringAllreduceRounds(p, r)), nil
+	return reduction("ar-ring", CollAllreduce, p, r, []int{1, 1},
+		ringRS(p, r, next, prev, 1, 0, 1, sendChunk, recvRef(r, 1)),
+		ringAG(p, r, next, prev, recvChunk)), nil
 }
 
 // The torus scratch layout: the column-major pack buffer, the row-phase
@@ -167,100 +139,83 @@ const (
 func torusReduceScratch(p, rows int) []int    { return []int{p, rows, rows, rows, 1, 1} }
 func torusAllreduceScratch(p, rows int) []int { return []int{p, rows, rows, rows, 1, 1, p} }
 
-// torusRSRounds is rank r's reduce-scatter on the rows x cols torus,
-// ending with the fully reduced block at dst: pack the send space
-// column-major (chunk j' = this rank's contributions to column j', rows
-// blocks), ring reduce-scatter along the row ring, then along the column
-// ring.
-func torusRSRounds(p, rows, cols, r int, dst Ref) [][]Step {
+// torusNeighbors are rank r's ring neighbors on the rows x cols torus.
+type torusNeighbors struct{ i, j, rowNext, rowPrev, colNext, colPrev int }
+
+func torusAt(rows, cols, r int) torusNeighbors {
 	i, j := r/cols, r%cols
-	var pack []Step
-	for jj := 0; jj < cols; jj++ {
-		for ii := 0; ii < rows; ii++ {
-			pack = append(pack, Step{Kind: Copy,
-				Src: sendRef(ii*cols+jj, 1), Dst: scratchRef(torusPack, jj*rows+ii, 1)})
-		}
-	}
-	rounds := [][]Step{pack}
-	rowNext, rowPrev := i*cols+(j+1)%cols, i*cols+(j-1+cols)%cols
-	rounds = append(rounds, ringRSRounds(cols, j, rowNext, rowPrev, rows, torusRowA, torusRowB,
-		func(c int) Ref { return scratchRef(torusPack, c*rows, rows) },
-		scratchRef(torusCol, 0, rows))...)
-	colNext, colPrev := ((i+1)%rows)*cols+j, ((i-1+rows)%rows)*cols+j
-	rounds = append(rounds, ringRSRounds(rows, i, colNext, colPrev, 1, torusColA, torusColB,
-		func(c int) Ref { return scratchRef(torusCol, c, 1) }, dst)...)
-	return rounds
+	return torusNeighbors{i, j, i*cols + (j+1)%cols, i*cols + (j-1+cols)%cols,
+		((i+1)%rows)*cols + j, ((i-1+rows)%rows)*cols + j}
 }
 
-// TorusReduceScatter compiles the two-phase torus reduce-scatter: ring
-// reduce-scatter along the row ring (rows-block chunks), then along the
-// column ring (one-block chunks). The decomposition follows the
-// all-to-all torus: the topology's nodes x ppn when it matches, the
-// most-square factorization otherwise.
-func TorusReduceScatter(p int, m *topo.Mapping) (*Schedule, error) {
-	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("rs-torus%dx%d", rows, cols)
-	return assembleReduce(name, CollReduceScatter, p, torusReduceScratch(p, rows), func(r int) [][]Step {
-		return torusRSRounds(p, rows, cols, r, recvRef(0, 1))
-	}), nil
-}
-
-func torusReduceScatterRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
-	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("rs-torus%dx%d", rows, cols)
-	return reduceRank(name, CollReduceScatter, p, r, torusReduceScratch(p, rows),
-		torusRSRounds(p, rows, cols, r, recvRef(0, 1))), nil
-}
-
-// torusARRounds is rank r's allreduce on the torus: the two-phase
-// reduce-scatter landing at slot (j, i) of the column-major allgather
-// buffer, ring allgathers along the column then row rings, and a final
-// unpack round into the recv space.
-func torusARRounds(p, rows, cols, r int) [][]Step {
-	i, j := r/cols, r%cols
-	rounds := torusRSRounds(p, rows, cols, r, scratchRef(torusAG, j*rows+i, 1))
-	rowNext, rowPrev := i*cols+(j+1)%cols, i*cols+(j-1+cols)%cols
-	colNext, colPrev := ((i+1)%rows)*cols+j, ((i-1+rows)%rows)*cols+j
-	rounds = append(rounds, ringAGRounds(rows, i, colNext, colPrev,
-		func(c int) Ref { return scratchRef(torusAG, j*rows+c, 1) })...)
-	rounds = append(rounds, ringAGRounds(cols, j, rowNext, rowPrev,
-		func(c int) Ref { return scratchRef(torusAG, c*rows, rows) })...)
-	var unpack []Step
-	for ii := 0; ii < rows; ii++ {
+// torusRS is rank r's reduce-scatter on the rows x cols torus, ending
+// with the fully reduced block at dst: pack the send space column-major
+// (chunk j' = this rank's contributions to column j', rows blocks), ring
+// reduce-scatter along the row ring, then along the column ring.
+func torusRS(p, rows, cols, r int, dst Ref) []phase {
+	n := torusAt(rows, cols, r)
+	pack := phase{1, func(_ int, steps []Step) []Step {
 		for jj := 0; jj < cols; jj++ {
-			unpack = append(unpack, Step{Kind: Copy,
-				Src: scratchRef(torusAG, jj*rows+ii, 1), Dst: recvRef(ii*cols+jj, 1)})
+			for ii := 0; ii < rows; ii++ {
+				steps = append(steps, Step{Kind: Copy,
+					Src: sendRef(ii*cols+jj, 1), Dst: scratchRef(torusPack, jj*rows+ii, 1)})
+			}
 		}
+		return steps
+	}}
+	return []phase{pack,
+		ringRS(cols, n.j, n.rowNext, n.rowPrev, rows, torusRowA, torusRowB,
+			func(c int) Ref { return scratchRef(torusPack, c*rows, rows) }, scratchRef(torusCol, 0, rows)),
+		ringRS(rows, n.i, n.colNext, n.colPrev, 1, torusColA, torusColB,
+			func(c int) Ref { return scratchRef(torusCol, c, 1) }, dst),
 	}
-	return append(rounds, unpack)
 }
 
-// TorusAllreduce compiles the torus allreduce: the two-phase
-// reduce-scatter followed by the mirror column- and row-ring allgathers.
-func TorusAllreduce(p int, m *topo.Mapping) (*Schedule, error) {
+// torusReduceScatterSource is rank r's program of the two-phase torus
+// reduce-scatter: ring reduce-scatter along the row ring (rows-block
+// chunks), then along the column ring (one-block chunks). The
+// decomposition follows the all-to-all torus: the topology's nodes x ppn
+// when it matches, the most-square factorization otherwise.
+func torusReduceScatterSource(p, r int, m *topo.Mapping) (*source, error) {
 	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("ar-torus%dx%d", rows, cols)
-	return assembleReduce(name, CollAllreduce, p, torusAllreduceScratch(p, rows), func(r int) [][]Step {
-		return torusARRounds(p, rows, cols, r)
-	}), nil
+	return reduction(fmt.Sprintf("rs-torus%dx%d", rows, cols), CollReduceScatter, p, r, torusReduceScratch(p, rows),
+		torusRS(p, rows, cols, r, recvRef(0, 1))...), nil
 }
 
-func torusAllreduceRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
+// torusAllreduceSource is rank r's program of the torus allreduce: the
+// two-phase reduce-scatter landing at slot (j, i) of the column-major
+// allgather buffer, ring allgathers along the column then row rings, and
+// a final unpack round into the recv space.
+func torusAllreduceSource(p, r int, m *topo.Mapping) (*source, error) {
 	rows, cols := torusShape(p, m)
-	name := fmt.Sprintf("ar-torus%dx%d", rows, cols)
-	return reduceRank(name, CollAllreduce, p, r, torusAllreduceScratch(p, rows),
-		torusARRounds(p, rows, cols, r)), nil
+	n := torusAt(rows, cols, r)
+	unpack := phase{1, func(_ int, steps []Step) []Step {
+		for ii := 0; ii < rows; ii++ {
+			for jj := 0; jj < cols; jj++ {
+				steps = append(steps, Step{Kind: Copy,
+					Src: scratchRef(torusAG, jj*rows+ii, 1), Dst: recvRef(ii*cols+jj, 1)})
+			}
+		}
+		return steps
+	}}
+	phases := append(torusRS(p, rows, cols, r, scratchRef(torusAG, n.j*rows+n.i, 1)),
+		ringAG(rows, n.i, n.colNext, n.colPrev, func(c int) Ref { return scratchRef(torusAG, n.j*rows+c, 1) }),
+		ringAG(cols, n.j, n.rowNext, n.rowPrev, func(c int) Ref { return scratchRef(torusAG, c*rows, rows) }),
+		unpack)
+	return reduction(fmt.Sprintf("ar-torus%dx%d", rows, cols), CollAllreduce, p, r, torusAllreduceScratch(p, rows), phases...), nil
 }
 
-// hypercubeRSRounds is rank r's recursive-halving reduce-scatter on the
+// hypercubeRS is rank r's recursive-halving reduce-scatter on the
 // k-dimensional hypercube (p = 2^k), ending with the fully reduced block
 // at dst. D_t is the 2^(k-t)-rank aligned index range containing r after
 // t rounds; round t exchanges the unwanted half of D_t with the partner
 // across bit k-1-t, folding the kept half into the stage-t accumulator.
 // Scratch space t holds the p/2^(t+1)-block partial received in round t.
-func hypercubeRSRounds(p, k, r int, dst Ref) [][]Step {
+func hypercubeRS(p, k, r int, dst Ref) phase {
 	if p == 1 {
-		return [][]Step{{{Kind: Copy, Src: sendRef(0, 1), Dst: dst}}}
+		return phase{1, func(_ int, steps []Step) []Step {
+			return append(steps, Step{Kind: Copy, Src: sendRef(0, 1), Dst: dst})
+		}}
 	}
 	base := func(t int) int { return r &^ (1<<(k-t) - 1) }
 	// fold is the round-t combine of the prior accumulator (the send
@@ -273,27 +228,25 @@ func hypercubeRSRounds(p, k, r int, dst Ref) [][]Step {
 		}
 		return reduceStep(scratchRef(t-1, 0, n), scratchRef(t-2, base(t)-base(t-1), n))
 	}
-	half := p >> 1
-	q := r ^ (1 << (k - 1))
-	rounds := [][]Step{{
-		{Kind: Recv, From: q, Dst: scratchRef(0, 0, half)},
-		{Kind: Send, To: q, Src: sendRef((q>>(k-1))*half, half)},
+	return phase{k + 1, func(t int, steps []Step) []Step {
+		switch {
+		case t == 0:
+			half := p >> 1
+			q := r ^ (1 << (k - 1))
+			return append(steps,
+				Step{Kind: Recv, From: q, Dst: scratchRef(0, 0, half)},
+				Step{Kind: Send, To: q, Src: sendRef((q>>(k-1))*half, half)})
+		case t < k:
+			half := p >> (t + 1)
+			b := k - 1 - t
+			q := r ^ (1 << b)
+			return append(steps,
+				Step{Kind: Recv, From: q, Dst: scratchRef(t, 0, half)},
+				fold(t),
+				Step{Kind: Send, To: q, Src: scratchRef(t-1, ((q>>b)&1)*half, half)})
+		}
+		return append(steps, fold(k), Step{Kind: Copy, Src: scratchRef(k-1, 0, 1), Dst: dst})
 	}}
-	for t := 1; t < k; t++ {
-		half := p >> (t + 1)
-		b := k - 1 - t
-		q := r ^ (1 << b)
-		rounds = append(rounds, []Step{
-			{Kind: Recv, From: q, Dst: scratchRef(t, 0, half)},
-			fold(t),
-			{Kind: Send, To: q, Src: scratchRef(t-1, ((q>>b)&1)*half, half)},
-		})
-	}
-	rounds = append(rounds, []Step{
-		fold(k),
-		{Kind: Copy, Src: scratchRef(k-1, 0, 1), Dst: dst},
-	})
-	return rounds
 }
 
 // hypercubeReduceScratch declares the k halving accumulators: p/2, p/4,
@@ -317,63 +270,36 @@ func hypercubeShape(p int) (int, error) {
 	return bits.Len(uint(p)) - 1, nil
 }
 
-// HypercubeReduceScatter compiles the recursive-halving reduce-scatter
-// (p must be a power of two): log2(p) rounds, halving the live index
-// range and the message size each round.
-func HypercubeReduceScatter(p int, _ *topo.Mapping) (*Schedule, error) {
+// hypercubeReduceScatterSource is rank r's program of the
+// recursive-halving reduce-scatter (p must be a power of two): log2(p)
+// rounds, halving the live index range and the message size each round.
+func hypercubeReduceScatterSource(p, r int, _ *topo.Mapping) (*source, error) {
 	k, err := hypercubeShape(p)
 	if err != nil {
 		return nil, err
 	}
-	return assembleReduce("rs-hypercube", CollReduceScatter, p, hypercubeReduceScratch(p, k), func(r int) [][]Step {
-		return hypercubeRSRounds(p, k, r, recvRef(0, 1))
-	}), nil
+	return reduction("rs-hypercube", CollReduceScatter, p, r, hypercubeReduceScratch(p, k),
+		hypercubeRS(p, k, r, recvRef(0, 1))), nil
 }
 
-func hypercubeReduceScatterRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
+// hypercubeAllreduceSource is rank r's program of the hypercube
+// allreduce (recursive halving + recursive doubling, 2 log2(p) rounds):
+// recursive halving lands the reduced block in recv slot r, then the
+// mirror recursive-doubling allgather over the recv space (round u
+// exchanges the aligned 2^u-block range with the partner across bit u).
+func hypercubeAllreduceSource(p, r int, _ *topo.Mapping) (*source, error) {
 	k, err := hypercubeShape(p)
 	if err != nil {
 		return nil, err
 	}
-	return reduceRank("rs-hypercube", CollReduceScatter, p, r, hypercubeReduceScratch(p, k),
-		hypercubeRSRounds(p, k, r, recvRef(0, 1))), nil
-}
-
-// hypercubeARRounds is rank r's allreduce on the hypercube: recursive
-// halving landing the reduced block in recv slot r, then the mirror
-// recursive-doubling allgather over the recv space (round u exchanges
-// the aligned 2^u-block range with the partner across bit u).
-func hypercubeARRounds(p, k, r int) [][]Step {
-	rounds := hypercubeRSRounds(p, k, r, recvRef(r, 1))
-	for u := 0; u < k; u++ {
+	doubling := phase{k, func(u int, steps []Step) []Step {
 		n := 1 << u
 		myBase := r &^ (n - 1)
 		q := r ^ n
-		rounds = append(rounds, []Step{
-			{Kind: Recv, From: q, Dst: recvRef(myBase^n, n)},
-			{Kind: Send, To: q, Src: recvRef(myBase, n)},
-		})
-	}
-	return rounds
-}
-
-// HypercubeAllreduce compiles the hypercube allreduce (recursive halving
-// + recursive doubling): 2 log2(p) rounds.
-func HypercubeAllreduce(p int, _ *topo.Mapping) (*Schedule, error) {
-	k, err := hypercubeShape(p)
-	if err != nil {
-		return nil, err
-	}
-	return assembleReduce("ar-hypercube", CollAllreduce, p, hypercubeReduceScratch(p, k), func(r int) [][]Step {
-		return hypercubeARRounds(p, k, r)
-	}), nil
-}
-
-func hypercubeAllreduceRank(p, r int, _ *topo.Mapping) (*RankProgram, error) {
-	k, err := hypercubeShape(p)
-	if err != nil {
-		return nil, err
-	}
-	return reduceRank("ar-hypercube", CollAllreduce, p, r, hypercubeReduceScratch(p, k),
-		hypercubeARRounds(p, k, r)), nil
+		return append(steps,
+			Step{Kind: Recv, From: q, Dst: recvRef(myBase^n, n)},
+			Step{Kind: Send, To: q, Src: recvRef(myBase, n)})
+	}}
+	return reduction("ar-hypercube", CollAllreduce, p, r, hypercubeReduceScratch(p, k),
+		hypercubeRS(p, k, r, recvRef(r, 1)), doubling), nil
 }

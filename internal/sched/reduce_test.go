@@ -36,9 +36,9 @@ func reductionGenerators() []string {
 }
 
 // TestReductionGeneratorsVerify proves every reduction generator's
-// output at many shapes through the full symbolic verifier, the streamed
-// cross-rank verifier, and the GenerateRank ≡ Slice(Generate) identity
-// that carries the content proof to the streamed-only large worlds.
+// output at many shapes through Verify on the assembled schedule, Prove
+// through VerifyWorldSliced, and the GenerateRank ≡ Slice(Generate)
+// round trip.
 func TestReductionGeneratorsVerify(t *testing.T) {
 	t.Parallel()
 	for _, name := range reductionGenerators() {
@@ -344,7 +344,8 @@ func TestVerifyRejectsReductionCorruption(t *testing.T) {
 }
 
 // TestStreamVerifierRejectsReductionCorruption: the same corruption
-// classes are caught from rank slices by the streaming verifier.
+// classes are caught when the rank slices are streamed through
+// VerifyRank and the world driver.
 func TestStreamVerifierRejectsReductionCorruption(t *testing.T) {
 	t.Parallel()
 	const p = 6
@@ -424,7 +425,7 @@ func TestStreamVerifierRejectsReductionCorruption(t *testing.T) {
 					}
 				}
 			},
-			wantErr: "stream carries",
+			wantErr: "the world's is",
 		},
 		{
 			name: "wrong result block",
@@ -446,7 +447,7 @@ func TestStreamVerifierRejectsReductionCorruption(t *testing.T) {
 			tc.mutate(t, rps)
 			err := streamAll(rps)
 			if err == nil {
-				t.Fatalf("corruption %q passed streamed verification", tc.name)
+				t.Fatalf("corruption %q passed verification", tc.name)
 			}
 			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)

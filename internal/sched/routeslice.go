@@ -10,18 +10,20 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// This file is the rank-sliced counterpart of routes.go: it compiles one
-// rank's program of a route-based schedule without materializing all p×p
-// block paths. Where compileRoutes walks every (s, d) path and buckets
-// hops into per-round move lists, the slicers here answer the inverse
-// question — "which blocks depart from / arrive at rank x in round t?" —
-// in closed form per topology, so compiling rank x costs O(blocks routed
-// through x), not O(p^2 · diameter).
+// This file compiles schedules from per-block routes, the Basu et al.
+// construction for direct-connect topologies: every block (s, d) is
+// assigned a multi-hop path through the topology, hop h of every path
+// executes in round h, and all blocks moving between one rank pair in one
+// round are packed into a single message. A rank's program stages
+// in-transit blocks in a transit buffer indexed by block identity,
+// double-buffers its receive packing and emits the pack/unpack copies.
 //
-// The two implementations are deliberately independent: compileRoutes
-// stays the authoritative path-materializing construction (proved by
-// Verify's world driver), and property tests pin compileRank
-// byte-identical to its slices at randomized shapes.
+// No path is ever materialised: a slicer per topology answers "which
+// blocks depart from / arrive at rank x in round t?" in closed form, so
+// compiling rank x costs O(blocks routed through x), not O(p^2 ·
+// diameter), and round t needs only the departures of round t and the
+// arrivals of rounds t-1 and t. The world proof (Prove) checks that the
+// routes deliver every block to its destination.
 
 // rmsg is one packed message of a round: the peer and the identities
 // (s*p+d) of the blocks it carries, ascending.
@@ -32,12 +34,12 @@ type rmsg struct {
 
 // rankSlicer enumerates one topology's per-rank, per-round traffic.
 // outs/ins must return messages with peers ascending and block ids
-// ascending within each message — the compileRoutes order.
+// ascending within each message.
 type rankSlicer interface {
 	// rounds is the exchange round count (the longest route's hop count).
 	rounds() int
 	// packMax is the global staging bound: the largest per-rank, per-round
-	// packed block count over the whole world (compileRoutes' maxPack).
+	// packed block count over the whole world.
 	packMax() int
 	// outs lists the messages rank x sends in round t.
 	outs(x, t int) []rmsg
@@ -45,7 +47,7 @@ type rankSlicer interface {
 	ins(x, t int) []rmsg
 }
 
-// Scratch layout shared with compileRoutes: 0 = transit (slot s*p+d holds
+// Scratch layout of a route schedule: 0 = transit (slot s*p+d holds
 // block (s,d) between hops), 1 = pack-send staging, 2/3 = alternating
 // pack-recv staging.
 const (
@@ -54,31 +56,35 @@ const (
 	routePackA   = 2
 )
 
-// compileRank emits rank r's program of the route schedule described by
-// sl, mirroring compileRoutes' per-rank step construction exactly.
-func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
-	maxHops := sl.rounds()
+// routeSource is rank r's source of the route schedule described by sl:
+// round t < rounds unpacks round t-1's arrivals (round 0 copies the self
+// block instead), packs the round's departures and exchanges them; a
+// final copies-only round unpacks the last exchange, whose arrivals are
+// all home.
+func routeSource(name string, p, r int, sl rankSlicer) *source {
+	hops := sl.rounds()
 	mp := sl.packMax()
-	rp := &RankProgram{
-		Format: FormatVersion, Name: name, Ranks: p, Rank: r,
-		Scratch: []int{p * p, mp, mp, mp},
-		Rounds:  make([][]Step, 0, maxHops+1),
+	// arrivals caches the last round's arrivals: round t needs those of
+	// t-1 and t.
+	lastT, last := -1, []rmsg(nil)
+	arrivals := func(t int) []rmsg {
+		if t != lastT {
+			lastT, last = t, sl.ins(r, t)
+		}
+		return last
 	}
-
 	// unpack appends the steps restoring round t's arrivals from its
 	// pack-recv buffer: home blocks land in the recv buffer, in-transit
 	// blocks in transit slot s*p+d.
-	unpack := func(steps []Step, t int, ins []rmsg) []Step {
+	unpack := func(steps []Step, t int) []Step {
 		buf := routePackA + t%2
 		off := 0
-		for _, m := range ins {
+		for _, m := range arrivals(t) {
 			for _, b := range m.blocks {
 				src, dst := int(b)/p, int(b)%p
-				var to Ref
+				to := scratchRef(routeTransit, int(b), 1)
 				if dst == r {
 					to = recvRef(src, 1)
-				} else {
-					to = scratchRef(routeTransit, int(b), 1)
 				}
 				steps = append(steps, Step{Kind: Copy, Src: scratchRef(buf, off, 1), Dst: to})
 				off++
@@ -86,35 +92,33 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 		}
 		return steps
 	}
-
-	var prevIns []rmsg
-	for t := 0; t < maxHops; t++ {
-		outs, ins := sl.outs(r, t), sl.ins(r, t)
-		// Room for one pack per departing block, the receives and the
-		// sends, after the self copy or one unpack per arrival.
-		n := blockCount(outs) + len(ins) + len(outs)
-		var steps []Step
+	return alltoall(name, p, r, []int{p * p, mp, mp, mp}, phase{hops + 1, func(t int, steps []Step) []Step {
 		if t == 0 {
-			steps = append(make([]Step, 0, 1+n), selfCopy(r))
+			steps = append(steps, selfCopy(r))
 		} else {
-			steps = unpack(make([]Step, 0, blockCount(prevIns)+n), t-1, prevIns)
+			steps = unpack(steps, t-1)
 		}
+		if t == hops {
+			return steps
+		}
+		// Pack departures: a block leaving its source (round 0 of its
+		// path) is read from the send buffer, a forwarded one from
+		// transit.
+		outs := sl.outs(r, t)
 		off := 0
 		for _, m := range outs {
 			for _, b := range m.blocks {
 				src, dst := int(b)/p, int(b)%p
-				var from Ref
+				from := scratchRef(routeTransit, int(b), 1)
 				if src == r {
 					from = sendRef(dst, 1)
-				} else {
-					from = scratchRef(routeTransit, int(b), 1)
 				}
 				steps = append(steps, Step{Kind: Copy, Src: from, Dst: scratchRef(routePackS, off, 1)})
 				off++
 			}
 		}
 		off = 0
-		for _, m := range ins {
+		for _, m := range arrivals(t) {
 			steps = append(steps, Step{Kind: Recv, From: m.peer, Dst: scratchRef(routePackA+t%2, off, len(m.blocks))})
 			off += len(m.blocks)
 		}
@@ -123,11 +127,8 @@ func compileRank(name string, p, r int, sl rankSlicer) *RankProgram {
 			steps = append(steps, Step{Kind: Send, To: m.peer, Src: scratchRef(routePackS, off, len(m.blocks))})
 			off += len(m.blocks)
 		}
-		rp.Rounds = append(rp.Rounds, steps)
-		prevIns = ins
-	}
-	rp.Rounds = append(rp.Rounds, unpack(make([]Step, 0, blockCount(prevIns)), maxHops-1, prevIns))
-	return rp
+		return steps
+	}})
 }
 
 // blockCount totals the blocks a round's messages carry.
@@ -139,8 +140,7 @@ func blockCount(ms []rmsg) int {
 	return n
 }
 
-// sortBlocks orders block ids ascending (the in-message order
-// compileRoutes produces).
+// sortBlocks orders block ids ascending (the in-message order).
 func sortBlocks(b []int32) []int32 {
 	slices.Sort(b)
 	return b
@@ -225,11 +225,19 @@ func (s ringSlicer) traffic(x, t int, arrivals bool) []rmsg {
 func (s ringSlicer) outs(x, t int) []rmsg { return s.traffic(x, t, false) }
 func (s ringSlicer) ins(x, t int) []rmsg  { return s.traffic(x, t, true) }
 
-func ringRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
+// ringSource is rank r's program of the direct-connect ring all-to-all:
+// every block travels the shortest way around a bidirectional ring, one
+// hop per round, and co-moving blocks share one message per link per
+// round. Per-rank wire volume is Theta(p^2/8) blocks — the ring's
+// bisection cost — against the direct exchange's p-1 single-block
+// messages; the trade is message count (2 per rank per round) for
+// volume, exactly the schedule family Basu et al. tune for
+// direct-connect fabrics.
+func ringSource(p, r int, m *topo.Mapping) (*source, error) {
 	if p == 1 {
-		return pairwiseRank(p, r, m)
+		return pairwiseSource(p, r, m)
 	}
-	return compileRank("ring", p, r, ringSlicer{p: p}), nil
+	return routeSource("ring", p, r, ringSlicer{p: p}), nil
 }
 
 // ---------------------------------------------------------------------
@@ -362,13 +370,34 @@ func (s torusSlicer) traffic(x, t int, arrivals bool) []rmsg {
 func (s torusSlicer) outs(x, t int) []rmsg { return s.traffic(x, t, false) }
 func (s torusSlicer) ins(x, t int) []rmsg  { return s.traffic(x, t, true) }
 
-func torusRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
-	rows, cols := torusShape(p, m)
-	if p == 1 {
-		return pairwiseRank(p, r, m)
+// torusShape picks the 2D decomposition: the world topology's nodes x ppn
+// when it matches the rank count, otherwise the most-square
+// factorization.
+func torusShape(p int, m *topo.Mapping) (rows, cols int) {
+	if m != nil && m.Nodes()*m.PPN() == p {
+		return m.Nodes(), m.PPN()
 	}
-	name := fmt.Sprintf("torus%dx%d", rows, cols)
-	return compileRank(name, p, r, torusSlicer{rows: rows, cols: cols}), nil
+	rows = 1
+	for f := 1; f*f <= p; f++ {
+		if p%f == 0 {
+			rows = f
+		}
+	}
+	return rows, p / rows
+}
+
+// torusSource is rank r's program of the 2D-torus all-to-all: ranks form
+// a rows x cols torus (the node x ppn grid when the topology is known,
+// else the most-square factorization), and every block first rides the
+// row ring to its destination column, then the column ring to its
+// destination row — both shortest-direction, one hop per round, with
+// per-link message packing.
+func torusSource(p, r int, m *topo.Mapping) (*source, error) {
+	if p == 1 {
+		return pairwiseSource(p, r, m)
+	}
+	rows, cols := torusShape(p, m)
+	return routeSource(fmt.Sprintf("torus%dx%d", rows, cols), p, r, torusSlicer{rows: rows, cols: cols}), nil
 }
 
 // ---------------------------------------------------------------------
@@ -508,12 +537,21 @@ func dimMsgs(x int, byDim [][]int32) []rmsg {
 	return sortMsgs(msgs)
 }
 
-func hypercubeRank(p, r int, m *topo.Mapping) (*RankProgram, error) {
-	if p&(p-1) != 0 {
-		return nil, fmt.Errorf("sched: hypercube needs a power-of-two rank count, got %d", p)
+// hypercubeSource is rank r's program of the multiport hypercube
+// all-to-all (p must be a power of two): every block fixes the
+// differing address bits of its (source, destination) pair one per
+// round, scanning the k = log2(p) dimensions cyclically from a
+// source-dependent start bit. Staggering the start bit spreads each
+// round's traffic across all k links of every rank — the multiport
+// schedule — instead of serializing rounds onto one dimension as the
+// single-port (Bruck-style) exchange does.
+func hypercubeSource(p, r int, m *topo.Mapping) (*source, error) {
+	k, err := hypercubeShape(p)
+	if err != nil {
+		return nil, err
 	}
 	if p == 1 {
-		return pairwiseRank(p, r, m)
+		return pairwiseSource(p, r, m)
 	}
-	return compileRank("hypercube", p, r, hcubeSlicer{p: p, k: bits.Len(uint(p)) - 1}), nil
+	return routeSource("hypercube", p, r, hcubeSlicer{p: p, k: k}), nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestRefJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	s, err := Pairwise(4, nil)
+	s, err := Generate("pairwise", 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSaveLoad(t *testing.T) {
 func TestStatsAndRoundMatrix(t *testing.T) {
 	t.Parallel()
 	p := 5
-	s, err := Pairwise(p, nil)
+	s, err := Generate("pairwise", p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,11 @@
-// Rank-sliced schedule compilation. A RankProgram is the slice of a
-// Schedule that one rank actually executes: its step list of every round,
-// plus the world-level facts (rank count, scratch declarations) the
-// executor and verifier need. GenerateRank compiles a rank's program
-// directly — O(slice) memory instead of the whole world's O(p^2) — so
-// schedule-backed algorithms scale to worlds where materializing (or
-// symbolically verifying) the assembled schedule is out of the question.
-//
-// The contract, enforced by property tests: for every generator and every
-// (p, rank, topology), GenerateRank is byte-identical to
-// Slice(Generate(...), rank). The classic generators share per-rank step
-// builders with Generate; the route-compiled families (ring, torus,
-// hypercube) have independent inverse-routing slicers in routeslice.go,
-// cross-checked against the path-materializing compiler.
+// Rank programs. A RankProgram is the part of a Schedule that one rank
+// executes: its step list of every round, plus the world-level facts
+// (rank count, scratch declarations) the executor and verifier need.
+// Every generator compiles one rank at a time, as a header plus a round
+// source that writes round ri into a reused buffer: GenerateRank
+// materialises the rounds into a program, O(slice) memory instead of
+// the whole world's O(p^2), and Prove walks every rank's rounds as they
+// are written, one round of the world at a time.
 
 package sched
 
@@ -21,7 +15,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
+	"slices"
+	"sync"
 
 	"alltoallx/internal/artifact"
 	"alltoallx/internal/topo"
@@ -77,12 +74,7 @@ func Slice(s *Schedule, rank int) (*RankProgram, error) {
 	if rank < 0 || rank >= s.Ranks {
 		return nil, fmt.Errorf("sched: rank %d out of range for a %d-rank schedule", rank, s.Ranks)
 	}
-	rp := &RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: rank,
-		Coll: s.Coll, Op: s.Op, Scratch: s.Scratch}
-	if s.Collective() == CollAlltoallv {
-		rp.VSend = countsRow(s.Counts, rank)
-		rp.VRecv = countsCol(s.Counts, rank)
-	}
+	rp := sliceHeader(s, rank)
 	for ri := range s.Rounds {
 		if rank >= len(s.Rounds[ri].Steps) {
 			return nil, fmt.Errorf("sched: round %d has only %d step lists, cannot slice rank %d", ri, len(s.Rounds[ri].Steps), rank)
@@ -90,6 +82,18 @@ func Slice(s *Schedule, rank int) (*RankProgram, error) {
 		rp.Rounds = append(rp.Rounds, s.Rounds[ri].Steps[rank])
 	}
 	return rp, nil
+}
+
+// sliceHeader is rank's program header in schedule s: every field of its
+// Slice but the rounds.
+func sliceHeader(s *Schedule, rank int) *RankProgram {
+	rp := &RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: rank,
+		Coll: s.Coll, Op: s.Op, Scratch: s.Scratch}
+	if s.Collective() == CollAlltoallv {
+		rp.VSend = countsRow(s.Counts, rank)
+		rp.VRecv = countsCol(s.Counts, rank)
+	}
+	return rp
 }
 
 // SpaceSize returns the size in blocks of a buffer space id, or -1 for an
@@ -184,47 +188,81 @@ func (rp *RankProgram) Encode(w io.Writer) error {
 // integers as varints and strings and lists length-prefixed (so a nil
 // and an empty list digest alike, as they encode alike). Programs with
 // equal digests are byte-identical, which is what lets a world proof's
-// recorded digests stand for the slices it verified.
+// recorded digests stand for the programs it verified. Prove folds the
+// same encoding one round at a time, as it walks the rounds.
 func (rp *RankProgram) Digest() [sha256.Size]byte {
-	h, b := sha256.New(), make([]byte, 0, 4096)
-	num := func(v int) {
-		if len(b) > cap(b)-binary.MaxVarintLen64 {
-			h.Write(b)
-			b = b[:0]
-		}
-		b = binary.AppendVarint(b, int64(v))
-	}
-	str := func(s string) {
-		num(len(s))
-		b = append(b, s...)
-	}
-	num(rp.Format)
-	str(rp.Name)
-	num(rp.Ranks)
-	num(rp.Rank)
-	str(string(rp.Coll))
-	str(rp.Op)
-	for _, l := range [][]int{rp.VSend, rp.VRecv, rp.Scratch} {
-		num(len(l))
-		for _, v := range l {
-			num(v)
-		}
-	}
-	num(len(rp.Rounds))
+	d := newDigester(rp, len(rp.Rounds))
 	for _, steps := range rp.Rounds {
-		num(len(steps))
-		for _, s := range steps {
-			str(string(s.Kind))
-			for _, v := range [...]int{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N} {
-				num(v)
-			}
-			str(s.Op)
+		d.round(steps)
+	}
+	return d.sum()
+}
+
+// digester folds a program into its Digest one round at a time.
+type digester struct {
+	h hash.Hash
+	b []byte
+}
+
+// newDigester starts the digest of a program with header hdr (its
+// rounds are not read) and the given round count.
+func newDigester(hdr *RankProgram, rounds int) *digester {
+	d := &digester{h: sha256.New(), b: make([]byte, 0, 512)}
+	d.num(hdr.Format)
+	d.str(hdr.Name)
+	d.num(hdr.Ranks)
+	d.num(hdr.Rank)
+	d.str(string(hdr.Coll))
+	d.str(hdr.Op)
+	for _, l := range [][]int{hdr.VSend, hdr.VRecv, hdr.Scratch} {
+		d.num(len(l))
+		for _, v := range l {
+			d.num(v)
 		}
 	}
-	h.Write(b)
-	var d [sha256.Size]byte
-	h.Sum(d[:0])
+	d.num(rounds)
 	return d
+}
+
+// room hashes the buffered bytes unless n more fit (a longer string
+// grows the buffer instead).
+func (d *digester) room(n int) {
+	if len(d.b)+n > cap(d.b) {
+		d.h.Write(d.b)
+		d.b = d.b[:0]
+	}
+}
+
+func (d *digester) num(v int) {
+	d.room(binary.MaxVarintLen64)
+	d.b = binary.AppendVarint(d.b, int64(v))
+}
+
+func (d *digester) str(s string) {
+	d.num(len(s))
+	d.b = append(d.b, s...)
+}
+
+// round folds the program's next round.
+func (d *digester) round(steps []Step) {
+	d.num(len(steps))
+	for i := range steps {
+		s := &steps[i]
+		d.room(len(s.Kind) + len(s.Op) + 11*binary.MaxVarintLen64)
+		b := binary.AppendVarint(d.b, int64(len(s.Kind)))
+		b = append(b, s.Kind...)
+		for _, v := range [...]int{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N, len(s.Op)} {
+			b = binary.AppendVarint(b, int64(v))
+		}
+		d.b = append(b, s.Op...)
+	}
+}
+
+func (d *digester) sum() [sha256.Size]byte {
+	d.h.Write(d.b)
+	var sum [sha256.Size]byte
+	d.h.Sum(sum[:0])
+	return sum
 }
 
 // DecodeRank reads one rank program from r, checking the format version
@@ -253,24 +291,79 @@ func (rp *RankProgram) Save(path string) error {
 	return artifact.Save(path, "sched: saving rank program", rp.Encode)
 }
 
-// rankGenerator compiles one rank's program directly.
-type rankGenerator func(p, rank int, m *topo.Mapping) (*RankProgram, error)
+// A source is one rank's program as a header and a round source: hdr is
+// the program without its Rounds, and its rounds are the phases' rounds,
+// in order. A world walked from sources holds one round at a time.
+type source struct {
+	hdr    RankProgram
+	phases []phase
+}
 
-// GenerateRank compiles the named schedule's slice for one rank of a
-// p-rank world (m may be nil). The result is byte-identical to
-// Slice(Generate(name, p, m), rank) but costs O(slice): O(p) for
-// direct/pairwise, O(p log p) for bruck, and O(blocks routed through the
-// rank) for the route-compiled families — never O(p^2) memory.
-func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, error) {
-	e, ok := genRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
+// phase is a run of n consecutive rounds of a rank's program: round(t,
+// buf) appends the steps of the phase's round t to buf and returns it.
+type phase struct {
+	n     int
+	round func(t int, buf []Step) []Step
+}
+
+// rankSource compiles one rank of a p-rank world as a source.
+type rankSource func(p, rank int, m *topo.Mapping) (*source, error)
+
+// rounds is the program's round count.
+func (s *source) rounds() int {
+	n := 0
+	for _, ph := range s.phases {
+		n += ph.n
 	}
-	if err := checkRanks(p); err != nil {
+	return n
+}
+
+// round writes round ri of the program into buf, which it reuses, and
+// returns it.
+func (s *source) round(ri int, buf []Step) []Step {
+	for _, ph := range s.phases {
+		if ri < ph.n {
+			return ph.round(ri, buf[:0])
+		}
+		ri -= ph.n
+	}
+	panic(fmt.Sprintf("sched: round %d of a %d-round program", ri, s.rounds()))
+}
+
+// roundBufs recycles the buffers program writes rounds into, so that
+// materialising a program allocates its rounds and little else.
+var roundBufs = sync.Pool{New: func() any { return new([]Step) }}
+
+// program materialises the source: every round copied out at its exact
+// length.
+func (s *source) program() *RankProgram {
+	rp := s.hdr
+	rp.Rounds = make([][]Step, s.rounds())
+	buf := roundBufs.Get().(*[]Step)
+	for ri := range rp.Rounds {
+		*buf = s.round(ri, *buf)
+		rp.Rounds[ri] = slices.Clone(*buf)
+	}
+	roundBufs.Put(buf)
+	return &rp
+}
+
+// GenerateRank compiles the named schedule's program for one rank of a
+// p-rank world (m may be nil): O(p) memory for direct and pairwise,
+// O(p log p) for bruck, and O(blocks routed through the rank) for the
+// route-compiled families, never O(p^2). Slice(Generate(name, p, m),
+// rank) is the same program, since Generate assembles these.
+func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, error) {
+	e, err := generator(name, p)
+	if err != nil {
 		return nil, err
 	}
 	if rank < 0 || rank >= p {
 		return nil, fmt.Errorf("sched: rank %d out of range 0..%d", rank, p-1)
 	}
-	return e.rank(p, rank, m)
+	src, err := e.rank(p, rank, m)
+	if err != nil {
+		return nil, err
+	}
+	return src.program(), nil
 }

@@ -24,14 +24,11 @@ func gridMapping(t *testing.T, nodes, ppn int) *topo.Mapping {
 	return m
 }
 
-// TestRankGeneratorsCoverRegistry pins every registry entry to a complete
-// pair of implementations: whole-world and rank-sliced.
+// TestRankGeneratorsCoverRegistry pins every registry entry to a rank
+// compiler and a valid collective.
 func TestRankGeneratorsCoverRegistry(t *testing.T) {
 	t.Parallel()
 	for name, e := range genRegistry {
-		if e.whole == nil {
-			t.Errorf("generator %q has no whole-world implementation", name)
-		}
 		if e.rank == nil {
 			t.Errorf("generator %q has no rank-sliced implementation", name)
 		}
@@ -79,12 +76,11 @@ func at(rounds [][]Step, ri int) []Step {
 	return nil
 }
 
-// TestGenerateRankMatchesGenerate is the oracle property test of the
-// sliced compilers: for every generator and a randomized set of (p, rank,
+// TestGenerateRankMatchesGenerate is the round-trip property test of
+// assembly: for every generator and a randomized set of (p, rank,
 // topology) shapes, GenerateRank output is byte-identical to the
-// corresponding slice of Generate. The route-based generators have fully
-// independent implementations (inverse routing vs path materialization),
-// so this is a real cross-check, not a tautology.
+// corresponding Slice of Generate, which assembles every rank's program
+// with withRounds.
 func TestGenerateRankMatchesGenerate(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -117,9 +113,9 @@ func TestGenerateRankMatchesGenerate(t *testing.T) {
 	})
 }
 
-// TestStreamVerifierAcceptsGenerators: the large-world mode accepts every
-// generator's sliced output at randomized shapes — the same worlds the
-// world driver proves.
+// TestStreamVerifierAcceptsGenerators: the world proof over streamed
+// rounds, through VerifyWorldSliced, accepts every generator at
+// randomized shapes.
 func TestStreamVerifierAcceptsGenerators(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
@@ -160,18 +156,33 @@ func slicesOf(t *testing.T, name string, p int) []*RankProgram {
 	return out
 }
 
-func streamAll(rps []*RankProgram) error {
-	sv := NewStreamVerifier(len(rps))
-	for _, rp := range rps {
-		if err := sv.Add(rp); err != nil {
-			return err
-		}
-	}
-	return sv.Finish()
+// programSource is the source of a materialised program: its rounds,
+// copied into the caller's buffer.
+func programSource(rp *RankProgram) *source {
+	hdr := *rp
+	hdr.Rounds = nil
+	return &source{hdr: hdr, phases: []phase{{len(rp.Rounds), func(ri int, buf []Step) []Step {
+		return append(buf, rp.Rounds[ri]...)
+	}}}}
 }
 
-// TestStreamVerifierRejections: every corruption class the streaming mode
-// claims to catch is actually caught.
+// streamAll checks a world given as its programs, indexed by rank:
+// every program alone with VerifyRank, then the world, its rounds
+// streamed from the programs, with the world driver.
+func streamAll(rps []*RankProgram) error {
+	srcs := make([]*source, len(rps))
+	for r, rp := range rps {
+		if err := VerifyRank(rp); err != nil {
+			return err
+		}
+		srcs[r] = programSource(rp)
+	}
+	return walkWorld(srcs, nil)
+}
+
+// TestStreamVerifierRejections: every corruption class of a world's
+// programs, streamed through VerifyRank and the world driver, is
+// caught.
 func TestStreamVerifierRejections(t *testing.T) {
 	t.Parallel()
 	const p = 6
@@ -464,14 +475,13 @@ func TestGenerateRankAt4096(t *testing.T) {
 	}
 }
 
-// TestStreamVerifyLargeWorld streams a full 4096-rank world through the
-// streamed driver — O(p) persistent memory plus one slice's walker state,
-// where the world driver would hold every rank's programs and touched
-// slots at once. About 8 s alone and 17 s inside the full suite on 2
-// vCPUs, so -short skips it.
+// TestStreamVerifyLargeWorld proves a full 4096-rank world with the
+// world driver, its rounds streamed from the generator one round of the
+// world at a time: the proof holds the touched slots, never the
+// programs. About 10 s alone on 2 vCPUs, so -short skips it.
 func TestStreamVerifyLargeWorld(t *testing.T) {
 	if testing.Short() {
-		t.Skip("4096-rank streamed verification (~8 s alone, ~17 s in the full suite on 2 vCPUs) skipped in -short mode")
+		t.Skip("4096-rank world proof (~10 s alone on 2 vCPUs) skipped in -short mode")
 	}
 	t.Parallel()
 	if err := VerifyWorldSliced("pairwise", 4096, nil); err != nil {

@@ -16,14 +16,16 @@ import (
 // below, which executes one rank's program round by round. Two drivers
 // run it:
 //
-//   - the world driver (Verify, ProveRanks, and Prove at or below
-//     FullProofRanks) walks every rank of a world in step, round by
-//     round, pairs each round's sends and receives exactly, and delivers
-//     the sender's symbolic payload, so it proves content;
-//   - the streamed driver (StreamVerifier, VerifyRank, ProveWorld,
-//     VerifyWorldSliced, verifyslice.go) walks one slice at a time, a
-//     receive delivering "unknown", and proves cross-rank pairing from
-//     per-round fingerprints in O(p + one slice) memory.
+//   - the world driver (Prove, Verify, VerifyWorldSliced) walks every
+//     rank of a world in step, round by round. It pulls each rank's round
+//     from that rank's source, a generator writing it into a reused
+//     buffer or an artifact's step list, so a proof holds one round of
+//     the world at a time and never its programs. It pairs each round's
+//     sends and receives exactly, per receiver, and delivers the sender's
+//     symbolic payload, so it proves content at every world size;
+//   - the lone driver (VerifyRank, verifyslice.go) walks one program on
+//     its own, a receive delivering "unknown": the local check of an
+//     artifact that travels alone.
 //
 // The walker checks, per rank and round:
 //
@@ -49,14 +51,15 @@ import (
 //
 // The walker's state follows the steps: it holds a cell only for the
 // slots its program's steps have written or stamped so far, never sized
-// by declared scratch or rank counts. The proof is per schedule, not per
-// run: a verified schedule is correct for every block size on every
-// substrate (and, for reductions, every associative commutative
-// operator).
+// by declared scratch or rank counts, and never more than a budget
+// computed from the header before it walks (cellBudget). The proof is
+// per schedule, not per run: a verified schedule is correct for every
+// block size on every substrate (and, for reductions, every associative
+// commutative operator).
 
 // Verify statically proves a schedule implements its collective's
 // semantics before it ever runs: after the header and shape checks it
-// runs the world driver over every rank's Slice.
+// runs the world driver over every rank's rounds.
 func Verify(s *Schedule) error {
 	if s == nil {
 		return errors.New("sched: nil schedule")
@@ -72,7 +75,7 @@ func Verify(s *Schedule) error {
 		return err
 	}
 	// The counts themselves are checked per rank, row and column, by the
-	// world driver's admission of every slice.
+	// world driver's admission of every rank.
 	if s.Counts != nil && len(s.Counts) != p {
 		return fmt.Errorf("sched: counts matrix has %d rows, want %d", len(s.Counts), p)
 	}
@@ -86,11 +89,41 @@ func Verify(s *Schedule) error {
 			return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), p)
 		}
 	}
-	rps := make([]*RankProgram, p)
-	for r := range rps {
-		rps[r], _ = Slice(s, r) // cannot fail: the shape is checked
+	srcs := make([]*source, p)
+	for r := range srcs {
+		srcs[r] = &source{hdr: *sliceHeader(s, r), phases: []phase{{len(s.Rounds), func(ri int, buf []Step) []Step {
+			return append(buf, s.Rounds[ri].Steps[r]...)
+		}}}}
 	}
-	return verifyWorld(rps)
+	return walkWorld(srcs, nil)
+}
+
+// Prove compiles the named world and proves it with the world driver,
+// walking every rank's rounds as its generator writes them, and returns
+// the Digest of every rank's program, indexed by rank — the programs
+// GenerateRank compiles. A generator's refusal of the world is returned
+// as is, a verifier rejection as a failed static verification.
+func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
+	e, err := generator(name, p)
+	if err != nil {
+		return nil, err
+	}
+	srcs := make([]*source, p)
+	digs := make([]*digester, p)
+	for r := range srcs {
+		if srcs[r], err = e.rank(p, r, m); err != nil {
+			return nil, err
+		}
+		digs[r] = newDigester(&srcs[r].hdr, srcs[r].rounds())
+	}
+	if err := walkWorld(srcs, func(r int, steps []Step) { digs[r].round(steps) }); err != nil {
+		return nil, fmt.Errorf("failed static verification: %w", err)
+	}
+	digests := make([][sha256.Size]byte, p)
+	for r, d := range digs {
+		digests[r] = d.sum()
+	}
+	return digests, nil
 }
 
 // checkColl validates the collective, its operator label and whether it
@@ -174,10 +207,11 @@ func (l stepLoc) String() string {
 // seed(s, off): for the routing collectives the block s sends from that
 // offset, for the reductions the partial of result block off holding
 // only s's contribution. A partial combining several contributions is
-// partialBase+t, entry t of the verifier's partials table.
+// partial(block, set): its result block, below 2^30, and the id of its
+// contributor set in the verifier's set table.
 const (
 	undef   int64 = -1 // never written
-	unknown int64 = -2 // received by a streamed walker: defined, identity unknown
+	unknown int64 = -2 // received by the lone walker: defined, identity unknown
 
 	offBits     = 46
 	offMask     = 1<<offBits - 1
@@ -192,6 +226,8 @@ const (
 )
 
 func seed(s, off int) int64 { return int64(s)<<offBits | int64(off) }
+
+func partial(block, set int) int64 { return partialBase | int64(block)<<32 | int64(set) }
 
 // cell is the state of one slot a walker has written or stamped.
 type cell struct {
@@ -224,17 +260,27 @@ type pageEntry struct {
 func slotKey(buf, off int) uint64 { return uint64(buf)<<48 | uint64(off) }
 
 // message is one send or receive a walker posted in the current round:
-// its ranks as pair = to*p + from, and its buffer operand.
+// the rank at its other end and its buffer operand.
 type message struct {
-	pair int
+	peer int
 	ref  Ref
+}
+
+// cellBudget is the most cells a walker of the program with header hdr
+// may hold: p^2, plus 8 per buffer space (a page each may be part
+// used), plus an alltoallv program's declared count sums. Every bundled
+// generator's walker stays within it: at 1-256 flat ranks, ring at 12
+// ranks comes closest, at 0.88 of it.
+func cellBudget(hdr *RankProgram) int {
+	return hdr.Ranks*hdr.Ranks + pageSize*(SpaceScratch+len(hdr.Scratch)) + sumCounts(hdr.VSend) + sumCounts(hdr.VRecv)
 }
 
 // rankWalker symbolically executes one rank's program, round by round.
 type rankWalker struct {
 	v                  *verifier
-	rp                 *RankProgram
+	hdr                *RankProgram // the program's header; its rounds are not read
 	rank               int
+	budget             int // cellBudget(hdr)
 	sendSize, recvSize int
 	// sendPre and recvPre are the alltoallv prefix sums of VSend and
 	// VRecv: where each destination's and source's blocks start.
@@ -253,11 +299,13 @@ type rankWalker struct {
 	}
 }
 
-// reset points the walker at rp, reusing its buffers.
-func (w *rankWalker) reset(v *verifier, rp *RankProgram) {
+// reset points the walker at the program with header hdr, reusing its
+// buffers.
+func (w *rankWalker) reset(v *verifier, hdr *RankProgram) {
 	clear(w.table)
-	*w = rankWalker{v: v, rp: rp, rank: rp.Rank, sendSize: rp.SpaceSize(SpaceSend), recvSize: rp.SpaceSize(SpaceRecv),
-		sendPre: prefix(w.sendPre[:0], rp.VSend), recvPre: prefix(w.recvPre[:0], rp.VRecv),
+	*w = rankWalker{v: v, hdr: hdr, rank: hdr.Rank, budget: cellBudget(hdr),
+		sendSize: hdr.SpaceSize(SpaceSend), recvSize: hdr.SpaceSize(SpaceRecv),
+		sendPre: prefix(w.sendPre[:0], hdr.VSend), recvPre: prefix(w.recvPre[:0], hdr.VRecv),
 		table: w.table, chunks: w.chunks}
 }
 
@@ -281,8 +329,8 @@ func (w *rankWalker) size(buf int) int {
 		return w.sendSize
 	case buf == SpaceRecv:
 		return w.recvSize
-	case i >= 0 && i < len(w.rp.Scratch):
-		return w.rp.Scratch[i]
+	case i >= 0 && i < len(w.hdr.Scratch):
+		return w.hdr.Scratch[i]
 	}
 	return -1
 }
@@ -310,7 +358,8 @@ func (w *rankWalker) refError(ref Ref, where stepLoc) error {
 
 // slot returns the cell of slot k of an inSpace ref, or nil for a send
 // slot or a slot never written or stamped. With alloc it creates the
-// cell of a recv or scratch slot instead.
+// cell of a recv or scratch slot instead, and returns nil only if that
+// would take the walker past its budget.
 func (w *rankWalker) slot(ref Ref, k int, alloc bool) *cell {
 	if ref.Buf == SpaceSend {
 		return nil
@@ -328,7 +377,8 @@ func (w *rankWalker) slot(ref Ref, k int, alloc bool) *cell {
 }
 
 // find returns page pk, or nil if the walker has none; with alloc it
-// creates the page instead.
+// creates the page instead, unless the page would take the walker past
+// its budget.
 func (w *rankWalker) find(pk uint64, alloc bool) *page {
 	if n := len(w.table); n > 0 {
 		for i := w.home(pk); ; i = (i + 1) & (n - 1) {
@@ -339,7 +389,7 @@ func (w *rankWalker) find(pk uint64, alloc bool) *page {
 			if e.key != 0 {
 				continue
 			}
-			if !alloc {
+			if !alloc || (w.pages+1)*pageSize > w.budget {
 				return nil
 			}
 			if 4*(w.pages+1) > 3*n {
@@ -379,6 +429,13 @@ func (w *rankWalker) home(pk uint64) int {
 	return int(pk * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(w.table)))))
 }
 
+// overBudget names the slot whose cell would take the walker past its
+// budget.
+func (w *rankWalker) overBudget(ref Ref, k int, where stepLoc) error {
+	return fmt.Errorf("%s: slot %d of space %d would take the walker past its budget of %d cells (ranks squared, plus %d per buffer space and the declared alltoallv counts)",
+		where, ref.Off+k, ref.Buf, w.budget, pageSize)
+}
+
 // value reads slot k of ref, given its cell from slot.
 func (w *rankWalker) value(ref Ref, c *cell, k int) int64 {
 	switch {
@@ -390,13 +447,15 @@ func (w *rankWalker) value(ref Ref, c *cell, k int) int64 {
 	return c.val
 }
 
-// round walks round ri of the program: it posts the round's receives,
-// walks copies, reduces and sends in step order, and appends the round's
-// messages to the verifier for its driver to pair and deliver.
-func (w *rankWalker) round(ri int) error {
-	v, r, steps := w.v, w.rank, w.rp.Rounds[ri]
+// round walks steps, round ri of the program: it posts the round's
+// receives, walks copies, reduces and sends in step order, and leaves
+// the round's messages in the verifier for its driver to pair and
+// deliver.
+func (w *rankWalker) round(ri int, steps []Step) error {
+	v, r := w.v, w.rank
 	stamp := int32(ri + 1)
 	v.visit++
+	v.sends, v.recvs = v.sends[:0], v.recvs[:0]
 
 	// Pass 1: receive-written slots (their data lands at the round's
 	// wait, so same-round reads and overlapping writes are races).
@@ -421,12 +480,15 @@ func (w *rankWalker) round(ri int) error {
 		v.fromAt[step.From] = v.visit
 		for k := 0; k < step.Dst.N; k++ {
 			c := w.slot(step.Dst, k, true)
+			if c == nil {
+				return w.overBudget(step.Dst, k, where)
+			}
 			if c.recvAt == stamp {
 				return fmt.Errorf("sched: round %d rank %d: two receives write slot %d in one round", ri, r, step.Dst.Off+k)
 			}
 			c.recvAt = stamp
 		}
-		v.recvs = append(v.recvs, message{pair: r*v.p + step.From, ref: step.Dst})
+		v.recvs = append(v.recvs, message{peer: step.From, ref: step.Dst})
 	}
 
 	// Pass 2: copies, reduces and sends in step order.
@@ -488,7 +550,7 @@ func (w *rankWalker) round(ri int) error {
 					}
 				}
 				if dc != nil && step.Dst.Buf != SpaceRecv {
-					dc.val = val // a scratch overwrite: no recv accounting
+					v.set(dc, val) // a scratch overwrite: no recv accounting
 				} else if err := w.write(step.Dst, k, dc, val, where); err != nil {
 					return err
 				}
@@ -516,7 +578,7 @@ func (w *rankWalker) round(ri int) error {
 					sc.readAt = stamp
 				}
 			}
-			v.sends = append(v.sends, message{pair: step.To*v.p + r, ref: step.Src})
+			v.sends = append(v.sends, message{peer: step.To, ref: step.Src})
 		case Recv:
 			// Posted in pass 1.
 		default:
@@ -527,7 +589,7 @@ func (w *rankWalker) round(ri int) error {
 }
 
 // deliver lands the data a receive into dst brings: the payload of
-// sender's src (world driver) or unknown values (streamed driver, sender
+// sender's src (world driver) or unknown values (lone driver, sender
 // nil).
 func (w *rankWalker) deliver(dst Ref, sender *rankWalker, src Ref, where stepLoc) error {
 	for k := 0; k < dst.N; k++ {
@@ -547,7 +609,9 @@ func (w *rankWalker) deliver(dst Ref, sender *rankWalker, src Ref, where stepLoc
 // and the content contract wherever the value is known.
 func (w *rankWalker) write(ref Ref, k int, c *cell, val int64, where stepLoc) error {
 	if c == nil {
-		c = w.slot(ref, k, true)
+		if c = w.slot(ref, k, true); c == nil {
+			return w.overBudget(ref, k, where)
+		}
 	}
 	if ref.Buf == SpaceRecv {
 		x := ref.Off + k
@@ -560,7 +624,7 @@ func (w *rankWalker) write(ref Ref, k int, c *cell, val int64, where stepLoc) er
 			}
 		}
 	}
-	c.val = val
+	w.v.set(c, val)
 	return nil
 }
 
@@ -589,7 +653,10 @@ func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
 		return fmt.Errorf("%s: recv block %d of rank %d receives the result of block %d, want %d", where, x, w.rank, blk, want)
 	}
 	if !v.world {
-		return nil // the streamed driver cannot know every contributor
+		return nil // the lone driver cannot know every contributor
+	}
+	if val >= partialBase && int(uint32(val)) == v.full {
+		return nil // a set already checked complete
 	}
 	for wi := 0; wi < v.words; wi++ {
 		full := ^uint64(0)
@@ -600,6 +667,9 @@ func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
 			return fmt.Errorf("%s: recv block %d of rank %d misses the contribution of rank %d (incomplete reduction)",
 				where, x, w.rank, wi*64+bits.TrailingZeros64(^m&full))
 		}
+	}
+	if val >= partialBase {
+		v.full = int(uint32(val))
 	}
 	return nil
 }
@@ -647,7 +717,7 @@ func (v *verifier) blockName(s, d, j int) string {
 // block is the result block a reduction value is a partial of.
 func (v *verifier) block(val int64) int {
 	if val >= partialBase {
-		return v.partBlk[val-partialBase]
+		return int(val >> 32 & (1<<30 - 1))
 	}
 	return int(val & offMask)
 }
@@ -655,7 +725,7 @@ func (v *verifier) block(val int64) int {
 // maskWord is word wi of a reduction value's contributor set.
 func (v *verifier) maskWord(val int64, wi int) uint64 {
 	if val >= partialBase {
-		return v.partMask[int(val-partialBase)*v.words+wi]
+		return v.sets[int(uint32(val))*v.words+wi]
 	}
 	if s := int(val >> offBits); s/64 == wi {
 		return 1 << (s % 64)
@@ -677,45 +747,152 @@ func (v *verifier) combine(src, dst int64, where stepLoc) (int64, error) {
 	if sb, db := v.block(src), v.block(dst); sb != db {
 		return 0, fmt.Errorf("%s: reduces a partial of block %d into a partial of block %d", where, sb, db)
 	}
-	t := len(v.partBlk)
+	a, b := setKey(src), setKey(dst)
+	if u := v.union; u.id >= 0 && u.a == a && u.b == b {
+		return partial(v.block(src), u.id), nil
+	}
+	set := v.setBuf[:0]
 	for wi := 0; wi < v.words; wi++ {
 		sm, dm := v.maskWord(src, wi), v.maskWord(dst, wi)
 		if sm&dm != 0 {
 			return 0, fmt.Errorf("%s: contribution of rank %d to block %d would enter twice (double contribution)",
 				where, wi*64+bits.TrailingZeros64(sm&dm), v.block(src))
 		}
-		v.partMask = append(v.partMask, sm|dm)
+		set = append(set, sm|dm)
 	}
-	v.partBlk = append(v.partBlk, v.block(src))
-	return partialBase + int64(t), nil
+	v.setBuf = set
+	v.union.a, v.union.b, v.union.id = a, b, v.intern(set)
+	return partial(v.block(src), v.union.id), nil
 }
 
-// verifyWorld is the world driver: it walks every rank's program in
-// step, round by round, pairs each round's sends and receives exactly
-// and delivers the sender's symbolic payload. rps holds one program per
-// rank, in any order.
-func verifyWorld(rps []*RankProgram) error {
-	p := len(rps)
+// setKey names a reduction value's contributor set: a partial's set id,
+// or -1-s for the lone contributor s of a seed.
+func setKey(val int64) int64 {
+	if val >= partialBase {
+		return int64(uint32(val))
+	}
+	return -1 - val>>offBits
+}
+
+// setWords is contributor set id's bitset.
+func (v *verifier) setWords(id int) []uint64 { return v.sets[id*v.words : (id+1)*v.words] }
+
+// hashWords hashes a contributor set for the set table's index.
+func hashWords(words []uint64) uint64 {
+	h := uint64(len(words))
+	for _, w := range words {
+		h = (h ^ w) * 0x9E3779B97F4A7C15
+		h ^= h >> 29
+	}
+	return h
+}
+
+// intern returns the id of the contributor set equal to words, adding
+// it to the set table if no cell holds it. Partials of different blocks
+// share their set, so the table holds the distinct live sets, not one
+// per partial.
+func (v *verifier) intern(words []uint64) int {
+	h := hashWords(words)
+	id, ok := v.setHead[h]
+	for ; ok; id, ok = v.setNext[id], v.setNext[id] >= 0 {
+		if slices.Equal(v.setWords(id), words) {
+			return id
+		}
+	}
+	if n := len(v.setFree); n > 0 {
+		id, v.setFree = v.setFree[n-1], v.setFree[:n-1]
+		copy(v.setWords(id), words)
+	} else {
+		id = len(v.setRefs)
+		v.sets = append(v.sets, words...)
+		v.setRefs = append(v.setRefs, 0)
+		v.setNext = append(v.setNext, 0)
+	}
+	v.setNext[id] = -1
+	if head, ok := v.setHead[h]; ok {
+		v.setNext[id] = head
+	}
+	v.setHead[h] = id
+	return id
+}
+
+// set stores val in cell c, counting the cells that hold each
+// contributor set: a set no cell holds any more leaves the table.
+func (v *verifier) set(c *cell, val int64) {
+	if val >= partialBase {
+		v.setRefs[uint32(val)]++
+	}
+	if old := c.val; old >= partialBase {
+		id := int(uint32(old))
+		if v.setRefs[id]--; v.setRefs[id] == 0 {
+			v.release(id)
+		}
+	}
+	c.val = val
+}
+
+// release unlinks set id from its hash chain and frees its id, which
+// the union and full memos may then no longer name.
+func (v *verifier) release(id int) {
+	v.union.id, v.full = -1, -1
+	h := hashWords(v.setWords(id))
+	if head := v.setHead[h]; head == id {
+		if next := v.setNext[id]; next >= 0 {
+			v.setHead[h] = next
+		} else {
+			delete(v.setHead, h)
+		}
+	} else {
+		for prev := head; ; prev = v.setNext[prev] {
+			if v.setNext[prev] == id {
+				v.setNext[prev] = v.setNext[id]
+				break
+			}
+		}
+	}
+	v.setFree = append(v.setFree, id)
+}
+
+// walkWorld is the world driver. srcs holds one source per rank,
+// indexed by rank. Round by round it writes every rank's round into one
+// reused buffer, walks it, hands it to fold (when not nil) and pairs the
+// rank's messages, then checks that every rank's recv space is complete.
+func walkWorld(srcs []*source, fold func(r int, steps []Step)) error {
+	p := len(srcs)
 	v := newVerifier(p)
 	v.world = true
-	v.ws = make([]rankWalker, p)
-	for _, rp := range rps {
-		if err := v.admit(rp); err != nil {
+	for r, src := range srcs {
+		if err := v.admit(&src.hdr, src.rounds(), r); err != nil {
 			return err
 		}
 	}
-	for _, rp := range rps {
-		v.ws[rp.Rank].reset(v, rp)
+	if err := v.declarations(srcs); err != nil {
+		return err
 	}
+	v.ws = make([]rankWalker, p)
+	for r, src := range srcs {
+		v.ws[r].reset(v, &src.hdr)
+	}
+	v.pend, v.next = make([][]message, p), make([]int, p)
+	var buf []Step
 	for ri := 0; ri < v.rounds; ri++ {
-		v.sends, v.recvs = v.sends[:0], v.recvs[:0]
-		for r := range v.ws {
-			if err := v.ws[r].round(ri); err != nil {
+		for r, src := range srcs {
+			buf = src.round(ri, buf)
+			if err := v.ws[r].round(ri, buf); err != nil {
+				return err
+			}
+			if fold != nil {
+				fold(r, buf)
+			}
+			if err := v.pair(ri, r); err != nil {
 				return err
 			}
 		}
-		if err := v.pair(ri); err != nil {
-			return err
+		for d, recvs := range v.pend {
+			if j := v.next[d]; j < len(recvs) {
+				return unmatchedRecv(ri, d, recvs[j].peer)
+			}
+			v.pend[d], v.next[d] = recvs[:0], 0
 		}
 	}
 	for r := range v.ws {
@@ -723,98 +900,72 @@ func verifyWorld(rps []*RankProgram) error {
 			return err
 		}
 	}
-	return v.declarations()
+	return nil
 }
 
-// pair matches round ri's sends and receives exactly and delivers every
-// message.
-func (v *verifier) pair(ri int) error {
-	byPair := func(a, b message) int { return cmp.Compare(a.pair, b.pair) }
-	slices.SortFunc(v.sends, byPair)
-	slices.SortFunc(v.recvs, byPair)
-	i, j := 0, 0
-	for i < len(v.sends) || j < len(v.recvs) {
-		c := -1
+// pair matches rank r's messages of round ri, which its walker has just
+// posted, and delivers every matched message. Ranks are walked in order,
+// so one half of each message waits for the walk of the other's rank:
+// until rank d is walked, pend[d] holds the sends into d from lower
+// ranks, by sender; from then on it holds d's receives from higher
+// ranks, by sender, and next[d] counts those already matched.
+func (v *verifier) pair(ri, r int) error {
+	slices.SortFunc(v.recvs, func(a, b message) int { return cmp.Compare(a.peer, b.peer) })
+	in, i := v.pend[r], 0
+	later := in[:0] // reuses in's storage: it grows only once in is used up
+	for _, rc := range v.recvs {
 		switch {
-		case i == len(v.sends):
-			c = 1
-		case j < len(v.recvs):
-			c = byPair(v.sends[i], v.recvs[j])
+		case i < len(in) && (rc.peer > r || in[i].peer < rc.peer):
+			return unmatchedSend(ri, in[i].peer, r)
+		case rc.peer > r:
+			later = append(later, rc)
+		case i == len(in) || in[i].peer > rc.peer:
+			return unmatchedRecv(ri, r, rc.peer)
+		default:
+			if err := v.deliver(ri, rc.peer, r, in[i].ref, rc.ref); err != nil {
+				return err
+			}
+			i++
 		}
+	}
+	if i < len(in) {
+		return unmatchedSend(ri, in[i].peer, r)
+	}
+	v.pend[r] = later
+	for _, sd := range v.sends {
+		d := sd.peer
+		if d > r {
+			v.pend[d] = append(v.pend[d], message{peer: r, ref: sd.ref})
+			continue
+		}
+		rest := v.pend[d][v.next[d]:]
 		switch {
-		case c < 0:
-			return fmt.Errorf("sched: round %d: unmatched send %d->%d (no receive posted — the round discipline would deadlock)", ri, v.sends[i].pair%v.p, v.sends[i].pair/v.p)
-		case c > 0:
-			return fmt.Errorf("sched: round %d: unmatched receive at %d from %d (no send posted — the round discipline would deadlock)", ri, v.recvs[j].pair/v.p, v.recvs[j].pair%v.p)
+		case len(rest) == 0 || rest[0].peer > r:
+			return unmatchedSend(ri, r, d)
+		case rest[0].peer < r:
+			return unmatchedRecv(ri, d, rest[0].peer)
 		}
-		from, to, src, dst := v.sends[i].pair%v.p, v.sends[i].pair/v.p, v.sends[i].ref, v.recvs[j].ref
-		if src.N != dst.N {
-			return fmt.Errorf("sched: round %d: message %d->%d sends %d blocks but the receive expects %d", ri, from, to, src.N, dst.N)
-		}
-		if err := v.ws[to].deliver(dst, &v.ws[from], src, messageAt(ri, from, to)); err != nil {
+		if err := v.deliver(ri, r, d, sd.ref, rest[0].ref); err != nil {
 			return err
 		}
-		i, j = i+1, j+1
+		v.next[d]++
 	}
 	return nil
 }
 
-// FullProofRanks is the full-proof ceiling. Worlds of at most this many
-// ranks are proved by the world driver over GenerateRank's programs;
-// larger worlds are proved one slice at a time by the streamed driver.
-// The world driver's state is the slots the world's steps touch, but
-// ProveRanks keeps every program of the world, which the caller caches
-// (ring at 128 ranks is ~100 MB of steps).
-const FullProofRanks = 128
-
-// ProveRanks compiles every rank of the named world with GenerateRank
-// and proves the world. At or below FullProofRanks it runs the world
-// driver on the programs and returns them, indexed by rank, so the
-// content proof covers exactly what the ranks run; a generator's refusal
-// is returned as is. Above the ceiling it runs VerifyWorldSliced and
-// returns no programs.
-func ProveRanks(name string, p int, m *topo.Mapping) ([]*RankProgram, error) {
-	if err := checkRanks(p); err != nil {
-		return nil, err
+// deliver lands round ri's message from -> to, whose send reads src and
+// whose receive writes dst.
+func (v *verifier) deliver(ri, from, to int, src, dst Ref) error {
+	if src.N != dst.N {
+		return fmt.Errorf("sched: round %d: message %d->%d sends %d blocks but the receive expects %d", ri, from, to, src.N, dst.N)
 	}
-	if p > FullProofRanks {
-		if err := VerifyWorldSliced(name, p, m); err != nil {
-			return nil, fmt.Errorf("failed streamed verification: %w", err)
-		}
-		return nil, nil
-	}
-	rps := make([]*RankProgram, p)
-	for r := range rps {
-		rp, err := GenerateRank(name, p, r, m)
-		if err != nil {
-			return nil, err
-		}
-		rps[r] = rp
-	}
-	if err := verifyWorld(rps); err != nil {
-		return nil, fmt.Errorf("failed static verification: %w", err)
-	}
-	return rps, nil
+	return v.ws[to].deliver(dst, &v.ws[from], src, messageAt(ri, from, to))
 }
 
-// Prove is the registry's world proof: the Digest of every rank's proved
-// program, indexed by rank. At or below FullProofRanks it digests the
-// programs ProveRanks proved; above it, it is ProveWorld.
-func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
-	if p > FullProofRanks {
-		digests, err := ProveWorld(name, p, m)
-		if err != nil {
-			return nil, fmt.Errorf("failed streamed verification: %w", err)
-		}
-		return digests, nil
-	}
-	rps, err := ProveRanks(name, p, m)
-	if err != nil {
-		return nil, err
-	}
-	digests := make([][sha256.Size]byte, p)
-	for r, rp := range rps {
-		digests[r] = rp.Digest()
-	}
-	return digests, nil
+func unmatchedSend(ri, from, to int) error {
+	return fmt.Errorf("sched: round %d: unmatched send %d->%d (no receive posted — the round discipline would deadlock)", ri, from, to)
+}
+
+func unmatchedRecv(ri, at, from int) error {
+	return fmt.Errorf("sched: round %d: unmatched receive at %d from %d (no send posted — the round discipline would deadlock)", ri, at, from)
 }

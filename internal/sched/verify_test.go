@@ -288,9 +288,9 @@ func TestVerifyRejectsSameRoundRaces(t *testing.T) {
 
 // TestVerifierErrorText pins the full text of one rejection per context
 // form of both drivers: the same edit to rank 1's program, checked by
-// Verify's world driver on the schedule and by VerifyRank's streamed
-// driver on the slice. An empty stream means VerifyRank reports the same
-// text as Verify.
+// Verify's world driver on the schedule and by VerifyRank's lone driver
+// on the slice. An empty stream means VerifyRank reports the same text
+// as Verify.
 func TestVerifierErrorText(t *testing.T) {
 	t.Parallel()
 	const p, rank = 4, 1
@@ -409,6 +409,34 @@ func TestVerifyStateFollowsSteps(t *testing.T) {
 	}
 }
 
+// TestVerifyBudgetsCells: hugeRecvFile, whose one receive lands a
+// billion blocks in a declared billion-block scratch space, is rejected
+// for taking its walker past the cell budget its header sets, naming the
+// rank, the step and the space — by VerifyRank as a rank program and by
+// Verify as rank 0 of a 2-rank schedule — while allocating under 8 MB.
+// Not parallel: it reads the process-wide allocation counter.
+func TestVerifyBudgetsCells(t *testing.T) {
+	const want = "sched: round 0 rank 0 step 1 (recv) dst: slot 24 of space 2 would take the walker past its budget of 28 cells"
+	rp, err := DecodeRank(strings.NewReader(hugeRecvFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Schedule{Format: FormatVersion, Name: rp.Name, Ranks: rp.Ranks, Scratch: rp.Scratch,
+		Rounds: []Round{{Steps: [][]Step{rp.Rounds[0], {{Kind: Send, To: 0, Src: sendRef(0, 1)}}}}}}
+	for name, verify := range map[string]func() error{
+		"VerifyRank": func() error { return VerifyRank(rp) },
+		"Verify":     func() error { return Verify(s) },
+	} {
+		n := allocatedBy(func() { err = verify() })
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s = %v, want %s...", name, err, want)
+		}
+		if n >= 8<<20 {
+			t.Errorf("%s allocated %d bytes rejecting the program, want under 8 MB", name, n)
+		}
+	}
+}
+
 // aliasingProgram is rank 0 of the 2-rank direct schedule with scratch
 // spaces of size and 1 blocks and a prepended round that writes slot
 // size-1 of space 0, then reads slot 0 of space 1, which nothing wrote.
@@ -453,5 +481,22 @@ func TestVerifyTorusAllocs(t *testing.T) {
 	t.Logf("Verify of torus@128 allocated %d bytes", n)
 	if n >= 16<<20 {
 		t.Errorf("Verify of torus@128 allocated %d bytes, want under 16 MB", n)
+	}
+}
+
+// TestVerifyRankRejectsRankOutOfRange: a program built in memory, which
+// no decoder checked, naming a rank outside its world is rejected by
+// name rather than walked.
+func TestVerifyRankRejectsRankOutOfRange(t *testing.T) {
+	t.Parallel()
+	for _, rank := range []int{-1, 4} {
+		rp, err := GenerateRank("rs-ring", 4, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Rank = rank
+		if err := VerifyRank(rp); err == nil || !strings.Contains(err.Error(), "out of range 0..3") {
+			t.Errorf("rank %d: VerifyRank = %v, want the rank out of range", rank, err)
+		}
 	}
 }

@@ -1,47 +1,25 @@
 package sched
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 
 	"alltoallx/internal/topo"
 )
 
-// The streamed driver of the rank walker (verify.go): it proves what can
-// be proved from one rank slice at a time, in O(p) persistent memory
-// plus one slice's walker state:
-//
-//   - every check of the rank walker, per slice, with a receive
-//     delivering "unknown": content is checked wherever a value is known
-//     (this rank's own blocks), and — because a rank's recv buffer is
-//     written only by its own steps — the exactly-once delivery
-//     accounting covers every recv slot;
-//   - cross-rank round pairing, incrementally: per round, the send and
-//     receive (from, to, length) multisets must agree. Each slice folds
-//     its messages into per-round count and commutative-hash
-//     accumulators; Finish compares them. Combined with the walker's
-//     duplicate-peer checks this proves one message per ordered pair per
-//     round and deadlock-freedom under the round discipline, with
-//     multiset equality holding up to a 64-bit hash collision. For
-//     alltoallv the same construction proves the per-pair count
-//     declarations consistent: every slice folds its VSend row and VRecv
-//     column into (src, dst, count) multiset fingerprints that must agree
-//     at Finish.
-//
-// What streaming cannot prove is that a multi-hop block arrives with the
-// right *content*, or that a wire-carried partial is complete (both need
-// cross-rank dataflow). So the proof policy runs the world driver
-// wherever it is affordable: at or below FullProofRanks, ProveRanks
-// proves the content of the very programs the ranks run. Above the
-// ceiling only the streamed pass runs; the content argument there rests
-// on property tests that pin GenerateRank byte-identical to
-// Slice(Generate) at randomized shapes, whose schedules the world driver
-// proves.
+// The lone driver of the rank walker (verify.go), and the admission of
+// programs into a world. VerifyRank walks one program on its own, a
+// receive delivering "unknown": it runs every check of the rank walker,
+// with content checked wherever a value is known (this rank's own
+// blocks), and — because a rank's recv buffer is written only by its
+// own steps — the exactly-once delivery accounting over every recv
+// slot. What it cannot see is the other ranks: whether every message is
+// matched, which block a receive brings, whether a wire-carried partial
+// is complete. Those are the world driver's (Prove, Verify).
 
-// VerifyRank runs every local check on one rank's program. It does not
-// prove cross-rank properties; stream all slices through a StreamVerifier
-// (or VerifyWorldSliced) for those.
+// VerifyRank runs every local check on one rank's program: the check of
+// a lone artifact, such as a fetched or sliced rank program. The world
+// the program belongs to is proved by Prove.
 func VerifyRank(rp *RankProgram) error {
 	if rp == nil {
 		return errors.New("sched: nil rank program")
@@ -49,36 +27,36 @@ func VerifyRank(rp *RankProgram) error {
 	if err := checkRanks(rp.Ranks); err != nil {
 		return err
 	}
-	return NewStreamVerifier(rp.Ranks).Add(rp)
-}
-
-// msgHash folds one message's round, endpoints and length into a 64-bit
-// value; per-round sums of these are the commutative multiset
-// fingerprints Finish compares. The alltoallv count declarations reuse
-// it with ri = -1.
-func msgHash(ri, from, to, n int) uint64 {
-	x := uint64(ri)
-	for _, v := range [3]int{from, to, n} {
-		x = (x ^ uint64(v)) * 0x9E3779B97F4A7C15
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
+	v := newVerifier(rp.Ranks)
+	if err := v.admit(rp, len(rp.Rounds), rp.Rank); err != nil {
+		return err
 	}
-	x *= 0x94D049BB133111EB
-	return x ^ x>>31
+	var w rankWalker
+	w.reset(v, rp)
+	for ri, steps := range rp.Rounds {
+		if err := w.round(ri, steps); err != nil {
+			return err
+		}
+		for _, m := range v.recvs {
+			if err := w.deliver(m.ref, nil, Ref{}, deliveryAt(ri, rp.Rank)); err != nil {
+				return err
+			}
+		}
+	}
+	return w.final()
 }
 
-// roundAcc accumulates one round's cross-rank message fingerprints.
-type roundAcc struct {
-	sends, recvs         int
-	sendHash, recvHash   uint64
-	sendBlocks, recvBlks int
+// VerifyWorldSliced proves the named world without returning its
+// digests: Prove, for callers that only need the verdict.
+func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
+	_, err := Prove(name, p, m)
+	return err
 }
 
-// verifier is the state both drivers share across one world's rank
-// walkers: the header every program must repeat, the alltoallv count
-// declaration fingerprints, the per-visit peer-dedup stamps, the current
-// round's messages and the reduction partials table.
+// verifier is the state the drivers share across one world's rank
+// walkers: the header every program must repeat, the per-visit
+// peer-dedup stamps, the current rank's messages, the world driver's
+// pending message halves and the reduction contributor-set table.
 type verifier struct {
 	p       int
 	world   bool // the world driver: every walker of the world, in ws
@@ -88,30 +66,44 @@ type verifier struct {
 	op      string
 	rounds  int
 	scratch []int
-	seen    []bool
-	nseen   int
-	// Alltoallv count-declaration fingerprints: every program's VSend
-	// row and VRecv column must describe the same matrix.
-	vSendHash, vRecvHash     uint64
-	vSendBlocks, vRecvBlocks int
 	// fromAt/toAt hold the visit (one rank's round) that last received
 	// from / sent to each peer, shared by every walker.
 	fromAt, toAt []int
 	visit        int
+	// sends and recvs are the messages the last walked rank posted;
+	// pend and next hold the halves waiting for their other end (pair).
 	sends, recvs []message
-	keys         []uint64 // a walker's slot-key scratch
-	// The partials table: entry t is a partial of block partBlk[t] with
-	// contributor bitset partMask[t*words:(t+1)*words].
-	partBlk  []int
-	partMask []uint64
-	words    int
+	pend         [][]message
+	next         []int
+	// The set table: contributor set id is the bitset
+	// sets[id*words:(id+1)*words] over the world's ranks, held by
+	// setRefs[id] cells. setHead indexes the sets by hashWords, chaining
+	// ids of one hash through setNext (-1 ends a chain); setFree lists
+	// the ids no cell holds; setBuf is combine's scratch. union memoizes
+	// combine's last union: the setKeys of its operands and the id of
+	// their union. full is the id of the all-ranks set once a result was
+	// checked complete. Both are -1 when unset.
+	sets    []uint64
+	setRefs []int
+	setHead map[uint64]int
+	setNext []int
+	setFree []int
+	setBuf  []uint64
+	union   struct {
+		a, b int64
+		id   int
+	}
+	full  int
+	words int
 }
 
 func newVerifier(p int) *verifier {
-	return &verifier{p: p, seen: make([]bool, p), fromAt: make([]int, p), toAt: make([]int, p), words: (p + 63) / 64}
+	v := &verifier{p: p, fromAt: make([]int, p), toAt: make([]int, p), setHead: make(map[uint64]int), full: -1, words: (p + 63) / 64}
+	v.union.id = -1
+	return v
 }
 
-// checkSliceHeader validates one slice's collective-describing fields.
+// checkSliceHeader validates one program's collective-describing fields.
 func checkSliceHeader(rp *RankProgram) error {
 	coll := rp.Collective()
 	if err := checkColl(coll, rp.Op, rp.VSend != nil || rp.VRecv != nil); err != nil {
@@ -141,189 +133,69 @@ func checkSliceHeader(rp *RankProgram) error {
 	return nil
 }
 
-// admit checks one program's header against the world's and folds its
-// count declarations into the fingerprints.
-func (v *verifier) admit(rp *RankProgram) error {
-	if rp == nil {
-		return errors.New("sched: nil rank program")
+// admit checks the header of the program of rank r, which has the given
+// round count, against the world's.
+func (v *verifier) admit(hdr *RankProgram, rounds, r int) error {
+	if hdr.Ranks != v.p {
+		return fmt.Errorf("sched: rank program compiled for %d ranks, the world has %d", hdr.Ranks, v.p)
 	}
-	if rp.Ranks != v.p {
-		return fmt.Errorf("sched: rank program compiled for %d ranks, stream expects %d", rp.Ranks, v.p)
+	if hdr.Rank < 0 || hdr.Rank >= v.p {
+		return fmt.Errorf("sched: rank program rank %d out of range 0..%d", hdr.Rank, v.p-1)
 	}
-	if rp.Rank < 0 || rp.Rank >= v.p {
-		return fmt.Errorf("sched: rank program rank %d out of range 0..%d", rp.Rank, v.p-1)
+	if hdr.Rank != r {
+		return fmt.Errorf("sched: rank program rank %d given as rank %d", hdr.Rank, r)
 	}
-	if v.seen[rp.Rank] {
-		return fmt.Errorf("sched: rank %d streamed twice", rp.Rank)
+	if rounds == 0 {
+		return fmt.Errorf("sched: rank %d program has no rounds (even the trivial schedule needs the self-block copy)", r)
 	}
-	if len(rp.Rounds) == 0 {
-		return fmt.Errorf("sched: rank %d program has no rounds (even the trivial schedule needs the self-block copy)", rp.Rank)
-	}
-	for i, sz := range rp.Scratch {
+	for i, sz := range hdr.Scratch {
 		if sz <= 0 {
 			return fmt.Errorf("sched: scratch space %d has non-positive size %d", i, sz)
 		}
 	}
-	if err := checkSliceHeader(rp); err != nil {
+	if err := checkSliceHeader(hdr); err != nil {
 		return err
 	}
 	if v.rounds == 0 { // the first program: every later one must repeat its header
-		v.name, v.coll, v.op, v.rounds = rp.Name, rp.Collective(), rp.Op, len(rp.Rounds)
-		v.scratch = append([]int(nil), rp.Scratch...)
-	} else {
-		if rp.Name != v.name {
-			return fmt.Errorf("sched: rank %d program is %q, stream carries %q", rp.Rank, rp.Name, v.name)
-		}
-		if rp.Collective() != v.coll {
-			return fmt.Errorf("sched: rank %d program is a %s, stream carries %s", rp.Rank, rp.Collective(), v.coll)
-		}
-		if rp.Op != v.op {
-			return fmt.Errorf("sched: rank %d program declares operator %q, stream carries %q", rp.Rank, rp.Op, v.op)
-		}
-		if len(rp.Rounds) != v.rounds {
-			return fmt.Errorf("sched: rank %d program has %d rounds, stream carries %d", rp.Rank, len(rp.Rounds), v.rounds)
-		}
-		if len(rp.Scratch) != len(v.scratch) {
-			return fmt.Errorf("sched: rank %d program declares %d scratch spaces, stream carries %d", rp.Rank, len(rp.Scratch), len(v.scratch))
-		}
-		for i, sz := range rp.Scratch {
-			if sz != v.scratch[i] {
-				return fmt.Errorf("sched: rank %d scratch space %d has size %d, stream carries %d", rp.Rank, i, sz, v.scratch[i])
-			}
-		}
+		v.name, v.coll, v.op, v.rounds, v.scratch = hdr.Name, hdr.Collective(), hdr.Op, rounds, hdr.Scratch
+		return nil
 	}
-	for i := range rp.VSend {
-		v.vSendHash += msgHash(-1, rp.Rank, i, rp.VSend[i])
-		v.vSendBlocks += rp.VSend[i]
-		v.vRecvHash += msgHash(-1, i, rp.Rank, rp.VRecv[i])
-		v.vRecvBlocks += rp.VRecv[i]
+	if hdr.Name != v.name {
+		return fmt.Errorf("sched: rank %d program is %q, the world's is %q", r, hdr.Name, v.name)
 	}
-	v.seen[rp.Rank] = true
-	v.nseen++
-	return nil
-}
-
-// declarations checks the alltoallv count declarations agree across the
-// world's programs.
-func (v *verifier) declarations() error {
-	if v.vSendBlocks != v.vRecvBlocks {
-		return fmt.Errorf("sched: alltoallv count declarations disagree: %d blocks declared sent but %d declared received", v.vSendBlocks, v.vRecvBlocks)
+	if hdr.Collective() != v.coll {
+		return fmt.Errorf("sched: rank %d program is a %s, the world's is a %s", r, hdr.Collective(), v.coll)
 	}
-	if v.vSendHash != v.vRecvHash {
-		return errors.New("sched: alltoallv count declarations disagree across slices (some pair's VSend and VRecv entries differ)")
+	if hdr.Op != v.op {
+		return fmt.Errorf("sched: rank %d program declares operator %q, the world's is %q", r, hdr.Op, v.op)
+	}
+	if rounds != v.rounds {
+		return fmt.Errorf("sched: rank %d program has %d rounds, the world's has %d", r, rounds, v.rounds)
+	}
+	if len(hdr.Scratch) != len(v.scratch) {
+		return fmt.Errorf("sched: rank %d program declares %d scratch spaces, the world's has %d", r, len(hdr.Scratch), len(v.scratch))
+	}
+	for i, sz := range hdr.Scratch {
+		if sz != v.scratch[i] {
+			return fmt.Errorf("sched: rank %d scratch space %d has size %d, the world's has %d", r, i, sz, v.scratch[i])
+		}
 	}
 	return nil
 }
 
-// StreamVerifier proves schedule properties incrementally over rank
-// slices, in O(p + rounds) persistent memory (plus one slice's walker
-// state per Add). Feed every rank's program exactly once (any order),
-// then call Finish.
-type StreamVerifier struct {
-	v   *verifier
-	w   rankWalker
-	acc []roundAcc
-}
-
-// NewStreamVerifier returns a verifier expecting the slices of a p-rank
-// world.
-func NewStreamVerifier(p int) *StreamVerifier {
-	return &StreamVerifier{v: newVerifier(p)}
-}
-
-// Add verifies one rank's slice locally and folds its cross-rank
-// fingerprints into the stream state.
-func (sv *StreamVerifier) Add(rp *RankProgram) error {
-	v := sv.v
-	if err := v.admit(rp); err != nil {
-		return err
+// declarations checks that the world's alltoallv count declarations
+// describe one matrix: rank s's VSend entry for d is rank d's VRecv
+// entry for s.
+func (v *verifier) declarations(srcs []*source) error {
+	if v.coll != CollAlltoallv {
+		return nil
 	}
-	if sv.acc == nil {
-		sv.acc = make([]roundAcc, v.rounds)
-	}
-	w := &sv.w
-	w.reset(v, rp)
-	for ri := range rp.Rounds {
-		v.sends, v.recvs = v.sends[:0], v.recvs[:0]
-		if err := w.round(ri); err != nil {
-			return err
-		}
-		a := &sv.acc[ri]
-		for _, m := range v.sends {
-			a.sends++
-			a.sendBlocks += m.ref.N
-			a.sendHash += msgHash(ri, m.pair%v.p, m.pair/v.p, m.ref.N)
-		}
-		for _, m := range v.recvs {
-			a.recvs++
-			a.recvBlks += m.ref.N
-			a.recvHash += msgHash(ri, m.pair%v.p, m.pair/v.p, m.ref.N)
-			if err := w.deliver(m.ref, nil, Ref{}, deliveryAt(ri, rp.Rank)); err != nil {
-				return err
+	for s, src := range srcs {
+		for d, n := range src.hdr.VSend {
+			if m := srcs[d].hdr.VRecv[s]; m != n {
+				return fmt.Errorf("sched: alltoallv count declarations disagree: rank %d declares %d blocks to rank %d, which declares %d from it", s, n, d, m)
 			}
 		}
 	}
-	return w.final()
-}
-
-// Finish checks the cross-rank properties once every slice has been
-// added: full coverage, per-round matching send/receive multisets, and
-// (alltoallv) consistent per-pair count declarations across slices.
-func (sv *StreamVerifier) Finish() error {
-	v := sv.v
-	if v.nseen != v.p {
-		for r, ok := range v.seen {
-			if !ok {
-				return fmt.Errorf("sched: stream verification incomplete: rank %d missing (%d/%d seen)", r, v.nseen, v.p)
-			}
-		}
-	}
-	for ri, a := range sv.acc {
-		if a.sends != a.recvs {
-			return fmt.Errorf("sched: round %d: %d sends but %d receives posted (the round discipline would deadlock)", ri, a.sends, a.recvs)
-		}
-		if a.sendBlocks != a.recvBlks {
-			return fmt.Errorf("sched: round %d: %d blocks sent but %d expected by receives", ri, a.sendBlocks, a.recvBlks)
-		}
-		if a.sendHash != a.recvHash {
-			return fmt.Errorf("sched: round %d: send/receive (from, to, length) multisets differ (unmatched or mismatched message)", ri)
-		}
-	}
-	return v.declarations()
-}
-
-// ProveWorld streams every rank's GenerateRank slice of the named
-// generator through a StreamVerifier and returns the Digest of every
-// accepted slice, indexed by rank: the large-world proof. Memory stays
-// O(p + one slice); time is O(total schedule size) — the same steps the
-// world will execute, never the assembled schedule. A program whose
-// digest equals its rank's entry is byte-identical to a slice that
-// passed every check VerifyRank would repeat.
-func ProveWorld(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
-	if err := checkRanks(p); err != nil {
-		return nil, err
-	}
-	sv := NewStreamVerifier(p)
-	digests := make([][sha256.Size]byte, p)
-	for r := range digests {
-		rp, err := GenerateRank(name, p, r, m)
-		if err != nil {
-			return nil, err
-		}
-		if err := sv.Add(rp); err != nil {
-			return nil, err
-		}
-		digests[r] = rp.Digest()
-	}
-	if err := sv.Finish(); err != nil {
-		return nil, err
-	}
-	return digests, nil
-}
-
-// VerifyWorldSliced is ProveWorld without the digests: the large-world
-// verification mode.
-func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
-	_, err := ProveWorld(name, p, m)
-	return err
+	return nil
 }

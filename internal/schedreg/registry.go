@@ -242,8 +242,8 @@ func (r *Registry) proveOnce(k Key, stale bool) error {
 	return err
 }
 
-// prove runs k's world proof, sched.Prove (the world driver at or below
-// sched.FullProofRanks, the streamed driver above), and records the
+// prove runs k's world proof, sched.Prove (the world driver, which
+// proves every rank's content at every world size), and records the
 // verdict: every rank's digest in PROOF, or the generator's or
 // verifier's refusal in REJECTED.
 func (r *Registry) prove(k Key) error {

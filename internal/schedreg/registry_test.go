@@ -194,14 +194,13 @@ func TestNegativeCache(t *testing.T) {
 	}
 }
 
-// TestLargeWorldSlicedPath: above sched.FullProofRanks the registry
-// proves the world once; the world's whole footprint is its PROOF
-// record, and a restarted instance resolves any rank against that
-// record with one GenerateRank each.
+// TestLargeWorldSlicedPath: a 130-rank world is proved once; the
+// world's whole footprint is its PROOF record, and a restarted instance
+// resolves any rank against that record with one GenerateRank each.
 func TestLargeWorldSlicedPath(t *testing.T) {
 	c := countSeams(t)
 	root := t.TempDir()
-	p := sched.FullProofRanks + 2
+	const p = 130
 	k := KeyFor("direct", p, nil, 7)
 
 	reg1, err := Open(root)
