@@ -202,18 +202,20 @@ func goldenWorlds() []goldenWorld {
 	return append(ws, goldenWorld{"torus", 16, 16}, goldenWorld{"hypercube", 16, 16})
 }
 
+// world returns w's rank count and topology (nil for a flat world).
+func (w goldenWorld) world(tb testing.TB) (int, *topo.Mapping) {
+	if w.nodes == 0 {
+		return w.ppn, nil
+	}
+	m := gridMapping(tb, w.nodes, w.ppn)
+	return m.Size(), m
+}
+
 // worldDigests returns the Digest of every rank of w's world, compiled
 // alone with GenerateRank.
 func worldDigests(t testing.TB, w goldenWorld) (int, *topo.Mapping, [][sha256.Size]byte) {
 	t.Helper()
-	p, m := w.ppn, (*topo.Mapping)(nil)
-	if w.nodes > 0 {
-		var err error
-		if m, err = topo.NewMapping(topo.Spec{Sockets: 1, NumaPerSocket: 1, CoresPerNuma: w.ppn}, w.nodes, w.ppn); err != nil {
-			t.Fatal(err)
-		}
-		p = m.Size()
-	}
+	p, m := w.world(t)
 	ds := make([][sha256.Size]byte, p)
 	for r := range ds {
 		rp, err := GenerateRank(w.name, p, r, m)

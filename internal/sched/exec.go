@@ -108,7 +108,8 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 	for ri, steps := range rp.Rounds {
 		tag := TagBase + ri
 		reqs = reqs[:0]
-		for _, st := range steps {
+		for i := range steps {
+			st := &steps[i]
 			if st.Kind == Recv || st.Kind == SendRecv {
 				rq, err := c.Irecv(ref(st.Dst), st.From, tag)
 				if err != nil {
@@ -117,7 +118,8 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 				reqs = append(reqs, rq)
 			}
 		}
-		for _, st := range steps {
+		for i := range steps {
+			st := &steps[i]
 			switch st.Kind {
 			case Copy:
 				t0 := c.Now()

@@ -15,8 +15,9 @@ import (
 // assigned a multi-hop path through the topology, hop h of every path
 // executes in round h, and all blocks moving between one rank pair in one
 // round are packed into a single message. A rank's program stages
-// in-transit blocks in a transit buffer indexed by block identity,
-// double-buffers its receive packing and emits the pack/unpack copies.
+// in-transit blocks in a transit buffer indexed by arrival round and
+// offset, double-buffers its receive packing and emits the pack/unpack
+// copies.
 //
 // No path is ever materialised: a slicer per topology answers "which
 // blocks depart from / arrive at rank x in round t?" in closed form, so
@@ -47,9 +48,11 @@ type rankSlicer interface {
 	ins(x, t int) []rmsg
 }
 
-// Scratch layout of a route schedule: 0 = transit (slot s*p+d holds
-// block (s,d) between hops), 1 = pack-send staging, 2/3 = alternating
-// pack-recv staging.
+// Scratch layout of a route schedule: 0 = transit, rounds() x packMax
+// blocks (a block that arrives in round t at offset off of its pack-recv
+// buffer waits in slot t*packMax+off until it departs in round t+1; every
+// family forwards a block in the round after it arrives), 1 = pack-send
+// staging, 2/3 = alternating pack-recv staging.
 const (
 	routeTransit = 0
 	routePackS   = 1
@@ -73,18 +76,24 @@ func routeSource(name string, p, r int, sl rankSlicer) *source {
 		}
 		return last
 	}
+	// transit maps each block the current round unpacks into transit to
+	// its slot: the round's unpack fills it and its pack reads it, so
+	// every round is still written on its own.
+	transit := make(map[int32]int32, mp)
 	// unpack appends the steps restoring round t's arrivals from its
 	// pack-recv buffer: home blocks land in the recv buffer, in-transit
-	// blocks in transit slot s*p+d.
+	// blocks in transit slot t*mp+off.
 	unpack := func(steps []Step, t int) []Step {
 		buf := routePackA + t%2
 		off := 0
 		for _, m := range arrivals(t) {
 			for _, b := range m.blocks {
 				src, dst := int(b)/p, int(b)%p
-				to := scratchRef(routeTransit, int(b), 1)
-				if dst == r {
-					to = recvRef(src, 1)
+				to := recvRef(src, 1)
+				if dst != r {
+					slot := t*mp + off
+					transit[b] = int32(slot)
+					to = scratchRef(routeTransit, slot, 1)
 				}
 				steps = append(steps, Step{Kind: Copy, Src: scratchRef(buf, off, 1), Dst: to})
 				off++
@@ -92,7 +101,8 @@ func routeSource(name string, p, r int, sl rankSlicer) *source {
 		}
 		return steps
 	}
-	return alltoall(name, p, r, []int{p * p, mp, mp, mp}, phase{hops + 1, func(t int, steps []Step) []Step {
+	return alltoall(name, p, r, []int{hops * mp, mp, mp, mp}, phase{hops + 1, func(t int, steps []Step) []Step {
+		clear(transit)
 		if t == 0 {
 			steps = append(steps, selfCopy(r))
 		} else {
@@ -102,16 +112,20 @@ func routeSource(name string, p, r int, sl rankSlicer) *source {
 			return steps
 		}
 		// Pack departures: a block leaving its source (round 0 of its
-		// path) is read from the send buffer, a forwarded one from
-		// transit.
+		// path) is read from the send buffer, a forwarded one from the
+		// transit slot this round's unpack wrote.
 		outs := sl.outs(r, t)
 		off := 0
 		for _, m := range outs {
 			for _, b := range m.blocks {
 				src, dst := int(b)/p, int(b)%p
-				from := scratchRef(routeTransit, int(b), 1)
-				if src == r {
-					from = sendRef(dst, 1)
+				from := sendRef(dst, 1)
+				if src != r {
+					slot, ok := transit[b]
+					if !ok {
+						panic(fmt.Sprintf("sched: %s rank %d round %d: block (%d->%d) departs but did not arrive in round %d", name, r, t, src, dst, t-1))
+					}
+					from = scratchRef(routeTransit, int(slot), 1)
 				}
 				steps = append(steps, Step{Kind: Copy, Src: from, Dst: scratchRef(routePackS, off, 1)})
 				off++

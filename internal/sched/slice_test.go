@@ -15,7 +15,7 @@ import (
 )
 
 // gridMapping builds a nodes x ppn topology with a flat node shape.
-func gridMapping(t *testing.T, nodes, ppn int) *topo.Mapping {
+func gridMapping(t testing.TB, nodes, ppn int) *topo.Mapping {
 	t.Helper()
 	m, err := topo.NewMapping(topo.Spec{Sockets: 1, NumaPerSocket: 1, CoresPerNuma: ppn}, nodes, ppn)
 	if err != nil {
