@@ -67,3 +67,25 @@ func TestVerifyBudgetsCells(t *testing.T) {
 		t.Fatalf("verify allocated %d bytes rejecting the file, want under 8 MB", n)
 	}
 }
+
+// TestVerifyRejectsAlltoallv: a2asched verify refuses, by name, the
+// format-2 artifacts of the removed alltoallv collective, which decode
+// with their count fields dropped: v-pairwise on the count matrix
+// [[1 2 0] [1 1 1] [2 0 1]] as a world and as rank 1's program
+// (internal/sched's TestVerifyRejectsAlltoallv checks the same two).
+func TestVerifyRejectsAlltoallv(t *testing.T) {
+	dir := t.TempDir()
+	for name, file := range map[string]string{
+		"world.json": `{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`,
+		"rank1.json": `{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := runVerify([]string{path})
+		if want := `FAIL: sched: unknown collective "alltoallv"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("verify %s = %v, want %s", name, err, want)
+		}
+	}
+}

@@ -62,11 +62,6 @@ const schedMaxRanks = 1024
 // would dwarf the rest of the sweep combined.
 const ringMaxRanks = 256
 
-// vSchedMaxRanks is the schedule-backed alltoallv's ceiling: it proves
-// a world per count matrix, so core rejects it at construction above
-// core.MatrixProofMaxRanks.
-const vSchedMaxRanks = core.MatrixProofMaxRanks
-
 // DefaultCandidates returns the tuning pool for an operation at a
 // nodes x ppn world, restricted to divisors of ppn. For OpAlltoall it is
 // the paper's algorithm family with the leader/group sizes it evaluates,
@@ -92,12 +87,6 @@ func DefaultCandidates(op core.Op, nodes, ppn int) []Candidate {
 					Candidate{Name: fmt.Sprintf("locality-aware/%dppg", q), Algo: "locality-aware", Opts: core.Options{PPG: q}},
 				)
 			}
-		}
-		// The schedule-backed alltoallv compiles and verifies the
-		// assembled schedule per count matrix, so it joins the pool only
-		// up to its ceiling.
-		if p := nodes * ppn; p > 1 && p <= vSchedMaxRanks {
-			cands = append(cands, Candidate{Name: "sched:pairwise", Algo: "sched:pairwise"})
 		}
 		return cands
 	}

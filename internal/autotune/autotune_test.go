@@ -1,6 +1,7 @@
 package autotune
 
 import (
+	"strings"
 	"testing"
 
 	"alltoallx/internal/core"
@@ -49,21 +50,14 @@ func TestDefaultCandidates(t *testing.T) {
 	if !has(cands12, "sched:ring") || has(cands12, "sched:hypercube") {
 		t.Errorf("12-rank pool wrong schedule gating: %v", cands12)
 	}
-	// The v-operation pool carries the count-parameterized schedule
-	// candidate — never the fixed-shape families, which compile
-	// fixed-size exchanges.
-	vcands := DefaultCandidates(core.OpAlltoallv, 2, 8)
-	if !has(vcands, "sched:pairwise") {
-		t.Errorf("16-rank alltoallv pool missing sched:pairwise: %v", vcands)
-	}
-	for _, c := range vcands {
-		if c.Algo == "sched:ring" || c.Algo == "sched:torus" || c.Algo == "sched:hypercube" {
-			t.Errorf("alltoallv pool contains fixed-shape schedule candidate %s", c.Name)
+	// Schedules compile fixed-size exchanges, so no alltoallv pool
+	// carries one, at any world size.
+	for _, w := range []struct{ nodes, ppn int }{{1, 2}, {2, 8}, {3, 4}, {8, 8}, {8, 32}, {32, 112}} {
+		for _, c := range DefaultCandidates(core.OpAlltoallv, w.nodes, w.ppn) {
+			if strings.HasPrefix(c.Algo, core.SchedPrefix) {
+				t.Errorf("%dx%d alltoallv pool contains schedule candidate %s", w.nodes, w.ppn, c.Name)
+			}
 		}
-	}
-	// Above core.MatrixProofMaxRanks the v-schedule drops out.
-	if big := DefaultCandidates(core.OpAlltoallv, 8, 32); has(big, "sched:pairwise") {
-		t.Errorf("256-rank alltoallv pool contains sched:pairwise beyond vSchedMaxRanks")
 	}
 }
 

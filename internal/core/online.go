@@ -288,10 +288,7 @@ func (o *online) record(i int, trial bool, e DispatchEntry, secs float64) error 
 // control tag on the communicator. Above 1024 ranks, round 10 of the
 // alltoallv bucket agreement (tagVDispatch+10) is also 331; nothing
 // mismatches, because that round receives from rank r-1024 and round 0
-// here from rank r-1, which differ at every such size. The sched-backed
-// alltoallv's counts allgather (tagVSched) is 331 too and does share
-// sources with round 0; every rank posts the two in the same call
-// order, so per-source message ordering keeps them apart.
+// here from rank r-1, which differ at every such size.
 const tagOnlineAgree = 331
 
 // stats snapshots the loop for OnlineStats.

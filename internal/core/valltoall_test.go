@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -353,8 +354,12 @@ func TestNewVValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
-		if _, err := NewV("no-such", c, 8, Options{}); err == nil {
-			return fmt.Errorf("unknown algorithm accepted")
+		// Schedules compile fixed-size exchanges only: sched:* names no
+		// alltoallv algorithm.
+		for _, name := range []string{"no-such", "sched:direct", "sched:pairwise"} {
+			if _, err := NewV(name, c, 8, Options{}); err == nil || !strings.Contains(err.Error(), "unknown alltoallv algorithm") {
+				return fmt.Errorf("NewV(%q) = %v, want an unknown alltoallv algorithm", name, err)
+			}
 		}
 		if _, err := NewV("pairwise", c, 0, Options{}); err == nil {
 			return fmt.Errorf("zero maxTotal accepted")

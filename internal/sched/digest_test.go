@@ -119,8 +119,8 @@ func TestDigestSensitivity(t *testing.T) {
 	t.Parallel()
 	base := func() *RankProgram {
 		return &RankProgram{
-			Format: FormatVersion, Name: "x", Ranks: 4, Rank: 1, Coll: CollAlltoallv, Op: "o",
-			VSend: []int{1, 2, 3, 4}, VRecv: []int{4, 3, 2, 1}, Scratch: []int{3},
+			Format: FormatVersion, Name: "x", Ranks: 4, Rank: 1, Coll: CollReduceScatter, Op: "o",
+			Scratch: []int{3},
 			Rounds: [][]Step{{
 				{Kind: SendRecv, To: 2, From: 3, Src: Ref{Buf: 0, Off: 1, N: 2}, Dst: Ref{Buf: 2, Off: 0, N: 2}, Op: "o"},
 				{Kind: Copy, Src: Ref{Buf: 2, Off: 0, N: 1}, Dst: Ref{Buf: 1, Off: 1, N: 1}},
@@ -138,8 +138,6 @@ func TestDigestSensitivity(t *testing.T) {
 		{"rank", func(rp *RankProgram) { rp.Rank++ }},
 		{"coll", func(rp *RankProgram) { rp.Coll = CollAlltoall }},
 		{"op", func(rp *RankProgram) { rp.Op = "" }},
-		{"vsend", func(rp *RankProgram) { rp.VSend[0]++ }},
-		{"vrecv", func(rp *RankProgram) { rp.VRecv[3]++ }},
 		{"scratch", func(rp *RankProgram) { rp.Scratch = append(rp.Scratch, 1) }},
 		{"step kind", func(rp *RankProgram) { rp.Rounds[0][0].Kind = Send }},
 		{"step to", func(rp *RankProgram) { rp.Rounds[0][0].To++ }},

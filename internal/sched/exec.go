@@ -31,8 +31,7 @@ const TagBase = 401
 type Exec struct {
 	rp      *RankProgram
 	scratch []comm.Buffer
-	load    *LoadRecord // optional per-round traffic recording
-	op      ReduceOp    // operator applied by Reduce steps (SetOp)
+	op      ReduceOp // operator applied by Reduce steps (SetOp)
 }
 
 // ReduceOp combines in into acc element-wise (acc = acc op in), the
@@ -44,10 +43,6 @@ type ReduceOp func(acc, in []byte)
 // SetOp installs the operator Reduce steps apply. Running a schedule
 // containing Reduce steps without an installed operator is an error.
 func (e *Exec) SetOp(op ReduceOp) { e.op = op }
-
-// SetLoadRecord attaches a (typically shared) LoadRecord; every send the
-// executor issues is then recorded per round. Pass nil to stop recording.
-func (e *Exec) SetLoadRecord(l *LoadRecord) { e.load = l }
 
 // NewRankExec returns an executor for one rank's verified program.
 func NewRankExec(rp *RankProgram) *Exec {
@@ -149,9 +144,6 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 					return fmt.Errorf("sched: %s round %d send to %d: %w", rp.Name, ri, st.To, err)
 				}
 				reqs = append(reqs, rq)
-				if e.load != nil {
-					e.load.Add(ri, rp.Rank, st.To, st.Src.N)
-				}
 			case Recv:
 				// Posted above.
 			default:

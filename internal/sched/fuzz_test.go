@@ -17,6 +17,16 @@ var (
 	hugeRecvFile    = `{"format":2,"name":"x","ranks":2,"rank":0,"scratch":[1000000000],"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]},{"k":"recv","f":1,"s":[0,0,0],"d":[2,0,1000000000]}]]}`
 )
 
+// The format-2 alltoallv artifacts of TestVerifyRejectsAlltoallv: the
+// v-pairwise schedule of the count matrix [[1 2 0] [1 1 1] [2 0 1]] as
+// a world and as rank 1's program, encoded by this package's alltoallv
+// generator and Slice before the collective was removed. Decoding drops
+// their counts, vsend and vrecv fields without a word.
+var (
+	alltoallvWorldFile = `{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`
+	alltoallvRankFile  = `{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`
+)
+
 // FuzzVerify decodes arbitrary bytes as a schedule and verifies it with
 // the world driver. Neither may panic, and whenever Verify accepts, every
 // slice must pass VerifyRank.
@@ -39,6 +49,8 @@ func FuzzVerify(f *testing.F) {
 	}
 	f.Add([]byte(hugeScratchFile))
 	f.Add([]byte(manyRanksFile))
+	f.Add([]byte(alltoallvWorldFile))
+	f.Add([]byte(alltoallvRankFile))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
 		if err != nil || Verify(s) != nil {
@@ -72,6 +84,8 @@ func FuzzVerifyRank(f *testing.F) {
 	}
 	add(aliasingProgram(f, 1<<40+1))
 	f.Add([]byte(hugeRecvFile))
+	f.Add([]byte(alltoallvWorldFile))
+	f.Add([]byte(alltoallvRankFile))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rp, err := DecodeRank(bytes.NewReader(data))
 		if err != nil || VerifyRank(rp) != nil {

@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"alltoallx/internal/topo"
 )
@@ -12,51 +11,8 @@ import (
 // observability: it folds a schedule's per-round message matrices onto
 // the directed links of a topo.Fabric — the same routes the simulator
 // books flows on — so a schedule's link pressure can be inspected
-// (a2asched print -linkload) before anything runs. LoadRecord is the
-// dynamic counterpart: executors record what they actually sent, which
-// the tests pin against the static analysis.
-
-// nodeOfFunc resolves a rank to its fabric node.
-type nodeOfFunc func(rank int) int
-
-// resolveNodes validates the (ranks, fabric, mapping) triple and returns
-// the rank->node function: the mapping's placement when given, otherwise
-// the one-rank-per-node identity.
-func resolveNodes(ranks int, f *topo.Fabric, m *topo.Mapping) (nodeOfFunc, error) {
-	if m != nil {
-		if m.Size() != ranks {
-			return nil, fmt.Errorf("sched: link load needs a mapping of %d ranks, got %d", ranks, m.Size())
-		}
-		if m.Nodes() != f.Nodes() {
-			return nil, fmt.Errorf("sched: mapping spans %d nodes but the fabric has %d", m.Nodes(), f.Nodes())
-		}
-		return m.NodeOf, nil
-	}
-	if f.Nodes() != ranks {
-		return nil, fmt.Errorf("sched: without a mapping each rank is a node, so a %d-rank schedule needs a %d-node fabric, got %d", ranks, ranks, f.Nodes())
-	}
-	return func(r int) int { return r }, nil
-}
-
-// matrixLinkLoads folds one blocks-sent matrix onto the fabric's links.
-func matrixLinkLoads(mat [][]int, f *topo.Fabric, nodeOf nodeOfFunc) []int {
-	load := make([]int, f.Links())
-	for src, row := range mat {
-		for dst, blocks := range row {
-			if blocks == 0 {
-				continue
-			}
-			a, b := nodeOf(src), nodeOf(dst)
-			if a == b {
-				continue // intra-node traffic never touches the fabric
-			}
-			for _, id := range f.RouteLinks(a, b) {
-				load[id] += blocks
-			}
-		}
-	}
-	return load
-}
+// (a2asched print -linkload) before anything runs; the tests pin it
+// against the bytes the simulator books on each link.
 
 // LinkLoads computes the schedule's static per-round link loads over a
 // fabric: loads[ri][id] is the number of blocks round ri routes across
@@ -64,13 +20,33 @@ func matrixLinkLoads(mat [][]int, f *topo.Fabric, nodeOf nodeOfFunc) []int {
 // fabric must then have exactly s.Ranks nodes); with a mapping, ranks
 // fold onto their nodes and intra-node traffic is excluded.
 func LinkLoads(s *Schedule, f *topo.Fabric, m *topo.Mapping) ([][]int, error) {
-	nodeOf, err := resolveNodes(s.Ranks, f, m)
-	if err != nil {
-		return nil, err
+	nodeOf := func(r int) int { return r }
+	if m != nil {
+		if m.Size() != s.Ranks {
+			return nil, fmt.Errorf("sched: link load needs a mapping of %d ranks, got %d", s.Ranks, m.Size())
+		}
+		if m.Nodes() != f.Nodes() {
+			return nil, fmt.Errorf("sched: mapping spans %d nodes but the fabric has %d", m.Nodes(), f.Nodes())
+		}
+		nodeOf = m.NodeOf
+	} else if f.Nodes() != s.Ranks {
+		return nil, fmt.Errorf("sched: without a mapping each rank is a node, so a %d-rank schedule needs a %d-node fabric, got %d", s.Ranks, s.Ranks, f.Nodes())
 	}
 	loads := make([][]int, len(s.Rounds))
 	for ri := range s.Rounds {
-		loads[ri] = matrixLinkLoads(s.RoundMatrix(ri), f, nodeOf)
+		load := make([]int, f.Links())
+		for src, row := range s.RoundMatrix(ri) {
+			for dst, blocks := range row {
+				a, b := nodeOf(src), nodeOf(dst)
+				if blocks == 0 || a == b {
+					continue // intra-node traffic never touches the fabric
+				}
+				for _, id := range f.RouteLinks(a, b) {
+					load[id] += blocks
+				}
+			}
+		}
+		loads[ri] = load
 	}
 	return loads, nil
 }
@@ -104,73 +80,4 @@ func FormatLinkLoads(f *topo.Fabric, loads [][]int) string {
 		}
 	}
 	return b.String()
-}
-
-// LoadRecord accumulates the traffic matrices a schedule's executors
-// actually sent, per round. One record is shared by every rank's Exec
-// (SetLoadRecord), so it locks; executors themselves stay single-rank.
-type LoadRecord struct {
-	mu     sync.Mutex
-	ranks  int       // immutable after NewLoadRecord
-	rounds [][][]int // [round][src][dst] blocks; guarded by mu
-}
-
-// NewLoadRecord returns a record for a world of the given size.
-func NewLoadRecord(ranks int) *LoadRecord {
-	return &LoadRecord{ranks: ranks}
-}
-
-// Add records that src sent blocks to dst in the given round.
-func (l *LoadRecord) Add(round, src, dst, blocks int) {
-	if round < 0 || src < 0 || src >= l.ranks || dst < 0 || dst >= l.ranks {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for len(l.rounds) <= round {
-		mat := make([][]int, l.ranks)
-		for i := range mat {
-			mat[i] = make([]int, l.ranks)
-		}
-		l.rounds = append(l.rounds, mat)
-	}
-	l.rounds[round][src][dst] += blocks
-}
-
-// Rounds returns how many rounds have recorded traffic.
-func (l *LoadRecord) Rounds() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.rounds)
-}
-
-// Matrix returns a copy of round ri's recorded blocks-sent matrix.
-func (l *LoadRecord) Matrix(ri int) [][]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([][]int, l.ranks)
-	for i := range out {
-		out[i] = make([]int, l.ranks)
-		if ri >= 0 && ri < len(l.rounds) {
-			copy(out[i], l.rounds[ri][i])
-		}
-	}
-	return out
-}
-
-// LinkLoads folds the recorded matrices onto a fabric, mirroring the
-// static LinkLoads — on a full run of a verified schedule the two are
-// identical, which the tests assert.
-func (l *LoadRecord) LinkLoads(f *topo.Fabric, m *topo.Mapping) ([][]int, error) {
-	nodeOf, err := resolveNodes(l.ranks, f, m)
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	loads := make([][]int, len(l.rounds))
-	for ri := range l.rounds {
-		loads[ri] = matrixLinkLoads(l.rounds[ri], f, nodeOf)
-	}
-	return loads, nil
 }

@@ -26,8 +26,7 @@ type mutantBase struct {
 	body func(s *Schedule) func(c comm.Comm) error
 }
 
-// mutantBases returns every generator's schedule at 8 ranks and both
-// alltoallv generators' schedules at 6 ranks on vTestCounts.
+// mutantBases returns every generator's schedule at 8 ranks.
 func mutantBases(t *testing.T) []mutantBase {
 	var bases []mutantBase
 	for _, name := range AllGenerators() {
@@ -42,16 +41,6 @@ func mutantBases(t *testing.T) []mutantBase {
 			}
 		}
 		bases = append(bases, mutantBase{name, s, body})
-	}
-	counts := vTestCounts(6)
-	for _, name := range VGenerators() {
-		s, err := GenerateV(name, counts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bases = append(bases, mutantBase{s.Name, s, func(s *Schedule) func(c comm.Comm) error {
-			return vExecBody(s, counts)
-		}})
 	}
 	return bases
 }

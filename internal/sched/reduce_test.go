@@ -343,10 +343,10 @@ func TestVerifyRejectsReductionCorruption(t *testing.T) {
 	}
 }
 
-// TestStreamVerifierRejectsReductionCorruption: the same corruption
+// TestWorldDriverRejectsReductionCorruption: the same corruption
 // classes are caught when the rank slices are streamed through
 // VerifyRank and the world driver.
-func TestStreamVerifierRejectsReductionCorruption(t *testing.T) {
+func TestWorldDriverRejectsReductionCorruption(t *testing.T) {
 	t.Parallel()
 	const p = 6
 	slices := func(t *testing.T) []*RankProgram {

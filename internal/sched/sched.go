@@ -1,6 +1,6 @@
 // Package sched is the communication-schedule subsystem: an explicit
 // intermediate representation for collective exchanges (all-to-all,
-// alltoallv, reduce-scatter, allreduce), generators that compile
+// reduce-scatter, allreduce), generators that compile
 // algorithms into it, a static verifier that proves a schedule correct
 // before it ever runs, and an executor that runs any verified schedule
 // over comm.Comm on both substrates.
@@ -24,9 +24,8 @@
 // Steps reference three kinds of buffer space: the user send buffer
 // (SpaceSend), the user recv buffer (SpaceRecv), and per-rank scratch
 // spaces declared by Schedule.Scratch. User-space sizes depend on the
-// collective (RankProgram.SpaceSize): Ranks blocks each for all-to-all,
-// a single recv block for reduce-scatter, per-pair count prefix sums for
-// alltoallv.
+// collective (RankProgram.SpaceSize): Ranks blocks each for all-to-all
+// and allreduce, a single recv block for reduce-scatter.
 //
 // # Execution semantics (the round discipline)
 //
@@ -57,10 +56,11 @@ import (
 // FormatVersion is the on-disk JSON format version Encode writes. Bump
 // on incompatible IR changes; Decode rejects unknown versions rather
 // than silently executing a stale schedule. Version 2 added the
-// collective kind, the reduction operator label and per-pair block
-// counts; version-1 artifacts (plain all-to-all schedules) decode
-// unchanged, since every added field defaults to the all-to-all
-// reading.
+// collective kind and the reduction operator label; version-1 artifacts
+// (plain all-to-all schedules) decode unchanged, since every added field
+// defaults to the all-to-all reading. Version 2 also had an alltoallv
+// collective, since removed: its artifacts decode, and the verifier
+// rejects them as an unknown collective.
 const FormatVersion = 2
 
 // formatReadable reports whether this build can read an artifact of the
@@ -87,17 +87,12 @@ const (
 	// split into Ranks blocks), recv space holds Ranks blocks, and every
 	// recv block b must end as the reduction of every rank's block b.
 	CollAllreduce Coll = "allreduce"
-	// CollAlltoallv: like CollAlltoall with per-pair block counts
-	// (Schedule.Counts): rank s sends Counts[s][d] blocks to rank d.
-	// Send space is packed by destination, recv space by source, both
-	// with prefix-sum displacements.
-	CollAlltoallv Coll = "alltoallv"
 )
 
 // valid reports whether c is a known collective kind.
 func (c Coll) valid() bool {
 	switch c {
-	case CollAlltoall, CollReduceScatter, CollAllreduce, CollAlltoallv:
+	case CollAlltoall, CollReduceScatter, CollAllreduce:
 		return true
 	}
 	return false
@@ -210,11 +205,6 @@ type Schedule struct {
 	// Op is the reduction-operator label; required for (and only legal
 	// on) reduction collectives. The bundled generators emit OpAny.
 	Op string `json:"op,omitempty"`
-	// Counts are the per-pair block counts of an alltoallv schedule:
-	// Counts[s][d] blocks flow from rank s to rank d. Required for (and
-	// only legal on) CollAlltoallv; send/recv spaces are packed by
-	// prefix sums of rows/columns.
-	Counts [][]int `json:"counts,omitempty"`
 	// Scratch declares per-rank scratch spaces: Scratch[i] is the size in
 	// blocks of space SpaceScratch+i. Every rank gets its own copy.
 	Scratch []int `json:"scratch,omitempty"`
@@ -229,31 +219,6 @@ func (s *Schedule) Collective() Coll {
 		return CollAlltoall
 	}
 	return s.Coll
-}
-
-func sumCounts(row []int) int {
-	t := 0
-	for _, n := range row {
-		t += n
-	}
-	return t
-}
-
-func countsRow(counts [][]int, rank int) []int {
-	if rank < 0 || rank >= len(counts) {
-		return nil
-	}
-	return counts[rank]
-}
-
-func countsCol(counts [][]int, rank int) []int {
-	col := make([]int, len(counts))
-	for s, row := range counts {
-		if rank >= 0 && rank < len(row) {
-			col[s] = row[rank]
-		}
-	}
-	return col
 }
 
 // Stats summarizes a schedule's cost structure.

@@ -43,12 +43,6 @@ type RankProgram struct {
 	Coll Coll `json:"coll,omitempty"`
 	// Op is the reduction-operator label (Schedule.Op).
 	Op string `json:"op,omitempty"`
-	// VSend/VRecv are this rank's alltoallv count row and column:
-	// VSend[d] blocks go to rank d, VRecv[s] blocks arrive from rank s.
-	// Present only for CollAlltoallv — the slice of Schedule.Counts a
-	// rank needs (O(p), never the O(p^2) matrix).
-	VSend []int `json:"vsend,omitempty"`
-	VRecv []int `json:"vrecv,omitempty"`
 	// Scratch declares scratch spaces, identically to Schedule.Scratch.
 	Scratch []int `json:"scratch,omitempty"`
 	// Rounds[ri] is this rank's steps in round ri.
@@ -87,32 +81,21 @@ func Slice(s *Schedule, rank int) (*RankProgram, error) {
 // sliceHeader is rank's program header in schedule s: every field of its
 // Slice but the rounds.
 func sliceHeader(s *Schedule, rank int) *RankProgram {
-	rp := &RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: rank,
+	return &RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: rank,
 		Coll: s.Coll, Op: s.Op, Scratch: s.Scratch}
-	if s.Collective() == CollAlltoallv {
-		rp.VSend = countsRow(s.Counts, rank)
-		rp.VRecv = countsCol(s.Counts, rank)
-	}
-	return rp
 }
 
 // SpaceSize returns the size in blocks of a buffer space id, or -1 for an
 // unknown space. Send and recv sizes depend on the collective: alltoall
 // and allreduce use Ranks blocks on both sides, reduce-scatter receives a
-// single block, and alltoallv packs the rank's count row and column sums.
+// single block.
 func (rp *RankProgram) SpaceSize(buf int) int {
 	switch buf {
 	case SpaceSend:
-		if rp.Collective() == CollAlltoallv {
-			return sumCounts(rp.VSend)
-		}
 		return rp.Ranks
 	case SpaceRecv:
-		switch rp.Collective() {
-		case CollReduceScatter:
+		if rp.Collective() == CollReduceScatter {
 			return 1
-		case CollAlltoallv:
-			return sumCounts(rp.VRecv)
 		}
 		return rp.Ranks
 	}
@@ -171,7 +154,7 @@ const stepBytes = 96
 // accounting.
 func (rp *RankProgram) MemBytes() int64 {
 	return int64(rp.Steps())*stepBytes + int64(len(rp.Rounds))*24 +
-		int64(len(rp.Scratch)+len(rp.VSend)+len(rp.VRecv))*8 + 128
+		int64(len(rp.Scratch))*8 + 128
 }
 
 // Encode writes the rank program as versioned JSON (the Format field is
@@ -214,11 +197,15 @@ func newDigester(hdr *RankProgram, rounds int) *digester {
 	d.num(hdr.Rank)
 	d.str(string(hdr.Coll))
 	d.str(hdr.Op)
-	for _, l := range [][]int{hdr.VSend, hdr.VRecv, hdr.Scratch} {
-		d.num(len(l))
-		for _, v := range l {
-			d.num(v)
-		}
+	// Two empty lists, where format 2 held the count row and column of
+	// the removed alltoallv collective: digests recorded before the
+	// removal, as in registry PROOF records, still name the same
+	// programs.
+	d.num(0)
+	d.num(0)
+	d.num(len(hdr.Scratch))
+	for _, v := range hdr.Scratch {
+		d.num(v)
 	}
 	d.num(rounds)
 	return d

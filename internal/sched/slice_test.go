@@ -113,10 +113,10 @@ func TestGenerateRankMatchesGenerate(t *testing.T) {
 	})
 }
 
-// TestStreamVerifierAcceptsGenerators: the world proof over streamed
+// TestProveAcceptsGenerators: the world proof over streamed
 // rounds, through VerifyWorldSliced, accepts every generator at
 // randomized shapes.
-func TestStreamVerifierAcceptsGenerators(t *testing.T) {
+func TestProveAcceptsGenerators(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
 	for _, name := range Generators() {
@@ -180,10 +180,10 @@ func streamAll(rps []*RankProgram) error {
 	return walkWorld(srcs, nil)
 }
 
-// TestStreamVerifierRejections: every corruption class of a world's
+// TestWorldDriverRejections: every corruption class of a world's
 // programs, streamed through VerifyRank and the world driver, is
 // caught.
-func TestStreamVerifierRejections(t *testing.T) {
+func TestWorldDriverRejections(t *testing.T) {
 	t.Parallel()
 	const p = 6
 	cases := []struct {
@@ -475,11 +475,11 @@ func TestGenerateRankAt4096(t *testing.T) {
 	}
 }
 
-// TestStreamVerifyLargeWorld proves a full 4096-rank world with the
+// TestProveLargeWorld proves a full 4096-rank world with the
 // world driver, its rounds streamed from the generator one round of the
 // world at a time: the proof holds the touched slots, never the
 // programs. About 10 s alone on 2 vCPUs, so -short skips it.
-func TestStreamVerifyLargeWorld(t *testing.T) {
+func TestProveLargeWorld(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4096-rank world proof (~10 s alone on 2 vCPUs) skipped in -short mode")
 	}

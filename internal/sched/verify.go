@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"alltoallx/internal/topo"
 )
@@ -38,11 +37,10 @@ import (
 //     lands at the round's wait), no two same-round writes to one slot,
 //     no copy or reduce overwriting a buffer an earlier send of the
 //     round is transmitting;
-//   - dataflow, by symbolic execution. A routing slot (alltoall,
-//     alltoallv) holds which sender's block it has; every recv slot must
-//     be written exactly once and hold exactly its block. A reduction
-//     slot holds a partial: which result block it is for and which ranks
-//     have contributed. A Reduce step must combine partials of the same
+//   - dataflow, by symbolic execution. An all-to-all slot holds which
+//     sender's block it has; every recv slot must be written exactly
+//     once and hold exactly its block. A reduction slot holds a partial:
+//     which result block it is for and which ranks have contributed. A Reduce step must combine partials of the same
 //     block with disjoint contributor sets, Step.Op must equal the
 //     schedule's label, and every recv slot must be written exactly once
 //     with the right block — complete, every rank's contribution
@@ -71,18 +69,8 @@ func Verify(s *Schedule) error {
 	if len(s.Rounds) == 0 {
 		return errors.New("sched: schedule has no rounds (even the trivial schedule needs the self-block copy)")
 	}
-	if err := checkColl(s.Collective(), s.Op, s.Counts != nil); err != nil {
+	if err := checkColl(s.Collective(), s.Op); err != nil {
 		return err
-	}
-	// The counts themselves are checked per rank, row and column, by the
-	// world driver's admission of every rank.
-	if s.Counts != nil && len(s.Counts) != p {
-		return fmt.Errorf("sched: counts matrix has %d rows, want %d", len(s.Counts), p)
-	}
-	for src, row := range s.Counts {
-		if len(row) != p {
-			return fmt.Errorf("sched: counts row %d has %d entries, want %d", src, len(row), p)
-		}
 	}
 	for ri, rd := range s.Rounds {
 		if len(rd.Steps) != p {
@@ -126,9 +114,9 @@ func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
 	return digests, nil
 }
 
-// checkColl validates the collective, its operator label and whether it
-// declares per-pair counts, for schedules and rank programs alike.
-func checkColl(coll Coll, op string, counts bool) error {
+// checkColl validates the collective and its operator label, for
+// schedules and rank programs alike.
+func checkColl(coll Coll, op string) error {
 	if !coll.valid() {
 		return fmt.Errorf("sched: unknown collective %q", coll)
 	}
@@ -137,12 +125,6 @@ func checkColl(coll Coll, op string, counts bool) error {
 			return fmt.Errorf("sched: %s schedule must declare its operator label", coll)
 		}
 		return fmt.Errorf("sched: operator label %q on a non-reduction %s schedule", op, coll)
-	}
-	if (coll == CollAlltoallv) != counts {
-		if !counts {
-			return errors.New("sched: alltoallv schedule must declare its per-pair counts")
-		}
-		return fmt.Errorf("sched: per-pair counts on a non-alltoallv %s schedule", coll)
 	}
 	return nil
 }
@@ -204,9 +186,9 @@ func (l stepLoc) String() string {
 }
 
 // Slot values. A block read from rank s's send space at offset off is
-// seed(s, off): for the routing collectives the block s sends from that
-// offset, for the reductions the partial of result block off holding
-// only s's contribution. A partial combining several contributions is
+// seed(s, off): for all-to-all the block s sends to rank off, for the
+// reductions the partial of result block off holding only s's
+// contribution. A partial combining several contributions is
 // partial(block, set): its result block, below 2^30, and the id of its
 // contributor set in the verifier's set table.
 const (
@@ -268,12 +250,11 @@ type message struct {
 
 // cellBudget is the most cells a walker of the program with header hdr
 // may hold: p^2, plus 8 per buffer space (a page each may be part
-// used), plus an alltoallv program's declared count sums. Every bundled
-// generator's walker stays within it: at 1-64 flat ranks, bruck at 3
-// ranks comes closest, at 0.70 of it, and sampled worlds of 65-256 ranks
-// stay under 0.33.
+// used). Every bundled generator's walker stays within it: at 1-64 flat
+// ranks, bruck at 3 ranks comes closest, at 0.70 of it, and sampled
+// worlds of 65-256 ranks stay under 0.33.
 func cellBudget(hdr *RankProgram) int {
-	return hdr.Ranks*hdr.Ranks + pageSize*(SpaceScratch+len(hdr.Scratch)) + sumCounts(hdr.VSend) + sumCounts(hdr.VRecv)
+	return hdr.Ranks*hdr.Ranks + pageSize*(SpaceScratch+len(hdr.Scratch))
 }
 
 // rankWalker symbolically executes one rank's program, round by round.
@@ -283,9 +264,6 @@ type rankWalker struct {
 	rank               int
 	budget             int // cellBudget(hdr)
 	sendSize, recvSize int
-	// sendPre and recvPre are the alltoallv prefix sums of VSend and
-	// VRecv: where each destination's and source's blocks start.
-	sendPre, recvPre []int
 	// table indexes the walker's cells by page key: open addressing over
 	// the pages holding a slot written or stamped so far, so the walker's
 	// state follows the steps it has run. Page i is chunks[i/chunkPages]
@@ -306,20 +284,7 @@ func (w *rankWalker) reset(v *verifier, hdr *RankProgram) {
 	clear(w.table)
 	*w = rankWalker{v: v, hdr: hdr, rank: hdr.Rank, budget: cellBudget(hdr),
 		sendSize: hdr.SpaceSize(SpaceSend), recvSize: hdr.SpaceSize(SpaceRecv),
-		sendPre: prefix(w.sendPre[:0], hdr.VSend), recvPre: prefix(w.recvPre[:0], hdr.VRecv),
 		table: w.table, chunks: w.chunks}
-}
-
-// prefix appends the prefix sums of counts to dst (nil for no counts).
-func prefix(dst, counts []int) []int {
-	if counts == nil {
-		return nil
-	}
-	dst = append(dst, 0)
-	for i, n := range counts {
-		dst = append(dst, dst[i]+n)
-	}
-	return dst
 }
 
 // size is the size of buffer space buf, or -1 for a space the program
@@ -433,7 +398,7 @@ func (w *rankWalker) home(pk uint64) int {
 // overBudget names the slot whose cell would take the walker past its
 // budget.
 func (w *rankWalker) overBudget(ref Ref, k int, where stepLoc) error {
-	return fmt.Errorf("%s: slot %d of space %d would take the walker past its budget of %d cells (ranks squared, plus %d per buffer space and the declared alltoallv counts)",
+	return fmt.Errorf("%s: slot %d of space %d would take the walker past its budget of %d cells (ranks squared, plus %d per buffer space)",
 		where, ref.Off+k, ref.Buf, w.budget, pageSize)
 }
 
@@ -629,20 +594,14 @@ func (w *rankWalker) write(ref Ref, k int, c *cell, val int64, where stepLoc) er
 	return nil
 }
 
-// checkResult checks the known value val landing in recv slot x. A
-// routing value names send slot off of rank s; only the world driver
-// delivers other ranks' blocks, so only it reads another walker's counts.
+// checkResult checks the known value val landing in recv slot x. An
+// all-to-all value is the block its sender addressed to the rank of its
+// send offset; slot x must hold the block rank x addressed here.
 func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
 	v := w.v
 	if !v.coll.reduction() {
-		s, sender := int(val>>offBits), w
-		if s != w.rank {
-			sender = &v.ws[s]
-		}
-		d, j := split(sender.sendPre, int(val&offMask))
-		xs, xj := split(w.recvPre, x)
-		if s != xs || d != w.rank || j != xj {
-			return fmt.Errorf("%s: recv block %d of rank %d receives %s, want %s", where, x, w.rank, v.blockName(s, d, j), v.blockName(xs, w.rank, xj))
+		if s, d := int(val>>offBits), int(val&offMask); s != x || d != w.rank {
+			return fmt.Errorf("%s: recv block %d of rank %d receives block (%d->%d), want block (%d->%d)", where, x, w.rank, s, d, x, w.rank)
 		}
 		return nil
 	}
@@ -675,17 +634,6 @@ func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
 	return nil
 }
 
-// split locates offset off of a send or recv space packed by peer, given
-// the space's alltoallv prefix sums pre (nil for one block per peer): it
-// is block j of peer i's run.
-func split(pre []int, off int) (i, j int) {
-	if pre == nil {
-		return off, 0
-	}
-	i = sort.Search(len(pre)-1, func(i int) bool { return pre[i+1] > off })
-	return i, off - pre[i]
-}
-
 // final checks that every recv slot was written exactly once (content
 // was checked at write time).
 func (w *rankWalker) final() error {
@@ -695,24 +643,13 @@ func (w *rankWalker) final() error {
 			break
 		}
 	}
-	if x == w.recvSize {
-		return nil
-	}
 	switch {
+	case x == w.recvSize:
+		return nil
 	case w.v.coll.reduction():
 		return fmt.Errorf("sched: result block %d of rank %d never produced", x, w.rank)
-	case w.v.coll == CollAlltoall:
-		return fmt.Errorf("sched: block (%d->%d) never delivered", x, w.rank)
 	}
-	return fmt.Errorf("sched: recv block %d of rank %d never delivered", x, w.rank)
-}
-
-// blockName prints block j of the s->d message.
-func (v *verifier) blockName(s, d, j int) string {
-	if v.coll == CollAlltoall {
-		return fmt.Sprintf("block (%d->%d)", s, d)
-	}
-	return fmt.Sprintf("block %d of (%d->%d)", j, s, d)
+	return fmt.Errorf("sched: block (%d->%d) never delivered", x, w.rank)
 }
 
 // block is the result block a reduction value is a partial of.
@@ -866,9 +803,6 @@ func walkWorld(srcs []*source, fold func(r int, steps []Step)) error {
 		if err := v.admit(&src.hdr, src.rounds(), r); err != nil {
 			return err
 		}
-	}
-	if err := v.declarations(srcs); err != nil {
-		return err
 	}
 	v.ws = make([]rankWalker, p)
 	for r, src := range srcs {

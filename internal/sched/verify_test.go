@@ -484,6 +484,39 @@ func TestVerifyTorusAllocs(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsAlltoallv: artifacts of the removed alltoallv
+// collective, a world and a rank program, still decode, since decoding
+// drops the fields only alltoallv had; Verify, VerifyRank and VerifyRank
+// of every slice of the world must each refuse the collective by name.
+func TestVerifyRejectsAlltoallv(t *testing.T) {
+	t.Parallel()
+	const want = `sched: unknown collective "alltoallv"`
+	s, err := Decode(strings.NewReader(alltoallvWorldFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(s); err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %s", err, want)
+	}
+	rps := make([]*RankProgram, 0, s.Ranks+1)
+	for r := range s.Ranks {
+		rp, err := Slice(s, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rps = append(rps, rp)
+	}
+	rp, err := DecodeRank(strings.NewReader(alltoallvRankFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rp := range append(rps, rp) {
+		if err := VerifyRank(rp); err == nil || err.Error() != want {
+			t.Errorf("VerifyRank of rank %d = %v, want %s", rp.Rank, err, want)
+		}
+	}
+}
+
 // TestVerifyRankRejectsRankOutOfRange: a program built in memory, which
 // no decoder checked, naming a rank outside its world is rejected by
 // name rather than walked.

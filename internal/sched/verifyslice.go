@@ -103,36 +103,6 @@ func newVerifier(p int) *verifier {
 	return v
 }
 
-// checkSliceHeader validates one program's collective-describing fields.
-func checkSliceHeader(rp *RankProgram) error {
-	coll := rp.Collective()
-	if err := checkColl(coll, rp.Op, rp.VSend != nil || rp.VRecv != nil); err != nil {
-		return err
-	}
-	if coll != CollAlltoallv {
-		return nil
-	}
-	if len(rp.VSend) != rp.Ranks || len(rp.VRecv) != rp.Ranks {
-		return fmt.Errorf("sched: alltoallv rank program must declare %d-entry VSend and VRecv counts (have %d and %d)",
-			rp.Ranks, len(rp.VSend), len(rp.VRecv))
-	}
-	for i := range rp.Ranks {
-		for _, c := range [2]struct{ n, s, d int }{{rp.VSend[i], rp.Rank, i}, {rp.VRecv[i], i, rp.Rank}} {
-			if c.n < 0 {
-				return fmt.Errorf("sched: negative count %d for pair %d->%d", c.n, c.s, c.d)
-			}
-			if c.n >= maxSpace {
-				return fmt.Errorf("sched: count %d for pair %d->%d exceeds the verifier's %d-block space limit", c.n, c.s, c.d, maxSpace)
-			}
-		}
-	}
-	if rp.VSend[rp.Rank] != rp.VRecv[rp.Rank] {
-		return fmt.Errorf("sched: rank %d declares self count %d in VSend but %d in VRecv",
-			rp.Rank, rp.VSend[rp.Rank], rp.VRecv[rp.Rank])
-	}
-	return nil
-}
-
 // admit checks the header of the program of rank r, which has the given
 // round count, against the world's.
 func (v *verifier) admit(hdr *RankProgram, rounds, r int) error {
@@ -153,7 +123,7 @@ func (v *verifier) admit(hdr *RankProgram, rounds, r int) error {
 			return fmt.Errorf("sched: scratch space %d has non-positive size %d", i, sz)
 		}
 	}
-	if err := checkSliceHeader(hdr); err != nil {
+	if err := checkColl(hdr.Collective(), hdr.Op); err != nil {
 		return err
 	}
 	if v.rounds == 0 { // the first program: every later one must repeat its header
@@ -178,23 +148,6 @@ func (v *verifier) admit(hdr *RankProgram, rounds, r int) error {
 	for i, sz := range hdr.Scratch {
 		if sz != v.scratch[i] {
 			return fmt.Errorf("sched: rank %d scratch space %d has size %d, the world's has %d", r, i, sz, v.scratch[i])
-		}
-	}
-	return nil
-}
-
-// declarations checks that the world's alltoallv count declarations
-// describe one matrix: rank s's VSend entry for d is rank d's VRecv
-// entry for s.
-func (v *verifier) declarations(srcs []*source) error {
-	if v.coll != CollAlltoallv {
-		return nil
-	}
-	for s, src := range srcs {
-		for d, n := range src.hdr.VSend {
-			if m := srcs[d].hdr.VRecv[s]; m != n {
-				return fmt.Errorf("sched: alltoallv count declarations disagree: rank %d declares %d blocks to rank %d, which declares %d from it", s, n, d, m)
-			}
 		}
 	}
 	return nil
