@@ -89,3 +89,44 @@ func TestVerifyRejectsAlltoallv(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyRefusesMalformedSteps: a2asched verify refuses the 2-rank
+// pairwise world and its rank 0 program, which verify unedited, once a
+// ref holds four, two or no integers, a step names an unknown kind, or
+// a peer or a ref element lies outside int32: the file does not decode,
+// and the error names the edited value (internal/sched's
+// TestDecodeRefusals feeds the same edits to the decoders). A ref of
+// four integers or two once decoded as three and passed.
+func TestVerifyRefusesMalformedSteps(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"world.json": `{"format":2,"name":"pairwise","ranks":2,"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}],[{"k":"sendrecv","s":[0,0,1],"d":[1,0,1]}]]}]}`,
+		"rank0.json": `{"format":2,"name":"pairwise","ranks":2,"rank":0,"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}]]}`,
+	}
+	edits := []struct{ old, new, want string }{
+		{`"s":[0,1,1]`, `"s":[0,1,1,99]`, "ref [0,1,1,99]"},
+		{`"s":[0,1,1]`, `"s":[0,1]`, "ref [0,1]"},
+		{`"s":[0,1,1]`, `"s":[]`, "ref []"},
+		{`"k":"sendrecv"`, `"k":"warp"`, `unknown step kind "warp"`},
+		{`"t":1`, `"t":2147483648`, "2147483648"},
+		{`"s":[0,1,1]`, `"s":[0,-2147483649,1]`, "-2147483649"},
+	}
+	for name, file := range files {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := runVerify([]string{path}); err != nil {
+			t.Fatalf("unedited %s: %v", name, err)
+		}
+		for _, e := range edits {
+			if err := os.WriteFile(path, []byte(strings.Replace(file, e.old, e.new, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err := runVerify([]string{path})
+			if err == nil || !strings.Contains(err.Error(), "not a valid schedule") || !strings.Contains(err.Error(), e.want) {
+				t.Errorf("verify %s with %s for %s = %v, want a decoding error naming %s", name, e.new, e.old, err, e.want)
+			}
+		}
+	}
+}

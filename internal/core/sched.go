@@ -128,8 +128,9 @@ type schedCacheEntry struct {
 
 // schedCacheDefaultLimit bounds retained program bytes per process. The
 // cache holds the programs the process's ranks compiled: every rank of
-// a 128-rank ring world, ~100 MB, fits with room to spare, and a rank
-// evicted from a larger world recompiles its own program.
+// a 128-rank ring world, 61 MB by MemBytes (1.08 M steps), fits with
+// room to spare, and a rank evicted from a larger world recompiles its
+// own program.
 const schedCacheDefaultLimit = 256 << 20
 
 var schedCache = &schedCacheT{

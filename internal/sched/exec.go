@@ -96,7 +96,7 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 		default:
 			b = e.scratch[r.Buf-SpaceScratch]
 		}
-		return b.Slice(r.Off*block, r.N*block)
+		return b.Slice(int(r.Off)*block, int(r.N)*block)
 	}
 
 	var reqs []comm.Request
@@ -106,7 +106,7 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 		for i := range steps {
 			st := &steps[i]
 			if st.Kind == Recv || st.Kind == SendRecv {
-				rq, err := c.Irecv(ref(st.Dst), st.From, tag)
+				rq, err := c.Irecv(ref(st.Dst), int(st.From), tag)
 				if err != nil {
 					return fmt.Errorf("sched: %s round %d recv from %d: %w", rp.Name, ri, st.From, err)
 				}
@@ -121,7 +121,7 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 				if _, err := comm.CopyData(ref(st.Dst), ref(st.Src)); err != nil {
 					return fmt.Errorf("sched: %s round %d copy: %w", rp.Name, ri, err)
 				}
-				if err := c.ChargeCopy(st.Src.N*block, 1); err != nil {
+				if err := c.ChargeCopy(int(st.Src.N)*block, 1); err != nil {
 					return fmt.Errorf("sched: %s round %d copy: %w", rp.Name, ri, err)
 				}
 				rec.Add(trace.PhaseRepack, c.Now()-t0)
@@ -134,12 +134,12 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 				if !dst.IsVirtual() && !src.IsVirtual() {
 					e.op(dst.Bytes(), src.Bytes())
 				}
-				if err := c.ChargeCopy(st.Src.N*block, 1); err != nil {
+				if err := c.ChargeCopy(int(st.Src.N)*block, 1); err != nil {
 					return fmt.Errorf("sched: %s round %d reduce: %w", rp.Name, ri, err)
 				}
 				rec.Add(trace.PhaseReduce, c.Now()-t0)
 			case Send, SendRecv:
-				rq, err := c.Isend(ref(st.Src), st.To, tag)
+				rq, err := c.Isend(ref(st.Src), int(st.To), tag)
 				if err != nil {
 					return fmt.Errorf("sched: %s round %d send to %d: %w", rp.Name, ri, st.To, err)
 				}

@@ -27,6 +27,27 @@ var (
 	alltoallvRankFile  = `{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`
 )
 
+// The 2-rank pairwise world and its rank 0 program, compact-encoded, and
+// the edits of TestDecodeRefusals. Each edit replaces the first
+// occurrence of old in both files, and both decoders must then refuse
+// the file with an error naming want: a ref of other than three
+// integers, a kind name no step kind has, and numbers outside int32. A
+// ref of four integers or two once decoded as three, dropping the extra
+// element or zero-filling the missing one, and the edited files then
+// passed verification.
+var (
+	pairwise2World = `{"format":2,"name":"pairwise","ranks":2,"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}],[{"k":"sendrecv","s":[0,0,1],"d":[1,0,1]}]]}]}`
+	pairwise2Rank0 = `{"format":2,"name":"pairwise","ranks":2,"rank":0,"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}]]}`
+	decodeRefusals = []struct{ name, old, new, want string }{
+		{"four-element ref", `"s":[0,1,1]`, `"s":[0,1,1,99]`, "ref [0,1,1,99]"},
+		{"two-element ref", `"s":[0,1,1]`, `"s":[0,1]`, "ref [0,1]"},
+		{"empty ref", `"s":[0,1,1]`, `"s":[]`, "ref []"},
+		{"unknown kind", `"k":"sendrecv"`, `"k":"warp"`, `unknown step kind "warp"`},
+		{"peer past int32", `"t":1`, `"t":2147483648`, "2147483648"},
+		{"ref element past int32", `"s":[0,1,1]`, `"s":[0,-2147483649,1]`, "-2147483649"},
+	}
+)
+
 // FuzzVerify decodes arbitrary bytes as a schedule and verifies it with
 // the world driver. Neither may panic, and whenever Verify accepts, every
 // slice must pass VerifyRank.
@@ -51,6 +72,9 @@ func FuzzVerify(f *testing.F) {
 	f.Add([]byte(manyRanksFile))
 	f.Add([]byte(alltoallvWorldFile))
 	f.Add([]byte(alltoallvRankFile))
+	for _, e := range decodeRefusals {
+		f.Add([]byte(strings.Replace(pairwise2World, e.old, e.new, 1)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
 		if err != nil || Verify(s) != nil {
@@ -82,10 +106,13 @@ func FuzzVerifyRank(f *testing.F) {
 			}
 		}
 	}
-	add(aliasingProgram(f, 1<<40+1))
+	add(aliasingProgram(f, 1<<31))
 	f.Add([]byte(hugeRecvFile))
 	f.Add([]byte(alltoallvWorldFile))
 	f.Add([]byte(alltoallvRankFile))
+	for _, e := range decodeRefusals {
+		f.Add([]byte(strings.Replace(pairwise2Rank0, e.old, e.new, 1)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rp, err := DecodeRank(bytes.NewReader(data))
 		if err != nil || VerifyRank(rp) != nil {

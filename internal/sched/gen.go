@@ -119,9 +119,11 @@ func Generate(name string, p int, m *topo.Mapping) (*Schedule, error) {
 
 // sendRef/recvRef/scratchRef are small constructors for readable
 // generators.
-func sendRef(off, n int) Ref       { return Ref{Buf: SpaceSend, Off: off, N: n} }
-func recvRef(off, n int) Ref       { return Ref{Buf: SpaceRecv, Off: off, N: n} }
-func scratchRef(i, off, n int) Ref { return Ref{Buf: SpaceScratch + i, Off: off, N: n} }
+func sendRef(off, n int) Ref { return Ref{Buf: SpaceSend, Off: int32(off), N: int32(n)} }
+func recvRef(off, n int) Ref { return Ref{Buf: SpaceRecv, Off: int32(off), N: int32(n)} }
+func scratchRef(i, off, n int) Ref {
+	return Ref{Buf: int32(SpaceScratch + i), Off: int32(off), N: int32(n)}
+}
 
 // selfCopy returns the step delivering rank r's own block.
 func selfCopy(r int) Step {
@@ -162,11 +164,11 @@ func directSource(p, r int, _ *topo.Mapping) (*source, error) {
 		steps = append(steps, selfCopy(r))
 		for i := 1; i < p; i++ {
 			from := (r - i + p) % p
-			steps = append(steps, Step{Kind: Recv, From: from, Dst: recvRef(from, 1)})
+			steps = append(steps, Step{Kind: Recv, From: int32(from), Dst: recvRef(from, 1)})
 		}
 		for i := 1; i < p; i++ {
 			to := (r + i) % p
-			steps = append(steps, Step{Kind: Send, To: to, Src: sendRef(to, 1)})
+			steps = append(steps, Step{Kind: Send, To: int32(to), Src: sendRef(to, 1)})
 		}
 		return steps
 	}}), nil
@@ -178,7 +180,7 @@ func directSource(p, r int, _ *topo.Mapping) (*source, error) {
 func pairwiseSource(p, r int, _ *topo.Mapping) (*source, error) {
 	return alltoall("pairwise", p, r, nil, selfPhase(r), phase{p - 1, func(t int, steps []Step) []Step {
 		to, from := (r+t+1)%p, (r-t-1+p)%p
-		return append(steps, Step{Kind: SendRecv, To: to, Src: sendRef(to, 1), From: from, Dst: recvRef(from, 1)})
+		return append(steps, Step{Kind: SendRecv, To: int32(to), Src: sendRef(to, 1), From: int32(from), Dst: recvRef(from, 1)})
 	}}), nil
 }
 
@@ -262,8 +264,8 @@ func bruckSource(p, r int, m *topo.Mapping) (*source, error) {
 		}
 		return append(steps, Step{
 			Kind: SendRecv,
-			To:   (r + k) % p, Src: scratchRef(bruckPackS, 0, m),
-			From: (r - k + p) % p, Dst: scratchRef(bruckPackA+ki%2, 0, m),
+			To:   int32((r + k) % p), Src: scratchRef(bruckPackS, 0, m),
+			From: int32((r - k + p) % p), Dst: scratchRef(bruckPackA+ki%2, 0, m),
 		})
 	}}
 	final := phase{1, func(_ int, steps []Step) []Step {

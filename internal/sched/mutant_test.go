@@ -57,14 +57,14 @@ var mutantEdits = []struct {
 	{"to", func(s *Schedule, rng *rand.Rand) bool {
 		st := pickStep(s, rng, func(st Step) bool { return st.Kind == Send || st.Kind == SendRecv })
 		if st != nil {
-			st.To = (st.To + 1 + rng.Intn(s.Ranks-1)) % s.Ranks
+			st.To = int32((int(st.To) + 1 + rng.Intn(s.Ranks-1)) % s.Ranks)
 		}
 		return st != nil
 	}},
 	{"from", func(s *Schedule, rng *rand.Rand) bool {
 		st := pickStep(s, rng, func(st Step) bool { return st.Kind == Recv || st.Kind == SendRecv })
 		if st != nil {
-			st.From = (st.From + 1 + rng.Intn(s.Ranks-1)) % s.Ranks
+			st.From = int32((int(st.From) + 1 + rng.Intn(s.Ranks-1)) % s.Ranks)
 		}
 		return st != nil
 	}},
@@ -88,7 +88,7 @@ var mutantEdits = []struct {
 	{"offset", func(s *Schedule, rng *rand.Rand) bool {
 		ref := pickRef(s, rng)
 		if ref != nil {
-			ref.Off += 2*rng.Intn(2) - 1
+			ref.Off += int32(2*rng.Intn(2) - 1)
 		}
 		return ref != nil
 	}},
@@ -178,7 +178,7 @@ func pickStep(s *Schedule, rng *rand.Rand, ok func(Step) bool) *Step {
 // pickRef draws a random step and one of the buffer operands its kind
 // uses.
 func pickRef(s *Schedule, rng *rand.Rand) *Ref {
-	st := pickStep(s, rng, func(st Step) bool { return st.Kind != "" })
+	st := pickStep(s, rng, func(st Step) bool { return st.Kind != 0 })
 	if st == nil {
 		return nil
 	}

@@ -74,14 +74,14 @@ func ringRS(q, idx, next, prev, blocks, stageA, stageB int, chunk func(c int) Re
 		switch {
 		case t == 0:
 			return append(steps,
-				Step{Kind: Recv, From: prev, Dst: stage(0)},
-				Step{Kind: Send, To: next, Src: chunk(mod(idx-1, q))})
+				Step{Kind: Recv, From: int32(prev), Dst: stage(0)},
+				Step{Kind: Send, To: int32(next), Src: chunk(mod(idx-1, q))})
 		case t < q-1:
 			acc := stage(t - 1)
 			return append(steps,
-				Step{Kind: Recv, From: prev, Dst: stage(t)},
+				Step{Kind: Recv, From: int32(prev), Dst: stage(t)},
 				reduceStep(acc, chunk(mod(idx-1-t, q))),
-				Step{Kind: Send, To: next, Src: acc})
+				Step{Kind: Send, To: int32(next), Src: acc})
 		}
 		acc := stage(q - 2)
 		return append(steps, reduceStep(acc, chunk(idx)), Step{Kind: Copy, Src: acc, Dst: dst})
@@ -94,8 +94,8 @@ func ringRS(q, idx, next, prev, blocks, stageA, stageB int, chunk func(c int) Re
 func ringAG(q, idx, next, prev int, chunk func(c int) Ref) phase {
 	return phase{q - 1, func(t int, steps []Step) []Step {
 		return append(steps,
-			Step{Kind: Recv, From: prev, Dst: chunk(mod(idx-1-t, q))},
-			Step{Kind: Send, To: next, Src: chunk(mod(idx-t, q))})
+			Step{Kind: Recv, From: int32(prev), Dst: chunk(mod(idx-1-t, q))},
+			Step{Kind: Send, To: int32(next), Src: chunk(mod(idx-t, q))})
 	}}
 }
 
@@ -234,16 +234,16 @@ func hypercubeRS(p, k, r int, dst Ref) phase {
 			half := p >> 1
 			q := r ^ (1 << (k - 1))
 			return append(steps,
-				Step{Kind: Recv, From: q, Dst: scratchRef(0, 0, half)},
-				Step{Kind: Send, To: q, Src: sendRef((q>>(k-1))*half, half)})
+				Step{Kind: Recv, From: int32(q), Dst: scratchRef(0, 0, half)},
+				Step{Kind: Send, To: int32(q), Src: sendRef((q>>(k-1))*half, half)})
 		case t < k:
 			half := p >> (t + 1)
 			b := k - 1 - t
 			q := r ^ (1 << b)
 			return append(steps,
-				Step{Kind: Recv, From: q, Dst: scratchRef(t, 0, half)},
+				Step{Kind: Recv, From: int32(q), Dst: scratchRef(t, 0, half)},
 				fold(t),
-				Step{Kind: Send, To: q, Src: scratchRef(t-1, ((q>>b)&1)*half, half)})
+				Step{Kind: Send, To: int32(q), Src: scratchRef(t-1, ((q>>b)&1)*half, half)})
 		}
 		return append(steps, fold(k), Step{Kind: Copy, Src: scratchRef(k-1, 0, 1), Dst: dst})
 	}}
@@ -297,8 +297,8 @@ func hypercubeAllreduceSource(p, r int, _ *topo.Mapping) (*source, error) {
 		myBase := r &^ (n - 1)
 		q := r ^ n
 		return append(steps,
-			Step{Kind: Recv, From: q, Dst: recvRef(myBase^n, n)},
-			Step{Kind: Send, To: q, Src: recvRef(myBase, n)})
+			Step{Kind: Recv, From: int32(q), Dst: recvRef(myBase^n, n)},
+			Step{Kind: Send, To: int32(q), Src: recvRef(myBase, n)})
 	}}
 	return reduction("ar-hypercube", CollAllreduce, p, r, hypercubeReduceScratch(p, k),
 		hypercubeRS(p, k, r, recvRef(r, 1)), doubling), nil

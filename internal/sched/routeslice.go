@@ -133,12 +133,12 @@ func routeSource(name string, p, r int, sl rankSlicer) *source {
 		}
 		off = 0
 		for _, m := range arrivals(t) {
-			steps = append(steps, Step{Kind: Recv, From: m.peer, Dst: scratchRef(routePackA+t%2, off, len(m.blocks))})
+			steps = append(steps, Step{Kind: Recv, From: int32(m.peer), Dst: scratchRef(routePackA+t%2, off, len(m.blocks))})
 			off += len(m.blocks)
 		}
 		off = 0
 		for _, m := range outs {
-			steps = append(steps, Step{Kind: Send, To: m.peer, Src: scratchRef(routePackS, off, len(m.blocks))})
+			steps = append(steps, Step{Kind: Send, To: int32(m.peer), Src: scratchRef(routePackS, off, len(m.blocks))})
 			off += len(m.blocks)
 		}
 		return steps

@@ -45,22 +45,22 @@ func TestRouteTransitLayout(t *testing.T) {
 			if n := rp.Stats().ScratchBlocks; p == 256 && n > p*p/8 {
 				t.Fatalf("%v rank %d: %d scratch blocks, want at most p^2/8 = %d", w, r, n, p*p/8)
 			}
-			wrote := make(map[int]int) // transit slot -> round that wrote it
+			wrote := make(map[int32]int) // transit slot -> round that wrote it
 			for ri, steps := range rp.Rounds {
 				sent, recvd := 0, 0
 				for si, st := range steps {
 					switch st.Kind {
 					case Send:
-						sent += st.Src.N
+						sent += int(st.Src.N)
 					case Recv:
-						recvd += st.Dst.N
+						recvd += int(st.Dst.N)
 					}
-					for k := 0; st.Src.Buf == transit && k < st.Src.N; k++ {
+					for k := int32(0); st.Src.Buf == transit && k < st.Src.N; k++ {
 						if at, ok := wrote[st.Src.Off+k]; !ok || at != ri {
 							t.Fatalf("%v rank %d round %d step %d reads transit slot %d, not written earlier in the round", w, r, ri, si, st.Src.Off+k)
 						}
 					}
-					for k := 0; st.Dst.Buf == transit && k < st.Dst.N; k++ {
+					for k := int32(0); st.Dst.Buf == transit && k < st.Dst.N; k++ {
 						if at, ok := wrote[st.Dst.Off+k]; ok {
 							t.Fatalf("%v rank %d round %d step %d writes transit slot %d again (first written in round %d)", w, r, ri, si, st.Dst.Off+k, at)
 						}

@@ -120,50 +120,93 @@ const (
 	SpaceScratch = 2
 )
 
-// Kind names a step type.
-type Kind string
+// Kind names a step type. It is one byte in memory and its name in
+// JSON; the zero Kind is no step type at all.
+type Kind uint8
 
 // Step kinds.
 const (
 	// Send transmits Src to rank To.
-	Send Kind = "send"
+	Send Kind = iota + 1
 	// Recv receives from rank From into Dst.
-	Recv Kind = "recv"
+	Recv
 	// SendRecv combines a send (To, Src) and a receive (From, Dst) in one
 	// step — the pairwise-exchange primitive.
-	SendRecv Kind = "sendrecv"
+	SendRecv
 	// Copy moves Src to Dst within this rank's buffers (equal lengths).
-	Copy Kind = "copy"
+	Copy
 	// Reduce combines Src into Dst within this rank's buffers:
 	// Dst = Dst op Src, elementwise over equal-length refs, using the
 	// operator the schedule is labeled with (Step.Op must equal
 	// Schedule.Op; the verifier rejects a mismatch). Reduce steps are
 	// only legal in reduction schedules (reduce-scatter, allreduce); the
 	// executor runs them with the operator installed via Exec.SetOp.
-	Reduce Kind = "reduce"
+	Reduce
 )
+
+// kindNames are the kinds' names, by Kind; the zero Kind's is empty.
+var kindNames = [...]string{"", "send", "recv", "sendrecv", "copy", "reduce"}
+
+// String returns the kind's name: "send", "recv", "sendrecv", "copy" or
+// "reduce", empty for the zero Kind, Kind(n) for any other value.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+// MarshalText encodes the kind as its name, refusing a value that is no
+// step kind.
+func (k Kind) MarshalText() ([]byte, error) {
+	if k < Send || k > Reduce {
+		return nil, fmt.Errorf("sched: cannot encode unknown step kind %q", k)
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText decodes a kind's name, refusing any other.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i := Send; i <= Reduce; i++ {
+		if kindNames[i] == string(b) {
+			*k = i
+			return nil
+		}
+	}
+	return fmt.Errorf("sched: unknown step kind %q", b)
+}
 
 // Ref addresses a contiguous run of N blocks at offset Off (both in block
 // units) of buffer space Buf. It encodes as the JSON array [buf, off, n]
 // to keep schedule artifacts compact.
 type Ref struct {
-	Buf int
-	Off int
-	N   int
+	Buf int32
+	Off int32
+	N   int32
 }
 
 // MarshalJSON encodes the ref as [buf, off, n].
 func (r Ref) MarshalJSON() ([]byte, error) {
-	return json.Marshal([3]int{r.Buf, r.Off, r.N})
+	return json.Marshal([3]int32{r.Buf, r.Off, r.N})
 }
 
-// UnmarshalJSON decodes the [buf, off, n] form.
+// UnmarshalJSON decodes the [buf, off, n] form: exactly three integers,
+// each within int32.
 func (r *Ref) UnmarshalJSON(b []byte) error {
-	var a [3]int
+	var a []int64
 	if err := json.Unmarshal(b, &a); err != nil {
 		return fmt.Errorf("sched: ref must be [buf, off, n]: %w", err)
 	}
-	r.Buf, r.Off, r.N = a[0], a[1], a[2]
+	text := func() []byte { t, _ := json.Marshal(a); return t }
+	if len(a) != 3 {
+		return fmt.Errorf("sched: ref %s must be [buf, off, n], three integers", text())
+	}
+	for _, v := range a {
+		if v != int64(int32(v)) {
+			return fmt.Errorf("sched: ref %s: %d is outside int32", text(), v)
+		}
+	}
+	r.Buf, r.Off, r.N = int32(a[0]), int32(a[1]), int32(a[2])
 	return nil
 }
 
@@ -173,11 +216,11 @@ func (r Ref) String() string { return fmt.Sprintf("[%d %d+%d]", r.Buf, r.Off, r.
 // meaningful depends on Kind: Send uses To/Src, Recv uses From/Dst,
 // SendRecv all four, Copy uses Src/Dst, Reduce uses Src/Dst/Op.
 type Step struct {
-	Kind Kind `json:"k"`
-	To   int  `json:"t,omitempty"`
-	From int  `json:"f,omitempty"`
-	Src  Ref  `json:"s"`
-	Dst  Ref  `json:"d"`
+	Kind Kind  `json:"k"`
+	To   int32 `json:"t,omitempty"`
+	From int32 `json:"f,omitempty"`
+	Src  Ref   `json:"s"`
+	Dst  Ref   `json:"d"`
 	// Op is the operator label of a Reduce step; it must match the
 	// schedule's Op (per-step so a spliced or hand-edited artifact cannot
 	// silently combine under the wrong operator).
@@ -255,13 +298,13 @@ func (s *Schedule) Stats() Stats {
 				switch step.Kind {
 				case Send, SendRecv:
 					msgs++
-					st.WireBlocks += step.Src.N
+					st.WireBlocks += int(step.Src.N)
 				case Copy:
 					st.Copies++
-					st.CopyBlocks += step.Src.N
+					st.CopyBlocks += int(step.Src.N)
 				case Reduce:
 					st.Reduces++
-					st.ReduceBlocks += step.Src.N
+					st.ReduceBlocks += int(step.Src.N)
 				}
 			}
 		}
@@ -290,8 +333,8 @@ func (s *Schedule) RoundMatrix(ri int) [][]int {
 		for _, step := range steps {
 			switch step.Kind {
 			case Send, SendRecv:
-				if step.To >= 0 && step.To < s.Ranks {
-					m[r][step.To] += step.Src.N
+				if to := int(step.To); to >= 0 && to < s.Ranks {
+					m[r][to] += int(step.Src.N)
 				}
 			}
 		}

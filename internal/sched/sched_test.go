@@ -2,10 +2,12 @@ package sched
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestRefJSONRoundTrip(t *testing.T) {
@@ -27,6 +29,83 @@ func TestRefJSONRoundTrip(t *testing.T) {
 	}
 	if err := Verify(got); err != nil {
 		t.Fatalf("decoded schedule fails verification: %v", err)
+	}
+}
+
+// TestDecodeRefusals: the pairwise world and program decode and verify,
+// and each decodeRefusals edit of them makes Decode and DecodeRank fail
+// with an error naming the edited value.
+func TestDecodeRefusals(t *testing.T) {
+	t.Parallel()
+	s, err := Decode(strings.NewReader(pairwise2World))
+	if err == nil {
+		err = Verify(s)
+	}
+	if err != nil {
+		t.Fatalf("unedited world: %v", err)
+	}
+	rp, err := DecodeRank(strings.NewReader(pairwise2Rank0))
+	if err == nil {
+		err = VerifyRank(rp)
+	}
+	if err != nil {
+		t.Fatalf("unedited program: %v", err)
+	}
+	decoders := []struct {
+		name, file string
+		decode     func(io.Reader) error
+	}{
+		{"Decode", pairwise2World, func(r io.Reader) error { _, err := Decode(r); return err }},
+		{"DecodeRank", pairwise2Rank0, func(r io.Reader) error { _, err := DecodeRank(r); return err }},
+	}
+	for _, e := range decodeRefusals {
+		for _, d := range decoders {
+			edited := strings.Replace(d.file, e.old, e.new, 1)
+			if edited == d.file {
+				t.Fatalf("%s: the %s file has no %s to edit", e.name, d.name, e.old)
+			}
+			if err := d.decode(strings.NewReader(edited)); err == nil || !strings.Contains(err.Error(), e.want) {
+				t.Errorf("%s of the %s edit = %v, want an error naming %s", d.name, e.name, err, e.want)
+			}
+		}
+	}
+}
+
+// TestKindNames: String gives each step kind its JSON name, the zero
+// Kind an empty one and any other value a Kind(n) form; encoding a
+// value that is no step kind is an error.
+func TestKindNames(t *testing.T) {
+	t.Parallel()
+	for k, want := range map[Kind]string{Send: "send", Recv: "recv", SendRecv: "sendrecv", Copy: "copy", Reduce: "reduce", 0: "", 200: "Kind(200)"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind %d is named %q, want %q", uint8(k), got, want)
+		}
+	}
+	for _, k := range []Kind{0, Reduce + 1, 200} {
+		rp := &RankProgram{Name: "x", Ranks: 1, Rounds: [][]Step{{{Kind: k}}}}
+		if err := rp.Encode(io.Discard); err == nil || !strings.Contains(err.Error(), "cannot encode unknown step kind") {
+			t.Errorf("encoding Kind %d = %v, want the unknown kind refused", uint8(k), err)
+		}
+	}
+}
+
+// TestStepLayout pins the in-memory step at 56 bytes on a 64-bit
+// platform: a one-byte kind, int32 peers, two refs of three int32s and
+// the operator label. MemBytes charges every step this size.
+func TestStepLayout(t *testing.T) {
+	t.Parallel()
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pinned sizes are a 64-bit platform's")
+	}
+	if got := unsafe.Sizeof(Step{}); got != 56 {
+		t.Errorf("Step is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(Ref{}); got != 12 {
+		t.Errorf("Ref is %d bytes, want 12", got)
+	}
+	rp := &RankProgram{Rounds: [][]Step{make([]Step, 10)}}
+	if got, want := rp.MemBytes(), int64(10*56+24+128); got != want {
+		t.Errorf("MemBytes of a 10-step round = %d, want %d", got, want)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"alltoallx/internal/artifact"
 	"alltoallx/internal/topo"
@@ -119,13 +120,13 @@ func (rp *RankProgram) Stats() Stats {
 			switch step.Kind {
 			case Send, SendRecv:
 				msgs++
-				st.WireBlocks += step.Src.N
+				st.WireBlocks += int(step.Src.N)
 			case Copy:
 				st.Copies++
-				st.CopyBlocks += step.Src.N
+				st.CopyBlocks += int(step.Src.N)
 			case Reduce:
 				st.Reduces++
-				st.ReduceBlocks += step.Src.N
+				st.ReduceBlocks += int(step.Src.N)
 			}
 		}
 		st.Messages += msgs
@@ -146,14 +147,11 @@ func (rp *RankProgram) Steps() int {
 	return n
 }
 
-// stepBytes approximates the in-memory footprint of one Step (kind
-// header, peers, two refs, slice overhead amortized).
-const stepBytes = 96
-
 // MemBytes estimates the program's in-memory footprint, for cache byte
-// accounting.
+// accounting: its steps at their in-memory size, a slice header per
+// round, the scratch declarations and a fixed header.
 func (rp *RankProgram) MemBytes() int64 {
-	return int64(rp.Steps())*stepBytes + int64(len(rp.Rounds))*24 +
+	return int64(rp.Steps())*int64(unsafe.Sizeof(Step{})) + int64(len(rp.Rounds))*24 +
 		int64(len(rp.Scratch))*8 + 128
 }
 
@@ -168,11 +166,12 @@ func (rp *RankProgram) Encode(w io.Writer) error {
 
 // Digest returns the SHA-256 of the program's canonical binary encoding:
 // every header field, then every step field, in declaration order, with
-// integers as varints and strings and lists length-prefixed (so a nil
-// and an empty list digest alike, as they encode alike). Programs with
-// equal digests are byte-identical, which is what lets a world proof's
-// recorded digests stand for the programs it verified. Prove folds the
-// same encoding one round at a time, as it walks the rounds.
+// integers as varints, a step's kind as its name, and strings and lists
+// length-prefixed (so a nil and an empty list digest alike, as they
+// encode alike). Programs with equal digests are byte-identical, which
+// is what lets a world proof's recorded digests stand for the programs
+// it verified. Prove folds the same encoding one round at a time, as it
+// walks the rounds.
 func (rp *RankProgram) Digest() [sha256.Size]byte {
 	d := newDigester(rp, len(rp.Rounds))
 	for _, steps := range rp.Rounds {
@@ -235,12 +234,14 @@ func (d *digester) round(steps []Step) {
 	d.num(len(steps))
 	for i := range steps {
 		s := &steps[i]
-		d.room(len(s.Kind) + len(s.Op) + 11*binary.MaxVarintLen64)
-		b := binary.AppendVarint(d.b, int64(len(s.Kind)))
-		b = append(b, s.Kind...)
-		for _, v := range [...]int{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N, len(s.Op)} {
+		kind := s.Kind.String()
+		d.room(len(kind) + len(s.Op) + 11*binary.MaxVarintLen64)
+		b := binary.AppendVarint(d.b, int64(len(kind)))
+		b = append(b, kind...)
+		for _, v := range [...]int32{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N} {
 			b = binary.AppendVarint(b, int64(v))
 		}
+		b = binary.AppendVarint(b, int64(len(s.Op)))
 		d.b = append(b, s.Op...)
 	}
 }

@@ -223,7 +223,7 @@ func TestWorldDriverRejections(t *testing.T) {
 		{"same-round-recv-read", "direct", func(rps []*RankProgram) {
 			// Copy out of a slot a same-round receive writes.
 			from := rps[0].Rounds[0][1].From
-			rps[0].Rounds[0] = append(rps[0].Rounds[0], Step{Kind: Copy, Src: recvRef(from, 1), Dst: scratchRef(0, 0, 1)})
+			rps[0].Rounds[0] = append(rps[0].Rounds[0], Step{Kind: Copy, Src: recvRef(int(from), 1), Dst: scratchRef(0, 0, 1)})
 			rps[0].Scratch = []int{1}
 			for r := 1; r < p; r++ {
 				rps[r].Scratch = []int{1}

@@ -304,13 +304,13 @@ func (w *rankWalker) size(buf int) int {
 // inSpace reports whether ref is a nonempty range inside one of the
 // program's spaces, within the walker's limits.
 func (w *rankWalker) inSpace(ref Ref) bool {
-	size := w.size(ref.Buf)
-	return size >= 0 && size < maxSpace && ref.Buf < maxBuf && ref.N > 0 && ref.Off >= 0 && ref.N <= size-ref.Off
+	size := w.size(int(ref.Buf))
+	return size >= 0 && size < maxSpace && ref.Buf < maxBuf && ref.N > 0 && ref.Off >= 0 && int(ref.N) <= size-int(ref.Off)
 }
 
 // refError names why inSpace refuses ref.
 func (w *rankWalker) refError(ref Ref, where stepLoc) error {
-	switch size := w.size(ref.Buf); {
+	switch size := w.size(int(ref.Buf)); {
 	case size < 0:
 		return fmt.Errorf("%s: unknown buffer space %d", where, ref.Buf)
 	case ref.Buf >= maxBuf || size >= maxSpace:
@@ -330,8 +330,8 @@ func (w *rankWalker) slot(ref Ref, k int, alloc bool) *cell {
 	if ref.Buf == SpaceSend {
 		return nil
 	}
-	key := slotKey(ref.Buf, ref.Off+k)
-	rc := &w.recent[ref.Buf%len(w.recent)]
+	key := slotKey(int(ref.Buf), int(ref.Off)+k)
+	rc := &w.recent[int(ref.Buf)%len(w.recent)]
 	if pk := key >> pageBits; pk != rc.key {
 		pg := w.find(pk, alloc)
 		if pg == nil {
@@ -399,14 +399,14 @@ func (w *rankWalker) home(pk uint64) int {
 // budget.
 func (w *rankWalker) overBudget(ref Ref, k int, where stepLoc) error {
 	return fmt.Errorf("%s: slot %d of space %d would take the walker past its budget of %d cells (ranks squared, plus %d per buffer space)",
-		where, ref.Off+k, ref.Buf, w.budget, pageSize)
+		where, int(ref.Off)+k, ref.Buf, w.budget, pageSize)
 }
 
 // value reads slot k of ref, given its cell from slot.
 func (w *rankWalker) value(ref Ref, c *cell, k int) int64 {
 	switch {
 	case ref.Buf == SpaceSend:
-		return seed(w.rank, ref.Off+k)
+		return seed(w.rank, int(ref.Off)+k)
 	case c == nil:
 		return undef
 	}
@@ -437,24 +437,25 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 		if step.Dst.Buf == SpaceSend {
 			return fmt.Errorf("%s: schedules must not write the user send buffer", where)
 		}
-		if step.From < 0 || step.From >= v.p || step.From == r {
-			return fmt.Errorf("sched: round %d rank %d step %d: receive source %d out of range", ri, r, si, step.From)
+		from := int(step.From)
+		if from < 0 || from >= v.p || from == r {
+			return fmt.Errorf("sched: round %d rank %d step %d: receive source %d out of range", ri, r, si, from)
 		}
-		if v.fromAt[step.From] == v.visit {
-			return fmt.Errorf("sched: round %d: two receives from %d at %d (per-round tags would be ambiguous)", ri, step.From, r)
+		if v.fromAt[from] == v.visit {
+			return fmt.Errorf("sched: round %d: two receives from %d at %d (per-round tags would be ambiguous)", ri, from, r)
 		}
-		v.fromAt[step.From] = v.visit
-		for k := 0; k < step.Dst.N; k++ {
+		v.fromAt[from] = v.visit
+		for k := range int(step.Dst.N) {
 			c := w.slot(step.Dst, k, true)
 			if c == nil {
 				return w.overBudget(step.Dst, k, where)
 			}
 			if c.recvAt == stamp {
-				return fmt.Errorf("sched: round %d rank %d: two receives write slot %d in one round", ri, r, step.Dst.Off+k)
+				return fmt.Errorf("sched: round %d rank %d: two receives write slot %d in one round", ri, r, int(step.Dst.Off)+k)
 			}
 			c.recvAt = stamp
 		}
-		v.recvs = append(v.recvs, message{peer: step.From, ref: step.Dst})
+		v.recvs = append(v.recvs, message{peer: from, ref: step.Dst})
 	}
 
 	// Pass 2: copies, reduces and sends in step order.
@@ -479,7 +480,8 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 			// model and the executor's memmove semantics (comm.CopyData)
 			// disagree on them, and for Reduce overlap would combine a
 			// partial into itself.
-			if step.Src.Buf == step.Dst.Buf && step.Src.Off < step.Dst.Off+step.Dst.N && step.Dst.Off < step.Src.Off+step.Src.N {
+			if step.Src.Buf == step.Dst.Buf &&
+				int(step.Src.Off) < int(step.Dst.Off)+int(step.Dst.N) && int(step.Dst.Off) < int(step.Src.Off)+int(step.Src.N) {
 				return fmt.Errorf("%s: src %v and dst %v overlap", where, step.Src, step.Dst)
 			}
 			if step.Kind == Reduce {
@@ -490,25 +492,25 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 					return fmt.Errorf("%s: operator %q does not match the schedule's %q", where, step.Op, v.op)
 				}
 			}
-			for k := 0; k < step.Src.N; k++ {
+			for k := range int(step.Src.N) {
 				sc, dc := w.slot(step.Src, k, false), w.slot(step.Dst, k, false)
 				if sc != nil && sc.recvAt == stamp {
-					return fmt.Errorf("%s: reads slot %d received in the same round (received data is only available in later rounds)", where, step.Src.Off+k)
+					return fmt.Errorf("%s: reads slot %d received in the same round (received data is only available in later rounds)", where, int(step.Src.Off)+k)
 				}
 				if dc != nil && dc.recvAt == stamp {
-					return fmt.Errorf("%s: writes slot %d a same-round receive also writes", where, step.Dst.Off+k)
+					return fmt.Errorf("%s: writes slot %d a same-round receive also writes", where, int(step.Dst.Off)+k)
 				}
 				if dc != nil && dc.readAt == stamp {
-					return fmt.Errorf("%s: overwrites slot %d an earlier send of the round is transmitting", where, step.Dst.Off+k)
+					return fmt.Errorf("%s: overwrites slot %d an earlier send of the round is transmitting", where, int(step.Dst.Off)+k)
 				}
 				val := w.value(step.Src, sc, k)
 				if val == undef {
-					return fmt.Errorf("%s: reads undefined data at slot %d", where, step.Src.Off+k)
+					return fmt.Errorf("%s: reads undefined data at slot %d", where, int(step.Src.Off)+k)
 				}
 				if step.Kind == Reduce {
 					dval := w.value(step.Dst, dc, k)
 					if dval == undef {
-						return fmt.Errorf("%s: reduces into undefined data at slot %d", where, step.Dst.Off+k)
+						return fmt.Errorf("%s: reduces into undefined data at slot %d", where, int(step.Dst.Off)+k)
 					}
 					var err error
 					if val, err = v.combine(val, dval, where); err != nil {
@@ -525,26 +527,27 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 			if !w.inSpace(step.Src) {
 				return w.refError(step.Src, where.src())
 			}
-			if step.To < 0 || step.To >= v.p || step.To == r {
-				return fmt.Errorf("%s: send destination %d out of range", where, step.To)
+			to := int(step.To)
+			if to < 0 || to >= v.p || to == r {
+				return fmt.Errorf("%s: send destination %d out of range", where, to)
 			}
-			if v.toAt[step.To] == v.visit {
-				return fmt.Errorf("sched: round %d: two sends from %d to %d (per-round tags would be ambiguous)", ri, r, step.To)
+			if v.toAt[to] == v.visit {
+				return fmt.Errorf("sched: round %d: two sends from %d to %d (per-round tags would be ambiguous)", ri, r, to)
 			}
-			v.toAt[step.To] = v.visit
-			for k := 0; k < step.Src.N; k++ {
+			v.toAt[to] = v.visit
+			for k := range int(step.Src.N) {
 				sc := w.slot(step.Src, k, false)
 				if sc != nil && sc.recvAt == stamp {
-					return fmt.Errorf("%s: sends slot %d received in the same round", where, step.Src.Off+k)
+					return fmt.Errorf("%s: sends slot %d received in the same round", where, int(step.Src.Off)+k)
 				}
 				if w.value(step.Src, sc, k) == undef {
-					return fmt.Errorf("%s: sends undefined data at slot %d", where, step.Src.Off+k)
+					return fmt.Errorf("%s: sends undefined data at slot %d", where, int(step.Src.Off)+k)
 				}
 				if sc != nil {
 					sc.readAt = stamp
 				}
 			}
-			v.sends = append(v.sends, message{peer: step.To, ref: step.Src})
+			v.sends = append(v.sends, message{peer: to, ref: step.Src})
 		case Recv:
 			// Posted in pass 1.
 		default:
@@ -558,7 +561,7 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 // sender's src (world driver) or unknown values (lone driver, sender
 // nil).
 func (w *rankWalker) deliver(dst Ref, sender *rankWalker, src Ref, where stepLoc) error {
-	for k := 0; k < dst.N; k++ {
+	for k := range int(dst.N) {
 		val := unknown
 		if sender != nil {
 			val = sender.value(src, sender.slot(src, k, false), k)
@@ -580,7 +583,7 @@ func (w *rankWalker) write(ref Ref, k int, c *cell, val int64, where stepLoc) er
 		}
 	}
 	if ref.Buf == SpaceRecv {
-		x := ref.Off + k
+		x := int(ref.Off) + k
 		if c.val != undef {
 			return fmt.Errorf("%s: recv block %d of rank %d written more than once (block delivered twice)", where, x, w.rank)
 		}
@@ -638,7 +641,7 @@ func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
 // was checked at write time).
 func (w *rankWalker) final() error {
 	x := 0
-	for ref := (Ref{Buf: SpaceRecv, N: w.recvSize}); x < w.recvSize; x++ {
+	for ref := (Ref{Buf: SpaceRecv, N: int32(w.recvSize)}); x < w.recvSize; x++ {
 		if c := w.slot(ref, x, false); c == nil || c.val == undef {
 			break
 		}

@@ -71,7 +71,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 				st := &s.Rounds[1].Steps[0]
 				for i := range *st {
 					if (*st)[i].Kind == SendRecv {
-						(*st)[i].Dst.Off = ((*st)[i].Dst.Off + 1) % s.Ranks
+						(*st)[i].Dst.Off = ((*st)[i].Dst.Off + 1) % int32(s.Ranks)
 					}
 				}
 			},
@@ -80,7 +80,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{
 			name: "offset out of range",
 			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].Src.Off = s.Ranks
+				s.Rounds[1].Steps[0][0].Src.Off = int32(s.Ranks)
 			},
 			wantErr: "out of space",
 		},
@@ -101,7 +101,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{
 			name: "unknown step kind",
 			corrupt: func(s *Schedule) {
-				s.Rounds[0].Steps[0][0].Kind = Kind("warp")
+				s.Rounds[0].Steps[0][0].Kind = Kind(200)
 			},
 			wantErr: "unknown step kind",
 		},
@@ -115,7 +115,7 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		{
 			name: "peer out of range",
 			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].To = s.Ranks
+				s.Rounds[1].Steps[0][0].To = int32(s.Ranks)
 			},
 			wantErr: "out of range",
 		},
@@ -440,7 +440,8 @@ func TestVerifyBudgetsCells(t *testing.T) {
 // aliasingProgram is rank 0 of the 2-rank direct schedule with scratch
 // spaces of size and 1 blocks and a prepended round that writes slot
 // size-1 of space 0, then reads slot 0 of space 1, which nothing wrote.
-// At size 2^40+1 the two slots share a key packed as buf<<40|off.
+// At size 2^31 the first is the farthest slot a ref's int32 offset
+// reaches, and the two slots would share a key packed as buf<<31|off.
 func aliasingProgram(t testing.TB, size int) *RankProgram {
 	rp, err := GenerateRank("direct", 2, 0, nil)
 	if err != nil {
@@ -454,12 +455,12 @@ func aliasingProgram(t testing.TB, size int) *RankProgram {
 	return rp
 }
 
-// TestVerifyRankScratchAliasing: scratch slot 2^40 of space 0 and slot 0
-// of space 1 are distinct slots, however the walker keys them, so
+// TestVerifyRankScratchAliasing: scratch slot 2^31-1 of space 0 and slot
+// 0 of space 1 are distinct slots, however the walker keys them, so
 // reading the second before anything wrote it is an undefined read.
 func TestVerifyRankScratchAliasing(t *testing.T) {
 	t.Parallel()
-	for _, size := range []int{1<<40 + 1, 1} {
+	for _, size := range []int{1 << 31, 1} {
 		rp := aliasingProgram(t, size)
 		if err := VerifyRank(rp); err == nil || !strings.Contains(err.Error(), "reads undefined data") {
 			t.Errorf("scratch %v: VerifyRank = %v, want an undefined read", rp.Scratch, err)
