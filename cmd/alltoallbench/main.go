@@ -60,7 +60,7 @@ func main() {
 		jsonPath = flag.String("json", "",
 			"with -experiment regress, scale, contention or drift: write the machine-readable output (BENCH_regress.json / BENCH_scale.json / BENCH_contention.json / BENCH_drift.json) to this path")
 		maxRanks = flag.Int("maxranks", 0,
-			"with -experiment scale, contention or drift: cap the swept world size (0 = the experiment's full sweep; CI smoke uses 256)")
+			"with -experiment scale, contention or drift: cap the swept world size (0 = the experiment's full sweep; CI's scale smoke uses 256)")
 		schedRoot = flag.String("schedreg", "", "schedule-registry directory: resolve sched:* programs through it (each world proved once across processes)")
 	)
 	flag.Parse()

@@ -63,8 +63,6 @@ type mailbox struct {
 	posted     []postedRecv
 }
 
-func (m *mailbox) init() {}
-
 // deliverEager matches the message against the posted queue or stores a
 // buffered copy in the unexpected queue. The sender does not block.
 func (m *mailbox) deliverEager(ctx int64, src, tag, length int, payload []byte) {

@@ -98,9 +98,6 @@ func newWorld(cfg Config) (*world, error) {
 	}
 	w := &world{size: n, mapping: cfg.Mapping, eagerMax: eager, start: time.Now()}
 	w.boxes = make([]mailbox, n)
-	for i := range w.boxes {
-		w.boxes[i].init()
-	}
 	ranks := make([]int, n)
 	for i := range ranks {
 		ranks[i] = i
@@ -131,10 +128,9 @@ func newCommShared(w *world, id int64, ranks []int) *commShared {
 
 // Comm is one rank's handle on a communicator. It implements comm.Comm.
 type Comm struct {
-	sh        *commShared
-	rank      int
-	splitSeq  int // per-rank collective call counter for Split matching
-	barrierHi int // unused counter kept for symmetry/debugging
+	sh       *commShared
+	rank     int
+	splitSeq int // per-rank collective call counter for Split matching
 }
 
 var (
@@ -319,8 +315,16 @@ func (c *Comm) WaitAll(rs []comm.Request) error {
 
 // Sendrecv posts the receive first, then sends, so that symmetric exchanges
 // (everyone calls Sendrecv at once, as pairwise exchange does) cannot
-// deadlock even in rendezvous mode.
+// deadlock even in rendezvous mode. The send's peer and tag are checked
+// before the receive is posted: a receive left posted by a failed call
+// would take the peer's next message on its tag.
 func (c *Comm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, rtag int) error {
+	if err := comm.CheckPeer(dst, c.Size()); err != nil {
+		return err
+	}
+	if err := comm.CheckTag(stag); err != nil {
+		return err
+	}
 	rreq, err := c.Irecv(rb, src, rtag)
 	if err != nil {
 		return err

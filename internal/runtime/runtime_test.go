@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"alltoallx/internal/comm"
 	"alltoallx/internal/testutil"
@@ -397,5 +398,51 @@ func TestMemcpyAndChargeCopy(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("length-mismatched Memcpy accepted")
+	}
+}
+
+// TestSendrecvBadSendLeavesNoReceive calls Sendrecv with an out-of-range
+// destination and then a negative send tag, each with a valid receive
+// half: both must fail without posting that receive, so the peer's next
+// message on the receive tag reaches the Recv that follows. A receive
+// left posted would swallow it, and the Recv would take a later message
+// or block forever; the timeout turns the hang into a failure.
+func TestSendrecvBadSendLeavesNoReceive(t *testing.T) {
+	t.Parallel()
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(Config{Ranks: 2}, func(c comm.Comm) error {
+			b := comm.Alloc(4)
+			if c.Rank() == 1 {
+				for i := 0; i < 2; i++ {
+					testutil.FillBlock(b, 1, i)
+					if err := c.Send(b, 0, 7); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			bad := []struct{ dst, stag int }{{5, 0}, {1, -1}}
+			for i, a := range bad {
+				if err := c.Sendrecv(b, a.dst, a.stag, comm.Alloc(4), 1, 7); err == nil {
+					return fmt.Errorf("Sendrecv to %d with tag %d accepted", a.dst, a.stag)
+				}
+				if err := c.Recv(b, 1, 7); err != nil {
+					return err
+				}
+				if err := testutil.CheckBlock(b, 1, i); err != nil {
+					return fmt.Errorf("message %d: %w", i, err)
+				}
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Recv after a failed Sendrecv did not complete in 10 s: the failed call left its receive posted")
 	}
 }

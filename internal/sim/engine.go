@@ -145,6 +145,14 @@ type Proc struct {
 	// w is the WaitAll bookkeeping, reused across parks for the same
 	// reason: a parked process waits on one set of requests at a time.
 	w waiter
+	// reqs are the requests of the blocking calls (Send, Recv, Sendrecv),
+	// reset at the start of each: such a call waits for its requests
+	// before it returns, and nothing keeps a pointer to one past that
+	// (a rendezvous flight drops its sender's once it completes it), so
+	// the next call may reuse them. waitList is SimComm.WaitAll's request
+	// list, reused the same way.
+	reqs     [2]simReq
+	waitList []*simReq
 }
 
 // Spawn registers a process whose body starts at virtual time 0. Must be

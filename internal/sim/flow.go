@@ -59,6 +59,36 @@ type LinkStats struct {
 	MaxQueueBytes int
 }
 
+// bookingQueue is a link's FIFO of undrained bookings: a ring buffer
+// that doubles when full, so a link books without allocating once its
+// queue has been as deep before.
+type bookingQueue struct {
+	ring []linkBooking // empty or a power of two long
+	head int           // index of the oldest booking
+	n    int           // live bookings
+}
+
+func (q *bookingQueue) push(b linkBooking) {
+	if q.n == len(q.ring) {
+		grown := make([]linkBooking, max(8, 2*len(q.ring)))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = b
+	q.n++
+}
+
+// front returns the oldest booking; the queue must not be empty.
+func (q *bookingQueue) front() linkBooking { return q.ring[q.head] }
+
+func (q *bookingQueue) pop() linkBooking {
+	b := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return b
+}
+
 // flowLink is one directed fabric link: a FIFO-served resource with a
 // finite queue. All methods run under the engine's one-at-a-time
 // discipline in nondecreasing virtual time (the same conservative-DES
@@ -69,18 +99,23 @@ type flowLink struct {
 	depth    int
 
 	nextFree    float64
-	queue       []linkBooking
+	queue       bookingQueue
 	queuedBytes int
 	stats       LinkStats
 }
 
+// retire drains the oldest booking and returns its finish time.
+func (l *flowLink) retire() float64 {
+	b := l.queue.pop()
+	l.queuedBytes -= b.bytes
+	l.stats.BytesDrained += int64(b.bytes)
+	return b.finish
+}
+
 // drain retires bookings whose serialization ended by time t.
 func (l *flowLink) drain(t float64) {
-	for len(l.queue) > 0 && l.queue[0].finish <= t {
-		b := l.queue[0]
-		l.queue = l.queue[1:]
-		l.queuedBytes -= b.bytes
-		l.stats.BytesDrained += int64(b.bytes)
+	for l.queue.n > 0 && l.queue.front().finish <= t {
+		l.retire()
 	}
 }
 
@@ -92,13 +127,9 @@ func (l *flowLink) drain(t float64) {
 func (l *flowLink) admit(ready float64, bytes int) (start, blocked, queued float64) {
 	l.drain(ready)
 	admission := ready
-	for l.queuedBytes+bytes > l.depth && len(l.queue) > 0 {
-		b := l.queue[0]
-		l.queue = l.queue[1:]
-		l.queuedBytes -= b.bytes
-		l.stats.BytesDrained += int64(b.bytes)
-		if b.finish > admission {
-			admission = b.finish
+	for l.queuedBytes+bytes > l.depth && l.queue.n > 0 {
+		if finish := l.retire(); finish > admission {
+			admission = finish
 		}
 	}
 	blocked = admission - ready
@@ -112,7 +143,7 @@ func (l *flowLink) admit(ready float64, bytes int) (start, blocked, queued float
 		dur = float64(bytes) / l.rate
 	}
 	l.nextFree = start + dur
-	l.queue = append(l.queue, linkBooking{finish: start + dur, bytes: bytes})
+	l.queue.push(linkBooking{finish: start + dur, bytes: bytes})
 	l.queuedBytes += bytes
 	if l.queuedBytes > l.stats.MaxQueueBytes {
 		l.stats.MaxQueueBytes = l.queuedBytes
@@ -128,11 +159,8 @@ func (l *flowLink) admit(ready float64, bytes int) (start, blocked, queued float
 // finalize retires every outstanding booking (taken at report time: the
 // run is over, the tails have left the wire).
 func (l *flowLink) finalize() {
-	for len(l.queue) > 0 {
-		b := l.queue[0]
-		l.queue = l.queue[1:]
-		l.queuedBytes -= b.bytes
-		l.stats.BytesDrained += int64(b.bytes)
+	for l.queue.n > 0 {
+		l.retire()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"alltoallx/internal/comm"
@@ -233,7 +234,7 @@ func TestFlowConservationFuzz(t *testing.T) {
 					t.Errorf("trial %d: link %d->%d busy until %.9g, past run end %.9g",
 						ti, l.from, l.to, l.nextFree, final)
 				}
-				for _, b := range l.queue {
+				for _, b := range l.queue.live() {
 					if b.finish > final+eps {
 						t.Errorf("trial %d: link %d->%d holds a booking finishing at %.9g, past run end %.9g",
 							ti, l.from, l.to, b.finish, final)
@@ -303,5 +304,132 @@ func TestFlowConfigFailFast(t *testing.T) {
 		} else if testing.Verbose() {
 			fmt.Printf("%s: %v\n", c.name, err)
 		}
+	}
+}
+
+// live returns the queue's undrained bookings, oldest first.
+func (q *bookingQueue) live() []linkBooking {
+	out := make([]linkBooking, q.n)
+	for i := range out {
+		out[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	return out
+}
+
+// sliceLink is flowLink with the slice FIFO it had before its ring buffer
+// (pop by reslicing, push by append): the reference
+// TestFlowLinkRingMatchesSlice holds the ring to.
+type sliceLink struct {
+	rate        float64
+	depth       int
+	nextFree    float64
+	queue       []linkBooking
+	queuedBytes int
+	stats       LinkStats
+}
+
+func (l *sliceLink) drain(t float64) {
+	for len(l.queue) > 0 && l.queue[0].finish <= t {
+		b := l.queue[0]
+		l.queue = l.queue[1:]
+		l.queuedBytes -= b.bytes
+		l.stats.BytesDrained += int64(b.bytes)
+	}
+}
+
+func (l *sliceLink) admit(ready float64, bytes int) (start, blocked, queued float64) {
+	l.drain(ready)
+	admission := ready
+	for l.queuedBytes+bytes > l.depth && len(l.queue) > 0 {
+		b := l.queue[0]
+		l.queue = l.queue[1:]
+		l.queuedBytes -= b.bytes
+		l.stats.BytesDrained += int64(b.bytes)
+		if b.finish > admission {
+			admission = b.finish
+		}
+	}
+	blocked = admission - ready
+	start = admission
+	if l.nextFree > start {
+		start = l.nextFree
+	}
+	queued = start - admission
+	var dur float64
+	if bytes > 0 {
+		dur = float64(bytes) / l.rate
+	}
+	l.nextFree = start + dur
+	l.queue = append(l.queue, linkBooking{finish: start + dur, bytes: bytes})
+	l.queuedBytes += bytes
+	if l.queuedBytes > l.stats.MaxQueueBytes {
+		l.stats.MaxQueueBytes = l.queuedBytes
+	}
+	l.stats.Messages++
+	l.stats.BytesEnqueued += int64(bytes)
+	l.stats.BusySeconds += dur
+	l.stats.BlockedSeconds += blocked
+	l.stats.QueuedSeconds += queued
+	return start, blocked, queued
+}
+
+func (l *sliceLink) finalize() {
+	for len(l.queue) > 0 {
+		b := l.queue[0]
+		l.queue = l.queue[1:]
+		l.queuedBytes -= b.bytes
+		l.stats.BytesDrained += int64(b.bytes)
+	}
+}
+
+// TestFlowLinkRingMatchesSlice drives random bookings through one
+// flowLink at several queue depths, from one that backpressures every
+// message to one that never does, and holds each to the slice FIFO: every
+// booking must give the same (start, blocked, queued), the live bookings
+// must agree after each, and the final LinkStats must be equal. Arrivals
+// come in bursts at about 90% of the link's rate, so the queue fills and
+// empties and the ring wraps many times.
+func TestFlowLinkRingMatchesSlice(t *testing.T) {
+	t.Parallel()
+	const (
+		rate     = 1e9
+		bookings = 20000
+		maxBytes = 8 << 10
+	)
+	meanGap := float64(maxBytes) / 2 / rate / 0.9
+	rng := rand.New(rand.NewSource(7))
+	for _, depth := range []int{0, 4 << 10, 64 << 10, math.MaxInt} {
+		ring := flowLink{rate: rate, depth: depth}
+		ref := sliceLink{rate: rate, depth: depth}
+		ready := 0.0
+		for i := 0; i < bookings; i++ {
+			if rng.Intn(4) == 0 {
+				ready += rng.ExpFloat64() * 4 * meanGap
+			}
+			bytes := rng.Intn(maxBytes + 1)
+			s1, b1, q1 := ring.admit(ready, bytes)
+			s2, b2, q2 := ref.admit(ready, bytes)
+			if s1 != s2 || b1 != b2 || q1 != q2 {
+				t.Fatalf("depth %d booking %d (%d B at %.9g): ring gives (%.12g, %.12g, %.12g), slice (%.12g, %.12g, %.12g)",
+					depth, i, bytes, ready, s1, b1, q1, s2, b2, q2)
+			}
+			if live := ring.queue.live(); !slices.Equal(live, ref.queue) {
+				t.Fatalf("depth %d booking %d: ring holds %v, slice %v", depth, i, live, ref.queue)
+			}
+		}
+		if popped := bookings - ring.queue.n; popped < 10*len(ring.queue.ring) {
+			t.Errorf("depth %d: %d bookings drained through a ring of %d: it wrapped fewer than 10 times",
+				depth, popped, len(ring.queue.ring))
+		}
+		ring.finalize()
+		ref.finalize()
+		if ring.stats != ref.stats {
+			t.Errorf("depth %d: ring LinkStats %+v, slice %+v", depth, ring.stats, ref.stats)
+		}
+		if ring.queue.n != 0 || ring.queuedBytes != 0 {
+			t.Errorf("depth %d: finalize left %d bookings, %d B", depth, ring.queue.n, ring.queuedBytes)
+		}
+		t.Logf("depth %d: ring of %d, max queue %d B, blocked %.3g s, queued %.3g s",
+			depth, len(ring.queue.ring), ring.stats.MaxQueueBytes, ring.stats.BlockedSeconds, ring.stats.QueuedSeconds)
 	}
 }

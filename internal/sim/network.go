@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"alltoallx/internal/comm"
 	"alltoallx/internal/netmodel"
@@ -80,7 +82,8 @@ type Network struct {
 	rng      *rand.Rand
 	msgsSent uint64
 
-	free *flight // recycled flights (see newFlight)
+	free    *flight    // recycled flights (see newFlight)
+	bounces [][][]byte // [c] recycled eager bounce buffers of capacity 1<<c (see bounce)
 }
 
 // NewNetwork builds the fabric for a mapping under the given model. seed
@@ -117,6 +120,7 @@ func NewNetwork(e *Engine, p netmodel.Params, mapping *topo.Mapping, seed int64,
 	n.nicIn = make([]resource, nodes)
 	n.cores = make([]resource, mapping.Size())
 	n.boxes = make([]simMailbox, mapping.Size())
+	n.bounces = make([][][]byte, bits.Len(uint(p.EagerMax))+1)
 	return n, nil
 }
 
@@ -209,7 +213,7 @@ func (n *Network) path(src, dst int, hops []hop) ([]hop, topo.Level) {
 // stage it has reached and what its arrival completes. A message is a
 // single flight, recycled through the network's free list, and a pending
 // stage is an event on the flight's advance method (bound once), so
-// moving a message allocates nothing beyond its requests.
+// moving a message allocates nothing.
 type flight struct {
 	n       *Network
 	hops    []hop   // the route; inline's storage unless a fabric route outgrows it
@@ -321,6 +325,8 @@ func (f *flight) step(i int, t float64) {
 		finish := h.res.reserve(t, dur, n.debugReserve)
 		if i == 0 && f.msg.rdv {
 			n.determine(f.msg.sendReq, finish, nil)
+			// The sender's call may now return and reuse its request.
+			f.msg.sendReq = nil
 		}
 		if i == len(f.hops)-1 {
 			f.arrive(finish + f.lat)
@@ -368,6 +374,12 @@ type simReq struct {
 
 // Pending reports whether the request's completion is not yet determined.
 func (r *simReq) Pending() bool { return !r.determined }
+
+// blockingReqs resets p's two request slots and returns them.
+func (p *Proc) blockingReqs() (*simReq, *simReq) {
+	p.reqs = [2]simReq{}
+	return &p.reqs[0], &p.reqs[1]
+}
 
 type waiter struct {
 	p         *Proc
@@ -430,18 +442,28 @@ type simMailbox struct {
 
 // Isend begins a send on behalf of process p. srcRank is the sender's rank
 // inside the communicator identified by ctx; srcW/dstW are world ranks.
+// The request escapes to the caller, so it is allocated.
 func (n *Network) Isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) *simReq {
 	p.Sync()
-	return n.isend(p, srcW, dstW, ctx, srcRank, tag, b)
+	req := &simReq{}
+	n.isend(p, req, srcW, dstW, ctx, srcRank, tag, b)
+	return req
 }
 
-// isend is Isend after the caller has already synchronized with global
-// virtual time (combined operations like Sendrecv sync once for both
-// halves: the two ops happen within an overhead of each other, and one
-// park instead of two matters at tens of millions of messages).
-func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) *simReq {
+// Send is a blocking Isend on p's first request slot.
+func (n *Network) Send(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) error {
+	p.Sync()
+	req, _ := p.blockingReqs()
+	n.isend(p, req, srcW, dstW, ctx, srcRank, tag, b)
+	return n.WaitAll(p, req)
+}
+
+// isend starts a send completing req, after the caller has synchronized
+// with global virtual time (combined operations like Sendrecv sync once
+// for both halves: the two ops happen within an overhead of each other,
+// and one park instead of two matters at tens of millions of messages).
+func (n *Network) isend(p *Proc, req *simReq, srcW, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) {
 	p.Advance(n.overhead(n.p.SendOverhead))
-	req := &simReq{}
 	if b.Len() <= n.p.EagerMax {
 		// Eager: the sender copies the payload into a bounce buffer and is
 		// free as soon as that local copy finishes — it does NOT wait for
@@ -450,7 +472,7 @@ func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 		// becomes matchable at the receiver when the payload arrives.
 		var payload []byte
 		if !b.IsVirtual() && b.Len() > 0 {
-			payload = make([]byte, b.Len())
+			payload = n.bounce(b.Len())
 			copy(payload, b.Bytes())
 		}
 		f := n.newFlight()
@@ -458,7 +480,7 @@ func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 			payload: payload, srcWorld: srcW, dstWorld: dstW}
 		n.determine(req, p.now+n.copyTime(b.Len()), nil)
 		n.transfer(f, p.now)
-		return req
+		return
 	}
 	// Rendezvous: an RTS races ahead; the transfer is scheduled when the
 	// matching receive exists (see beginRendezvous).
@@ -481,18 +503,29 @@ func (n *Network) isend(p *Proc, srcW, dstW int, ctx int64, srcRank, tag int, b 
 	} else {
 		box.unexpected = append(box.unexpected, msg)
 	}
-	return req
 }
 
 // Irecv posts a receive for process p (world rank dstW) on communicator
-// ctx from srcRank with the given tag.
+// ctx from srcRank with the given tag. The request escapes to the caller,
+// so it is allocated.
 func (n *Network) Irecv(p *Proc, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) *simReq {
 	p.Sync()
-	return n.irecv(p, dstW, ctx, srcRank, tag, b)
+	req := &simReq{}
+	n.irecv(p, req, dstW, ctx, srcRank, tag, b)
+	return req
 }
 
-// irecv is Irecv after the caller has synchronized with global time.
-func (n *Network) irecv(p *Proc, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) *simReq {
+// Recv is a blocking Irecv on p's first request slot.
+func (n *Network) Recv(p *Proc, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) error {
+	p.Sync()
+	req, _ := p.blockingReqs()
+	n.irecv(p, req, dstW, ctx, srcRank, tag, b)
+	return n.WaitAll(p, req)
+}
+
+// irecv posts a receive completing req, after the caller has
+// synchronized with global time.
+func (n *Network) irecv(p *Proc, req *simReq, dstW int, ctx int64, srcRank, tag int, b comm.Buffer) {
 	box := &n.boxes[dstW]
 	env := envelope{ctx: ctx, src: srcRank, tag: tag}
 	// Queue search: scan the unexpected queue up to the match (or fully).
@@ -502,14 +535,12 @@ func (n *Network) irecv(p *Proc, dstW int, ctx int64, srcRank, tag int, b comm.B
 		scanned = idx + 1
 	}
 	p.Advance(n.overhead(n.p.RecvOverhead + n.p.MatchCost*float64(scanned)))
-	req := &simReq{}
 	if idx >= 0 {
 		msg := takeUnexpected(box, idx)
 		n.completeMatch(msg, simPosted{env: env, buf: b, req: req, tReady: p.now, world: dstW})
-		return req
+		return
 	}
 	box.posted = append(box.posted, simPosted{env: env, buf: b, req: req, tReady: p.now, world: dstW})
-	return req
 }
 
 // deliverEager matches an arriving eager message or buffers it.
@@ -528,13 +559,16 @@ func (n *Network) deliverEager(dstW int, env envelope, bytes int, payload []byte
 	box.unexpected = append(box.unexpected, msg)
 }
 
-// completeMatch finishes a matched (message, receive) pair.
+// completeMatch finishes a matched (message, receive) pair. An eager
+// payload's bounce buffer goes back to the free list once it is copied out
+// (or dropped, when the receive is too short).
 func (n *Network) completeMatch(msg simMsg, post simPosted) {
 	if msg.bytes > post.buf.Len() {
 		if msg.rdv {
 			n.determine(msg.sendReq, msg.senderReady, comm.ErrTruncate)
 		}
 		n.determine(post.req, post.tReady, comm.ErrTruncate)
+		n.releaseBounce(msg.payload)
 		return
 	}
 	if msg.rdv {
@@ -551,7 +585,30 @@ func (n *Network) completeMatch(msg simMsg, post simPosted) {
 	if msg.payload != nil && !post.buf.IsVirtual() {
 		copy(post.buf.Bytes(), msg.payload)
 	}
+	n.releaseBounce(msg.payload)
 	n.determine(post.req, t, nil)
+}
+
+// bounce returns an eager bounce buffer of size bytes (0 < size <=
+// EagerMax) from the free list. Buffers are kept by power-of-two capacity
+// class, so any buffer of a class fits every size in it.
+func (n *Network) bounce(size int) []byte {
+	c := bits.Len(uint(size - 1))
+	free := n.bounces[c]
+	if len(free) == 0 {
+		return make([]byte, size, 1<<c)
+	}
+	n.bounces[c] = free[:len(free)-1]
+	return free[len(free)-1][:size]
+}
+
+// releaseBounce returns a bounce buffer (nil for a virtual payload) to
+// the free list.
+func (n *Network) releaseBounce(b []byte) {
+	if b != nil {
+		c := bits.Len(uint(cap(b) - 1))
+		n.bounces[c] = append(n.bounces[c], b)
+	}
 }
 
 // beginRendezvous runs the RTS/CTS handshake arithmetic and schedules the
@@ -577,17 +634,18 @@ func (n *Network) beginRendezvous(msg simMsg, post simPosted) {
 }
 
 // Sendrecv posts the receive and performs the send under a single global-
-// time synchronization, then waits for both.
+// time synchronization, then waits for both, on p's two request slots.
 func (n *Network) Sendrecv(p *Proc, meW, dstW int, ctx int64, myRank, stag int, sb comm.Buffer, srcRank, rtag int, rb comm.Buffer) error {
 	p.Sync()
-	rreq := n.irecv(p, meW, ctx, srcRank, rtag, rb)
-	sreq := n.isend(p, meW, dstW, ctx, myRank, stag, sb)
-	return n.WaitAll(p, []*simReq{rreq, sreq})
+	rreq, sreq := p.blockingReqs()
+	n.irecv(p, rreq, meW, ctx, srcRank, rtag, rb)
+	n.isend(p, sreq, meW, dstW, ctx, myRank, stag, sb)
+	return n.WaitAll(p, rreq, sreq)
 }
 
 // WaitAll blocks p until every request is determined, advancing its clock
 // to the latest completion, and returns the first error.
-func (n *Network) WaitAll(p *Proc, reqs []*simReq) error {
+func (n *Network) WaitAll(p *Proc, reqs ...*simReq) error {
 	tMax := p.now
 	pending := 0
 	for _, r := range reqs {
@@ -660,14 +718,16 @@ func findUnexpected(box *simMailbox, env envelope) int {
 	return -1
 }
 
+// takePosted and takeUnexpected remove entry i. slices.Delete zeroes the
+// vacated tail, so the backing array keeps no request or payload alive.
 func takePosted(box *simMailbox, i int) simPosted {
 	p := box.posted[i]
-	box.posted = append(box.posted[:i], box.posted[i+1:]...)
+	box.posted = slices.Delete(box.posted, i, i+1)
 	return p
 }
 
 func takeUnexpected(box *simMailbox, i int) simMsg {
 	m := box.unexpected[i]
-	box.unexpected = append(box.unexpected[:i], box.unexpected[i+1:]...)
+	box.unexpected = slices.Delete(box.unexpected, i, i+1)
 	return m
 }

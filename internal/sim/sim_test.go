@@ -455,3 +455,53 @@ func TestOverheadScaleSpeedsUp(t *testing.T) {
 		t.Errorf("overhead scale 0.5 not faster: %g vs %g", tuned, full)
 	}
 }
+
+// TestRendezvousSlotReuse runs a pairwise all-to-all of real bytes at a
+// rendezvous block size. A rendezvous sender's request completes when its
+// first stage clears, so a rank can return from Sendrecv while its flight
+// is still in transit and reset that request's slot on its next step.
+// Every byte must arrive, no request may be determined twice, and the
+// reuse must really happen: some rank starts a step while the receiver
+// of its previous send is still waiting for that message.
+func TestRendezvousSlotReuse(t *testing.T) {
+	t.Parallel()
+	m := netmodel.Dane()
+	m.Node = topo.Spec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
+	m.EagerMax = 1 << 10
+	const (
+		nodes, ppn = 2, 8
+		p          = nodes * ppn
+		block      = 4 << 10
+	)
+	step := make([]int, p) // the step each rank is in
+	reused := 0
+	cfg := ClusterConfig{Model: m, Nodes: nodes, PPN: ppn, Seed: 3}
+	_, err := RunCluster(cfg, func(c comm.Comm) error {
+		r := c.Rank()
+		procs := c.(*SimComm).cl.procs
+		send, recv := comm.Alloc(p*block), comm.Alloc(p*block)
+		testutil.FillAlltoall(send, r, p, block)
+		for k := 0; k < p; k++ {
+			if k > 0 {
+				// Step k-1's receiver d takes that step's message from r
+				// into its first slot.
+				if d := (r + k - 1) % p; step[d] == k-1 && !procs[d].reqs[0].determined {
+					reused++
+				}
+			}
+			step[r] = k
+			dst, src := (r+k)%p, (r-k+p)%p
+			if err := c.Sendrecv(send.Slice(dst*block, block), dst, 0, recv.Slice(src*block, block), src, 0); err != nil {
+				return err
+			}
+		}
+		return testutil.CheckAlltoall(recv, r, p, block)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused == 0 {
+		t.Error("no rank reused its request slot while its rendezvous flight was in transit")
+	}
+	t.Logf("%d steps began with the previous step's flight in transit", reused)
+}

@@ -142,31 +142,34 @@ func (c *SimComm) StartAsync(body func() error) comm.Async {
 	return tok
 }
 
+// checkPeerTag validates a peer rank and a tag.
+func (c *SimComm) checkPeerTag(peer, tag int) error {
+	if err := comm.CheckPeer(peer, c.Size()); err != nil {
+		return err
+	}
+	return comm.CheckTag(tag)
+}
+
 // Send blocks until the message is injected (eager) or transferred
 // (rendezvous).
 func (c *SimComm) Send(b comm.Buffer, dst, tag int) error {
-	req, err := c.Isend(b, dst, tag)
-	if err != nil {
+	if err := c.checkPeerTag(dst, tag); err != nil {
 		return err
 	}
-	return c.Wait(req)
+	return c.cl.net.Send(c.p, c.ranks[c.rank], c.ranks[dst], c.id, c.rank, tag, b)
 }
 
 // Recv blocks until a matching message completes into b.
 func (c *SimComm) Recv(b comm.Buffer, src, tag int) error {
-	req, err := c.Irecv(b, src, tag)
-	if err != nil {
+	if err := c.checkPeerTag(src, tag); err != nil {
 		return err
 	}
-	return c.Wait(req)
+	return c.cl.net.Recv(c.p, c.ranks[c.rank], c.id, src, tag, b)
 }
 
 // Isend starts a nonblocking send.
 func (c *SimComm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
-	if err := comm.CheckPeer(dst, c.Size()); err != nil {
-		return nil, err
-	}
-	if err := comm.CheckTag(tag); err != nil {
+	if err := c.checkPeerTag(dst, tag); err != nil {
 		return nil, err
 	}
 	return c.cl.net.Isend(c.p, c.ranks[c.rank], c.ranks[dst], c.id, c.rank, tag, b), nil
@@ -174,10 +177,7 @@ func (c *SimComm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
 
 // Irecv starts a nonblocking receive.
 func (c *SimComm) Irecv(b comm.Buffer, src, tag int) (comm.Request, error) {
-	if err := comm.CheckPeer(src, c.Size()); err != nil {
-		return nil, err
-	}
-	if err := comm.CheckTag(tag); err != nil {
+	if err := c.checkPeerTag(src, tag); err != nil {
 		return nil, err
 	}
 	return c.cl.net.Irecv(c.p, c.ranks[c.rank], c.id, src, tag, b), nil
@@ -192,12 +192,14 @@ func (c *SimComm) Wait(r comm.Request) error {
 	if !ok {
 		return fmt.Errorf("sim: foreign request type %T", r)
 	}
-	return c.cl.net.WaitAll(c.p, []*simReq{sr})
+	return c.cl.net.WaitAll(c.p, sr)
 }
 
-// WaitAll blocks until all requests complete.
+// WaitAll blocks until all requests complete. The request list is the
+// process's scratch, cleared after the wait so it keeps no request alive.
 func (c *SimComm) WaitAll(rs []comm.Request) error {
-	srs := make([]*simReq, 0, len(rs))
+	srs := c.p.waitList[:0]
+	defer func() { clear(srs) }()
 	for _, r := range rs {
 		if r == nil {
 			continue
@@ -208,22 +210,17 @@ func (c *SimComm) WaitAll(rs []comm.Request) error {
 		}
 		srs = append(srs, sr)
 	}
-	return c.cl.net.WaitAll(c.p, srs)
+	c.p.waitList = srs
+	return c.cl.net.WaitAll(c.p, srs...)
 }
 
 // Sendrecv posts the receive, performs the send, then completes the
 // receive — deadlock-free for symmetric exchanges.
 func (c *SimComm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, rtag int) error {
-	if err := comm.CheckPeer(dst, c.Size()); err != nil {
+	if err := c.checkPeerTag(dst, stag); err != nil {
 		return err
 	}
-	if err := comm.CheckPeer(src, c.Size()); err != nil {
-		return err
-	}
-	if err := comm.CheckTag(stag); err != nil {
-		return err
-	}
-	if err := comm.CheckTag(rtag); err != nil {
+	if err := c.checkPeerTag(src, rtag); err != nil {
 		return err
 	}
 	me := c.ranks[c.rank]
