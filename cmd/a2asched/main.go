@@ -39,9 +39,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"alltoallx/internal/artifact"
 	"alltoallx/internal/sched"
 	"alltoallx/internal/schedreg"
 	"alltoallx/internal/topo"
@@ -200,22 +202,22 @@ func runGen(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := sched.Generate(*name, p, m)
+	world, err := sched.GenerateWorld(*name, p, m)
 	if err != nil {
 		return err
 	}
-	if err := sched.Verify(s); err != nil {
+	if err := sched.VerifyWorld(world); err != nil {
 		return fmt.Errorf("generated schedule fails verification (a generator bug): %w", err)
 	}
 	if *out == "" {
-		return s.Encode(os.Stdout)
+		return sched.EncodeWorld(os.Stdout, world)
 	}
-	if err := s.Save(*out); err != nil {
+	if err := artifact.Save(*out, "sched: saving schedule", func(w io.Writer) error { return sched.EncodeWorld(w, world) }); err != nil {
 		return err
 	}
-	st := s.Stats()
+	st := sched.WorldStats(world)
 	fmt.Printf("wrote %s: %q for %d ranks, %d rounds, %d messages, %d wire blocks (verified)\n",
-		*out, s.Name, s.Ranks, st.Rounds, st.Messages, st.WireBlocks)
+		*out, world[0].Name, p, st.Rounds, st.Messages, st.WireBlocks)
 	return nil
 }
 
@@ -303,15 +305,15 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, serr := sched.Decode(bytes.NewReader(data))
-	if serr != nil {
-		// Not a whole-world schedule; rank-program artifacts (slice -o,
-		// fetch -o) get the local single-rank check instead. A file that
-		// is neither reports both decoders' reasons: which one applies
-		// depends on what the file was meant to be.
+	world, werr := sched.DecodeWorld(bytes.NewReader(data))
+	if werr != nil {
+		// Not a world file; rank-program artifacts (slice -o, fetch -o)
+		// get the local single-rank check instead. A file that is neither
+		// reports both decoders' reasons: which one applies depends on
+		// what the file was meant to be.
 		rp, rerr := sched.DecodeRank(bytes.NewReader(data))
 		if rerr != nil {
-			return fmt.Errorf("%s: not a valid schedule (%w) or rank program (%w)", path, serr, rerr)
+			return fmt.Errorf("%s: not a valid schedule (%w) or rank program (%w)", path, werr, rerr)
 		}
 		if err := sched.VerifyRank(rp); err != nil {
 			return fmt.Errorf("%s: FAIL: %w", path, err)
@@ -321,13 +323,28 @@ func runVerify(args []string) error {
 			path, rp.Rank, rp.Name, rp.Ranks, st.Rounds, st.Messages, st.WireBlocks)
 		return nil
 	}
-	if err := sched.Verify(s); err != nil {
+	if err := sched.VerifyWorld(world); err != nil {
 		return fmt.Errorf("%s: FAIL: %w", path, err)
 	}
-	st := s.Stats()
+	st := sched.WorldStats(world)
 	fmt.Printf("%s: OK — %s %q verifies exactly-once dataflow over %d rounds (%d messages, %d wire blocks, %d repack copies)\n",
-		path, s.Collective(), s.Name, st.Rounds, st.Messages, st.WireBlocks, st.Copies)
+		path, world[0].Collective(), world[0].Name, st.Rounds, st.Messages, st.WireBlocks, st.Copies)
 	return nil
+}
+
+// loadWorld reads the world file at path (DecodeWorld: shape-checked,
+// not verified).
+func loadWorld(path string) ([]*sched.RankProgram, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("sched: loading schedule: %w", err)
+	}
+	defer f.Close()
+	world, err := sched.DecodeWorld(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return world, nil
 }
 
 // inferFabric maps a schedule's generator name to the fabric kind its
@@ -358,35 +375,35 @@ func runPrint(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := sched.Load(path)
+	world, err := loadWorld(path)
 	if err != nil {
 		return err
 	}
 	// print renders broken schedules too (that is what inspection is
 	// for), but says so up front.
-	if err := sched.Verify(s); err != nil {
+	if err := sched.VerifyWorld(world); err != nil {
 		fmt.Printf("note: schedule fails verification: %v\n", err)
 	}
 	if *linkload {
 		kind := *fabric
 		if kind == "" {
-			if kind, err = inferFabric(s.Name); err != nil {
+			if kind, err = inferFabric(world[0].Name); err != nil {
 				return err
 			}
 		}
 		// A schedule artifact carries no node mapping, so each rank is its
 		// own fabric node — the shape the sched:* generators route for.
-		f, err := topo.NewFabric(kind, s.Ranks)
+		f, err := topo.NewFabric(kind, len(world))
 		if err != nil {
 			return err
 		}
-		loads, err := sched.LinkLoads(s, f, nil)
+		loads, err := sched.LinkLoads(world, f, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Print(sched.FormatLinkLoads(f, loads))
 	}
-	fmt.Print(sched.Format(s))
+	fmt.Print(sched.Format(world))
 	return nil
 }
 
@@ -394,11 +411,11 @@ func runDiff(args []string) error {
 	if len(args) != 2 {
 		return errors.New("usage: a2asched diff <a> <b>")
 	}
-	a, err := sched.Load(args[0])
+	a, err := loadWorld(args[0])
 	if err != nil {
 		return err
 	}
-	b, err := sched.Load(args[1])
+	b, err := loadWorld(args[1])
 	if err != nil {
 		return err
 	}
@@ -409,25 +426,21 @@ func runDiff(args []string) error {
 		}
 		diffs++
 	}
-	if a.Name != b.Name {
-		report("name: %q vs %q", a.Name, b.Name)
+	if a[0].Name != b[0].Name {
+		report("name: %q vs %q", a[0].Name, b[0].Name)
 	}
-	if a.Ranks != b.Ranks {
-		report("ranks: %d vs %d", a.Ranks, b.Ranks)
+	if len(a) != len(b) {
+		report("ranks: %d vs %d", len(a), len(b))
 	}
-	ra, rb := len(a.Rounds), len(b.Rounds)
+	ra, rb := len(a[0].Rounds), len(b[0].Rounds)
 	if ra != rb {
 		report("rounds: %d vs %d", ra, rb)
 	}
-	if a.Ranks == b.Ranks {
-		n := ra
-		if rb < n {
-			n = rb
-		}
-		for ri := 0; ri < n; ri++ {
-			ma, mb := a.RoundMatrix(ri), b.RoundMatrix(ri)
-			for s := 0; s < a.Ranks; s++ {
-				for d := 0; d < a.Ranks; d++ {
+	if len(a) == len(b) {
+		for ri := range min(ra, rb) {
+			ma, mb := sched.RoundMatrix(a, ri), sched.RoundMatrix(b, ri)
+			for s := range a {
+				for d := range a {
 					if ma[s][d] != mb[s][d] {
 						report("round %d: %d->%d sends %d vs %d blocks", ri, s, d, ma[s][d], mb[s][d])
 					}
@@ -435,7 +448,7 @@ func runDiff(args []string) error {
 			}
 		}
 	}
-	sa, sb := a.Stats(), b.Stats()
+	sa, sb := sched.WorldStats(a), sched.WorldStats(b)
 	fmt.Printf("totals: %d vs %d messages, %d vs %d wire blocks, %d vs %d copies\n",
 		sa.Messages, sb.Messages, sa.WireBlocks, sb.WireBlocks, sa.Copies, sb.Copies)
 	if diffs == 0 {

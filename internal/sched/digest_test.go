@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -13,10 +14,10 @@ import (
 )
 
 // TestDigestMatchesSlice: for every generator, the digest of a rank
-// compiled alone equals the digest of the same rank cut from the
-// assembled schedule (Slice of Generate) — the equality a world proof's
-// record relies on — and the world proof, Prove, returns exactly those
-// digests.
+// compiled alone equals the digest of the same rank's program read back
+// from its world file (DecodeWorld of EncodeWorld) — so a world file
+// holds exactly the programs a proof record names — and the world
+// proof, Prove, returns exactly those digests.
 func TestDigestMatchesSlice(t *testing.T) {
 	t.Parallel()
 	for _, w := range []struct{ nodes, ppn int }{{0, 2}, {0, 5}, {0, 16}, {4, 8}, {8, 16}} {
@@ -32,25 +33,28 @@ func TestDigestMatchesSlice(t *testing.T) {
 			if strings.HasSuffix(name, "hypercube") && p&(p-1) != 0 {
 				continue // no hypercube world at 5 ranks
 			}
-			s, err := Generate(name, p, m)
+			world, err := GenerateWorld(name, p, m)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+			var buf bytes.Buffer
+			if err := EncodeWorld(&buf, world); err != nil {
+				t.Fatal(err)
+			}
+			if world, err = DecodeWorld(&buf); err != nil {
+				t.Fatal(err)
 			}
 			proved, err := Prove(name, p, m)
 			if err != nil {
 				t.Fatalf("%s p=%d: Prove: %v", name, p, err)
 			}
 			for r := 0; r < p; r++ {
-				sl, err := Slice(s, r)
-				if err != nil {
-					t.Fatal(err)
-				}
 				rp, err := GenerateRank(name, p, r, m)
 				if err != nil {
 					t.Fatalf("%s p=%d rank %d: %v", name, p, r, err)
 				}
-				if d := sl.Digest(); d != rp.Digest() || d != proved[r] {
-					t.Fatalf("%s p=%d (%dx%d) rank %d: Slice, GenerateRank and Prove disagree on the digest", name, p, w.nodes, w.ppn, r)
+				if d := world[r].Digest(); d != rp.Digest() || d != proved[r] {
+					t.Fatalf("%s p=%d (%dx%d) rank %d: the world file, GenerateRank and Prove disagree on the digest", name, p, w.nodes, w.ppn, r)
 				}
 			}
 		}

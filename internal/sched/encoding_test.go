@@ -14,8 +14,9 @@ import (
 
 // TestEncodingGolden pins the JSON encoding of every goldenWorld: the
 // line of testdata/encoding.golden for a world holds the SHA-256 of its
-// Generate encoding, then the SHA-256 over the SHA-256s of its ranks'
-// GenerateRank encodings, in rank order. Every artifact a2asched gen,
+// world file (EncodeWorld of its GenerateWorld programs), then the
+// SHA-256 over the SHA-256s of its ranks' GenerateRank encodings, in
+// rank order. Every artifact a2asched gen,
 // slice or fetch wrote is one of these encodings, so the file has no
 // -update path, like digests.golden. On the worlds of up to 32 ranks,
 // decoding each encoding must give back what was encoded; the two
@@ -41,12 +42,12 @@ func TestEncodingGolden(t *testing.T) {
 		if big && testing.Short() {
 			continue
 		}
-		s, err := Generate(w.name, p, m)
+		programs, err := GenerateWorld(w.name, p, m)
 		if err != nil {
 			t.Fatalf("%v: %v", w, err)
 		}
-		world := encodedSum(t, w, s, s.Encode, Decode, !big)
-		s = nil // the rank programs below hold one rank at a time
+		world := encodedSum(t, w, programs, func(out io.Writer) error { return EncodeWorld(out, programs) }, DecodeWorld, !big)
+		programs = nil // the rank programs below hold one rank at a time
 		ranks := sha256.New()
 		for r := 0; r < p; r++ {
 			rp, err := GenerateRank(w.name, p, r, m)

@@ -18,8 +18,8 @@ const TagBase = 401
 // reused across calls (resized only when the block size or buffer
 // virtualness changes), mirroring how every core algorithm stages.
 //
-// An Exec runs one rank's RankProgram (NewRankExec); a whole-world
-// Schedule reaches a rank as its Slice.
+// An Exec runs one rank's RankProgram (NewRankExec): a world is its
+// ranks' programs, and each rank runs its own.
 //
 // Exec does not verify: callers prove the program's world once before
 // constructing an executor (Prove, whose world driver proves every

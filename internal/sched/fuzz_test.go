@@ -20,7 +20,7 @@ var (
 // The format-2 alltoallv artifacts of TestVerifyRejectsAlltoallv: the
 // v-pairwise schedule of the count matrix [[1 2 0] [1 1 1] [2 0 1]] as
 // a world and as rank 1's program, encoded by this package's alltoallv
-// generator and Slice before the collective was removed. Decoding drops
+// generator before the collective was removed. Decoding drops
 // their counts, vsend and vrecv fields without a word.
 var (
 	alltoallvWorldFile = `{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`
@@ -48,18 +48,18 @@ var (
 	}
 )
 
-// FuzzVerify decodes arbitrary bytes as a schedule and verifies it with
-// the world driver. Neither may panic, and whenever Verify accepts, every
-// slice must pass VerifyRank.
+// FuzzVerify decodes arbitrary bytes as a world file into rank programs
+// and verifies them with the world driver. Neither may panic, and
+// whenever VerifyWorld accepts, every program must pass VerifyRank.
 func FuzzVerify(f *testing.F) {
 	for _, name := range AllGenerators() {
 		for p := 2; p <= 6; p++ {
-			s, err := Generate(name, p, nil)
+			world, err := GenerateWorld(name, p, nil)
 			if err != nil {
 				continue // hypercubes need a power of two
 			}
 			var buf bytes.Buffer
-			if err := s.Encode(&buf); err != nil {
+			if err := EncodeWorld(&buf, world); err != nil {
 				f.Fatal(err)
 			}
 			f.Add(buf.Bytes())
@@ -76,12 +76,12 @@ func FuzzVerify(f *testing.F) {
 		f.Add([]byte(strings.Replace(pairwise2World, e.old, e.new, 1)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(bytes.NewReader(data))
-		if err != nil || Verify(s) != nil {
+		world, err := DecodeWorld(bytes.NewReader(data))
+		if err != nil || VerifyWorld(world) != nil {
 			return
 		}
-		if err := slicesPassVerifyRank(s); err != nil {
-			t.Fatalf("Verify accepts the schedule, VerifyRank rejects a slice: %v", err)
+		if err := programsPassVerifyRank(world); err != nil {
+			t.Fatalf("VerifyWorld accepts the world, VerifyRank rejects a program: %v", err)
 		}
 	})
 }

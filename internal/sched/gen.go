@@ -75,7 +75,7 @@ func GeneratorColl(name string) (Coll, bool) {
 
 // MaxRanks is the largest world a schedule can address: block identities
 // are packed as int32(src*p + dst), so p*p must stay below 2^31
-// (floor(sqrt(2^31 - 1))). Generate and GenerateRank reject larger
+// (floor(sqrt(2^31 - 1))). The generators and decoders reject larger
 // worlds by name instead of silently wrapping ids negative.
 const MaxRanks = 46340
 
@@ -99,22 +99,20 @@ func generator(name string, p int) (genEntry, error) {
 	return e, checkRanks(p)
 }
 
-// Generate compiles the named schedule for p ranks (m may be nil): every
-// rank's GenerateRank program, assembled into one world.
-func Generate(name string, p int, m *topo.Mapping) (*Schedule, error) {
+// GenerateWorld compiles the named world for p ranks (m may be nil):
+// every rank's GenerateRank program, indexed by rank.
+func GenerateWorld(name string, p int, m *topo.Mapping) ([]*RankProgram, error) {
 	if _, err := generator(name, p); err != nil {
 		return nil, err
 	}
-	rps := make([]*RankProgram, p)
-	for r := range rps {
+	world := make([]*RankProgram, p)
+	for r := range world {
 		var err error
-		if rps[r], err = GenerateRank(name, p, r, m); err != nil {
+		if world[r], err = GenerateRank(name, p, r, m); err != nil {
 			return nil, err
 		}
 	}
-	h := rps[0]
-	return withRounds(&Schedule{Format: FormatVersion, Name: h.Name, Ranks: p, Coll: h.Coll, Op: h.Op, Scratch: h.Scratch},
-		func(r int) [][]Step { return rps[r].Rounds }), nil
+	return world, nil
 }
 
 // sendRef/recvRef/scratchRef are small constructors for readable
@@ -128,27 +126,6 @@ func scratchRef(i, off, n int) Ref {
 // selfCopy returns the step delivering rank r's own block.
 func selfCopy(r int) Step {
 	return Step{Kind: Copy, Src: sendRef(r, 1), Dst: recvRef(r, 1)}
-}
-
-// withRounds fills s.Rounds from every rank's rounds, giving a rank with
-// fewer rounds than the longest an empty step list in the rest, and
-// returns s.
-func withRounds(s *Schedule, rounds func(r int) [][]Step) *Schedule {
-	perRank := make([][][]Step, s.Ranks)
-	for r := range perRank {
-		perRank[r] = rounds(r)
-		for len(s.Rounds) < len(perRank[r]) {
-			s.Rounds = append(s.Rounds, Round{Steps: make([][]Step, s.Ranks)})
-		}
-	}
-	for ri := range s.Rounds {
-		for r, rs := range perRank {
-			if ri < len(rs) {
-				s.Rounds[ri].Steps[r] = rs[ri]
-			}
-		}
-	}
-	return s
 }
 
 // alltoall is rank r's source of an all-to-all program.

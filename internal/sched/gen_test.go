@@ -38,15 +38,12 @@ func TestGeneratorsVerifyAtRandomShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, name := range Generators() {
 		for _, p := range shapesFor(name, rng, 10) {
-			s, err := Generate(name, p, nil)
-			if err != nil {
-				t.Fatalf("%s p=%d: %v", name, p, err)
-			}
-			if err := Verify(s); err != nil {
+			world := mustGen(t, name, p)
+			if err := VerifyWorld(world); err != nil {
 				t.Errorf("%s p=%d fails verification: %v", name, p, err)
 			}
-			if s.Ranks != p {
-				t.Errorf("%s p=%d: schedule says %d ranks", name, p, s.Ranks)
+			if world[0].Ranks != p {
+				t.Errorf("%s p=%d: program says %d ranks", name, p, world[0].Ranks)
 			}
 		}
 	}
@@ -61,49 +58,33 @@ func TestTorusUsesTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Generate("torus", 15, m)
+	world, err := GenerateWorld("torus", 15, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "torus3x5" {
-		t.Errorf("schedule name %q, want torus3x5 (the node x ppn grid)", s.Name)
+	if world[0].Name != "torus3x5" {
+		t.Errorf("schedule name %q, want torus3x5 (the node x ppn grid)", world[0].Name)
 	}
-	if err := Verify(s); err != nil {
+	if err := VerifyWorld(world); err != nil {
 		t.Fatal(err)
 	}
 	// Without topology, 15 factors most-square as 3x5 too; a prime count
 	// degenerates to a single ring row.
-	s, err = Generate("torus", 7, nil)
-	if err != nil {
-		t.Fatal(err)
+	world = mustGen(t, "torus", 7)
+	if world[0].Name != "torus1x7" {
+		t.Errorf("schedule name %q, want torus1x7", world[0].Name)
 	}
-	if s.Name != "torus1x7" {
-		t.Errorf("schedule name %q, want torus1x7", s.Name)
-	}
-	if err := Verify(s); err != nil {
+	if err := VerifyWorld(world); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// rankExec wraps rank's slice of s in an executor, the form in which
-// every schedule reaches a running rank.
-func rankExec(s *Schedule, rank int) (*Exec, error) {
-	rp, err := Slice(s, rank)
-	if err != nil {
-		return nil, err
-	}
-	return NewRankExec(rp), nil
-}
-
-// execBody runs an Exec via the live pattern check: fill, run twice
-// (persistence), verify every byte.
-func execBody(s *Schedule, block int) func(c comm.Comm) error {
+// execBody runs each rank's program of the world via the live pattern
+// check: fill, run twice (persistence), verify every byte.
+func execBody(world []*RankProgram, block int) func(c comm.Comm) error {
 	return func(c comm.Comm) error {
 		p, rank := c.Size(), c.Rank()
-		ex, err := rankExec(s, rank) // one executor per rank: scratch is per-rank state
-		if err != nil {
-			return err
-		}
+		ex := NewRankExec(world[rank]) // one executor per rank: scratch is per-rank state
 		send := comm.Alloc(p * block)
 		recv := comm.Alloc(p * block)
 		testutil.FillAlltoall(send, rank, p, block)
@@ -136,11 +117,11 @@ func TestExecLiveCorrectness(t *testing.T) {
 				name, p, block := name, p, block
 				t.Run(fmt.Sprintf("%s/p%d/b%d", name, p, block), func(t *testing.T) {
 					t.Parallel()
-					s := mustGen(t, name, p)
-					if err := Verify(s); err != nil {
+					world := mustGen(t, name, p)
+					if err := VerifyWorld(world); err != nil {
 						t.Fatal(err)
 					}
-					if err := runtime.Run(runtime.Config{Ranks: p}, execBody(s, block)); err != nil {
+					if err := runtime.Run(runtime.Config{Ranks: p}, execBody(world, block)); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -161,12 +142,12 @@ func TestExecSimCorrectness(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			p := 16
-			s := mustGen(t, name, p)
-			if err := Verify(s); err != nil {
+			world := mustGen(t, name, p)
+			if err := VerifyWorld(world); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sim.RunCluster(sim.ClusterConfig{Model: model, Nodes: 2, PPN: 8, Seed: 1},
-				execBody(s, 4)); err != nil {
+				execBody(world, 4)); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -176,12 +157,9 @@ func TestExecSimCorrectness(t *testing.T) {
 // TestExecArgErrors checks executor argument validation.
 func TestExecArgErrors(t *testing.T) {
 	t.Parallel()
-	s := mustGen(t, "pairwise", 4)
+	world := mustGen(t, "pairwise", 4)
 	err := runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
-		e, err := rankExec(s, c.Rank())
-		if err != nil {
-			return err
-		}
+		e := NewRankExec(world[c.Rank()])
 		send, recv := comm.Alloc(2*4), comm.Alloc(2*4)
 		if err := e.Run(c, send, recv, 4, nil); err == nil {
 			return fmt.Errorf("4-rank schedule ran on a 2-rank communicator")
@@ -196,19 +174,16 @@ func TestExecArgErrors(t *testing.T) {
 	}
 }
 
-// TestExecRejectsReserved: a schedule with a Reduce step fails at run
+// TestExecRejectsReserved: a program with a Reduce step fails at run
 // time too (defense in depth behind the verifier).
 func TestExecRejectsReserved(t *testing.T) {
 	t.Parallel()
-	s := &Schedule{
+	rp := &RankProgram{
 		Format: FormatVersion, Name: "bad", Ranks: 1,
-		Rounds: []Round{{Steps: [][]Step{{{Kind: Reduce, Src: sendRef(0, 1), Dst: recvRef(0, 1)}}}}},
+		Rounds: [][]Step{{{Kind: Reduce, Src: sendRef(0, 1), Dst: recvRef(0, 1)}}},
 	}
 	err := runtime.Run(runtime.Config{Ranks: 1}, func(c comm.Comm) error {
-		e, err := rankExec(s, 0)
-		if err != nil {
-			return err
-		}
+		e := NewRankExec(rp)
 		if err := e.Run(c, comm.Alloc(4), comm.Alloc(4), 4, nil); err == nil {
 			return fmt.Errorf("reduce step executed")
 		}

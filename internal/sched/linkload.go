@@ -8,34 +8,35 @@ import (
 )
 
 // This file is the static half of the flow-level contention model's
-// observability: it folds a schedule's per-round message matrices onto
+// observability: it folds a world's per-round message matrices onto
 // the directed links of a topo.Fabric — the same routes the simulator
 // books flows on — so a schedule's link pressure can be inspected
 // (a2asched print -linkload) before anything runs; the tests pin it
 // against the bytes the simulator books on each link.
 
-// LinkLoads computes the schedule's static per-round link loads over a
+// LinkLoads computes a world's static per-round link loads over a
 // fabric: loads[ri][id] is the number of blocks round ri routes across
 // directed link id. With a nil mapping each rank is its own node (the
-// fabric must then have exactly s.Ranks nodes); with a mapping, ranks
-// fold onto their nodes and intra-node traffic is excluded.
-func LinkLoads(s *Schedule, f *topo.Fabric, m *topo.Mapping) ([][]int, error) {
+// fabric must then have exactly one node per rank); with a mapping,
+// ranks fold onto their nodes and intra-node traffic is excluded.
+func LinkLoads(world []*RankProgram, f *topo.Fabric, m *topo.Mapping) ([][]int, error) {
+	p := len(world)
 	nodeOf := func(r int) int { return r }
 	if m != nil {
-		if m.Size() != s.Ranks {
-			return nil, fmt.Errorf("sched: link load needs a mapping of %d ranks, got %d", s.Ranks, m.Size())
+		if m.Size() != p {
+			return nil, fmt.Errorf("sched: link load needs a mapping of %d ranks, got %d", p, m.Size())
 		}
 		if m.Nodes() != f.Nodes() {
 			return nil, fmt.Errorf("sched: mapping spans %d nodes but the fabric has %d", m.Nodes(), f.Nodes())
 		}
 		nodeOf = m.NodeOf
-	} else if f.Nodes() != s.Ranks {
-		return nil, fmt.Errorf("sched: without a mapping each rank is a node, so a %d-rank schedule needs a %d-node fabric, got %d", s.Ranks, s.Ranks, f.Nodes())
+	} else if f.Nodes() != p {
+		return nil, fmt.Errorf("sched: without a mapping each rank is a node, so a %d-rank schedule needs a %d-node fabric, got %d", p, p, f.Nodes())
 	}
-	loads := make([][]int, len(s.Rounds))
-	for ri := range s.Rounds {
+	loads := make([][]int, len(world[0].Rounds))
+	for ri := range loads {
 		load := make([]int, f.Links())
-		for src, row := range s.RoundMatrix(ri) {
+		for src, row := range RoundMatrix(world, ri) {
 			for dst, blocks := range row {
 				a, b := nodeOf(src), nodeOf(dst)
 				if blocks == 0 || a == b {

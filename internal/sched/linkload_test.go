@@ -33,18 +33,15 @@ func TestLinkLoadGolden(t *testing.T) {
 		{"hypercube", "hypercube", 8, "linkload_hypercube8.golden"},
 	}
 	for _, c := range cases {
-		s, err := Generate(c.gen, c.ranks, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := Verify(s); err != nil {
+		world := mustGen(t, c.gen, c.ranks)
+		if err := VerifyWorld(world); err != nil {
 			t.Fatal(err)
 		}
 		f, err := topo.NewFabric(c.fabric, c.ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads, err := LinkLoads(s, f, nil)
+		loads, err := LinkLoads(world, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,12 +71,9 @@ func TestLinkLoadGolden(t *testing.T) {
 // mismatched fabric node count, and the no-mapping one-rank-per-node rule.
 func TestLinkLoadsValidation(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("ring", 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := mustGen(t, "ring", 8)
 	f4, _ := topo.NewFabric("ring", 4)
-	if _, err := LinkLoads(s, f4, nil); err == nil {
+	if _, err := LinkLoads(world, f4, nil); err == nil {
 		t.Error("8-rank schedule over a 4-node fabric without a mapping accepted")
 	}
 	spec := topo.Spec{Sockets: 1, NumaPerSocket: 1, CoresPerNuma: 2}
@@ -87,18 +81,18 @@ func TestLinkLoadsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LinkLoads(s, f4, m); err != nil {
+	if _, err := LinkLoads(world, f4, m); err != nil {
 		t.Errorf("matching mapping rejected: %v", err)
 	}
 	f8, _ := topo.NewFabric("ring", 8)
-	if _, err := LinkLoads(s, f8, m); err == nil {
+	if _, err := LinkLoads(world, f8, m); err == nil {
 		t.Error("mapping over 4 nodes accepted against an 8-node fabric")
 	}
 	mBig, err := topo.NewMapping(spec, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LinkLoads(s, f8, mBig); err == nil {
+	if _, err := LinkLoads(world, f8, mBig); err == nil {
 		t.Error("16-rank mapping accepted for an 8-rank schedule")
 	}
 }
@@ -128,28 +122,25 @@ func TestLinkLoadsMatchSimulatedFlows(t *testing.T) {
 		{"torus", "torus"},
 		{"hypercube", "hypercube"},
 	} {
-		s, err := Generate(c.gen, ranks, mapping)
+		world, err := GenerateWorld(c.gen, ranks, mapping)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Verify(s); err != nil {
+		if err := VerifyWorld(world); err != nil {
 			t.Fatal(err)
 		}
 		f, err := topo.NewFabric(c.fabric, nodes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loads, err := LinkLoads(s, f, mapping)
+		loads, err := LinkLoads(world, f, mapping)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var rep *sim.FlowReport
 		cfg := sim.ClusterConfig{Model: model, Nodes: nodes, PPN: ppn, Seed: 2, Fabric: c.fabric}
 		_, err = sim.RunClusterDebug(cfg, func(cm comm.Comm) error {
-			ex, err := rankExec(s, cm.Rank())
-			if err != nil {
-				return err
-			}
+			ex := NewRankExec(world[cm.Rank()])
 			send := comm.Virtual(ranks * block)
 			recv := comm.Virtual(ranks * block)
 			return ex.Run(cm, send, recv, block, nil)
@@ -159,7 +150,7 @@ func TestLinkLoadsMatchSimulatedFlows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ri := range s.Rounds {
+		for ri := range loads {
 			var want int64
 			for _, v := range loads[ri] {
 				want += int64(v) * block

@@ -15,111 +15,109 @@ import (
 )
 
 // mutantsPerBase is the number of seeded mutants drawn from each
-// generator's schedule.
+// generator's world.
 const mutantsPerBase = 300
 
-// mutantBase is one verified schedule the mutants are drawn from, with
-// the simulator body that checks the bytes a mutant delivers.
+// mutantBase is one verified world the mutants are drawn from, with the
+// simulator body that checks the bytes a mutant delivers.
 type mutantBase struct {
-	name string
-	s    *Schedule
-	body func(s *Schedule) func(c comm.Comm) error
+	name  string
+	world []*RankProgram
+	body  func(world []*RankProgram) func(c comm.Comm) error
 }
 
-// mutantBases returns every generator's schedule at 8 ranks.
+// mutantBases returns every generator's world at 8 ranks.
 func mutantBases(t *testing.T) []mutantBase {
 	var bases []mutantBase
 	for _, name := range AllGenerators() {
-		s, err := Generate(name, 8, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := func(s *Schedule) func(c comm.Comm) error { return execBody(s, 3) }
-		if s.Collective().reduction() {
-			body = func(s *Schedule) func(c comm.Comm) error {
-				return reduceExecBody(s, 2, sumI64, func(a, b int64) int64 { return a + b })
+		world := mustGen(t, name, 8)
+		body := func(world []*RankProgram) func(c comm.Comm) error { return execBody(world, 3) }
+		if world[0].Collective().reduction() {
+			body = func(world []*RankProgram) func(c comm.Comm) error {
+				return reduceExecBody(world, 2, sumI64, func(a, b int64) int64 { return a + b })
 			}
 		}
-		bases = append(bases, mutantBase{name, s, body})
+		bases = append(bases, mutantBase{name, world, body})
 	}
 	return bases
 }
 
-// stepPos locates one step of a schedule.
+// stepPos locates one step of a world: step si of rank r's round ri.
 type stepPos struct{ ri, r, si int }
 
 // mutantEdits are the nine edits a mutant applies, by name. Each returns
-// false when the schedule has no step it applies to.
+// false when the world has no step it applies to.
 var mutantEdits = []struct {
 	name  string
-	apply func(s *Schedule, rng *rand.Rand) bool
+	apply func(w []*RankProgram, rng *rand.Rand) bool
 }{
-	{"to", func(s *Schedule, rng *rand.Rand) bool {
-		st := pickStep(s, rng, func(st Step) bool { return st.Kind == Send || st.Kind == SendRecv })
+	{"to", func(w []*RankProgram, rng *rand.Rand) bool {
+		st := pickStep(w, rng, func(st Step) bool { return st.Kind == Send || st.Kind == SendRecv })
 		if st != nil {
-			st.To = int32((int(st.To) + 1 + rng.Intn(s.Ranks-1)) % s.Ranks)
+			st.To = int32((int(st.To) + 1 + rng.Intn(len(w)-1)) % len(w))
 		}
 		return st != nil
 	}},
-	{"from", func(s *Schedule, rng *rand.Rand) bool {
-		st := pickStep(s, rng, func(st Step) bool { return st.Kind == Recv || st.Kind == SendRecv })
+	{"from", func(w []*RankProgram, rng *rand.Rand) bool {
+		st := pickStep(w, rng, func(st Step) bool { return st.Kind == Recv || st.Kind == SendRecv })
 		if st != nil {
-			st.From = int32((int(st.From) + 1 + rng.Intn(s.Ranks-1)) % s.Ranks)
+			st.From = int32((int(st.From) + 1 + rng.Intn(len(w)-1)) % len(w))
 		}
 		return st != nil
 	}},
-	{"round", func(s *Schedule, rng *rand.Rand) bool {
-		pos, ok := pickPos(s, rng, func(Step) bool { return true })
-		if !ok || len(s.Rounds) < 2 {
+	{"round", func(w []*RankProgram, rng *rand.Rand) bool {
+		pos, ok := pickPos(w, rng, func(Step) bool { return true })
+		rounds := w[pos.r].Rounds
+		if !ok || len(rounds) < 2 {
 			return false
 		}
 		to := pos.ri + 1
-		if to == len(s.Rounds) || (pos.ri > 0 && rng.Intn(2) == 0) {
+		if to == len(rounds) || (pos.ri > 0 && rng.Intn(2) == 0) {
 			to = pos.ri - 1
 		}
-		steps := s.Rounds[pos.ri].Steps[pos.r]
+		steps := rounds[pos.ri]
 		st := steps[pos.si]
-		s.Rounds[pos.ri].Steps[pos.r] = append(steps[:pos.si], steps[pos.si+1:]...)
-		dst := s.Rounds[to].Steps[pos.r]
+		rounds[pos.ri] = append(steps[:pos.si], steps[pos.si+1:]...)
+		dst := rounds[to]
 		k := min(pos.si, len(dst))
-		s.Rounds[to].Steps[pos.r] = append(dst[:k], append([]Step{st}, dst[k:]...)...)
+		rounds[to] = append(dst[:k], append([]Step{st}, dst[k:]...)...)
 		return true
 	}},
-	{"offset", func(s *Schedule, rng *rand.Rand) bool {
-		ref := pickRef(s, rng)
+	{"offset", func(w []*RankProgram, rng *rand.Rand) bool {
+		ref := pickRef(w, rng)
 		if ref != nil {
 			ref.Off += int32(2*rng.Intn(2) - 1)
 		}
 		return ref != nil
 	}},
-	{"length", func(s *Schedule, rng *rand.Rand) bool {
-		ref := pickRef(s, rng)
+	{"length", func(w []*RankProgram, rng *rand.Rand) bool {
+		ref := pickRef(w, rng)
 		if ref != nil {
 			ref.N--
 		}
 		return ref != nil
 	}},
-	{"dup", func(s *Schedule, rng *rand.Rand) bool {
-		pos, ok := pickPos(s, rng, func(Step) bool { return true })
+	{"dup", func(w []*RankProgram, rng *rand.Rand) bool {
+		pos, ok := pickPos(w, rng, func(Step) bool { return true })
 		if ok {
-			steps := s.Rounds[pos.ri].Steps[pos.r]
-			s.Rounds[pos.ri].Steps[pos.r] = append(steps[:pos.si+1], steps[pos.si:]...)
+			steps := w[pos.r].Rounds[pos.ri]
+			w[pos.r].Rounds[pos.ri] = append(steps[:pos.si+1], steps[pos.si:]...)
 		}
 		return ok
 	}},
-	{"drop", func(s *Schedule, rng *rand.Rand) bool {
-		pos, ok := pickPos(s, rng, func(Step) bool { return true })
+	{"drop", func(w []*RankProgram, rng *rand.Rand) bool {
+		pos, ok := pickPos(w, rng, func(Step) bool { return true })
 		if ok {
-			steps := s.Rounds[pos.ri].Steps[pos.r]
-			s.Rounds[pos.ri].Steps[pos.r] = append(steps[:pos.si], steps[pos.si+1:]...)
+			steps := w[pos.r].Rounds[pos.ri]
+			w[pos.r].Rounds[pos.ri] = append(steps[:pos.si], steps[pos.si+1:]...)
 		}
 		return ok
 	}},
-	{"swap", func(s *Schedule, rng *rand.Rand) bool {
+	{"swap", func(w []*RankProgram, rng *rand.Rand) bool {
 		var lists []stepPos
-		for ri, rd := range s.Rounds {
-			for r, steps := range rd.Steps {
-				if len(steps) >= 2 {
+		for ri := range w[0].Rounds {
+			for r, rp := range w {
+				if len(rp.Rounds[ri]) >= 2 {
 					lists = append(lists, stepPos{ri, r, 0})
 				}
 			}
@@ -128,14 +126,14 @@ var mutantEdits = []struct {
 			return false
 		}
 		l := lists[rng.Intn(len(lists))]
-		steps := s.Rounds[l.ri].Steps[l.r]
+		steps := w[l.r].Rounds[l.ri]
 		i := rng.Intn(len(steps))
 		j := (i + 1 + rng.Intn(len(steps)-1)) % len(steps)
 		steps[i], steps[j] = steps[j], steps[i]
 		return true
 	}},
-	{"cut", func(s *Schedule, rng *rand.Rand) bool {
-		st := pickStep(s, rng, func(st Step) bool { return st.Kind == SendRecv })
+	{"cut", func(w []*RankProgram, rng *rand.Rand) bool {
+		st := pickStep(w, rng, func(st Step) bool { return st.Kind == SendRecv })
 		switch {
 		case st == nil:
 			return false
@@ -148,12 +146,13 @@ var mutantEdits = []struct {
 	}},
 }
 
-// pickPos draws the position of a uniformly random step satisfying ok.
-func pickPos(s *Schedule, rng *rand.Rand, ok func(Step) bool) (stepPos, bool) {
+// pickPos draws the position of a uniformly random step satisfying ok,
+// numbering the world's steps round by round, then rank by rank.
+func pickPos(w []*RankProgram, rng *rand.Rand, ok func(Step) bool) (stepPos, bool) {
 	var all []stepPos
-	for ri, rd := range s.Rounds {
-		for r, steps := range rd.Steps {
-			for si, st := range steps {
+	for ri := range w[0].Rounds {
+		for r, rp := range w {
+			for si, st := range rp.Rounds[ri] {
 				if ok(st) {
 					all = append(all, stepPos{ri, r, si})
 				}
@@ -167,18 +166,18 @@ func pickPos(s *Schedule, rng *rand.Rand, ok func(Step) bool) (stepPos, bool) {
 }
 
 // pickStep draws a uniformly random step satisfying ok, or nil.
-func pickStep(s *Schedule, rng *rand.Rand, ok func(Step) bool) *Step {
-	pos, found := pickPos(s, rng, ok)
+func pickStep(w []*RankProgram, rng *rand.Rand, ok func(Step) bool) *Step {
+	pos, found := pickPos(w, rng, ok)
 	if !found {
 		return nil
 	}
-	return &s.Rounds[pos.ri].Steps[pos.r][pos.si]
+	return &w[pos.r].Rounds[pos.ri][pos.si]
 }
 
 // pickRef draws a random step and one of the buffer operands its kind
 // uses.
-func pickRef(s *Schedule, rng *rand.Rand) *Ref {
-	st := pickStep(s, rng, func(st Step) bool { return st.Kind != 0 })
+func pickRef(w []*RankProgram, rng *rand.Rand) *Ref {
+	st := pickStep(w, rng, func(st Step) bool { return st.Kind != 0 })
 	if st == nil {
 		return nil
 	}
@@ -193,27 +192,24 @@ func pickRef(s *Schedule, rng *rand.Rand) *Ref {
 	return &st.Dst
 }
 
-// cloneSchedule deep-copies the step lists so a mutant never edits its
+// cloneWorld deep-copies the step lists so a mutant never edits its
 // base; header slices are shared, since no edit touches them.
-func cloneSchedule(s *Schedule) *Schedule {
-	c := *s
-	c.Rounds = make([]Round, len(s.Rounds))
-	for ri, rd := range s.Rounds {
-		c.Rounds[ri].Steps = make([][]Step, len(rd.Steps))
-		for r, steps := range rd.Steps {
-			c.Rounds[ri].Steps[r] = append([]Step(nil), steps...)
+func cloneWorld(w []*RankProgram) []*RankProgram {
+	c := make([]*RankProgram, len(w))
+	for r, rp := range w {
+		cp := *rp
+		cp.Rounds = make([][]Step, len(rp.Rounds))
+		for ri, steps := range rp.Rounds {
+			cp.Rounds[ri] = append([]Step(nil), steps...)
 		}
+		c[r] = &cp
 	}
-	return &c
+	return c
 }
 
-// slicesPassVerifyRank runs VerifyRank on every rank's slice of s.
-func slicesPassVerifyRank(s *Schedule) error {
-	for r := 0; r < s.Ranks; r++ {
-		rp, err := Slice(s, r)
-		if err != nil {
-			return err
-		}
+// programsPassVerifyRank runs VerifyRank on every program of the world.
+func programsPassVerifyRank(w []*RankProgram) error {
+	for _, rp := range w {
 		if err := VerifyRank(rp); err != nil {
 			return err
 		}
@@ -223,43 +219,44 @@ func slicesPassVerifyRank(s *Schedule) error {
 
 // TestVerifierMutants is the differential soundness check of the
 // verifier's two drivers: seeded single-edit mutants of every
-// generator's schedule. Every mutant Verify (the world driver) accepts
-// must have every slice pass VerifyRank (the lone driver) and move the
-// right bytes on the simulator (a deadlock fails too), and the verdict
-// of every mutant must match testdata/mutants.golden: "rejected by
-// both" when some slice fails VerifyRank too, "rejected by Verify only"
-// when only the world sees the defect. A change that makes either driver
-// accept or reject a different set of mutants shows up as a diff.
-// Regenerate with -update.
+// generator's world. Every mutant VerifyWorld (the world driver)
+// accepts must have every program pass VerifyRank (the lone driver) and
+// move the right bytes on the simulator (a deadlock fails too), and the
+// verdict of every mutant must match testdata/mutants.golden: "rejected
+// by both" when some program fails VerifyRank too, "rejected by Verify
+// only" when only the world driver sees the defect. A change that makes
+// either driver accept or reject a different set of mutants shows up as
+// a diff. Regenerate with -update.
 func TestVerifierMutants(t *testing.T) {
 	t.Parallel()
 	model := netmodel.Dane()
 	var out strings.Builder
 	accepted := 0
 	for bi, b := range mutantBases(t) {
-		if err := Verify(b.s); err != nil {
-			t.Fatalf("%s: base schedule rejected: %v", b.name, err)
+		if err := VerifyWorld(b.world); err != nil {
+			t.Fatalf("%s: base world rejected: %v", b.name, err)
 		}
-		model.Node = topo.Spec{Sockets: 1, NumaPerSocket: 1, CoresPerNuma: b.s.Ranks / 2}
+		p := len(b.world)
+		model.Node = topo.Spec{Sockets: 1, NumaPerSocket: 1, CoresPerNuma: p / 2}
 		rng := rand.New(rand.NewSource(int64(bi + 1)))
 		for i := 0; i < mutantsPerBase; i++ {
-			m := cloneSchedule(b.s)
+			m := cloneWorld(b.world)
 			edit := mutantEdits[rng.Intn(len(mutantEdits))]
 			for !edit.apply(m, rng) {
 				edit = mutantEdits[rng.Intn(len(mutantEdits))]
 			}
-			verr, serr := Verify(m), slicesPassVerifyRank(m)
+			verr, serr := VerifyWorld(m), programsPassVerifyRank(m)
 			verdict := "rejected by both"
 			switch {
 			case verr == nil:
 				verdict = "accepted"
 				accepted++
 				if serr != nil {
-					t.Errorf("%s mutant %d (%s): Verify accepts, VerifyRank rejects a slice: %v", b.name, i, edit.name, serr)
+					t.Errorf("%s mutant %d (%s): VerifyWorld accepts, VerifyRank rejects a program: %v", b.name, i, edit.name, serr)
 				}
-				cfg := sim.ClusterConfig{Model: model, Nodes: 2, PPN: b.s.Ranks / 2, Seed: 1}
+				cfg := sim.ClusterConfig{Model: model, Nodes: 2, PPN: p / 2, Seed: 1}
 				if _, err := sim.RunCluster(cfg, b.body(m)); err != nil {
-					t.Errorf("%s mutant %d (%s): Verify accepts, the simulator run fails: %v", b.name, i, edit.name, err)
+					t.Errorf("%s mutant %d (%s): VerifyWorld accepts, the simulator run fails: %v", b.name, i, edit.name, err)
 				}
 			case serr == nil:
 				verdict = "rejected by Verify only"

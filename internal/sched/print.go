@@ -25,19 +25,21 @@ func FormatRef(r Ref) string {
 	return fmt.Sprintf("%s[%d:%d]", buf, r.Off, r.N)
 }
 
-// Format renders a schedule for human inspection: a header naming the
-// collective (and, for reductions, the operator label), the aggregate
-// stats, and per round the message matrix (worlds up to matrixRanks
-// ranks) plus every reduce step with its operator and operand refs —
-// "acc op= partial", the executor's acc = acc op in contract.
-func Format(s *Schedule) string {
+// Format renders a world, its programs indexed by rank, for human
+// inspection: a header naming the collective (and, for reductions, the
+// operator label), the aggregate stats, and per round the message
+// matrix (worlds up to matrixRanks ranks) plus every reduce step with
+// its operator and operand refs — "acc op= partial", the executor's
+// acc = acc op in contract.
+func Format(world []*RankProgram) string {
 	var b strings.Builder
-	st := s.Stats()
-	coll := s.Collective()
+	h, p := world[0], len(world)
+	st := WorldStats(world)
+	coll := h.Collective()
 	if coll.reduction() {
-		fmt.Fprintf(&b, "schedule %q (%s, op %s): %d ranks, %d rounds\n", s.Name, coll, s.Op, s.Ranks, st.Rounds)
+		fmt.Fprintf(&b, "schedule %q (%s, op %s): %d ranks, %d rounds\n", h.Name, coll, h.Op, p, st.Rounds)
 	} else {
-		fmt.Fprintf(&b, "schedule %q (%s): %d ranks, %d rounds\n", s.Name, coll, s.Ranks, st.Rounds)
+		fmt.Fprintf(&b, "schedule %q (%s): %d ranks, %d rounds\n", h.Name, coll, p, st.Rounds)
 	}
 	fmt.Fprintf(&b, "  messages      %d (max %d per round)\n", st.Messages, st.MaxRoundMessages)
 	fmt.Fprintf(&b, "  wire volume   %d blocks\n", st.WireBlocks)
@@ -46,8 +48,8 @@ func Format(s *Schedule) string {
 		fmt.Fprintf(&b, "  reduce        %d steps, %d blocks\n", st.Reduces, st.ReduceBlocks)
 	}
 	fmt.Fprintf(&b, "  scratch       %d blocks per rank\n", st.ScratchBlocks)
-	for ri, rd := range s.Rounds {
-		m := s.RoundMatrix(ri)
+	for ri := range st.Rounds {
+		m := RoundMatrix(world, ri)
 		msgs, vol := 0, 0
 		for _, row := range m {
 			for _, n := range row {
@@ -58,7 +60,7 @@ func Format(s *Schedule) string {
 			}
 		}
 		fmt.Fprintf(&b, "round %d: %d messages, %d blocks\n", ri, msgs, vol)
-		if s.Ranks <= matrixRanks {
+		if p <= matrixRanks {
 			for src, row := range m {
 				fmt.Fprintf(&b, "  %3d |", src)
 				for _, n := range row {
@@ -70,8 +72,8 @@ func Format(s *Schedule) string {
 				}
 				fmt.Fprintln(&b)
 			}
-			for r, steps := range rd.Steps {
-				for _, stp := range steps {
+			for r, rp := range world {
+				for _, stp := range rp.Rounds[ri] {
 					if stp.Kind == Reduce {
 						fmt.Fprintf(&b, "  rank %d: %s %s= %s\n", r, FormatRef(stp.Dst), stp.Op, FormatRef(stp.Src))
 					}

@@ -31,11 +31,7 @@ func TestFormatRef(t *testing.T) {
 // Regenerate with -update.
 func TestFormatGolden(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("rs-ring", 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Format(s)
+	got := Format(mustGen(t, "rs-ring", 6))
 	path := filepath.Join("testdata", "print_rsring6.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -55,11 +51,7 @@ func TestFormatGolden(t *testing.T) {
 // and reduce listings are suppressed but the stats survive.
 func TestFormatLargeWorld(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("rs-ring", matrixRanks+1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := Format(s)
+	out := Format(mustGen(t, "rs-ring", matrixRanks+1))
 	if strings.Contains(out, "|") {
 		t.Errorf("matrix rendered for %d ranks:\n%s", matrixRanks+1, out)
 	}

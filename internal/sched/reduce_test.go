@@ -36,9 +36,9 @@ func reductionGenerators() []string {
 }
 
 // TestReductionGeneratorsVerify proves every reduction generator's
-// output at many shapes through Verify on the assembled schedule, Prove
-// through VerifyWorldSliced, and the GenerateRank ≡ Slice(Generate)
-// round trip.
+// output at many shapes through VerifyWorld on the generated programs,
+// Prove through VerifyWorldSliced, and the world file's round trip to
+// the GenerateRank programs.
 func TestReductionGeneratorsVerify(t *testing.T) {
 	t.Parallel()
 	for _, name := range reductionGenerators() {
@@ -46,18 +46,15 @@ func TestReductionGeneratorsVerify(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, p := range reductionShapes(name) {
-				s, err := Generate(name, p, nil)
-				if err != nil {
-					t.Fatalf("p=%d: Generate: %v", p, err)
-				}
-				if got := s.Collective(); !got.reduction() {
+				world := mustGen(t, name, p)
+				if got := world[0].Collective(); !got.reduction() {
 					t.Fatalf("p=%d: collective %q is not a reduction", p, got)
 				}
-				if s.Op != OpAny {
-					t.Fatalf("p=%d: operator label %q, want %q", p, s.Op, OpAny)
+				if world[0].Op != OpAny {
+					t.Fatalf("p=%d: operator label %q, want %q", p, world[0].Op, OpAny)
 				}
-				if err := Verify(s); err != nil {
-					t.Fatalf("p=%d: Verify: %v", p, err)
+				if err := VerifyWorld(world); err != nil {
+					t.Fatalf("p=%d: VerifyWorld: %v", p, err)
 				}
 				if err := VerifyWorldSliced(name, p, nil); err != nil {
 					t.Fatalf("p=%d: VerifyWorldSliced: %v", p, err)
@@ -70,14 +67,14 @@ func TestReductionGeneratorsVerify(t *testing.T) {
 	// grid from the mapping.
 	m := gridMapping(t, 3, 5)
 	for _, name := range []string{"rs-torus", "ar-torus"} {
-		s, err := Generate(name, m.Size(), m)
+		world, err := GenerateWorld(name, m.Size(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(s.Name, "torus3x5") {
-			t.Errorf("%s on 3x5 grid named %q", name, s.Name)
+		if !strings.Contains(world[0].Name, "torus3x5") {
+			t.Errorf("%s on 3x5 grid named %q", name, world[0].Name)
 		}
-		if err := Verify(s); err != nil {
+		if err := VerifyWorld(world); err != nil {
 			t.Errorf("%s on 3x5 grid: %v", name, err)
 		}
 		if err := VerifyWorldSliced(name, m.Size(), m); err != nil {
@@ -111,22 +108,19 @@ func maxI64(acc, in []byte) {
 // s contributes toward destination d.
 func redVal(s, d, e int) int64 { return int64(s*31 + d*7 + e) }
 
-// reduceExecBody fills int64 payloads, runs the schedule twice through
-// one executor (persistence) and checks the reduced result element-wise.
-// For reduce-scatter the recv space is one block; for allreduce it is the
-// full p-block result.
-func reduceExecBody(s *Schedule, elems int, op ReduceOp, fold func(a, b int64) int64) func(c comm.Comm) error {
+// reduceExecBody fills int64 payloads, runs each rank's program of the
+// world twice through one executor (persistence) and checks the reduced
+// result element-wise. For reduce-scatter the recv space is one block;
+// for allreduce it is the full p-block result.
+func reduceExecBody(world []*RankProgram, elems int, op ReduceOp, fold func(a, b int64) int64) func(c comm.Comm) error {
 	return func(c comm.Comm) error {
 		block := elems * 8
 		p, rank := c.Size(), c.Rank()
-		ex, err := rankExec(s, rank)
-		if err != nil {
-			return err
-		}
+		ex := NewRankExec(world[rank])
 		ex.SetOp(op)
 		send := comm.Alloc(p * block)
 		recvBlocks := 1
-		if s.Collective() == CollAllreduce {
+		if world[rank].Collective() == CollAllreduce {
 			recvBlocks = p
 		}
 		recv := comm.Alloc(recvBlocks * block)
@@ -144,7 +138,7 @@ func reduceExecBody(s *Schedule, elems int, op ReduceOp, fold func(a, b int64) i
 			}
 			for b := 0; b < recvBlocks; b++ {
 				d := rank
-				if s.Collective() == CollAllreduce {
+				if world[rank].Collective() == CollAllreduce {
 					d = b
 				}
 				for e := 0; e < elems; e++ {
@@ -190,14 +184,11 @@ func TestReductionExecLive(t *testing.T) {
 				name, p, o := name, p, o
 				t.Run(fmt.Sprintf("%s/p%d/%s", name, p, o.name), func(t *testing.T) {
 					t.Parallel()
-					s, err := Generate(name, p, nil)
-					if err != nil {
+					world := mustGen(t, name, p)
+					if err := VerifyWorld(world); err != nil {
 						t.Fatal(err)
 					}
-					if err := Verify(s); err != nil {
-						t.Fatal(err)
-					}
-					if err := runtime.Run(runtime.Config{Ranks: p}, reduceExecBody(s, 3, o.op, o.fold)); err != nil {
+					if err := runtime.Run(runtime.Config{Ranks: p}, reduceExecBody(world, 3, o.op, o.fold)); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -217,12 +208,8 @@ func TestReductionExecSim(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Generate(name, 16, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if _, err := sim.RunCluster(sim.ClusterConfig{Model: model, Nodes: 2, PPN: 8, Seed: 1},
-				reduceExecBody(s, 4, sumI64, func(a, b int64) int64 { return a + b })); err != nil {
+				reduceExecBody(mustGen(t, name, 16), 4, sumI64, func(a, b int64) int64 { return a + b })); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -233,16 +220,10 @@ func TestReductionExecSim(t *testing.T) {
 // installed operator fails, and the error names the remedy.
 func TestExecReduceNeedsOp(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("rs-ring", 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
+	world := mustGen(t, "rs-ring", 2)
+	err := runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
 		block := 8
-		ex, err := rankExec(s, c.Rank())
-		if err != nil {
-			return err
-		}
+		ex := NewRankExec(world[c.Rank()])
 		return ex.Run(c, comm.Alloc(2*block), comm.Alloc(block), block, nil)
 	})
 	if err == nil || !strings.Contains(err.Error(), "SetOp") {
@@ -250,75 +231,80 @@ func TestExecReduceNeedsOp(t *testing.T) {
 	}
 }
 
-// findReduce locates a Reduce step in the schedule with a scratch-space
-// accumulator, returning (round, rank, step index).
-func findReduce(t *testing.T, s *Schedule, scratchDst bool) (int, int, int) {
+// findReduce locates the first Reduce step of the world, round by
+// round, whose accumulator is (or is not) in scratch space, returning
+// (round, rank, step index).
+func findReduce(t *testing.T, w []*RankProgram, scratchDst bool) (int, int, int) {
 	t.Helper()
-	for ri, rd := range s.Rounds {
-		for r, steps := range rd.Steps {
-			for si, st := range steps {
+	for ri := range w[0].Rounds {
+		for r, rp := range w {
+			for si, st := range rp.Rounds[ri] {
 				if st.Kind == Reduce && (st.Dst.Buf >= SpaceScratch) == scratchDst {
 					return ri, r, si
 				}
 			}
 		}
 	}
-	t.Fatal("schedule has no matching reduce step")
+	t.Fatal("world has no matching reduce step")
 	return 0, 0, 0
 }
 
-// TestVerifyRejectsReductionCorruption: Verify's world driver catches
-// every reduction-specific corruption class.
+// TestVerifyRejectsReductionCorruption: VerifyWorld's world driver
+// catches every reduction-specific corruption class.
 func TestVerifyRejectsReductionCorruption(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		name    string
 		gen     string
-		corrupt func(t *testing.T, s *Schedule)
+		corrupt func(t *testing.T, w []*RankProgram)
 		wantErr string
 	}{
 		{
 			name: "double contribution",
 			gen:  "rs-ring",
-			corrupt: func(t *testing.T, s *Schedule) {
-				ri, r, si := findReduce(t, s, true)
-				steps := s.Rounds[ri].Steps[r]
-				s.Rounds[ri].Steps[r] = append(steps[:si+1:si+1], steps[si:]...)
+			corrupt: func(t *testing.T, w []*RankProgram) {
+				ri, r, si := findReduce(t, w, true)
+				steps := w[r].Rounds[ri]
+				w[r].Rounds[ri] = append(steps[:si+1:si+1], steps[si:]...)
 			},
 			wantErr: "double contribution",
 		},
 		{
 			name: "wrong operator label",
 			gen:  "rs-ring",
-			corrupt: func(t *testing.T, s *Schedule) {
-				ri, r, si := findReduce(t, s, true)
-				s.Rounds[ri].Steps[r][si].Op = "max"
+			corrupt: func(t *testing.T, w []*RankProgram) {
+				ri, r, si := findReduce(t, w, true)
+				w[r].Rounds[ri][si].Op = "max"
 			},
 			wantErr: "does not match the schedule's",
 		},
 		{
 			name: "missing contribution",
 			gen:  "rs-ring",
-			corrupt: func(t *testing.T, s *Schedule) {
-				ri, r, si := findReduce(t, s, true)
-				steps := s.Rounds[ri].Steps[r]
-				s.Rounds[ri].Steps[r] = append(steps[:si:si], steps[si+1:]...)
+			corrupt: func(t *testing.T, w []*RankProgram) {
+				ri, r, si := findReduce(t, w, true)
+				steps := w[r].Rounds[ri]
+				w[r].Rounds[ri] = append(steps[:si:si], steps[si+1:]...)
 			},
 			wantErr: "contribution",
 		},
 		{
 			name: "operator on a routing schedule",
 			gen:  "ring",
-			corrupt: func(t *testing.T, s *Schedule) {
-				s.Op = OpAny
+			corrupt: func(t *testing.T, w []*RankProgram) {
+				for _, rp := range w {
+					rp.Op = OpAny
+				}
 			},
 			wantErr: "non-reduction",
 		},
 		{
 			name: "reduction without operator label",
 			gen:  "rs-ring",
-			corrupt: func(t *testing.T, s *Schedule) {
-				s.Op = ""
+			corrupt: func(t *testing.T, w []*RankProgram) {
+				for _, rp := range w {
+					rp.Op = ""
+				}
 			},
 			wantErr: "operator",
 		},
@@ -327,12 +313,9 @@ func TestVerifyRejectsReductionCorruption(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Generate(tc.gen, 6, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(t, s)
-			err = Verify(s)
+			w := mustGen(t, tc.gen, 6)
+			tc.corrupt(t, w)
+			err := VerifyWorld(w)
 			if err == nil {
 				t.Fatalf("corruption %q passed verification", tc.name)
 			}
@@ -344,33 +327,12 @@ func TestVerifyRejectsReductionCorruption(t *testing.T) {
 }
 
 // TestWorldDriverRejectsReductionCorruption: the same corruption
-// classes are caught when the rank slices are streamed through
+// classes are caught when the rank programs are streamed through
 // VerifyRank and the world driver.
 func TestWorldDriverRejectsReductionCorruption(t *testing.T) {
 	t.Parallel()
 	const p = 6
-	slices := func(t *testing.T) []*RankProgram {
-		t.Helper()
-		s, err := Generate("rs-ring", p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make([]*RankProgram, p)
-		for r := 0; r < p; r++ {
-			rp, err := Slice(s, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp := *rp
-			cp.Rounds = nil
-			for _, steps := range rp.Rounds {
-				cp.Rounds = append(cp.Rounds, append([]Step(nil), steps...))
-			}
-			out[r] = &cp
-		}
-		return out
-	}
-	// findSliceReduce returns the first or last Reduce step of a slice.
+	// findSliceReduce returns the first or last Reduce step of a program.
 	// The last one folds in this rank's own send block right before the
 	// accumulator is copied to the recv space, so corrupting its source
 	// is locally detectable at the result write.
@@ -443,7 +405,7 @@ func TestWorldDriverRejectsReductionCorruption(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			rps := slices(t)
+			rps := slicesOf(t, "rs-ring", p)
 			tc.mutate(t, rps)
 			err := streamAll(rps)
 			if err == nil {
@@ -457,38 +419,34 @@ func TestWorldDriverRejectsReductionCorruption(t *testing.T) {
 }
 
 // TestReductionScheduleRoundTrip: the reduction IR fields survive the
-// JSON round trip at format version 2, for whole-world schedules and
-// rank slices.
+// JSON round trip at format version 2, for world files and rank
+// programs.
 func TestReductionScheduleRoundTrip(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("ar-torus", 12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := mustGen(t, "ar-torus", 12)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := EncodeWorld(&buf, world); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"format": 2`)) {
-		t.Fatalf("reduction schedule not encoded at format 2")
+		t.Fatalf("reduction world not encoded at format 2")
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeWorld(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
+	if !reflect.DeepEqual(world, got) {
 		t.Fatalf("round trip mismatch")
 	}
-	if got.Collective() != CollAllreduce || got.Op != OpAny {
-		t.Fatalf("decoded coll/op = %q/%q", got.Collective(), got.Op)
+	for _, rp := range got {
+		if rp.Collective() != CollAllreduce || rp.Op != OpAny {
+			t.Fatalf("decoded rank %d coll/op = %q/%q", rp.Rank, rp.Collective(), rp.Op)
+		}
 	}
-	if err := Verify(got); err != nil {
-		t.Fatalf("decoded schedule fails verification: %v", err)
+	if err := VerifyWorld(got); err != nil {
+		t.Fatalf("decoded world fails verification: %v", err)
 	}
-	rp, err := Slice(s, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rp := world[7]
 	buf.Reset()
 	if err := rp.Encode(&buf); err != nil {
 		t.Fatal(err)

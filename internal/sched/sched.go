@@ -18,14 +18,18 @@
 //
 // # The IR
 //
-// A Schedule is an ordered list of Rounds; each Round holds one step list
-// per rank. All offsets and lengths are in block units (the per-rank-pair
-// block of MPI_Alltoall), so one schedule serves every message size.
-// Steps reference three kinds of buffer space: the user send buffer
+// A RankProgram is one rank's part of an exchange: an ordered list of
+// rounds, each a list of send/recv/copy/reduce steps, plus the world
+// facts (rank count, collective, scratch declarations) the executor and
+// verifier need. A world is its ranks' programs, indexed by rank; every
+// program repeats the same header and round count. All offsets and
+// lengths are in block units (the per-rank-pair block of
+// MPI_Alltoall), so one program serves every message size. Steps
+// reference three kinds of buffer space: the user send buffer
 // (SpaceSend), the user recv buffer (SpaceRecv), and per-rank scratch
-// spaces declared by Schedule.Scratch. User-space sizes depend on the
-// collective (RankProgram.SpaceSize): Ranks blocks each for all-to-all
-// and allreduce, a single recv block for reduce-scatter.
+// spaces declared by RankProgram.Scratch. User-space sizes depend on
+// the collective (RankProgram.SpaceSize): Ranks blocks each for
+// all-to-all and allreduce, a single recv block for reduce-scatter.
 //
 // # Execution semantics (the round discipline)
 //
@@ -46,16 +50,14 @@ package sched
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
-
-	"alltoallx/internal/artifact"
 )
 
-// FormatVersion is the on-disk JSON format version Encode writes. Bump
-// on incompatible IR changes; Decode rejects unknown versions rather
-// than silently executing a stale schedule. Version 2 added the
+// FormatVersion is the on-disk JSON format version the encoders write.
+// Bump on incompatible IR changes; the decoders reject unknown versions
+// rather than silently executing a stale schedule. Version 2 added the
 // collective kind and the reduction operator label; version-1 artifacts
 // (plain all-to-all schedules) decode unchanged, since every added field
 // defaults to the all-to-all reading. Version 2 also had an alltoallv
@@ -137,8 +139,8 @@ const (
 	Copy
 	// Reduce combines Src into Dst within this rank's buffers:
 	// Dst = Dst op Src, elementwise over equal-length refs, using the
-	// operator the schedule is labeled with (Step.Op must equal
-	// Schedule.Op; the verifier rejects a mismatch). Reduce steps are
+	// operator the program is labeled with (Step.Op must equal
+	// RankProgram.Op; the verifier rejects a mismatch). Reduce steps are
 	// only legal in reduction schedules (reduce-scatter, allreduce); the
 	// executor runs them with the operator installed via Exec.SetOp.
 	Reduce
@@ -227,44 +229,8 @@ type Step struct {
 	Op string `json:"o,omitempty"`
 }
 
-// Round is one synchronization unit of the schedule: Steps[r] is rank r's
-// step list. Every send in a round is received in the same round.
-type Round struct {
-	Steps [][]Step `json:"steps"`
-}
-
-// Schedule is a complete per-rank communication schedule for a
-// collective over Ranks ranks.
-type Schedule struct {
-	// Format is the IR format version (FormatVersion).
-	Format int `json:"format"`
-	// Name labels the schedule (generator name, e.g. "ring").
-	Name string `json:"name"`
-	// Ranks is the world size the schedule is compiled for.
-	Ranks int `json:"ranks"`
-	// Coll is the collective the schedule implements; empty means
-	// CollAlltoall (the version-1 reading). Use Collective() to read it.
-	Coll Coll `json:"coll,omitempty"`
-	// Op is the reduction-operator label; required for (and only legal
-	// on) reduction collectives. The bundled generators emit OpAny.
-	Op string `json:"op,omitempty"`
-	// Scratch declares per-rank scratch spaces: Scratch[i] is the size in
-	// blocks of space SpaceScratch+i. Every rank gets its own copy.
-	Scratch []int `json:"scratch,omitempty"`
-	// Rounds are executed in order under the round discipline.
-	Rounds []Round `json:"rounds"`
-}
-
-// Collective returns the schedule's collective kind, reading the empty
-// (version-1) value as CollAlltoall.
-func (s *Schedule) Collective() Coll {
-	if s.Coll == "" {
-		return CollAlltoall
-	}
-	return s.Coll
-}
-
-// Stats summarizes a schedule's cost structure.
+// Stats summarizes the cost structure of a rank's program or of a
+// world.
 type Stats struct {
 	// Rounds is the number of rounds.
 	Rounds int
@@ -285,77 +251,119 @@ type Stats struct {
 	ScratchBlocks int
 }
 
-// Stats computes the schedule's summary counters.
-func (s *Schedule) Stats() Stats {
-	st := Stats{Rounds: len(s.Rounds)}
-	for _, sz := range s.Scratch {
+// WorldStats computes the summary counters of a world, its programs
+// indexed by rank, each with the world's round count: message and block
+// totals over every rank, the header's rounds and scratch.
+func WorldStats(world []*RankProgram) Stats {
+	var st Stats
+	if len(world) == 0 {
+		return st
+	}
+	st.Rounds = len(world[0].Rounds)
+	for _, sz := range world[0].Scratch {
 		st.ScratchBlocks += sz
 	}
-	for _, rd := range s.Rounds {
+	for ri := range st.Rounds {
 		msgs := 0
-		for _, steps := range rd.Steps {
-			for _, step := range steps {
-				switch step.Kind {
-				case Send, SendRecv:
-					msgs++
-					st.WireBlocks += int(step.Src.N)
-				case Copy:
-					st.Copies++
-					st.CopyBlocks += int(step.Src.N)
-				case Reduce:
-					st.Reduces++
-					st.ReduceBlocks += int(step.Src.N)
-				}
-			}
+		for _, rp := range world {
+			msgs += st.add(rp.Rounds[ri])
 		}
-		st.Messages += msgs
-		if msgs > st.MaxRoundMessages {
-			st.MaxRoundMessages = msgs
-		}
+		st.MaxRoundMessages = max(st.MaxRoundMessages, msgs)
 	}
 	return st
 }
 
-// RoundMatrix returns the blocks-sent matrix of round ri: m[src][dst] is
-// the number of blocks src sends to dst in that round. Out-of-range
-// ranks or peers are skipped rather than indexed: the matrix is an
-// inspection tool and must render malformed artifacts (which Verify
-// rejects) instead of panicking on them.
-func (s *Schedule) RoundMatrix(ri int) [][]int {
-	m := make([][]int, s.Ranks)
-	for i := range m {
-		m[i] = make([]int, s.Ranks)
-	}
-	for r, steps := range s.Rounds[ri].Steps {
-		if r >= s.Ranks {
-			break
+// add counts one step list into st and returns its message count.
+func (st *Stats) add(steps []Step) int {
+	msgs := 0
+	for _, step := range steps {
+		switch step.Kind {
+		case Send, SendRecv:
+			msgs++
+			st.WireBlocks += int(step.Src.N)
+		case Copy:
+			st.Copies++
+			st.CopyBlocks += int(step.Src.N)
+		case Reduce:
+			st.Reduces++
+			st.ReduceBlocks += int(step.Src.N)
 		}
-		for _, step := range steps {
-			switch step.Kind {
-			case Send, SendRecv:
-				if to := int(step.To); to >= 0 && to < s.Ranks {
-					m[r][to] += int(step.Src.N)
-				}
+	}
+	st.Messages += msgs
+	return msgs
+}
+
+// RoundMatrix returns the blocks-sent matrix of round ri of a world:
+// m[src][dst] is the number of blocks src sends to dst in that round.
+// Out-of-range peers are skipped rather than indexed: the matrix is an
+// inspection tool and must render worlds the verifier rejects instead
+// of panicking on them.
+func RoundMatrix(world []*RankProgram, ri int) [][]int {
+	p := len(world)
+	m := make([][]int, p)
+	for src, rp := range world {
+		m[src] = make([]int, p)
+		for _, step := range rp.Rounds[ri] {
+			if to := int(step.To); (step.Kind == Send || step.Kind == SendRecv) && to >= 0 && to < p {
+				m[src][to] += int(step.Src.N)
 			}
 		}
 	}
 	return m
 }
 
-// Encode writes the schedule as versioned JSON (the Format field is
-// forced to FormatVersion).
-func (s *Schedule) Encode(w io.Writer) error {
-	s.Format = FormatVersion
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(s)
+// schedule is a world's JSON form, which format-1 and format-2 files
+// share: the header every program repeats, then the rounds, each
+// listing every rank's steps in rank order. EncodeWorld and DecodeWorld
+// are its only users.
+type schedule struct {
+	Format  int     `json:"format"`
+	Name    string  `json:"name"`
+	Ranks   int     `json:"ranks"`
+	Coll    Coll    `json:"coll,omitempty"`
+	Op      string  `json:"op,omitempty"`
+	Scratch []int   `json:"scratch,omitempty"`
+	Rounds  []round `json:"rounds"`
 }
 
-// Decode reads one schedule from r. It checks the format version and
-// basic shape; run Verify for the full correctness proof (Decode stays
-// cheap so tools can load a broken schedule to inspect it).
-func Decode(r io.Reader) (*Schedule, error) {
-	var s Schedule
+// round is one round of a world file: Steps[r] is rank r's step list.
+type round struct {
+	Steps [][]Step `json:"steps"`
+}
+
+// EncodeWorld writes a world, its programs indexed by rank, as
+// versioned JSON: rank 0's header at FormatVersion, then every round
+// with each rank's steps. The programs must agree on their round count.
+func EncodeWorld(w io.Writer, world []*RankProgram) error {
+	if len(world) == 0 {
+		return errors.New("sched: cannot encode a world of no programs")
+	}
+	h := world[0]
+	s := schedule{Format: FormatVersion, Name: h.Name, Ranks: len(world), Coll: h.Coll, Op: h.Op, Scratch: h.Scratch,
+		Rounds: make([]round, len(h.Rounds))}
+	for r, rp := range world {
+		if len(rp.Rounds) != len(s.Rounds) {
+			return fmt.Errorf("sched: cannot encode rank %d's %d rounds in a world of %d", r, len(rp.Rounds), len(s.Rounds))
+		}
+	}
+	for ri := range s.Rounds {
+		s.Rounds[ri].Steps = make([][]Step, len(world))
+		for r, rp := range world {
+			s.Rounds[ri].Steps[r] = rp.Rounds[ri]
+		}
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(&s)
+}
+
+// DecodeWorld reads one world from r: every rank's program, indexed by
+// rank. It checks the format version and the shape — the rank count,
+// one step list per rank in every round — and stays cheap otherwise,
+// so tools can load a broken world to inspect it; run VerifyWorld for
+// the proof.
+func DecodeWorld(r io.Reader) ([]*RankProgram, error) {
+	var s schedule
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("sched: decoding schedule: %w", err)
 	}
@@ -365,26 +373,21 @@ func Decode(r io.Reader) (*Schedule, error) {
 	if err := checkRanks(s.Ranks); err != nil {
 		return nil, err
 	}
-	return &s, nil
-}
-
-// Save writes the schedule to path atomically, the same artifact
-// discipline as autotune tables (internal/artifact).
-func (s *Schedule) Save(path string) error {
-	return artifact.Save(path, "sched: saving schedule", s.Encode)
-}
-
-// Load reads the schedule at path (Decode semantics: format-checked, not
-// verified).
-func Load(path string) (*Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sched: loading schedule: %w", err)
+	for ri, rd := range s.Rounds {
+		if len(rd.Steps) != s.Ranks {
+			return nil, fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), s.Ranks)
+		}
 	}
-	defer f.Close()
-	s, err := Decode(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	n := len(s.Rounds)
+	progs, rounds := make([]RankProgram, s.Ranks), make([][]Step, s.Ranks*n)
+	world := make([]*RankProgram, s.Ranks)
+	for r := range world {
+		progs[r] = RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: r, Coll: s.Coll, Op: s.Op,
+			Scratch: s.Scratch, Rounds: rounds[r*n : (r+1)*n : (r+1)*n]}
+		for ri, rd := range s.Rounds {
+			progs[r].Rounds[ri] = rd.Steps[r]
+		}
+		world[r] = &progs[r]
 	}
-	return s, nil
+	return world, nil
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -12,34 +13,31 @@ import (
 
 func TestRefJSONRoundTrip(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("pairwise", 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	world := mustGen(t, "pairwise", 4)
 	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	if err := EncodeWorld(&buf, world); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := DecodeWorld(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
-		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", s, got)
+	if !reflect.DeepEqual(world, got) {
+		t.Fatalf("round trip mismatch:\nwant %+v\ngot  %+v", world, got)
 	}
-	if err := Verify(got); err != nil {
-		t.Fatalf("decoded schedule fails verification: %v", err)
+	if err := VerifyWorld(got); err != nil {
+		t.Fatalf("decoded world fails verification: %v", err)
 	}
 }
 
 // TestDecodeRefusals: the pairwise world and program decode and verify,
-// and each decodeRefusals edit of them makes Decode and DecodeRank fail
-// with an error naming the edited value.
+// and each decodeRefusals edit of them makes DecodeWorld and DecodeRank
+// fail with an error naming the edited value.
 func TestDecodeRefusals(t *testing.T) {
 	t.Parallel()
-	s, err := Decode(strings.NewReader(pairwise2World))
+	world, err := DecodeWorld(strings.NewReader(pairwise2World))
 	if err == nil {
-		err = Verify(s)
+		err = VerifyWorld(world)
 	}
 	if err != nil {
 		t.Fatalf("unedited world: %v", err)
@@ -55,7 +53,7 @@ func TestDecodeRefusals(t *testing.T) {
 		name, file string
 		decode     func(io.Reader) error
 	}{
-		{"Decode", pairwise2World, func(r io.Reader) error { _, err := Decode(r); return err }},
+		{"DecodeWorld", pairwise2World, func(r io.Reader) error { _, err := DecodeWorld(r); return err }},
 		{"DecodeRank", pairwise2Rank0, func(r io.Reader) error { _, err := DecodeRank(r); return err }},
 	}
 	for _, e := range decodeRefusals {
@@ -111,47 +109,51 @@ func TestStepLayout(t *testing.T) {
 
 func TestDecodeRejectsWrongFormat(t *testing.T) {
 	t.Parallel()
-	if _, err := Decode(strings.NewReader(`{"format":99,"name":"x","ranks":2,"rounds":[]}`)); err == nil {
+	if _, err := DecodeWorld(strings.NewReader(`{"format":99,"name":"x","ranks":2,"rounds":[]}`)); err == nil {
 		t.Fatal("format 99 accepted")
 	}
-	if _, err := Decode(strings.NewReader(`{"format":1,"name":"x","ranks":0,"rounds":[]}`)); err == nil {
+	if _, err := DecodeWorld(strings.NewReader(`{"format":1,"name":"x","ranks":0,"rounds":[]}`)); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
-	if _, err := Decode(strings.NewReader(`not json`)); err == nil {
+	if _, err := DecodeWorld(strings.NewReader(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
+// TestSaveLoad: a rank program saved as an artifact reads back as the
+// same program, and saving into a missing directory fails.
 func TestSaveLoad(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("ring", 6, nil)
+	rp, err := GenerateRank("ring", 6, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ring6.json")
-	if err := s.Save(path); err != nil {
+	path := filepath.Join(t.TempDir(), "ring6r2.json")
+	if err := rp.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(s, got) {
+	defer f.Close()
+	got, err := DecodeRank(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rp, got) {
 		t.Fatal("save/load mismatch")
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	if err := rp.Save(filepath.Join(t.TempDir(), "missing", "r.json")); err == nil {
+		t.Fatal("save into a missing directory accepted")
 	}
 }
 
 func TestStatsAndRoundMatrix(t *testing.T) {
 	t.Parallel()
 	p := 5
-	s, err := Generate("pairwise", p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
+	world := mustGen(t, "pairwise", p)
+	st := WorldStats(world)
 	if st.Rounds != p {
 		t.Errorf("rounds = %d, want %d", st.Rounds, p)
 	}
@@ -164,8 +166,11 @@ func TestStatsAndRoundMatrix(t *testing.T) {
 	if st.Copies != p {
 		t.Errorf("copies = %d, want %d (one self copy per rank)", st.Copies, p)
 	}
+	if st.MaxRoundMessages != p {
+		t.Errorf("max round messages = %d, want %d", st.MaxRoundMessages, p)
+	}
 	// Round 1 of pairwise: every rank sends exactly one block to r+1.
-	m := s.RoundMatrix(1)
+	m := RoundMatrix(world, 1)
 	for r := 0; r < p; r++ {
 		for d := 0; d < p; d++ {
 			want := 0
@@ -181,20 +186,20 @@ func TestStatsAndRoundMatrix(t *testing.T) {
 
 func TestGenerateUnknown(t *testing.T) {
 	t.Parallel()
-	if _, err := Generate("no-such", 4, nil); err == nil {
+	if _, err := GenerateWorld("no-such", 4, nil); err == nil {
 		t.Fatal("unknown generator accepted")
 	}
-	if _, err := Generate("ring", 0, nil); err == nil {
+	if _, err := GenerateWorld("ring", 0, nil); err == nil {
 		t.Fatal("zero ranks accepted")
 	}
 }
 
 func TestHypercubeNeedsPowerOfTwo(t *testing.T) {
 	t.Parallel()
-	if _, err := Generate("hypercube", 6, nil); err == nil {
+	if _, err := GenerateWorld("hypercube", 6, nil); err == nil {
 		t.Fatal("hypercube accepted 6 ranks")
 	}
-	if _, err := Generate("hypercube", 8, nil); err != nil {
+	if _, err := GenerateWorld("hypercube", 8, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,16 +207,7 @@ func TestHypercubeNeedsPowerOfTwo(t *testing.T) {
 func TestGenerateDeterministic(t *testing.T) {
 	t.Parallel()
 	for _, name := range Generators() {
-		p := 8
-		a, err := Generate(name, p, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b, err := Generate(name, p, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
+		if a, b := mustGen(t, name, 8), mustGen(t, name, 8); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: two generations differ", name)
 		}
 	}

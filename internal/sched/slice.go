@@ -1,11 +1,11 @@
-// Rank programs. A RankProgram is the part of a Schedule that one rank
-// executes: its step list of every round, plus the world-level facts
-// (rank count, scratch declarations) the executor and verifier need.
-// Every generator compiles one rank at a time, as a header plus a round
-// source that writes round ri into a reused buffer: GenerateRank
-// materialises the rounds into a program, O(slice) memory instead of
-// the whole world's O(p^2), and Prove walks every rank's rounds as they
-// are written, one round of the world at a time.
+// Rank programs. A RankProgram is what one rank executes: its step list
+// of every round, plus the world-level facts (rank count, scratch
+// declarations) the executor and verifier need; a world is its ranks'
+// programs. Every generator compiles one rank at a time, as a header
+// plus a round source that writes round ri into a reused buffer:
+// GenerateRank materialises the rounds into a program, O(slice) memory
+// instead of the whole world's O(p^2), and Prove walks every rank's
+// rounds as they are written, one round of the world at a time.
 
 package sched
 
@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -26,10 +25,9 @@ import (
 )
 
 // RankProgram is one rank's compiled schedule: Rounds[ri] is this rank's
-// step list in round ri (step semantics and the round discipline are
-// exactly those of Schedule). Scratch declares the same per-rank scratch
-// spaces the whole-world schedule would; Ranks is the world size the
-// program is compiled for.
+// step list in round ri, run under the round discipline. Every program
+// of a world repeats the same header but Rank, and the same round
+// count; Ranks is the world size the program is compiled for.
 type RankProgram struct {
 	// Format is the IR format version (FormatVersion).
 	Format int `json:"format"`
@@ -42,9 +40,11 @@ type RankProgram struct {
 	// Coll is the collective the program implements; empty means
 	// CollAlltoall (the version-1 reading). Use Collective() to read it.
 	Coll Coll `json:"coll,omitempty"`
-	// Op is the reduction-operator label (Schedule.Op).
+	// Op is the reduction-operator label; required for (and only legal
+	// on) reduction collectives. The bundled generators emit OpAny.
 	Op string `json:"op,omitempty"`
-	// Scratch declares scratch spaces, identically to Schedule.Scratch.
+	// Scratch declares per-rank scratch spaces: Scratch[i] is the size in
+	// blocks of space SpaceScratch+i. Every rank gets its own copy.
 	Scratch []int `json:"scratch,omitempty"`
 	// Rounds[ri] is this rank's steps in round ri.
 	Rounds [][]Step `json:"rounds"`
@@ -57,33 +57,6 @@ func (rp *RankProgram) Collective() Coll {
 		return CollAlltoall
 	}
 	return rp.Coll
-}
-
-// Slice extracts rank's program from an assembled schedule. The step
-// lists are shared with the schedule, not copied: schedules are immutable
-// after generation.
-func Slice(s *Schedule, rank int) (*RankProgram, error) {
-	if s == nil {
-		return nil, errors.New("sched: cannot slice a nil schedule")
-	}
-	if rank < 0 || rank >= s.Ranks {
-		return nil, fmt.Errorf("sched: rank %d out of range for a %d-rank schedule", rank, s.Ranks)
-	}
-	rp := sliceHeader(s, rank)
-	for ri := range s.Rounds {
-		if rank >= len(s.Rounds[ri].Steps) {
-			return nil, fmt.Errorf("sched: round %d has only %d step lists, cannot slice rank %d", ri, len(s.Rounds[ri].Steps), rank)
-		}
-		rp.Rounds = append(rp.Rounds, s.Rounds[ri].Steps[rank])
-	}
-	return rp, nil
-}
-
-// sliceHeader is rank's program header in schedule s: every field of its
-// Slice but the rounds.
-func sliceHeader(s *Schedule, rank int) *RankProgram {
-	return &RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: rank,
-		Coll: s.Coll, Op: s.Op, Scratch: s.Scratch}
 }
 
 // SpaceSize returns the size in blocks of a buffer space id, or -1 for an
@@ -106,36 +79,9 @@ func (rp *RankProgram) SpaceSize(buf int) int {
 	return -1
 }
 
-// Stats computes the program's summary counters: the same fields as
-// Schedule.Stats restricted to this rank's steps (Messages counts this
-// rank's sends).
-func (rp *RankProgram) Stats() Stats {
-	st := Stats{Rounds: len(rp.Rounds)}
-	for _, sz := range rp.Scratch {
-		st.ScratchBlocks += sz
-	}
-	for _, steps := range rp.Rounds {
-		msgs := 0
-		for _, step := range steps {
-			switch step.Kind {
-			case Send, SendRecv:
-				msgs++
-				st.WireBlocks += int(step.Src.N)
-			case Copy:
-				st.Copies++
-				st.CopyBlocks += int(step.Src.N)
-			case Reduce:
-				st.Reduces++
-				st.ReduceBlocks += int(step.Src.N)
-			}
-		}
-		st.Messages += msgs
-		if msgs > st.MaxRoundMessages {
-			st.MaxRoundMessages = msgs
-		}
-	}
-	return st
-}
+// Stats computes the program's summary counters: WorldStats of this
+// rank alone (Messages counts this rank's sends).
+func (rp *RankProgram) Stats() Stats { return WorldStats([]*RankProgram{rp}) }
 
 // Steps returns the total step count of the program (the quantity cache
 // byte accounting is based on).
@@ -254,8 +200,8 @@ func (d *digester) sum() [sha256.Size]byte {
 }
 
 // DecodeRank reads one rank program from r, checking the format version
-// and basic shape (like Decode, it stays cheap; run VerifyRank for the
-// local correctness checks).
+// and basic shape (like DecodeWorld, it stays cheap; run VerifyRank for
+// the local correctness checks).
 func DecodeRank(r io.Reader) (*RankProgram, error) {
 	var rp RankProgram
 	if err := json.NewDecoder(r).Decode(&rp); err != nil {
@@ -336,11 +282,20 @@ func (s *source) program() *RankProgram {
 	return &rp
 }
 
+// programSource is a materialised program as a source: its rounds,
+// copied into the caller's buffer.
+func programSource(rp *RankProgram) *source {
+	hdr := *rp
+	hdr.Rounds = nil
+	return &source{hdr: hdr, phases: []phase{{len(rp.Rounds), func(ri int, buf []Step) []Step {
+		return append(buf, rp.Rounds[ri]...)
+	}}}}
+}
+
 // GenerateRank compiles the named schedule's program for one rank of a
 // p-rank world (m may be nil): O(p) memory for direct and pairwise,
 // O(p log p) for bruck, and O(blocks routed through the rank) for the
-// route-compiled families, never O(p^2). Slice(Generate(name, p, m),
-// rank) is the same program, since Generate assembles these.
+// route-compiled families, never O(p^2).
 func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, error) {
 	e, err := generator(name, p)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,19 +39,23 @@ func TestRankGeneratorsCoverRegistry(t *testing.T) {
 	}
 }
 
-// checkSliceIdentity asserts GenerateRank output is byte-identical to the
-// corresponding slice of Generate for every rank of the world.
+// checkSliceIdentity asserts that the world file of the named world —
+// EncodeWorld of GenerateWorld, as a2asched gen writes it — decodes to
+// exactly the program GenerateRank compiles for every rank.
 func checkSliceIdentity(t *testing.T, name string, p int, m *topo.Mapping) {
 	t.Helper()
-	s, err := Generate(name, p, m)
+	world, err := GenerateWorld(name, p, m)
 	if err != nil {
-		t.Fatalf("%s p=%d: Generate: %v", name, p, err)
+		t.Fatalf("%s p=%d: GenerateWorld: %v", name, p, err)
 	}
-	for r := 0; r < p; r++ {
-		want, err := Slice(s, r)
-		if err != nil {
-			t.Fatalf("%s p=%d rank %d: Slice: %v", name, p, r, err)
-		}
+	var buf bytes.Buffer
+	if err := EncodeWorld(&buf, world); err != nil {
+		t.Fatalf("%s p=%d: EncodeWorld: %v", name, p, err)
+	}
+	if world, err = DecodeWorld(&buf); err != nil {
+		t.Fatalf("%s p=%d: DecodeWorld: %v", name, p, err)
+	}
+	for r, want := range world {
 		got, err := GenerateRank(name, p, r, m)
 		if err != nil {
 			t.Fatalf("%s p=%d rank %d: GenerateRank: %v", name, p, r, err)
@@ -77,10 +82,9 @@ func at(rounds [][]Step, ri int) []Step {
 }
 
 // TestGenerateRankMatchesGenerate is the round-trip property test of
-// assembly: for every generator and a randomized set of (p, rank,
-// topology) shapes, GenerateRank output is byte-identical to the
-// corresponding Slice of Generate, which assembles every rank's program
-// with withRounds.
+// the world file: for every generator and a randomized set of (p,
+// topology) shapes, the world a2asched gen would write decodes to
+// exactly the programs GenerateRank compiles.
 func TestGenerateRankMatchesGenerate(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
@@ -132,52 +136,27 @@ func TestProveAcceptsGenerators(t *testing.T) {
 	}
 }
 
-// corrupt returns all rank slices of a generated schedule, for mutation.
+// slicesOf returns every rank's program of a generated world, with its
+// own scratch declaration, for mutation.
 func slicesOf(t *testing.T, name string, p int) []*RankProgram {
 	t.Helper()
-	s, err := Generate(name, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	world := mustGen(t, name, p)
+	for _, rp := range world {
+		rp.Scratch = slices.Clone(rp.Scratch)
 	}
-	out := make([]*RankProgram, p)
-	for r := 0; r < p; r++ {
-		rp, err := Slice(s, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Deep-copy rounds so mutations cannot alias the generator output.
-		cp := &RankProgram{Format: rp.Format, Name: rp.Name, Ranks: rp.Ranks, Rank: rp.Rank,
-			Scratch: append([]int(nil), rp.Scratch...)}
-		for _, steps := range rp.Rounds {
-			cp.Rounds = append(cp.Rounds, append([]Step(nil), steps...))
-		}
-		out[r] = cp
-	}
-	return out
-}
-
-// programSource is the source of a materialised program: its rounds,
-// copied into the caller's buffer.
-func programSource(rp *RankProgram) *source {
-	hdr := *rp
-	hdr.Rounds = nil
-	return &source{hdr: hdr, phases: []phase{{len(rp.Rounds), func(ri int, buf []Step) []Step {
-		return append(buf, rp.Rounds[ri]...)
-	}}}}
+	return world
 }
 
 // streamAll checks a world given as its programs, indexed by rank:
 // every program alone with VerifyRank, then the world, its rounds
-// streamed from the programs, with the world driver.
+// streamed from the programs, with VerifyWorld.
 func streamAll(rps []*RankProgram) error {
-	srcs := make([]*source, len(rps))
-	for r, rp := range rps {
+	for _, rp := range rps {
 		if err := VerifyRank(rp); err != nil {
 			return err
 		}
-		srcs[r] = programSource(rp)
 	}
-	return walkWorld(srcs, nil)
+	return VerifyWorld(rps)
 }
 
 // TestWorldDriverRejections: every corruption class of a world's
@@ -298,8 +277,8 @@ func TestGenerateRankArgErrors(t *testing.T) {
 	if _, err := GenerateRank("pairwise", MaxRanks+1, 0, nil); err == nil {
 		t.Error("world past the int32 block-id width accepted")
 	}
-	if _, err := Generate("pairwise", MaxRanks+1, nil); err == nil {
-		t.Error("Generate accepted a world past the int32 block-id width")
+	if _, err := GenerateWorld("pairwise", MaxRanks+1, nil); err == nil {
+		t.Error("GenerateWorld accepted a world past the int32 block-id width")
 	}
 	if _, err := GenerateRank("pairwise", 4, 4, nil); err == nil {
 		t.Error("out-of-range rank accepted")
@@ -307,21 +286,12 @@ func TestGenerateRankArgErrors(t *testing.T) {
 	if _, err := GenerateRank("hypercube", 6, 0, nil); err == nil {
 		t.Error("non-power-of-two hypercube accepted")
 	}
-	if _, err := Slice(nil, 0); err == nil {
-		t.Error("nil schedule sliced")
-	}
-	s, err := Generate("pairwise", 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Slice(s, 7); err == nil {
-		t.Error("out-of-range slice accepted")
-	}
 }
 
 // TestImpossibleWorldsRejected: a world past MaxRanks is refused by both
 // decoders and both verifiers before anything is sized by its rank
-// count. At 4e9 ranks VerifyRank would otherwise exhaust memory.
+// count. At 4e9 ranks VerifyRank and DecodeWorld would otherwise
+// exhaust memory.
 func TestImpossibleWorldsRejected(t *testing.T) {
 	t.Parallel()
 	const want = "exceeds the schedule id width"
@@ -342,18 +312,13 @@ func TestImpossibleWorldsRejected(t *testing.T) {
 			t.Errorf("VerifyRank of a %d-rank program: %v, want %q", p, err, want)
 		}
 
-		s := mustGen(t, "direct", 2)
-		s.Ranks = p
-		buf.Reset()
-		if err := s.Encode(&buf); err != nil {
-			t.Fatal(err)
+		file := fmt.Sprintf(`{"format":2,"name":"direct","ranks":%d,"rounds":[{"steps":[]}]}`, p)
+		if _, err := DecodeWorld(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("DecodeWorld of a %d-rank world: %v, want %q", p, err, want)
 		}
-		if _, err := Decode(&buf); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Decode of a %d-rank schedule: %v, want %q", p, err, want)
-		}
-		if err := Verify(s); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Verify of a %d-rank schedule: %v, want %q", p, err, want)
-		}
+	}
+	if err := VerifyWorld(make([]*RankProgram, MaxRanks+1)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("VerifyWorld of %d programs: %v, want %q", MaxRanks+1, err, want)
 	}
 }
 
@@ -410,34 +375,27 @@ func TestRankProgramJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRankProgramStats: slice stats are consistent with the whole-world
-// schedule: per-rank messages and copies sum to the schedule totals.
+// TestRankProgramStats: program stats are consistent with the world's:
+// per-rank messages and copies sum to the world totals.
 func TestRankProgramStats(t *testing.T) {
 	t.Parallel()
-	s, err := Generate("ring", 10, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := s.Stats()
+	world := mustGen(t, "ring", 10)
+	whole := WorldStats(world)
 	var msgs, copies, wire int
-	for r := 0; r < 10; r++ {
-		rp, err := Slice(s, r)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for r, rp := range world {
 		st := rp.Stats()
 		msgs += st.Messages
 		copies += st.Copies
 		wire += st.WireBlocks
 		if st.Rounds != whole.Rounds {
-			t.Errorf("rank %d sees %d rounds, schedule has %d", r, st.Rounds, whole.Rounds)
+			t.Errorf("rank %d sees %d rounds, the world has %d", r, st.Rounds, whole.Rounds)
 		}
 		if st.ScratchBlocks != whole.ScratchBlocks {
-			t.Errorf("rank %d scratch %d, schedule %d", r, st.ScratchBlocks, whole.ScratchBlocks)
+			t.Errorf("rank %d scratch %d, the world's %d", r, st.ScratchBlocks, whole.ScratchBlocks)
 		}
 	}
 	if msgs != whole.Messages || copies != whole.Copies || wire != whole.WireBlocks {
-		t.Errorf("slice sums (msgs %d, copies %d, wire %d) != schedule stats (%d, %d, %d)",
+		t.Errorf("program sums (msgs %d, copies %d, wire %d) != world stats (%d, %d, %d)",
 			msgs, copies, wire, whole.Messages, whole.Copies, whole.WireBlocks)
 	}
 }
@@ -492,9 +450,9 @@ func TestProveLargeWorld(t *testing.T) {
 	}
 }
 
-// TestRankExecCorrectness runs executors built from GenerateRank programs
-// (never touching an assembled schedule) on the live runtime and checks
-// every byte lands per MPI_Alltoall.
+// TestRankExecCorrectness runs executors built from GenerateRank programs,
+// each rank compiling its own, on the live runtime and checks every
+// byte lands per MPI_Alltoall.
 func TestRankExecCorrectness(t *testing.T) {
 	t.Parallel()
 	for _, name := range Generators() {

@@ -3,7 +3,6 @@ package sched
 import (
 	"cmp"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -15,10 +14,10 @@ import (
 // below, which executes one rank's program round by round. Two drivers
 // run it:
 //
-//   - the world driver (Prove, Verify, VerifyWorldSliced) walks every
-//     rank of a world in step, round by round. It pulls each rank's round
-//     from that rank's source, a generator writing it into a reused
-//     buffer or an artifact's step list, so a proof holds one round of
+//   - the world driver (Prove, VerifyWorld, VerifyWorldSliced) walks
+//     every rank of a world in step, round by round. It pulls each rank's
+//     round from that rank's source, a generator writing it into a reused
+//     buffer or a program's step list, so a proof holds one round of
 //     the world at a time and never its programs. It pairs each round's
 //     sends and receives exactly, per receiver, and delivers the sender's
 //     symbolic payload, so it proves content at every world size;
@@ -55,33 +54,20 @@ import (
 // block size on every substrate (and, for reductions, every associative
 // commutative operator).
 
-// Verify statically proves a schedule implements its collective's
-// semantics before it ever runs: after the header and shape checks it
-// runs the world driver over every rank's rounds.
-func Verify(s *Schedule) error {
-	if s == nil {
-		return errors.New("sched: nil schedule")
-	}
-	p := s.Ranks
-	if err := checkRanks(p); err != nil {
+// VerifyWorld statically proves a world — every rank's program,
+// indexed by rank — implements its collective's semantics before it
+// ever runs: the world driver walks the programs' rounds in step, as
+// Prove walks a generator's.
+func VerifyWorld(world []*RankProgram) error {
+	if err := checkRanks(len(world)); err != nil {
 		return err
 	}
-	if len(s.Rounds) == 0 {
-		return errors.New("sched: schedule has no rounds (even the trivial schedule needs the self-block copy)")
-	}
-	if err := checkColl(s.Collective(), s.Op); err != nil {
-		return err
-	}
-	for ri, rd := range s.Rounds {
-		if len(rd.Steps) != p {
-			return fmt.Errorf("sched: round %d has %d step lists, want one per rank (%d)", ri, len(rd.Steps), p)
+	srcs := make([]*source, len(world))
+	for r, rp := range world {
+		if rp == nil {
+			return fmt.Errorf("sched: rank %d program is nil", r)
 		}
-	}
-	srcs := make([]*source, p)
-	for r := range srcs {
-		srcs[r] = &source{hdr: *sliceHeader(s, r), phases: []phase{{len(s.Rounds), func(ri int, buf []Step) []Step {
-			return append(buf, s.Rounds[ri].Steps[r]...)
-		}}}}
+		srcs[r] = programSource(rp)
 	}
 	return walkWorld(srcs, nil)
 }

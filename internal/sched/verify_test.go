@@ -6,72 +6,79 @@ import (
 	"testing"
 )
 
-// mustGen generates and returns a schedule or fails the test.
-func mustGen(t *testing.T, name string, p int) *Schedule {
+// mustGen generates and returns a flat world's programs or fails the
+// test.
+func mustGen(t *testing.T, name string, p int) []*RankProgram {
 	t.Helper()
-	s, err := Generate(name, p, nil)
+	world, err := GenerateWorld(name, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return world
 }
 
-// TestVerifyRejectsCorruption corrupts a verified schedule in every way
+// setScratch declares the same scratch spaces on every program of w.
+func setScratch(w []*RankProgram, sizes ...int) {
+	for _, rp := range w {
+		rp.Scratch = sizes
+	}
+}
+
+// TestVerifyRejectsCorruption corrupts a verified world in every way
 // the verifier claims to catch and checks each is rejected with a
 // diagnostic mentioning the failure.
 func TestVerifyRejectsCorruption(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
 		name    string
-		corrupt func(s *Schedule)
+		corrupt func(w []*RankProgram)
 		wantErr string
 	}{
 		{
 			name: "dropped step",
-			corrupt: func(s *Schedule) {
+			corrupt: func(w []*RankProgram) {
 				// Remove rank 2's exchange in round 3: its partners' send
 				// and receive both lose their match.
-				s.Rounds[3].Steps[2] = nil
+				w[2].Rounds[3] = nil
 			},
 			wantErr: "unmatched",
 		},
 		{
 			name: "unpaired send",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0] = append(s.Rounds[1].Steps[0],
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1] = append(w[0].Rounds[1],
 					Step{Kind: Send, To: 3, Src: sendRef(3, 1)})
 			},
 			wantErr: "unmatched send",
 		},
 		{
 			name: "unpaired recv",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0] = append(s.Rounds[1].Steps[0],
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1] = append(w[0].Rounds[1],
 					Step{Kind: Recv, From: 3, Dst: recvRef(3, 1)})
 			},
 			wantErr: "unmatched receive",
 		},
 		{
 			name: "duplicated block delivery",
-			corrupt: func(s *Schedule) {
+			corrupt: func(w []*RankProgram) {
 				// An extra matched exchange in round 2 delivering block
 				// (0->3) early: correct content, but round 3's regular
 				// pairwise delivery then lands it a second time.
-				rd := &s.Rounds[2]
-				rd.Steps[0] = append(rd.Steps[0], Step{Kind: Send, To: 3, Src: sendRef(3, 1)})
-				rd.Steps[3] = append(rd.Steps[3], Step{Kind: Recv, From: 0, Dst: recvRef(0, 1)})
+				w[0].Rounds[2] = append(w[0].Rounds[2], Step{Kind: Send, To: 3, Src: sendRef(3, 1)})
+				w[3].Rounds[2] = append(w[3].Rounds[2], Step{Kind: Recv, From: 0, Dst: recvRef(0, 1)})
 			},
 			wantErr: "more than once",
 		},
 		{
 			name: "misrouted block",
-			corrupt: func(s *Schedule) {
+			corrupt: func(w []*RankProgram) {
 				// Point round 1's receive at the wrong recv slot: the slot
 				// gets a block from the wrong source.
-				st := &s.Rounds[1].Steps[0]
-				for i := range *st {
-					if (*st)[i].Kind == SendRecv {
-						(*st)[i].Dst.Off = ((*st)[i].Dst.Off + 1) % int32(s.Ranks)
+				steps := w[0].Rounds[1]
+				for i := range steps {
+					if steps[i].Kind == SendRecv {
+						steps[i].Dst.Off = (steps[i].Dst.Off + 1) % int32(len(w))
 					}
 				}
 			},
@@ -79,77 +86,79 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		},
 		{
 			name: "offset out of range",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].Src.Off = int32(s.Ranks)
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1][0].Src.Off = int32(len(w))
 			},
 			wantErr: "out of space",
 		},
 		{
 			name: "length mismatch across the wire",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].Src.N = 2
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1][0].Src.N = 2
 			},
 			wantErr: "",
 		},
 		{
 			name: "write into the user send buffer",
-			corrupt: func(s *Schedule) {
-				s.Rounds[0].Steps[0][0].Dst = sendRef(0, 1)
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[0][0].Dst = sendRef(0, 1)
 			},
 			wantErr: "send buffer",
 		},
 		{
 			name: "unknown step kind",
-			corrupt: func(s *Schedule) {
-				s.Rounds[0].Steps[0][0].Kind = Kind(200)
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[0][0].Kind = Kind(200)
 			},
 			wantErr: "unknown step kind",
 		},
 		{
 			name: "reduce step in a routing schedule",
-			corrupt: func(s *Schedule) {
-				s.Rounds[0].Steps[0][0].Kind = Reduce
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[0][0].Kind = Reduce
 			},
 			wantErr: "reduce step in a alltoall schedule",
 		},
 		{
 			name: "peer out of range",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].To = int32(s.Ranks)
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1][0].To = int32(len(w))
 			},
 			wantErr: "out of range",
 		},
 		{
 			name: "self send",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].To = 0
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1][0].To = 0
 			},
 			wantErr: "",
 		},
 		{
 			name: "unknown buffer space",
-			corrupt: func(s *Schedule) {
-				s.Rounds[1].Steps[0][0].Src.Buf = 9
+			corrupt: func(w []*RankProgram) {
+				w[0].Rounds[1][0].Src.Buf = 9
 			},
 			wantErr: "unknown buffer space",
 		},
 		{
 			name: "undelivered block",
-			corrupt: func(s *Schedule) {
+			corrupt: func(w []*RankProgram) {
 				// Drop the whole last round: every rank misses the block
 				// from its farthest partner.
-				s.Rounds = s.Rounds[:len(s.Rounds)-1]
+				for _, rp := range w {
+					rp.Rounds = rp.Rounds[:len(rp.Rounds)-1]
+				}
 			},
 			wantErr: "never delivered",
 		},
 		{
 			name: "overlapping copy ranges",
-			corrupt: func(s *Schedule) {
+			corrupt: func(w []*RankProgram) {
 				// The symbolic model would execute this slot by slot while
 				// the executor memmoves: the verifier must reject overlap
 				// rather than certify behavior the executor doesn't have.
-				s.Scratch = []int{3}
-				s.Rounds[0].Steps[0] = append(s.Rounds[0].Steps[0],
+				setScratch(w, 3)
+				w[0].Rounds[0] = append(w[0].Rounds[0],
 					Step{Kind: Copy, Src: sendRef(0, 2), Dst: scratchRef(0, 0, 2)},
 					Step{Kind: Copy, Src: scratchRef(0, 0, 2), Dst: scratchRef(0, 1, 2)})
 			},
@@ -157,8 +166,8 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		},
 		{
 			name: "non-positive scratch",
-			corrupt: func(s *Schedule) {
-				s.Scratch = []int{0}
+			corrupt: func(w []*RankProgram) {
+				setScratch(w, 0)
 			},
 			wantErr: "scratch",
 		},
@@ -167,14 +176,14 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			s := mustGen(t, "pairwise", 6)
-			if err := Verify(s); err != nil {
-				t.Fatalf("pristine schedule rejected: %v", err)
+			w := mustGen(t, "pairwise", 6)
+			if err := VerifyWorld(w); err != nil {
+				t.Fatalf("pristine world rejected: %v", err)
 			}
-			tc.corrupt(s)
-			err := Verify(s)
+			tc.corrupt(w)
+			err := VerifyWorld(w)
 			if err == nil {
-				t.Fatalf("corrupted schedule (%s) verified", tc.name)
+				t.Fatalf("corrupted world (%s) verified", tc.name)
 			}
 			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
@@ -189,108 +198,107 @@ func TestVerifyRejectsSameRoundRaces(t *testing.T) {
 	t.Parallel()
 	// Base: 2 ranks, scratch of 2 blocks, a valid exchange plus the
 	// mutation under test.
-	base := func() *Schedule {
-		return &Schedule{
-			Format: FormatVersion, Name: "hand", Ranks: 2, Scratch: []int{2},
-			Rounds: []Round{{Steps: [][]Step{
-				{
-					selfCopy(0),
-					{Kind: SendRecv, To: 1, Src: sendRef(1, 1), From: 1, Dst: recvRef(1, 1)},
-				},
-				{
-					selfCopy(1),
-					{Kind: SendRecv, To: 0, Src: sendRef(0, 1), From: 0, Dst: recvRef(0, 1)},
-				},
+	base := func() []*RankProgram {
+		return []*RankProgram{
+			{Format: FormatVersion, Name: "hand", Ranks: 2, Rank: 0, Scratch: []int{2}, Rounds: [][]Step{{
+				selfCopy(0),
+				{Kind: SendRecv, To: 1, Src: sendRef(1, 1), From: 1, Dst: recvRef(1, 1)},
+			}}},
+			{Format: FormatVersion, Name: "hand", Ranks: 2, Rank: 1, Scratch: []int{2}, Rounds: [][]Step{{
+				selfCopy(1),
+				{Kind: SendRecv, To: 0, Src: sendRef(0, 1), From: 0, Dst: recvRef(0, 1)},
 			}}},
 		}
 	}
-	if err := Verify(base()); err != nil {
-		t.Fatalf("base schedule rejected: %v", err)
+	if err := VerifyWorld(base()); err != nil {
+		t.Fatalf("base world rejected: %v", err)
 	}
 
 	t.Run("copy reads same-round received data", func(t *testing.T) {
 		t.Parallel()
-		s := base()
-		s.Rounds[0].Steps[0] = append(s.Rounds[0].Steps[0],
+		w := base()
+		w[0].Rounds[0] = append(w[0].Rounds[0],
 			Step{Kind: Copy, Src: recvRef(1, 1), Dst: scratchRef(0, 0, 1)})
-		err := Verify(s)
+		err := VerifyWorld(w)
 		if err == nil || !strings.Contains(err.Error(), "received in the same round") {
 			t.Fatalf("race not caught: %v", err)
 		}
 	})
 	t.Run("copy overwrites same-round receive target", func(t *testing.T) {
 		t.Parallel()
-		s := base()
+		w := base()
 		// The self copy already writes recv[0]; make rank 0's receive
 		// land on the same slot.
-		s.Rounds[0].Steps[0][1].Dst = recvRef(0, 1)
-		if err := Verify(s); err == nil {
+		w[0].Rounds[0][1].Dst = recvRef(0, 1)
+		if err := VerifyWorld(w); err == nil {
 			t.Fatal("overlapping copy/receive writes verified")
 		}
 	})
 	t.Run("copy overwrites an issued send's buffer", func(t *testing.T) {
 		t.Parallel()
-		s := base()
+		w := base()
 		// Stage through scratch so the conflicting write is legal in
 		// space terms: copy to scratch, send scratch, copy over scratch.
-		s.Rounds[0].Steps[0] = []Step{
+		w[0].Rounds[0] = []Step{
 			selfCopy(0),
 			{Kind: Copy, Src: sendRef(1, 1), Dst: scratchRef(0, 0, 1)},
 			{Kind: SendRecv, To: 1, Src: scratchRef(0, 0, 1), From: 1, Dst: recvRef(1, 1)},
 			{Kind: Copy, Src: sendRef(0, 1), Dst: scratchRef(0, 0, 1)},
 		}
-		err := Verify(s)
+		err := VerifyWorld(w)
 		if err == nil || !strings.Contains(err.Error(), "transmitting") {
 			t.Fatalf("send-buffer overwrite not caught: %v", err)
 		}
 	})
 	t.Run("copy reads undefined scratch", func(t *testing.T) {
 		t.Parallel()
-		s := base()
-		s.Rounds[0].Steps[0] = append([]Step{
+		w := base()
+		w[0].Rounds[0] = append([]Step{
 			{Kind: Copy, Src: scratchRef(0, 1, 1), Dst: scratchRef(0, 0, 1)},
-		}, s.Rounds[0].Steps[0]...)
-		err := Verify(s)
+		}, w[0].Rounds[0]...)
+		err := VerifyWorld(w)
 		if err == nil || !strings.Contains(err.Error(), "undefined") {
 			t.Fatalf("undefined read not caught: %v", err)
 		}
 	})
 	t.Run("two messages between one pair", func(t *testing.T) {
 		t.Parallel()
-		s := base()
-		s.Rounds[0].Steps[0] = append(s.Rounds[0].Steps[0],
+		w := base()
+		w[0].Rounds[0] = append(w[0].Rounds[0],
 			Step{Kind: Send, To: 1, Src: sendRef(1, 1)})
-		s.Rounds[0].Steps[1] = append(s.Rounds[0].Steps[1],
+		w[1].Rounds[0] = append(w[1].Rounds[0],
 			Step{Kind: Recv, From: 0, Dst: scratchRef(0, 0, 1)})
-		err := Verify(s)
+		err := VerifyWorld(w)
 		if err == nil || !strings.Contains(err.Error(), "two") {
 			t.Fatalf("double message not caught: %v", err)
 		}
 	})
 	t.Run("round with wrong rank fanout", func(t *testing.T) {
 		t.Parallel()
-		s := base()
-		s.Rounds[0].Steps = s.Rounds[0].Steps[:1]
-		if err := Verify(s); err == nil {
-			t.Fatal("truncated round verified")
+		// The world lacks rank 1's program.
+		if err := VerifyWorld(base()[:1]); err == nil {
+			t.Fatal("truncated world verified")
 		}
 	})
 	t.Run("nil and empty", func(t *testing.T) {
 		t.Parallel()
-		if err := Verify(nil); err == nil {
-			t.Fatal("nil schedule verified")
+		if err := VerifyWorld(nil); err == nil {
+			t.Fatal("empty world verified")
 		}
-		if err := Verify(&Schedule{Ranks: 2}); err == nil {
-			t.Fatal("round-less schedule verified")
+		if err := VerifyWorld([]*RankProgram{nil}); err == nil {
+			t.Fatal("nil program verified")
+		}
+		if err := VerifyWorld([]*RankProgram{{Ranks: 2}, {Ranks: 2, Rank: 1}}); err == nil {
+			t.Fatal("round-less world verified")
 		}
 	})
 }
 
 // TestVerifierErrorText pins the full text of one rejection per context
 // form of both drivers: the same edit to rank 1's program, checked by
-// Verify's world driver on the schedule and by VerifyRank's lone driver
-// on the slice. An empty stream means VerifyRank reports the same text
-// as Verify.
+// VerifyWorld's world driver in its world and by VerifyRank's lone
+// driver alone. An empty stream means VerifyRank reports the same text
+// as VerifyWorld.
 func TestVerifierErrorText(t *testing.T) {
 	t.Parallel()
 	const p, rank = 4, 1
@@ -335,10 +343,10 @@ func TestVerifierErrorText(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		s := mustGen(t, tc.gen, p)
-		tc.edit(&s.Rounds[tc.round].Steps[rank][tc.step])
-		if err := Verify(s); err == nil || err.Error() != tc.full {
-			t.Errorf("%s: Verify = %v\n want %s", tc.name, err, tc.full)
+		w := mustGen(t, tc.gen, p)
+		tc.edit(&w[rank].Rounds[tc.round][tc.step])
+		if err := VerifyWorld(w); err == nil || err.Error() != tc.full {
+			t.Errorf("%s: VerifyWorld = %v\n want %s", tc.name, err, tc.full)
 		}
 		rp, err := GenerateRank(tc.gen, p, rank, nil)
 		if err != nil {
@@ -357,20 +365,18 @@ func TestVerifierErrorText(t *testing.T) {
 
 // TestVerifyChecksShapeBeforeSizing: a 62-byte file declaring 4,000
 // ranks but holding an empty round is rejected for its step-list count
-// before the verifier sizes any per-rank state. Not parallel: it reads
-// the process-wide allocation counter.
+// by the decoder, before any per-rank program or verifier state is
+// sized. Not parallel: it reads the process-wide allocation counter.
 func TestVerifyChecksShapeBeforeSizing(t *testing.T) {
 	const file = `{"format":2,"name":"x","ranks":4000,"rounds":[{"steps":[]}]}`
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s, err := Decode(strings.NewReader(file))
-	if err == nil {
-		err = Verify(s)
-	}
+	_, err := DecodeWorld(strings.NewReader(file))
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "round 0 has 0 step lists") {
-		t.Fatalf("Verify = %v, want the round 0 step-list count error", err)
+		t.Fatalf("DecodeWorld = %v, want the round 0 step-list count error", err)
 	}
+	t.Logf("rejecting the file allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
 		t.Fatalf("rejecting the file allocated %d bytes, want under 1 MB", n)
 	}
@@ -395,13 +401,14 @@ func TestVerifyStateFollowsSteps(t *testing.T) {
 	for name, file := range files {
 		var err error
 		n := allocatedBy(func() {
-			var s *Schedule
-			if s, err = Decode(strings.NewReader(file)); err == nil {
-				err = Verify(s)
+			var w []*RankProgram
+			if w, err = DecodeWorld(strings.NewReader(file)); err == nil {
+				err = VerifyWorld(w)
 			}
 		})
+		t.Logf("%s (%d bytes): rejecting it allocated %d bytes", name, len(file), n)
 		if err == nil || !strings.Contains(err.Error(), "never delivered") {
-			t.Errorf("%s (%d bytes): Verify = %v, want a never-delivered block", name, len(file), err)
+			t.Errorf("%s (%d bytes): VerifyWorld = %v, want a never-delivered block", name, len(file), err)
 		}
 		if n >= 8<<20 {
 			t.Errorf("%s (%d bytes): rejecting it allocated %d bytes, want under 8 MB", name, len(file), n)
@@ -413,7 +420,7 @@ func TestVerifyStateFollowsSteps(t *testing.T) {
 // billion blocks in a declared billion-block scratch space, is rejected
 // for taking its walker past the cell budget its header sets, naming the
 // rank, the step and the space — by VerifyRank as a rank program and by
-// Verify as rank 0 of a 2-rank schedule — while allocating under 8 MB.
+// VerifyWorld as rank 0 of a 2-rank world — while allocating under 8 MB.
 // Not parallel: it reads the process-wide allocation counter.
 func TestVerifyBudgetsCells(t *testing.T) {
 	const want = "sched: round 0 rank 0 step 1 (recv) dst: slot 24 of space 2 would take the walker past its budget of 28 cells"
@@ -421,11 +428,11 @@ func TestVerifyBudgetsCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &Schedule{Format: FormatVersion, Name: rp.Name, Ranks: rp.Ranks, Scratch: rp.Scratch,
-		Rounds: []Round{{Steps: [][]Step{rp.Rounds[0], {{Kind: Send, To: 0, Src: sendRef(0, 1)}}}}}}
+	rank1 := *rp
+	rank1.Rank, rank1.Rounds = 1, [][]Step{{{Kind: Send, To: 0, Src: sendRef(0, 1)}}}
 	for name, verify := range map[string]func() error{
-		"VerifyRank": func() error { return VerifyRank(rp) },
-		"Verify":     func() error { return Verify(s) },
+		"VerifyRank":  func() error { return VerifyRank(rp) },
+		"VerifyWorld": func() error { return VerifyWorld([]*RankProgram{rp, &rank1}) },
 	} {
 		n := allocatedBy(func() { err = verify() })
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
@@ -468,50 +475,43 @@ func TestVerifyRankScratchAliasing(t *testing.T) {
 	}
 }
 
-// TestVerifyTorusAllocs: Verify of the 128-rank torus, whose route
-// schedule declares 128^2 transit slots per rank and touches about a
-// thousand, allocates by the slots its steps touch. Not parallel: it
-// reads the process-wide allocation counter.
+// TestVerifyTorusAllocs: VerifyWorld of the 128-rank torus, whose route
+// programs declare transit pages per rank and touch about a thousand
+// slots, allocates by the slots its steps touch. Not parallel: it reads
+// the process-wide allocation counter.
 func TestVerifyTorusAllocs(t *testing.T) {
-	s := mustGen(t, "torus", 128)
+	w := mustGen(t, "torus", 128)
 	var err error
-	n := allocatedBy(func() { err = Verify(s) })
+	n := allocatedBy(func() { err = VerifyWorld(w) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("Verify of torus@128 allocated %d bytes", n)
+	t.Logf("VerifyWorld of torus@128 allocated %d bytes", n)
 	if n >= 16<<20 {
-		t.Errorf("Verify of torus@128 allocated %d bytes, want under 16 MB", n)
+		t.Errorf("VerifyWorld of torus@128 allocated %d bytes, want under 16 MB", n)
 	}
 }
 
 // TestVerifyRejectsAlltoallv: artifacts of the removed alltoallv
 // collective, a world and a rank program, still decode, since decoding
-// drops the fields only alltoallv had; Verify, VerifyRank and VerifyRank
-// of every slice of the world must each refuse the collective by name.
+// drops the fields only alltoallv had; VerifyWorld, VerifyRank and
+// VerifyRank of every program of the world must each refuse the
+// collective by name.
 func TestVerifyRejectsAlltoallv(t *testing.T) {
 	t.Parallel()
 	const want = `sched: unknown collective "alltoallv"`
-	s, err := Decode(strings.NewReader(alltoallvWorldFile))
+	w, err := DecodeWorld(strings.NewReader(alltoallvWorldFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(s); err == nil || err.Error() != want {
-		t.Errorf("Verify = %v, want %s", err, want)
-	}
-	rps := make([]*RankProgram, 0, s.Ranks+1)
-	for r := range s.Ranks {
-		rp, err := Slice(s, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rps = append(rps, rp)
+	if err := VerifyWorld(w); err == nil || err.Error() != want {
+		t.Errorf("VerifyWorld = %v, want %s", err, want)
 	}
 	rp, err := DecodeRank(strings.NewReader(alltoallvRankFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rp := range append(rps, rp) {
+	for _, rp := range append(w, rp) {
 		if err := VerifyRank(rp); err == nil || err.Error() != want {
 			t.Errorf("VerifyRank of rank %d = %v, want %s", rp.Rank, err, want)
 		}

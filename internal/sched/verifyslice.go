@@ -15,7 +15,7 @@ import (
 // own steps — the exactly-once delivery accounting over every recv
 // slot. What it cannot see is the other ranks: whether every message is
 // matched, which block a receive brings, whether a wire-carried partial
-// is complete. Those are the world driver's (Prove, Verify).
+// is complete. Those are the world driver's (Prove, VerifyWorld).
 
 // VerifyRank runs every local check on one rank's program: the check of
 // a lone artifact, such as a fetched or sliced rank program. The world

@@ -204,21 +204,17 @@ func TestFlowConservationFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sched.Generate(tr.gen, p, mapping)
+		world, err := sched.GenerateWorld(tr.gen, p, mapping)
 		if err != nil {
 			t.Fatalf("trial %d: %v", ti, err)
 		}
-		if err := sched.Verify(s); err != nil {
+		if err := sched.VerifyWorld(world); err != nil {
 			t.Fatalf("trial %d: generated schedule fails verification: %v", ti, err)
 		}
 		cfg := ClusterConfig{Model: m, Nodes: tr.nodes, PPN: tr.ppn, Seed: int64(ti + 1), Fabric: tr.fabric}
 		var rep *FlowReport
 		st, err := RunClusterDebug(cfg, func(c comm.Comm) error {
-			rp, err := sched.Slice(s, c.Rank())
-			if err != nil {
-				return err
-			}
-			ex := sched.NewRankExec(rp)
+			ex := sched.NewRankExec(world[c.Rank()])
 			send := comm.Virtual(p * tr.block)
 			recv := comm.Virtual(p * tr.block)
 			return ex.Run(c, send, recv, tr.block, nil)
@@ -260,7 +256,7 @@ func TestFlowConservationFuzz(t *testing.T) {
 		}
 		var roundBlocked, roundQueued float64
 		for tag, rc := range rep.Rounds {
-			if tag < sched.TagBase || tag >= sched.TagBase+len(s.Rounds) {
+			if tag < sched.TagBase || tag >= sched.TagBase+len(world[0].Rounds) {
 				t.Errorf("trial %d: congestion attributed to tag %d outside the schedule's rounds", ti, tag)
 			}
 			roundBlocked += rc.BlockedSeconds
