@@ -347,28 +347,35 @@ func loadWorld(path string) ([]*sched.RankProgram, error) {
 	return world, nil
 }
 
-// inferFabric maps a schedule's generator name to the fabric kind its
-// routes were compiled for (the sched:* family names its topology). The
-// reduction generators prefix the topology with the collective
-// ("rs-ring", "ar-torus3x5"), so the prefix is stripped first.
-func inferFabric(name string) (string, error) {
+// scheduleFabric builds the fabric a p-rank world's link loads fold
+// onto, one node per rank: of the given kind, or else of the kind the
+// generator name implies (the sched:* families name their topology; the
+// reduction families prefix it with the collective, as in "rs-ring" and
+// "ar-torus3x5"). A torus takes the rows x cols grid the name carries.
+func scheduleFabric(name, kind string, p int) (*topo.Fabric, error) {
 	topoName := strings.TrimPrefix(strings.TrimPrefix(name, "rs-"), "ar-")
-	switch {
-	case topoName == "ring":
-		return "ring", nil
-	case strings.HasPrefix(topoName, "torus"):
-		return "torus", nil
-	case topoName == "hypercube":
-		return "hypercube", nil
+	if kind == "" {
+		switch {
+		case topoName == "ring", topoName == "hypercube":
+			kind = topoName
+		case strings.HasPrefix(topoName, "torus"):
+			kind = "torus"
+		default:
+			return nil, fmt.Errorf("cannot infer a fabric from schedule %q; pass -fabric (one of %v)", name, topo.FabricKinds())
+		}
 	}
-	return "", fmt.Errorf("cannot infer a fabric from schedule %q; pass -fabric (one of %v)", name, topo.FabricKinds())
+	var rows, cols int
+	if n, _ := fmt.Sscanf(topoName, "torus%dx%d", &rows, &cols); kind == "torus" && n == 2 && rows*cols == p {
+		return topo.NewTorus(rows, cols)
+	}
+	return topo.NewFabric(kind, p)
 }
 
 func runPrint(args []string) error {
 	fs := flag.NewFlagSet("print", flag.ExitOnError)
 	var (
 		linkload = fs.Bool("linkload", false, "also fold each round onto the fabric's links (static contention pressure)")
-		fabric   = fs.String("fabric", "", "fabric kind for -linkload (default: inferred from the schedule name)")
+		fabric   = fs.String("fabric", "", "fabric kind for -linkload (default: inferred from the schedule name, a torus on the grid the name carries)")
 	)
 	fs.Parse(args)
 	path, err := oneFile("print", fs.Args())
@@ -385,15 +392,9 @@ func runPrint(args []string) error {
 		fmt.Printf("note: schedule fails verification: %v\n", err)
 	}
 	if *linkload {
-		kind := *fabric
-		if kind == "" {
-			if kind, err = inferFabric(world[0].Name); err != nil {
-				return err
-			}
-		}
 		// A schedule artifact carries no node mapping, so each rank is its
 		// own fabric node — the shape the sched:* generators route for.
-		f, err := topo.NewFabric(kind, len(world))
+		f, err := scheduleFabric(world[0].Name, *fabric, len(world))
 		if err != nil {
 			return err
 		}

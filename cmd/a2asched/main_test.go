@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"alltoallx/internal/sched"
 )
 
 // TestVerifyNamesRankProgramError: a rank-program artifact that fails
@@ -126,6 +128,63 @@ func TestVerifyRefusesMalformedSteps(t *testing.T) {
 			err := runVerify([]string{path})
 			if err == nil || !strings.Contains(err.Error(), "not a valid schedule") || !strings.Contains(err.Error(), e.want) {
 				t.Errorf("verify %s with %s for %s = %v, want a decoding error naming %s", name, e.new, e.old, err, e.want)
+			}
+		}
+	}
+}
+
+// TestLinkloadUsesOwnFabric: print -linkload folds every route family's
+// world onto the fabric it was routed for, a torus on the rows x cols
+// grid its name carries. Every route step is one hop on that fabric, so
+// each round's link-blocks equal its wire blocks. Worlds compiled on a
+// grid other than the most-square one (8x4, 2x16) were once folded onto
+// the most-square fabric: round 0 of torus 8x4 read 2,160 link-blocks
+// for 992 wire blocks.
+func TestLinkloadUsesOwnFabric(t *testing.T) {
+	t.Parallel()
+	type shape struct{ ranks, nodes, ppn int }
+	flat := []shape{{ranks: 2}, {ranks: 8}, {ranks: 16}}
+	grids := []shape{{nodes: 8, ppn: 4}, {nodes: 2, ppn: 16}, {nodes: 4, ppn: 8}, {nodes: 3, ppn: 5}, {nodes: 1, ppn: 7}}
+	for _, fam := range []struct {
+		topo   string
+		shapes []shape
+	}{{"ring", append(flat, shape{ranks: 7})}, {"hypercube", flat}, {"torus", append(grids, flat...)}} {
+		for _, prefix := range []string{"", "rs-", "ar-"} {
+			for _, sh := range fam.shapes {
+				p, m, err := parseWorld(sh.ranks, sh.nodes, sh.ppn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				world, err := sched.GenerateWorld(prefix+fam.topo, p, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := world[0].Name
+				f, err := scheduleFabric(name, "", p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Kind() != fam.topo || f.Nodes() != p {
+					t.Fatalf("%s: fabric %s, want a %d-node %s", name, f, p, fam.topo)
+				}
+				loads, err := sched.LinkLoads(world, f, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for ri, load := range loads {
+					links, wire := 0, 0
+					for _, n := range load {
+						links += n
+					}
+					for _, row := range sched.RoundMatrix(world, ri) {
+						for _, n := range row {
+							wire += n
+						}
+					}
+					if links != wire {
+						t.Errorf("%s round %d over %s: %d link-blocks for %d wire blocks", name, ri, f, links, wire)
+					}
+				}
 			}
 		}
 	}

@@ -19,10 +19,11 @@ import (
 //
 //   - "ring": node i links to i±1 (mod n); routes take the shortest
 //     direction, ties at n/2 going forward.
-//   - "torus": the most-square rows x cols factorization of n; links to
-//     the four grid neighbours (wrapping); dimension-ordered routing,
-//     columns first within the row ring, then rows — matching the
-//     row-then-column block routes of the sched torus generator.
+//   - "torus": a rows x cols grid (NewTorus; NewFabric takes the
+//     most-square factorization of n); links to the four grid
+//     neighbours (wrapping); dimension-ordered routing, columns first
+//     within the row ring, then rows — matching the row-then-column
+//     block routes of the sched torus generator.
 //   - "hypercube": n must be a power of two; node i links to i^(1<<b)
 //     for every address bit b; routes fix differing bits in ascending
 //     order.
@@ -49,21 +50,15 @@ func NewFabric(kind string, nodes int) (*Fabric, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("topo: fabric needs a positive node count, got %d", nodes)
 	}
+	if kind == "torus" {
+		return NewTorus(torusGrid(nodes))
+	}
 	f := &Fabric{kind: kind, nodes: nodes, ids: make(map[[2]int]int)}
 	switch kind {
 	case "ring":
 		for i := 0; i < nodes; i++ {
 			f.addEdge(i, (i+1)%nodes)
 			f.addEdge(i, (i-1+nodes)%nodes)
-		}
-	case "torus":
-		f.rows, f.cols = torusGrid(nodes)
-		for i := 0; i < nodes; i++ {
-			r, c := i/f.cols, i%f.cols
-			f.addEdge(i, r*f.cols+(c+1)%f.cols)
-			f.addEdge(i, r*f.cols+(c-1+f.cols)%f.cols)
-			f.addEdge(i, ((r+1)%f.rows)*f.cols+c)
-			f.addEdge(i, ((r-1+f.rows)%f.rows)*f.cols+c)
 		}
 	case "hypercube":
 		if nodes&(nodes-1) != 0 {
@@ -76,6 +71,24 @@ func NewFabric(kind string, nodes int) (*Fabric, error) {
 		}
 	default:
 		return nil, fmt.Errorf("topo: unknown fabric kind %q (have %v)", kind, FabricKinds())
+	}
+	return f, nil
+}
+
+// NewTorus builds the torus fabric over a rows x cols grid: node i sits
+// at row i/cols, column i%cols.
+func NewTorus(rows, cols int) (*Fabric, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("topo: torus fabric needs a positive grid, got %dx%d", rows, cols)
+	}
+	nodes := rows * cols
+	f := &Fabric{kind: "torus", nodes: nodes, rows: rows, cols: cols, ids: make(map[[2]int]int)}
+	for i := 0; i < nodes; i++ {
+		r, c := i/cols, i%cols
+		f.addEdge(i, r*cols+(c+1)%cols)
+		f.addEdge(i, r*cols+(c-1+cols)%cols)
+		f.addEdge(i, ((r+1)%rows)*cols+c)
+		f.addEdge(i, ((r-1+rows)%rows)*cols+c)
 	}
 	return f, nil
 }
