@@ -315,9 +315,12 @@ func (c *Comm) WaitAll(rs []comm.Request) error {
 
 // Sendrecv posts the receive first, then sends, so that symmetric exchanges
 // (everyone calls Sendrecv at once, as pairwise exchange does) cannot
-// deadlock even in rendezvous mode. The send's peer and tag are checked
-// before the receive is posted: a receive left posted by a failed call
-// would take the peer's next message on its tag.
+// deadlock even in rendezvous mode. A receive left posted by a failed call
+// would take the peer's next message on its tag and write it into rb after
+// the call returned, so the send's peer and tag are checked before the
+// receive is posted, and a send that fails at run time (a truncated
+// rendezvous send) still waits for the receive. The receive's error is
+// returned if it has one, otherwise the send's.
 func (c *Comm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, rtag int) error {
 	if err := comm.CheckPeer(dst, c.Size()); err != nil {
 		return err
@@ -329,10 +332,11 @@ func (c *Comm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, rtag
 	if err != nil {
 		return err
 	}
-	if err := c.Send(sb, dst, stag); err != nil {
+	serr := c.Send(sb, dst, stag)
+	if err := c.Wait(rreq); err != nil {
 		return err
 	}
-	return c.Wait(rreq)
+	return serr
 }
 
 // Barrier blocks until all ranks of the communicator have entered.

@@ -446,3 +446,55 @@ func TestSendrecvBadSendLeavesNoReceive(t *testing.T) {
 		t.Fatal("Recv after a failed Sendrecv did not complete in 10 s: the failed call left its receive posted")
 	}
 }
+
+// TestSendrecvTruncatedSendWaitsForReceive: when Sendrecv's rendezvous
+// send is truncated by the peer's smaller receive, the call still waits
+// for its own receive, so it returns ErrTruncate with the peer's first
+// message (A, sent about 50 ms later) in its buffer, and the next Recv
+// on that tag gets the second (B). A call that returned on the send's
+// error left its receive posted, to take A after it returned.
+func TestSendrecvTruncatedSendWaitsForReceive(t *testing.T) {
+	t.Parallel()
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(Config{Ranks: 2, EagerMax: 4}, func(c comm.Comm) error {
+			if c.Rank() == 1 {
+				if err := c.Recv(comm.Alloc(8), 0, 1); !errors.Is(err, comm.ErrTruncate) {
+					return fmt.Errorf("rank 1's 8 B Recv of a 16 B send = %v, want ErrTruncate", err)
+				}
+				time.Sleep(50 * time.Millisecond)
+				for i := 0; i < 2; i++ {
+					b := comm.Alloc(4)
+					testutil.FillBlock(b, 1, i)
+					if err := c.Send(b, 0, 2); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			rb := comm.Alloc(4)
+			if err := c.Sendrecv(comm.Alloc(16), 1, 1, rb, 1, 2); !errors.Is(err, comm.ErrTruncate) {
+				return fmt.Errorf("Sendrecv = %v, want ErrTruncate", err)
+			}
+			if err := testutil.CheckBlock(rb, 1, 0); err != nil {
+				return fmt.Errorf("Sendrecv returned before its receive took message A: %w", err)
+			}
+			b := comm.Alloc(4)
+			if err := c.Recv(b, 1, 2); err != nil {
+				return err
+			}
+			if err := testutil.CheckBlock(b, 1, 1); err != nil {
+				return fmt.Errorf("the Recv after Sendrecv: %w", err)
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sendrecv with a truncated send and the Recv after it did not complete in 10 s")
+	}
+}
