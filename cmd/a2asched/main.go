@@ -1,11 +1,12 @@
 // Command a2asched generates, verifies, diffs and pretty-prints
 // communication schedules — the offline tooling of the internal/sched
 // subsystem. Schedules are shareable JSON artifacts like autotune tables:
-// generate one per world shape, verify it statically (every block
+// gen writes a world file, every rank's program listed round by round,
+// one per world shape; verify proves it statically (every block
 // delivered exactly once, every send matched within its round, all
-// offsets in range), and ship it for inspection or execution
-// (core.New("sched:<generator>", ...) compiles and verifies the same
-// schedules at construction).
+// offsets in range), and it ships for inspection or execution
+// (core.New("sched:<generator>", ...) compiles and proves the same
+// programs at construction).
 //
 // Usage:
 //

@@ -13,13 +13,13 @@ import (
 // makes the (source, tag) match unambiguous.
 const TagBase = 401
 
-// Exec runs a schedule over a communicator. It is the persistent part of
-// a schedule-backed operation: scratch buffers are allocated once and
-// reused across calls (resized only when the block size or buffer
+// Exec runs one rank's program over a communicator. It is the persistent
+// part of a schedule-backed operation: scratch buffers are allocated once
+// and reused across calls (resized only when the block size or buffer
 // virtualness changes), mirroring how every core algorithm stages.
 //
-// An Exec runs one rank's RankProgram (NewRankExec): a world is its
-// ranks' programs, and each rank runs its own.
+// An Exec runs one RankProgram (NewRankExec), the IR's only form: a
+// world is its ranks' programs, and each rank runs its own.
 //
 // Exec does not verify: callers prove the program's world once before
 // constructing an executor (Prove, whose world driver proves every

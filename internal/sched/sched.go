@@ -31,6 +31,11 @@
 // the collective (RankProgram.SpaceSize): Ranks blocks each for
 // all-to-all and allreduce, a single recv block for reduce-scatter.
 //
+// Programs travel as versioned JSON: a rank program alone
+// (RankProgram.Encode, DecodeRank), or a whole world as one file
+// (EncodeWorld, DecodeWorld) that lists, round by round, every rank's
+// step list — the layout world files have had since format 1.
+//
 // # Execution semantics (the round discipline)
 //
 // The executor runs rounds in order, completing each before the next:
@@ -50,7 +55,6 @@ package sched
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -255,11 +259,7 @@ type Stats struct {
 // indexed by rank, each with the world's round count: message and block
 // totals over every rank, the header's rounds and scratch.
 func WorldStats(world []*RankProgram) Stats {
-	var st Stats
-	if len(world) == 0 {
-		return st
-	}
-	st.Rounds = len(world[0].Rounds)
+	st := Stats{Rounds: len(world[0].Rounds)}
 	for _, sz := range world[0].Scratch {
 		st.ScratchBlocks += sz
 	}
@@ -331,21 +331,13 @@ type round struct {
 	Steps [][]Step `json:"steps"`
 }
 
-// EncodeWorld writes a world, its programs indexed by rank, as
-// versioned JSON: rank 0's header at FormatVersion, then every round
-// with each rank's steps. The programs must agree on their round count.
+// EncodeWorld writes a world, its programs indexed by rank, each with
+// the world's round count, as versioned JSON: rank 0's header at
+// FormatVersion, then every round with each rank's steps.
 func EncodeWorld(w io.Writer, world []*RankProgram) error {
-	if len(world) == 0 {
-		return errors.New("sched: cannot encode a world of no programs")
-	}
 	h := world[0]
 	s := schedule{Format: FormatVersion, Name: h.Name, Ranks: len(world), Coll: h.Coll, Op: h.Op, Scratch: h.Scratch,
 		Rounds: make([]round, len(h.Rounds))}
-	for r, rp := range world {
-		if len(rp.Rounds) != len(s.Rounds) {
-			return fmt.Errorf("sched: cannot encode rank %d's %d rounds in a world of %d", r, len(rp.Rounds), len(s.Rounds))
-		}
-	}
 	for ri := range s.Rounds {
 		s.Rounds[ri].Steps = make([][]Step, len(world))
 		for r, rp := range world {
@@ -358,10 +350,10 @@ func EncodeWorld(w io.Writer, world []*RankProgram) error {
 }
 
 // DecodeWorld reads one world from r: every rank's program, indexed by
-// rank. It checks the format version and the shape — the rank count,
-// one step list per rank in every round — and stays cheap otherwise,
-// so tools can load a broken world to inspect it; run VerifyWorld for
-// the proof.
+// rank, all sharing the file's scratch declaration. It checks the
+// format version and the shape — the rank count, one step list per rank
+// in every round — and stays cheap otherwise, so tools can load a
+// broken world to inspect it; run VerifyWorld for the proof.
 func DecodeWorld(r io.Reader) ([]*RankProgram, error) {
 	var s schedule
 	if err := json.NewDecoder(r).Decode(&s); err != nil {

@@ -64,9 +64,6 @@ func VerifyWorld(world []*RankProgram) error {
 	}
 	srcs := make([]*source, len(world))
 	for r, rp := range world {
-		if rp == nil {
-			return fmt.Errorf("sched: rank %d program is nil", r)
-		}
 		srcs[r] = programSource(rp)
 	}
 	return walkWorld(srcs, nil)
