@@ -21,6 +21,11 @@ func TestFabricValidation(t *testing.T) {
 			t.Errorf("single-node %s rejected: %v", kind, err)
 		}
 	}
+	for _, g := range [][2]int{{0, 4}, {4, 0}, {-2, -4}} {
+		if _, err := NewTorus(g[0], g[1]); err == nil {
+			t.Errorf("%dx%d torus accepted", g[0], g[1])
+		}
+	}
 }
 
 func TestFabricLinkCounts(t *testing.T) {
@@ -54,6 +59,7 @@ func TestFabricLinkCounts(t *testing.T) {
 // the topology's shortest-path distance.
 func TestFabricRoutesAreMinimalAndLinked(t *testing.T) {
 	t.Parallel()
+	var fabrics []*Fabric
 	for _, c := range []struct {
 		kind  string
 		nodes int
@@ -66,9 +72,20 @@ func TestFabricRoutesAreMinimalAndLinked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fabrics = append(fabrics, f)
+	}
+	// Torus grids other than the most-square one.
+	for _, g := range [][2]int{{8, 4}, {2, 16}, {4, 3}} {
+		f, err := NewTorus(g[0], g[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fabrics = append(fabrics, f)
+	}
+	for _, f := range fabrics {
 		dist := bfsDistances(f)
-		for a := 0; a < c.nodes; a++ {
-			for b := 0; b < c.nodes; b++ {
+		for a := 0; a < f.Nodes(); a++ {
+			for b := 0; b < f.Nodes(); b++ {
 				path := f.Route(a, b)
 				if path[0] != a || path[len(path)-1] != b {
 					t.Fatalf("%s route %d->%d has wrong endpoints: %v", f, a, b, path)
