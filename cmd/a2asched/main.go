@@ -334,15 +334,19 @@ func runVerify(args []string) error {
 }
 
 // loadWorld reads the world file at path (DecodeWorld: shape-checked,
-// not verified).
+// not verified). A rank-program artifact is refused by name: print and
+// diff read whole worlds.
 func loadWorld(path string) ([]*sched.RankProgram, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("sched: loading schedule: %w", err)
 	}
-	defer f.Close()
-	world, err := sched.DecodeWorld(f)
+	world, err := sched.DecodeWorld(bytes.NewReader(data))
 	if err != nil {
+		if rp, rerr := sched.DecodeRank(bytes.NewReader(data)); rerr == nil {
+			return nil, fmt.Errorf("%s is rank %d of a %d-rank %q program, not a world file; print and diff read world files (a2asched gen -o)",
+				path, rp.Rank, rp.Ranks, rp.Name)
+		}
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return world, nil

@@ -212,18 +212,20 @@ func checkArgs(c comm.Comm, send, recv comm.Buffer, block, maxBlock int) error {
 	return nil
 }
 
-// ensureStage (re)allocates *buf to n bytes matching ref's virtualness.
-// Staging buffers are kept across calls; they are only rebuilt when the
-// caller switches between real and virtual payloads.
+// ensureStage returns the first n bytes of the staging buffer *buf,
+// which matches ref's virtualness. Staging buffers are kept across calls;
+// one is only rebuilt when it must grow or when the caller switches
+// between real and virtual payloads, so calls alternating block sizes
+// reuse it.
 func ensureStage(buf *comm.Buffer, ref comm.Buffer, n int) comm.Buffer {
-	if buf.Len() != n || buf.IsVirtual() != ref.IsVirtual() {
+	if buf.Len() < n || buf.IsVirtual() != ref.IsVirtual() {
 		if ref.IsVirtual() {
 			*buf = comm.Virtual(n)
 		} else {
 			*buf = comm.Alloc(n)
 		}
 	}
-	return *buf
+	return buf.Slice(0, n)
 }
 
 // runInner dispatches an internal all-to-all exchange.

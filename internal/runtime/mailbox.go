@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math/bits"
 	"sync"
 
 	"alltoallx/internal/comm"
@@ -30,6 +31,15 @@ func (r *request) Pending() bool {
 	}
 }
 
+// eagerDone is the request every eager Isend returns. An eager send has
+// made its one copy before Isend returns, so it is complete and cannot
+// fail; all such requests are this one, closed and error-free.
+var eagerDone = func() *request {
+	r := newRequest()
+	r.complete(nil)
+	return r
+}()
+
 // envelope identifies a message for matching.
 type envelope struct {
 	ctx int64
@@ -37,14 +47,14 @@ type envelope struct {
 	tag int
 }
 
-// inMsg is a message sitting in the unexpected queue.
+// inMsg is a message sitting in the unexpected queue: eager when rdvReq
+// is nil, else a rendezvous send waiting for its receive.
 type inMsg struct {
 	env     envelope
 	length  int
-	payload []byte      // eager copy; nil if virtual payload
+	payload []byte      // eager: the copy, in a bounce buffer; nil if virtual or empty
 	rdvBuf  comm.Buffer // rendezvous: sender's live buffer
 	rdvReq  *request    // rendezvous: sender's request to complete on copy
-	eager   bool
 }
 
 // postedRecv is a receive waiting in the posted queue.
@@ -56,25 +66,43 @@ type postedRecv struct {
 
 // mailbox holds one rank's matching state. Both queues are FIFO per
 // envelope, which preserves MPI's non-overtaking ordering guarantee between
-// a (source, tag, communicator) pair.
+// a (source, tag, communicator) pair. bounces is the free list of the
+// unexpected eager messages' bounce buffers, by power-of-two capacity
+// class: bounces[c] holds buffers of capacity 1<<c.
 type mailbox struct {
 	mu         sync.Mutex
-	unexpected []inMsg
-	posted     []postedRecv
+	unexpected []inMsg      // guarded by mu
+	posted     []postedRecv // guarded by mu
+	bounces    [][][]byte   // guarded by mu
 }
 
-// deliverEager matches the message against the posted queue or stores a
-// buffered copy in the unexpected queue. The sender does not block.
-func (m *mailbox) deliverEager(ctx int64, src, tag, length int, payload []byte) {
+// newMailbox returns a mailbox whose free list has a class for every
+// eager size up to eagerMax.
+func newMailbox(eagerMax int) mailbox {
+	return mailbox{bounces: make([][][]byte, bits.Len(uint(eagerMax))+1)}
+}
+
+// deliverEager sends b, of at most EagerMax bytes, to this mailbox with
+// one copy. A matching posted receive gets it straight from b; otherwise
+// it is copied, under the lock, into a bounce buffer in the unexpected
+// queue, so a receive posted meanwhile cannot pass it over. Either way
+// the copy is made before deliverEager returns, and the sender may reuse
+// b at once.
+func (m *mailbox) deliverEager(ctx int64, src, tag int, b comm.Buffer) {
 	env := envelope{ctx: ctx, src: src, tag: tag}
 	m.mu.Lock()
-	if i := m.findPosted(env); i >= 0 {
-		p := m.takePosted(i)
+	if i := m.findPostedLocked(env); i >= 0 {
+		p := m.takePostedLocked(i)
 		m.mu.Unlock()
-		completeRecv(p, length, payload, comm.Buffer{}, nil)
+		p.req.complete(landEager(p.buf, b.Len(), b.Bytes()))
 		return
 	}
-	m.unexpected = append(m.unexpected, inMsg{env: env, length: length, payload: payload, eager: true})
+	var payload []byte
+	if !b.IsVirtual() && b.Len() > 0 {
+		payload = m.bounceLocked(b.Len())
+		copy(payload, b.Bytes())
+	}
+	m.unexpected = append(m.unexpected, inMsg{env: env, length: b.Len(), payload: payload})
 	m.mu.Unlock()
 }
 
@@ -84,10 +112,10 @@ func (m *mailbox) deliverEager(ctx int64, src, tag, length int, payload []byte) 
 func (m *mailbox) deliverRendezvous(ctx int64, src, tag int, sb comm.Buffer, sreq *request) {
 	env := envelope{ctx: ctx, src: src, tag: tag}
 	m.mu.Lock()
-	if i := m.findPosted(env); i >= 0 {
-		p := m.takePosted(i)
+	if i := m.findPostedLocked(env); i >= 0 {
+		p := m.takePostedLocked(i)
 		m.mu.Unlock()
-		completeRecv(p, sb.Len(), nil, sb, sreq)
+		completeRendezvous(p, sb, sreq)
 		return
 	}
 	m.unexpected = append(m.unexpected, inMsg{env: env, length: sb.Len(), rdvBuf: sb, rdvReq: sreq})
@@ -95,21 +123,32 @@ func (m *mailbox) deliverRendezvous(ctx int64, src, tag int, sb comm.Buffer, sre
 }
 
 // postRecv matches the receive against the unexpected queue or appends it
-// to the posted queue.
+// to the posted queue. An unexpected eager message is copied out of its
+// bounce buffer, which goes back to the free list, under the lock (the
+// copy is at most EagerMax bytes); a truncated one frees it too.
 func (m *mailbox) postRecv(ctx int64, src, tag int, b comm.Buffer, req *request) {
 	env := envelope{ctx: ctx, src: src, tag: tag}
+	p := postedRecv{env: env, buf: b, req: req}
 	m.mu.Lock()
-	if i := m.findUnexpected(env); i >= 0 {
-		msg := m.takeUnexpected(i)
+	i := m.findUnexpectedLocked(env)
+	if i < 0 {
+		m.posted = append(m.posted, p)
 		m.mu.Unlock()
-		completeRecv(postedRecv{env: env, buf: b, req: req}, msg.length, msg.payload, msg.rdvBuf, msg.rdvReq)
 		return
 	}
-	m.posted = append(m.posted, postedRecv{env: env, buf: b, req: req})
+	msg := m.takeUnexpectedLocked(i)
+	if msg.rdvReq != nil {
+		m.mu.Unlock()
+		completeRendezvous(p, msg.rdvBuf, msg.rdvReq)
+		return
+	}
+	err := landEager(b, msg.length, msg.payload)
+	m.releaseBounceLocked(msg.payload)
 	m.mu.Unlock()
+	req.complete(err)
 }
 
-func (m *mailbox) findPosted(env envelope) int {
+func (m *mailbox) findPostedLocked(env envelope) int {
 	for i := range m.posted {
 		if m.posted[i].env == env {
 			return i
@@ -118,7 +157,7 @@ func (m *mailbox) findPosted(env envelope) int {
 	return -1
 }
 
-func (m *mailbox) findUnexpected(env envelope) int {
+func (m *mailbox) findUnexpectedLocked(env envelope) int {
 	for i := range m.unexpected {
 		if m.unexpected[i].env == env {
 			return i
@@ -127,43 +166,66 @@ func (m *mailbox) findUnexpected(env envelope) int {
 	return -1
 }
 
-func (m *mailbox) takePosted(i int) postedRecv {
+func (m *mailbox) takePostedLocked(i int) postedRecv {
 	p := m.posted[i]
 	m.posted = append(m.posted[:i], m.posted[i+1:]...)
 	return p
 }
 
-func (m *mailbox) takeUnexpected(i int) inMsg {
+func (m *mailbox) takeUnexpectedLocked(i int) inMsg {
 	msg := m.unexpected[i]
 	m.unexpected = append(m.unexpected[:i], m.unexpected[i+1:]...)
 	return msg
 }
 
-// completeRecv finishes a matched receive: validates length, copies
-// payload (from the eager copy or straight from the rendezvous sender
-// buffer) and completes the receive request, plus the sender request for
-// rendezvous transfers.
-func completeRecv(p postedRecv, length int, payload []byte, rdvBuf comm.Buffer, rdvReq *request) {
-	if length > p.buf.Len() {
-		p.req.complete(comm.ErrTruncate)
-		if rdvReq != nil {
-			rdvReq.complete(comm.ErrTruncate)
-		}
-		return
+// bounceLocked returns a bounce buffer of size bytes (0 < size <=
+// EagerMax) from the free list. Buffers are kept by power-of-two capacity
+// class, so any buffer of a class fits every size in it.
+func (m *mailbox) bounceLocked(size int) []byte {
+	c := bits.Len(uint(size - 1))
+	free := m.bounces[c]
+	if len(free) == 0 {
+		return make([]byte, size, 1<<c)
 	}
-	dst := p.buf.Slice(0, length)
+	m.bounces[c] = free[:len(free)-1]
+	return free[len(free)-1][:size]
+}
+
+// releaseBounceLocked returns a bounce buffer (nil for a virtual or empty
+// payload) to the free list.
+func (m *mailbox) releaseBounceLocked(b []byte) {
+	if b != nil {
+		c := bits.Len(uint(cap(b) - 1))
+		m.bounces[c] = append(m.bounces[c], b)
+	}
+}
+
+// landEager copies an eager message of length bytes (payload nil when it
+// is virtual or empty) into a receive buffer, or reports ErrTruncate when
+// the buffer is too short for it.
+func landEager(dst comm.Buffer, length int, payload []byte) error {
+	if length > dst.Len() {
+		return comm.ErrTruncate
+	}
 	if payload != nil && !dst.IsVirtual() {
 		copy(dst.Bytes(), payload)
 	}
-	if rdvReq != nil {
-		if _, err := comm.CopyData(dst, rdvBuf.Slice(0, length)); err != nil {
-			p.req.complete(err)
-			rdvReq.complete(err)
-			return
-		}
-		rdvReq.complete(nil)
+	return nil
+}
+
+// completeRendezvous finishes a matched rendezvous transfer: it copies
+// straight from the sender's buffer sb into the receive and completes
+// both requests, or fails both with ErrTruncate when the receive is too
+// short.
+func completeRendezvous(p postedRecv, sb comm.Buffer, sreq *request) {
+	if sb.Len() > p.buf.Len() {
+		p.req.complete(comm.ErrTruncate)
+		sreq.complete(comm.ErrTruncate)
+		return
 	}
-	p.req.complete(nil)
+	_, err := comm.CopyData(p.buf.Slice(0, sb.Len()), sb)
+	sreq.complete(err)
+	p.req.complete(err)
 }
 
 // barrier is a reusable generation-counting barrier.

@@ -7,6 +7,17 @@
 // whose costs (matching, synchronization, buffering) the paper's algorithms
 // are designed around.
 //
+// An eager message is copied once and allocates nothing. The sender locks
+// the destination rank's mailbox: a matching posted receive gets the bytes
+// straight from the send buffer; otherwise they are copied, still under
+// the lock, into a bounce buffer from that mailbox's free list (one list
+// per power-of-two size class up to EagerMax), and the receive that takes
+// the message copies them out and returns the buffer. Either way the send
+// is complete when Isend returns, which hands back one shared, completed
+// request. A rendezvous message is copied once too, straight from the
+// sender's buffer once the receive is posted, and each side allocates its
+// request.
+//
 // The runtime is used for every correctness test and for wall-clock
 // micro-benchmarks on the machine at hand. Performance reproduction of the
 // paper's cluster-scale figures uses internal/sim instead; both implement
@@ -25,9 +36,10 @@ import (
 )
 
 // DefaultEagerMax is the default eager/rendezvous protocol switch point in
-// bytes. Messages at or below it are copied through an internal buffer so
-// the sender returns immediately; larger messages synchronize with the
-// receiver and are copied exactly once.
+// bytes. A message at or below it is copied once, into the posted receive
+// or a recycled bounce buffer, before the send returns; a larger message
+// synchronizes with the receiver, which copies it straight from the
+// sender's buffer.
 const DefaultEagerMax = 1 << 13
 
 // Config configures a world of ranks.
@@ -98,6 +110,9 @@ func newWorld(cfg Config) (*world, error) {
 	}
 	w := &world{size: n, mapping: cfg.Mapping, eagerMax: eager, start: time.Now()}
 	w.boxes = make([]mailbox, n)
+	for i := range w.boxes {
+		w.boxes[i] = newMailbox(eager)
+	}
 	ranks := make([]int, n)
 	for i := range ranks {
 		ranks[i] = i
@@ -254,18 +269,11 @@ func (c *Comm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
 	wdst := c.sh.ranks[dst]
 	box := &c.sh.w.boxes[wdst]
 	if b.Len() <= c.sh.w.eagerMax {
-		// Eager: payload is copied out of the user buffer immediately, so
-		// the request completes as soon as the message is enqueued or
-		// matched.
-		var payload []byte
-		if !b.IsVirtual() {
-			payload = make([]byte, b.Len())
-			copy(payload, b.Bytes())
-		}
-		req := newRequest()
-		box.deliverEager(c.sh.id, c.rank, tag, b.Len(), payload)
-		req.complete(nil)
-		return req, nil
+		// Eager: the payload is copied out of the user buffer — into a
+		// posted receive or a bounce buffer — before deliverEager returns,
+		// so the send is already complete.
+		box.deliverEager(c.sh.id, c.rank, tag, b)
+		return eagerDone, nil
 	}
 	// Rendezvous: the request completes when the receiver has copied the
 	// payload straight out of the user buffer (single copy, synchronizing).

@@ -54,9 +54,13 @@
 package sched
 
 import (
+	"encoding"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
 )
 
 // FormatVersion is the on-disk JSON format version the encoders write.
@@ -201,7 +205,7 @@ func (r Ref) MarshalJSON() ([]byte, error) {
 func (r *Ref) UnmarshalJSON(b []byte) error {
 	var a []int64
 	if err := json.Unmarshal(b, &a); err != nil {
-		return fmt.Errorf("sched: ref must be [buf, off, n]: %w", err)
+		return fmt.Errorf("sched: ref must be [buf, off, n]: %w", jsonTypeError(err))
 	}
 	text := func() []byte { t, _ := json.Marshal(a); return t }
 	if len(a) != 3 {
@@ -217,6 +221,53 @@ func (r *Ref) UnmarshalJSON(b []byte) error {
 }
 
 func (r Ref) String() string { return fmt.Sprintf("[%d %d+%d]", r.Buf, r.Off, r.N) }
+
+// jsonTypeError rewords an encoding/json type error in the file's own
+// terms: the JSON field path, the value found there and the kind of value
+// wanted, without the Go struct and type names the decoder reports, so a
+// malformed file's error does not change when a type is renamed. Any
+// other error passes through.
+func jsonTypeError(err error) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err
+	}
+	found := te.Value
+	switch found {
+	case "array", "object":
+		found = "an " + found
+	case "string", "number":
+		found = "a " + found
+	case "bool":
+		found = "a boolean"
+	}
+	if te.Field == "" {
+		return fmt.Errorf("found %s, want %s", found, jsonWant(te.Type))
+	}
+	return fmt.Errorf("field %q holds %s, want %s", te.Field, found, jsonWant(te.Type))
+}
+
+var textUnmarshaler = reflect.TypeFor[encoding.TextUnmarshaler]()
+
+// jsonWant names the JSON value that decodes into a value of type t.
+func jsonWant(t reflect.Type) string {
+	if reflect.PointerTo(t).Implements(textUnmarshaler) {
+		return "a string"
+	}
+	switch t.Kind() {
+	case reflect.Int32:
+		return fmt.Sprintf("an integer from %d to %d", math.MinInt32, math.MaxInt32)
+	case reflect.Int, reflect.Int64:
+		return "an integer"
+	case reflect.String:
+		return "a string"
+	case reflect.Slice:
+		return "an array"
+	case reflect.Struct:
+		return "an object"
+	}
+	return "another value"
+}
 
 // Step is one action of one rank within a round. Which fields are
 // meaningful depends on Kind: Send uses To/Src, Recv uses From/Dst,
@@ -357,7 +408,7 @@ func EncodeWorld(w io.Writer, world []*RankProgram) error {
 func DecodeWorld(r io.Reader) ([]*RankProgram, error) {
 	var s schedule
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("sched: decoding schedule: %w", err)
+		return nil, fmt.Errorf("sched: decoding schedule: %w", jsonTypeError(err))
 	}
 	if !formatReadable(s.Format) {
 		return nil, fmt.Errorf("sched: schedule format %d, this build reads formats 1-%d — regenerate with a2asched gen", s.Format, FormatVersion)

@@ -69,6 +69,84 @@ func TestDecodeRefusals(t *testing.T) {
 	}
 }
 
+// TestDecodeErrorsNameNoGoTypes decodes, with both DecodeWorld and
+// DecodeRank, the malformed files a2asched's CLI golden test feeds its
+// commands — the pairwise world and program with each decodeRefusals
+// edit, the adversarial worlds and programs, a rank program with an
+// out-of-range rank — plus each valid file read by the other decoder and
+// a few more JSON type mismatches. No error may name a Go struct field
+// or type; a type mismatch names the JSON field and the value found.
+func TestDecodeErrorsNameNoGoTypes(t *testing.T) {
+	t.Parallel()
+	rp, err := GenerateRank("ring", 4, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ring4r1, ring8 bytes.Buffer
+	if err := rp.Encode(&ring4r1); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeWorld(&ring8, mustGen(t, "ring", 8)); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{
+		pairwise2World, pairwise2Rank0, ring4r1.String(), ring8.String(),
+		strings.Replace(ring4r1.String(), `"rank": 1,`, `"rank": 9,`, 1),
+		`{"format":2,"name":"x","ranks":4000,"rounds":[{"steps":[]}]}`,
+		`{"format":2,"name":"pairwise","ranks":2,"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,1,1]}],[]]}]}`,
+		`{"format":2,"name":"x","ranks":2,"rounds":[]}`,
+		`{"format":2,"name":"x","ranks":1,"scratch":[1000000000],"rounds":[{"steps":[[]]}]}`,
+		`{"format":2,"name":"x","ranks":8000,"rounds":[{"steps":[[]` + strings.Repeat(`,[]`, 7999) + `]}]}`,
+		`{"format":2,"name":"x","ranks":2,"rank":0,"scratch":[1000000000],"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]},{"k":"recv","f":1,"s":[0,0,0],"d":[2,0,1000000000]}]]}`,
+		`{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`,
+		`{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`,
+		`[]`, `{"format":"2"}`, `{"format":2,"name":"x","ranks":2.5}`,
+	}
+	for _, e := range decodeRefusals {
+		files = append(files, strings.Replace(pairwise2World, e.old, e.new, 1), strings.Replace(pairwise2Rank0, e.old, e.new, 1))
+	}
+	mismatches := map[string]string{
+		`"k":"copy"`:  `"k":5`,
+		`"s":[0,0,1]`: `"s":[0,"0",1]`,
+		`"d":[1,0,1]`: `"d":{"buf":1}`,
+	}
+	for old, new := range mismatches {
+		files = append(files, strings.Replace(pairwise2World, old, new, 1), strings.Replace(pairwise2Rank0, old, new, 1))
+	}
+	typeErrors := 0
+	for _, file := range files {
+		_, werr := DecodeWorld(strings.NewReader(file))
+		_, rerr := DecodeRank(strings.NewReader(file))
+		for _, err := range []error{werr, rerr} {
+			if err == nil {
+				continue
+			}
+			if msg := err.Error(); strings.Contains(msg, "Go struct field") || strings.Contains(msg, " of type ") || strings.Contains(msg, "sched.") {
+				t.Errorf("decoding %.80s: error names Go types: %v", file, err)
+			}
+			if strings.Contains(err.Error(), ", want ") {
+				typeErrors++
+			}
+		}
+	}
+	if typeErrors == 0 {
+		t.Error("no file made a JSON type mismatch")
+	}
+	for _, c := range []struct{ file, want string }{
+		{ring4r1.String(), `field "rounds" holds an array, want an object`},
+		{strings.Replace(pairwise2World, `"t":1`, `"t":2147483648`, 1), `field "rounds.steps.t" holds number 2147483648, want an integer from -2147483648 to 2147483647`},
+		{strings.Replace(pairwise2World, `"s":[0,0,1]`, `"s":[0,"0",1]`, 1), `ref must be [buf, off, n]: found a string, want an integer`},
+		{strings.Replace(pairwise2World, `"k":"copy"`, `"k":5`, 1), `field "rounds.steps.k" holds a number, want a string`},
+	} {
+		if _, err := DecodeWorld(strings.NewReader(c.file)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("DecodeWorld(%.80s) = %v, want an error containing %q", c.file, err, c.want)
+		}
+	}
+	if _, err := DecodeRank(strings.NewReader(ring8.String())); err == nil || !strings.Contains(err.Error(), `field "rounds" holds an object, want an array`) {
+		t.Errorf("DecodeRank of a world file = %v, want it to name the rounds field", err)
+	}
+}
+
 // TestKindNames: String gives each step kind its JSON name, the zero
 // Kind an empty one and any other value a Kind(n) form; encoding a
 // value that is no step kind is an error.

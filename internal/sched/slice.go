@@ -205,7 +205,7 @@ func (d *digester) sum() [sha256.Size]byte {
 func DecodeRank(r io.Reader) (*RankProgram, error) {
 	var rp RankProgram
 	if err := json.NewDecoder(r).Decode(&rp); err != nil {
-		return nil, fmt.Errorf("sched: decoding rank program: %w", err)
+		return nil, fmt.Errorf("sched: decoding rank program: %w", jsonTypeError(err))
 	}
 	if !formatReadable(rp.Format) {
 		return nil, fmt.Errorf("sched: rank program format %d, this build reads formats 1-%d — regenerate with a2asched slice", rp.Format, FormatVersion)
