@@ -6,42 +6,19 @@ import (
 	"alltoallx/internal/comm"
 )
 
-// bruckState is the persistent form of the Bruck algorithm with cached
-// staging buffers.
-type bruckState struct {
-	*basic
+// bruckScratch is the Bruck exchange's staging, kept across calls and
+// grown to fit: the rotated blocks (n·block) and the send and receive
+// packs (⌈n/2⌉·block each). The bruck algorithm holds one, and so does a
+// node-aware-family operation's Bruck inner exchange.
+type bruckScratch struct {
 	tmp, packS, packR comm.Buffer
 }
 
 func newBruck(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-	st := &bruckState{}
-	st.basic = newBasic("bruck", c, maxBlock, st.run)
-	return st, nil
+	return newBasic("bruck", c, maxBlock, new(bruckScratch).run), nil
 }
 
-func (st *bruckState) run(c comm.Comm, send, recv comm.Buffer, block int) error {
-	n := c.Size()
-	tmp := ensureStage(&st.tmp, send, n*block)
-	half := (n + 1) / 2
-	packS := ensureStage(&st.packS, send, half*block)
-	packR := ensureStage(&st.packR, send, half*block)
-	return alltoallBruckBuf(c, send, recv, block, tmp, packS, packR)
-}
-
-// alltoallBruck is the allocation-per-call form used as an inner exchange.
-func alltoallBruck(c comm.Comm, send, recv comm.Buffer, block int) error {
-	n := c.Size()
-	alloc := func(k int) comm.Buffer {
-		if send.IsVirtual() {
-			return comm.Virtual(k)
-		}
-		return comm.Alloc(k)
-	}
-	half := (n + 1) / 2
-	return alltoallBruckBuf(c, send, recv, block, alloc(n*block), alloc(half*block), alloc(half*block))
-}
-
-// alltoallBruckBuf implements the Bruck algorithm: ceil(log2 p) exchange
+// run is the Bruck algorithm through the scratch: ceil(log2 p) exchange
 // steps, each moving up to p/2 blocks — the message-count-optimal exchange
 // the paper identifies as the small-message choice (and the likely system
 // MPI algorithm at small sizes).
@@ -56,11 +33,12 @@ func alltoallBruck(c comm.Comm, send, recv comm.Buffer, block int) error {
 // Every repack is at most two strided block copies: a rotation is two
 // contiguous runs, the bit-k blocks are full runs of k blocks every 2k
 // plus a short last run, and the inversion is two reversed runs.
-func alltoallBruckBuf(c comm.Comm, send, recv comm.Buffer, block int, tmp, packS, packR comm.Buffer) error {
+func (s *bruckScratch) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	n, r := c.Size(), c.Rank()
-	if tmp.Len() < n*block {
-		return fmt.Errorf("core: bruck tmp buffer %d short of %d", tmp.Len(), n*block)
-	}
+	half := (n + 1) / 2
+	tmp := ensureStage(&s.tmp, send, n*block)
+	packS := ensureStage(&s.packS, send, half*block)
+	packR := ensureStage(&s.packR, send, half*block)
 	// Phase 1: rotation tmp[i] = send[(r+i) mod n].
 	comm.CopyBlocks(tmp, 0, 1, send, r, 1, n-r, block)
 	comm.CopyBlocks(tmp, n-r, 1, send, 0, 1, r, block)

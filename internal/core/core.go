@@ -123,13 +123,15 @@ type Alltoaller interface {
 	Name() string
 	// Alltoall exchanges block bytes per rank pair: send and recv must
 	// each hold Size()*block bytes. It is exactly Start followed by
-	// Wait.
+	// Wait, so Start's rules for the buffers hold here too.
 	Alltoall(send, recv comm.Buffer, block int) error
 	// Start launches the same exchange off the caller's critical path
 	// and returns its handle, so communication can overlap computation
 	// (real overlap on the live runtime, modeled overlap with
 	// comm.Compute in the simulator). The buffers belong to the exchange
-	// until the handle completes.
+	// until the handle completes, and recv is its scratch until then:
+	// an algorithm may stage intermediate blocks there, so after a
+	// failed exchange recv's contents are unspecified.
 	Start(send, recv comm.Buffer, block int) (Handle, error)
 	// Phases returns this rank's per-phase timings for the last
 	// completed exchange (empty for algorithms without internal phases).
@@ -228,18 +230,29 @@ func ensureStage(buf *comm.Buffer, ref comm.Buffer, n int) comm.Buffer {
 	return buf.Slice(0, n)
 }
 
-// runInner dispatches an internal all-to-all exchange.
-func runInner(c comm.Comm, inner Inner, send, recv comm.Buffer, block int) error {
+// innerExchange is a node-aware-family operation's inner all-to-all: the
+// exchange it runs and, for Bruck, the scratch that exchange keeps across
+// calls, made on its first use.
+type innerExchange struct {
+	kind  Inner
+	bruck *bruckScratch
+}
+
+// run runs one inner exchange over c.
+func (x *innerExchange) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	if c.Size() == 1 {
 		return c.Memcpy(recv.Slice(0, block), send.Slice(0, block))
 	}
-	switch inner {
+	switch x.kind {
 	case InnerPairwise:
 		return alltoallPairwise(c, send, recv, block)
 	case InnerNonblocking:
 		return alltoallNonblocking(c, send, recv, block)
 	case InnerBruck:
-		return alltoallBruck(c, send, recv, block)
+		if x.bruck == nil {
+			x.bruck = new(bruckScratch)
+		}
+		return x.bruck.run(c, send, recv, block)
 	}
-	return fmt.Errorf("core: unknown inner exchange %q", inner)
+	return fmt.Errorf("core: unknown inner exchange %q", x.kind)
 }

@@ -78,7 +78,7 @@ type hierarchical struct {
 	local   comm.Comm // my leader group; rank 0 is the leader
 	leaders comm.Comm // all leaders (nil on non-leaders)
 
-	inner      Inner
+	inner      innerExchange
 	gatherKind coll.Kind
 
 	myGroup  int // group index within my node
@@ -103,7 +103,7 @@ func newHierarchical(c comm.Comm, maxBlock int, o Options, hier bool) (Alltoalle
 	}
 	h := &hierarchical{
 		info: info, q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
-		inner: o.Inner, gatherKind: o.GatherKind,
+		inner: innerExchange{kind: o.Inner}, gatherKind: o.GatherKind,
 	}
 	h.basic = newBasic(name, c, maxBlock, h.run)
 	h.myGroup = info.myLocal / q
@@ -160,7 +160,7 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 
 		// All-to-all among leaders: q*q*block bytes per leader pair.
 		stop = h.rec.Time(trace.PhaseInter)
-		err = runInner(h.leaders, h.inner, bufB, bufA, q*q*block)
+		err = h.inner.run(h.leaders, bufB, bufA, q*q*block)
 		stop()
 		if err != nil {
 			return fmt.Errorf("core: %s leader exchange: %w", h.name, err)

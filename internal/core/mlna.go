@@ -28,7 +28,7 @@ type mlNodeAware struct {
 	interComm   comm.Comm // same-slot leaders across nodes (size nnodes); nil on non-leaders
 	intraComm   comm.Comm // the node's leaders (size nL); nil on non-leaders
 
-	inner      Inner
+	inner      innerExchange
 	gatherKind coll.Kind
 	isLeader   bool
 
@@ -45,7 +45,7 @@ func newMultileaderNodeAware(c comm.Comm, maxBlock int, o Options) (Alltoaller, 
 	}
 	m := &mlNodeAware{
 		info: info, q: o.PPL, nL: info.ppn / o.PPL,
-		inner: o.Inner, gatherKind: o.GatherKind,
+		inner: innerExchange{kind: o.Inner}, gatherKind: o.GatherKind,
 	}
 	m.basic = newBasic("multileader-node-aware", c, maxBlock, m.run)
 	m.myK = info.myLocal / m.q
@@ -112,7 +112,7 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// Inter-node all-to-all among same-slot leaders: q*ppn*block per
 		// node pair — one message to each node, as in Algorithm 4.
 		stop = m.rec.Time(trace.PhaseInter)
-		err = runInner(m.interComm, m.inner, bufB, bufA, q*ppn*block)
+		err = m.inner.run(m.interComm, bufB, bufA, q*ppn*block)
 		stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware inter exchange: %w", err)
@@ -138,7 +138,7 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// nnodes*q*q*block per leader pair (the paper's
 		// r_size*n_nodes*ppl^2).
 		stop = m.rec.Time(trace.PhaseIntra)
-		err = runInner(m.intraComm, m.inner, bufB, bufA, nn*q*q*block)
+		err = m.inner.run(m.intraComm, bufB, bufA, nn*q*q*block)
 		stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware intra exchange: %w", err)

@@ -15,6 +15,11 @@ import (
 // aggregation (Section 3.2): the intra-region redistribution happens among
 // g nearby ranks instead of all ppn, trading slightly more inter-region
 // messages for much cheaper local traffic.
+//
+// The caller's recv is the exchange's working buffer, next to one staging
+// buffer of p blocks: the repack copies send into recv, each inner
+// exchange sends from recv into the stage, the transpose between them
+// writes back into recv, and the final inverse transpose lands in recv.
 type nodeAware struct {
 	*basic
 	info worldInfo
@@ -28,9 +33,8 @@ type nodeAware struct {
 	local comm.Comm // my group (size g)
 	group comm.Comm // my j-counterparts in every group (size tg)
 
-	inner Inner
-
-	bufA, bufB comm.Buffer // staging: p*maxBlock each
+	inner innerExchange
+	stage comm.Buffer // p*maxBlock: each inner exchange's receive side
 }
 
 func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller, error) {
@@ -49,7 +53,7 @@ func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller,
 	}
 	na := &nodeAware{
 		info: info, g: g, nG: info.ppn / g, tg: (info.ppn / g) * info.nnodes,
-		inner: o.Inner,
+		inner: innerExchange{kind: o.Inner},
 	}
 	na.basic = newBasic(name, c, maxBlock, na.run)
 	na.myG = info.myLocal / g
@@ -71,36 +75,36 @@ func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller,
 
 func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	p, g, tg := na.info.p, na.g, na.tg
-	bufA := ensureStage(&na.bufA, send, p*block)
-	bufB := ensureStage(&na.bufB, send, p*block)
+	stage := ensureStage(&na.stage, recv, p*block)
 
-	// Repack send blocks into group-destination order: block for group t,
-	// member i at position t*g+i. Groups tile the block-mapped world in
-	// rank order (group t holds world ranks t*g .. t*g+g-1), so this is
-	// world-rank order already and the repack is one contiguous copy.
+	// Repack send blocks into group-destination order in recv: block for
+	// group t, member i at position t*g+i. Groups tile the block-mapped
+	// world in rank order (group t holds world ranks t*g .. t*g+g-1), so
+	// this is world-rank order already and the repack is one contiguous
+	// copy.
 	stop := na.rec.Time(trace.PhaseRepack)
-	comm.CopyBlocks(bufA, 0, 1, send, 0, 1, p, block)
+	comm.CopyBlocks(recv, 0, 1, send, 0, 1, p, block)
 	err := c.ChargeCopy(p*block, p)
 	stop()
 	if err != nil {
 		return err
 	}
 
-	// Inter-region exchange: g*block bytes to the j-counterpart of every
-	// group. For node-aware (g = ppn) this is the node-pair aggregation:
-	// each rank talks to exactly one rank per node.
+	// Inter-region exchange, recv to stage: g*block bytes to the
+	// j-counterpart of every group. For node-aware (g = ppn) this is the
+	// node-pair aggregation: each rank talks to exactly one rank per node.
 	stop = na.rec.Time(trace.PhaseInter)
-	err = runInner(na.group, na.inner, bufA, bufB, g*block)
+	err = na.inner.run(na.group, recv, stage, g*block)
 	stop()
 	if err != nil {
 		return fmt.Errorf("core: %s inter exchange: %w", na.name, err)
 	}
 
-	// Repack [t][i] into member-major [i][t] for the local redistribution:
-	// a transpose, one strided copy per member row.
+	// Repack stage's [t][i] into member-major [i][t] in recv for the local
+	// redistribution: a transpose, one strided copy per member row.
 	stop = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
-		comm.CopyBlocks(bufA, i*tg, 1, bufB, i, g, tg, block)
+		comm.CopyBlocks(recv, i*tg, 1, stage, i, g, tg, block)
 	}
 	err = c.ChargeCopy(p*block, p)
 	stop()
@@ -108,10 +112,10 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 		return err
 	}
 
-	// Intra-region exchange: tg*block bytes per member pair within the
-	// group.
+	// Intra-region exchange, recv to stage: tg*block bytes per member
+	// pair within the group.
 	stop = na.rec.Time(trace.PhaseIntra)
-	err = runInner(na.local, na.inner, bufA, bufB, tg*block)
+	err = na.inner.run(na.local, recv, stage, tg*block)
 	stop()
 	if err != nil {
 		return fmt.Errorf("core: %s intra exchange: %w", na.name, err)
@@ -122,7 +126,7 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	// inverse transpose.
 	stop = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
-		comm.CopyBlocks(recv, i, g, bufB, i*tg, 1, tg, block)
+		comm.CopyBlocks(recv, i, g, stage, i*tg, 1, tg, block)
 	}
 	err = c.ChargeCopy(p*block, p)
 	stop()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"sync"
 	"testing"
 
 	"alltoallx/internal/comm"
@@ -262,23 +263,69 @@ func TestSendrecvSelf(t *testing.T) {
 	}
 }
 
+// TestBlockingCallsAcrossGoroutines runs Sendrecv ping-pongs from
+// several goroutines of each rank at once, as a rank's body and the
+// goroutines running its started exchanges may, at an eager and a
+// rendezvous size. Their pooled requests pass between goroutines through the rank's
+// free list; with more goroutines than the list holds requests for, some
+// are made fresh and some dropped when the list is full. Every received
+// byte is checked, so a request completed for the wrong call or a stale
+// error shows.
+func TestBlockingCallsAcrossGoroutines(t *testing.T) {
+	t.Parallel()
+	const goroutines, rounds = 3, 200
+	for _, n := range []int{64, DefaultEagerMax + 1} {
+		err := Run(Config{Ranks: 2}, func(c comm.Comm) error {
+			peer := 1 - c.Rank()
+			errs := make([]error, goroutines)
+			var wg sync.WaitGroup
+			wg.Add(goroutines)
+			for g := 0; g < goroutines; g++ {
+				go func(g int) {
+					defer wg.Done()
+					sb, rb := comm.Alloc(n), comm.Alloc(n)
+					for i := 0; i < rounds; i++ {
+						for j := range sb.Bytes() {
+							sb.Bytes()[j] = byte(c.Rank() + 2*g + 8*i + j)
+						}
+						if err := c.Sendrecv(sb, peer, g, rb, peer, g); err != nil {
+							errs[g] = fmt.Errorf("goroutine %d round %d: %w", g, i, err)
+							return
+						}
+						for j, b := range rb.Bytes() {
+							if want := byte(peer + 2*g + 8*i + j); b != want {
+								errs[g] = fmt.Errorf("goroutine %d round %d: byte %d is %d, want %d", g, i, j, b, want)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		})
+		if err != nil {
+			t.Errorf("%d B: %v", n, err)
+		}
+	}
+}
+
 // TestLiveAllocsPerMessage pins the heap allocations of a live message:
 // a Send/Recv ping-pong's extra allocations over a shorter one, divided
 // by its extra messages, so the world's set-up cancels out. An eager
 // send copies into the posted receive or a recycled bounce buffer and
-// returns a shared completed request, so an eager message allocates only
-// its receive's request and channel; a rendezvous message allocates a
-// request and channel on each side. Not parallel: runtime.MemStats
-// counts every goroutine's allocations.
+// returns a shared completed request, and every blocking call waits on a
+// pooled request, so neither an eager nor a rendezvous message allocates.
+// Not parallel: runtime.MemStats counts every goroutine's allocations.
 func TestLiveAllocsPerMessage(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		size int
 		max  float64
 	}{
-		{"eager/256B", 256, 2.5},
-		{"eager/8KiB", DefaultEagerMax, 2.5},
-		{"rendezvous/16KiB", 16 << 10, 4.5},
+		{"eager/256B", 256, 0.5},
+		{"eager/8KiB", DefaultEagerMax, 0.5},
+		{"rendezvous/16KiB", 16 << 10, 0.5},
 	} {
 		measure := func(trips int) uint64 {
 			var before, after goruntime.MemStats

@@ -7,21 +7,44 @@ import (
 	"alltoallx/internal/comm"
 )
 
-// request implements comm.Request. done is closed exactly once when the
-// operation completes; err carries any failure.
+// request implements comm.Request. An escaping request (Isend's, Irecv's)
+// signals completion by closing done, so it may be waited on or polled
+// any number of times. A pooled one (a blocking call's) signals by one
+// send on its one-slot done, is waited on exactly once and then goes back
+// to free, its rank's free list: a closed channel cannot be re-armed. err
+// carries any failure.
 type request struct {
 	done chan struct{}
 	err  error
+	free chan *request // nil for an escaping request
 }
-
-func newRequest() *request { return &request{done: make(chan struct{})} }
 
 func (r *request) complete(err error) {
 	r.err = err
+	if r.free != nil {
+		r.done <- struct{}{}
+		return
+	}
 	close(r.done)
 }
 
-// Pending reports whether the request is still in flight.
+// wait blocks until the request completes and returns its error. A pooled
+// request has then given its one signal and goes back to its free list,
+// unless that is full.
+func (r *request) wait() error {
+	<-r.done
+	err := r.err
+	if r.free != nil {
+		select {
+		case r.free <- r:
+		default:
+		}
+	}
+	return err
+}
+
+// Pending reports whether the request is still in flight. Only escaping
+// requests reach the caller, so polling never takes a pooled one's signal.
 func (r *request) Pending() bool {
 	select {
 	case <-r.done:
@@ -35,7 +58,7 @@ func (r *request) Pending() bool {
 // made its one copy before Isend returns, so it is complete and cannot
 // fail; all such requests are this one, closed and error-free.
 var eagerDone = func() *request {
-	r := newRequest()
+	r := &request{done: make(chan struct{})}
 	r.complete(nil)
 	return r
 }()
@@ -68,18 +91,30 @@ type postedRecv struct {
 // envelope, which preserves MPI's non-overtaking ordering guarantee between
 // a (source, tag, communicator) pair. bounces is the free list of the
 // unexpected eager messages' bounce buffers, by power-of-two capacity
-// class: bounces[c] holds buffers of capacity 1<<c.
+// class: bounces[c] holds buffers of capacity 1<<c. reqs is the free list
+// of the rank's pooled requests; a channel needs no lock, so the rank's
+// goroutines (its body and those running its started exchanges) share
+// it.
 type mailbox struct {
 	mu         sync.Mutex
 	unexpected []inMsg      // guarded by mu
 	posted     []postedRecv // guarded by mu
 	bounces    [][][]byte   // guarded by mu
+	reqs       chan *request
 }
 
-// newMailbox returns a mailbox whose free list has a class for every
-// eager size up to eagerMax.
+// pooledRequests is the capacity of a rank's request free list: two
+// goroutines each in a Sendrecv hold four pooled requests at once. More
+// only allocate.
+const pooledRequests = 4
+
+// newMailbox returns a mailbox whose bounce free list has a class for
+// every eager size up to eagerMax.
 func newMailbox(eagerMax int) mailbox {
-	return mailbox{bounces: make([][][]byte, bits.Len(uint(eagerMax))+1)}
+	return mailbox{
+		bounces: make([][][]byte, bits.Len(uint(eagerMax))+1),
+		reqs:    make(chan *request, pooledRequests),
+	}
 }
 
 // deliverEager sends b, of at most EagerMax bytes, to this mailbox with

@@ -15,8 +15,10 @@
 // the message copies them out and returns the buffer. Either way the send
 // is complete when Isend returns, which hands back one shared, completed
 // request. A rendezvous message is copied once too, straight from the
-// sender's buffer once the receive is posted, and each side allocates its
-// request.
+// sender's buffer once the receive is posted. The blocking calls (Send,
+// Recv, Sendrecv) wait on requests recycled through their rank's free
+// list, so they allocate nothing; the requests of Isend (rendezvous) and
+// Irecv escape to the caller and are allocated.
 //
 // The runtime is used for every correctness test and for wall-clock
 // micro-benchmarks on the machine at hand. Performance reproduction of the
@@ -240,26 +242,38 @@ func (c *Comm) StartAsync(body func() error) comm.Async {
 }
 
 // Send blocks until the message is buffered (eager) or received
-// (rendezvous).
+// (rendezvous). It allocates nothing: an eager send is complete when it
+// is delivered, and a rendezvous one waits on a pooled request.
 func (c *Comm) Send(b comm.Buffer, dst, tag int) error {
-	req, err := c.Isend(b, dst, tag)
+	req, err := c.isend(b, dst, tag, true)
 	if err != nil {
 		return err
 	}
-	return c.Wait(req)
+	return req.wait()
 }
 
-// Recv blocks until a matching message has been copied into b.
+// Recv blocks until a matching message has been copied into b. It waits
+// on a pooled request, so it allocates nothing.
 func (c *Comm) Recv(b comm.Buffer, src, tag int) error {
-	req, err := c.Irecv(b, src, tag)
+	req, err := c.irecv(b, src, tag, true)
 	if err != nil {
 		return err
 	}
-	return c.Wait(req)
+	return req.wait()
 }
 
 // Isend starts a nonblocking send.
 func (c *Comm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
+	req, err := c.isend(b, dst, tag, false)
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// isend starts a send. A rendezvous send's request is pooled if the
+// caller blocks on it, waiting on it once.
+func (c *Comm) isend(b comm.Buffer, dst, tag int, pooled bool) (*request, error) {
 	if err := comm.CheckPeer(dst, c.Size()); err != nil {
 		return nil, err
 	}
@@ -277,13 +291,23 @@ func (c *Comm) Isend(b comm.Buffer, dst, tag int) (comm.Request, error) {
 	}
 	// Rendezvous: the request completes when the receiver has copied the
 	// payload straight out of the user buffer (single copy, synchronizing).
-	req := newRequest()
+	req := c.newRequest(pooled)
 	box.deliverRendezvous(c.sh.id, c.rank, tag, b, req)
 	return req, nil
 }
 
 // Irecv starts a nonblocking receive.
 func (c *Comm) Irecv(b comm.Buffer, src, tag int) (comm.Request, error) {
+	req, err := c.irecv(b, src, tag, false)
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// irecv posts a receive. Its request is pooled if the caller blocks on
+// it, waiting on it once.
+func (c *Comm) irecv(b comm.Buffer, src, tag int, pooled bool) (*request, error) {
 	if err := comm.CheckPeer(src, c.Size()); err != nil {
 		return nil, err
 	}
@@ -292,9 +316,24 @@ func (c *Comm) Irecv(b comm.Buffer, src, tag int) (comm.Request, error) {
 	}
 	me := c.sh.ranks[c.rank]
 	box := &c.sh.w.boxes[me]
-	req := newRequest()
+	req := c.newRequest(pooled)
 	box.postRecv(c.sh.id, src, tag, b, req)
 	return req, nil
+}
+
+// newRequest returns an escaping request for Isend or Irecv or, for a
+// blocking call, a pooled one from this rank's free list.
+func (c *Comm) newRequest(pooled bool) *request {
+	if !pooled {
+		return &request{done: make(chan struct{})}
+	}
+	free := c.sh.w.boxes[c.sh.ranks[c.rank]].reqs
+	select {
+	case r := <-free:
+		return r
+	default:
+		return &request{done: make(chan struct{}, 1), free: free}
+	}
 }
 
 // Wait blocks until the request completes and returns its error.
@@ -306,8 +345,7 @@ func (c *Comm) Wait(r comm.Request) error {
 	if !ok {
 		return fmt.Errorf("runtime: foreign request type %T", r)
 	}
-	<-req.done
-	return req.err
+	return req.wait()
 }
 
 // WaitAll blocks until all requests complete, returning their joined errors.
@@ -336,12 +374,12 @@ func (c *Comm) Sendrecv(sb comm.Buffer, dst, stag int, rb comm.Buffer, src, rtag
 	if err := comm.CheckTag(stag); err != nil {
 		return err
 	}
-	rreq, err := c.Irecv(rb, src, rtag)
+	rreq, err := c.irecv(rb, src, rtag, true)
 	if err != nil {
 		return err
 	}
 	serr := c.Send(sb, dst, stag)
-	if err := c.Wait(rreq); err != nil {
+	if err := rreq.wait(); err != nil {
 		return err
 	}
 	return serr
