@@ -400,3 +400,64 @@ func FuzzDecodeTable(f *testing.F) {
 		}
 	})
 }
+
+// TestTableEncodingGolden pins the on-disk bytes of Table.Encode, not
+// only its round trip: a change to Table, Entry, Provenance or the
+// core.Options fields they serialize that moves a byte of an existing
+// table fails here. The alltoall table sets every persisted option
+// (Inner, PPL, PPG, BatchWindow and a Sys profile) and carries
+// provenance (system-mpi cannot be a tabled winner, so the Sys profile
+// rides on a bruck entry, which ignores it); the alltoallv table carries
+// the op kind. There is no
+// -update path: tables on disk must keep decoding to the same winners.
+func TestTableEncodingGolden(t *testing.T) {
+	t.Parallel()
+	sys := netmodel.SysProfile{
+		SmallAlgo: "bruck", SmallMax: 256,
+		MidAlgo: "nonblocking", MidMax: 3000,
+		LargeAlgo: "pairwise", OverheadScale: 1,
+	}
+	cases := []struct {
+		file string
+		tbl  *Table
+	}{
+		{"table_alltoall.golden", &Table{
+			Version: TableVersion, Machine: "Dane", Nodes: 4, PPN: 8,
+			Entries: []Entry{
+				{Size: 16, Name: "bruck", Algo: "bruck", Opts: core.Options{Sys: sys}, Seconds: 1.25e-5},
+				{Size: 256, Name: "multileader-node-aware/2ppl/nonblocking", Algo: "multileader-node-aware",
+					Opts: core.Options{Inner: core.InnerNonblocking, PPL: 2}, Seconds: 6.5e-5},
+				{Size: 4096, Name: "locality-aware/4ppg/bruck", Algo: "locality-aware",
+					Opts: core.Options{Inner: core.InnerBruck, PPG: 4}, Seconds: 1.0625e-3},
+				{Size: 65536, Name: "batched/8", Algo: "batched", Opts: core.Options{BatchWindow: 8}, Seconds: 0.015625},
+			},
+			Provenance: &Provenance{Source: "Dane", Mode: "predictive", ProbeSizes: []int{16, 4096},
+				ModelHash: "0123456789abcdef", Generation: 2},
+		}},
+		{"table_alltoallv.golden", &Table{
+			Version: TableVersion, Machine: "Amber", Nodes: 2, PPN: 8, Op: core.OpAlltoallv,
+			Entries: []Entry{
+				{Size: 16, Name: "pairwise", Algo: "pairwise", Seconds: 2e-5},
+				{Size: 256, Name: "node-aware", Algo: "node-aware", Seconds: 1e-4},
+			},
+			Provenance: &Provenance{Source: "Amber", Mode: "sweep"},
+		}},
+	}
+	for _, c := range cases {
+		var got bytes.Buffer
+		if err := c.tbl.Encode(&got); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", c.file)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: encoded table changed:\n%s", path, got.Bytes())
+		}
+		if _, err := Decode(bytes.NewReader(want)); err != nil {
+			t.Errorf("%s: golden table does not decode: %v", path, err)
+		}
+	}
+}
