@@ -190,13 +190,6 @@ func BenchmarkAblationQueueSearch(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationGatherKind(b *testing.B) {
-	b.Run("linear", func(b *testing.B) { ablationPoint(b, "hierarchical", core.Options{}, nil) })
-	b.Run("binomial", func(b *testing.B) {
-		ablationPoint(b, "hierarchical", core.Options{GatherKind: 1}, nil)
-	})
-}
-
 func BenchmarkAblationBatchWindow(b *testing.B) {
 	for _, w := range []int{4, 32, 128} {
 		b.Run(fmt.Sprintf("window%d", w), func(b *testing.B) {

@@ -6,7 +6,8 @@
 // saved to JSON and loaded back (what cmd/a2atune -o and a deployed job
 // do on opposite sides of a filesystem); finally a simulated cluster
 // constructs the "tuned" meta-algorithm from the loaded table and
-// dispatches each block size to its tabled winner.
+// dispatches each block size to its tabled winner, failing if a probe
+// goes anywhere else.
 //
 // The -op flag tunes and dispatches either collective through the same
 // unified persistent-operation API: alltoall (fixed-size) or alltoallv
@@ -144,8 +145,11 @@ func run(machineName string, nodes, ppn int, op core.Op, predict bool, out strin
 		return err
 	}
 	for i, block := range probes {
-		fmt.Printf("  %5d B -> %-28s %.3e s (table predicted %s)\n",
-			block, picked[i], timed[i], loaded.Pick(block).Name)
+		want := loaded.Pick(block).Name
+		fmt.Printf("  %5d B -> %-28s %.3e s (table predicted %s)\n", block, picked[i], timed[i], want)
+		if picked[i] != want {
+			return fmt.Errorf("%d B went to %s, but the table names %s", block, picked[i], want)
+		}
 	}
 	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"alltoallx/internal/netmodel"
 	"alltoallx/internal/runtime"
 	"alltoallx/internal/sim"
+	"alltoallx/internal/testutil"
 	"alltoallx/internal/topo"
 )
 
@@ -408,8 +409,8 @@ func FuzzDecodeTable(f *testing.F) {
 // (Inner, PPL, PPG, BatchWindow and a Sys profile) and carries
 // provenance (system-mpi cannot be a tabled winner, so the Sys profile
 // rides on a bruck entry, which ignores it); the alltoallv table carries
-// the op kind. There is no
-// -update path: tables on disk must keep decoding to the same winners.
+// the op kind. There is no -update path: tables on disk must keep
+// decoding to the same winners.
 func TestTableEncodingGolden(t *testing.T) {
 	t.Parallel()
 	sys := netmodel.SysProfile{
@@ -459,5 +460,42 @@ func TestTableEncodingGolden(t *testing.T) {
 		if _, err := Decode(bytes.NewReader(want)); err != nil {
 			t.Errorf("%s: golden table does not decode: %v", path, err)
 		}
+	}
+}
+
+// TestTableIgnoresGatherKind: a table that names gatherKind, an option
+// core.Options no longer has (1 selected a binomial gather and scatter),
+// still loads, and its hierarchical entry runs the linear gather.
+func TestTableIgnoresGatherKind(t *testing.T) {
+	t.Parallel()
+	const js = `{"version": 2, "machine": "Dane", "nodes": 2, "ppn": 8, "entries": [
+		{"size": 64, "name": "hierarchical", "algo": "hierarchical", "opts": {"gatherKind": 1}, "seconds": 1e-5}]}`
+	tbl, err := Decode(strings.NewReader(js))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Entries[0].Opts; got != (core.Options{}) {
+		t.Errorf("decoded options %+v, want the zero value", got)
+	}
+	m, err := topo.NewMapping(topo.Spec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 64
+	err = runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
+		a, err := core.New("tuned", c, block, tbl.Options())
+		if err != nil {
+			return err
+		}
+		p := c.Size()
+		send, recv := comm.Alloc(p*block), comm.Alloc(p*block)
+		testutil.FillAlltoall(send, c.Rank(), p, block)
+		if err := a.Alltoall(send, recv, block); err != nil {
+			return err
+		}
+		return testutil.CheckAlltoall(recv, c.Rank(), p, block)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

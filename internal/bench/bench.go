@@ -60,9 +60,9 @@ type Config struct {
 // Key returns a map key identifying the simulation (used to share runs
 // between series that read different phases of the same algorithm).
 func (c Config) Key() string {
-	return fmt.Sprintf("%s|%d|%d|%s|%s|%s|%d|%d|%d|%d|%d|%v|%s|%s",
+	return fmt.Sprintf("%s|%d|%d|%s|%s|%s|%d|%d|%d|%d|%d|%s|%s",
 		c.Machine.Name, c.Nodes, c.PPN, c.Op.Norm(), c.Algo, c.Opts.Inner,
-		c.Opts.PPL, c.Opts.PPG, c.Opts.BatchWindow, c.Block, c.Runs, c.Opts.GatherKind,
+		c.Opts.PPL, c.Opts.PPG, c.Opts.BatchWindow, c.Block, c.Runs,
 		c.Opts.Table.Fingerprint(), c.Fabric)
 }
 

@@ -27,75 +27,77 @@ func fillRank(b comm.Buffer, rank int) {
 
 func wantRank(rank, i int) byte { return byte(rank*31 + i) }
 
+// TestGatherBothKindsAllRoots checks the gather with the first, last and
+// middle rank as root over several world sizes. Its name and the
+// "linear/" subtest prefix are kept from when Gather also had a binomial
+// variant, so the suite's test names do not change.
 func TestGatherBothKindsAllRoots(t *testing.T) {
 	t.Parallel()
-	for _, kind := range []Kind{Linear, Binomial} {
-		for _, n := range []int{1, 2, 3, 5, 8, 13} {
-			for _, root := range []int{0, n - 1, n / 2} {
-				kind, n, root := kind, n, root
-				t.Run(fmt.Sprintf("%v/n%d/root%d", kind, n, root), func(t *testing.T) {
-					t.Parallel()
-					const block = 6
-					runWorld(t, n, func(c comm.Comm) error {
-						send := comm.Alloc(block)
-						fillRank(send, c.Rank())
-						var recv comm.Buffer
-						if c.Rank() == root {
-							recv = comm.Alloc(n * block)
-						}
-						if err := Gather(c, root, send, recv, kind, 10); err != nil {
-							return err
-						}
-						if c.Rank() != root {
-							return nil
-						}
-						for r := 0; r < n; r++ {
-							for i := 0; i < block; i++ {
-								if got := recv.Bytes()[r*block+i]; got != wantRank(r, i) {
-									return fmt.Errorf("root recv[%d][%d] = %d, want %d", r, i, got, wantRank(r, i))
-								}
+	for _, n := range []int{1, 2, 3, 5, 8, 13} {
+		for _, root := range []int{0, n - 1, n / 2} {
+			n, root := n, root
+			t.Run(fmt.Sprintf("linear/n%d/root%d", n, root), func(t *testing.T) {
+				t.Parallel()
+				const block = 6
+				runWorld(t, n, func(c comm.Comm) error {
+					send := comm.Alloc(block)
+					fillRank(send, c.Rank())
+					var recv comm.Buffer
+					if c.Rank() == root {
+						recv = comm.Alloc(n * block)
+					}
+					if err := Gather(c, root, send, recv, 10); err != nil {
+						return err
+					}
+					if c.Rank() != root {
+						return nil
+					}
+					for r := 0; r < n; r++ {
+						for i := 0; i < block; i++ {
+							if got := recv.Bytes()[r*block+i]; got != wantRank(r, i) {
+								return fmt.Errorf("root recv[%d][%d] = %d, want %d", r, i, got, wantRank(r, i))
 							}
 						}
-						return nil
-					})
+					}
+					return nil
 				})
-			}
+			})
 		}
 	}
 }
 
+// TestScatterBothKindsAllRoots is TestGatherBothKindsAllRoots's
+// counterpart for the linear scatter; its names are kept the same way.
 func TestScatterBothKindsAllRoots(t *testing.T) {
 	t.Parallel()
-	for _, kind := range []Kind{Linear, Binomial} {
-		for _, n := range []int{1, 2, 3, 5, 8, 13} {
-			for _, root := range []int{0, n - 1, n / 2} {
-				kind, n, root := kind, n, root
-				t.Run(fmt.Sprintf("%v/n%d/root%d", kind, n, root), func(t *testing.T) {
-					t.Parallel()
-					const block = 5
-					runWorld(t, n, func(c comm.Comm) error {
-						var send comm.Buffer
-						if c.Rank() == root {
-							send = comm.Alloc(n * block)
-							for r := 0; r < n; r++ {
-								for i := 0; i < block; i++ {
-									send.Bytes()[r*block+i] = wantRank(r, i)
-								}
+	for _, n := range []int{1, 2, 3, 5, 8, 13} {
+		for _, root := range []int{0, n - 1, n / 2} {
+			n, root := n, root
+			t.Run(fmt.Sprintf("linear/n%d/root%d", n, root), func(t *testing.T) {
+				t.Parallel()
+				const block = 5
+				runWorld(t, n, func(c comm.Comm) error {
+					var send comm.Buffer
+					if c.Rank() == root {
+						send = comm.Alloc(n * block)
+						for r := 0; r < n; r++ {
+							for i := 0; i < block; i++ {
+								send.Bytes()[r*block+i] = wantRank(r, i)
 							}
 						}
-						recv := comm.Alloc(block)
-						if err := Scatter(c, root, send, recv, kind, 20); err != nil {
-							return err
+					}
+					recv := comm.Alloc(block)
+					if err := Scatter(c, root, send, recv, 20); err != nil {
+						return err
+					}
+					for i := 0; i < block; i++ {
+						if got := recv.Bytes()[i]; got != wantRank(c.Rank(), i) {
+							return fmt.Errorf("rank %d recv[%d] = %d, want %d", c.Rank(), i, got, wantRank(c.Rank(), i))
 						}
-						for i := 0; i < block; i++ {
-							if got := recv.Bytes()[i]; got != wantRank(c.Rank(), i) {
-								return fmt.Errorf("rank %d recv[%d] = %d, want %d", c.Rank(), i, got, wantRank(c.Rank(), i))
-							}
-						}
-						return nil
-					})
+					}
+					return nil
 				})
-			}
+			})
 		}
 	}
 }
@@ -104,10 +106,9 @@ func TestScatterBothKindsAllRoots(t *testing.T) {
 // for random payloads, sizes and roots.
 func TestGatherScatterRoundTrip(t *testing.T) {
 	t.Parallel()
-	f := func(seed int64, nRaw, rootRaw, kindRaw uint8) bool {
+	f := func(seed int64, nRaw, rootRaw uint8) bool {
 		n := int(nRaw%9) + 1
 		root := int(rootRaw) % n
-		kind := Kind(kindRaw % 2)
 		block := 4
 		rng := rand.New(rand.NewSource(seed))
 		inputs := make([][]byte, n)
@@ -123,11 +124,11 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 			if c.Rank() == root {
 				mid = comm.Alloc(n * block)
 			}
-			if err := Gather(c, root, send, mid, kind, 1); err != nil {
+			if err := Gather(c, root, send, mid, 1); err != nil {
 				return err
 			}
 			back := comm.Alloc(block)
-			if err := Scatter(c, root, mid, back, kind, 2); err != nil {
+			if err := Scatter(c, root, mid, back, 2); err != nil {
 				return err
 			}
 			if !bytes.Equal(back.Bytes(), inputs[c.Rank()]) {
@@ -169,116 +170,24 @@ func TestBcast(t *testing.T) {
 	}
 }
 
-func TestBarrierCollective(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{1, 2, 7, 16} {
-		n := n
-		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
-			t.Parallel()
-			runWorld(t, n, func(c comm.Comm) error {
-				for i := 0; i < 3; i++ {
-					if err := Barrier(c, 1000); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestGatherErrors(t *testing.T) {
 	t.Parallel()
 	runWorld(t, 2, func(c comm.Comm) error {
 		send := comm.Alloc(4)
 		if c.Rank() == 0 {
-			if err := Gather(c, 0, send, comm.Alloc(4), Linear, 1); err == nil {
-				return fmt.Errorf("short recv accepted (linear)")
+			if err := Gather(c, 0, send, comm.Alloc(4), 1); err == nil {
+				return fmt.Errorf("short recv accepted")
 			}
-			if err := Gather(c, 0, send, comm.Alloc(4), Binomial, 1); err == nil {
-				return fmt.Errorf("short recv accepted (binomial)")
-			}
-			if err := Gather(c, 9, send, comm.Alloc(8), Linear, 1); err == nil {
+			if err := Gather(c, 9, send, comm.Alloc(8), 1); err == nil {
 				return fmt.Errorf("bad root accepted")
 			}
-			if err := Gather(c, 0, send, comm.Alloc(8), Kind(9), 1); err == nil {
-				return fmt.Errorf("bad kind accepted")
-			}
-			// Unblock rank 1's sends from the two short-recv attempts.
-			ok := comm.Alloc(8)
-			if err := Gather(c, 0, send, ok, Linear, 2); err != nil {
-				return err
-			}
-			return Gather(c, 0, send, ok, Binomial, 3)
+			// Take rank 1's contribution, which waits for a gather that
+			// fits.
+			return Gather(c, 0, send, comm.Alloc(8), 2)
 		}
-		if err := Gather(c, 9, send, comm.Buffer{}, Linear, 1); err == nil {
+		if err := Gather(c, 9, send, comm.Buffer{}, 1); err == nil {
 			return fmt.Errorf("bad root accepted on non-root")
 		}
-		if err := Gather(c, 0, send, comm.Buffer{}, Kind(9), 1); err == nil {
-			return fmt.Errorf("bad kind accepted on non-root")
-		}
-		if err := Gather(c, 0, send, comm.Buffer{}, Linear, 2); err != nil {
-			return err
-		}
-		return Gather(c, 0, send, comm.Buffer{}, Binomial, 3)
+		return Gather(c, 0, send, comm.Buffer{}, 2)
 	})
-}
-
-func TestSubtreeExtent(t *testing.T) {
-	t.Parallel()
-	cases := []struct{ rel, n, want int }{
-		{0, 8, 8}, {1, 8, 1}, {2, 8, 2}, {3, 8, 1}, {4, 8, 4}, {6, 8, 2},
-		{0, 6, 6}, {2, 6, 2}, {4, 6, 2}, {5, 6, 1},
-		{4, 5, 1}, {0, 1, 1},
-	}
-	for _, tc := range cases {
-		if got := subtreeExtent(tc.rel, tc.n); got != tc.want {
-			t.Errorf("subtreeExtent(%d, %d) = %d, want %d", tc.rel, tc.n, got, tc.want)
-		}
-	}
-	// Property: subtree extents tile the rank space exactly: the root's
-	// children [mask, mask+extent) are disjoint and cover 1..n-1.
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%63) + 1
-		covered := make([]bool, n)
-		covered[0] = true
-		var visit func(rel int)
-		visit = func(rel int) {
-			low := subtreeExtent(rel, n)
-			if rel != 0 {
-				low = rel & (-rel)
-			}
-			for mask := 1; mask < low || rel == 0 && mask < n; mask <<= 1 {
-				child := rel + mask
-				if child >= n {
-					break
-				}
-				if covered[child] {
-					return
-				}
-				covered[child] = true
-				visit(child)
-			}
-		}
-		visit(0)
-		for _, c := range covered {
-			if !c {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKindString(t *testing.T) {
-	t.Parallel()
-	if Linear.String() != "linear" || Binomial.String() != "binomial" {
-		t.Error("kind strings wrong")
-	}
-	if Kind(7).String() == "" {
-		t.Error("unknown kind should still format")
-	}
 }

@@ -62,7 +62,7 @@ func (na *NodeAware) Allgather(send, recv comm.Buffer, block int) error {
 	if isLeader {
 		nodeBuf = allocLike(send, na.ppn*block)
 	}
-	if err := coll.Gather(na.local, 0, send.Slice(0, block), nodeBuf, coll.Linear, tagAllgather+64); err != nil {
+	if err := coll.Gather(na.local, 0, send.Slice(0, block), nodeBuf, tagAllgather+64); err != nil {
 		return fmt.Errorf("collx: node-aware allgather gather: %w", err)
 	}
 	if isLeader {
@@ -141,7 +141,7 @@ func (na *NodeAware) ReduceScatter(send, recv comm.Buffer, block int, op Op) err
 		}
 	}
 	// Step 3: scatter the node's blocks to its ranks.
-	if err := coll.Scatter(na.local, 0, nodeBlock, recv.Slice(0, block), coll.Linear, tagReduceSc+128); err != nil {
+	if err := coll.Scatter(na.local, 0, nodeBlock, recv.Slice(0, block), tagReduceSc+128); err != nil {
 		return fmt.Errorf("collx: node-aware reduce-scatter scatter: %w", err)
 	}
 	return nil

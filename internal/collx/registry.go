@@ -87,9 +87,9 @@ func (o *collOp) Phases() map[trace.Phase]float64 { return o.rec.Snapshot() }
 func (o *collOp) startTimed(fn func() error) (core.Handle, error) {
 	return o.st.Start(o.c, func() error {
 		o.rec.Reset()
-		stop := o.rec.Time(trace.PhaseTotal)
+		timer := o.rec.Time(trace.PhaseTotal)
 		err := fn()
-		stop()
+		timer.Stop()
 		return err
 	})
 }

@@ -116,9 +116,9 @@ func (b *basicV) Start(send comm.Buffer, sendCounts, sdispls []int,
 	}
 	return b.st.Start(b.c, func() error {
 		b.rec.Reset()
-		stop := b.rec.Time(trace.PhaseTotal)
+		timer := b.rec.Time(trace.PhaseTotal)
 		err := b.run(b.c, send, sendCounts, sdispls, recv, recvCounts, rdispls)
-		stop()
+		timer.Stop()
 		return err
 	})
 }

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"sort"
 
-	"alltoallx/internal/coll"
 	"alltoallx/internal/comm"
 	"alltoallx/internal/netmodel"
 	"alltoallx/internal/trace"
@@ -74,9 +73,6 @@ type Options struct {
 	// BatchWindow is the in-flight message window of the batched
 	// algorithm (default 32).
 	BatchWindow int `json:"batchWindow,omitempty"`
-	// GatherKind selects the gather/scatter tree for hierarchical
-	// algorithms (default Linear, matching large-block MPI behavior).
-	GatherKind coll.Kind `json:"gatherKind,omitempty"`
 	// Sys is the system-MPI emulation profile (required for "system-mpi").
 	// It is always emitted, zero or not: "omitzero" would need Go 1.24's
 	// encoder and this module supports 1.23, so a conditional tag would

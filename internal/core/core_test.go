@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"alltoallx/internal/coll"
 	"alltoallx/internal/comm"
 	"alltoallx/internal/netmodel"
 	"alltoallx/internal/runtime"
@@ -97,11 +96,6 @@ func TestAlltoallLiveCorrectness(t *testing.T) {
 			cfg{"multileader-node-aware", 2, 8, Options{PPL: q}, 2},
 		)
 	}
-	// Binomial gather/scatter path.
-	cases = append(cases,
-		cfg{"hierarchical", 2, 8, Options{GatherKind: coll.Binomial}, 5},
-		cfg{"multileader-node-aware", 2, 8, Options{PPL: 4, GatherKind: coll.Binomial}, 5},
-	)
 	// System MPI emulation around both cutovers.
 	sysOpts := Options{Sys: netmodel.SysProfile{
 		SmallAlgo: "bruck", SmallMax: 8,

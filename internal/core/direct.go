@@ -27,9 +27,9 @@ func (b *basic) Start(send, recv comm.Buffer, block int) (Handle, error) {
 	}
 	return b.st.Start(b.c, func() error {
 		b.rec.Reset()
-		stop := b.rec.Time(trace.PhaseTotal)
+		timer := b.rec.Time(trace.PhaseTotal)
 		err := b.run(b.c, send, recv, block)
-		stop()
+		timer.Stop()
 		return err
 	})
 }

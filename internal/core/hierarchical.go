@@ -78,8 +78,7 @@ type hierarchical struct {
 	local   comm.Comm // my leader group; rank 0 is the leader
 	leaders comm.Comm // all leaders (nil on non-leaders)
 
-	inner      innerExchange
-	gatherKind coll.Kind
+	inner innerExchange
 
 	myGroup  int // group index within my node
 	isLeader bool
@@ -103,7 +102,7 @@ func newHierarchical(c comm.Comm, maxBlock int, o Options, hier bool) (Alltoalle
 	}
 	h := &hierarchical{
 		info: info, q: q, nGroups: info.ppn / q, nLead: (info.ppn / q) * info.nnodes,
-		inner: innerExchange{kind: o.Inner}, gatherKind: o.GatherKind,
+		inner: innerExchange{kind: o.Inner},
 	}
 	h.basic = newBasic(name, c, maxBlock, h.run)
 	h.myGroup = info.myLocal / q
@@ -136,9 +135,9 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 	}
 
 	// Gather: each member ships its whole send buffer to the leader.
-	stop := h.rec.Time(trace.PhaseGather)
-	err := coll.Gather(h.local, 0, send.Slice(0, p*block), bufA, h.gatherKind, tagGather)
-	stop()
+	timer := h.rec.Time(trace.PhaseGather)
+	err := coll.Gather(h.local, 0, send.Slice(0, p*block), bufA, tagGather)
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s gather: %w", h.name, err)
 	}
@@ -148,20 +147,20 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 		// [D][m][dj] blocks for the leader exchange. Leader group D holds
 		// world ranks D*q .. D*q+q-1, so member m's row is nLead runs of
 		// q blocks, one per destination group, that land q runs apart.
-		stop = h.rec.Time(trace.PhaseRepack)
+		timer = h.rec.Time(trace.PhaseRepack)
 		for m := 0; m < q; m++ {
 			comm.CopyBlocks(bufB, m, q, bufA, m*h.nLead, 1, h.nLead, q*block)
 		}
 		err = c.ChargeCopy(p*q*block, p*q)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return err
 		}
 
 		// All-to-all among leaders: q*q*block bytes per leader pair.
-		stop = h.rec.Time(trace.PhaseInter)
+		timer = h.rec.Time(trace.PhaseInter)
 		err = h.inner.run(h.leaders, bufB, bufA, q*q*block)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: %s leader exchange: %w", h.name, err)
 		}
@@ -169,21 +168,21 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 		// Repack received [D][m][d] into member-major scatter layout
 		// [d][srcWorld]. Source world rank D*q+m indexes the [D][m] pairs
 		// in order, so member d's row is every q-th block from d.
-		stop = h.rec.Time(trace.PhaseRepack)
+		timer = h.rec.Time(trace.PhaseRepack)
 		for d := 0; d < q; d++ {
 			comm.CopyBlocks(bufB, d*p, 1, bufA, d, q, p, block)
 		}
 		err = c.ChargeCopy(p*q*block, p*q)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return err
 		}
 	}
 
 	// Scatter: each member receives its final recv buffer from the leader.
-	stop = h.rec.Time(trace.PhaseScatter)
-	err = coll.Scatter(h.local, 0, bufB, recv.Slice(0, p*block), h.gatherKind, tagScatter)
-	stop()
+	timer = h.rec.Time(trace.PhaseScatter)
+	err = coll.Scatter(h.local, 0, bufB, recv.Slice(0, p*block), tagScatter)
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s scatter: %w", h.name, err)
 	}

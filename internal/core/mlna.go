@@ -28,9 +28,8 @@ type mlNodeAware struct {
 	interComm   comm.Comm // same-slot leaders across nodes (size nnodes); nil on non-leaders
 	intraComm   comm.Comm // the node's leaders (size nL); nil on non-leaders
 
-	inner      innerExchange
-	gatherKind coll.Kind
-	isLeader   bool
+	inner    innerExchange
+	isLeader bool
 
 	bufA, bufB comm.Buffer // leader staging: q*p*maxBlock each
 }
@@ -45,7 +44,7 @@ func newMultileaderNodeAware(c comm.Comm, maxBlock int, o Options) (Alltoaller, 
 	}
 	m := &mlNodeAware{
 		info: info, q: o.PPL, nL: info.ppn / o.PPL,
-		inner: innerExchange{kind: o.Inner}, gatherKind: o.GatherKind,
+		inner: innerExchange{kind: o.Inner},
 	}
 	m.basic = newBasic("multileader-node-aware", c, maxBlock, m.run)
 	m.myK = info.myLocal / m.q
@@ -88,9 +87,9 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 	}
 
 	// Gather members' send buffers to the leader: bufA = [j][dstWorld].
-	stop := m.rec.Time(trace.PhaseGather)
-	err := coll.Gather(m.leaderLocal, 0, send.Slice(0, p*block), bufA, m.gatherKind, tagGather)
-	stop()
+	timer := m.rec.Time(trace.PhaseGather)
+	err := coll.Gather(m.leaderLocal, 0, send.Slice(0, p*block), bufA, tagGather)
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: multileader-node-aware gather: %w", err)
 	}
@@ -99,21 +98,21 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// Repack for the inter-node exchange: bufB = [N'][j][l'] — all of
 		// my members' data for every rank of node N'. Member j's row is nn
 		// node runs of ppn blocks, landing q runs apart.
-		stop = m.rec.Time(trace.PhaseRepack)
+		timer = m.rec.Time(trace.PhaseRepack)
 		for j := 0; j < q; j++ {
 			comm.CopyBlocks(bufB, j, q, bufA, j*nn, 1, nn, ppn*block)
 		}
 		err = c.ChargeCopy(p*q*block, p*q)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return err
 		}
 
 		// Inter-node all-to-all among same-slot leaders: q*ppn*block per
 		// node pair — one message to each node, as in Algorithm 4.
-		stop = m.rec.Time(trace.PhaseInter)
+		timer = m.rec.Time(trace.PhaseInter)
 		err = m.inner.run(m.interComm, bufB, bufA, q*ppn*block)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware inter exchange: %w", err)
 		}
@@ -124,12 +123,12 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// l' = k''*q + d. Counted in runs of q blocks, the (N', j') pairs
 		// for leader k'' sit nL runs apart in bufA, from run k'', and back
 		// to back in bufB.
-		stop = m.rec.Time(trace.PhaseRepack)
+		timer = m.rec.Time(trace.PhaseRepack)
 		for k2 := 0; k2 < nL; k2++ {
 			comm.CopyBlocks(bufB, k2*nn*q, 1, bufA, k2, nL, nn*q, q*block)
 		}
 		err = c.ChargeCopy(p*q*block, p*q)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return err
 		}
@@ -137,9 +136,9 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// Intra-node all-to-all among the node's leaders:
 		// nnodes*q*q*block per leader pair (the paper's
 		// r_size*n_nodes*ppl^2).
-		stop = m.rec.Time(trace.PhaseIntra)
+		timer = m.rec.Time(trace.PhaseIntra)
 		err = m.inner.run(m.intraComm, bufB, bufA, nn*q*q*block)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware intra exchange: %w", err)
 		}
@@ -148,7 +147,7 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// (N', k''', j') for my member d. Repack into scatter layout
 		// [d][srcWorld]: for each (d, k''', j'), one strided copy across
 		// the nodes — q*q blocks apart in bufA, ppn apart in bufB.
-		stop = m.rec.Time(trace.PhaseRepack)
+		timer = m.rec.Time(trace.PhaseRepack)
 		for d := 0; d < q; d++ {
 			for k3 := 0; k3 < nL; k3++ {
 				for j2 := 0; j2 < q; j2++ {
@@ -157,16 +156,16 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 			}
 		}
 		err = c.ChargeCopy(p*q*block, p*q)
-		stop()
+		timer.Stop()
 		if err != nil {
 			return err
 		}
 	}
 
 	// Scatter the final receive buffers to members.
-	stop = m.rec.Time(trace.PhaseScatter)
-	err = coll.Scatter(m.leaderLocal, 0, bufB, recv.Slice(0, p*block), m.gatherKind, tagScatter)
-	stop()
+	timer = m.rec.Time(trace.PhaseScatter)
+	err = coll.Scatter(m.leaderLocal, 0, bufB, recv.Slice(0, p*block), tagScatter)
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: multileader-node-aware scatter: %w", err)
 	}

@@ -82,10 +82,10 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	// world in rank order (group t holds world ranks t*g .. t*g+g-1), so
 	// this is world-rank order already and the repack is one contiguous
 	// copy.
-	stop := na.rec.Time(trace.PhaseRepack)
+	timer := na.rec.Time(trace.PhaseRepack)
 	comm.CopyBlocks(recv, 0, 1, send, 0, 1, p, block)
 	err := c.ChargeCopy(p*block, p)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return err
 	}
@@ -93,30 +93,30 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	// Inter-region exchange, recv to stage: g*block bytes to the
 	// j-counterpart of every group. For node-aware (g = ppn) this is the
 	// node-pair aggregation: each rank talks to exactly one rank per node.
-	stop = na.rec.Time(trace.PhaseInter)
+	timer = na.rec.Time(trace.PhaseInter)
 	err = na.inner.run(na.group, recv, stage, g*block)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s inter exchange: %w", na.name, err)
 	}
 
 	// Repack stage's [t][i] into member-major [i][t] in recv for the local
 	// redistribution: a transpose, one strided copy per member row.
-	stop = na.rec.Time(trace.PhaseRepack)
+	timer = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
 		comm.CopyBlocks(recv, i*tg, 1, stage, i, g, tg, block)
 	}
 	err = c.ChargeCopy(p*block, p)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return err
 	}
 
 	// Intra-region exchange, recv to stage: tg*block bytes per member
 	// pair within the group.
-	stop = na.rec.Time(trace.PhaseIntra)
+	timer = na.rec.Time(trace.PhaseIntra)
 	err = na.inner.run(na.local, recv, stage, tg*block)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s intra exchange: %w", na.name, err)
 	}
@@ -124,11 +124,11 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	// Final repack into recv's world-rank order: the block received from
 	// member i covering group t originated at world rank t*g+i — the
 	// inverse transpose.
-	stop = na.rec.Time(trace.PhaseRepack)
+	timer = na.rec.Time(trace.PhaseRepack)
 	for i := 0; i < g; i++ {
 		comm.CopyBlocks(recv, i, g, stage, i*tg, 1, tg, block)
 	}
 	err = c.ChargeCopy(p*block, p)
-	stop()
+	timer.Stop()
 	return err
 }

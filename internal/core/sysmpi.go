@@ -34,7 +34,7 @@ func newSystemMPI(c comm.Comm, maxBlock int, o Options) (Alltoaller, error) {
 	if prof.SmallMax < 0 || prof.MidMax < prof.SmallMax {
 		return nil, fmt.Errorf("core: system-mpi thresholds out of order: small %d, mid %d", prof.SmallMax, prof.MidMax)
 	}
-	inner := Options{Inner: o.Inner, PPL: o.PPL, PPG: o.PPG, BatchWindow: o.BatchWindow, GatherKind: o.GatherKind}
+	inner := Options{Inner: o.Inner, PPL: o.PPL, PPG: o.PPG, BatchWindow: o.BatchWindow}
 	build := func(name string) (Alltoaller, error) {
 		a, err := New(name, c, maxBlock, inner)
 		if err != nil {

@@ -115,8 +115,8 @@ func (d *Dispatch) Fingerprint() string {
 	parts := make([]string, 0, len(d.Entries)+1)
 	parts = append(parts, string(d.Op.Norm()))
 	for _, e := range d.Entries {
-		parts = append(parts, fmt.Sprintf("%d:%s:%s:%d:%d:%d:%v:%+v",
-			e.MaxBlock, e.Algo, e.Opts.Inner, e.Opts.PPL, e.Opts.PPG, e.Opts.BatchWindow, e.Opts.GatherKind, e.Opts.Sys))
+		parts = append(parts, fmt.Sprintf("%d:%s:%s:%d:%d:%d:%+v",
+			e.MaxBlock, e.Algo, e.Opts.Inner, e.Opts.PPL, e.Opts.PPG, e.Opts.BatchWindow, e.Opts.Sys))
 	}
 	return strings.Join(parts, ",")
 }

@@ -118,10 +118,10 @@ func (v *vLeadered) run(_ comm.Comm, send comm.Buffer, sendCounts, sdispls []int
 	// Stage 0: encode my count vectors and gather them to the leader — the
 	// per-peer count exchange that makes variable-block aggregation
 	// possible.
-	stop := v.rec.Time(trace.PhaseGather)
+	timer := v.rec.Time(trace.PhaseGather)
 	encodeCounts(v.cntSend.Bytes(), sendCounts, recvCounts)
 	err := gatherToLeader(v.local, v.cntSend, v.cntRecv, tagVCounts)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv count gather: %w", v.name, err)
 	}
@@ -138,31 +138,31 @@ func (v *vLeadered) memberExchange(send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int) error {
 	packBuf := ensureStage(&v.packBuf, send, v.maxTotal)
 
-	stop := v.rec.Time(trace.PhaseRepack)
+	timer := v.rec.Time(trace.PhaseRepack)
 	sendTotal, err := packByCounts(v.c, packBuf, send, sendCounts, sdispls)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return err
 	}
 
-	stop = v.rec.Time(trace.PhaseGather)
+	timer = v.rec.Time(trace.PhaseGather)
 	err = v.local.Send(packBuf.Slice(0, sendTotal), 0, tagVGather)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv data gather: %w", v.name, err)
 	}
 
 	recvTotal := sumCounts(recvCounts)
-	stop = v.rec.Time(trace.PhaseScatter)
+	timer = v.rec.Time(trace.PhaseScatter)
 	err = v.local.Recv(packBuf.Slice(0, recvTotal), 0, tagVScatter)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv scatter: %w", v.name, err)
 	}
 
-	stop = v.rec.Time(trace.PhaseRepack)
+	timer = v.rec.Time(trace.PhaseRepack)
 	err = unpackByCounts(v.c, recv, recvCounts, rdispls, packBuf)
-	stop()
+	timer.Stop()
 	return err
 }
 
@@ -188,7 +188,7 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 
 	// Stage 1b: gather members' packed payloads. Sizes are known from the
 	// count gather, so each receive is posted with its exact length.
-	stop := v.rec.Time(trace.PhaseGather)
+	timer := v.rec.Time(trace.PhaseGather)
 	reqs := make([]comm.Request, 0, q-1)
 	for m := 1; m < q; m++ {
 		rq, err := v.local.Irecv(bufA.Slice(memberOff[m], memberSendTotal[m]), m, tagVGather)
@@ -198,12 +198,12 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 		reqs = append(reqs, rq)
 	}
 	err := v.local.WaitAll(reqs)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv data gather: %w", v.name, err)
 	}
 	// My own contribution packs straight into my slot (member 0).
-	stop = v.rec.Time(trace.PhaseRepack)
+	timer = v.rec.Time(trace.PhaseRepack)
 	if _, err := packByCounts(v.c, bufA.Slice(memberOff[0], v.maxTotal), send, sendCounts, sdispls); err != nil {
 		return err
 	}
@@ -232,7 +232,7 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 		lsc[d] = woff - start
 	}
 	err = v.c.ChargeCopy(groupSendTotal+woff, q*p+blocks)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return err
 	}
@@ -253,9 +253,9 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 	lrd, _ := DisplsFromCounts(lrc)
 
 	// Stage 2: aggregated alltoallv among leaders.
-	stop = v.rec.Time(trace.PhaseInter)
+	timer = v.rec.Time(trace.PhaseInter)
 	err = runInnerV(v.leaders, v.inner, bufB, lsc, lsd, bufA, lrc, lrd)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv leader exchange: %w", v.name, err)
 	}
@@ -265,7 +265,7 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 	// m], and iterating (d, i) walks world ranks 0..p-1 in order, so a
 	// single sequential pass over bufA lands every member's bytes in
 	// source-rank order.
-	stop = v.rec.Time(trace.PhaseRepack)
+	timer = v.rec.Time(trace.PhaseRepack)
 	mOff, _ := DisplsFromCounts(memberRecvTotal)
 	wcur := append([]int(nil), mOff...)
 	roff := 0
@@ -285,13 +285,13 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 		}
 	}
 	err = v.c.ChargeCopy(roff, blocks)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return err
 	}
 
 	// Stage 3: scatter members' segments; unpack my own.
-	stop = v.rec.Time(trace.PhaseScatter)
+	timer = v.rec.Time(trace.PhaseScatter)
 	reqs = reqs[:0]
 	for m := 1; m < q; m++ {
 		rq, err := v.local.Isend(bufB.Slice(mOff[m], memberRecvTotal[m]), m, tagVScatter)
@@ -301,13 +301,13 @@ func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 		reqs = append(reqs, rq)
 	}
 	err = v.local.WaitAll(reqs)
-	stop()
+	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv scatter: %w", v.name, err)
 	}
-	stop = v.rec.Time(trace.PhaseRepack)
+	timer = v.rec.Time(trace.PhaseRepack)
 	err = unpackByCounts(v.c, recv, recvCounts, rdispls, bufB.Slice(mOff[0], memberRecvTotal[0]))
-	stop()
+	timer.Stop()
 	return err
 }
 

@@ -48,16 +48,31 @@ func (r *Recorder) Reset() {
 	}
 }
 
-// Time starts timing a phase and returns the function that stops it,
-// accumulating into the phase's total:
+// Timer is one running phase timing, returned by Recorder.Time. It is a
+// value, so timing a phase allocates nothing.
+type Timer struct {
+	r  *Recorder
+	p  Phase
+	t0 float64
+}
+
+// Time starts timing a phase; the returned Timer's Stop accumulates the
+// elapsed time into the phase's total:
 //
-//	defer rec.Time(trace.PhaseGather)()
-func (r *Recorder) Time(p Phase) func() {
+//	defer rec.Time(trace.PhaseGather).Stop()
+func (r *Recorder) Time(p Phase) Timer {
 	if r == nil {
-		return func() {}
+		return Timer{}
 	}
-	t0 := r.clock()
-	return func() { r.elapsed[p] += r.clock() - t0 }
+	return Timer{r: r, p: p, t0: r.clock()}
+}
+
+// Stop ends the timing. A Timer from a nil Recorder records nothing.
+func (t Timer) Stop() {
+	if t.r == nil {
+		return
+	}
+	t.r.elapsed[t.p] += t.r.clock() - t.t0
 }
 
 // Add accumulates d seconds into a phase directly.

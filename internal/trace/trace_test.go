@@ -8,12 +8,12 @@ func TestRecorderAccumulates(t *testing.T) {
 	t.Parallel()
 	now := 0.0
 	r := NewRecorder(func() float64 { return now })
-	stop := r.Time(PhaseGather)
+	timer := r.Time(PhaseGather)
 	now = 2.5
-	stop()
-	stop = r.Time(PhaseGather)
+	timer.Stop()
+	timer = r.Time(PhaseGather)
 	now = 3.0
-	stop()
+	timer.Stop()
 	if got := r.Get(PhaseGather); got != 3.0 {
 		t.Errorf("accumulated gather = %g, want 3.0", got)
 	}
@@ -40,10 +40,29 @@ func TestNilRecorderSafe(t *testing.T) {
 	t.Parallel()
 	var r *Recorder
 	r.Reset()
-	r.Time(PhaseTotal)()
+	r.Time(PhaseTotal).Stop()
 	r.Add(PhaseIntra, 1)
 	if r.Get(PhaseIntra) != 0 || r.Snapshot() != nil {
 		t.Error("nil recorder misbehaved")
+	}
+}
+
+// TestTimeAllocatesNothing: timing a phase is on every collective's hot
+// path (six timed phases per node-aware call), so a Time/Stop pair must
+// not allocate, on a live Recorder or a nil one.
+func TestTimeAllocatesNothing(t *testing.T) {
+	now := 0.0
+	r := NewRecorder(func() float64 { now++; return now })
+	var none *Recorder
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Time(PhaseGather).Stop()
+		none.Time(PhaseGather).Stop()
+	})
+	if allocs != 0 {
+		t.Errorf("a Time/Stop pair allocates %.2f times, want 0", allocs)
+	}
+	if got := r.Get(PhaseGather); got != 101 {
+		t.Errorf("accumulated gather = %g over 101 pairs, want 101", got)
 	}
 }
 
