@@ -76,44 +76,21 @@ type cliWorld struct {
 	flags []string
 }
 
-// cliWorlds are every generator at 1, 2, 5, 8 and 16 ranks (a hypercube
-// family's refusal of 5 included), the torus and rs-torus families on
-// 4x8 and 8x4 grids and ar-torus on 3x5.
+// cliWorlds are every generator at 1, 2, 5, 8 and 16 ranks (hypercube's
+// refusal of 5 included) and torus on 4x8 and 8x4 grids.
 func cliWorlds() []cliWorld {
 	var ws []cliWorld
-	for _, name := range sched.AllGenerators() {
+	for _, name := range sched.Generators() {
 		for _, p := range []int{1, 2, 5, 8, 16} {
 			ws = append(ws, cliWorld{fmt.Sprintf("%s_%d.json", name, p), []string{"-name", name, "-ranks", fmt.Sprint(p)}})
 		}
 	}
-	for _, g := range []struct {
-		name        string
-		nodes, ppns []int
-	}{{"torus", []int{4, 8}, []int{8, 4}}, {"rs-torus", []int{4, 8}, []int{8, 4}}, {"ar-torus", []int{3}, []int{5}}} {
-		for i, nodes := range g.nodes {
-			ppn := g.ppns[i]
-			ws = append(ws, cliWorld{fmt.Sprintf("%s_%dx%d.json", g.name, nodes, ppn),
-				[]string{"-name", g.name, "-nodes", fmt.Sprint(nodes), "-ppn", fmt.Sprint(ppn)}})
-		}
+	for _, grid := range [][2]int{{4, 8}, {8, 4}} {
+		nodes, ppn := grid[0], grid[1]
+		ws = append(ws, cliWorld{fmt.Sprintf("torus_%dx%d.json", nodes, ppn),
+			[]string{"-name", "torus", "-nodes", fmt.Sprint(nodes), "-ppn", fmt.Sprint(ppn)}})
 	}
 	return ws
-}
-
-// dupFirstReduce returns the world file with its first reduce step
-// listed twice.
-func dupFirstReduce(t *testing.T, file []byte) []byte {
-	t.Helper()
-	k := bytes.Index(file, []byte(`"k": "reduce"`))
-	if k < 0 {
-		t.Fatal("no reduce step to duplicate")
-	}
-	start := bytes.LastIndexByte(file[:k], '{')
-	end := k + bytes.IndexByte(file[k:], '}') + 1
-	step := file[start:end]
-	out := append([]byte(nil), file[:end]...)
-	out = append(out, ',')
-	out = append(out, step...)
-	return append(out, file[end:]...)
 }
 
 // TestCLIGolden pins what a2asched gen, verify, print, print -linkload
@@ -122,8 +99,8 @@ func dupFirstReduce(t *testing.T, file []byte) []byte {
 // commands cover every cliWorld — gen to a file and to stdout, then
 // verify, print, print -linkload, diff against itself and diff against
 // the world before it — and the corrupted and adversarial files the
-// verify skill's probes use: a duplicated reduce step, a rank program
-// edited to an out-of-range rank, refs, kinds and numbers no decoder
+// verify skill's probes use: a rank program edited to an out-of-range
+// rank, refs, kinds and numbers no decoder
 // accepts, worlds whose declarations outsize their steps, alltoallv
 // artifacts, a round short of step lists and a world without rounds.
 // Not parallel: runCLI swaps the process's stdout and stderr.
@@ -153,15 +130,6 @@ func TestCLIGolden(t *testing.T) {
 		}
 		prev = w.file
 	}
-
-	rsRing, err := os.ReadFile(filepath.Join(dir, "rs-ring_8.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	write("rs-ring_8_dupreduce.json", dupFirstReduce(t, rsRing))
-	run("verify", "rs-ring_8_dupreduce.json")
-	run("print", "rs-ring_8_dupreduce.json")
-	run("diff", "rs-ring_8.json", "rs-ring_8_dupreduce.json")
 
 	run("slice", "-name", "ring", "-ranks", "4", "-rank", "1", "-o", "ring_4_r1.json")
 	ring4r1, err := os.ReadFile(filepath.Join(dir, "ring_4_r1.json"))

@@ -136,9 +136,8 @@ func runList(args []string) error {
 		}
 		return nil
 	}
-	for _, g := range sched.AllGenerators() {
-		coll, _ := sched.GeneratorColl(g)
-		fmt.Printf("%-16s %s\n", g, coll)
+	for _, g := range sched.Generators() {
+		fmt.Println(g)
 	}
 	return nil
 }
@@ -354,23 +353,22 @@ func loadWorld(path string) ([]*sched.RankProgram, error) {
 
 // scheduleFabric builds the fabric a p-rank world's link loads fold
 // onto, one node per rank: of the given kind, or else of the kind the
-// generator name implies (the sched:* families name their topology; the
-// reduction families prefix it with the collective, as in "rs-ring" and
-// "ar-torus3x5"). A torus takes the rows x cols grid the name carries.
+// generator name implies (the sched:* families name their topology, as
+// in "ring" and "torus3x5"). A torus takes the rows x cols grid the name
+// carries.
 func scheduleFabric(name, kind string, p int) (*topo.Fabric, error) {
-	topoName := strings.TrimPrefix(strings.TrimPrefix(name, "rs-"), "ar-")
 	if kind == "" {
 		switch {
-		case topoName == "ring", topoName == "hypercube":
-			kind = topoName
-		case strings.HasPrefix(topoName, "torus"):
+		case name == "ring", name == "hypercube":
+			kind = name
+		case strings.HasPrefix(name, "torus"):
 			kind = "torus"
 		default:
 			return nil, fmt.Errorf("cannot infer a fabric from schedule %q; pass -fabric (one of %v)", name, topo.FabricKinds())
 		}
 	}
 	var rows, cols int
-	if n, _ := fmt.Sscanf(topoName, "torus%dx%d", &rows, &cols); kind == "torus" && n == 2 && rows*cols == p {
+	if n, _ := fmt.Sscanf(name, "torus%dx%d", &rows, &cols); kind == "torus" && n == 2 && rows*cols == p {
 		return topo.NewTorus(rows, cols)
 	}
 	return topo.NewFabric(kind, p)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,31 +72,42 @@ func TestVerifyBudgetsCells(t *testing.T) {
 }
 
 // TestVerifyRejectsAlltoallv: a2asched verify refuses, by name, the
-// format-2 artifacts of the removed alltoallv collective, which decode
-// with their count fields dropped: v-pairwise on the count matrix
-// [[1 2 0] [1 1 1] [2 0 1]] as a world and as rank 1's program
-// (internal/sched's TestVerifyRejectsAlltoallv checks the same two).
+// format-2 artifacts of the removed collectives, which decode with the
+// fields only those collectives had dropped: v-pairwise on the count
+// matrix [[1 2 0] [1 1 1] [2 0 1]] as a world and as rank 1's program,
+// and the 2-rank pairwise world and its rank 0 program declaring
+// reduce-scatter and allreduce with the reductions' operator label
+// (internal/sched's TestVerifyRejectsAlltoallv checks the same files).
 func TestVerifyRejectsAlltoallv(t *testing.T) {
 	dir := t.TempDir()
-	for name, file := range map[string]string{
-		"world.json": `{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`,
-		"rank1.json": `{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`,
+	const (
+		pairwiseWorld = `{"format":2,"name":"pairwise","ranks":2,"coll":%q,"op":"any","rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}],[{"k":"sendrecv","s":[0,0,1],"d":[1,0,1]}]]}]}`
+		pairwiseRank0 = `{"format":2,"name":"pairwise","ranks":2,"coll":%q,"op":"any","rank":0,"rounds":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"sendrecv","t":1,"f":1,"s":[0,1,1],"d":[1,1,1]}]]}`
+	)
+	for _, tc := range []struct{ name, coll, file string }{
+		{"world.json", "alltoallv", `{"format":2,"name":"v-pairwise","ranks":3,"coll":"alltoallv","counts":[[1,2,0],[1,1,1],[2,0,1]],"rounds":[{"steps":[[{"k":"copy","s":[0,0,1],"d":[1,0,1]}],[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"copy","s":[0,2,1],"d":[1,1,1]}]]},{"steps":[[{"k":"sendrecv","t":1,"f":2,"s":[0,1,2],"d":[1,2,2]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"sendrecv","f":1,"s":[0,0,2],"d":[1,0,1]}]]},{"steps":[[{"k":"recv","f":1,"s":[0,0,0],"d":[1,1,1]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}],null]}]}`},
+		{"rank1.json", "alltoallv", `{"format":2,"name":"v-pairwise","ranks":3,"rank":1,"coll":"alltoallv","vsend":[1,1,1],"vrecv":[2,1,0],"rounds":[[{"k":"copy","s":[0,1,1],"d":[1,2,1]}],[{"k":"sendrecv","t":2,"s":[0,2,1],"d":[1,0,2]}],[{"k":"send","s":[0,0,1],"d":[0,0,0]}]]}`},
+		{"rs_world.json", "reduce-scatter", fmt.Sprintf(pairwiseWorld, "reduce-scatter")},
+		{"rs_rank0.json", "reduce-scatter", fmt.Sprintf(pairwiseRank0, "reduce-scatter")},
+		{"ar_world.json", "allreduce", fmt.Sprintf(pairwiseWorld, "allreduce")},
+		{"ar_rank0.json", "allreduce", fmt.Sprintf(pairwiseRank0, "allreduce")},
 	} {
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		err := runVerify([]string{path})
-		if want := `FAIL: sched: unknown collective "alltoallv"`; err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("verify %s = %v, want %s", name, err, want)
+		if want := fmt.Sprintf("FAIL: sched: unknown collective %q", tc.coll); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("verify %s = %v, want %s", tc.name, err, want)
 		}
 	}
 }
 
 // TestVerifyRefusesMalformedSteps: a2asched verify refuses the 2-rank
 // pairwise world and its rank 0 program, which verify unedited, once a
-// ref holds four, two or no integers, a step names an unknown kind, or
-// a peer or a ref element lies outside int32: the file does not decode,
+// ref holds four, two or no integers, a step names an unknown kind (the
+// removed reduce step's included), or a peer or a ref element lies
+// outside int32: the file does not decode,
 // and the error names the edited value (internal/sched's
 // TestDecodeRefusals feeds the same edits to the decoders). A ref of
 // four integers or two once decoded as three and passed.
@@ -110,6 +122,7 @@ func TestVerifyRefusesMalformedSteps(t *testing.T) {
 		{`"s":[0,1,1]`, `"s":[0,1]`, "ref [0,1]"},
 		{`"s":[0,1,1]`, `"s":[]`, "ref []"},
 		{`"k":"sendrecv"`, `"k":"warp"`, `unknown step kind "warp"`},
+		{`"k":"sendrecv"`, `"k":"reduce"`, `unknown step kind "reduce"`},
 		{`"t":1`, `"t":2147483648`, "2147483648"},
 		{`"s":[0,1,1]`, `"s":[0,-2147483649,1]`, "-2147483649"},
 	}
@@ -149,41 +162,39 @@ func TestLinkloadUsesOwnFabric(t *testing.T) {
 		topo   string
 		shapes []shape
 	}{{"ring", append(flat, shape{ranks: 7})}, {"hypercube", flat}, {"torus", append(grids, flat...)}} {
-		for _, prefix := range []string{"", "rs-", "ar-"} {
-			for _, sh := range fam.shapes {
-				p, m, err := parseWorld(sh.ranks, sh.nodes, sh.ppn)
-				if err != nil {
-					t.Fatal(err)
+		for _, sh := range fam.shapes {
+			p, m, err := parseWorld(sh.ranks, sh.nodes, sh.ppn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			world, err := sched.GenerateWorld(fam.topo, p, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := world[0].Name
+			f, err := scheduleFabric(name, "", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Kind() != fam.topo || f.Nodes() != p {
+				t.Fatalf("%s: fabric %s, want a %d-node %s", name, f, p, fam.topo)
+			}
+			loads, err := sched.LinkLoads(world, f, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ri, load := range loads {
+				links, wire := 0, 0
+				for _, n := range load {
+					links += n
 				}
-				world, err := sched.GenerateWorld(prefix+fam.topo, p, m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := world[0].Name
-				f, err := scheduleFabric(name, "", p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if f.Kind() != fam.topo || f.Nodes() != p {
-					t.Fatalf("%s: fabric %s, want a %d-node %s", name, f, p, fam.topo)
-				}
-				loads, err := sched.LinkLoads(world, f, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for ri, load := range loads {
-					links, wire := 0, 0
-					for _, n := range load {
-						links += n
+				for _, row := range sched.RoundMatrix(world, ri) {
+					for _, n := range row {
+						wire += n
 					}
-					for _, row := range sched.RoundMatrix(world, ri) {
-						for _, n := range row {
-							wire += n
-						}
-					}
-					if links != wire {
-						t.Errorf("%s round %d over %s: %d link-blocks for %d wire blocks", name, ri, f, links, wire)
-					}
+				}
+				if links != wire {
+					t.Errorf("%s round %d over %s: %d link-blocks for %d wire blocks", name, ri, f, links, wire)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package alltoallx
 
-import (
-	"alltoallx/internal/collx"
-	"alltoallx/internal/core"
-)
+import "alltoallx/internal/core"
 
 // Alltoallver is a persistent variable-sized all-to-all operation — the
 // MPI_Alltoallv counterpart of Alltoaller, with the same lifecycle:
@@ -27,68 +24,4 @@ func AlgorithmsV() []string { return core.NamesV() }
 // for Alltoallv callers.
 func DisplsFromCounts(counts []int) (displs []int, total int) {
 	return core.DisplsFromCounts(counts)
-}
-
-// ReduceOp accumulates the second buffer into the first, element-wise.
-type ReduceOp = collx.Op
-
-// Element-wise reduction operators over little-endian int64 payloads.
-var (
-	SumInt64 ReduceOp = collx.SumInt64
-	MaxInt64 ReduceOp = collx.MaxInt64
-)
-
-// Allgatherer is a persistent allgather operation (registry names: ring,
-// bruck, node-aware).
-type Allgatherer = collx.Allgatherer
-
-// Allreducer is a persistent allreduce operation (registry names:
-// recursive-doubling, node-aware).
-type Allreducer = collx.Allreducer
-
-// ReduceScatterer is a persistent reduce-scatter operation (registry
-// names: pairwise, node-aware).
-type ReduceScatterer = collx.ReduceScatterer
-
-// NewAllgather constructs the named persistent allgather on c (collective
-// call; the node-aware variant splits leader communicators once, during
-// construction).
-func NewAllgather(name string, c Comm, o Options) (Allgatherer, error) {
-	return collx.NewAllgather(name, c, o)
-}
-
-// NewAllreduce constructs the named persistent allreduce on c (collective
-// call).
-func NewAllreduce(name string, c Comm, o Options) (Allreducer, error) {
-	return collx.NewAllreduce(name, c, o)
-}
-
-// NewReduceScatter constructs the named persistent reduce-scatter on c
-// (collective call).
-func NewReduceScatter(name string, c Comm, o Options) (ReduceScatterer, error) {
-	return collx.NewReduceScatter(name, c, o)
-}
-
-// AllgatherAlgorithms returns the registered allgather algorithm names.
-func AllgatherAlgorithms() []string { return collx.AllgatherNames() }
-
-// AllreduceAlgorithms returns the registered allreduce algorithm names.
-func AllreduceAlgorithms() []string { return collx.AllreduceNames() }
-
-// ReduceScatterAlgorithms returns the registered reduce-scatter algorithm
-// names.
-func ReduceScatterAlgorithms() []string { return collx.ReduceScatterNames() }
-
-// NodeAwareCollectives applies the paper's aggregation strategy (its
-// Section 5 future work) to allgather, allreduce, reduce-scatter and
-// broadcast: leaders perform the inter-node part, everything else stays on
-// the node. Library users should prefer the registry constructors
-// (NewAllgather et al., name "node-aware"); this object remains the home
-// of the node-aware broadcast.
-type NodeAwareCollectives = collx.NodeAware
-
-// NewNodeAwareCollectives builds the node-level communicators once
-// (collective over the world communicator c, which must carry a mapping).
-func NewNodeAwareCollectives(c Comm) (*NodeAwareCollectives, error) {
-	return collx.NewNodeAware(c)
 }

@@ -1,7 +1,6 @@
 package alltoallx_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -44,122 +43,6 @@ func TestPublicAlltoallv(t *testing.T) {
 					}
 				}
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicNodeAwareCollectives(t *testing.T) {
-	t.Parallel()
-	spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
-	mapping, err := alltoallx.NewMapping(spec, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mapping.Size()
-	wantSum := int64(0)
-	for r := 0; r < p; r++ {
-		wantSum += int64(r + 1)
-	}
-	err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
-		na, err := alltoallx.NewNodeAwareCollectives(c)
-		if err != nil {
-			return err
-		}
-		// Allreduce.
-		buf := alltoallx.Alloc(8)
-		binary.LittleEndian.PutUint64(buf.Bytes(), uint64(int64(c.Rank()+1)))
-		if err := na.Allreduce(buf, alltoallx.SumInt64); err != nil {
-			return err
-		}
-		if got := int64(binary.LittleEndian.Uint64(buf.Bytes())); got != wantSum {
-			return fmt.Errorf("allreduce: got %d want %d", got, wantSum)
-		}
-		// Allgather.
-		const block = 4
-		send := alltoallx.Alloc(block)
-		for i := range send.Bytes() {
-			send.Bytes()[i] = byte(c.Rank())
-		}
-		recv := alltoallx.Alloc(p * block)
-		if err := na.Allgather(send, recv, block); err != nil {
-			return err
-		}
-		for r := 0; r < p; r++ {
-			if recv.Bytes()[r*block] != byte(r) {
-				return fmt.Errorf("allgather block %d wrong", r)
-			}
-		}
-		// Bcast.
-		b := alltoallx.Alloc(8)
-		if c.Rank() == 3 {
-			copy(b.Bytes(), []byte("broadcst"))
-		}
-		if err := na.Bcast(3, b); err != nil {
-			return err
-		}
-		if string(b.Bytes()) != "broadcst" {
-			return fmt.Errorf("bcast payload %q", b.Bytes())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPublicFlatCollectives(t *testing.T) {
-	t.Parallel()
-	const n = 7
-	err := alltoallx.RunLive(alltoallx.LiveConfig{Ranks: n}, func(c alltoallx.Comm) error {
-		const block = 8
-		send := alltoallx.Alloc(block)
-		binary.LittleEndian.PutUint64(send.Bytes(), uint64(int64(c.Rank()*10)))
-		ring, err := alltoallx.NewAllgather("ring", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		recv := alltoallx.Alloc(n * block)
-		if err := ring.Allgather(send, recv, block); err != nil {
-			return err
-		}
-		bruck, err := alltoallx.NewAllgather("bruck", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		recv2 := alltoallx.Alloc(n * block)
-		if err := bruck.Allgather(send, recv2, block); err != nil {
-			return err
-		}
-		for r := 0; r < n; r++ {
-			a := int64(binary.LittleEndian.Uint64(recv.Bytes()[r*block:]))
-			b := int64(binary.LittleEndian.Uint64(recv2.Bytes()[r*block:]))
-			if a != int64(r*10) || b != a {
-				return fmt.Errorf("allgather mismatch at %d: ring %d bruck %d", r, a, b)
-			}
-		}
-		// Reduce-scatter: block d from rank s carries s+d.
-		rs := alltoallx.Alloc(n * block)
-		for d := 0; d < n; d++ {
-			binary.LittleEndian.PutUint64(rs.Bytes()[d*block:], uint64(int64(c.Rank()+d)))
-		}
-		pw, err := alltoallx.NewReduceScatter("pairwise", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		out := alltoallx.Alloc(block)
-		if err := pw.ReduceScatter(rs, out, block, alltoallx.SumInt64); err != nil {
-			return err
-		}
-		want := int64(0)
-		for s := 0; s < n; s++ {
-			want += int64(s + c.Rank())
-		}
-		if got := int64(binary.LittleEndian.Uint64(out.Bytes())); got != want {
-			return fmt.Errorf("reduce-scatter: got %d want %d", got, want)
 		}
 		return nil
 	})
@@ -242,81 +125,5 @@ func TestPublicNewV(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestPublicCollectiveRegistries exercises the registry constructors for
-// allgather, allreduce and reduce-scatter through the facade.
-func TestPublicCollectiveRegistries(t *testing.T) {
-	t.Parallel()
-	spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
-	mapping, err := alltoallx.NewMapping(spec, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := mapping.Size()
-	if got := alltoallx.AllgatherAlgorithms(); len(got) < 3 {
-		t.Fatalf("allgather registry too small: %v", got)
-	}
-	if got := alltoallx.AllreduceAlgorithms(); len(got) < 2 {
-		t.Fatalf("allreduce registry too small: %v", got)
-	}
-	if got := alltoallx.ReduceScatterAlgorithms(); len(got) < 2 {
-		t.Fatalf("reduce-scatter registry too small: %v", got)
-	}
-	err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
-		r := c.Rank()
-		const block = 8
-		ag, err := alltoallx.NewAllgather("node-aware", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		send := alltoallx.Alloc(block)
-		recv := alltoallx.Alloc(p * block)
-		for i := range send.Bytes() {
-			send.Bytes()[i] = byte(r)
-		}
-		if err := ag.Allgather(send, recv, block); err != nil {
-			return err
-		}
-		for s := 0; s < p; s++ {
-			if got := recv.Bytes()[s*block]; got != byte(s) {
-				return fmt.Errorf("allgather block %d: got %d", s, got)
-			}
-		}
-
-		ar, err := alltoallx.NewAllreduce("node-aware", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		buf := alltoallx.Alloc(8)
-		binary.LittleEndian.PutUint64(buf.Bytes(), uint64(int64(r+1)))
-		if err := ar.Allreduce(buf, alltoallx.SumInt64); err != nil {
-			return err
-		}
-		wantSum := int64(p * (p + 1) / 2)
-		if got := int64(binary.LittleEndian.Uint64(buf.Bytes())); got != wantSum {
-			return fmt.Errorf("allreduce: got %d, want %d", got, wantSum)
-		}
-
-		rs, err := alltoallx.NewReduceScatter("pairwise", c, alltoallx.Options{})
-		if err != nil {
-			return err
-		}
-		rsend := alltoallx.Alloc(p * 8)
-		rrecv := alltoallx.Alloc(8)
-		for d := 0; d < p; d++ {
-			binary.LittleEndian.PutUint64(rsend.Bytes()[d*8:], uint64(int64(d)))
-		}
-		if err := rs.ReduceScatter(rsend, rrecv, 8, alltoallx.SumInt64); err != nil {
-			return err
-		}
-		if got := int64(binary.LittleEndian.Uint64(rrecv.Bytes())); got != int64(r*p) {
-			return fmt.Errorf("reduce-scatter: got %d, want %d", got, r*p)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

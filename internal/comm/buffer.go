@@ -41,6 +41,23 @@ func Virtual(n int) Buffer {
 	return Buffer{length: n}
 }
 
+// Stage returns the first n bytes of the staging buffer *buf, which
+// matches ref's virtualness. Staging buffers are kept across calls; one
+// is only rebuilt when it must grow or when the caller switches between
+// real and virtual payloads, so calls alternating block sizes reuse it.
+// Every algorithm that keeps staging or scratch space across calls
+// stages through it.
+func Stage(buf *Buffer, ref Buffer, n int) Buffer {
+	if buf.Len() < n || buf.IsVirtual() != ref.IsVirtual() {
+		if ref.IsVirtual() {
+			*buf = Virtual(n)
+		} else {
+			*buf = Alloc(n)
+		}
+	}
+	return buf.Slice(0, n)
+}
+
 // Len returns the buffer length in bytes.
 func (b Buffer) Len() int { return b.length }
 

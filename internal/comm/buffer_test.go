@@ -39,6 +39,32 @@ func TestVirtual(t *testing.T) {
 	}
 }
 
+// TestStage: a staging buffer grows to the largest request and serves
+// every smaller one from the same storage; it is rebuilt only to grow or
+// when the reference buffer's virtualness changes.
+func TestStage(t *testing.T) {
+	t.Parallel()
+	realRef, virtRef := Alloc(1), Virtual(1)
+	var buf Buffer
+	big := Stage(&buf, realRef, 64)
+	if big.Len() != 64 || big.IsVirtual() {
+		t.Fatalf("first stage: len %d virtual %v", big.Len(), big.IsVirtual())
+	}
+	small := Stage(&buf, realRef, 16)
+	if small.Len() != 16 || &small.Bytes()[0] != &big.Bytes()[0] || buf.Len() != 64 {
+		t.Fatalf("a smaller stage rebuilt the buffer: len %d, buffer %d", small.Len(), buf.Len())
+	}
+	if grown := Stage(&buf, realRef, 128); grown.Len() != 128 || buf.Len() != 128 {
+		t.Fatalf("a larger stage did not grow the buffer: len %d, buffer %d", grown.Len(), buf.Len())
+	}
+	if v := Stage(&buf, virtRef, 16); !v.IsVirtual() || v.Len() != 16 || !buf.IsVirtual() {
+		t.Fatalf("a virtual reference kept real staging: virtual %v", v.IsVirtual())
+	}
+	if r := Stage(&buf, realRef, 8); r.IsVirtual() || r.Len() != 8 {
+		t.Fatalf("a real reference kept virtual staging: virtual %v", r.IsVirtual())
+	}
+}
+
 func TestSlicePanics(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct{ off, n int }{{-1, 2}, {0, -1}, {8, 9}, {17, 0}} {

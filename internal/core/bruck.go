@@ -36,9 +36,9 @@ func newBruck(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
 func (s *bruckScratch) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	n, r := c.Size(), c.Rank()
 	half := (n + 1) / 2
-	tmp := ensureStage(&s.tmp, send, n*block)
-	packS := ensureStage(&s.packS, send, half*block)
-	packR := ensureStage(&s.packR, send, half*block)
+	tmp := comm.Stage(&s.tmp, send, n*block)
+	packS := comm.Stage(&s.packS, send, half*block)
+	packR := comm.Stage(&s.packR, send, half*block)
 	// Phase 1: rotation tmp[i] = send[(r+i) mod n].
 	comm.CopyBlocks(tmp, 0, 1, send, r, 1, n-r, block)
 	comm.CopyBlocks(tmp, n-r, 1, send, 0, 1, r, block)

@@ -210,22 +210,6 @@ func checkArgs(c comm.Comm, send, recv comm.Buffer, block, maxBlock int) error {
 	return nil
 }
 
-// ensureStage returns the first n bytes of the staging buffer *buf,
-// which matches ref's virtualness. Staging buffers are kept across calls;
-// one is only rebuilt when it must grow or when the caller switches
-// between real and virtual payloads, so calls alternating block sizes
-// reuse it.
-func ensureStage(buf *comm.Buffer, ref comm.Buffer, n int) comm.Buffer {
-	if buf.Len() < n || buf.IsVirtual() != ref.IsVirtual() {
-		if ref.IsVirtual() {
-			*buf = comm.Virtual(n)
-		} else {
-			*buf = comm.Alloc(n)
-		}
-	}
-	return buf.Slice(0, n)
-}
-
 // innerExchange is a node-aware-family operation's inner all-to-all: the
 // exchange it runs and, for Bruck, the scratch that exchange keeps across
 // calls, made on its first use.

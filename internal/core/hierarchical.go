@@ -130,8 +130,8 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 	p, q := h.info.p, h.q
 	var bufA, bufB comm.Buffer
 	if h.isLeader {
-		bufA = ensureStage(&h.bufA, send, q*p*block)
-		bufB = ensureStage(&h.bufB, send, q*p*block)
+		bufA = comm.Stage(&h.bufA, send, q*p*block)
+		bufB = comm.Stage(&h.bufB, send, q*p*block)
 	}
 
 	// Gather: each member ships its whole send buffer to the leader.

@@ -82,8 +82,8 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 	p, q, ppn, nn, nL := m.info.p, m.q, m.info.ppn, m.info.nnodes, m.nL
 	var bufA, bufB comm.Buffer
 	if m.isLeader {
-		bufA = ensureStage(&m.bufA, send, q*p*block)
-		bufB = ensureStage(&m.bufB, send, q*p*block)
+		bufA = comm.Stage(&m.bufA, send, q*p*block)
+		bufB = comm.Stage(&m.bufB, send, q*p*block)
 	}
 
 	// Gather members' send buffers to the leader: bufA = [j][dstWorld].

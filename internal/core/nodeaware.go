@@ -75,7 +75,7 @@ func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller,
 
 func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	p, g, tg := na.info.p, na.g, na.tg
-	stage := ensureStage(&na.stage, recv, p*block)
+	stage := comm.Stage(&na.stage, recv, p*block)
 
 	// Repack send blocks into group-destination order in recv: block for
 	// group t, member i at position t*g+i. Groups tile the block-mapped

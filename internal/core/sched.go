@@ -368,14 +368,11 @@ func topoKey(m *topo.Mapping) string {
 	return fmt.Sprintf("%dx%d", m.Nodes(), m.PPN())
 }
 
-// NewSchedExec resolves, caches and wraps the named generator's program
-// for c's rank exactly as the sched:* algorithm registry does. It is the
-// building block for running schedules outside the Alltoaller shell —
-// collx's schedule-backed reductions construct through it, sharing the
-// LRU cache, the world verdicts, the singleflight coalescing and the
-// schedule service with every other consumer. Callers running reduction
-// schedules must install an operator via Exec.SetOp before Run.
-func NewSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
+// newSchedExec resolves, caches and wraps the named generator's program
+// for c's rank: the sched:* algorithm's executor, sharing the LRU cache,
+// the world verdicts, the singleflight coalescing and the schedule
+// service with every other rank of the process.
+func newSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
 	if c == nil {
 		return nil, errNilComm
 	}
@@ -388,7 +385,7 @@ func NewSchedExec(gen string, c comm.Comm) (*sched.Exec, error) {
 
 func newSchedFactory(gen string) factory {
 	return func(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-		ex, err := NewSchedExec(gen, c)
+		ex, err := newSchedExec(gen, c)
 		if err != nil {
 			return nil, err
 		}

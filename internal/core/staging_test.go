@@ -111,7 +111,7 @@ func stagingAllocs(t *testing.T, algo string, opts Options, eagerMax, a, large, 
 // allocates 9 to 21 times as much.
 func TestStagingFollowsBlockSize(t *testing.T) {
 	const small, large, calls = 256, 1024, 8
-	for _, algo := range []string{"bruck", "node-aware", "hierarchical", "multileader-node-aware"} {
+	for _, algo := range []string{"bruck", "node-aware", "hierarchical", "multileader-node-aware", "sched:bruck"} {
 		alternating := stagingAllocs(t, algo, Options{}, 0, small, large, calls)
 		fixed := stagingAllocs(t, algo, Options{}, 0, large, large, calls)
 		t.Logf("%s: %d B per call alternating %d B and %d B blocks, %d B at %d B", algo, alternating/calls, small, large, fixed/calls, large)

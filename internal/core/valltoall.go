@@ -136,7 +136,7 @@ func (v *vLeadered) run(_ comm.Comm, send comm.Buffer, sendCounts, sdispls []int
 // receive the packed result, unpack.
 func (v *vLeadered) memberExchange(send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int) error {
-	packBuf := ensureStage(&v.packBuf, send, v.maxTotal)
+	packBuf := comm.Stage(&v.packBuf, send, v.maxTotal)
 
 	timer := v.rec.Time(trace.PhaseRepack)
 	sendTotal, err := packByCounts(v.c, packBuf, send, sendCounts, sdispls)
@@ -171,8 +171,8 @@ func (v *vLeadered) memberExchange(send comm.Buffer, sendCounts, sdispls []int,
 func (v *vLeadered) leaderExchange(send comm.Buffer, sendCounts, sdispls []int,
 	recv comm.Buffer, recvCounts, rdispls []int, p int) error {
 	q := v.q
-	bufA := ensureStage(&v.bufA, send, q*v.maxTotal)
-	bufB := ensureStage(&v.bufB, send, q*v.maxTotal)
+	bufA := comm.Stage(&v.bufA, send, q*v.maxTotal)
+	bufB := comm.Stage(&v.bufB, send, q*v.maxTotal)
 
 	// Decode the gathered count matrix: scs[m][d] bytes flow from member m
 	// of my group to world rank d; rcs[m][s] bytes arrive at member m from

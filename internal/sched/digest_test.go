@@ -26,11 +26,11 @@ func TestDigestMatchesSlice(t *testing.T) {
 			m = gridMapping(t, w.nodes, w.ppn)
 			p = m.Size()
 		}
-		for _, name := range AllGenerators() {
+		for _, name := range Generators() {
 			if p == 128 && name != "torus" && name != "hypercube" {
 				continue // the 128-rank world only for the families that route it cheaply
 			}
-			if strings.HasSuffix(name, "hypercube") && p&(p-1) != 0 {
+			if name == "hypercube" && p&(p-1) != 0 {
 				continue // no hypercube world at 5 ranks
 			}
 			world, err := GenerateWorld(name, p, m)
@@ -96,7 +96,7 @@ func TestProveHasNoCeiling(t *testing.T) {
 // proof that tracks which block each message carries rejects it. Its
 // callers must not be parallel: the registry is a package global.
 func registerWrongOffset(t testing.TB, name string) {
-	genRegistry[name] = genEntry{coll: CollAlltoall, rank: func(p, r int, m *topo.Mapping) (*source, error) {
+	genRegistry[name] = func(p, r int, m *topo.Mapping) (*source, error) {
 		src, err := directSource(p, r, m)
 		if err != nil || r != 1 {
 			return src, err
@@ -112,7 +112,7 @@ func registerWrongOffset(t testing.TB, name string) {
 			return steps
 		}
 		return src, nil
-	}}
+	}
 	t.Cleanup(func() { delete(genRegistry, name) })
 }
 
@@ -123,10 +123,10 @@ func TestDigestSensitivity(t *testing.T) {
 	t.Parallel()
 	base := func() *RankProgram {
 		return &RankProgram{
-			Format: FormatVersion, Name: "x", Ranks: 4, Rank: 1, Coll: CollReduceScatter, Op: "o",
+			Format: FormatVersion, Name: "x", Ranks: 4, Rank: 1, Coll: CollAlltoall,
 			Scratch: []int{3},
 			Rounds: [][]Step{{
-				{Kind: SendRecv, To: 2, From: 3, Src: Ref{Buf: 0, Off: 1, N: 2}, Dst: Ref{Buf: 2, Off: 0, N: 2}, Op: "o"},
+				{Kind: SendRecv, To: 2, From: 3, Src: Ref{Buf: 0, Off: 1, N: 2}, Dst: Ref{Buf: 2, Off: 0, N: 2}},
 				{Kind: Copy, Src: Ref{Buf: 2, Off: 0, N: 1}, Dst: Ref{Buf: 1, Off: 1, N: 1}},
 			}},
 		}
@@ -140,8 +140,7 @@ func TestDigestSensitivity(t *testing.T) {
 		{"name", func(rp *RankProgram) { rp.Name = "y" }},
 		{"ranks", func(rp *RankProgram) { rp.Ranks++ }},
 		{"rank", func(rp *RankProgram) { rp.Rank++ }},
-		{"coll", func(rp *RankProgram) { rp.Coll = CollAlltoall }},
-		{"op", func(rp *RankProgram) { rp.Op = "" }},
+		{"coll", func(rp *RankProgram) { rp.Coll = "" }},
 		{"scratch", func(rp *RankProgram) { rp.Scratch = append(rp.Scratch, 1) }},
 		{"step kind", func(rp *RankProgram) { rp.Rounds[0][0].Kind = Send }},
 		{"step to", func(rp *RankProgram) { rp.Rounds[0][0].To++ }},
@@ -152,7 +151,6 @@ func TestDigestSensitivity(t *testing.T) {
 		{"step dst buf", func(rp *RankProgram) { rp.Rounds[0][0].Dst.Buf++ }},
 		{"step dst off", func(rp *RankProgram) { rp.Rounds[0][0].Dst.Off++ }},
 		{"step dst n", func(rp *RankProgram) { rp.Rounds[0][0].Dst.N++ }},
-		{"step op", func(rp *RankProgram) { rp.Rounds[0][0].Op = "p" }},
 		{"round boundary", func(rp *RankProgram) { rp.Rounds = [][]Step{rp.Rounds[0][:1], rp.Rounds[0][1:]} }},
 		{"empty round", func(rp *RankProgram) { rp.Rounds = append(rp.Rounds, nil) }},
 	} {
@@ -186,18 +184,17 @@ func (w goldenWorld) String() string {
 }
 
 // goldenWorlds lists the worlds digests.golden pins: every generator at
-// 1, 2, 5, 8 and 16 flat ranks (the hypercube families at powers of two
-// only), the torus families on 3x5 and 4x8 grids, and torus and
-// hypercube on a 16x16 grid.
+// 1, 2, 5, 8 and 16 flat ranks (hypercube at powers of two only), torus
+// on 3x5 and 4x8 grids, and torus and hypercube on a 16x16 grid.
 func goldenWorlds() []goldenWorld {
 	var ws []goldenWorld
-	for _, name := range AllGenerators() {
+	for _, name := range Generators() {
 		for _, p := range []int{1, 2, 5, 8, 16} {
-			if !strings.HasSuffix(name, "hypercube") || p&(p-1) == 0 {
+			if name != "hypercube" || p&(p-1) == 0 {
 				ws = append(ws, goldenWorld{name, 0, p})
 			}
 		}
-		if strings.HasSuffix(name, "torus") {
+		if name == "torus" {
 			ws = append(ws, goldenWorld{name, 3, 5}, goldenWorld{name, 4, 8})
 		}
 	}

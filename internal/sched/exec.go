@@ -14,9 +14,9 @@ import (
 const TagBase = 401
 
 // Exec runs one rank's program over a communicator. It is the persistent
-// part of a schedule-backed operation: scratch buffers are allocated once
-// and reused across calls (resized only when the block size or buffer
-// virtualness changes), mirroring how every core algorithm stages.
+// part of a schedule-backed operation: scratch buffers are kept across
+// calls and rebuilt only when they must grow or the buffers' virtualness
+// changes (comm.Stage, core's staging discipline).
 //
 // An Exec runs one RankProgram (NewRankExec), the IR's only form: a
 // world is its ranks' programs, and each rank runs its own.
@@ -31,18 +31,7 @@ const TagBase = 401
 type Exec struct {
 	rp      *RankProgram
 	scratch []comm.Buffer
-	op      ReduceOp // operator applied by Reduce steps (SetOp)
 }
-
-// ReduceOp combines in into acc element-wise (acc = acc op in), the
-// operator contract shared with collx.Op. Reduction schedules are
-// compiled operator-generically, so the executor applies whichever
-// operator the caller installs per run.
-type ReduceOp func(acc, in []byte)
-
-// SetOp installs the operator Reduce steps apply. Running a schedule
-// containing Reduce steps without an installed operator is an error.
-func (e *Exec) SetOp(op ReduceOp) { e.op = op }
 
 // NewRankExec returns an executor for one rank's verified program.
 func NewRankExec(rp *RankProgram) *Exec {
@@ -52,23 +41,10 @@ func NewRankExec(rp *RankProgram) *Exec {
 // Program returns the rank program the executor runs.
 func (e *Exec) Program() *RankProgram { return e.rp }
 
-// ensure (re)allocates *buf to n bytes matching ref's virtualness, the
-// staging discipline shared with core.
-func ensure(buf *comm.Buffer, ref comm.Buffer, n int) {
-	if buf.Len() != n || buf.IsVirtual() != ref.IsVirtual() {
-		if ref.IsVirtual() {
-			*buf = comm.Virtual(n)
-		} else {
-			*buf = comm.Alloc(n)
-		}
-	}
-}
-
 // Run executes the schedule's rounds for this rank: post the round's
-// receives, walk copies, reduces and sends in step order, wait, next
-// round. rec, when non-nil, accrues Copy time under trace.PhaseRepack
-// and Reduce time under trace.PhaseReduce (the schedule's repack and
-// compute costs in the phase breakdown); it may be nil.
+// receives, walk copies and sends in step order, wait, next round. rec,
+// when non-nil, accrues Copy time under trace.PhaseRepack (the
+// schedule's repack cost in the phase breakdown); it may be nil.
 func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Recorder) error {
 	rp := e.rp
 	if rp == nil {
@@ -84,7 +60,7 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 		return fmt.Errorf("sched: block must be positive, got %d", block)
 	}
 	for i, sz := range rp.Scratch {
-		ensure(&e.scratch[i], send, sz*block)
+		comm.Stage(&e.scratch[i], send, sz*block) // refs slice the whole buffer
 	}
 	ref := func(r Ref) comm.Buffer {
 		var b comm.Buffer
@@ -125,19 +101,6 @@ func (e *Exec) Run(c comm.Comm, send, recv comm.Buffer, block int, rec *trace.Re
 					return fmt.Errorf("sched: %s round %d copy: %w", rp.Name, ri, err)
 				}
 				rec.Add(trace.PhaseRepack, c.Now()-t0)
-			case Reduce:
-				if e.op == nil {
-					return fmt.Errorf("sched: %s round %d: schedule has a reduce step but no operator is installed (Exec.SetOp)", rp.Name, ri)
-				}
-				t0 := c.Now()
-				dst, src := ref(st.Dst), ref(st.Src)
-				if !dst.IsVirtual() && !src.IsVirtual() {
-					e.op(dst.Bytes(), src.Bytes())
-				}
-				if err := c.ChargeCopy(int(st.Src.N)*block, 1); err != nil {
-					return fmt.Errorf("sched: %s round %d reduce: %w", rp.Name, ri, err)
-				}
-				rec.Add(trace.PhaseReduce, c.Now()-t0)
 			case Send, SendRecv:
 				rq, err := c.Isend(ref(st.Src), int(st.To), tag)
 				if err != nil {

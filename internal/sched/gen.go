@@ -7,70 +7,30 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// genEntry couples a generator's collective kind with its rank
-// compiler, which writes one rank's program as a source.
-type genEntry struct {
-	coll Coll
-	rank rankSource
-}
-
-// genRegistry is the registry of schedule generators. The classic
+// genRegistry is the registry of schedule generators, each a rank
+// compiler that writes one rank's program as a source. The classic
 // all-to-all algorithms (direct, pairwise, bruck) are compiled straight
 // into the IR; the direct-connect families (ring, torus, hypercube) are
 // compiled from per-block routes (routeslice.go) — schedules the
-// loop-coded core algorithms cannot express. The rs-*/ar-* families
-// compile reduce-scatter and allreduce onto the same topologies
-// (reduce.go).
-var genRegistry = map[string]genEntry{
-	"direct":    {CollAlltoall, directSource},
-	"pairwise":  {CollAlltoall, pairwiseSource},
-	"bruck":     {CollAlltoall, bruckSource},
-	"ring":      {CollAlltoall, ringSource},
-	"torus":     {CollAlltoall, torusSource},
-	"hypercube": {CollAlltoall, hypercubeSource},
-
-	"rs-ring":      {CollReduceScatter, ringReduceScatterSource},
-	"rs-torus":     {CollReduceScatter, torusReduceScatterSource},
-	"rs-hypercube": {CollReduceScatter, hypercubeReduceScatterSource},
-	"ar-ring":      {CollAllreduce, ringAllreduceSource},
-	"ar-torus":     {CollAllreduce, torusAllreduceSource},
-	"ar-hypercube": {CollAllreduce, hypercubeAllreduceSource},
+// loop-coded core algorithms cannot express.
+var genRegistry = map[string]rankSource{
+	"direct":    directSource,
+	"pairwise":  pairwiseSource,
+	"bruck":     bruckSource,
+	"ring":      ringSource,
+	"torus":     torusSource,
+	"hypercube": hypercubeSource,
 }
 
-// Generators returns the all-to-all generator names, sorted — the set
-// core registers as sched:* all-to-all algorithms. Reduction generators
-// are listed by GeneratorsFor/AllGenerators and reach core through the
-// collx registries instead.
-func Generators() []string { return GeneratorsFor(CollAlltoall) }
-
-// AllGenerators returns every generator name, sorted.
-func AllGenerators() []string {
+// Generators returns the generator names, sorted — the set core
+// registers as sched:* algorithms.
+func Generators() []string {
 	names := make([]string, 0, len(genRegistry))
 	for n := range genRegistry {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// GeneratorsFor returns the names of the generators compiling the given
-// collective, sorted.
-func GeneratorsFor(coll Coll) []string {
-	var names []string
-	for n, e := range genRegistry {
-		if e.coll == coll {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GeneratorColl reports the collective a named generator compiles, and
-// whether the name is known.
-func GeneratorColl(name string) (Coll, bool) {
-	e, ok := genRegistry[name]
-	return e.coll, ok
 }
 
 // MaxRanks is the largest world a schedule can address: block identities
@@ -91,12 +51,12 @@ func checkRanks(p int) error {
 }
 
 // generator looks up the named generator for a p-rank world.
-func generator(name string, p int) (genEntry, error) {
-	e, ok := genRegistry[name]
+func generator(name string, p int) (rankSource, error) {
+	gen, ok := genRegistry[name]
 	if !ok {
-		return e, fmt.Errorf("sched: unknown generator %q (have %v)", name, AllGenerators())
+		return nil, fmt.Errorf("sched: unknown generator %q (have %v)", name, Generators())
 	}
-	return e, checkRanks(p)
+	return gen, checkRanks(p)
 }
 
 // GenerateWorld compiles the named world for p ranks (m may be nil):

@@ -174,18 +174,18 @@ func TestExecArgErrors(t *testing.T) {
 	}
 }
 
-// TestExecRejectsReserved: a program with a Reduce step fails at run
-// time too (defense in depth behind the verifier).
+// TestExecRejectsReserved: a program with a step of no executable kind
+// fails at run time too (defense in depth behind the verifier).
 func TestExecRejectsReserved(t *testing.T) {
 	t.Parallel()
 	rp := &RankProgram{
 		Format: FormatVersion, Name: "bad", Ranks: 1,
-		Rounds: [][]Step{{{Kind: Reduce, Src: sendRef(0, 1), Dst: recvRef(0, 1)}}},
+		Rounds: [][]Step{{{Kind: Copy + 1, Src: sendRef(0, 1), Dst: recvRef(0, 1)}}},
 	}
 	err := runtime.Run(runtime.Config{Ranks: 1}, func(c comm.Comm) error {
 		e := NewRankExec(rp)
 		if err := e.Run(c, comm.Alloc(4), comm.Alloc(4), 4, nil); err == nil {
-			return fmt.Errorf("reduce step executed")
+			return fmt.Errorf("a step of kind %d executed", Copy+1)
 		}
 		return nil
 	})

@@ -26,27 +26,16 @@ func FormatRef(r Ref) string {
 }
 
 // Format renders a world, its programs indexed by rank, for human
-// inspection: a header naming the collective (and, for reductions, the
-// operator label), the aggregate stats, and per round the message
-// matrix (worlds up to matrixRanks ranks) plus every reduce step with
-// its operator and operand refs — "acc op= partial", the executor's
-// acc = acc op in contract.
+// inspection: a header naming the collective, the aggregate stats, and
+// per round the message matrix (worlds up to matrixRanks ranks).
 func Format(world []*RankProgram) string {
 	var b strings.Builder
 	h, p := world[0], len(world)
 	st := WorldStats(world)
-	coll := h.Collective()
-	if coll.reduction() {
-		fmt.Fprintf(&b, "schedule %q (%s, op %s): %d ranks, %d rounds\n", h.Name, coll, h.Op, p, st.Rounds)
-	} else {
-		fmt.Fprintf(&b, "schedule %q (%s): %d ranks, %d rounds\n", h.Name, coll, p, st.Rounds)
-	}
+	fmt.Fprintf(&b, "schedule %q (%s): %d ranks, %d rounds\n", h.Name, h.Collective(), p, st.Rounds)
 	fmt.Fprintf(&b, "  messages      %d (max %d per round)\n", st.Messages, st.MaxRoundMessages)
 	fmt.Fprintf(&b, "  wire volume   %d blocks\n", st.WireBlocks)
 	fmt.Fprintf(&b, "  repack        %d copies, %d blocks\n", st.Copies, st.CopyBlocks)
-	if coll.reduction() {
-		fmt.Fprintf(&b, "  reduce        %d steps, %d blocks\n", st.Reduces, st.ReduceBlocks)
-	}
 	fmt.Fprintf(&b, "  scratch       %d blocks per rank\n", st.ScratchBlocks)
 	for ri := range st.Rounds {
 		m := RoundMatrix(world, ri)
@@ -71,13 +60,6 @@ func Format(world []*RankProgram) string {
 					}
 				}
 				fmt.Fprintln(&b)
-			}
-			for r, rp := range world {
-				for _, stp := range rp.Rounds[ri] {
-					if stp.Kind == Reduce {
-						fmt.Fprintf(&b, "  rank %d: %s %s= %s\n", r, FormatRef(stp.Dst), stp.Op, FormatRef(stp.Src))
-					}
-				}
 			}
 		}
 	}

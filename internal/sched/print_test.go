@@ -25,14 +25,13 @@ func TestFormatRef(t *testing.T) {
 	}
 }
 
-// TestFormatGolden pins the rendering of a ring reduce-scatter world —
-// header with collective and operator label, stats including the reduce
-// line, per-round matrices and reduce steps — against a golden file.
-// Regenerate with -update.
+// TestFormatGolden pins the rendering of a Bruck world — header with
+// collective, stats including repack and scratch, per-round matrices —
+// against a golden file. Regenerate with -update.
 func TestFormatGolden(t *testing.T) {
 	t.Parallel()
-	got := Format(mustGen(t, "rs-ring", 6))
-	path := filepath.Join("testdata", "print_rsring6.golden")
+	got := Format(mustGen(t, "bruck", 6))
+	path := filepath.Join("testdata", "print_bruck6.golden")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -48,14 +47,14 @@ func TestFormatGolden(t *testing.T) {
 }
 
 // TestFormatLargeWorld: beyond matrixRanks ranks the per-round matrices
-// and reduce listings are suppressed but the stats survive.
+// are suppressed but the stats survive.
 func TestFormatLargeWorld(t *testing.T) {
 	t.Parallel()
-	out := Format(mustGen(t, "rs-ring", matrixRanks+1))
+	out := Format(mustGen(t, "ring", matrixRanks+1))
 	if strings.Contains(out, "|") {
 		t.Errorf("matrix rendered for %d ranks:\n%s", matrixRanks+1, out)
 	}
-	if !strings.Contains(out, "reduce") || !strings.Contains(out, "round 0:") {
+	if !strings.Contains(out, "repack") || !strings.Contains(out, "round 0:") {
 		t.Errorf("stats lines missing:\n%s", out)
 	}
 }

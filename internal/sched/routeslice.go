@@ -551,6 +551,14 @@ func dimMsgs(x int, byDim [][]int32) []rmsg {
 	return sortMsgs(msgs)
 }
 
+// hypercubeShape validates the power-of-two rank count and returns k.
+func hypercubeShape(p int) (int, error) {
+	if p&(p-1) != 0 {
+		return 0, fmt.Errorf("sched: hypercube needs a power-of-two rank count, got %d", p)
+	}
+	return bits.Len(uint(p)) - 1, nil
+}
+
 // hypercubeSource is rank r's program of the multiport hypercube
 // all-to-all (p must be a power of two): every block fixes the
 // differing address bits of its (source, destination) pair one per

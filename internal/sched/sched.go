@@ -1,9 +1,8 @@
 // Package sched is the communication-schedule subsystem: an explicit
-// intermediate representation for collective exchanges (all-to-all,
-// reduce-scatter, allreduce), generators that compile
-// algorithms into it, a static verifier that proves a schedule correct
-// before it ever runs, and an executor that runs any verified schedule
-// over comm.Comm on both substrates.
+// intermediate representation for all-to-all exchanges, generators that
+// compile algorithms into it, a static verifier that proves a schedule
+// correct before it ever runs, and an executor that runs any verified
+// schedule over comm.Comm on both substrates.
 //
 // The paper's algorithms (pairwise, Bruck, node-aware aggregation) are
 // hand-coded message loops, but they are all instances of one thing: a
@@ -19,17 +18,16 @@
 // # The IR
 //
 // A RankProgram is one rank's part of an exchange: an ordered list of
-// rounds, each a list of send/recv/copy/reduce steps, plus the world
-// facts (rank count, collective, scratch declarations) the executor and
+// rounds, each a list of send/recv/copy steps, plus the world facts
+// (rank count, collective, scratch declarations) the executor and
 // verifier need. A world is its ranks' programs, indexed by rank; every
 // program repeats the same header and round count. All offsets and
 // lengths are in block units (the per-rank-pair block of
 // MPI_Alltoall), so one program serves every message size. Steps
 // reference three kinds of buffer space: the user send buffer
 // (SpaceSend), the user recv buffer (SpaceRecv), and per-rank scratch
-// spaces declared by RankProgram.Scratch. User-space sizes depend on
-// the collective (RankProgram.SpaceSize): Ranks blocks each for
-// all-to-all and allreduce, a single recv block for reduce-scatter.
+// spaces declared by RankProgram.Scratch. The user spaces hold Ranks
+// blocks each.
 //
 // Programs travel as versioned JSON: a rank program alone
 // (RankProgram.Encode, DecodeRank), or a whole world as one file
@@ -66,57 +64,28 @@ import (
 // FormatVersion is the on-disk JSON format version the encoders write.
 // Bump on incompatible IR changes; the decoders reject unknown versions
 // rather than silently executing a stale schedule. Version 2 added the
-// collective kind and the reduction operator label; version-1 artifacts
-// (plain all-to-all schedules) decode unchanged, since every added field
-// defaults to the all-to-all reading. Version 2 also had an alltoallv
-// collective, since removed: its artifacts decode, and the verifier
-// rejects them as an unknown collective.
+// collective kind; version-1 artifacts (plain all-to-all schedules)
+// decode unchanged, since the field defaults to the all-to-all reading.
+// Version 2 also had alltoallv, reduce-scatter and allreduce
+// collectives and a reduction operator label, since removed: their
+// artifacts decode, the label is ignored as an unknown field, a reduce
+// step is refused as an unknown step kind, and the verifier rejects
+// the other collectives by name.
 const FormatVersion = 2
 
 // formatReadable reports whether this build can read an artifact of the
 // given format version.
 func formatReadable(f int) bool { return f == 1 || f == FormatVersion }
 
-// Coll names the collective a schedule implements. The zero value
-// (empty string, omitted in JSON) reads as CollAlltoall so version-1
-// artifacts keep their meaning.
+// Coll names the collective a schedule declares. The zero value (empty
+// string, omitted in JSON) reads as CollAlltoall so version-1 artifacts
+// keep their meaning; the verifier refuses any other collective by name.
 type Coll string
 
-// The collectives the IR can express.
-const (
-	// CollAlltoall: send space holds Ranks blocks (one per destination),
-	// recv space holds Ranks blocks (one per source), every (src, dst)
-	// block delivered exactly once.
-	CollAlltoall Coll = "alltoall"
-	// CollReduceScatter: send space holds Ranks blocks (this rank's
-	// contribution to every destination), recv space holds 1 block that
-	// must end as the reduction of every rank's contribution for this
-	// rank — each contribution entering exactly once.
-	CollReduceScatter Coll = "reduce-scatter"
-	// CollAllreduce: send space holds Ranks blocks (the input vector
-	// split into Ranks blocks), recv space holds Ranks blocks, and every
-	// recv block b must end as the reduction of every rank's block b.
-	CollAllreduce Coll = "allreduce"
-)
-
-// valid reports whether c is a known collective kind.
-func (c Coll) valid() bool {
-	switch c {
-	case CollAlltoall, CollReduceScatter, CollAllreduce:
-		return true
-	}
-	return false
-}
-
-// reduction reports whether the collective combines data with an
-// operator (and so may contain Reduce steps).
-func (c Coll) reduction() bool { return c == CollReduceScatter || c == CollAllreduce }
-
-// OpAny is the operator label of the bundled reduction generators: their
-// schedules are valid for any associative, commutative operator, so the
-// label constrains consistency (every Reduce step must carry the
-// schedule's label), not the executor's choice of operator.
-const OpAny = "any"
+// CollAlltoall is the one collective the IR expresses: send space holds
+// Ranks blocks (one per destination), recv space holds Ranks blocks (one
+// per source), every (src, dst) block delivered exactly once.
+const CollAlltoall Coll = "alltoall"
 
 // Buffer spaces a Ref can address. Scratch space i has id SpaceScratch+i.
 const (
@@ -145,20 +114,13 @@ const (
 	SendRecv
 	// Copy moves Src to Dst within this rank's buffers (equal lengths).
 	Copy
-	// Reduce combines Src into Dst within this rank's buffers:
-	// Dst = Dst op Src, elementwise over equal-length refs, using the
-	// operator the program is labeled with (Step.Op must equal
-	// RankProgram.Op; the verifier rejects a mismatch). Reduce steps are
-	// only legal in reduction schedules (reduce-scatter, allreduce); the
-	// executor runs them with the operator installed via Exec.SetOp.
-	Reduce
 )
 
 // kindNames are the kinds' names, by Kind; the zero Kind's is empty.
-var kindNames = [...]string{"", "send", "recv", "sendrecv", "copy", "reduce"}
+var kindNames = [...]string{"", "send", "recv", "sendrecv", "copy"}
 
-// String returns the kind's name: "send", "recv", "sendrecv", "copy" or
-// "reduce", empty for the zero Kind, Kind(n) for any other value.
+// String returns the kind's name: "send", "recv", "sendrecv" or "copy",
+// empty for the zero Kind, Kind(n) for any other value.
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
@@ -169,7 +131,7 @@ func (k Kind) String() string {
 // MarshalText encodes the kind as its name, refusing a value that is no
 // step kind.
 func (k Kind) MarshalText() ([]byte, error) {
-	if k < Send || k > Reduce {
+	if k < Send || k > Copy {
 		return nil, fmt.Errorf("sched: cannot encode unknown step kind %q", k)
 	}
 	return []byte(kindNames[k]), nil
@@ -177,7 +139,7 @@ func (k Kind) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a kind's name, refusing any other.
 func (k *Kind) UnmarshalText(b []byte) error {
-	for i := Send; i <= Reduce; i++ {
+	for i := Send; i <= Copy; i++ {
 		if kindNames[i] == string(b) {
 			*k = i
 			return nil
@@ -271,17 +233,13 @@ func jsonWant(t reflect.Type) string {
 
 // Step is one action of one rank within a round. Which fields are
 // meaningful depends on Kind: Send uses To/Src, Recv uses From/Dst,
-// SendRecv all four, Copy uses Src/Dst, Reduce uses Src/Dst/Op.
+// SendRecv all four, Copy uses Src/Dst.
 type Step struct {
 	Kind Kind  `json:"k"`
 	To   int32 `json:"t,omitempty"`
 	From int32 `json:"f,omitempty"`
 	Src  Ref   `json:"s"`
 	Dst  Ref   `json:"d"`
-	// Op is the operator label of a Reduce step; it must match the
-	// schedule's Op (per-step so a spliced or hand-edited artifact cannot
-	// silently combine under the wrong operator).
-	Op string `json:"o,omitempty"`
 }
 
 // Stats summarizes the cost structure of a rank's program or of a
@@ -297,9 +255,6 @@ type Stats struct {
 	// Copies and CopyBlocks count local Copy steps and the blocks they
 	// move (the schedule's repack cost).
 	Copies, CopyBlocks int
-	// Reduces and ReduceBlocks count Reduce steps and the blocks they
-	// combine (the schedule's compute cost).
-	Reduces, ReduceBlocks int
 	// MaxRoundMessages is the largest per-round message count.
 	MaxRoundMessages int
 	// ScratchBlocks is the per-rank scratch footprint in blocks.
@@ -335,9 +290,6 @@ func (st *Stats) add(steps []Step) int {
 		case Copy:
 			st.Copies++
 			st.CopyBlocks += int(step.Src.N)
-		case Reduce:
-			st.Reduces++
-			st.ReduceBlocks += int(step.Src.N)
 		}
 	}
 	st.Messages += msgs
@@ -372,7 +324,6 @@ type schedule struct {
 	Name    string  `json:"name"`
 	Ranks   int     `json:"ranks"`
 	Coll    Coll    `json:"coll,omitempty"`
-	Op      string  `json:"op,omitempty"`
 	Scratch []int   `json:"scratch,omitempty"`
 	Rounds  []round `json:"rounds"`
 }
@@ -387,7 +338,7 @@ type round struct {
 // FormatVersion, then every round with each rank's steps.
 func EncodeWorld(w io.Writer, world []*RankProgram) error {
 	h := world[0]
-	s := schedule{Format: FormatVersion, Name: h.Name, Ranks: len(world), Coll: h.Coll, Op: h.Op, Scratch: h.Scratch,
+	s := schedule{Format: FormatVersion, Name: h.Name, Ranks: len(world), Coll: h.Coll, Scratch: h.Scratch,
 		Rounds: make([]round, len(h.Rounds))}
 	for ri := range s.Rounds {
 		s.Rounds[ri].Steps = make([][]Step, len(world))
@@ -425,7 +376,7 @@ func DecodeWorld(r io.Reader) ([]*RankProgram, error) {
 	progs, rounds := make([]RankProgram, s.Ranks), make([][]Step, s.Ranks*n)
 	world := make([]*RankProgram, s.Ranks)
 	for r := range world {
-		progs[r] = RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: r, Coll: s.Coll, Op: s.Op,
+		progs[r] = RankProgram{Format: s.Format, Name: s.Name, Ranks: s.Ranks, Rank: r, Coll: s.Coll,
 			Scratch: s.Scratch, Rounds: rounds[r*n : (r+1)*n : (r+1)*n]}
 		for ri, rd := range s.Rounds {
 			progs[r].Rounds[ri] = rd.Steps[r]

@@ -152,12 +152,12 @@ func TestDecodeErrorsNameNoGoTypes(t *testing.T) {
 // value that is no step kind is an error.
 func TestKindNames(t *testing.T) {
 	t.Parallel()
-	for k, want := range map[Kind]string{Send: "send", Recv: "recv", SendRecv: "sendrecv", Copy: "copy", Reduce: "reduce", 0: "", 200: "Kind(200)"} {
+	for k, want := range map[Kind]string{Send: "send", Recv: "recv", SendRecv: "sendrecv", Copy: "copy", 0: "", 200: "Kind(200)"} {
 		if got := k.String(); got != want {
 			t.Errorf("Kind %d is named %q, want %q", uint8(k), got, want)
 		}
 	}
-	for _, k := range []Kind{0, Reduce + 1, 200} {
+	for _, k := range []Kind{0, Copy + 1, 200} {
 		rp := &RankProgram{Name: "x", Ranks: 1, Rounds: [][]Step{{{Kind: k}}}}
 		if err := rp.Encode(io.Discard); err == nil || !strings.Contains(err.Error(), "cannot encode unknown step kind") {
 			t.Errorf("encoding Kind %d = %v, want the unknown kind refused", uint8(k), err)
@@ -165,22 +165,22 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
-// TestStepLayout pins the in-memory step at 56 bytes on a 64-bit
-// platform: a one-byte kind, int32 peers, two refs of three int32s and
-// the operator label. MemBytes charges every step this size.
+// TestStepLayout pins the in-memory step at 36 bytes: a one-byte kind
+// (padded to four), int32 peers and two refs of three int32s. MemBytes
+// charges every step this size.
 func TestStepLayout(t *testing.T) {
 	t.Parallel()
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pinned sizes are a 64-bit platform's")
 	}
-	if got := unsafe.Sizeof(Step{}); got != 56 {
-		t.Errorf("Step is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(Step{}); got != 36 {
+		t.Errorf("Step is %d bytes, want 36", got)
 	}
 	if got := unsafe.Sizeof(Ref{}); got != 12 {
 		t.Errorf("Ref is %d bytes, want 12", got)
 	}
 	rp := &RankProgram{Rounds: [][]Step{make([]Step, 10)}}
-	if got, want := rp.MemBytes(), int64(10*56+24+128); got != want {
+	if got, want := rp.MemBytes(), int64(10*36+24+128); got != want {
 		t.Errorf("MemBytes of a 10-step round = %d, want %d", got, want)
 	}
 }

@@ -37,12 +37,10 @@ type RankProgram struct {
 	Ranks int `json:"ranks"`
 	// Rank is the rank this program belongs to.
 	Rank int `json:"rank"`
-	// Coll is the collective the program implements; empty means
-	// CollAlltoall (the version-1 reading). Use Collective() to read it.
+	// Coll is the collective the program declares; empty means
+	// CollAlltoall (the version-1 reading), and the verifier refuses any
+	// other. Use Collective() to read it.
 	Coll Coll `json:"coll,omitempty"`
-	// Op is the reduction-operator label; required for (and only legal
-	// on) reduction collectives. The bundled generators emit OpAny.
-	Op string `json:"op,omitempty"`
 	// Scratch declares per-rank scratch spaces: Scratch[i] is the size in
 	// blocks of space SpaceScratch+i. Every rank gets its own copy.
 	Scratch []int `json:"scratch,omitempty"`
@@ -60,17 +58,11 @@ func (rp *RankProgram) Collective() Coll {
 }
 
 // SpaceSize returns the size in blocks of a buffer space id, or -1 for an
-// unknown space. Send and recv sizes depend on the collective: alltoall
-// and allreduce use Ranks blocks on both sides, reduce-scatter receives a
-// single block.
+// unknown space: Ranks blocks for the send and recv spaces, the declared
+// size for a scratch space.
 func (rp *RankProgram) SpaceSize(buf int) int {
 	switch buf {
-	case SpaceSend:
-		return rp.Ranks
-	case SpaceRecv:
-		if rp.Collective() == CollReduceScatter {
-			return 1
-		}
+	case SpaceSend, SpaceRecv:
 		return rp.Ranks
 	}
 	if i := buf - SpaceScratch; i >= 0 && i < len(rp.Scratch) {
@@ -141,11 +133,12 @@ func newDigester(hdr *RankProgram, rounds int) *digester {
 	d.num(hdr.Ranks)
 	d.num(hdr.Rank)
 	d.str(string(hdr.Coll))
-	d.str(hdr.Op)
-	// Two empty lists, where format 2 held the count row and column of
-	// the removed alltoallv collective: digests recorded before the
-	// removal, as in registry PROOF records, still name the same
-	// programs.
+	// An empty string, where format 2 held the removed reductions'
+	// operator label, and two empty lists, where it held the count row
+	// and column of the removed alltoallv collective: digests recorded
+	// before the removals, as in registry PROOF records, still name the
+	// same programs.
+	d.num(0)
 	d.num(0)
 	d.num(0)
 	d.num(len(hdr.Scratch))
@@ -181,14 +174,14 @@ func (d *digester) round(steps []Step) {
 	for i := range steps {
 		s := &steps[i]
 		kind := s.Kind.String()
-		d.room(len(kind) + len(s.Op) + 11*binary.MaxVarintLen64)
+		d.room(len(kind) + 11*binary.MaxVarintLen64)
 		b := binary.AppendVarint(d.b, int64(len(kind)))
 		b = append(b, kind...)
 		for _, v := range [...]int32{s.To, s.From, s.Src.Buf, s.Src.Off, s.Src.N, s.Dst.Buf, s.Dst.Off, s.Dst.N} {
 			b = binary.AppendVarint(b, int64(v))
 		}
-		b = binary.AppendVarint(b, int64(len(s.Op)))
-		d.b = append(b, s.Op...)
+		// The zero length of the removed operator label.
+		d.b = binary.AppendVarint(b, 0)
 	}
 }
 
@@ -297,14 +290,14 @@ func programSource(rp *RankProgram) *source {
 // O(p log p) for bruck, and O(blocks routed through the rank) for the
 // route-compiled families, never O(p^2).
 func GenerateRank(name string, p, rank int, m *topo.Mapping) (*RankProgram, error) {
-	e, err := generator(name, p)
+	gen, err := generator(name, p)
 	if err != nil {
 		return nil, err
 	}
 	if rank < 0 || rank >= p {
 		return nil, fmt.Errorf("sched: rank %d out of range 0..%d", rank, p-1)
 	}
-	src, err := e.rank(p, rank, m)
+	src, err := gen(p, rank, m)
 	if err != nil {
 		return nil, err
 	}

@@ -26,15 +26,20 @@ func gridMapping(t testing.TB, nodes, ppn int) *topo.Mapping {
 }
 
 // TestRankGeneratorsCoverRegistry pins every registry entry to a rank
-// compiler and a valid collective.
+// compiler whose programs declare the all-to-all collective.
 func TestRankGeneratorsCoverRegistry(t *testing.T) {
 	t.Parallel()
-	for name, e := range genRegistry {
-		if e.rank == nil {
+	for name, gen := range genRegistry {
+		if gen == nil {
 			t.Errorf("generator %q has no rank-sliced implementation", name)
+			continue
 		}
-		if !e.coll.valid() {
-			t.Errorf("generator %q declares invalid collective %q", name, e.coll)
+		src, err := gen(2, 0, nil)
+		if err != nil {
+			t.Fatalf("%s at 2 ranks: %v", name, err)
+		}
+		if coll := src.hdr.Collective(); coll != CollAlltoall {
+			t.Errorf("generator %q declares collective %q", name, coll)
 		}
 	}
 }
@@ -219,13 +224,6 @@ func TestWorldDriverRejections(t *testing.T) {
 		}},
 		{"ref-out-of-range", "pairwise", func(rps []*RankProgram) {
 			rps[0].Rounds[2][0].Src.Off = p
-		}},
-		{"reduce-step", "pairwise", func(rps []*RankProgram) {
-			rps[0].Rounds[0] = append(rps[0].Rounds[0], Step{Kind: Reduce, Src: sendRef(0, 1), Dst: scratchRef(0, 0, 1)})
-			rps[0].Scratch = []int{1}
-			for r := 1; r < p; r++ {
-				rps[r].Scratch = []int{1}
-			}
 		}},
 	}
 	for _, tc := range cases {

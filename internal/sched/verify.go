@@ -31,33 +31,26 @@ import (
 //     range, no writes into the user send buffer, at most one message
 //     per ordered rank pair per round (so per-round tags are
 //     unambiguous);
-//   - data races the executor's ordering cannot tolerate: no copy, send
-//     or reduce reads data received in the same round (received data
-//     lands at the round's wait), no two same-round writes to one slot,
-//     no copy or reduce overwriting a buffer an earlier send of the
-//     round is transmitting;
-//   - dataflow, by symbolic execution. An all-to-all slot holds which
-//     sender's block it has; every recv slot must be written exactly
-//     once and hold exactly its block. A reduction slot holds a partial:
-//     which result block it is for and which ranks have contributed. A Reduce step must combine partials of the same
-//     block with disjoint contributor sets, Step.Op must equal the
-//     schedule's label, and every recv slot must be written exactly once
-//     with the right block — complete, every rank's contribution
-//     entering once, wherever the contributors are known (the world
-//     driver knows them all).
+//   - data races the executor's ordering cannot tolerate: no copy or
+//     send reads data received in the same round (received data lands
+//     at the round's wait), no two same-round writes to one slot, no
+//     copy overwriting a buffer an earlier send of the round is
+//     transmitting;
+//   - dataflow, by symbolic execution: a slot holds which sender's block
+//     it has, and every recv slot must be written exactly once and hold
+//     exactly its block.
 //
 // The walker's state follows the steps: it holds a cell only for the
 // slots its program's steps have written or stamped so far, never sized
 // by declared scratch or rank counts, and never more than a budget
 // computed from the header before it walks (cellBudget). The proof is
 // per schedule, not per run: a verified schedule is correct for every
-// block size on every substrate (and, for reductions, every associative
-// commutative operator).
+// block size on every substrate.
 
 // VerifyWorld statically proves a world — every rank's program,
-// indexed by rank — implements its collective's semantics before it
-// ever runs: the world driver walks the programs' rounds in step, as
-// Prove walks a generator's.
+// indexed by rank — implements all-to-all semantics before it ever
+// runs: the world driver walks the programs' rounds in step, as Prove
+// walks a generator's.
 func VerifyWorld(world []*RankProgram) error {
 	if err := checkRanks(len(world)); err != nil {
 		return err
@@ -75,14 +68,14 @@ func VerifyWorld(world []*RankProgram) error {
 // GenerateRank compiles. A generator's refusal of the world is returned
 // as is, a verifier rejection as a failed static verification.
 func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
-	e, err := generator(name, p)
+	gen, err := generator(name, p)
 	if err != nil {
 		return nil, err
 	}
 	srcs := make([]*source, p)
 	digs := make([]*digester, p)
 	for r := range srcs {
-		if srcs[r], err = e.rank(p, r, m); err != nil {
+		if srcs[r], err = gen(p, r, m); err != nil {
 			return nil, err
 		}
 		digs[r] = newDigester(&srcs[r].hdr, srcs[r].rounds())
@@ -95,21 +88,6 @@ func Prove(name string, p int, m *topo.Mapping) ([][sha256.Size]byte, error) {
 		digests[r] = d.sum()
 	}
 	return digests, nil
-}
-
-// checkColl validates the collective and its operator label, for
-// schedules and rank programs alike.
-func checkColl(coll Coll, op string) error {
-	if !coll.valid() {
-		return fmt.Errorf("sched: unknown collective %q", coll)
-	}
-	if coll.reduction() != (op != "") {
-		if op == "" {
-			return fmt.Errorf("sched: %s schedule must declare its operator label", coll)
-		}
-		return fmt.Errorf("sched: operator label %q on a non-reduction %s schedule", op, coll)
-	}
-	return nil
 }
 
 // stepLoc names the step a verifier check concerns, for its error
@@ -169,18 +147,13 @@ func (l stepLoc) String() string {
 }
 
 // Slot values. A block read from rank s's send space at offset off is
-// seed(s, off): for all-to-all the block s sends to rank off, for the
-// reductions the partial of result block off holding only s's
-// contribution. A partial combining several contributions is
-// partial(block, set): its result block, below 2^30, and the id of its
-// contributor set in the verifier's set table.
+// seed(s, off): the block s sends to rank off.
 const (
 	undef   int64 = -1 // never written
 	unknown int64 = -2 // received by the lone walker: defined, identity unknown
 
-	offBits     = 46
-	offMask     = 1<<offBits - 1
-	partialBase = 1 << 62
+	offBits = 46
+	offMask = 1<<offBits - 1
 )
 
 // Address limits of the walker's packed slot keys and values: buffer ids
@@ -191,8 +164,6 @@ const (
 )
 
 func seed(s, off int) int64 { return int64(s)<<offBits | int64(off) }
-
-func partial(block, set int) int64 { return partialBase | int64(block)<<32 | int64(set) }
 
 // cell is the state of one slot a walker has written or stamped.
 type cell struct {
@@ -397,7 +368,7 @@ func (w *rankWalker) value(ref Ref, c *cell, k int) int64 {
 }
 
 // round walks steps, round ri of the program: it posts the round's
-// receives, walks copies, reduces and sends in step order, and leaves
+// receives, walks copies and sends in step order, and leaves
 // the round's messages in the verifier for its driver to pair and
 // deliver.
 func (w *rankWalker) round(ri int, steps []Step) error {
@@ -441,12 +412,12 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 		v.recvs = append(v.recvs, message{peer: from, ref: step.Dst})
 	}
 
-	// Pass 2: copies, reduces and sends in step order.
+	// Pass 2: copies and sends in step order.
 	for si := range steps {
 		step := &steps[si]
 		where := stepAt(ri, r, si, step.Kind)
 		switch step.Kind {
-		case Copy, Reduce:
+		case Copy:
 			if !w.inSpace(step.Src) {
 				return w.refError(step.Src, where.src())
 			}
@@ -461,19 +432,10 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 			}
 			// Overlapping ranges are rejected outright: the slot-by-slot
 			// model and the executor's memmove semantics (comm.CopyData)
-			// disagree on them, and for Reduce overlap would combine a
-			// partial into itself.
+			// disagree on them.
 			if step.Src.Buf == step.Dst.Buf &&
 				int(step.Src.Off) < int(step.Dst.Off)+int(step.Dst.N) && int(step.Dst.Off) < int(step.Src.Off)+int(step.Src.N) {
 				return fmt.Errorf("%s: src %v and dst %v overlap", where, step.Src, step.Dst)
-			}
-			if step.Kind == Reduce {
-				if !v.coll.reduction() {
-					return fmt.Errorf("%s: reduce step in a %s schedule", where, v.coll)
-				}
-				if step.Op != v.op {
-					return fmt.Errorf("%s: operator %q does not match the schedule's %q", where, step.Op, v.op)
-				}
 			}
 			for k := range int(step.Src.N) {
 				sc, dc := w.slot(step.Src, k, false), w.slot(step.Dst, k, false)
@@ -490,18 +452,8 @@ func (w *rankWalker) round(ri int, steps []Step) error {
 				if val == undef {
 					return fmt.Errorf("%s: reads undefined data at slot %d", where, int(step.Src.Off)+k)
 				}
-				if step.Kind == Reduce {
-					dval := w.value(step.Dst, dc, k)
-					if dval == undef {
-						return fmt.Errorf("%s: reduces into undefined data at slot %d", where, int(step.Dst.Off)+k)
-					}
-					var err error
-					if val, err = v.combine(val, dval, where); err != nil {
-						return err
-					}
-				}
 				if dc != nil && step.Dst.Buf != SpaceRecv {
-					v.set(dc, val) // a scratch overwrite: no recv accounting
+					dc.val = val // a scratch overwrite: no recv accounting
 				} else if err := w.write(step.Dst, k, dc, val, where); err != nil {
 					return err
 				}
@@ -576,46 +528,16 @@ func (w *rankWalker) write(ref Ref, k int, c *cell, val int64, where stepLoc) er
 			}
 		}
 	}
-	w.v.set(c, val)
+	c.val = val
 	return nil
 }
 
-// checkResult checks the known value val landing in recv slot x. An
-// all-to-all value is the block its sender addressed to the rank of its
-// send offset; slot x must hold the block rank x addressed here.
+// checkResult checks the known value val landing in recv slot x. A
+// value is the block its sender addressed to the rank of its send
+// offset; slot x must hold the block rank x addressed here.
 func (w *rankWalker) checkResult(x int, val int64, where stepLoc) error {
-	v := w.v
-	if !v.coll.reduction() {
-		if s, d := int(val>>offBits), int(val&offMask); s != x || d != w.rank {
-			return fmt.Errorf("%s: recv block %d of rank %d receives block (%d->%d), want block (%d->%d)", where, x, w.rank, s, d, x, w.rank)
-		}
-		return nil
-	}
-	want := w.rank // reduce-scatter: the single recv block is this rank's result
-	if v.coll == CollAllreduce {
-		want = x
-	}
-	if blk := v.block(val); blk != want {
-		return fmt.Errorf("%s: recv block %d of rank %d receives the result of block %d, want %d", where, x, w.rank, blk, want)
-	}
-	if !v.world {
-		return nil // the lone driver cannot know every contributor
-	}
-	if val >= partialBase && int(uint32(val)) == v.full {
-		return nil // a set already checked complete
-	}
-	for wi := 0; wi < v.words; wi++ {
-		full := ^uint64(0)
-		if n := v.p - wi*64; n < 64 {
-			full = 1<<n - 1
-		}
-		if m := v.maskWord(val, wi); m != full {
-			return fmt.Errorf("%s: recv block %d of rank %d misses the contribution of rank %d (incomplete reduction)",
-				where, x, w.rank, wi*64+bits.TrailingZeros64(^m&full))
-		}
-	}
-	if val >= partialBase {
-		v.full = int(uint32(val))
+	if s, d := int(val>>offBits), int(val&offMask); s != x || d != w.rank {
+		return fmt.Errorf("%s: recv block %d of rank %d receives block (%d->%d), want block (%d->%d)", where, x, w.rank, s, d, x, w.rank)
 	}
 	return nil
 }
@@ -629,152 +551,10 @@ func (w *rankWalker) final() error {
 			break
 		}
 	}
-	switch {
-	case x == w.recvSize:
+	if x == w.recvSize {
 		return nil
-	case w.v.coll.reduction():
-		return fmt.Errorf("sched: result block %d of rank %d never produced", x, w.rank)
 	}
 	return fmt.Errorf("sched: block (%d->%d) never delivered", x, w.rank)
-}
-
-// block is the result block a reduction value is a partial of.
-func (v *verifier) block(val int64) int {
-	if val >= partialBase {
-		return int(val >> 32 & (1<<30 - 1))
-	}
-	return int(val & offMask)
-}
-
-// maskWord is word wi of a reduction value's contributor set.
-func (v *verifier) maskWord(val int64, wi int) uint64 {
-	if val >= partialBase {
-		return v.sets[int(uint32(val))*v.words+wi]
-	}
-	if s := int(val >> offBits); s/64 == wi {
-		return 1 << (s % 64)
-	}
-	return 0
-}
-
-// combine forms the partial a Reduce step leaves at its destination:
-// both operands must be partials of the same result block with disjoint
-// contributor sets (a shared contributor would enter the sum twice). An
-// unknown operand leaves the known one's block and contributors.
-func (v *verifier) combine(src, dst int64, where stepLoc) (int64, error) {
-	switch {
-	case dst == unknown:
-		return src, nil
-	case src == unknown:
-		return dst, nil
-	}
-	if sb, db := v.block(src), v.block(dst); sb != db {
-		return 0, fmt.Errorf("%s: reduces a partial of block %d into a partial of block %d", where, sb, db)
-	}
-	a, b := setKey(src), setKey(dst)
-	if u := v.union; u.id >= 0 && u.a == a && u.b == b {
-		return partial(v.block(src), u.id), nil
-	}
-	set := v.setBuf[:0]
-	for wi := 0; wi < v.words; wi++ {
-		sm, dm := v.maskWord(src, wi), v.maskWord(dst, wi)
-		if sm&dm != 0 {
-			return 0, fmt.Errorf("%s: contribution of rank %d to block %d would enter twice (double contribution)",
-				where, wi*64+bits.TrailingZeros64(sm&dm), v.block(src))
-		}
-		set = append(set, sm|dm)
-	}
-	v.setBuf = set
-	v.union.a, v.union.b, v.union.id = a, b, v.intern(set)
-	return partial(v.block(src), v.union.id), nil
-}
-
-// setKey names a reduction value's contributor set: a partial's set id,
-// or -1-s for the lone contributor s of a seed.
-func setKey(val int64) int64 {
-	if val >= partialBase {
-		return int64(uint32(val))
-	}
-	return -1 - val>>offBits
-}
-
-// setWords is contributor set id's bitset.
-func (v *verifier) setWords(id int) []uint64 { return v.sets[id*v.words : (id+1)*v.words] }
-
-// hashWords hashes a contributor set for the set table's index.
-func hashWords(words []uint64) uint64 {
-	h := uint64(len(words))
-	for _, w := range words {
-		h = (h ^ w) * 0x9E3779B97F4A7C15
-		h ^= h >> 29
-	}
-	return h
-}
-
-// intern returns the id of the contributor set equal to words, adding
-// it to the set table if no cell holds it. Partials of different blocks
-// share their set, so the table holds the distinct live sets, not one
-// per partial.
-func (v *verifier) intern(words []uint64) int {
-	h := hashWords(words)
-	id, ok := v.setHead[h]
-	for ; ok; id, ok = v.setNext[id], v.setNext[id] >= 0 {
-		if slices.Equal(v.setWords(id), words) {
-			return id
-		}
-	}
-	if n := len(v.setFree); n > 0 {
-		id, v.setFree = v.setFree[n-1], v.setFree[:n-1]
-		copy(v.setWords(id), words)
-	} else {
-		id = len(v.setRefs)
-		v.sets = append(v.sets, words...)
-		v.setRefs = append(v.setRefs, 0)
-		v.setNext = append(v.setNext, 0)
-	}
-	v.setNext[id] = -1
-	if head, ok := v.setHead[h]; ok {
-		v.setNext[id] = head
-	}
-	v.setHead[h] = id
-	return id
-}
-
-// set stores val in cell c, counting the cells that hold each
-// contributor set: a set no cell holds any more leaves the table.
-func (v *verifier) set(c *cell, val int64) {
-	if val >= partialBase {
-		v.setRefs[uint32(val)]++
-	}
-	if old := c.val; old >= partialBase {
-		id := int(uint32(old))
-		if v.setRefs[id]--; v.setRefs[id] == 0 {
-			v.release(id)
-		}
-	}
-	c.val = val
-}
-
-// release unlinks set id from its hash chain and frees its id, which
-// the union and full memos may then no longer name.
-func (v *verifier) release(id int) {
-	v.union.id, v.full = -1, -1
-	h := hashWords(v.setWords(id))
-	if head := v.setHead[h]; head == id {
-		if next := v.setNext[id]; next >= 0 {
-			v.setHead[h] = next
-		} else {
-			delete(v.setHead, h)
-		}
-	} else {
-		for prev := head; ; prev = v.setNext[prev] {
-			if v.setNext[prev] == id {
-				v.setNext[prev] = v.setNext[id]
-				break
-			}
-		}
-	}
-	v.setFree = append(v.setFree, id)
 }
 
 // walkWorld is the world driver. srcs holds one source per rank,
@@ -784,7 +564,6 @@ func (v *verifier) release(id int) {
 func walkWorld(srcs []*source, fold func(r int, steps []Step)) error {
 	p := len(srcs)
 	v := newVerifier(p)
-	v.world = true
 	for r, src := range srcs {
 		if err := v.admit(&src.hdr, src.rounds(), r); err != nil {
 			return err

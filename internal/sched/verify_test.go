@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -111,13 +112,6 @@ func TestVerifyRejectsCorruption(t *testing.T) {
 				w[0].Rounds[0][0].Kind = Kind(200)
 			},
 			wantErr: "unknown step kind",
-		},
-		{
-			name: "reduce step in a routing schedule",
-			corrupt: func(w []*RankProgram) {
-				w[0].Rounds[0][0].Kind = Reduce
-			},
-			wantErr: "reduce step in a alltoall schedule",
 		},
 		{
 			name: "peer out of range",
@@ -489,28 +483,35 @@ func TestVerifyTorusAllocs(t *testing.T) {
 	}
 }
 
-// TestVerifyRejectsAlltoallv: artifacts of the removed alltoallv
-// collective, a world and a rank program, still decode, since decoding
-// drops the fields only alltoallv had; VerifyWorld, VerifyRank and
-// VerifyRank of every program of the world must each refuse the
-// collective by name.
+// TestVerifyRejectsAlltoallv: artifacts of the removed collectives, a
+// world and a rank program each, still decode, since decoding drops the
+// fields only those collectives had (alltoallv's counts, the
+// reductions' operator label); VerifyWorld, VerifyRank and VerifyRank
+// of every program of the world must each refuse the collective by
+// name.
 func TestVerifyRejectsAlltoallv(t *testing.T) {
 	t.Parallel()
-	const want = `sched: unknown collective "alltoallv"`
-	w, err := DecodeWorld(strings.NewReader(alltoallvWorldFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyWorld(w); err == nil || err.Error() != want {
-		t.Errorf("VerifyWorld = %v, want %s", err, want)
-	}
-	rp, err := DecodeRank(strings.NewReader(alltoallvRankFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rp := range append(w, rp) {
-		if err := VerifyRank(rp); err == nil || err.Error() != want {
-			t.Errorf("VerifyRank of rank %d = %v, want %s", rp.Rank, err, want)
+	for _, tc := range []struct{ coll, world, rank string }{
+		{"alltoallv", alltoallvWorldFile, alltoallvRankFile},
+		{"reduce-scatter", removedCollFile(pairwise2World, "reduce-scatter"), removedCollFile(pairwise2Rank0, "reduce-scatter")},
+		{"allreduce", removedCollFile(pairwise2World, "allreduce"), removedCollFile(pairwise2Rank0, "allreduce")},
+	} {
+		want := fmt.Sprintf("sched: unknown collective %q", tc.coll)
+		w, err := DecodeWorld(strings.NewReader(tc.world))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyWorld(w); err == nil || err.Error() != want {
+			t.Errorf("VerifyWorld = %v, want %s", err, want)
+		}
+		rp, err := DecodeRank(strings.NewReader(tc.rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rp := range append(w, rp) {
+			if err := VerifyRank(rp); err == nil || err.Error() != want {
+				t.Errorf("%s: VerifyRank of rank %d = %v, want %s", tc.coll, rp.Rank, err, want)
+			}
 		}
 	}
 }
@@ -521,7 +522,7 @@ func TestVerifyRejectsAlltoallv(t *testing.T) {
 func TestVerifyRankRejectsRankOutOfRange(t *testing.T) {
 	t.Parallel()
 	for _, rank := range []int{-1, 4} {
-		rp, err := GenerateRank("rs-ring", 4, 0, nil)
+		rp, err := GenerateRank("ring", 4, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

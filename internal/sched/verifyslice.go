@@ -14,8 +14,8 @@ import (
 // blocks), and — because a rank's recv buffer is written only by its
 // own steps — the exactly-once delivery accounting over every recv
 // slot. What it cannot see is the other ranks: whether every message is
-// matched, which block a receive brings, whether a wire-carried partial
-// is complete. Those are the world driver's (Prove, VerifyWorld).
+// matched and which block a receive brings. Those are the world
+// driver's (Prove, VerifyWorld).
 
 // VerifyRank runs every local check on one rank's program: the check of
 // a lone artifact, such as a fetched or sliced rank program. The world
@@ -55,15 +55,12 @@ func VerifyWorldSliced(name string, p int, m *topo.Mapping) error {
 
 // verifier is the state the drivers share across one world's rank
 // walkers: the header every program must repeat, the per-visit
-// peer-dedup stamps, the current rank's messages, the world driver's
-// pending message halves and the reduction contributor-set table.
+// peer-dedup stamps, the current rank's messages and the world driver's
+// pending message halves.
 type verifier struct {
 	p       int
-	world   bool // the world driver: every walker of the world, in ws
-	ws      []rankWalker
+	ws      []rankWalker // the world driver's walkers, by rank
 	name    string
-	coll    Coll
-	op      string
 	rounds  int
 	scratch []int
 	// fromAt/toAt hold the visit (one rank's round) that last received
@@ -75,32 +72,10 @@ type verifier struct {
 	sends, recvs []message
 	pend         [][]message
 	next         []int
-	// The set table: contributor set id is the bitset
-	// sets[id*words:(id+1)*words] over the world's ranks, held by
-	// setRefs[id] cells. setHead indexes the sets by hashWords, chaining
-	// ids of one hash through setNext (-1 ends a chain); setFree lists
-	// the ids no cell holds; setBuf is combine's scratch. union memoizes
-	// combine's last union: the setKeys of its operands and the id of
-	// their union. full is the id of the all-ranks set once a result was
-	// checked complete. Both are -1 when unset.
-	sets    []uint64
-	setRefs []int
-	setHead map[uint64]int
-	setNext []int
-	setFree []int
-	setBuf  []uint64
-	union   struct {
-		a, b int64
-		id   int
-	}
-	full  int
-	words int
 }
 
 func newVerifier(p int) *verifier {
-	v := &verifier{p: p, fromAt: make([]int, p), toAt: make([]int, p), setHead: make(map[uint64]int), full: -1, words: (p + 63) / 64}
-	v.union.id = -1
-	return v
+	return &verifier{p: p, fromAt: make([]int, p), toAt: make([]int, p)}
 }
 
 // admit checks the header of the program of rank r, which has the given
@@ -123,21 +98,15 @@ func (v *verifier) admit(hdr *RankProgram, rounds, r int) error {
 			return fmt.Errorf("sched: scratch space %d has non-positive size %d", i, sz)
 		}
 	}
-	if err := checkColl(hdr.Collective(), hdr.Op); err != nil {
-		return err
+	if coll := hdr.Collective(); coll != CollAlltoall {
+		return fmt.Errorf("sched: unknown collective %q", coll)
 	}
 	if v.rounds == 0 { // the first program: every later one must repeat its header
-		v.name, v.coll, v.op, v.rounds, v.scratch = hdr.Name, hdr.Collective(), hdr.Op, rounds, hdr.Scratch
+		v.name, v.rounds, v.scratch = hdr.Name, rounds, hdr.Scratch
 		return nil
 	}
 	if hdr.Name != v.name {
 		return fmt.Errorf("sched: rank %d program is %q, the world's is %q", r, hdr.Name, v.name)
-	}
-	if hdr.Collective() != v.coll {
-		return fmt.Errorf("sched: rank %d program is a %s, the world's is a %s", r, hdr.Collective(), v.coll)
-	}
-	if hdr.Op != v.op {
-		return fmt.Errorf("sched: rank %d program declares operator %q, the world's is %q", r, hdr.Op, v.op)
 	}
 	if rounds != v.rounds {
 		return fmt.Errorf("sched: rank %d program has %d rounds, the world's has %d", r, rounds, v.rounds)

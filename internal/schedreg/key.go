@@ -26,6 +26,7 @@ package schedreg
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"alltoallx/internal/sched"
 	"alltoallx/internal/topo"
@@ -100,7 +101,7 @@ func (k Key) Mapping() (*topo.Mapping, error) {
 // a world no generator can have. Only a known generator's name passes,
 // which also keeps the directory component under keys/ path-safe.
 func (k Key) validate() error {
-	if _, ok := sched.GeneratorColl(k.Gen); !ok {
+	if !slices.Contains(sched.Generators(), k.Gen) {
 		return fmt.Errorf("schedreg: unknown generator %q", k.Gen)
 	}
 	if k.Ranks < 2 || k.Ranks > sched.MaxRanks {

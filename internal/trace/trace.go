@@ -20,7 +20,6 @@ const (
 	PhaseInter   Phase = "inter"   // inter-node (or inter-region) all-to-all
 	PhaseIntra   Phase = "intra"   // intra-node (or intra-region) all-to-all
 	PhaseRepack  Phase = "repack"  // data repacking between stages
-	PhaseReduce  Phase = "reduce"  // operator application in reduction schedules
 	PhaseTotal   Phase = "total"   // whole collective
 )
 
