@@ -38,6 +38,7 @@
 //
 //	New(name, c, maxBlock, o)        -> Alltoaller      (fixed-size all-to-all)
 //	NewV(name, c, maxTotal, o)       -> Alltoallver     (MPI_Alltoallv)
+//	NewAllgather(name, c, o)         -> Allgatherer
 //
 // Both all-to-all registries include a "tuned" meta-algorithm driven by a
 // persisted autotune table (cmd/a2atune -op alltoall|alltoallv); one

@@ -1,6 +1,7 @@
 package alltoallx_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -42,6 +43,89 @@ func TestPublicAlltoallv(t *testing.T) {
 						return fmt.Errorf("%s: rank %d from %d byte %d: got %d want %d", name, r, i, k, got, want)
 					}
 				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPublicNodeAwareCollectives(t *testing.T) {
+	t.Parallel()
+	spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
+	mapping, err := alltoallx.NewMapping(spec, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mapping.Size()
+	err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
+		na, err := alltoallx.NewNodeAwareCollectives(c)
+		if err != nil {
+			return err
+		}
+		// Allgather.
+		const block = 4
+		send := alltoallx.Alloc(block)
+		for i := range send.Bytes() {
+			send.Bytes()[i] = byte(c.Rank())
+		}
+		recv := alltoallx.Alloc(p * block)
+		if err := na.Allgather(send, recv, block); err != nil {
+			return err
+		}
+		for r := 0; r < p; r++ {
+			if recv.Bytes()[r*block] != byte(r) {
+				return fmt.Errorf("allgather block %d wrong", r)
+			}
+		}
+		// Bcast.
+		b := alltoallx.Alloc(8)
+		if c.Rank() == 3 {
+			copy(b.Bytes(), []byte("broadcst"))
+		}
+		if err := na.Bcast(3, b); err != nil {
+			return err
+		}
+		if string(b.Bytes()) != "broadcst" {
+			return fmt.Errorf("bcast payload %q", b.Bytes())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPublicFlatCollectives(t *testing.T) {
+	t.Parallel()
+	const n = 7
+	err := alltoallx.RunLive(alltoallx.LiveConfig{Ranks: n}, func(c alltoallx.Comm) error {
+		const block = 8
+		send := alltoallx.Alloc(block)
+		binary.LittleEndian.PutUint64(send.Bytes(), uint64(int64(c.Rank()*10)))
+		ring, err := alltoallx.NewAllgather("ring", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
+		recv := alltoallx.Alloc(n * block)
+		if err := ring.Allgather(send, recv, block); err != nil {
+			return err
+		}
+		bruck, err := alltoallx.NewAllgather("bruck", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
+		recv2 := alltoallx.Alloc(n * block)
+		if err := bruck.Allgather(send, recv2, block); err != nil {
+			return err
+		}
+		for r := 0; r < n; r++ {
+			a := int64(binary.LittleEndian.Uint64(recv.Bytes()[r*block:]))
+			b := int64(binary.LittleEndian.Uint64(recv2.Bytes()[r*block:]))
+			if a != int64(r*10) || b != a {
+				return fmt.Errorf("allgather mismatch at %d: ring %d bruck %d", r, a, b)
 			}
 		}
 		return nil
@@ -125,5 +209,46 @@ func TestPublicNewV(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestPublicCollectiveRegistries exercises the allgather registry
+// constructor through the facade.
+func TestPublicCollectiveRegistries(t *testing.T) {
+	t.Parallel()
+	spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
+	mapping, err := alltoallx.NewMapping(spec, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mapping.Size()
+	if got := alltoallx.AllgatherAlgorithms(); len(got) < 3 {
+		t.Fatalf("allgather registry too small: %v", got)
+	}
+	err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
+		r := c.Rank()
+		const block = 8
+		ag, err := alltoallx.NewAllgather("node-aware", c, alltoallx.Options{})
+		if err != nil {
+			return err
+		}
+		send := alltoallx.Alloc(block)
+		recv := alltoallx.Alloc(p * block)
+		for i := range send.Bytes() {
+			send.Bytes()[i] = byte(r)
+		}
+		if err := ag.Allgather(send, recv, block); err != nil {
+			return err
+		}
+		for s := 0; s < p; s++ {
+			if got := recv.Bytes()[s*block]; got != byte(s) {
+				return fmt.Errorf("allgather block %d: got %d", s, got)
+			}
+		}
+
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -65,110 +65,13 @@ func TestAllgatherRegistry(t *testing.T) {
 	}
 }
 
-// TestAllreduceRegistry verifies every registered allreduce sums int64
-// payloads correctly through a persistent instance. The element count
-// matches the world size so the buffer splits into whole int64 blocks —
-// the schedule-backed variants distribute the buffer as p rank blocks
-// and need the element boundaries to survive the split.
-func TestAllreduceRegistry(t *testing.T) {
-	t.Parallel()
-	m := registryMapping(t)
-	const elems = 16
-	for _, name := range AllreduceNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			err := runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
-				p, r := c.Size(), c.Rank()
-				a, err := NewAllreduce(name, c, core.Options{})
-				if err != nil {
-					return err
-				}
-				buf := comm.Alloc(elems * 8)
-				for iter := 0; iter < 2; iter++ {
-					for e := 0; e < elems; e++ {
-						putLeU64(buf.Bytes()[e*8:], uint64(int64(r+e+iter)))
-					}
-					if err := a.Allreduce(buf, SumInt64); err != nil {
-						return fmt.Errorf("iter %d: %w", iter, err)
-					}
-					for e := 0; e < elems; e++ {
-						want := int64(0)
-						for s := 0; s < p; s++ {
-							want += int64(s + e + iter)
-						}
-						if got := int64(leU64(buf.Bytes()[e*8:])); got != want {
-							return fmt.Errorf("iter %d elem %d: got %d, want %d", iter, e, got, want)
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestReduceScatterRegistry verifies every registered reduce-scatter
-// through a persistent instance.
-func TestReduceScatterRegistry(t *testing.T) {
-	t.Parallel()
-	m := registryMapping(t)
-	const elems = 3
-	block := elems * 8
-	for _, name := range ReduceScatterNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			err := runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
-				p, r := c.Size(), c.Rank()
-				a, err := NewReduceScatter(name, c, core.Options{})
-				if err != nil {
-					return err
-				}
-				send := comm.Alloc(p * block)
-				recv := comm.Alloc(block)
-				for d := 0; d < p; d++ {
-					for e := 0; e < elems; e++ {
-						putLeU64(send.Bytes()[d*block+e*8:], uint64(int64(r*31+d*7+e)))
-					}
-				}
-				if err := a.ReduceScatter(send, recv, block, SumInt64); err != nil {
-					return err
-				}
-				for e := 0; e < elems; e++ {
-					want := int64(0)
-					for s := 0; s < p; s++ {
-						want += int64(s*31 + r*7 + e)
-					}
-					if got := int64(leU64(recv.Bytes()[e*8:])); got != want {
-						return fmt.Errorf("elem %d: got %d, want %d", e, got, want)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestRegistryUnknownNames: constructors reject unknown names and list
-// the registry contents.
+// TestRegistryUnknownNames: the constructor rejects unknown names and
+// lists the registry contents.
 func TestRegistryUnknownNames(t *testing.T) {
 	t.Parallel()
 	err := runtime.Run(runtime.Config{Ranks: 2}, func(c comm.Comm) error {
 		if _, err := NewAllgather("no-such", c, core.Options{}); err == nil {
 			return fmt.Errorf("unknown allgather accepted")
-		}
-		if _, err := NewAllreduce("no-such", c, core.Options{}); err == nil {
-			return fmt.Errorf("unknown allreduce accepted")
-		}
-		if _, err := NewReduceScatter("no-such", c, core.Options{}); err == nil {
-			return fmt.Errorf("unknown reduce-scatter accepted")
 		}
 		return nil
 	})

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the request layer of the persistent-operation API: every
-// operation (Alltoaller and Alltoallver) exposes Start, which launches
-// the exchange off the caller's critical path and returns a Handle. The
-// blocking methods are Start+Wait shims, so the two forms are always
-// equivalent.
+// operation (Alltoaller, Alltoallver, and the collx allgather built on
+// the same machinery) exposes Start, which launches the exchange off the
+// caller's critical path and returns a Handle. The blocking methods are
+// Start+Wait shims, so the two forms are always equivalent.
 //
 // The substrate decides what "off the critical path" means through the
 // optional comm.AsyncStarter capability: the live runtime spawns a driver
