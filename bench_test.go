@@ -109,16 +109,29 @@ func BenchmarkSimPoint(b *testing.B) {
 }
 
 // BenchmarkLiveAlltoall measures real wall-clock all-to-all exchanges on
-// the in-process runtime (32 goroutine ranks, 256 B blocks).
+// the in-process runtime (32 goroutine ranks, 256 B blocks). Node-aware
+// and locality-aware also run 16 KiB blocks ("-16KiB"), which go by
+// rendezvous above the 8 KiB eager limit and make their repacks show.
 func BenchmarkLiveAlltoall(b *testing.B) {
+	type liveCase struct {
+		name, algo string
+		block      int
+	}
+	var cases []liveCase
 	for _, algo := range []string{"pairwise", "nonblocking", "batched", "bruck", "hierarchical", "node-aware", "locality-aware", "multileader-node-aware"} {
-		b.Run(algo, func(b *testing.B) {
+		cases = append(cases, liveCase{algo, algo, 256})
+	}
+	cases = append(cases,
+		liveCase{"node-aware-16KiB", "node-aware", 16 << 10},
+		liveCase{"locality-aware-16KiB", "locality-aware", 16 << 10})
+	for _, tc := range cases {
+		algo, block := tc.algo, tc.block
+		b.Run(tc.name, func(b *testing.B) {
 			spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
 			mapping, err := alltoallx.NewMapping(spec, 4, 8)
 			if err != nil {
 				b.Fatal(err)
 			}
-			const block = 256
 			b.ResetTimer()
 			err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
 				a, err := alltoallx.New(algo, c, block, alltoallx.Options{PPL: 4, PPG: 4})

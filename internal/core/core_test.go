@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -235,6 +239,68 @@ func TestAlltoallVirtualRuns(t *testing.T) {
 					realStats.Events, realStats.Messages, virtStats.Events, virtStats.Messages)
 			}
 		})
+	}
+}
+
+// TestNodeAwareModeledGolden pins the modeled time of node-aware and
+// locality-aware (PPG 2) with each inner exchange on
+// TestAlltoallVirtualRuns's world with real 64 B blocks: every rank's end
+// time and rank 0's phases, at full precision
+// (testdata/nodeaware_modeled.golden, no -update: a data-movement change
+// must not move the model, and a model change pastes the printed lines
+// over the file and says why in CHANGES.md).
+func TestNodeAwareModeledGolden(t *testing.T) {
+	t.Parallel()
+	model := netmodel.Dane()
+	model.Node = tinyNode()
+	var got bytes.Buffer
+	for _, algo := range []string{"node-aware", "locality-aware"} {
+		for _, inner := range []Inner{InnerPairwise, InnerNonblocking, InnerBruck} {
+			const block = 64
+			cfg := sim.ClusterConfig{Model: model, Nodes: 3, PPN: 4, Seed: 7}
+			ends := make([]float64, cfg.Nodes*cfg.PPN)
+			var phases map[trace.Phase]float64
+			_, err := sim.RunCluster(cfg, func(c comm.Comm) error {
+				a, err := New(algo, c, block, Options{PPG: 2, Inner: inner})
+				if err != nil {
+					return err
+				}
+				p, rank := c.Size(), c.Rank()
+				send, recv := comm.Alloc(p*block), comm.Alloc(p*block)
+				testutil.FillAlltoall(send, rank, p, block)
+				if err := a.Alltoall(send, recv, block); err != nil {
+					return err
+				}
+				ends[rank] = c.Now()
+				if rank == 0 {
+					phases = a.Phases()
+				}
+				return testutil.CheckAlltoall(recv, rank, p, block)
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", algo, inner, err)
+			}
+			fmt.Fprintf(&got, "%s/%s\n", algo, inner)
+			for r, end := range ends {
+				fmt.Fprintf(&got, "end %d %.17g\n", r, end)
+			}
+			names := make([]string, 0, len(phases))
+			for ph := range phases {
+				names = append(names, string(ph))
+			}
+			sort.Strings(names)
+			for _, ph := range names {
+				fmt.Fprintf(&got, "phase %s %.17g\n", ph, phases[trace.Phase(ph)])
+			}
+		}
+	}
+	path := filepath.Join("testdata", "nodeaware_modeled.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("%s: modeled time changed:\n%s", path, got.Bytes())
 	}
 }
 
