@@ -4,8 +4,9 @@
 // Every BenchmarkFigNN runs one representative configuration of that
 // figure's experiment through the discrete-event simulator and reports the
 // simulated collective time as "sim-sec/op" (the figures' y-axis). Full
-// sweeps at paper scale are produced by cmd/alltoallbench -scale full; see
-// EXPERIMENTS.md for the recorded results.
+// sweeps at paper scale are produced by cmd/alltoallbench -scale full, as
+// README's "Reproducing the paper" shows; no full-scale results are kept
+// in the repository.
 package alltoallx_test
 
 import (
@@ -113,53 +114,70 @@ func BenchmarkSimPoint(b *testing.B) {
 // and locality-aware also run 16 KiB blocks ("-16KiB"), which go by
 // rendezvous above the 8 KiB eager limit and make their repacks show.
 func BenchmarkLiveAlltoall(b *testing.B) {
-	type liveCase struct {
-		name, algo string
-		block      int
-	}
-	var cases []liveCase
 	for _, algo := range []string{"pairwise", "nonblocking", "batched", "bruck", "hierarchical", "node-aware", "locality-aware", "multileader-node-aware"} {
-		cases = append(cases, liveCase{algo, algo, 256})
+		b.Run(algo, func(b *testing.B) { liveAlltoall(b, algo, 256) })
 	}
-	cases = append(cases,
-		liveCase{"node-aware-16KiB", "node-aware", 16 << 10},
-		liveCase{"locality-aware-16KiB", "locality-aware", 16 << 10})
-	for _, tc := range cases {
-		algo, block := tc.algo, tc.block
-		b.Run(tc.name, func(b *testing.B) {
-			spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
-			mapping, err := alltoallx.NewMapping(spec, 4, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
-				a, err := alltoallx.New(algo, c, block, alltoallx.Options{PPL: 4, PPG: 4})
-				if err != nil {
-					return err
-				}
-				p := c.Size()
-				send := alltoallx.Alloc(p * block)
-				recv := alltoallx.Alloc(p * block)
-				testutil.FillAlltoall(send, c.Rank(), p, block)
-				for i := 0; i < b.N; i++ {
-					if err := a.Alltoall(send, recv, block); err != nil {
-						return err
-					}
-				}
-				return testutil.CheckAlltoall(recv, c.Rank(), p, block)
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(mapping.Size() * block))
-		})
+	for _, algo := range []string{"node-aware", "locality-aware"} {
+		b.Run(algo+"-16KiB", func(b *testing.B) { liveAlltoall(b, algo, 16<<10) })
 	}
 }
 
-// ablationPoint measures node-aware at 4096 B under a mutated machine
-// model, reporting simulated seconds — the design-choice ablations called
-// out in DESIGN.md.
+// liveAlltoall times b.N exchanges alone: rank 0 resets the timer once
+// every rank has built its operation and buffers and run one untimed
+// exchange (which builds its staging), and stops it once every rank has
+// finished, so ns/op and B/op do not depend on -benchtime.
+func liveAlltoall(b *testing.B, algo string, block int) {
+	spec := alltoallx.NodeSpec{Sockets: 2, NumaPerSocket: 2, CoresPerNuma: 2}
+	mapping, err := alltoallx.NewMapping(spec, 4, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = alltoallx.RunLive(alltoallx.LiveConfig{Mapping: mapping}, func(c alltoallx.Comm) error {
+		a, err := alltoallx.New(algo, c, block, alltoallx.Options{PPL: 4, PPG: 4})
+		if err != nil {
+			return err
+		}
+		p := c.Size()
+		send := alltoallx.Alloc(p * block)
+		recv := alltoallx.Alloc(p * block)
+		testutil.FillAlltoall(send, c.Rank(), p, block)
+		if err := a.Alltoall(send, recv, block); err != nil {
+			return err
+		}
+		if err := timerBarrier(c, b.ResetTimer); err != nil {
+			return err
+		}
+		for i := 0; i < b.N; i++ {
+			if err := a.Alltoall(send, recv, block); err != nil {
+				return err
+			}
+		}
+		if err := timerBarrier(c, b.StopTimer); err != nil {
+			return err
+		}
+		return testutil.CheckAlltoall(recv, c.Rank(), p, block)
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(mapping.Size() * block))
+}
+
+// timerBarrier runs timer on rank 0 between two barriers, so no rank
+// passes it before every rank has reached it and the timer has run.
+func timerBarrier(c alltoallx.Comm, timer func()) error {
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	if c.Rank() == 0 {
+		timer()
+	}
+	return c.Barrier()
+}
+
+// ablationPoint measures an algorithm at 4096 B under a mutated machine
+// model, reporting simulated seconds: each ablation switches off one of
+// the effects internal/netmodel's package comment lists.
 func ablationPoint(b *testing.B, algo string, opts core.Options, mutate func(*netmodel.Params)) {
 	b.Helper()
 	m := netmodel.Dane()

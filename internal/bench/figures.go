@@ -67,8 +67,9 @@ type Experiment struct {
 	Block int
 	// Series are the plotted lines/bars.
 	Series []Series
-	// Expectation states the qualitative shape the paper reports, the
-	// criterion EXPERIMENTS.md checks against.
+	// Expectation states the qualitative shape the paper reports. It is
+	// printed in the table header ("paper shape:"), not evaluated: no
+	// check compares a run against it.
 	Expectation string
 }
 

@@ -125,9 +125,10 @@ type Alltoaller interface {
 	// and returns its handle, so communication can overlap computation
 	// (real overlap on the live runtime, modeled overlap with
 	// comm.Compute in the simulator). The buffers belong to the exchange
-	// until the handle completes, and recv is its scratch until then:
-	// an algorithm may stage intermediate blocks there, so after a
-	// failed exchange recv's contents are unspecified.
+	// until the handle completes. It only reads send, but may read it at
+	// any point until then. recv is its scratch until then: an algorithm
+	// may stage intermediate blocks there, so after a failed exchange
+	// recv's contents are unspecified.
 	Start(send, recv comm.Buffer, block int) (Handle, error)
 	// Phases returns this rank's per-phase timings for the last
 	// completed exchange (empty for algorithms without internal phases).

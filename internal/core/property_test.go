@@ -44,13 +44,18 @@ func TestAlgorithmsAgreeProperty(t *testing.T) {
 				copy(want[r][s*block:(s+1)*block], inputs[s][r*block:(r+1)*block])
 			}
 		}
-		for _, algo := range []string{
-			"pairwise", "nonblocking", "batched", "bruck",
-			"hierarchical", "multileader", "node-aware", "locality-aware", "multileader-node-aware",
+		for _, tc := range []struct {
+			algo  string
+			inner Inner
+		}{
+			{"pairwise", ""}, {"nonblocking", ""}, {"batched", ""}, {"bruck", ""},
+			{"hierarchical", ""}, {"multileader", ""}, {"node-aware", ""}, {"locality-aware", ""},
+			{"multileader-node-aware", ""},
+			{"node-aware", InnerBruck}, {"locality-aware", InnerNonblocking},
 		} {
 			ok := true
 			err := runtime.Run(runtime.Config{Mapping: m}, func(c comm.Comm) error {
-				a, err := New(algo, c, block, Options{PPL: q, PPG: q, BatchWindow: 3})
+				a, err := New(tc.algo, c, block, Options{PPL: q, PPG: q, BatchWindow: 3, Inner: tc.inner})
 				if err != nil {
 					return err
 				}
@@ -60,13 +65,15 @@ func TestAlgorithmsAgreeProperty(t *testing.T) {
 				if err := a.Alltoall(send, recv, block); err != nil {
 					return err
 				}
-				if !bytes.Equal(recv.Bytes(), want[c.Rank()]) {
+				// The exchange only reads send: node-aware's inter
+				// exchange sends straight from it.
+				if !bytes.Equal(recv.Bytes(), want[c.Rank()]) || !bytes.Equal(send.Bytes(), inputs[c.Rank()]) {
 					ok = false
 				}
 				return nil
 			})
 			if err != nil || !ok {
-				t.Logf("algo=%s nodes=%d block=%d q=%d seed=%d: err=%v ok=%v", algo, nodes, block, q, seed, err, ok)
+				t.Logf("algo=%s inner=%q nodes=%d block=%d q=%d seed=%d: err=%v ok=%v", tc.algo, tc.inner, nodes, block, q, seed, err, ok)
 				return false
 			}
 		}

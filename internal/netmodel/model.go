@@ -18,9 +18,11 @@
 //   - lognormal noise and rare OS-noise spikes — why the paper reports the
 //     minimum of three runs and observes nonblocking variability.
 //
-// Absolute simulated seconds are synthetic; the model is calibrated so that
-// algorithm rankings, crossover message sizes, and scaling shapes match the
-// paper's figures (see EXPERIMENTS.md).
+// Absolute simulated seconds are synthetic; the model is calibrated toward
+// the paper's algorithm rankings, crossover message sizes and scaling
+// shapes. Each experiment in internal/bench states the paper's shape in its
+// Expectation string, which is printed, not evaluated; README's
+// "Reproducing the paper" shows how to run them.
 package netmodel
 
 import (
