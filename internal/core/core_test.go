@@ -242,10 +242,11 @@ func TestAlltoallVirtualRuns(t *testing.T) {
 	}
 }
 
-// TestNodeAwareModeledGolden pins the modeled time of node-aware and
-// locality-aware (PPG 2) with each inner exchange on
-// TestAlltoallVirtualRuns's world with real 64 B blocks: every rank's end
-// time and rank 0's phases, at full precision
+// TestNodeAwareModeledGolden pins the modeled time of the paper's leader
+// algorithms (node-aware, locality-aware with PPG 2, hierarchical,
+// multileader and multileader-node-aware with PPL 2) with each inner
+// exchange on TestAlltoallVirtualRuns's world with real 64 B blocks: every
+// rank's end time and rank 0's phases, at full precision
 // (testdata/nodeaware_modeled.golden, no -update: a data-movement change
 // must not move the model, and a model change pastes the printed lines
 // over the file and says why in CHANGES.md).
@@ -254,14 +255,14 @@ func TestNodeAwareModeledGolden(t *testing.T) {
 	model := netmodel.Dane()
 	model.Node = tinyNode()
 	var got bytes.Buffer
-	for _, algo := range []string{"node-aware", "locality-aware"} {
+	for _, algo := range []string{"node-aware", "locality-aware", "hierarchical", "multileader", "multileader-node-aware"} {
 		for _, inner := range []Inner{InnerPairwise, InnerNonblocking, InnerBruck} {
 			const block = 64
 			cfg := sim.ClusterConfig{Model: model, Nodes: 3, PPN: 4, Seed: 7}
 			ends := make([]float64, cfg.Nodes*cfg.PPN)
 			var phases map[trace.Phase]float64
 			_, err := sim.RunCluster(cfg, func(c comm.Comm) error {
-				a, err := New(algo, c, block, Options{PPG: 2, Inner: inner})
+				a, err := New(algo, c, block, Options{PPG: 2, PPL: 2, Inner: inner})
 				if err != nil {
 					return err
 				}
