@@ -1,8 +1,8 @@
 // Package coll provides the collective building blocks the paper's
 // Algorithms 3 and 5 are assembled from: a linear gather and scatter, in
-// which every rank exchanges directly with the root, and a binomial-tree
-// broadcast. All operations are written against comm.Comm, so they run on
-// both the live runtime and the simulator.
+// which every rank exchanges directly with the root. Both are written
+// against comm.Comm, so they run on both the live runtime and the
+// simulator.
 //
 // Layout convention (matching MPI): Gather concatenates contributions in
 // rank order into the root's receive buffer; Scatter distributes the root's
@@ -80,41 +80,4 @@ func Scatter(c comm.Comm, root int, send, recv comm.Buffer, tag int) error {
 		return err
 	}
 	return c.WaitAll(reqs)
-}
-
-// Bcast broadcasts the root's buffer to all ranks along a binomial tree.
-func Bcast(c comm.Comm, root int, b comm.Buffer, tag int) error {
-	n, rank := c.Size(), c.Rank()
-	if err := comm.CheckPeer(root, n); err != nil {
-		return err
-	}
-	rel := (rank - root + n) % n
-	myMask := 0
-	if rel != 0 {
-		for mask := 1; ; mask <<= 1 {
-			if rel&mask != 0 {
-				myMask = mask
-				break
-			}
-		}
-		parent := (rel - myMask + root) % n
-		if err := c.Recv(b, parent, tag); err != nil {
-			return err
-		}
-	} else {
-		myMask = 1
-		for myMask < n {
-			myMask <<= 1
-		}
-	}
-	for mask := myMask >> 1; mask >= 1; mask >>= 1 {
-		childRel := rel + mask
-		if childRel >= n {
-			continue
-		}
-		if err := c.Send(b, (childRel+root)%n, tag); err != nil {
-			return err
-		}
-	}
-	return nil
 }

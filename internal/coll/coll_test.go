@@ -143,33 +143,6 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{1, 2, 5, 9, 16} {
-		for _, root := range []int{0, n - 1} {
-			n, root := n, root
-			t.Run(fmt.Sprintf("n%d/root%d", n, root), func(t *testing.T) {
-				t.Parallel()
-				runWorld(t, n, func(c comm.Comm) error {
-					b := comm.Alloc(16)
-					if c.Rank() == root {
-						fillRank(b, root)
-					}
-					if err := Bcast(c, root, b, 30); err != nil {
-						return err
-					}
-					for i := range b.Bytes() {
-						if b.Bytes()[i] != wantRank(root, i) {
-							return fmt.Errorf("rank %d byte %d = %d", c.Rank(), i, b.Bytes()[i])
-						}
-					}
-					return nil
-				})
-			})
-		}
-	}
-}
-
 func TestGatherErrors(t *testing.T) {
 	t.Parallel()
 	runWorld(t, 2, func(c comm.Comm) error {

@@ -18,13 +18,9 @@ import (
 	"alltoallx/internal/topo"
 )
 
-// Common errors returned by substrates.
-var (
-	// ErrTruncate reports a receive buffer smaller than the matched message.
-	ErrTruncate = errors.New("comm: receive buffer shorter than message")
-	// ErrClosed reports use of a communicator whose world has shut down.
-	ErrClosed = errors.New("comm: communicator closed")
-)
+// ErrTruncate is returned by substrates for a receive buffer smaller than
+// the matched message.
+var ErrTruncate = errors.New("comm: receive buffer shorter than message")
 
 // Request is an in-flight nonblocking operation. It is completed by
 // Comm.Wait or Comm.WaitAll on the communicator that created it.

@@ -100,7 +100,7 @@ type basicV struct {
 	c        comm.Comm
 	maxTotal int
 	rec      *trace.Recorder
-	st       OpState
+	st       opState
 	run      func(c comm.Comm, send comm.Buffer, sendCounts, sdispls []int,
 		recv comm.Buffer, recvCounts, rdispls []int) error
 }

@@ -13,7 +13,7 @@ type basic struct {
 	c        comm.Comm
 	maxBlock int
 	rec      *trace.Recorder
-	st       OpState
+	st       opState
 	run      func(c comm.Comm, send, recv comm.Buffer, block int) error
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the request layer of the persistent-operation API: every
-// operation (Alltoaller, Alltoallver, and the collx allgather built on
-// the same machinery) exposes Start, which launches the exchange off the
-// caller's critical path and returns a Handle. The blocking methods are
-// Start+Wait shims, so the two forms are always equivalent.
+// operation (Alltoaller and Alltoallver) exposes Start, which launches the
+// exchange off the caller's critical path and returns a Handle. The
+// blocking methods are Start+Wait shims, so the two forms are always
+// equivalent.
 //
 // The substrate decides what "off the critical path" means through the
 // optional comm.AsyncStarter capability: the live runtime spawns a driver
@@ -59,7 +59,7 @@ func WaitAll(hs []Handle) error {
 // requests (and protecting the staging buffers an exchange reuses).
 var ErrPending = errors.New("operation has an outstanding handle")
 
-// OpState is the nonblocking bookkeeping embedded in every persistent
+// opState is the nonblocking bookkeeping embedded in every persistent
 // operation. Its Start enforces the one-outstanding-exchange rule and
 // dispatches the body to the communicator's async capability.
 //
@@ -73,7 +73,7 @@ var ErrPending = errors.New("operation has an outstanding handle")
 // construction, a rank running a collective twice while its peers run it
 // once. With the lock, exactly one Start wins and the rest fail with
 // ErrPending.
-type OpState struct {
+type opState struct {
 	mu      sync.Mutex
 	pending *opHandle // guarded by mu
 }
@@ -81,7 +81,7 @@ type OpState struct {
 // Start launches body off the caller's critical path on c's substrate and
 // returns its handle. It fails if the operation's previous handle is
 // still outstanding.
-func (s *OpState) Start(c comm.Comm, body func() error) (Handle, error) {
+func (s *opState) Start(c comm.Comm, body func() error) (Handle, error) {
 	// Reserve the slot before launching the body: the reservation is what
 	// serializes concurrent Starts, so it must happen under the lock and
 	// strictly before any part of the exchange runs.
@@ -105,7 +105,7 @@ func (s *OpState) Start(c comm.Comm, body func() error) (Handle, error) {
 // so completion is observed exactly once and the owner is released
 // exactly once.
 type opHandle struct {
-	owner *OpState
+	owner *opState
 	a     comm.Async
 	done  bool
 	err   error

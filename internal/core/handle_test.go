@@ -131,7 +131,7 @@ func TestStartWhilePending(t *testing.T) {
 }
 
 // TestStartWhilePendingV covers the same rule for the alltoallv
-// interface (the OpState machinery is shared, but the Start wrappers are
+// interface (the opState machinery is shared, but the Start wrappers are
 // per-operation).
 func TestStartWhilePendingV(t *testing.T) {
 	runBoth(t, 1, 4, func(c comm.Comm) error {

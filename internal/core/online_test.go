@@ -247,11 +247,11 @@ func TestOnlineStatsDisabled(t *testing.T) {
 }
 
 // TestTunedConcurrentStartExactlyOnce is the regression test for the
-// OpState check-then-set race: goroutines racing Start on one tuned
+// opState check-then-set race: goroutines racing Start on one tuned
 // instance must serialize to exactly one outstanding exchange, and the
 // bucket's algorithm must be instantiated exactly once — the same
 // singleflight discipline the schedule cache pins for racing schedFor
-// callers. Both front ends run it. Run with -race: before the OpState
+// callers. Both front ends run it. Run with -race: before the opState
 // mutex, two racers could both pass the pending check and dispatch two
 // bodies concurrently over the same lazy instance slot.
 func TestTunedConcurrentStartExactlyOnce(t *testing.T) {

@@ -22,7 +22,7 @@ type systemMPI struct {
 	smallMax int
 	midMax   int
 	maxBlock int
-	st       OpState
+	st       opState
 	last     Alltoaller
 }
 

@@ -197,7 +197,7 @@ type dispatcher[T phaser] struct {
 	spec  *Dispatch
 	build func(DispatchEntry) (T, error) // New or NewV for one entry
 	insts map[instKey]T
-	st    OpState
+	st    opState
 	last  int // bucket of the previous call, -1 before any
 
 	// picked and inst describe the entry the previous call ran; inst is

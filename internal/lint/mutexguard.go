@@ -11,7 +11,7 @@ import (
 // selector access to an annotated struct field must happen in a
 // function that acquires the named mutex (x.mu.Lock(), x.mu.RLock(),
 // or — for an embedded sync.Mutex/RWMutex — x.Lock()/x.RLock()). This
-// is exactly the class of the OpState check-then-set race: the
+// is exactly the class of core's opState check-then-set race: the
 // unsynchronized read of a guarded slot looked harmless until two
 // Starts interleaved. Helpers intentionally called with the lock held
 // document that with //a2alint:ignore mutexguard <reason>.

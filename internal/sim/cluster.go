@@ -27,11 +27,6 @@ type ClusterConfig struct {
 	// fabric over the job's nodes. Requires the model's FabricLinkBW /
 	// FabricQueueBytes; empty runs the analytic model alone.
 	Fabric string
-
-	// debugReserve, when non-nil, observes every resource reservation
-	// (tests and calibration diagnostics; per-run so parallel tests don't
-	// race on a shared hook).
-	debugReserve reserveHook
 }
 
 // Stats summarizes a finished simulation.
@@ -69,9 +64,9 @@ func RunCluster(cfg ClusterConfig, body func(c comm.Comm) error) (Stats, error) 
 }
 
 // RunClusterDebug is RunCluster with a post-run hook receiving the network
-// (NIC port report, flow-level report) and final virtual time (diagnostics
-// for model calibration). The hook runs before the flow report is folded
-// into Stats, so it sees the links' live queues.
+// (its flow-level report) and final virtual time (diagnostics for model
+// calibration). The hook runs before the flow report is folded into Stats,
+// so it sees the links' live queues.
 func RunClusterDebug(cfg ClusterConfig, body func(c comm.Comm) error, report func(net *Network, final float64)) (Stats, error) {
 	if cfg.PPN <= 0 || cfg.Nodes <= 0 {
 		return Stats{}, fmt.Errorf("sim: invalid cluster shape %d nodes x %d ppn", cfg.Nodes, cfg.PPN)
@@ -89,7 +84,6 @@ func RunClusterDebug(cfg ClusterConfig, body func(c comm.Comm) error, report fun
 	if err != nil {
 		return Stats{}, err
 	}
-	net.debugReserve = cfg.debugReserve
 	cl := &cluster{
 		e:       e,
 		net:     net,

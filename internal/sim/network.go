@@ -21,20 +21,12 @@ type resource struct {
 	lastUser int
 }
 
-// reserveHook observes every reservation (testing and model-calibration
-// diagnostics only). It is carried per Network (ClusterConfig.debugReserve)
-// rather than as a package global so parallel tests don't race on it.
-type reserveHook func(r *resource, ready, start, dur float64)
-
 // reserve books the resource for a transfer of the given duration starting
 // no earlier than ready, and returns the finish time.
-func (r *resource) reserve(ready, dur float64, hook reserveHook) float64 {
+func (r *resource) reserve(ready, dur float64) float64 {
 	start := ready
 	if r.nextFree > start {
 		start = r.nextFree
-	}
-	if hook != nil {
-		hook(r, ready, start, dur)
 	}
 	r.nextFree = start + dur
 	return r.nextFree
@@ -76,8 +68,6 @@ type Network struct {
 	// flow is the optional flow-level contention model (per-link FIFO
 	// queues over a topo.Fabric); nil runs the analytic model alone.
 	flow *flowState
-
-	debugReserve reserveHook
 
 	rng      *rand.Rand
 	msgsSent uint64
@@ -322,7 +312,7 @@ func (f *flight) step(i int, t float64) {
 			dur += d
 		}
 		h.res.lastUser = f.srcNode
-		finish := h.res.reserve(t, dur, n.debugReserve)
+		finish := h.res.reserve(t, dur)
 		if i == 0 && f.msg.rdv {
 			n.determine(f.msg.sendReq, finish, nil)
 			// The sender's call may now return and reuse its request.
