@@ -2,10 +2,15 @@
 //
 // Each experiment ID corresponds to one figure of the evaluation (fig7 ..
 // fig18) or table1. The default "quick" scale runs a reduced cluster
-// (8 nodes x 16 ranks) that preserves the figures' qualitative shapes in
-// seconds of wall time; "-scale full" reproduces the paper's 32-node,
-// all-cores configuration (minutes of wall time for the direct-exchange
-// baselines, which simulate ~13M messages per point).
+// (8 nodes x 16 ranks) in seconds of wall time; not every figure keeps
+// the paper's shape there (ROADMAP item 2). "-scale full" reproduces the
+// paper's 32-node, all-cores configuration; it does not finish on an 8 GB
+// host, where Dane's system-MPI points at 512-2048 B keep all ~12.8M
+// messages in flight (README, "Reproducing the paper").
+//
+// regress, scale and contention are the snapshot sweeps behind the
+// committed BENCH_*.json files; -json writes one, a header line then one
+// row per line.
 //
 // Usage:
 //
@@ -85,16 +90,16 @@ func main() {
 		progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
 	}
 
-	if snap, ok := snapshots[*experiment]; ok {
+	if rejects, ok := snapshotRejects[*experiment]; ok {
 		if *tablePath != "" {
 			fatal(fmt.Errorf("-experiment %s and -table are mutually exclusive", *experiment))
 		}
 		flag.Visit(func(f *flag.Flag) {
-			if slices.Contains(snap.rejects, f.Name) {
-				fatal(fmt.Errorf("-%s does not apply to -experiment %s (%s are fixed so snapshots stay comparable)", f.Name, *experiment, snap.fixed))
+			if slices.Contains(rejects, f.Name) {
+				fatal(fmt.Errorf("-%s does not apply to -experiment %s (the experiment is fixed so snapshots stay comparable)", f.Name, *experiment))
 			}
 		})
-		if err := runSnapshot(snap, *maxRanks, *jsonPath, progress); err != nil {
+		if err := runSnapshot(*experiment, *maxRanks, *jsonPath, progress); err != nil {
 			fatal(err)
 		}
 		return
@@ -285,61 +290,30 @@ type snapshot interface {
 	Save(path string) error
 }
 
-// snapshotExperiment runs one snapshot experiment. Its sweep is fixed so
-// snapshots stay comparable: rejects lists the flags that do not apply
-// and fixed says what they would have changed.
-type snapshotExperiment struct {
-	run     func(maxRanks int, progress func(string)) (snapshot, error)
-	rejects []string
-	fixed   string
-}
-
 // figureFlags shape a figure or table run; no snapshot experiment takes
 // them.
 var figureFlags = []string{"op", "algo", "scale", "nodes", "ppn", "runs", "machine", "computefrac", "block"}
 
-var snapshots = map[string]snapshotExperiment{
-	// The fixed regression sweep; it has no -maxranks cap.
-	"regress": {
-		run: func(_ int, progress func(string)) (snapshot, error) {
-			return bench.RunRegress(progress)
-		},
-		rejects: append(slices.Clip(figureFlags), "maxranks"),
-		fixed:   "the baseline world, machines, algorithms and runs",
-	},
-	// The rank-scaling sweep: 256..maxRanks ranks of every Table 1
-	// machine, rank-sliced schedules vs loop-coded baselines.
-	"scale": {
-		run: func(maxRanks int, progress func(string)) (snapshot, error) {
-			return bench.RunScale(maxRanks, progress)
-		},
-		rejects: figureFlags,
-		fixed:   "the sweep's world shapes, block size, algorithms and caps",
-	},
-	// The flow-level contention comparison: every Table 1 machine x
-	// fabric kind x block size, analytic vs flow model.
-	"contention": {
-		run: func(maxRanks int, progress func(string)) (snapshot, error) {
-			return bench.RunContention(maxRanks, progress)
-		},
-		rejects: figureFlags,
-		fixed:   "the world shape, block sizes and algorithm family",
-	},
-	// The machine-drift re-convergence experiment: the tuned dispatcher
-	// in online refinement mode, before and after a NIC parameter shift.
-	"drift": {
-		run: func(maxRanks int, progress func(string)) (snapshot, error) {
-			return bench.RunDrift(maxRanks, progress)
-		},
-		rejects: figureFlags,
-		fixed:   "the world, table, block size and machine shift",
-	},
+// snapshotRejects maps each experiment with a committed snapshot to the
+// flags it rejects. The regression sweep's world takes no -maxranks cap.
+var snapshotRejects = map[string][]string{
+	"regress":    append(slices.Clip(figureFlags), "maxranks"),
+	"scale":      figureFlags,
+	"contention": figureFlags,
+	"drift":      figureFlags,
 }
 
-// runSnapshot runs a snapshot experiment, prints its report and, with a
-// non-empty jsonPath, persists the machine-readable snapshot there.
-func runSnapshot(e snapshotExperiment, maxRanks int, jsonPath string, progress func(string)) error {
-	s, err := e.run(maxRanks, progress)
+// runSnapshot runs a snapshot experiment (drift, or one of bench's
+// sweeps), prints its report and, with a non-empty jsonPath, persists the
+// machine-readable snapshot there.
+func runSnapshot(id string, maxRanks int, jsonPath string, progress func(string)) error {
+	var s snapshot
+	var err error
+	if id == "drift" {
+		s, err = bench.RunDrift(maxRanks, progress)
+	} else {
+		s, err = bench.RunSweep(id, maxRanks, progress)
+	}
 	if err != nil {
 		return err
 	}

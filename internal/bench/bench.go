@@ -1,11 +1,12 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure in the paper's evaluation (Section 4). Each Experiment describes
-// one figure: the machine model, the x-axis (message size, node count, or
-// group size), and the plotted series (algorithm + options, or an internal
-// phase for the breakdown figures). The runner executes each point as a
-// discrete-event simulation, repeats it with different noise seeds, and
-// reports the minimum — exactly the paper's "minimum of 3 runs for each
-// data point" methodology.
+// figure in the paper's evaluation (Section 4), and the committed snapshot
+// sweeps (BENCH_regress.json, BENCH_scale.json, BENCH_contention.json).
+// Each Experiment describes one figure or sweep: the machine model, the
+// x-axis (message size, node count, or group size), and the plotted series
+// (algorithm + options, or an internal phase for the breakdown figures).
+// The runner executes each point as a discrete-event simulation, repeats
+// it with different noise seeds, and reports the minimum — exactly the
+// paper's "minimum of 3 runs for each data point" methodology.
 package bench
 
 import (
@@ -60,9 +61,9 @@ type Config struct {
 // Key returns a map key identifying the simulation (used to share runs
 // between series that read different phases of the same algorithm).
 func (c Config) Key() string {
-	return fmt.Sprintf("%s|%d|%d|%s|%s|%s|%d|%d|%d|%d|%d|%s|%s",
+	return fmt.Sprintf("%s|%d|%d|%s|%s|%s|%d|%d|%d|%d|%d|%d|%s|%s",
 		c.Machine.Name, c.Nodes, c.PPN, c.Op.Norm(), c.Algo, c.Opts.Inner,
-		c.Opts.PPL, c.Opts.PPG, c.Opts.BatchWindow, c.Block, c.Runs,
+		c.Opts.PPL, c.Opts.PPG, c.Opts.BatchWindow, c.Block, c.Runs, c.BaseSeed,
 		c.Opts.Table.Fingerprint(), c.Fabric)
 }
 

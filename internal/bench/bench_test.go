@@ -200,14 +200,18 @@ func TestRunExperimentBreakdownPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Breakdown cells report the selected phase, which must be below the
-	// total of the same point.
+	// total of the same point (rows run x-major, then series).
+	if len(tbl.Rows) != len(tbl.Xs)*len(tbl.Labels) {
+		t.Fatalf("%d rows for %d xs x %d series", len(tbl.Rows), len(tbl.Xs), len(tbl.Labels))
+	}
 	for xi := range tbl.Xs {
 		for si := range tbl.Labels {
 			if tbl.Values[xi][si] <= 0 {
 				t.Errorf("phase cell [%d][%d] = %g", xi, si, tbl.Values[xi][si])
 			}
-			if tbl.Values[xi][si] > tbl.Points[xi][si].Seconds {
-				t.Errorf("phase exceeds total at [%d][%d]", xi, si)
+			if row := tbl.Rows[xi*len(tbl.Labels)+si]; tbl.Values[xi][si] > row.Seconds ||
+				tbl.Values[xi][si] != row.Phases[exp.Series[si].Phase] {
+				t.Errorf("phase cell [%d][%d] = %g, row %+v", xi, si, tbl.Values[xi][si], row)
 			}
 		}
 	}
@@ -317,5 +321,18 @@ func TestMeasureAlltoallv(t *testing.T) {
 	k2 := Config{Machine: tinyDane(), Nodes: 2, PPN: 8, Op: core.OpAlltoallv, Algo: "pairwise", Block: 32, Runs: 1}.Key()
 	if k1 == k2 {
 		t.Fatal("cache keys collide across op kinds")
+	}
+}
+
+// TestConfigKeySeparatesSeeds: the figures run at seed 0 and the snapshot
+// sweeps at seed 1 in one process, so configurations that differ only in
+// their seed must not share a cache entry.
+func TestConfigKeySeparatesSeeds(t *testing.T) {
+	t.Parallel()
+	cfg := Config{Machine: tinyDane(), Nodes: 2, PPN: 4, Algo: "pairwise", Block: 32, Runs: 1}
+	seeded := cfg
+	seeded.BaseSeed = 1
+	if cfg.Key() == seeded.Key() {
+		t.Fatalf("seeds 0 and 1 share the cache key %q", cfg.Key())
 	}
 }

@@ -44,15 +44,22 @@ type Series struct {
 	// Phase, when non-empty, reports that internal phase instead of the
 	// total (breakdown figures).
 	Phase trace.Phase
+	// Fabric, when non-empty, measures under the flow-level contention
+	// model over that fabric kind (Config.Fabric).
+	Fabric string
+	// MaxRanks, when positive, skips the series at worlds larger than
+	// this: a cap on the cost of executing it under the simulator.
+	MaxRanks int
 }
 
-// Experiment describes one paper table or figure.
+// Experiment describes one paper table or figure, or one snapshot sweep.
 type Experiment struct {
 	// ID is the registry key, e.g. "fig10".
 	ID string
 	// Title is the paper's caption, abbreviated.
 	Title string
-	// Machine is the netmodel preset name.
+	// Machine is the netmodel preset name (empty in a snapshot sweep,
+	// which runs on every Table 1 machine).
 	Machine string
 	// Op selects the measured collective (zero = fixed-size alltoall; the
 	// paper's figures all measure it). OpAlltoallv experiments sweep the

@@ -62,22 +62,27 @@ func TestMeasureCachePhasesIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Machine: machine, Nodes: 2, PPN: 4, Algo: "node-aware", Block: 512, Runs: 1}
-	key := cfg.Key()
-	pt, err2 := Measure(cfg)
-	if err2 != nil {
-		t.Fatal(err2)
+	cfg := Config{Machine: machine, Nodes: 2, PPN: 4, Algo: "node-aware", Block: 512, Runs: 1, BaseSeed: 7}
+	for _, want := range []bool{true, false} {
+		pt, fresh, err := measure(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh != want {
+			t.Fatalf("measure fresh = %v, want %v", fresh, want)
+		}
+		for k := range pt.Phases {
+			pt.Phases[k] = -42
+		}
 	}
-	cachePut(key, pt)
-	first, ok := cacheGet(key)
-	if !ok {
-		t.Fatal("cache miss after put")
+	pt, _, err := measure(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k := range first.Phases {
-		first.Phases[k] = -42
+	if len(pt.Phases) == 0 {
+		t.Fatal("cached point lost its phases")
 	}
-	second, _ := cacheGet(key)
-	for k, v := range second.Phases {
+	for k, v := range pt.Phases {
 		if v == -42 {
 			t.Errorf("cache phase %q corrupted through a returned point", k)
 		}

@@ -2,10 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"alltoallx/internal/netmodel"
-	"alltoallx/internal/trace"
 )
 
 // cache shares measurements across experiments in one process: figures 7
@@ -16,36 +16,28 @@ var cache = struct {
 	m  map[string]Point
 }{m: make(map[string]Point)}
 
-func cacheGet(key string) (Point, bool) {
+// measure returns cfg's point, running Measure only when no earlier sweep
+// in this process measured the same configuration; fresh reports whether
+// it ran. Phase maps are copied into and out of the cache, so a caller
+// mutating a returned breakdown cannot corrupt later hits.
+func measure(cfg Config) (pt Point, fresh bool, err error) {
+	key := cfg.Key()
 	cache.mu.Lock()
-	defer cache.mu.Unlock()
 	pt, ok := cache.m[key]
+	cache.mu.Unlock()
 	if ok {
-		// Hand out a defensive copy of the phase map: every Phases() in
-		// the operation layer already copies, and the cache must not be
-		// the one place where a caller mutating a returned breakdown
-		// corrupts timing state shared with later cache hits.
-		pt.Phases = clonePhases(pt.Phases)
+		pt.Phases = maps.Clone(pt.Phases)
+		return pt, false, nil
 	}
-	return pt, ok
-}
-
-func cachePut(key string, pt Point) {
+	if pt, err = Measure(cfg); err != nil {
+		return Point{}, false, err
+	}
+	stored := pt
+	stored.Phases = maps.Clone(pt.Phases)
 	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	pt.Phases = clonePhases(pt.Phases)
-	cache.m[key] = pt
-}
-
-func clonePhases(m map[trace.Phase]float64) map[trace.Phase]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[trace.Phase]float64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	cache.m[key] = stored
+	cache.mu.Unlock()
+	return pt, true, nil
 }
 
 // Scale selects the size of a reproduction run.
@@ -58,6 +50,9 @@ type Scale struct {
 	PPN int
 	// Runs is the repetitions per point.
 	Runs int
+	// Seed offsets the noise seeds (Config.BaseSeed): the figures run at
+	// 0, the snapshot sweeps at 1.
+	Seed int64
 	// SizeStride keeps every k-th message size (first and last always
 	// kept).
 	SizeStride int
@@ -68,10 +63,15 @@ type Scale struct {
 func Full() Scale { return Scale{Name: "full", Runs: 3, SizeStride: 1} }
 
 // Quick is a CI-friendly reduction: 8 nodes x 16 ranks, every other size,
-// 2 runs. Shapes are preserved; absolute times shrink.
+// 2 runs. Absolute times shrink, and the figures' shapes do not all
+// survive: by a hand reading (ROADMAP item 2) only fig9 and fig14 keep
+// the paper's in full.
 func Quick() Scale { return Scale{Name: "quick", NodeCap: 8, PPN: 16, Runs: 2, SizeStride: 2} }
 
-// Table is a completed experiment: values[xi][si] in seconds.
+// Table is a completed experiment. Values[xi][si] is what series si
+// plots at Xs[xi] in seconds (the total, or its phase), 0 where the
+// series' rank cap skipped the point; Rows holds every measured point in
+// sweep order (x-major, then series).
 type Table struct {
 	Exp     Experiment
 	Scale   Scale
@@ -81,7 +81,7 @@ type Table struct {
 	Xs      []int
 	Labels  []string
 	Values  [][]float64
-	Points  [][]Point
+	Rows    []Row
 }
 
 // RunExperiment executes every point of the experiment at the given scale.
@@ -111,36 +111,35 @@ func RunExperiment(exp Experiment, scale Scale, progress func(string)) (*Table, 
 		t.Labels = append(t.Labels, s.Label)
 	}
 	for _, x := range xs {
-		row := make([]float64, len(exp.Series))
-		prow := make([]Point, len(exp.Series))
+		vals := make([]float64, len(exp.Series))
 		for si, s := range exp.Series {
 			cfg, err := pointConfig(exp, s, machine, nodes, ppn, x)
 			if err != nil {
 				return nil, err
 			}
-			cfg.Runs = scale.Runs
-			key := cfg.Key()
-			pt, ok := cacheGet(key)
-			if !ok {
-				pt, err = Measure(cfg)
-				if err != nil {
-					return nil, err
-				}
-				cachePut(key, pt)
+			if s.MaxRanks > 0 && cfg.Nodes*cfg.PPN > s.MaxRanks {
 				if progress != nil {
-					progress(fmt.Sprintf("%s: %s=%d %q -> %.3e s (%d msgs)",
-						exp.ID, exp.XAxis, x, s.Label, pt.Seconds, pt.Stats.Messages))
+					progress(fmt.Sprintf("%s %s: %s=%d %q skipped (rank cap %d)",
+						exp.ID, machine.Name, exp.XAxis, x, s.Label, s.MaxRanks))
 				}
+				continue
 			}
-			v := pt.Seconds
+			cfg.Runs, cfg.BaseSeed = scale.Runs, scale.Seed
+			pt, fresh, err := measure(cfg)
+			if err != nil {
+				return nil, err
+			}
+			if fresh && progress != nil {
+				progress(fmt.Sprintf("%s %s: %s=%d %q -> %.3e s (%d msgs)",
+					exp.ID, machine.Name, exp.XAxis, x, s.Label, pt.Seconds, pt.Stats.Messages))
+			}
+			vals[si] = pt.Seconds
 			if s.Phase != "" {
-				v = pt.Phases[s.Phase]
+				vals[si] = pt.Phases[s.Phase]
 			}
-			row[si] = v
-			prow[si] = pt
+			t.Rows = append(t.Rows, newRow(cfg, x, pt))
 		}
-		t.Values = append(t.Values, row)
-		t.Points = append(t.Points, prow)
+		t.Values = append(t.Values, vals)
 	}
 	return t, nil
 }
@@ -178,7 +177,7 @@ func sweepValues(exp Experiment, scale Scale, ppn int) []int {
 // pointConfig resolves one (experiment, series, x) into a measurement
 // config.
 func pointConfig(exp Experiment, s Series, machine netmodel.Params, nodes, ppn, x int) (Config, error) {
-	cfg := Config{Machine: machine, Nodes: nodes, PPN: ppn, Op: exp.Op, Algo: s.Algo, Opts: s.Opts, Block: exp.Block}
+	cfg := Config{Machine: machine, Nodes: nodes, PPN: ppn, Op: exp.Op, Algo: s.Algo, Opts: s.Opts, Block: exp.Block, Fabric: s.Fabric}
 	switch exp.XAxis {
 	case XSize:
 		cfg.Block = x

@@ -1,6 +1,7 @@
 // Package coll provides the collective building blocks the paper's
 // Algorithms 3 and 5 are assembled from: a linear gather and scatter, in
-// which every rank exchanges directly with the root. Both are written
+// which every rank exchanges directly with the root. The leader-based
+// alltoallv also gathers its count vectors with Gather. Both are written
 // against comm.Comm, so they run on both the live runtime and the
 // simulator.
 //

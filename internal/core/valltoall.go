@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"alltoallx/internal/coll"
 	"alltoallx/internal/comm"
 	"alltoallx/internal/trace"
 )
@@ -120,7 +121,7 @@ func (v *vLeadered) run(_ comm.Comm, send comm.Buffer, sendCounts, sdispls []int
 	// possible.
 	timer := v.rec.Time(trace.PhaseGather)
 	encodeCounts(v.cntSend.Bytes(), sendCounts, recvCounts)
-	err := gatherToLeader(v.local, v.cntSend, v.cntRecv, tagVCounts)
+	err := coll.Gather(v.local, 0, v.cntSend, v.cntRecv, tagVCounts)
 	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s alltoallv count gather: %w", v.name, err)
@@ -335,30 +336,6 @@ func unpackByCounts(c comm.Comm, dst comm.Buffer, counts, displs []int, src comm
 		off += n
 	}
 	return c.ChargeCopy(off, len(counts))
-}
-
-// gatherToLeader gathers each member's equal-size buffer to local rank 0
-// (recv significant only there). A one-rank group degenerates to a copy.
-func gatherToLeader(local comm.Comm, send, recv comm.Buffer, tag int) error {
-	if local.Size() == 1 {
-		return local.Memcpy(recv.Slice(0, send.Len()), send)
-	}
-	if local.Rank() != 0 {
-		return local.Send(send, 0, tag)
-	}
-	block := send.Len()
-	reqs := make([]comm.Request, 0, local.Size()-1)
-	for m := 1; m < local.Size(); m++ {
-		rq, err := local.Irecv(recv.Slice(m*block, block), m, tag)
-		if err != nil {
-			return err
-		}
-		reqs = append(reqs, rq)
-	}
-	if err := local.Memcpy(recv.Slice(0, block), send); err != nil {
-		return err
-	}
-	return local.WaitAll(reqs)
 }
 
 // encodeCounts serializes sendCounts then recvCounts as little-endian
