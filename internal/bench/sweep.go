@@ -200,8 +200,9 @@ func RunSweep(id string, maxRanks int, progress func(string)) (*Sweep, error) {
 }
 
 // Encode writes the sweep as JSON Lines: a header object naming the
-// experiment, its x axis and methodology, then one row per line. A
-// smaller run of the same sweep writes a subset of the same lines.
+// experiment, its x axis and methodology, then one row per line. A run
+// that drops some of a sweep's points (scale under -maxranks) writes a
+// subset of the full run's lines.
 func (s *Sweep) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	header := struct {
