@@ -39,11 +39,20 @@ func sampleSweep(t *testing.T) *Sweep {
 	return &s
 }
 
-// TestRowEncodeRoundTrip: a snapshot is a header line, then one row per
-// line that decodes back to the row it encodes, at full precision.
-func TestRowEncodeRoundTrip(t *testing.T) {
-	t.Parallel()
-	s := sampleSweep(t)
+// sweepHeader is a snapshot's first line.
+type sweepHeader struct {
+	Version       int
+	Experiment, X string
+	Runs          int
+	Seed          int64
+	Title         string
+}
+
+// roundTrip encodes s and checks that the snapshot is a header line, then
+// one row per line that decodes back to the row it encodes, at full
+// precision. It returns the header.
+func roundTrip(t *testing.T, s *Sweep) sweepHeader {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		t.Fatal(err)
@@ -52,18 +61,12 @@ func TestRowEncodeRoundTrip(t *testing.T) {
 	if len(lines) != 1+len(s.Rows) {
 		t.Fatalf("%d lines for %d rows:\n%s", len(lines), len(s.Rows), buf.String())
 	}
-	var header struct {
-		Version       int
-		Experiment, X string
-		Runs          int
-		Seed          int64
-		Title         string
-	}
+	var header sweepHeader
 	if err := json.Unmarshal([]byte(lines[0]), &header); err != nil {
 		t.Fatal(err)
 	}
-	if header.Version != 2 || header.Experiment != "regress" || header.X != "msg-size-bytes" ||
-		header.Runs != 2 || header.Seed != 1 || header.Title == "" {
+	if header.Version != 2 || header.Experiment != s.Exp.ID || header.X != s.Exp.XAxis.String() ||
+		header.Runs != s.Scale.Runs || header.Seed != s.Scale.Seed || header.Title == "" {
 		t.Errorf("header %s", lines[0])
 	}
 	for i, line := range lines[1:] {
@@ -75,6 +78,48 @@ func TestRowEncodeRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r, s.Rows[i]) {
 			t.Errorf("row %d round trip:\nwant %+v\ngot  %+v", i, s.Rows[i], r)
+		}
+	}
+	return header
+}
+
+// TestRegressEncodeRoundTrip round-trips the regress sweep's rows: phases,
+// options and the flow model's link counters included.
+func TestRegressEncodeRoundTrip(t *testing.T) {
+	t.Parallel()
+	if h := roundTrip(t, sampleSweep(t)); h.Experiment != "regress" || h.X != "msg-size-bytes" || h.Runs != 2 || h.Seed != 1 {
+		t.Errorf("regress header %+v", h)
+	}
+}
+
+// TestScaleArtifactRoundTrip checks the scale snapshot's rows and report
+// against a synthetic sweep (running a real one is the CI smoke step's
+// job): x is the node count, and a series capped below the sweep's top
+// renders a gap, not a zero.
+func TestScaleArtifactRoundTrip(t *testing.T) {
+	t.Parallel()
+	s := sweepSpec(t, "scale")
+	s.Rows = []Row{
+		{Machine: "Dane", Nodes: 8, PPN: 32, Algo: "pairwise", X: 8, Seconds: 1e-3, Messages: 65280},
+		{Machine: "Dane", Nodes: 8, PPN: 32, Algo: "sched:ring", X: 8, Seconds: 2e-3, Messages: 65280},
+		{Machine: "Dane", Nodes: 16, PPN: 32, Algo: "pairwise", X: 16, Seconds: 4e-3, Messages: 261632},
+	}
+	if h := roundTrip(t, &s); h.Experiment != "scale" || h.X != "nodes" || h.Runs != 1 || h.Seed != 1 {
+		t.Errorf("scale header %+v", h)
+	}
+	var buf bytes.Buffer
+	if err := s.Format(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"Dane", "32 ranks/node", "pairwise", "sched:ring", "algorithm \\ nodes"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("formatted output missing %q:\n%s", want, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "sched:ring") && !strings.HasSuffix(line, " -") {
+			t.Errorf("a capped series should render a gap: %q", line)
 		}
 	}
 }
