@@ -63,28 +63,24 @@ func TestMeasureCachePhasesIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Machine: machine, Nodes: 2, PPN: 4, Algo: "node-aware", Block: 512, Runs: 1, BaseSeed: 7}
-	for _, want := range []bool{true, false} {
+	// Whether the first call runs or hits an entry an earlier test left,
+	// every later call must hit, and no returned map may alias the cache.
+	for call := 0; call < 3; call++ {
 		pt, fresh, err := measure(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fresh != want {
-			t.Fatalf("measure fresh = %v, want %v", fresh, want)
+		if call > 0 && fresh {
+			t.Fatalf("measure call %d ran again, want a cache hit", call)
 		}
-		for k := range pt.Phases {
+		if len(pt.Phases) == 0 {
+			t.Fatalf("call %d: point has no phases", call)
+		}
+		for k, v := range pt.Phases {
+			if v == -42 {
+				t.Errorf("call %d: cache phase %q corrupted through a returned point", call, k)
+			}
 			pt.Phases[k] = -42
-		}
-	}
-	pt, _, err := measure(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pt.Phases) == 0 {
-		t.Fatal("cached point lost its phases")
-	}
-	for k, v := range pt.Phases {
-		if v == -42 {
-			t.Errorf("cache phase %q corrupted through a returned point", k)
 		}
 	}
 }

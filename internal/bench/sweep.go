@@ -180,11 +180,14 @@ func RunSweep(id string, maxRanks int, progress func(string)) (*Sweep, error) {
 		return nil, fmt.Errorf("bench: unknown sweep %q", id)
 	}
 	if maxRanks > 0 {
-		nodes := maxRanks / s.Scale.PPN
-		if nodes < 2 {
-			return nil, fmt.Errorf("bench: -maxranks %d below the smallest %s world (2 nodes x %d ranks)", maxRanks, id, s.Scale.PPN)
+		smallest := 2 * s.Scale.PPN
+		if s.Exp.XAxis == XNodes {
+			smallest = s.Exp.Xs[0] * s.Scale.PPN
 		}
-		s.Scale.NodeCap = 1 << (bits.Len(uint(nodes)) - 1)
+		if maxRanks < smallest {
+			return nil, fmt.Errorf("bench: -maxranks %d below the smallest %s world (%d ranks)", maxRanks, id, smallest)
+		}
+		s.Scale.NodeCap = 1 << (bits.Len(uint(maxRanks/s.Scale.PPN)) - 1)
 		s.Scale.Name = fmt.Sprintf("-maxranks %d", maxRanks)
 	}
 	for _, m := range netmodel.Machines() {
@@ -201,8 +204,8 @@ func RunSweep(id string, maxRanks int, progress func(string)) (*Sweep, error) {
 
 // Encode writes the sweep as JSON Lines: a header object naming the
 // experiment, its x axis and methodology, then one row per line. A run
-// that drops some of a sweep's points (scale under -maxranks) writes a
-// subset of the full run's lines.
+// that drops some of a sweep's points (scale under -maxranks) writes the
+// full run's header, then the rows of the points it keeps, in order.
 func (s *Sweep) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	header := struct {

@@ -192,10 +192,17 @@ func TestScaleMethodologyPinned(t *testing.T) {
 	}
 	// The headline of the sweep: a schedule-backed algorithm runs at the
 	// full 4096 ranks, the point of rank slicing.
+	pairwise := false
 	for _, sr := range s.Exp.Series {
-		if sr.Algo == "sched:pairwise" && sr.MaxRanks != 0 {
-			t.Errorf("sched:pairwise capped at %d ranks, want the full sweep", sr.MaxRanks)
+		if sr.Algo == "sched:pairwise" {
+			pairwise = true
+			if sr.MaxRanks != 0 {
+				t.Errorf("sched:pairwise capped at %d ranks, want the full sweep", sr.MaxRanks)
+			}
 		}
+	}
+	if !pairwise {
+		t.Error("no sched:pairwise series in the scale sweep")
 	}
 	for _, m := range netmodel.Machines() {
 		if cores := m.Node.CoresPerNode(); cores < ppn {
@@ -205,15 +212,20 @@ func TestScaleMethodologyPinned(t *testing.T) {
 }
 
 // TestScaleRejectsTinyMaxRanks: a cap below the smallest world is a
-// usage error, not an empty snapshot.
+// usage error, not an empty snapshot, and the error names that world.
 func TestScaleRejectsTinyMaxRanks(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
 		id       string
 		maxRanks int
-	}{{"scale", 100}, {"scale", 32}, {"contention", 7}} {
-		if _, err := RunSweep(c.id, c.maxRanks, nil); err == nil {
+		smallest string
+	}{{"scale", 255, "(256 ranks)"}, {"scale", 100, "(256 ranks)"}, {"scale", 32, "(256 ranks)"},
+		{"contention", 7, "(8 ranks)"}} {
+		_, err := RunSweep(c.id, c.maxRanks, nil)
+		if err == nil {
 			t.Errorf("RunSweep(%q, %d) succeeded with no world that fits", c.id, c.maxRanks)
+		} else if !strings.Contains(err.Error(), c.smallest) {
+			t.Errorf("RunSweep(%q, %d): %v, want the smallest world %s", c.id, c.maxRanks, err, c.smallest)
 		}
 	}
 }
