@@ -60,10 +60,10 @@ type AsyncStarter interface {
 // Comm is an MPI-like communicator bound to one rank (SPMD style: every
 // rank of a world executes the same program against its own Comm value).
 //
-// Buffers may be real (backed by []byte) or virtual (length only); see
-// Buffer. Substrates must support both: the live runtime requires real
-// buffers, the simulator accepts either and moves payload bytes whenever
-// both ends are real.
+// Buffers may be real (backed by []byte, contiguous or a vector view) or
+// virtual (length only); see Buffer. Substrates must support both: the
+// live runtime requires real buffers, the simulator accepts either and
+// moves payload bytes whenever both ends are real.
 type Comm interface {
 	// Rank returns this process's rank in the communicator (0..Size-1).
 	Rank() int

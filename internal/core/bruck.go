@@ -15,7 +15,7 @@ type bruckScratch struct {
 }
 
 func newBruck(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-	return newBasic("bruck", c, maxBlock, new(bruckScratch).run), nil
+	return newBasic("bruck", c, maxBlock, flat(new(bruckScratch).run)), nil
 }
 
 // run is the Bruck algorithm through the scratch: ceil(log2 p) exchange
@@ -30,11 +30,14 @@ func newBruck(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
 // steps matching i's binary digits, at which point local block i holds the
 // data *from* rank r-i. Phase 3 inverts that rotation into recv order.
 //
-// Every repack is at most two strided block copies: a rotation is two
-// contiguous runs, the bit-k blocks are full runs of k blocks every 2k
-// plus a short last run, and the inversion is two reversed runs.
-func (s *bruckScratch) run(c comm.Comm, send, recv comm.Buffer, block int) error {
-	n, r := c.Size(), c.Rank()
+// It exchanges m blocks of blk bytes per peer and lands them in the inner
+// exchanges' layout (see innerExchange.run). The first two phases move
+// each peer's m blocks as one block of m*blk bytes. Every repack is at
+// most two strided block copies: a rotation is two contiguous runs, the
+// bit-k blocks are full runs of k blocks every 2k plus a short last run,
+// and the inversion is two reversed runs — per sub-block when m > 1.
+func (s *bruckScratch) run(c comm.Comm, send, recv comm.Buffer, m, blk int) error {
+	n, r, block := c.Size(), c.Rank(), m*blk
 	half := (n + 1) / 2
 	tmp := comm.Stage(&s.tmp, send, n*block)
 	packS := comm.Stage(&s.packS, send, half*block)
@@ -71,8 +74,11 @@ func (s *bruckScratch) run(c comm.Comm, send, recv comm.Buffer, block int) error
 		}
 	}
 	// Phase 3: tmp[i] now holds data from rank (r-i); invert into recv:
-	// recv[j] = tmp[(r-j) mod n], a reversed run on each side of r.
-	comm.CopyBlocks(recv, 0, 1, tmp, r, -1, r+1, block)
-	comm.CopyBlocks(recv, r+1, 1, tmp, n-1, -1, n-r-1, block)
+	// sub-block q of peer j lands at recv[q*n+j] from tmp[(r-j) mod n],
+	// a reversed run on each side of r for each q.
+	for q := 0; q < m; q++ {
+		comm.CopyBlocks(recv, q*n, 1, tmp, r*m+q, -m, r+1, blk)
+		comm.CopyBlocks(recv, q*n+r+1, 1, tmp, (n-1)*m+q, -m, n-r-1, blk)
+	}
 	return c.ChargeCopy(n*block, n)
 }

@@ -219,21 +219,25 @@ type innerExchange struct {
 	bruck *bruckScratch
 }
 
-// run runs one inner exchange over c.
-func (x *innerExchange) run(c comm.Comm, send, recv comm.Buffer, block int) error {
+// run runs one inner exchange over c's n ranks: peer k gets send's m
+// blocks k*m .. k*m+m-1, and peer k's m blocks land at recv's blocks k,
+// k+n, ..., k+(m-1)n. With m = 1 that is the flat all-to-all layout; with
+// more, the receive turns [peer][block] into [block][peer] as the bytes
+// land, which is how node-aware does its transposes.
+func (x *innerExchange) run(c comm.Comm, send, recv comm.Buffer, m, block int) error {
 	if c.Size() == 1 {
-		return c.Memcpy(recv.Slice(0, block), send.Slice(0, block))
+		return c.Memcpy(recv.Slice(0, m*block), send.Slice(0, m*block))
 	}
 	switch x.kind {
 	case InnerPairwise:
-		return alltoallPairwise(c, send, recv, block)
+		return alltoallPairwise(c, send, recv, m, block)
 	case InnerNonblocking:
-		return alltoallNonblocking(c, send, recv, block)
+		return alltoallNonblocking(c, send, recv, m, block)
 	case InnerBruck:
 		if x.bruck == nil {
 			x.bruck = new(bruckScratch)
 		}
-		return x.bruck.run(c, send, recv, block)
+		return x.bruck.run(c, send, recv, m, block)
 	}
 	return fmt.Errorf("core: unknown inner exchange %q", x.kind)
 }

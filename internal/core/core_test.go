@@ -82,6 +82,16 @@ func TestAlltoallLiveCorrectness(t *testing.T) {
 			)
 		}
 	}
+	// Node-aware and locality-aware above the eager limit: on 2 x 8 ranks
+	// node-aware's inter messages are 72,000 B and its intra messages
+	// 18,000 B, so every inner exchange lands by rendezvous through its
+	// receive views (locality-aware's sizes are the other way round).
+	for _, inner := range []Inner{InnerPairwise, InnerNonblocking, InnerBruck} {
+		cases = append(cases,
+			cfg{"node-aware", 2, 8, Options{Inner: inner}, 9000},
+			cfg{"locality-aware", 2, 8, Options{Inner: inner, PPG: 2}, 9000},
+		)
+	}
 	// Direct algorithms don't use inner exchanges; cover block-size
 	// variety (including a rendezvous-sized block) and odd rank counts.
 	for _, block := range []int{1, 4, 64, 9000} {
@@ -128,27 +138,40 @@ func TestAlltoallLiveCorrectness(t *testing.T) {
 
 // TestAlltoallSimulatedCorrectness runs every algorithm under the
 // discrete-event simulator with real payloads: the virtual-time transport
-// must deliver exactly the same bytes as the live one.
+// must deliver exactly the same bytes as the live one. Node-aware and
+// locality-aware also run 9,000 B blocks under an 8 KiB eager limit, so
+// every message of their inner exchanges lands by rendezvous.
 func TestAlltoallSimulatedCorrectness(t *testing.T) {
 	t.Parallel()
 	model := netmodel.Dane()
 	model.Node = tinyNode()
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"pairwise", Options{}},
-		{"nonblocking", Options{}},
-		{"batched", Options{BatchWindow: 4}},
-		{"bruck", Options{}},
-		{"hierarchical", Options{}},
-		{"multileader", Options{PPL: 2}},
-		{"node-aware", Options{}},
-		{"locality-aware", Options{PPG: 2}},
-		{"multileader-node-aware", Options{PPL: 2}},
-		{"multileader-node-aware/nonblocking", Options{PPL: 4, Inner: InnerNonblocking}},
-		{"locality-aware/bruck", Options{PPG: 4, Inner: InnerBruck}},
-	} {
+	type simCase struct {
+		name  string
+		opts  Options
+		block int
+	}
+	cases := []simCase{
+		{"pairwise", Options{}, 7},
+		{"nonblocking", Options{}, 7},
+		{"batched", Options{BatchWindow: 4}, 7},
+		{"bruck", Options{}, 7},
+		{"hierarchical", Options{}, 7},
+		{"multileader", Options{PPL: 2}, 7},
+		{"node-aware", Options{}, 7},
+		{"locality-aware", Options{PPG: 2}, 7},
+		{"multileader-node-aware", Options{PPL: 2}, 7},
+		{"multileader-node-aware/nonblocking", Options{PPL: 4, Inner: InnerNonblocking}, 7},
+		{"locality-aware/bruck", Options{PPG: 4, Inner: InnerBruck}, 7},
+	}
+	for _, inner := range []Inner{InnerPairwise, InnerNonblocking, InnerBruck} {
+		cases = append(cases,
+			simCase{"node-aware/" + string(inner) + "/9000B", Options{Inner: inner}, 9000},
+			simCase{"locality-aware/" + string(inner) + "/9000B", Options{Inner: inner, PPG: 2}, 9000},
+		)
+	}
+	rendezvous := model
+	rendezvous.EagerMax = 8 << 10
+	for _, tc := range cases {
 		tc := tc
 		algo := tc.name
 		if i := indexByte(algo, '/'); i >= 0 {
@@ -156,9 +179,11 @@ func TestAlltoallSimulatedCorrectness(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			const block = 7
 			cfg := sim.ClusterConfig{Model: model, Nodes: 3, PPN: 8, Seed: 42}
-			_, err := sim.RunCluster(cfg, liveBody(algo, tc.opts, block))
+			if tc.block > rendezvous.EagerMax {
+				cfg.Model = rendezvous
+			}
+			_, err := sim.RunCluster(cfg, liveBody(algo, tc.opts, tc.block))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,11 +48,17 @@ func newBasic(name string, c comm.Comm, maxBlock int,
 }
 
 func newPairwise(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-	return newBasic("pairwise", c, maxBlock, alltoallPairwise), nil
+	return newBasic("pairwise", c, maxBlock, flat(alltoallPairwise)), nil
 }
 
 func newNonblocking(c comm.Comm, maxBlock int, _ Options) (Alltoaller, error) {
-	return newBasic("nonblocking", c, maxBlock, alltoallNonblocking), nil
+	return newBasic("nonblocking", c, maxBlock, flat(alltoallNonblocking)), nil
+}
+
+// flat runs an inner exchange (see innerExchange.run) as the flat
+// all-to-all: one block per peer.
+func flat(x func(c comm.Comm, send, recv comm.Buffer, m, block int) error) func(c comm.Comm, send, recv comm.Buffer, block int) error {
+	return func(c comm.Comm, send, recv comm.Buffer, block int) error { return x(c, send, recv, 1, block) }
 }
 
 func newBatched(c comm.Comm, maxBlock int, o Options) (Alltoaller, error) {
@@ -70,18 +76,19 @@ func newBatched(c comm.Comm, maxBlock int, o Options) (Alltoaller, error) {
 // rank r sends to r+i and receives from r-i, so exactly one exchange is in
 // flight per rank — minimal contention and matching cost, but a rank stalls
 // whenever its step partner is late (the synchronization overhead the paper
-// discusses).
-func alltoallPairwise(c comm.Comm, send, recv comm.Buffer, block int) error {
-	n, r := c.Size(), c.Rank()
-	if err := c.Memcpy(recv.Slice(r*block, block), send.Slice(r*block, block)); err != nil {
+// discusses). Each peer's m blocks land in recv through a view, in the
+// inner exchanges' layout (see innerExchange.run).
+func alltoallPairwise(c comm.Comm, send, recv comm.Buffer, m, block int) error {
+	n, r, size := c.Size(), c.Rank(), m*block
+	if err := c.Memcpy(recv.Blocks(r, n, m, block), send.Slice(r*size, size)); err != nil {
 		return err
 	}
 	for i := 1; i < n; i++ {
 		sp := (r + i) % n
 		rp := (r - i + n) % n
 		if err := c.Sendrecv(
-			send.Slice(sp*block, block), sp, tagAlltoall,
-			recv.Slice(rp*block, block), rp, tagAlltoall); err != nil {
+			send.Slice(sp*size, size), sp, tagAlltoall,
+			recv.Blocks(rp, n, m, block), rp, tagAlltoall); err != nil {
 			return fmt.Errorf("core: pairwise step %d (to %d, from %d): %w", i, sp, rp, err)
 		}
 	}
@@ -92,24 +99,25 @@ func alltoallPairwise(c comm.Comm, send, recv comm.Buffer, block int) error {
 // front, then wait for all. Minimal synchronization, but at scale the
 // matching queues grow to p-1 entries and the network sees p-1 concurrent
 // flows per rank — the queue-search and contention overheads the paper
-// attributes to this exchange.
-func alltoallNonblocking(c comm.Comm, send, recv comm.Buffer, block int) error {
-	n, r := c.Size(), c.Rank()
+// attributes to this exchange. Receives land through per-peer views, as in
+// alltoallPairwise.
+func alltoallNonblocking(c comm.Comm, send, recv comm.Buffer, m, block int) error {
+	n, r, size := c.Size(), c.Rank(), m*block
 	reqs := make([]comm.Request, 0, 2*(n-1))
 	for i := 1; i < n; i++ {
 		sp := (r + i) % n
 		rp := (r - i + n) % n
-		rq, err := c.Irecv(recv.Slice(rp*block, block), rp, tagAlltoall)
+		rq, err := c.Irecv(recv.Blocks(rp, n, m, block), rp, tagAlltoall)
 		if err != nil {
 			return err
 		}
-		sq, err := c.Isend(send.Slice(sp*block, block), sp, tagAlltoall)
+		sq, err := c.Isend(send.Slice(sp*size, size), sp, tagAlltoall)
 		if err != nil {
 			return err
 		}
 		reqs = append(reqs, rq, sq)
 	}
-	if err := c.Memcpy(recv.Slice(r*block, block), send.Slice(r*block, block)); err != nil {
+	if err := c.Memcpy(recv.Blocks(r, n, m, block), send.Slice(r*size, size)); err != nil {
 		return err
 	}
 	return c.WaitAll(reqs)

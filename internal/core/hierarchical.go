@@ -159,7 +159,7 @@ func (h *hierarchical) run(c comm.Comm, send, recv comm.Buffer, block int) error
 
 		// All-to-all among leaders: q*q*block bytes per leader pair.
 		timer = h.rec.Time(trace.PhaseInter)
-		err = h.inner.run(h.leaders, bufB, bufA, q*q*block)
+		err = h.inner.run(h.leaders, bufB, bufA, 1, q*q*block)
 		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: %s leader exchange: %w", h.name, err)

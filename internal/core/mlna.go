@@ -111,7 +111,7 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// Inter-node all-to-all among same-slot leaders: q*ppn*block per
 		// node pair — one message to each node, as in Algorithm 4.
 		timer = m.rec.Time(trace.PhaseInter)
-		err = m.inner.run(m.interComm, bufB, bufA, q*ppn*block)
+		err = m.inner.run(m.interComm, bufB, bufA, 1, q*ppn*block)
 		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware inter exchange: %w", err)
@@ -137,7 +137,7 @@ func (m *mlNodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error 
 		// nnodes*q*q*block per leader pair (the paper's
 		// r_size*n_nodes*ppl^2).
 		timer = m.rec.Time(trace.PhaseIntra)
-		err = m.inner.run(m.intraComm, bufB, bufA, nn*q*q*block)
+		err = m.inner.run(m.intraComm, bufB, bufA, 1, nn*q*q*block)
 		timer.Stop()
 		if err != nil {
 			return fmt.Errorf("core: multileader-node-aware intra exchange: %w", err)

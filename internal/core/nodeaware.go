@@ -16,12 +16,14 @@ import (
 // g nearby ranks instead of all ppn, trading slightly more inter-region
 // messages for much cheaper local traffic.
 //
-// The inter exchange reads the caller's send directly: on a block-mapped
-// world the first repack is the identity, so it is charged but moves no
-// bytes. The caller's recv is the working buffer after that, next to one
-// staging buffer of p blocks: each inner exchange receives into the
-// stage, the transpose between them writes into recv, the intra exchange
-// sends from recv, and the final inverse transpose lands in recv.
+// The paper's three repacks are charged but move no bytes: the only
+// copies are the two exchanges' own. On a block-mapped world the first is
+// the identity: the inter exchange reads the caller's send directly. The
+// other two are transposes, and the inner exchanges' receive layout (see
+// innerExchange.run) does them as the bytes land: the inter exchange
+// receives into one staging buffer of p blocks in member-major order, and
+// the intra exchange sends from it and receives into the caller's recv in
+// world-rank order.
 type nodeAware struct {
 	*basic
 	info worldInfo
@@ -36,7 +38,7 @@ type nodeAware struct {
 	group comm.Comm // my j-counterparts in every group (size tg)
 
 	inner innerExchange
-	stage comm.Buffer // p*maxBlock: each inner exchange's receive side
+	stage comm.Buffer // p*maxBlock: the inter exchange's receive side, the intra exchange's send side
 }
 
 func newNodeAware(c comm.Comm, maxBlock int, o Options, whole bool) (Alltoaller, error) {
@@ -96,40 +98,36 @@ func (na *nodeAware) run(c comm.Comm, send, recv comm.Buffer, block int) error {
 	// node-pair aggregation: each rank talks to exactly one rank per node.
 	// Every inner exchange only reads its send side.
 	timer = na.rec.Time(trace.PhaseInter)
-	err = na.inner.run(na.group, send, stage, g*block)
+	err = na.inner.run(na.group, send, stage, g, block)
 	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s inter exchange: %w", na.name, err)
 	}
 
-	// Repack stage's [t][i] into member-major [i][t] in recv for the local
-	// redistribution: a transpose, one strided copy per member row.
+	// The paper's second repack transposes the received [t][i] into
+	// member-major [i][t] for the local redistribution. The receive did
+	// it: group t's block for member i landed at stage block i*tg+t. It
+	// is charged, and moves no bytes.
 	timer = na.rec.Time(trace.PhaseRepack)
-	for i := 0; i < g; i++ {
-		comm.CopyBlocks(recv, i*tg, 1, stage, i, g, tg, block)
-	}
 	err = c.ChargeCopy(p*block, p)
 	timer.Stop()
 	if err != nil {
 		return err
 	}
 
-	// Intra-region exchange, recv to stage: tg*block bytes per member
+	// Intra-region exchange, stage to recv: tg*block bytes per member
 	// pair within the group.
 	timer = na.rec.Time(trace.PhaseIntra)
-	err = na.inner.run(na.local, recv, stage, tg*block)
+	err = na.inner.run(na.local, stage, recv, tg, block)
 	timer.Stop()
 	if err != nil {
 		return fmt.Errorf("core: %s intra exchange: %w", na.name, err)
 	}
 
-	// Final repack into recv's world-rank order: the block received from
-	// member i covering group t originated at world rank t*g+i — the
-	// inverse transpose.
+	// The final repack is the inverse transpose into world-rank order:
+	// the block from member i covering group t originated at world rank
+	// t*g+i, and the receive landed it there. Charged, like the others.
 	timer = na.rec.Time(trace.PhaseRepack)
-	for i := 0; i < g; i++ {
-		comm.CopyBlocks(recv, i, g, stage, i*tg, 1, tg, block)
-	}
 	err = c.ChargeCopy(p*block, p)
 	timer.Stop()
 	return err

@@ -20,14 +20,15 @@ var arrivalOrders = []struct {
 // arrival runs rounds 2-rank exchanges: rank 0 runs send, rank 1 runs
 // recv, which posts its receives and returns the wait that completes and
 // checks them. With posted, rank 1 posts every receive before rank 0
-// sends; otherwise rank 0's sends (all eager, so they return at once)
-// are unexpected when rank 1 posts. A second barrier holds rank 1's wait
-// until rank 0's sends have returned, so whatever the sender does to its
-// buffers after a send is done before the receiver looks. A rank that
-// fails a round still meets every barrier, so a failure cannot strand
-// its peer; arrival returns the first failure.
-func arrival(posted bool, rounds int, send func(c comm.Comm, round int) error,
-	recv func(c comm.Comm, round int) (wait func() error, err error)) error {
+// sends; otherwise rank 0's sends (eager, or nonblocking by rendezvous,
+// so they return at once) are unexpected when rank 1 posts. A second
+// barrier holds rank 1's wait until rank 0's sends have returned, so
+// whatever the sender does to its buffers after a send is done before
+// the receiver looks. send may return a wait too (nil for none), which
+// rank 0 runs after that barrier. A rank that fails a round still meets
+// every barrier, so a failure cannot strand its peer; arrival returns the
+// first failure.
+func arrival(posted bool, rounds int, send, recv func(c comm.Comm, round int) (wait func() error, err error)) error {
 	return Run(Config{Ranks: 2}, func(c comm.Comm) error {
 		var first error
 		fail := func(round int, err error) {
@@ -40,13 +41,19 @@ func arrival(posted bool, rounds int, send func(c comm.Comm, round int) error,
 				if posted {
 					fail(round, c.Barrier())
 				}
+				var wait func() error
 				if first == nil {
-					fail(round, send(c, round))
+					var err error
+					wait, err = send(c, round)
+					fail(round, err)
 				}
 				if !posted {
 					fail(round, c.Barrier())
 				}
 				fail(round, c.Barrier())
+				if wait != nil {
+					fail(round, wait())
+				}
 				continue
 			}
 			if !posted {
@@ -102,23 +109,83 @@ func sendThenScribble(c comm.Comm, n, id, tag int) error {
 // between two bounce classes, a power of two and the limit itself.
 var eagerSizes = []int{1, 100, 256, DefaultEagerMax}
 
+// viewSizes are the sizes of the messages sent from one vector view into
+// another: one eager, one by rendezvous.
+var viewSizes = []int{256, 16 << 10}
+
+// sendViews starts viewSizes' messages to rank 1 on tag, each from a view
+// of 64 B blocks two apart. Its wait completes the sends and then
+// scribbles over the views: a receive must have copied its message by
+// the time the send completes.
+func sendViews(c comm.Comm, round, tag int) (func() error, error) {
+	views := make([]testutil.View, len(viewSizes))
+	reqs := make([]comm.Request, len(viewSizes))
+	for i, n := range viewSizes {
+		views[i] = testutil.NewView(2, n/64, 64)
+		views[i].Fill(0, round*len(viewSizes)+i)
+		var err error
+		if reqs[i], err = c.Isend(views[i].Buf, 1, tag); err != nil {
+			return nil, err
+		}
+	}
+	return func() error {
+		if err := c.WaitAll(reqs); err != nil {
+			return err
+		}
+		for _, v := range views {
+			v.Fill(1, 1)
+		}
+		return nil
+	}, nil
+}
+
+// recvViews posts receives for sendViews' messages into views of 96 B
+// blocks three apart, each a block longer than its message needs, so the
+// runs of the two sides do not line up and the message ends inside a
+// block. Its wait completes them and checks that each message filled its
+// view's blocks in order and changed no other byte of the view's parent.
+func recvViews(c comm.Comm, round, tag int) (func() error, error) {
+	views := make([]testutil.View, len(viewSizes))
+	bufs := make([]comm.Buffer, len(viewSizes))
+	for i, n := range viewSizes {
+		views[i] = testutil.NewView(3, (n+95)/96+1, 96)
+		bufs[i] = views[i].Buf
+	}
+	reqs, err := irecvs(c, tag, bufs...)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		if err := c.WaitAll(reqs); err != nil {
+			return err
+		}
+		for i, n := range viewSizes {
+			if err := views[i].Check(n, 0, round*len(viewSizes)+i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil
+}
+
 // TestEagerArrivalOrders sends eagerSizes' messages in both arrival
 // orders, twice (so the second round's unexpected messages reuse the
 // first round's bounce buffers). The sender scribbles over its buffer as
 // soon as each Send returns; every received byte must still be the
 // original, and the bytes of a receive buffer past the message must be
-// untouched.
+// untouched. viewSizes' messages go from vector views into vector views
+// on another tag, with the same checks, in the same rounds.
 func TestEagerArrivalOrders(t *testing.T) {
 	t.Parallel()
 	const tail = 16
 	for _, o := range arrivalOrders {
-		err := arrival(o.posted, 2, func(c comm.Comm, round int) error {
+		err := arrival(o.posted, 2, func(c comm.Comm, round int) (func() error, error) {
 			for i, n := range eagerSizes {
 				if err := sendThenScribble(c, n, round*len(eagerSizes)+i, 4); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			return nil
+			return sendViews(c, round, 5)
 		}, func(c comm.Comm, round int) (func() error, error) {
 			bufs := make([]comm.Buffer, len(eagerSizes))
 			for i, n := range eagerSizes {
@@ -126,6 +193,10 @@ func TestEagerArrivalOrders(t *testing.T) {
 				testutil.FillBlock(bufs[i], 1, 1)
 			}
 			reqs, err := irecvs(c, 4, bufs...)
+			if err != nil {
+				return nil, err
+			}
+			waitViews, err := recvViews(c, round, 5)
 			if err != nil {
 				return nil, err
 			}
@@ -143,7 +214,7 @@ func TestEagerArrivalOrders(t *testing.T) {
 						}
 					}
 				}
-				return nil
+				return waitViews()
 			}, nil
 		})
 		if err != nil {
@@ -163,13 +234,13 @@ func TestEagerTruncation(t *testing.T) {
 	t.Parallel()
 	const n, msgs = 16, 4
 	for _, o := range arrivalOrders {
-		err := arrival(o.posted, 2, func(c comm.Comm, round int) error {
+		err := arrival(o.posted, 2, func(c comm.Comm, round int) (func() error, error) {
 			for i := 0; i < msgs+round; i++ {
 				if err := sendThenScribble(c, n, round*msgs+i, 2); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			return nil
+			return nil, nil
 		}, func(c comm.Comm, round int) (func() error, error) {
 			bufs := []comm.Buffer{comm.Alloc(n / 2)}
 			for i := 1; i < msgs+round; i++ {
@@ -209,13 +280,13 @@ func TestEagerVirtualAndEmpty(t *testing.T) {
 	t.Parallel()
 	sends := []comm.Buffer{comm.Virtual(256), comm.Alloc(256), comm.Alloc(0), comm.Virtual(0)}
 	for _, o := range arrivalOrders {
-		err := arrival(o.posted, 2, func(c comm.Comm, round int) error {
+		err := arrival(o.posted, 2, func(c comm.Comm, round int) (func() error, error) {
 			for _, b := range sends {
 				if err := c.Send(b, 1, 6); err != nil {
-					return err
+					return nil, err
 				}
 			}
-			return sendThenScribble(c, 64, round, 6)
+			return nil, sendThenScribble(c, 64, round, 6)
 		}, func(c comm.Comm, round int) (func() error, error) {
 			untouched := []comm.Buffer{comm.Alloc(256), comm.Alloc(4), comm.Alloc(4)}
 			for _, b := range untouched {

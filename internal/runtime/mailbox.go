@@ -73,11 +73,9 @@ type envelope struct {
 // inMsg is a message sitting in the unexpected queue: eager when rdvReq
 // is nil, else a rendezvous send waiting for its receive.
 type inMsg struct {
-	env     envelope
-	length  int
-	payload []byte      // eager: the copy, in a bounce buffer; nil if virtual or empty
-	rdvBuf  comm.Buffer // rendezvous: sender's live buffer
-	rdvReq  *request    // rendezvous: sender's request to complete on copy
+	env    envelope
+	buf    comm.Buffer // eager: the copy, in a bounce buffer, or virtual or empty; rendezvous: sender's live buffer
+	rdvReq *request    // rendezvous: sender's request to complete on copy
 }
 
 // postedRecv is a receive waiting in the posted queue.
@@ -129,15 +127,15 @@ func (m *mailbox) deliverEager(ctx int64, src, tag int, b comm.Buffer) {
 	if i := m.findPostedLocked(env); i >= 0 {
 		p := m.takePostedLocked(i)
 		m.mu.Unlock()
-		p.req.complete(landEager(p.buf, b.Len(), b.Bytes()))
+		p.req.complete(land(p.buf, b))
 		return
 	}
-	var payload []byte
+	payload := comm.Virtual(b.Len())
 	if !b.IsVirtual() && b.Len() > 0 {
-		payload = m.bounceLocked(b.Len())
-		copy(payload, b.Bytes())
+		payload = comm.Wrap(m.bounceLocked(b.Len()))
+		_, _ = comm.CopyData(payload, b) // cannot fail: payload is b.Len() bytes
 	}
-	m.unexpected = append(m.unexpected, inMsg{env: env, length: b.Len(), payload: payload})
+	m.unexpected = append(m.unexpected, inMsg{env: env, buf: payload})
 	m.mu.Unlock()
 }
 
@@ -153,7 +151,7 @@ func (m *mailbox) deliverRendezvous(ctx int64, src, tag int, sb comm.Buffer, sre
 		completeRendezvous(p, sb, sreq)
 		return
 	}
-	m.unexpected = append(m.unexpected, inMsg{env: env, length: sb.Len(), rdvBuf: sb, rdvReq: sreq})
+	m.unexpected = append(m.unexpected, inMsg{env: env, buf: sb, rdvReq: sreq})
 	m.mu.Unlock()
 }
 
@@ -174,11 +172,11 @@ func (m *mailbox) postRecv(ctx int64, src, tag int, b comm.Buffer, req *request)
 	msg := m.takeUnexpectedLocked(i)
 	if msg.rdvReq != nil {
 		m.mu.Unlock()
-		completeRendezvous(p, msg.rdvBuf, msg.rdvReq)
+		completeRendezvous(p, msg.buf, msg.rdvReq)
 		return
 	}
-	err := landEager(b, msg.length, msg.payload)
-	m.releaseBounceLocked(msg.payload)
+	err := land(b, msg.buf)
+	m.releaseBounceLocked(msg.buf.Bytes())
 	m.mu.Unlock()
 	req.complete(err)
 }
@@ -235,15 +233,12 @@ func (m *mailbox) releaseBounceLocked(b []byte) {
 	}
 }
 
-// landEager copies an eager message of length bytes (payload nil when it
-// is virtual or empty) into a receive buffer, or reports ErrTruncate when
-// the buffer is too short for it.
-func landEager(dst comm.Buffer, length int, payload []byte) error {
-	if length > dst.Len() {
+// land copies a message (the sender's buffer or an eager bounce copy)
+// into the front of a receive buffer, or reports ErrTruncate when the
+// buffer is too short for it.
+func land(dst, msg comm.Buffer) error {
+	if _, err := comm.CopyData(dst, msg); err != nil {
 		return comm.ErrTruncate
-	}
-	if payload != nil && !dst.IsVirtual() {
-		copy(dst.Bytes(), payload)
 	}
 	return nil
 }
@@ -253,12 +248,7 @@ func landEager(dst comm.Buffer, length int, payload []byte) error {
 // both requests, or fails both with ErrTruncate when the receive is too
 // short.
 func completeRendezvous(p postedRecv, sb comm.Buffer, sreq *request) {
-	if sb.Len() > p.buf.Len() {
-		p.req.complete(comm.ErrTruncate)
-		sreq.complete(comm.ErrTruncate)
-		return
-	}
-	_, err := comm.CopyData(p.buf.Slice(0, sb.Len()), sb)
+	err := land(p.buf, sb)
 	sreq.complete(err)
 	p.req.complete(err)
 }

@@ -173,8 +173,11 @@ func (c *Comm) Topo() *topo.Mapping {
 // Now returns seconds since the world started (monotonic wall clock).
 func (c *Comm) Now() float64 { return time.Since(c.sh.w.start).Seconds() }
 
-// Memcpy copies src to dst.
+// Memcpy copies src to dst, which must be as long.
 func (c *Comm) Memcpy(dst, src comm.Buffer) error {
+	if dst.Len() != src.Len() {
+		return fmt.Errorf("runtime: Memcpy of %d bytes into a %d-byte buffer", src.Len(), dst.Len())
+	}
 	_, err := comm.CopyData(dst, src)
 	return err
 }

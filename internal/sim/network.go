@@ -336,9 +336,6 @@ func (f *flight) arrive(t float64) {
 	if !msg.rdv {
 		n.deliverEager(msg.dstWorld, msg.env, msg.bytes, msg.payload, t)
 	} else {
-		if !msg.sendBuf.IsVirtual() && !f.post.buf.IsVirtual() && msg.bytes > 0 {
-			copy(f.post.buf.Bytes(), msg.sendBuf.Bytes()[:msg.bytes])
-		}
 		n.determine(f.post.req, t, nil)
 	}
 	f.msg, f.post = simMsg{}, simPosted{}
@@ -463,7 +460,7 @@ func (n *Network) isend(p *Proc, req *simReq, srcW, dstW int, ctx int64, srcRank
 		var payload []byte
 		if !b.IsVirtual() && b.Len() > 0 {
 			payload = n.bounce(b.Len())
-			copy(payload, b.Bytes())
+			_, _ = comm.CopyData(comm.Wrap(payload), b) // cannot fail: payload is b.Len() bytes
 		}
 		f := n.newFlight()
 		f.msg = simMsg{env: envelope{ctx: ctx, src: srcRank, tag: tag}, bytes: b.Len(),
@@ -488,8 +485,7 @@ func (n *Network) isend(p *Proc, req *simReq, srcW, dstW int, ctx int64, srcRank
 	}
 	box := &n.boxes[dstW]
 	if i := findPosted(box, msg.env); i >= 0 {
-		post := takePosted(box, i)
-		n.beginRendezvous(msg, post)
+		n.completeMatch(msg, takePosted(box, i))
 	} else {
 		box.unexpected = append(box.unexpected, msg)
 	}
@@ -572,9 +568,7 @@ func (n *Network) completeMatch(msg simMsg, post simPosted) {
 		t = post.tReady
 	}
 	t += n.copyTime(msg.bytes)
-	if msg.payload != nil && !post.buf.IsVirtual() {
-		copy(post.buf.Bytes(), msg.payload)
-	}
+	_, _ = comm.CopyData(post.buf, comm.Wrap(msg.payload)) // cannot fail: the length was checked above
 	n.releaseBounce(msg.payload)
 	n.determine(post.req, t, nil)
 }
@@ -602,8 +596,13 @@ func (n *Network) releaseBounce(b []byte) {
 }
 
 // beginRendezvous runs the RTS/CTS handshake arithmetic and schedules the
-// bulk transfer at its causally correct start time.
+// bulk transfer at its causally correct start time. The payload bytes
+// move now, at the match: the sender's request completes when the first
+// stage clears, before the message arrives, and the sender may then
+// reuse its buffer; the receiver must not read its buffer until its own
+// request completes, so the early copy is invisible to it.
 func (n *Network) beginRendezvous(msg simMsg, post simPosted) {
+	_, _ = comm.CopyData(post.buf, msg.sendBuf) // cannot fail: completeMatch checked the length
 	level := n.mapping.LevelBetween(msg.srcWorld, msg.dstWorld)
 	lat := n.p.Latency(level)
 	// The receiver reacts once the RTS has arrived and the receive is
@@ -670,8 +669,12 @@ func (n *Network) WaitAll(p *Proc, reqs ...*simReq) error {
 	return nil
 }
 
-// Memcpy charges a single-core copy to p and moves real bytes.
+// Memcpy charges a single-core copy to p and moves real bytes. dst must
+// be as long as src.
 func (n *Network) Memcpy(p *Proc, dst, src comm.Buffer) error {
+	if dst.Len() != src.Len() {
+		return fmt.Errorf("sim: Memcpy of %d bytes into a %d-byte buffer", src.Len(), dst.Len())
+	}
 	bytes, err := comm.CopyData(dst, src)
 	if err != nil {
 		return err

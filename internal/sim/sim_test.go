@@ -224,16 +224,30 @@ func TestSimMatchingSelectivity(t *testing.T) {
 	}
 }
 
+// TestSimTruncation: a receive shorter than its message fails with
+// ErrTruncate, for an eager message and for a rendezvous one whose
+// receive was posted before the send (then the send fails too).
 func TestSimTruncation(t *testing.T) {
 	t.Parallel()
 	cfg := ClusterConfig{Model: cleanModel(), Nodes: 1, PPN: 2, Seed: 1}
 	_, err := RunCluster(cfg, func(c comm.Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(comm.Alloc(512), 1, 1)
+			if err := c.Send(comm.Alloc(512), 1, 1); err != nil {
+				return err
+			}
+			if err := c.Compute(1e-3); err != nil {
+				return err
+			}
+			if err := c.Send(comm.Alloc(4096), 1, 2); !errors.Is(err, comm.ErrTruncate) {
+				return fmt.Errorf("rendezvous send into a posted 8 B receive: want ErrTruncate, got %v", err)
+			}
+			return nil
 		}
-		err := c.Recv(comm.Alloc(8), 0, 1)
-		if !errors.Is(err, comm.ErrTruncate) {
-			return fmt.Errorf("want ErrTruncate, got %v", err)
+		if err := c.Recv(comm.Alloc(8), 0, 1); !errors.Is(err, comm.ErrTruncate) {
+			return fmt.Errorf("eager: want ErrTruncate, got %v", err)
+		}
+		if err := c.Recv(comm.Alloc(8), 0, 2); !errors.Is(err, comm.ErrTruncate) {
+			return fmt.Errorf("rendezvous: want ErrTruncate, got %v", err)
 		}
 		return nil
 	})
@@ -504,4 +518,65 @@ func TestRendezvousSlotReuse(t *testing.T) {
 		t.Error("no rank reused its request slot while its rendezvous flight was in transit")
 	}
 	t.Logf("%d steps began with the previous step's flight in transit", reused)
+}
+
+// TestSimViews sends messages of real bytes from vector views into
+// vector views: a 256 B eager message and a 16 KiB rendezvous one, each
+// from a view of 64 B blocks two apart into one of 96 B blocks three
+// apart that is a block longer than it needs, each size on its own tag
+// (on one envelope the simulator queues a rendezvous message at its send
+// but an eager one only at its arrival, so the later could match first).
+// The receive is posted before the message arrives and after it, in two
+// rounds, so the second round's eager message reuses the first's bounce
+// buffer. Each message must fill its view's blocks in order and change no
+// other byte.
+func TestSimViews(t *testing.T) {
+	t.Parallel()
+	sizes := []int{256, 16 << 10}
+	for _, posted := range []bool{true, false} {
+		cfg := ClusterConfig{Model: cleanModel(), Nodes: 2, PPN: 1, Seed: 1}
+		_, err := RunCluster(cfg, func(c comm.Comm) error {
+			for round := 0; round < 2; round++ {
+				// The late side starts a millisecond after the other.
+				if (c.Rank() == 0) == posted {
+					if err := c.Compute(1e-3); err != nil {
+						return err
+					}
+				}
+				views := make([]testutil.View, len(sizes))
+				reqs := make([]comm.Request, len(sizes))
+				for i, n := range sizes {
+					var err error
+					if c.Rank() == 0 {
+						views[i] = testutil.NewView(2, n/64, 64)
+						views[i].Fill(0, round*len(sizes)+i)
+						reqs[i], err = c.Isend(views[i].Buf, 1, i)
+					} else {
+						views[i] = testutil.NewView(3, (n+95)/96+1, 96)
+						reqs[i], err = c.Irecv(views[i].Buf, 0, i)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				if err := c.WaitAll(reqs); err != nil {
+					return err
+				}
+				for i, n := range sizes {
+					if c.Rank() == 1 {
+						if err := views[i].Check(n, 0, round*len(sizes)+i); err != nil {
+							return fmt.Errorf("round %d: %w", round, err)
+						}
+					}
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("posted %v: %v", posted, err)
+		}
+	}
 }

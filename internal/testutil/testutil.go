@@ -82,3 +82,50 @@ func CheckBlock(b comm.Buffer, src, dst int) error {
 	}
 	return nil
 }
+
+// View is a vector view of a parent buffer (see comm.Buffer.Blocks), for
+// tests that send from or receive into one: count blocks of size bytes,
+// stride blocks apart, from the parent's first byte. NewView fills the
+// whole parent with a background pattern, so Check sees a stray write
+// anywhere in it.
+type View struct {
+	Parent, Buf  comm.Buffer
+	stride, size int
+}
+
+// NewView allocates a parent for count blocks of size bytes stride blocks
+// apart and returns the view of them.
+func NewView(stride, count, size int) View {
+	parent := comm.Alloc(((count-1)*stride + 1) * size)
+	FillBlock(parent, -1, -1)
+	return View{Parent: parent, Buf: parent.Blocks(0, stride, count, size), stride: stride, size: size}
+}
+
+// at returns the parent offset of byte i of the view.
+func (v View) at(i int) int { return i/v.size*v.stride*v.size + i%v.size }
+
+// Fill writes the (src, dst) pattern into the view's bytes, in order.
+func (v View) Fill(src, dst int) {
+	data := v.Parent.Bytes()
+	for i := 0; i < v.Buf.Len(); i++ {
+		data[v.at(i)] = PatternByte(src, dst, i)
+	}
+}
+
+// Check verifies that the view's first n bytes hold the (src, dst)
+// pattern in order and that every other byte of the parent still holds
+// NewView's background.
+func (v View) Check(n, src, dst int) error {
+	want := comm.Alloc(v.Parent.Len())
+	FillBlock(want, -1, -1)
+	for i := 0; i < n; i++ {
+		want.Bytes()[v.at(i)] = PatternByte(src, dst, i)
+	}
+	for i, got := range v.Parent.Bytes() {
+		if w := want.Bytes()[i]; got != w {
+			return fmt.Errorf("testutil: view of %d B blocks %d apart, %d B message (%d->%d): parent byte %d is %#x, want %#x",
+				v.size, v.stride, n, src, dst, i, got, w)
+		}
+	}
+	return nil
+}
